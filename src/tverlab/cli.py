@@ -18,7 +18,7 @@ from fractions import Fraction
 from typing import List, Optional
 
 from . import conemap, cover, depth, z2
-from .rationals import rat, rat_str
+from .rationals import point_strs, rat_str
 from .rng import SplitMix64
 
 PASS, FALSIFIED, USAGE = 0, 1, 2
@@ -37,20 +37,16 @@ def _emit(records: List[dict], output: Optional[str]) -> None:
         sys.stdout.write(text)
 
 
-def _point_strs(p) -> list:
-    return [rat_str(c) for c in p]
-
-
 # ---------------------------------------------------------------------------
 # subcommand handlers: each returns (exit_code, records)
 # ---------------------------------------------------------------------------
 
 def _configs(args, parser) -> List[depth.PointConfig]:
+    if args.r is None or (args.d is None and not args.input):
+        parser.error(f"{args.command}: need --r, and --d or --input")
     if args.input:
         with open(args.input) as fh:
             return [depth.PointConfig.from_json(fh.read())]
-    if args.d is None or args.r is None:
-        parser.error("need --d and --r (or --input)")
     rng = SplitMix64(args.seed)
     n = depth.guaranteed_size(args.d, args.r)
     return [
@@ -69,7 +65,7 @@ def cmd_centerpoint(args, parser):
             {
                 "trial": i,
                 "n": config.n,
-                "point": None if cert is None else _point_strs(cert.point),
+                "point": None if cert is None else point_strs(cert.point),
                 "depth": None if cert is None else cert.depth,
                 "r": args.r,
                 "ok": ok,
@@ -92,7 +88,7 @@ def cmd_tverberg(args, parser):
             rec = {
                 "trial": i,
                 "blocks": [list(b) for b in cert.blocks],
-                "point": _point_strs(cert.point),
+                "point": point_strs(cert.point),
                 "depth": dep.depth,
                 "r": args.r,
                 "ok": ok,
@@ -127,7 +123,7 @@ def cmd_reduce(args, parser):
             ok = cert.depth >= args.r
             rec = {
                 "trial": i,
-                "point": _point_strs(cert.point),
+                "point": point_strs(cert.point),
                 "depth": cert.depth,
                 "ok": ok,
             }
@@ -213,12 +209,11 @@ def cmd_cover(args, parser):
     if args.input:
         with open(args.input) as fh:
             data = json.load(fh)
-        pts = [[rat(c) for c in p] for p in data["barycentric_points"]]
-        touches = cover.facet_touching_check(pts)
-        n = len(pts[0]) - 1
+        pts = data["barycentric_points"]
+        touches = cover.touches_all_facets(pts)
         cert = cover.min_cover_homothety(
             [cover.barycentric_to_centered(p) for p in pts],
-            cover.standard_simplex_body(n),
+            cover.standard_simplex_body(len(pts[0]) - 1),
         )
         rec = cert.to_record()
         rec["touches_all_facets"] = touches
@@ -226,15 +221,15 @@ def cmd_cover(args, parser):
         return (PASS if rec["ok"] else FALSIFIED), [rec]
     if args.d is None:
         parser.error("need --d (simplex dimension) or --input")
+    body = cover.standard_simplex_body(args.d)
     rng = SplitMix64(args.seed)
     records = []
     ok_all = True
     for i in range(args.trials):
         pts = _random_facet_touching(args.d, rng)
-        touches = cover.facet_touching_check(pts)
+        touches = cover.touches_all_facets(pts)
         cert = cover.min_cover_homothety(
-            [cover.barycentric_to_centered(p) for p in pts],
-            cover.standard_simplex_body(args.d),
+            [cover.barycentric_to_centered(p) for p in pts], body
         )
         ok = touches and cert.delta >= 1
         ok_all &= ok
@@ -327,6 +322,12 @@ def main(argv=None) -> int:
     except (OSError, ValueError) as exc:
         # Unreadable --input files, malformed JSON, and out-of-range
         # dimensions are usage errors, not falsified checks.
+        parser.error(f"{args.command}: {exc}")
+    except TypeError as exc:
+        # A non-exact scalar (a JSON float) in --input is bad input too;
+        # elsewhere a TypeError is a bug and keeps its traceback.
+        if not args.input:
+            raise
         parser.error(f"{args.command}: {exc}")
     _emit(records, args.output)
     return code

@@ -1,10 +1,11 @@
 """Abstract simplicial complexes, barycentric subdivision, and rational
 piecewise-linear maps.
 
-Simplices are sorted tuples of integer vertex ids.  A complex is stored by
-its maximal simplices (facets); the face closure is implied.  Geometry is
-exact: realizations assign rational points, the standard m-simplex lives on
-the unit coordinate vectors of R^{m+1}, and barycenters are exact averages.
+Simplices are sorted tuples of integer vertex ids.  A complex is given by
+its maximal simplices (facets); its faces are indexed by dimension once,
+when it is built.  Geometry is exact: realizations assign rational points,
+the standard m-simplex lives on the unit coordinate vectors of R^{m+1},
+and barycenters are exact averages.
 """
 from __future__ import annotations
 
@@ -33,10 +34,6 @@ def simplex(vertices: Iterable[int]) -> Simplex:
     return vs
 
 
-def _face_sort_key(s: Simplex):
-    return (len(s), s)
-
-
 class SimplicialComplex:
     """A finite abstract simplicial complex, given by its facets."""
 
@@ -44,34 +41,32 @@ class SimplicialComplex:
         sims = {simplex(f) for f in facets}
         if not sims:
             raise ValueError("a complex needs at least one simplex")
-        maximal = {
-            s
+        proper = {
+            face
             for s in sims
-            if not any(s != t and set(s) <= set(t) for t in sims)
+            for k in range(1, len(s))
+            for face in itertools.combinations(s, k)
         }
-        self.facets: frozenset = frozenset(maximal)
+        self.facets: frozenset = frozenset(sims - proper)
+        self._face_set = proper | self.facets
+        self._faces_by_dim: Dict[int, List[Simplex]] = {}
+        for s in sorted(self._face_set):
+            self._faces_by_dim.setdefault(len(s) - 1, []).append(s)
+        self.dim: int = max(self._faces_by_dim)
         self.vertices: Tuple[int, ...] = tuple(
-            sorted({v for s in maximal for v in s})
+            v for (v,) in self._faces_by_dim[0]
         )
-        self.dim: int = max(len(s) for s in maximal) - 1
-        self._faces: Optional[List[Simplex]] = None
 
     def faces(self) -> List[Simplex]:
         """All nonempty faces, sorted by (dimension, lexicographic)."""
-        if self._faces is None:
-            seen = set()
-            for f in self.facets:
-                for k in range(1, len(f) + 1):
-                    seen.update(itertools.combinations(f, k))
-            self._faces = sorted(seen, key=_face_sort_key)
-        return self._faces
+        return [s for k in range(self.dim + 1) for s in self._faces_by_dim[k]]
 
     def faces_of_dim(self, k: int) -> List[Simplex]:
-        return [s for s in self.faces() if len(s) == k + 1]
+        return list(self._faces_by_dim.get(k, ()))
 
     def has_face(self, s: Iterable[int]) -> bool:
-        t = set(s)
-        return any(t <= set(f) for f in self.facets)
+        t = tuple(sorted(set(s)))
+        return not t or t in self._face_set
 
     def euler_characteristic(self) -> int:
         return sum((-1) ** (len(s) - 1) for s in self.faces())

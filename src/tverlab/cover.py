@@ -167,11 +167,9 @@ def min_cover_homothety(
     return CoverCertificate(delta=delta, translate=t, tight=tuple(tight))
 
 
-def facet_touching_check(points_barycentric: Sequence[Sequence]) -> bool:
+def touches_all_facets(points_barycentric: Sequence[Sequence]) -> bool:
     """Does the set (in barycentric coordinates) touch every facet of the
-    simplex, i.e. does every coordinate vanish somewhere?  When it does,
-    no strictly smaller homothet can cover, and this is asserted exactly:
-    min_cover_homothety >= 1."""
+    simplex, i.e. does every coordinate vanish somewhere?"""
     pts = [tuple(rat(c) for c in p) for p in points_barycentric]
     if not pts:
         raise ValueError("need at least one point")
@@ -179,11 +177,19 @@ def facet_touching_check(points_barycentric: Sequence[Sequence]) -> bool:
     if len(width) != 1:
         raise ValueError("mixed dimensions")
     (w,) = width
-    n = w - 1
-    touches = all(any(p[i] == 0 for p in pts) for i in range(n + 1))
+    return all(any(p[i] == 0 for p in pts) for i in range(w))
+
+
+def facet_touching_check(points_barycentric: Sequence[Sequence]) -> bool:
+    """touches_all_facets, and when the set touches every facet, assert
+    exactly that no strictly smaller homothet covers it:
+    min_cover_homothety >= 1."""
+    pts = list(points_barycentric)
+    touches = touches_all_facets(pts)
     if touches:
         cert = min_cover_homothety(
-            [barycentric_to_centered(p) for p in pts], standard_simplex_body(n)
+            [barycentric_to_centered(p) for p in pts],
+            standard_simplex_body(len(pts[0]) - 1),
         )
         if cert.delta < 1:
             raise RuntimeError(
@@ -289,11 +295,10 @@ def fiber_width_demo(spec: PLMapSpec, density: int, label: str = "sampled fibers
         y = pl_value(spec, p)
         cell = tuple(math.floor(c * density) for c in y)
         buckets.setdefault(cell, []).append(p)
+    body = standard_simplex_body(m)
     cells = []
     for cell in sorted(buckets):
         pts = buckets[cell]
-        cert = min_cover_homothety(
-            [barycentric_to_centered(p) for p in pts], standard_simplex_body(m)
-        )
+        cert = min_cover_homothety([barycentric_to_centered(p) for p in pts], body)
         cells.append(FiberCell(cell=cell, count=len(pts), certificate=cert))
     return FiberReport(source_dim=m, density=density, label=label, cells=cells)

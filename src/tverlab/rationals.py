@@ -7,7 +7,7 @@ denominator).  Serialized form is the string ``"p/q"``.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable, Sequence, Tuple
+from typing import Sequence, Tuple
 
 Rational = Fraction
 Point = Tuple[Fraction, ...]
@@ -30,10 +30,6 @@ def rat_str(value: Fraction) -> str:
     """Serialize a Fraction as ``"p/q"`` (denominator always written)."""
     f = rat(value)
     return f"{f.numerator}/{f.denominator}"
-
-
-def point(values: Iterable) -> Point:
-    return tuple(rat(v) for v in values)
 
 
 def point_strs(p: Sequence[Fraction]) -> list:

@@ -14,9 +14,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Dict, FrozenSet
-
-import numpy as np
+from typing import Dict, FrozenSet, Sequence
 
 from .complexes import SimplicialComplex, Simplex, barycentric_subdivision
 
@@ -216,40 +214,37 @@ def is_coboundary(x: F2Cochain, q: QuotientData) -> bool:
         return True
     if x.degree == 0:
         return False  # a nonzero 0-cochain is never a coboundary here
-    rows = K.faces_of_dim(x.degree)
     cols = K.faces_of_dim(x.degree - 1)
-    col_index = {c: i for i, c in enumerate(cols)}
-    A = np.zeros((len(rows), len(cols)), dtype=np.uint8)
-    b = np.zeros(len(rows), dtype=np.uint8)
-    for r, s in enumerate(rows):
+    col_bit = {c: 1 << i for i, c in enumerate(cols)}
+    rhs_bit = 1 << len(cols)
+    rows = []
+    for s in K.faces_of_dim(x.degree):
+        row = rhs_bit if s in x.support else 0
         for drop in range(len(s)):
-            A[r, col_index[s[:drop] + s[drop + 1:]]] ^= 1
-        if s in x.support:
-            b[r] = 1
-    return _gf2_solvable(A, b)
+            row ^= col_bit[s[:drop] + s[drop + 1:]]
+        rows.append(row)
+    return _gf2_solvable(rows, len(cols))
 
 
-def _gf2_solvable(A: np.ndarray, b: np.ndarray) -> bool:
-    """Gaussian elimination over F_2 with xor row operations."""
-    M = np.concatenate([A, b.reshape(-1, 1)], axis=1).astype(np.uint8)
-    nrows, ncols = M.shape
-    r = 0
-    for c in range(ncols - 1):
-        pivots = np.nonzero(M[r:, c])[0]
-        if pivots.size == 0:
-            continue
-        p = r + int(pivots[0])
-        if p != r:
-            M[[r, p]] = M[[p, r]]
-        mask = M[:, c].copy()
-        mask[r] = 0
-        M[mask == 1] ^= M[r]
-        r += 1
-        if r == nrows:
-            break
-    # inconsistent iff some row reads 0 = 1
-    zero_lhs = ~M[:, :-1].any(axis=1)
-    return not bool((M[zero_lhs, -1] == 1).any())
+def _gf2_solvable(rows: Sequence[int], ncols: int) -> bool:
+    """Is the F_2 system consistent?  Each row is an int bitset of its
+    columns, with the right-hand side as bit `ncols`, above every column.
+
+    Xor elimination keyed by each row's lowest set bit: a row that reduces
+    to the right-hand-side bit alone reads 0 = 1.
+    """
+    rhs_bit = 1 << ncols
+    pivots: Dict[int, int] = {}
+    for row in rows:
+        while row:
+            low = row & -row
+            if low == rhs_bit:
+                return False
+            if low not in pivots:
+                pivots[low] = row
+                break
+            row ^= pivots[low]
+    return True
 
 
 def hind(X: Z2Complex) -> int:

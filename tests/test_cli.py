@@ -1,8 +1,12 @@
 """The command line front end: exit codes, JSON shape, and byte stability."""
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import tverlab
 from tverlab.cli import main
 
 
@@ -122,11 +126,22 @@ def test_bad_input_files_are_usage_errors(tmp_path, capsys):
     bad.write_text("{not json")
     empty = tmp_path / "empty.json"
     empty.write_text("{}")
+    float_config = tmp_path / "float_config.json"
+    float_config.write_text('{"d": 1, "points": [[0.5], [1], [2]]}')
+    float_points = tmp_path / "float_points.json"
+    float_points.write_text('{"barycentric_points": [[0.5, 0.5]]}')
+    config = tmp_path / "config.json"
+    config.write_text('{"d": 1, "points": [["0"], ["1"], ["2"]]}')
     cases = [
         ["hind", "--input", str(bad)],
         ["cover", "--input", str(tmp_path / "missing.json")],
         ["cover", "--input", str(empty)],
         ["counterexample", "--d", "0", "--r", "2"],
+        ["cover", "--d", "0"],
+        ["centerpoint", "--r", "2", "--input", str(float_config)],
+        ["cover", "--input", str(float_points)],
+        ["centerpoint", "--input", str(config)],  # no --r
+        ["tverberg", "--input", str(config)],
     ]
     for argv in cases:
         with pytest.raises(SystemExit) as e:
@@ -153,3 +168,13 @@ def test_output_bytes_do_not_depend_on_jobs(tmp_path):
     # sorted keys, compact separators: stable canonical encoding
     first = outs[0].decode().splitlines()[0]
     assert first == json.dumps(json.loads(first), sort_keys=True, separators=(",", ":"))
+
+
+def test_cli_import_needs_no_numpy():
+    src = os.path.dirname(os.path.dirname(tverlab.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    code = "import sys, tverlab.cli; print('numpy' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "False"

@@ -71,6 +71,36 @@ def test_dominated_facets_removed():
     assert K.facets == frozenset({(0, 1), (1, 2)})
     assert K.vertices == (0, 1, 2)
     assert K.dim == 1
+    # dominated two and three dimensions down, and listed out of order
+    K = SimplicialComplex([[2], [0, 1], [3, 2, 1, 0]])
+    assert K.facets == frozenset({(0, 1, 2, 3)})
+    assert K.faces() == full_simplex(3).faces()
+
+
+def facet_scan_has_face(K, s):
+    """The definition: s lies in some facet."""
+    return any(set(s) <= set(f) for f in K.facets)
+
+
+def test_has_face_matches_facet_scan():
+    K = SimplicialComplex([[0, 9], [0, 1, 2], [5]])
+    for s, expected in (
+        ((9, 0), True),
+        ((0, 0, 9), True),
+        ((2, 1, 0), True),
+        ((1, 9), False),
+        ((7,), False),
+        ((0, 7), False),
+        ((), True),
+    ):
+        assert K.has_face(s) is expected
+        assert facet_scan_has_face(K, s) is expected
+    rng = SplitMix64(77)
+    for _ in range(25):
+        K = random_complex(rng)
+        for size in range(4):
+            for s in itertools.product(range(6), repeat=size):
+                assert K.has_face(s) == facet_scan_has_face(K, s)
 
 
 def test_full_simplex_face_counts():

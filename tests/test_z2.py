@@ -24,7 +24,7 @@ from tverlab import (
     subdivide_z2,
     z2_disjoint_union,
 )
-from tverlab.z2 import coboundary
+from tverlab.z2 import _gf2_solvable, coboundary
 
 
 def chain_count(K, length):
@@ -140,6 +140,32 @@ def test_coboundaries_recognized():
     assert not is_coboundary(ones, q)
     with pytest.raises(ValueError):
         is_coboundary(F2Cochain(1, frozenset([K.faces_of_dim(1)[0]])), q)
+
+
+def brute_force_solvable(rows, ncols):
+    rhs = 1 << ncols
+    for y in range(1 << ncols):
+        if all(
+            bin(row & y & (rhs - 1)).count("1") % 2 == (1 if row & rhs else 0)
+            for row in rows
+        ):
+            return True
+    return False
+
+
+def test_gf2_elimination_matches_exhaustive_search():
+    rng = SplitMix64(2024)
+    for _ in range(300):
+        ncols = rng.int_between(1, 8)
+        rows = [rng.below(1 << (ncols + 1)) for _ in range(rng.int_between(0, 9))]
+        if rows and rng.below(3) == 0:
+            rows.append(rows[rng.below(len(rows))])  # duplicate row
+        if rng.below(4) == 0:
+            rows.insert(rng.below(len(rows) + 1), 1 << ncols)  # reads 0 = 1
+        assert _gf2_solvable(rows, ncols) == brute_force_solvable(rows, ncols)
+    assert not _gf2_solvable([0b011, 0b011 | 0b100], 2)
+    assert _gf2_solvable([0b101, 0b101, 0b110], 2)
+    assert _gf2_solvable([], 3)
 
 
 def test_sphere_index_values():
