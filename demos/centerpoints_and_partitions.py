@@ -3,7 +3,8 @@
 #
 # With n = (d+1)(r-1)+1 points there is always a point of Tukey depth r,
 # and a partition into r blocks whose hulls share a point.  Everything
-# below is exact: coordinates, LP pivots, and the certifying halfspace.
+# below is exact: coordinates, LP pivots in the partition search, and the
+# certifying halfspace, which the depth recursion finds without an LP.
 
 from fractions import Fraction as F
 

@@ -7,7 +7,9 @@ pipeline is sequential and results are emitted in canonical order, so
 output bytes never depend on it.
 
 Exit codes: 0 all checks passed; 1 a verified claim was falsified (the
-offending record is in the output); 2 usage error.
+offending record is in the output); 2 usage error.  A point configuration
+below (d+1)(r-1)+1 points with no partition falsifies nothing: its record
+has "outside_hypotheses": true and "ok": true.
 """
 from __future__ import annotations
 
@@ -59,7 +61,8 @@ def cmd_centerpoint(args, parser):
     ok_all = True
     for i, config in enumerate(_configs(args, parser)):
         cert = depth.centerpoint(config, args.r)
-        ok = cert is not None and cert.depth >= args.r
+        outside = cert is None and config.n < depth.guaranteed_size(config.d, args.r)
+        ok = outside or (cert is not None and cert.depth >= args.r)
         ok_all &= ok
         records.append(
             {
@@ -70,6 +73,7 @@ def cmd_centerpoint(args, parser):
                 "r": args.r,
                 "ok": ok,
             }
+            | ({"outside_hypotheses": True} if outside else {})
         )
     return (PASS if ok_all else FALSIFIED), records
 
@@ -80,8 +84,8 @@ def cmd_tverberg(args, parser):
     for i, config in enumerate(_configs(args, parser)):
         cert = depth.tverberg_partition(config, args.r)
         if cert is None:
-            ok = False
-            rec = {"trial": i, "ok": False, "r": args.r}
+            ok = config.n < depth.guaranteed_size(config.d, args.r)  # no claim applies
+            rec = {"trial": i, "ok": ok, "r": args.r} | ({"outside_hypotheses": True} if ok else {})
         else:
             dep = depth.tukey_depth(cert.point, config)
             ok = depth.check_tverberg_certificate(cert, config) and dep.depth >= args.r

@@ -1,9 +1,9 @@
 """Tukey depth, centerpoints, Tverberg partitions, and the prime lift.
 
-Everything is exact: depth is n minus the size of the largest subset
-strictly separable from the query point (subset enumeration plus an exact
-separation LP), Tverberg partitions come from a canonical brute-force
-scan with an LP feasibility check per candidate, and the reduction to a
+Everything is exact: depth comes from a recursion over the dimension that
+projects the points along each line through the query point (no LP),
+Tverberg partitions come from a canonical brute-force scan with an LP
+feasibility check per candidate, and the reduction to a
 prime number of parts duplicates each point k times, partitions the
 lifted cloud, and certifies the projected common point by hull
 membership over every small subset.
@@ -20,7 +20,7 @@ from .exactlp import (
     VPolytope,
     common_point_with_weights,
     in_convex_hull,
-    strict_separator,
+    strict_separator,  # unused: perfbench/tests/test_bench_trace.py traces this binding
 )
 from .rationals import Point, rat, rat_str
 from .rng import SplitMix64
@@ -115,36 +115,45 @@ def check_depth_certificate(cert: DepthCertificate, config: PointConfig) -> bool
     return inside == cert.depth
 
 
-def tukey_depth(x: Sequence, config: PointConfig) -> DepthCertificate:
-    """Exact halfspace depth of x in the configuration.
+def _fewest_on_open_side(W: Sequence[Point], d: int) -> Tuple[int, List[Fraction]]:
+    """The fewest w in W (all nonzero) with u.w > 0 over functionals u on R^d
+    that vanish on no w, and such a u.  The cell of an optimal u has a facet
+    on some hyperplane u.v = 0 with v in W, so u is a recursive answer for W
+    projected along v, tilted off u.v = 0 to put the w on the line of v on
+    their smaller side."""
+    if not W:
+        return 0, [Fraction(0)] * d
+    best = None
+    for v in dict.fromkeys(tuple(c / next(filter(None, w)) for c in w) for w in W):
+        k = v.index(1)  # the first nonzero coordinate of v
+        proj = [tuple(c - w[k] * vc for c, vc in zip(w, v)) for w in W]
+        off = [i for i, p in enumerate(proj) if any(p)]
+        pos = sum(1 for w, p in zip(W, proj) if w[k] > 0 and not any(p))
+        neg = len(W) - len(off) - pos
+        count, u = _fewest_on_open_side([proj[i] for i in off], d)
+        count += min(pos, neg)
+        if best is None or count < best[0]:
+            u[k] -= sum(c * vc for c, vc in zip(u, v))  # now u.v = 0
+            # a tilt along e_k too small to flip the sign of any u.w off the line
+            eps = min((abs(sum(c * wc for c, wc in zip(u, W[i])) / (2 * W[i][k]))
+                       for i in off if W[i][k]), default=Fraction(1))
+            u[k] += eps if pos <= neg else -eps
+            best = (count, u)
+    return best
 
-    Scans subsets by decreasing size for the largest one strictly separable
-    from x; the separating functional, flipped, is the witness halfspace.
-    Exponential in n, which is the intended regime (n <= 14 or so).
-    """
+
+def tukey_depth(x: Sequence, config: PointConfig) -> DepthCertificate:
+    """Exact halfspace depth of x in the configuration, by an exact recursion
+    over the dimension (no LP): with w = p - x, the number of w = 0 plus the
+    fewest nonzero w with u.w > 0; the witness halfspace is u.(y - x) >= 0."""
     xx = tuple(rat(c) for c in x)
-    n = config.n
-    labels = range(n)
-    for size in range(n, 0, -1):
-        for subset in itertools.combinations(labels, size):
-            sep = strict_separator(config.subset(subset), xx)
-            if sep is not None:
-                a, a0, _ = sep
-                cert = DepthCertificate(
-                    point=xx,
-                    depth=n - size,
-                    halfspace_coeffs=tuple(-c for c in a),
-                    halfspace_offset=-a0,
-                )
-                if not check_depth_certificate(cert, config):
-                    raise RuntimeError("depth certificate failed verification")
-                return cert
-    cert = DepthCertificate(
-        point=xx,
-        depth=n,
-        halfspace_coeffs=tuple([Fraction(0)] * config.d),
-        halfspace_offset=Fraction(1),
-    )
+    if len(xx) != config.d:
+        raise ValueError("point dimension mismatch")
+    W = [tuple(c - xc for c, xc in zip(p, xx)) for p in config.points]
+    nonzero = [w for w in W if any(w)]
+    count, u = _fewest_on_open_side(nonzero, config.d)
+    offset = -sum((c * xc for c, xc in zip(u, xx)), Fraction(0))
+    cert = DepthCertificate(xx, config.n - len(nonzero) + count, tuple(u), offset)
     if not check_depth_certificate(cert, config):
         raise RuntimeError("depth certificate failed verification")
     return cert

@@ -526,12 +526,6 @@ def common_point_with_weights(polys: Sequence[VPolytope]):
     return point, tuple(weights)
 
 
-def polytopes_common_point(polys: Sequence[VPolytope]) -> Optional[Point]:
-    """A point in the intersection of the V-polytopes, or None if empty."""
-    found = common_point_with_weights(polys)
-    return None if found is None else found[0]
-
-
 def strict_separator(points: Sequence[Sequence], x: Sequence):
     """Affine functional strictly positive on points, strictly negative at x.
 
@@ -573,8 +567,3 @@ def strict_separator(points: Sequence[Sequence], x: Sequence):
     w = out.witness
     return (w[:d], w[d], margin)
 
-
-def strictly_separable(points: Sequence[Sequence], x: Sequence) -> bool:
-    """Can points be put strictly on the positive side of an affine functional
-    with x strictly on the negative side?"""
-    return strict_separator(points, x) is not None

@@ -109,6 +109,20 @@ def test_point_config_input(tmp_path, capsys):
     assert code == 0 and records[0]["depth"] == 2
 
 
+def test_inputs_below_the_guaranteed_size_falsify_nothing(tmp_path, capsys):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"d": 1, "points": [[0], [1], [2]]}))
+    for command in ("centerpoint", "tverberg"):
+        code, records, _ = run(capsys, command, "--r", "3", "--input", str(path))
+        assert code == 0
+        assert records[0]["outside_hypotheses"] and records[0]["ok"]
+    # below the guaranteed size a partition that exists is still checked
+    path.write_text(json.dumps({"d": 2, "points": [[0, 0], [1, 0], [2, 0]]}))
+    code, records, _ = run(capsys, "tverberg", "--r", "2", "--input", str(path))
+    assert code == 0 and records[0]["ok"] and records[0]["depth"] == 2
+    assert "outside_hypotheses" not in records[0]
+
+
 def test_usage_errors_exit_two(capsys):
     with pytest.raises(SystemExit) as e:
         main(["centerpoint"])  # missing --d/--r

@@ -73,16 +73,43 @@ def test_depth_certificate_halfspace_is_tight():
 
 def test_depth_matches_hull_membership_threshold():
     rng = SplitMix64(90210)
-    for _ in range(25):
-        d = rng.int_between(1, 2)
+    for trial in range(45):
+        d = 1 + trial % 3
         n = rng.int_between(3, 6)
-        config = random_point_config(d, n, rng, num_bound=5, den_bound=2)
-        x = rng.rational_point(d, num_bound=5, den_bound=2)
-        depth = tukey_depth(x, config).depth
-        for r in range(1, 4):
-            if n - r + 1 < 1:
-                continue
-            assert (depth >= r) == hull_membership_depth(x, config, n - r + 1)
+        if trial % 2:  # integer points in a small box: repeats and collinear directions
+            config = random_point_config(d, n, rng, num_bound=1, den_bound=1)
+        else:
+            config = random_point_config(d, n, rng, num_bound=5, den_bound=2)
+        if trial % 5 < 2:
+            x = config.points[rng.below(n)]
+        else:
+            x = rng.rational_point(d, num_bound=2, den_bound=2)
+        cert = tukey_depth(x, config)
+        assert check_depth_certificate(cert, config)
+        assert all(type(c) is F for c in cert.halfspace_coeffs)
+        assert type(cert.halfspace_offset) is F
+        for r in range(1, n + 1):
+            assert (cert.depth >= r) == hull_membership_depth(x, config, n - r + 1)
+
+
+def test_depth_runs_no_lp(monkeypatch):
+    def no_lp(self, objective):
+        raise AssertionError("tukey_depth must not solve an LP")
+
+    monkeypatch.setattr("tverlab.exactlp._Tableau.solve", no_lp)
+    cube = point_config(3, [[i, j, k] for i in (0, 2) for j in (0, 2) for k in (0, 2)])
+    assert tukey_depth((F(1), F(1), F(1)), cube).depth == 4
+    assert tukey_depth((F(0), F(0), F(0)), cube).depth == 1
+    square = point_config(2, [[0, 0], [1, 0], [0, 1], [1, 1], [0, 0]])
+    assert tukey_depth((F(1, 2), F(1, 2)), square).depth == 2
+    line = point_config(1, [[0], [1], [1], [2]])
+    assert tukey_depth((F(1),), line).depth == 3
+
+
+def test_depth_rejects_point_of_wrong_dimension():
+    line = point_config(1, [[0], [1], [2]])
+    with pytest.raises(ValueError):
+        tukey_depth((F(1), F(2)), line)
 
 
 def test_partition_enumeration_order_and_counts():

@@ -21,9 +21,7 @@ from tverlab import (
     le,
     lp_feasible,
     lp_minimize,
-    polytopes_common_point,
     strict_separator,
-    strictly_separable,
 )
 
 
@@ -202,7 +200,6 @@ def test_separation_is_dual_to_membership():
         member = in_convex_hull(x, pts).inside
         sep = strict_separator(pts, x)
         assert member == (sep is None)
-        assert strictly_separable(pts, x) == (not member)
         if sep is not None:
             a, a0, margin = sep
             assert margin > 0
@@ -228,5 +225,3 @@ def test_common_point_of_polytopes():
 
     far = VPolytope(2, ((F(10), F(10)),))
     assert common_point_with_weights([tri1, far]) is None
-    assert polytopes_common_point([tri1, tri2]) is not None
-    assert polytopes_common_point([tri1, far]) is None
