@@ -1,9 +1,9 @@
 #!/usr/bin/env python3
 # How large a homothet of the simplex does a point set need?
 #
-# The covering radius delta* is an exact LP value.  A set touching every
-# facet of the simplex forces delta* >= 1: shrinking is impossible once
-# every coordinate vanishes somewhere in the set.
+# The covering radius delta* is exact, in closed form for a simplex body.
+# A set touching every facet of the simplex forces delta* >= 1: shrinking
+# is impossible once every coordinate vanishes somewhere in the set.
 
 from fractions import Fraction as F
 

@@ -7,7 +7,9 @@ pipeline is sequential and results are emitted in canonical order, so
 output bytes never depend on it.
 
 Exit codes: 0 all checks passed; 1 a verified claim was falsified (the
-offending record is in the output); 2 usage error.  A point configuration
+offending record is in the output); 2 usage error; 3 internal error (a
+self-check failed; the output holds one record {"command": ...,
+"internal_error": ...} and nothing else).  A point configuration
 below (d+1)(r-1)+1 points with no partition falsifies nothing: its record
 has "outside_hypotheses": true and "ok": true.
 """
@@ -23,7 +25,7 @@ from . import conemap, cover, depth, z2
 from .rationals import point_strs, rat_str
 from .rng import SplitMix64
 
-PASS, FALSIFIED, USAGE = 0, 1, 2
+PASS, FALSIFIED, USAGE, INTERNAL = 0, 1, 2, 3
 
 
 def _emit(records: List[dict], output: Optional[str]) -> None:
@@ -122,20 +124,17 @@ def cmd_reduce(args, parser):
     ok_all = True
     for i in range(args.trials):
         config = depth.random_point_config(args.d, plan.m + 1, rng)
-        try:
-            cert = depth.reduce_central_from_tverberg(config, args.r)
-            ok = cert.depth >= args.r
-            rec = {
+        cert = depth.reduce_central_from_tverberg(config, args.r)
+        ok = cert.depth >= args.r
+        ok_all &= ok
+        records.append(
+            {
                 "trial": i,
                 "point": point_strs(cert.point),
                 "depth": cert.depth,
                 "ok": ok,
             }
-        except RuntimeError as exc:
-            ok = False
-            rec = {"trial": i, "ok": False, "error": str(exc)}
-        ok_all &= ok
-        records.append(rec)
+        )
     return (PASS if ok_all else FALSIFIED), records
 
 
@@ -333,6 +332,11 @@ def main(argv=None) -> int:
         if not args.input:
             raise
         parser.error(f"{args.command}: {exc}")
+    except RuntimeError as exc:
+        # A certificate or self-check that failed is a bug, not a falsified
+        # claim.
+        _emit([{"command": args.command, "internal_error": str(exc)}], args.output)
+        return INTERNAL
     _emit(records, args.output)
     return code
 

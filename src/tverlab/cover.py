@@ -1,15 +1,14 @@
 """Homothety covering radius: smallest delta with S inside delta*K + t.
 
-K is a bounded H-polytope {y : Ay <= b}; for delta >= 0 the scaled copy is
-exactly {y : Ay <= delta b}, so covering a finite S is the exact LP
-
-    minimize delta  s.t.  A(s - t) <= delta b   for every s in S
-
-over (delta, t).  The certificate records the optimum, a witness
-translate, and the tight rows.  The standard n-simplex ships in a
-centered full-dimensional H-form; sets given in barycentric coordinates
-are mapped to it by dropping the last coordinate and recentering, which
-changes nothing about covering radii (they are affine invariants).
+K is a simplex body in facet-sum form: n+1 rows a_i.y <= b_i, bounded,
+with sum a_i = 0 and sum b_i > 0.  Summing a_i.(s_i - t) <= delta b_i
+over one point s_i per row cancels t, so delta >= sum_i top_i / sum_i b_i
+with top_i = max over s in S of a_i.s, and equality holds exactly when
+every row is tight at some point.  The certificate records delta, the
+translate solving a_i.t = top_i - delta b_i, and the tight pairs.  The
+standard n-simplex ships centered in this form; barycentric sets are
+mapped to it by dropping the last coordinate and recentering (covering
+radii are affine invariants).
 """
 from __future__ import annotations
 
@@ -28,7 +27,7 @@ from .complexes import (
     realize_standard,
     realize_subdivision,
 )
-from .exactlp import LinearSystem, le, lp_minimize
+from .exactlp import LinearSystem, eq, le, lp_feasible, lp_minimize
 from .rationals import Point, rat, rat_str
 
 
@@ -39,21 +38,22 @@ class UnboundedBodyError(ValueError):
 
 @dataclass(frozen=True)
 class HPolytopeBody:
-    """A bounded body {y : rows . y <= rhs}, checked bounded on creation."""
+    """A bounded simplex body {y : rows . y <= rhs} in facet-sum form."""
 
     ambient_dim: int
     rows: Tuple[Tuple[Point, Fraction], ...]
-    origin_interior: bool = False
 
     def __post_init__(self):
         for coeffs, _ in self.rows:
             if len(coeffs) != self.ambient_dim:
                 raise ValueError("row dimension mismatch")
-        if self.origin_interior and any(rhs <= 0 for _, rhs in self.rows):
-            raise ValueError(
-                "origin-interior flag requires strictly positive right-hand sides"
-            )
         _check_bounded(self)
+        if (
+            len(self.rows) != self.ambient_dim + 1
+            or any(map(sum, zip(*(coeffs for coeffs, _ in self.rows))))
+            or sum(rhs for _, rhs in self.rows) <= 0
+        ):
+            raise ValueError("need n+1 rows, coefficients summing to 0, rhs sum > 0")
 
 
 def _check_bounded(body: HPolytopeBody) -> None:
@@ -73,13 +73,12 @@ def _check_bounded(body: HPolytopeBody) -> None:
                 raise ValueError("body is empty")
 
 
-def h_polytope(
-    rows: Sequence[Tuple[Sequence, object]], origin_interior: bool = False
-) -> HPolytopeBody:
+def h_polytope(rows: Sequence[Tuple[Sequence, object]]) -> HPolytopeBody:
+    """A simplex body in facet-sum form from (coefficients, rhs) rows."""
     rows = tuple((tuple(rat(c) for c in coeffs), rat(rhs)) for coeffs, rhs in rows)
     if not rows:
         raise ValueError("need at least one row")
-    return HPolytopeBody(len(rows[0][0]), rows, origin_interior)
+    return HPolytopeBody(len(rows[0][0]), rows)
 
 
 def interval_body() -> HPolytopeBody:
@@ -102,7 +101,7 @@ def standard_simplex_body(n: int) -> HPolytopeBody:
         coeffs[i] = Fraction(-1)
         rows.append((tuple(coeffs), c))
     rows.append((tuple([Fraction(1)] * n), c))
-    return HPolytopeBody(n, tuple(rows), origin_interior=True)
+    return HPolytopeBody(n, tuple(rows))
 
 
 def barycentric_to_centered(p: Sequence) -> Point:
@@ -135,7 +134,8 @@ class CoverCertificate:
 def min_cover_homothety(
     points: Sequence[Sequence], body: HPolytopeBody
 ) -> CoverCertificate:
-    """Exact smallest delta >= 0 with every point in delta*body + t."""
+    """Exact smallest delta >= 0 with every point in delta*body + t, by the
+    facet-sum identity; the translate is the one solution of n+1 equations."""
     pts = [tuple(rat(c) for c in p) for p in points]
     if not pts:
         raise ValueError("need at least one point to cover")
@@ -143,19 +143,14 @@ def min_cover_homothety(
     for p in pts:
         if len(p) != n:
             raise ValueError("point dimension mismatch")
-    # variables: (delta, t_1..t_n)
-    constraints = []
-    for p in pts:
-        for coeffs, rhs in body.rows:
-            row = [-rhs] + [-c for c in coeffs]
-            value = -sum(c * v for c, v in zip(coeffs, p))
-            constraints.append(le(row, value))
-    objective = [Fraction(1)] + [Fraction(0)] * n
-    out = lp_minimize(LinearSystem(n + 1, constraints), objective)
+    top = [max(sum(c * v for c, v in zip(a, p)) for p in pts) for a, _ in body.rows]
+    delta = sum(top) / sum(b for _, b in body.rows)  # the facet-sum identity
+    out = lp_feasible(
+        LinearSystem(n, [eq(a, hi - delta * b) for (a, b), hi in zip(body.rows, top)])
+    )
     if out.status != "optimal":
-        raise RuntimeError("cover LP must have an optimum for a bounded body")
-    delta = out.witness[0]
-    t = out.witness[1:]
+        raise RuntimeError("translate system must be consistent for a simplex body")
+    t = out.witness
     tight = []
     for pi, p in enumerate(pts):
         for ri, (coeffs, rhs) in enumerate(body.rows):
@@ -164,6 +159,8 @@ def min_cover_homothety(
                 raise RuntimeError("cover certificate violates a row")
             if lhs == delta * rhs:
                 tight.append((pi, ri))
+    if {ri for _, ri in tight} != set(range(len(body.rows))):
+        raise RuntimeError("a body row has no tight point, so delta is not minimal")
     return CoverCertificate(delta=delta, translate=t, tight=tuple(tight))
 
 

@@ -3,10 +3,10 @@
 Everything is exact: depth comes from a recursion over the dimension that
 projects the points along each line through the query point (no LP),
 Tverberg partitions come from a canonical brute-force scan with an LP
-feasibility check per candidate, and the reduction to a
-prime number of parts duplicates each point k times, partitions the
-lifted cloud, and certifies the projected common point by hull
-membership over every small subset.
+feasibility check per candidate, and the reduction to a prime number of
+parts duplicates each point k times and partitions the lifted cloud.  A
+centerpoint's depth >= r is certified from both sides: the blocks give the
+lower bound, the depth halfspace the upper bound.
 """
 from __future__ import annotations
 
@@ -266,13 +266,24 @@ def centerpoint(config: PointConfig, r: int) -> Optional[DepthCertificate]:
     partition.  None only if the partition search fails, which cannot
     happen at n >= (d+1)(r-1)+1."""
     cert = tverberg_partition(config, r)
-    if cert is None:
-        return None
-    depth = tukey_depth(cert.point, config)
+    return None if cert is None else _depth_from_lifted_partition(config, 1, r, cert)
+
+
+def _depth_from_lifted_partition(
+    lifted: PointConfig, k: int, r: int, cert: TverbergCertificate
+) -> DepthCertificate:
+    """Depth >= r of a partition's common point, from both sides.  Label i
+    of the k-fold lift is original point i // k, and every closed halfspace
+    through the point holds a lifted point of each block, so at least
+    ceil(#blocks / k) original points; tukey_depth's halfspace bounds it
+    from above."""
+    if not check_tverberg_certificate(cert, lifted):
+        raise RuntimeError("partition certificate failed verification")
+    if -(-len(cert.blocks) // k) < r:
+        raise RuntimeError(f"{len(cert.blocks)} blocks of a {k}-fold lift: depth < {r}")
+    depth = tukey_depth(cert.point, PointConfig(lifted.d, lifted.points[::k]))
     if depth.depth < r:
-        raise RuntimeError(
-            "common point of a Tverberg partition must have depth >= r"
-        )
+        raise RuntimeError("common point of the partition has depth below r")
     return depth
 
 
@@ -330,44 +341,24 @@ def _lifted_partition_1d(
 def reduce_central_from_tverberg(config: PointConfig, r: int) -> DepthCertificate:
     """Depth >= r certificate via an R-part partition of the k-fold lift.
 
-    Duplicates each point k times (distinct labels, identical coordinates),
-    finds a Tverberg partition of the lifted cloud into R = k(r-1)+1 prime
-    parts, and projects: the counting argument forces a whole block inside
-    the lift of every subset of d(r-1)+1 original points, so the common
-    point lies in all those hulls.  That membership is re-verified
-    exhaustively before the depth certificate is computed."""
+    Duplicates each point k times (distinct labels, identical coordinates)
+    and partitions the lifted cloud into R = k(r-1)+1 prime parts whose
+    hulls share a point: on a line by pairing from both ends, elsewhere by
+    the canonical search.  The R blocks prove depth >= ceil(R/k) = r."""
     d = config.d
     plan = reduction_plan(r, d)
     if config.n != plan.m + 1:
         raise ValueError(
             f"reduction expects exactly m+1 = {plan.m + 1} points, got {config.n}"
         )
-    if plan.k == 1:
-        cert = tverberg_partition(config, r)
-        if cert is None:
-            raise RuntimeError("partition search failed at the guaranteed size")
-        x = cert.point
+    lifted = PointConfig(d, tuple(p for p in config.points for _ in range(plan.k)))
+    if d == 1:
+        blocks = _lifted_partition_1d(lifted.points, plan.R)
+        polys = [VPolytope(d, tuple(lifted.subset(b))) for b in blocks]
+        found = common_point_with_weights(polys)
+        cert = None if found is None else TverbergCertificate(blocks, *found)
     else:
-        lifted = [config.points[i // plan.k] for i in range(plan.k * config.n)]
-        if d == 1:
-            blocks = _lifted_partition_1d(lifted, plan.R)
-        else:
-            lifted_config = PointConfig(d, tuple(lifted))
-            found = tverberg_partition(lifted_config, plan.R)
-            if found is None:
-                raise RuntimeError("lifted partition search failed")
-            blocks = found.blocks
-        polys = [VPolytope(d, tuple(lifted[i] for i in b)) for b in blocks]
-        found_common = common_point_with_weights(polys)
-        if found_common is None:
-            raise RuntimeError("lifted blocks do not share a point")
-        x = found_common[0]
-    q = d * (r - 1) + 1
-    if not hull_membership_depth(x, config, q):
-        raise RuntimeError(
-            "projected point misses a small hull; the counting argument failed"
-        )
-    cert = tukey_depth(x, config)
-    if cert.depth < r:
-        raise RuntimeError("reduced point has depth below r")
-    return cert
+        cert = tverberg_partition(lifted, plan.R)
+    if cert is None:
+        raise RuntimeError("no Tverberg partition of the lifted cloud")
+    return _depth_from_lifted_partition(lifted, plan.k, r, cert)

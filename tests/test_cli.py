@@ -135,6 +135,19 @@ def test_usage_errors_exit_two(capsys):
     assert e.value.code == 2
 
 
+def test_internal_errors_exit_three(monkeypatch, capsys):
+    def broken(*args):
+        raise RuntimeError("depth certificate failed verification")
+
+    monkeypatch.setattr("tverlab.depth.tukey_depth", broken)
+    code, records, _ = run(capsys, "centerpoint", "--d", "1", "--r", "2", "--trials", "2")
+    assert code == 3
+    assert records == [
+        {"command": "centerpoint", "internal_error": "depth certificate failed verification"}
+    ]
+    assert "Traceback" not in capsys.readouterr().err
+
+
 def test_bad_input_files_are_usage_errors(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")

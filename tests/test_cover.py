@@ -3,8 +3,9 @@
 For a finite S inside the standard simplex (barycentric coordinates)
 the smallest homothet delta*Delta + t containing S satisfies
 t_i <= min_p p_i for every i with sum t = 1 - delta, hence
-delta* = 1 - sum_i min_{p in S} p_i.  The LP route must reproduce this
-exactly.
+delta* = 1 - sum_i min_{p in S} p_i.  The facet-sum computation must
+reproduce this exactly, and match the homothety LP over (delta, t) in
+delta, translate and tight pairs.
 """
 from fractions import Fraction as F
 from math import comb
@@ -12,6 +13,7 @@ from math import comb
 import pytest
 
 from tverlab import (
+    LinearSystem,
     SplitMix64,
     UnboundedBodyError,
     barycentric_to_centered,
@@ -22,6 +24,8 @@ from tverlab import (
     grid_points_in_simplex,
     h_polytope,
     interval_body,
+    le,
+    lp_minimize,
     min_cover_homothety,
     standard_simplex_body,
 )
@@ -139,10 +143,68 @@ def test_body_validation():
         h_polytope([((1, 0), 1), ((-1, 0), 0), ((0, 1), 1)])
     with pytest.raises(ValueError):
         h_polytope([((1,), -1), ((-1,), 0)])  # empty
-    with pytest.raises(ValueError):
-        h_polytope([((1,), 0), ((-1,), 1)], origin_interior=True)
+    with pytest.raises(ValueError):  # bounded, but four rows: not a simplex
+        h_polytope([((1, 0), 1), ((-1, 0), 0), ((0, 1), 1), ((0, -1), 0)])
+    with pytest.raises(ValueError):  # a single point: right-hand sides sum to 0
+        h_polytope([((1,), 0), ((-1,), 0)])
     with pytest.raises(ValueError):
         barycentric_to_centered((F(1, 2), F(1, 4)))
+
+
+def lp_cover(points, body):
+    """The homothety LP: minimize delta s.t. A(s - t) <= delta b for every s,
+    over (delta, t); the tight pairs as min_cover_homothety reports them."""
+    n = body.ambient_dim
+    rows = [
+        le([-rhs] + [-c for c in coeffs], -sum(c * v for c, v in zip(coeffs, p)))
+        for p in points
+        for coeffs, rhs in body.rows
+    ]
+    out = lp_minimize(LinearSystem(n + 1, rows), [1] + [0] * n)
+    assert out.status == "optimal"
+    delta, t = out.witness[0], out.witness[1:]
+    tight = tuple(
+        (pi, ri)
+        for pi, p in enumerate(points)
+        for ri, (coeffs, rhs) in enumerate(body.rows)
+        if sum(c * (v - tv) for c, v, tv in zip(coeffs, p, t)) == delta * rhs
+    )
+    return delta, t, tight
+
+
+def test_closed_form_matches_the_homothety_lp():
+    rng = SplitMix64(2718)
+    cases = []
+    for _ in range(24):
+        n = rng.int_between(1, 4)
+        pts = [
+            barycentric_to_centered(random_barycentric(rng, n))
+            for _ in range(rng.int_between(1, 5))
+        ]
+        cases.append((n, pts))
+        cases.append((n, pts[:1]))  # one point
+        cases.append((n, pts + pts[:2]))  # repeated points
+        for lam in (2, 3):  # centered and scaled: some points leave the simplex
+            cases.append((n, [tuple(lam * c for c in p) for p in pts]))
+    bodies = {n: standard_simplex_body(n) for n in range(1, 5)}
+    for n, pts in cases:
+        cert = min_cover_homothety(pts, bodies[n])
+        assert (cert.delta, cert.translate, cert.tight) == lp_cover(pts, bodies[n])
+    pts = [(F(1, 4),), (F(3, 4),), (F(-1),)]
+    cert = min_cover_homothety(pts, interval_body())
+    assert (cert.delta, cert.translate, cert.tight) == lp_cover(pts, interval_body())
+
+
+def test_cover_solves_no_lp_minimize(monkeypatch):
+    body = standard_simplex_body(3)
+
+    def no_lp(*args):
+        raise AssertionError("min_cover_homothety must not call lp_minimize")
+
+    monkeypatch.setattr("tverlab.cover.lp_minimize", no_lp)
+    verts = [tuple(F(int(i == j)) for i in range(4)) for j in range(4)]
+    cert = min_cover_homothety([barycentric_to_centered(p) for p in verts], body)
+    assert cert.delta == 1
 
 
 def test_grid_point_counts():

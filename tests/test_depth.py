@@ -4,6 +4,8 @@ from math import comb, factorial
 
 import pytest
 
+import tverlab.depth as depth_module
+
 from tverlab import (
     PointConfig,
     SplitMix64,
@@ -215,6 +217,35 @@ def test_reduce_random_line_configs():
         assert cert.depth >= 4
         values = [p[0] for p in config.points]
         assert depth_1d(cert.point[0], values) >= 4
+
+
+def test_reduce_runs_no_hull_membership(monkeypatch):
+    def no_hull_scan(*args):
+        raise AssertionError("reduce must not scan hull membership")
+
+    monkeypatch.setattr("tverlab.depth.hull_membership_depth", no_hull_scan)
+    rng = SplitMix64(4321)
+    for r in (4, 6):
+        plan = reduction_plan(r, 1)
+        config = random_point_config(1, plan.m + 1, rng, num_bound=6, den_bound=3)
+        cert = reduce_central_from_tverberg(config, r)
+        assert cert.depth >= r
+        assert depth_1d(cert.point[0], [p[0] for p in config.points]) >= r
+
+
+def test_reduce_rejects_a_partition_with_too_few_blocks(monkeypatch):
+    """Merging two of the R blocks keeps a valid Tverberg certificate of the
+    lift, but R - 1 blocks of a k-fold lift prove only depth >= r - 1."""
+    real = depth_module._lifted_partition_1d
+
+    def merged(points, R):
+        first, second, *rest = real(points, R)
+        return tuple(sorted([tuple(sorted(first + second))] + rest))
+
+    monkeypatch.setattr("tverlab.depth._lifted_partition_1d", merged)
+    config = point_config(1, [[i] for i in range(7)])
+    with pytest.raises(RuntimeError, match="depth < 4"):
+        reduce_central_from_tverberg(config, 4)
 
 
 def test_reduce_requires_exact_cloud_size():
