@@ -142,6 +142,8 @@ def cmd_hind(args, parser):
     if args.input:
         with open(args.input) as fh:
             data = json.load(fh)
+        if not isinstance(data["involution"], dict):
+            raise ValueError('"involution" must be a JSON object')
         X = z2.Z2Complex(
             z2.SimplicialComplex(data["maximal_simplices"]),
             {int(k): v for k, v in data["involution"].items()},

@@ -196,13 +196,6 @@ class Realization:
     def point(self, v: int) -> Point:
         return self.points[v]
 
-    def with_point(self, v: int, p: Sequence) -> "Realization":
-        pts = dict(self.points)
-        pts[v] = tuple(rat(c) for c in p)
-        if len(pts[v]) != self.ambient_dim:
-            raise ValueError("point dimension mismatch")
-        return Realization(self.ambient_dim, pts)
-
     def to_json(self) -> str:
         return json.dumps(
             {

@@ -37,7 +37,7 @@ from .complexes import (
     skeleton,
     standard_center,
 )
-from .exactlp import VPolytope, common_point_with_weights, lp_feasible, _common_point_system
+from .exactlp import VPolytope, common_point_system, common_point_with_weights, lp_feasible
 from .rationals import Point, rat_str
 
 
@@ -133,7 +133,7 @@ def enumerate_disjoint_tuples(m: int, r: int) -> List[Tuple[Simplex, ...]]:
 
 def _pair_disjoint(P: VPolytope, Q: VPolytope):
     """None if the polytopes meet, else the Farkas certificate of emptiness."""
-    system, _ = _common_point_system([P, Q])
+    system, _ = common_point_system([P, Q])
     out = lp_feasible(system)
     if out.status == "optimal":
         return None

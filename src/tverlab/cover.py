@@ -1,14 +1,17 @@
 """Homothety covering radius: smallest delta with S inside delta*K + t.
 
-K is a simplex body in facet-sum form: n+1 rows a_i.y <= b_i, bounded,
-with sum a_i = 0 and sum b_i > 0.  Summing a_i.(s_i - t) <= delta b_i
-over one point s_i per row cancels t, so delta >= sum_i top_i / sum_i b_i
-with top_i = max over s in S of a_i.s, and equality holds exactly when
-every row is tight at some point.  The certificate records delta, the
-translate solving a_i.t = top_i - delta b_i, and the tight pairs.  The
-standard n-simplex ships centered in this form; barycentric sets are
-mapped to it by dropping the last coordinate and recentering (covering
-radii are affine invariants).
+K is a simplex body in facet-sum form: n+1 rows a_i.y <= b_i with
+sum a_i = 0 and sum b_i > 0, bounded exactly when a_0..a_{n-1} are
+independent (no y != 0 then has every a_i.y <= 0, as these sum to 0;
+else a null vector y of them with a_n.y <= 0 recedes).  Summing
+a_i.(s_i - t) <= delta b_i over one point s_i per row cancels t, so
+delta >= sum_i top_i / sum_i b_i with top_i = max over s in S of a_i.s,
+and equality holds exactly when every row is tight at some point.  The
+certificate records delta, the translate solving a_i.t = top_i - delta b_i,
+and the tight pairs; the body check and the translate are one exact
+elimination each, and no LP is solved.  The standard n-simplex ships
+centered in this form; barycentric sets are mapped to it by dropping the
+last coordinate and recentering (covering radii are affine invariants).
 """
 from __future__ import annotations
 
@@ -17,7 +20,7 @@ import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from .complexes import (
     PLMapSpec,
@@ -27,13 +30,12 @@ from .complexes import (
     realize_standard,
     realize_subdivision,
 )
-from .exactlp import LinearSystem, eq, le, lp_feasible, lp_minimize
 from .rationals import Point, rat, rat_str
 
 
 class UnboundedBodyError(ValueError):
     """The H-polytope has a recession direction, so homothety covering is
-    meaningless."""
+    meaningless (such a body may also be empty)."""
 
 
 @dataclass(frozen=True)
@@ -47,30 +49,32 @@ class HPolytopeBody:
         for coeffs, _ in self.rows:
             if len(coeffs) != self.ambient_dim:
                 raise ValueError("row dimension mismatch")
-        _check_bounded(self)
+        if len(self.rows) != self.ambient_dim + 1:
+            raise ValueError("need n+1 rows")
+        if _solve_square(self.rows[:-1]) is None:
+            raise UnboundedBodyError("the first n rows are linearly dependent")
         if (
-            len(self.rows) != self.ambient_dim + 1
-            or any(map(sum, zip(*(coeffs for coeffs, _ in self.rows))))
+            any(map(sum, zip(*(coeffs for coeffs, _ in self.rows))))
             or sum(rhs for _, rhs in self.rows) <= 0
         ):
-            raise ValueError("need n+1 rows, coefficients summing to 0, rhs sum > 0")
+            raise ValueError("need coefficients summing to 0, rhs sum > 0")
 
 
-def _check_bounded(body: HPolytopeBody) -> None:
-    n = body.ambient_dim
-    constraints = [le(coeffs, rhs) for coeffs, rhs in body.rows]
-    system = LinearSystem(n, constraints)
-    for i in range(n):
-        for sign in (1, -1):
-            objective = [Fraction(0)] * n
-            objective[i] = Fraction(sign)
-            out = lp_minimize(system, objective)
-            if out.status == "unbounded":
-                raise UnboundedBodyError(
-                    f"body is unbounded along coordinate {i}"
-                )
-            if out.status == "infeasible":
-                raise ValueError("body is empty")
+def _solve_square(rows: Sequence[Tuple[Point, Fraction]]) -> Optional[Point]:
+    """The unique t with a.t = c for the n rows (a, c) in n unknowns, by
+    Gauss-Jordan elimination, or None when the a are linearly dependent."""
+    m = [list(a) + [c] for a, c in rows]
+    for col in range(len(m)):
+        pivot = next((r for r in range(col, len(m)) if m[r][col]), None)
+        if pivot is None:
+            return None
+        m[col], m[pivot] = m[pivot], m[col]
+        head = m[col][col]
+        m[col] = [v / head for v in m[col]]
+        for r, row in enumerate(m):
+            if r != col and row[col]:
+                m[r] = [v - row[col] * w for v, w in zip(row, m[col])]
+    return tuple(row[-1] for row in m)
 
 
 def h_polytope(rows: Sequence[Tuple[Sequence, object]]) -> HPolytopeBody:
@@ -135,7 +139,8 @@ def min_cover_homothety(
     points: Sequence[Sequence], body: HPolytopeBody
 ) -> CoverCertificate:
     """Exact smallest delta >= 0 with every point in delta*body + t, by the
-    facet-sum identity; the translate is the one solution of n+1 equations."""
+    facet-sum identity; the translate solves the first n of the n+1
+    equations (the last holds too, as both sides sum to 0)."""
     pts = [tuple(rat(c) for c in p) for p in points]
     if not pts:
         raise ValueError("need at least one point to cover")
@@ -145,12 +150,7 @@ def min_cover_homothety(
             raise ValueError("point dimension mismatch")
     top = [max(sum(c * v for c, v in zip(a, p)) for p in pts) for a, _ in body.rows]
     delta = sum(top) / sum(b for _, b in body.rows)  # the facet-sum identity
-    out = lp_feasible(
-        LinearSystem(n, [eq(a, hi - delta * b) for (a, b), hi in zip(body.rows, top)])
-    )
-    if out.status != "optimal":
-        raise RuntimeError("translate system must be consistent for a simplex body")
-    t = out.witness
+    t = _solve_square([(a, hi - delta * b) for (a, b), hi in zip(body.rows[:-1], top)])
     tight = []
     for pi, p in enumerate(pts):
         for ri, (coeffs, rhs) in enumerate(body.rows):

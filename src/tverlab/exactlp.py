@@ -473,7 +473,8 @@ def in_convex_hull(p: Sequence, points: Sequence[Sequence]) -> HullMembership:
     return HullMembership(False, None)
 
 
-def _common_point_system(polys: Sequence[VPolytope]) -> Tuple[LinearSystem, list]:
+def common_point_system(polys: Sequence[VPolytope]) -> Tuple[LinearSystem, list]:
+    """Convex weights per polytope (from offsets) giving one common point."""
     if not polys:
         raise ValueError("need at least one polytope")
     d = polys[0].ambient_dim
@@ -509,7 +510,7 @@ def _common_point_system(polys: Sequence[VPolytope]) -> Tuple[LinearSystem, list
 
 def common_point_with_weights(polys: Sequence[VPolytope]):
     """Common point of the polytopes with convex weights per polytope, or None."""
-    system, offsets = _common_point_system(polys)
+    system, offsets = common_point_system(polys)
     out = lp_feasible(system)
     if out.status != OPTIMAL:
         return None

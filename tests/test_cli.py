@@ -159,6 +159,12 @@ def test_bad_input_files_are_usage_errors(tmp_path, capsys):
     float_points.write_text('{"barycentric_points": [[0.5, 0.5]]}')
     config = tmp_path / "config.json"
     config.write_text('{"d": 1, "points": [["0"], ["1"], ["2"]]}')
+    zero_config = tmp_path / "zero_config.json"
+    zero_config.write_text('{"d": 1, "points": [["1/0"], ["1"], ["2"]]}')
+    zero_points = tmp_path / "zero_points.json"
+    zero_points.write_text('{"barycentric_points": [["1/0", "1"]]}')
+    list_involution = tmp_path / "list_involution.json"
+    list_involution.write_text('{"maximal_simplices": [[0, 1]], "involution": [1, 0]}')
     cases = [
         ["hind", "--input", str(bad)],
         ["cover", "--input", str(tmp_path / "missing.json")],
@@ -169,6 +175,9 @@ def test_bad_input_files_are_usage_errors(tmp_path, capsys):
         ["cover", "--input", str(float_points)],
         ["centerpoint", "--input", str(config)],  # no --r
         ["tverberg", "--input", str(config)],
+        ["centerpoint", "--r", "2", "--input", str(zero_config)],  # "p/0" scalar
+        ["cover", "--input", str(zero_points)],
+        ["hind", "--input", str(list_involution)],  # involution not an object
     ]
     for argv in cases:
         with pytest.raises(SystemExit) as e:

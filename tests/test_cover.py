@@ -8,7 +8,8 @@ reproduce this exactly, and match the homothety LP over (delta, t) in
 delta, translate and tight pairs.
 """
 from fractions import Fraction as F
-from math import comb
+from itertools import permutations
+from math import comb, prod
 
 import pytest
 
@@ -141,6 +142,8 @@ def test_facet_touching_forces_full_size():
 def test_body_validation():
     with pytest.raises(UnboundedBodyError):
         h_polytope([((1, 0), 1), ((-1, 0), 0), ((0, 1), 1)])
+    with pytest.raises(UnboundedBodyError):  # facet-sum form, rank 1 < 2
+        h_polytope([((1, 0), 1), ((-1, 0), 1), ((0, 0), 1)])
     with pytest.raises(ValueError):
         h_polytope([((1,), -1), ((-1,), 0)])  # empty
     with pytest.raises(ValueError):  # bounded, but four rows: not a simplex
@@ -172,6 +175,25 @@ def lp_cover(points, body):
     return delta, t, tight
 
 
+def det(rows):
+    n = len(rows)
+    total = 0
+    for perm in permutations(range(n)):
+        inversions = sum(perm[i] > perm[j] for i in range(n) for j in range(i + 1, n))
+        total += (-1) ** inversions * prod(rows[i][perm[i]] for i in range(n))
+    return total
+
+
+def random_facet_sum_body(rng, n):
+    """n random independent integer rows, a_n = -sum a_i, positive rhs."""
+    while True:
+        rows = [[rng.int_between(-3, 3) for _ in range(n)] for _ in range(n)]
+        if det(rows):
+            break
+    rows.append([-sum(col) for col in zip(*rows)])
+    return h_polytope([(a, F(rng.int_between(1, 6), rng.int_between(1, 3))) for a in rows])
+
+
 def test_closed_form_matches_the_homothety_lp():
     rng = SplitMix64(2718)
     cases = []
@@ -193,18 +215,30 @@ def test_closed_form_matches_the_homothety_lp():
     pts = [(F(1, 4),), (F(3, 4),), (F(-1),)]
     cert = min_cover_homothety(pts, interval_body())
     assert (cert.delta, cert.translate, cert.tight) == lp_cover(pts, interval_body())
+    rng = SplitMix64(1618)
+    for _ in range(30):  # general simplex bodies in facet-sum form
+        n = rng.int_between(1, 4)
+        body = random_facet_sum_body(rng, n)
+        pts = [
+            tuple(F(rng.int_between(-6, 6), rng.int_between(1, 3)) for _ in range(n))
+            for _ in range(rng.int_between(1, 5))
+        ]
+        cert = min_cover_homothety(pts, body)
+        assert (cert.delta, cert.translate, cert.tight) == lp_cover(pts, body)
 
 
 def test_cover_solves_no_lp_minimize(monkeypatch):
-    body = standard_simplex_body(3)
-
     def no_lp(*args):
-        raise AssertionError("min_cover_homothety must not call lp_minimize")
+        raise AssertionError("building a body and covering must solve no LP")
 
-    monkeypatch.setattr("tverlab.cover.lp_minimize", no_lp)
-    verts = [tuple(F(int(i == j)) for i in range(4)) for j in range(4)]
-    cert = min_cover_homothety([barycentric_to_centered(p) for p in verts], body)
-    assert cert.delta == 1
+    monkeypatch.setattr("tverlab.exactlp._Tableau.solve", no_lp)
+    for n in range(1, 5):
+        verts = [tuple(F(int(i == j)) for i in range(n + 1)) for j in range(n + 1)]
+        body = standard_simplex_body(n)
+        cert = min_cover_homothety([barycentric_to_centered(p) for p in verts], body)
+        assert cert.delta == 1
+    cert = min_cover_homothety([(F(1, 4),), (F(3, 4),)], interval_body())
+    assert cert.delta == F(1, 2)
 
 
 def test_grid_point_counts():
