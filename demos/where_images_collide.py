@@ -4,11 +4,13 @@
 At m = (d+1)r - 2, collapsing every barycenter of dimension >= d to the
 center c leaves, in every r-tuple of pairwise disjoint faces, at least one
 low-dimensional face whose image avoids all the others.  The verifier
-proves this twice per tuple: by the combinatorial criterion and by exact
-LP emptiness with Farkas certificates.
+finds that face by the combinatorial criterion and certifies it against
+each other face of the tuple with a separating functional, h_s(y) = the
+sum of the coordinates in s, checked exactly on every vertex image.
 
 At m = (d+1)r - 1 the counting argument breaks: r disjoint faces of
-dimension >= d fit into the simplex, and all of their images own c.
+dimension >= d fit into the simplex, and all of their images own c, the
+image of each face's barycenter.
 """
 from tverlab import build_counterexample, probe_tverberg_plus_one, verify_isolation
 
@@ -22,7 +24,7 @@ for d, r in ((1, 2), (1, 3), (2, 2)):
 spec = build_counterexample(1, 2)
 row = verify_isolation(spec).rows[-1]
 print("sample tuple:", row.faces, "-> isolated face index", row.isolated_index)
-print("  emptiness certificates:", list(row.certificate_digests))
+print("  separation certificates:", list(row.certificate_digests))
 
 # one dimension up the probe finds the collision the counting argument predicts
 for d, r in ((1, 2), (2, 2)):

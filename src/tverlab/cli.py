@@ -8,14 +8,16 @@ output bytes never depend on it.
 
 Exit codes: 0 all checks passed; 1 a verified claim was falsified (the
 offending record is in the output); 2 usage error; 3 internal error (a
-self-check failed; the output holds one record {"command": ...,
-"internal_error": ...} and nothing else).  A point configuration
-below (d+1)(r-1)+1 points with no partition falsifies nothing: its record
-has "outside_hypotheses": true and "ok": true.
+self-check failed, or a KeyError or TypeError arose with no --input; the
+output holds one record {"command": ..., "internal_error": ...} and
+nothing else).  A point configuration below (d+1)(r-1)+1 points with no
+partition falsifies nothing: its record has "outside_hypotheses": true
+and "ok": true.
 """
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from fractions import Fraction
@@ -273,7 +275,9 @@ def cmd_fiber_demo(args, parser):
 
 # ---------------------------------------------------------------------------
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI parser, built once per process."""
     parser = argparse.ArgumentParser(
         prog="tverlab",
         description="exact-arithmetic checks for depth, partitions, index, and covering claims",
@@ -322,23 +326,23 @@ def main(argv=None) -> int:
             parser.error(f"--{field} must be nonnegative")
     try:
         code, records = args._handlers[args.command](args, parser)
-    except KeyError as exc:
-        parser.error(f"{args.command}: missing input key {exc}")
     except (OSError, ValueError) as exc:
         # Unreadable --input files, malformed JSON, and out-of-range
         # dimensions are usage errors, not falsified checks.
         parser.error(f"{args.command}: {exc}")
-    except TypeError as exc:
-        # A non-exact scalar (a JSON float) in --input is bad input too;
-        # elsewhere a TypeError is a bug and keeps its traceback.
-        if not args.input:
-            raise
-        parser.error(f"{args.command}: {exc}")
+    except (KeyError, TypeError) as exc:
+        # A missing key or a non-exact scalar (a JSON float) in --input is
+        # bad input; anywhere else it is a bug.
+        if args.input:
+            what = "missing input key " if isinstance(exc, KeyError) else ""
+            parser.error(f"{args.command}: {what}{exc}")
+        code, records = INTERNAL, [
+            {"command": args.command, "internal_error": f"{type(exc).__name__}: {exc}"}
+        ]
     except RuntimeError as exc:
         # A certificate or self-check that failed is a bug, not a falsified
         # claim.
-        _emit([{"command": args.command, "internal_error": str(exc)}], args.output)
-        return INTERNAL
+        code, records = INTERNAL, [{"command": args.command, "internal_error": str(exc)}]
     _emit(records, args.output)
     return code
 

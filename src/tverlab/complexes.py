@@ -278,8 +278,9 @@ def pl_image_of_face(spec: PLMapSpec, face: Iterable[int]) -> List[VPolytope]:
 
     The subdivision of the face consists of its maximal chains; the map is
     affine on each, so each chain contributes the hull of its vertex
-    images.  No union normalization is attempted: downstream questions are
-    answered by LP on the pieces.
+    images.  No union normalization is attempted: a caller asks its
+    questions of each piece (the isolation check needs only the vertex
+    images, and reads them from the map directly).
     """
     f = simplex(face)
     if not spec.source.base.has_face(f):

@@ -6,13 +6,16 @@ barycenter to the global barycenter c has the property that among any r
 pairwise disjoint faces, at least one (any one of dimension <= d-1, and
 by counting there always is one) has image disjoint from the images of
 the others.  This module builds f exactly, enumerates all disjoint
-r-tuples, and verifies the isolation claim geometrically (LP emptiness
-of polytope pairs) against the combinatorial criterion; the two must
-agree.
+r-tuples, and certifies each isolation by a separating functional: for a
+small face s, h_s(y) = sum_{j in s} y_j is 1 on every vertex image of s
+and at most |s|/(m+1) < 1 on every vertex image of a disjoint face.  The
+images are unions of hulls of those vertex images, so the exact check on
+the vertices proves the images disjoint.  No LP is solved.
 
 One dimension higher, at m = (d+1)r - 1, the same map admits r disjoint
-faces with intersecting images (all of dimension >= d, every image owns
-c); the probe finds such a witness by brute force.
+faces with intersecting images: every face of dimension >= d has its
+barycenter mapped to c.  The probe returns the first such tuple, checked
+by evaluating the map at each face's barycenter.
 """
 from __future__ import annotations
 
@@ -31,13 +34,11 @@ from .complexes import (
     barycentric_subdivision,
     cone,
     full_simplex,
-    pl_image_of_face,
     realize_standard,
     realize_subdivision,
     skeleton,
     standard_center,
 )
-from .exactlp import VPolytope, common_point_system, common_point_with_weights, lp_feasible
 from .rationals import Point, rat_str
 
 
@@ -131,20 +132,6 @@ def enumerate_disjoint_tuples(m: int, r: int) -> List[Tuple[Simplex, ...]]:
     return out
 
 
-def _pair_disjoint(P: VPolytope, Q: VPolytope):
-    """None if the polytopes meet, else the Farkas certificate of emptiness."""
-    system, _ = common_point_system([P, Q])
-    out = lp_feasible(system)
-    if out.status == "optimal":
-        return None
-    return out.farkas
-
-
-def _digest(farkas) -> str:
-    payload = json.dumps([rat_str(v) for v in farkas.multipliers]).encode()
-    return hashlib.sha256(payload).hexdigest()[:12]
-
-
 @dataclass
 class IsolationRow:
     faces: Tuple[Simplex, ...]
@@ -177,24 +164,48 @@ class IsolationReport:
 
 
 def verify_isolation(spec: CounterexampleSpec) -> IsolationReport:
-    """Check every disjoint r-tuple for an isolated face, two ways.
+    """Check every disjoint r-tuple for an isolated face.
 
     Combinatorially, any face of dimension <= d-1 in the tuple is isolated
     (it maps to itself inside the boundary, which the other images only
-    meet inside their own faces).  Geometrically, isolation of each such
-    face is established by exact LP emptiness against every polytope of
-    every other image.  A tuple where the two criteria disagree raises
-    IsolationFailure with the offending tuple."""
-    tuples = enumerate_disjoint_tuples(spec.m, spec.r)
-    image_cache: Dict[Simplex, List[VPolytope]] = {}
+    meet inside their own faces), and by counting every tuple has one.
+    Each such face s is certified against every other face t of the tuple
+    by h_s(y) = sum_{j in s} y_j: its largest value on t's vertex images
+    (the threshold) must lie below its smallest on s's.  The vertex images
+    are read from the map, each (s, t) pair is checked once, and a tuple
+    with no small face or a pair the functional fails to separate raises
+    IsolationFailure naming the tuple."""
+    bc, vertex_images = spec.subdivision, spec.map_spec.vertex_images
+    image_cache: Dict[Simplex, List[Point]] = {}
+    certified: Dict[Tuple[Simplex, Simplex], str] = {}
 
-    def image(f: Simplex) -> List[VPolytope]:
+    def images(f: Simplex) -> List[Point]:
+        """Images of f's subdivision vertices, one per nonempty subface."""
         if f not in image_cache:
-            image_cache[f] = pl_image_of_face(spec.map_spec, f)
+            image_cache[f] = [
+                vertex_images[bc.vertex_of_face[g]]
+                for k in range(1, len(f) + 1)
+                for g in itertools.combinations(f, k)
+            ]
         return image_cache[f]
 
+    def certify(faces, s: Simplex, t: Simplex) -> str:
+        if (s, t) not in certified:
+            low = min(sum(y[j] for j in s) for y in images(s))
+            high, worst = max((sum(y[j] for j in s), y) for y in images(t))
+            if high >= low:
+                raise IsolationFailure(
+                    f"tuple {faces}: predicted-isolated face {s} is not "
+                    f"separated from {t}: h = {rat_str(high)} at the vertex "
+                    f"image ({', '.join(map(rat_str, worst))}) of {t}, not "
+                    f"below {rat_str(low)}"
+                )
+            payload = json.dumps([list(s), list(t), rat_str(high)]).encode()
+            certified[s, t] = hashlib.sha256(payload).hexdigest()[:12]
+        return certified[s, t]
+
     rows = []
-    for faces in tuples:
+    for faces in enumerate_disjoint_tuples(spec.m, spec.r):
         small = tuple(
             i for i, f in enumerate(faces) if len(f) - 1 <= spec.d - 1
         )
@@ -203,29 +214,19 @@ def verify_isolation(spec: CounterexampleSpec) -> IsolationReport:
                 f"tuple {faces} has no face of dimension <= {spec.d - 1}; "
                 "the counting bound is violated"
             )
-        digests = []
-        checks = 0
-        for i in small:
-            for j, g in enumerate(faces):
-                if j == i:
-                    continue
-                for P in image(faces[i]):
-                    for Q in image(g):
-                        cert = _pair_disjoint(P, Q)
-                        checks += 1
-                        if cert is None:
-                            raise IsolationFailure(
-                                f"tuple {faces}: predicted-isolated face "
-                                f"{faces[i]} meets the image of {g}"
-                            )
-                        digests.append(_digest(cert))
+        digests = tuple(
+            certify(faces, faces[i], g)
+            for i in small
+            for j, g in enumerate(faces)
+            if j != i
+        )
         rows.append(
             IsolationRow(
                 faces=faces,
                 isolated_index=small[0],
                 small_indices=small,
-                pair_checks=checks,
-                certificate_digests=tuple(digests),
+                pair_checks=len(digests),
+                certificate_digests=digests,
             )
         )
     return IsolationReport(d=spec.d, r=spec.r, m=spec.m, rows=rows)
@@ -251,33 +252,22 @@ def probe_tverberg_plus_one(d: int, r: int) -> ProbeResult:
     """Search one dimension above the counterexample, m = (d+1)r - 1, for r
     disjoint faces whose images share a point.
 
-    Tuples containing a face of dimension <= d-1 cannot succeed (that
+    A tuple containing a face of dimension <= d-1 cannot succeed (that
     image is the face itself, and the other images only meet the boundary
-    inside their own disjoint faces), so the scan skips them; remaining
-    tuples are settled by LP over one polytope chosen from each image."""
+    inside their own disjoint faces).  Every face of dimension >= d owns
+    c, the image of its barycenter, so the witness is the first tuple in
+    canonical order whose faces all have dimension >= d, at the point c,
+    checked by reading each face's barycenter image from the map."""
     if d < 1 or r < 2:
         raise ValueError("need d >= 1 and r >= 2")
     m = (d + 1) * r - 1
     spec = _build_map(d, r, m)
-    image_cache: Dict[Simplex, List[VPolytope]] = {}
-
-    def image(f: Simplex) -> List[VPolytope]:
-        if f not in image_cache:
-            image_cache[f] = pl_image_of_face(spec.map_spec, f)
-        return image_cache[f]
-
-    scanned = 0
-    for faces in enumerate_disjoint_tuples(m, r):
-        scanned += 1
-        if any(len(f) - 1 <= d - 1 for f in faces):
-            continue
-        for choice in itertools.product(*(image(f) for f in faces)):
-            found = common_point_with_weights(list(choice))
-            if found is not None:
-                return ProbeResult(
-                    found=True,
-                    faces=faces,
-                    point=found[0],
-                    tuples_scanned=scanned,
-                )
-    return ProbeResult(found=False, tuples_scanned=scanned)
+    c, images = spec.apex_point, spec.map_spec.vertex_images
+    tuples = enumerate_disjoint_tuples(m, r)
+    for scanned, faces in enumerate(tuples, 1):
+        if all(
+            len(f) - 1 >= d and images[spec.subdivision.vertex_of_face[f]] == c
+            for f in faces
+        ):
+            return ProbeResult(found=True, faces=faces, point=c, tuples_scanned=scanned)
+    return ProbeResult(found=False, tuples_scanned=len(tuples))

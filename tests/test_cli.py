@@ -7,6 +7,7 @@ import sys
 import pytest
 
 import tverlab
+import tverlab.cli
 from tverlab.cli import main
 
 
@@ -146,6 +147,27 @@ def test_internal_errors_exit_three(monkeypatch, capsys):
         {"command": "centerpoint", "internal_error": "depth certificate failed verification"}
     ]
     assert "Traceback" not in capsys.readouterr().err
+
+
+def test_key_and_type_errors_without_input_exit_three(monkeypatch, capsys):
+    for error in (KeyError((2,)), TypeError("unsupported operand")):
+        def broken(*args):
+            raise error
+
+        monkeypatch.setattr("tverlab.conemap.build_counterexample", broken)
+        code, records, _ = run(capsys, "counterexample", "--d", "1", "--r", "2")
+        assert code == 3
+        assert records == [
+            {"command": "counterexample", "internal_error": f"{type(error).__name__}: {error}"}
+        ]
+        assert "Traceback" not in capsys.readouterr().err
+
+
+def test_main_builds_the_parser_once(capsys):
+    tverlab.cli.build_parser.cache_clear()
+    for _ in range(2):
+        assert main(["hind", "--m", "1"]) == 0
+    assert tverlab.cli.build_parser.cache_info().misses == 1
 
 
 def test_bad_input_files_are_usage_errors(tmp_path, capsys):

@@ -1,4 +1,5 @@
 """Disjoint-face enumeration, isolation verification, and the probe."""
+import itertools
 import json
 from math import comb, factorial
 
@@ -13,6 +14,8 @@ from tverlab import (
     standard_center,
     verify_isolation,
 )
+from tverlab.conemap import _build_map
+from tverlab.exactlp import common_point_system, common_point_with_weights, lp_feasible
 
 
 def disjoint_tuple_count(m, r):
@@ -106,3 +109,78 @@ def test_probe_skips_small_face_tuples():
         i for i, faces in enumerate(tuples) if all(len(f) >= 2 for f in faces)
     )
     assert result.tuples_scanned == first_big + 1
+
+
+def lp_disjoint(spec, s, t):
+    """Oracle: the images of faces s and t share no point, shown by one
+    exact LP per pair of polytope pieces."""
+    return all(
+        lp_feasible(common_point_system([P, Q])[0]).status == "infeasible"
+        for P in pl_image_of_face(spec.map_spec, s)
+        for Q in pl_image_of_face(spec.map_spec, t)
+    )
+
+
+def lp_probe(d, r):
+    """Oracle: the LP scan over image pieces, as (faces, point, scanned)."""
+    m = (d + 1) * r - 1
+    spec = _build_map(d, r, m)
+    for scanned, faces in enumerate(enumerate_disjoint_tuples(m, r), 1):
+        if any(len(f) - 1 <= d - 1 for f in faces):
+            continue
+        pieces = [pl_image_of_face(spec.map_spec, f) for f in faces]
+        for choice in itertools.product(*pieces):
+            found = common_point_with_weights(list(choice))
+            if found is not None:
+                return faces, found[0], scanned
+    return None
+
+
+def test_certified_pairs_are_lp_disjoint():
+    for d, r in ((1, 2), (1, 3), (2, 2)):
+        spec = build_counterexample(d, r)
+        pairs = {
+            (row.faces[i], g)
+            for row in verify_isolation(spec).rows
+            for i in row.small_indices
+            for j, g in enumerate(row.faces)
+            if j != i
+        }
+        assert pairs
+        for s, t in sorted(pairs):
+            assert lp_disjoint(spec, s, t), (d, r, s, t)
+
+
+def test_probe_matches_the_lp_scan():
+    for (d, r), scanned in zip(((1, 2), (1, 3), (2, 2)), (23, 336, 292)):
+        result = probe_tverberg_plus_one(d, r)
+        assert (result.faces, result.point, result.tuples_scanned) == lp_probe(d, r)
+        assert result.found and result.tuples_scanned == scanned
+
+
+def test_isolation_and_probe_solve_no_lp(monkeypatch):
+    def no_lp(*args, **kwargs):
+        raise AssertionError("an LP was solved")
+
+    monkeypatch.setattr("tverlab.exactlp._Tableau.solve", no_lp)
+    for d, r in ((1, 2), (2, 2)):
+        assert verify_isolation(build_counterexample(d, r)).rows
+        assert probe_tverberg_plus_one(d, r).found
+
+
+def test_isolation_beyond_the_small_cases():
+    for d, r in ((1, 4), (3, 2)):
+        report = verify_isolation(build_counterexample(d, r))
+        assert len(report.rows) == disjoint_tuple_count(report.m, r)
+        for row in report.rows:
+            assert row.isolated_index in row.small_indices
+            assert row.pair_checks == len(row.certificate_digests) > 0
+
+
+def test_isolation_failure_when_a_disjoint_image_reaches_the_small_face():
+    spec = build_counterexample(1, 2)
+    # the barycenter of the edge (0, 1) now maps onto the vertex 2
+    bc, images = spec.subdivision, spec.map_spec.vertex_images
+    images[bc.vertex_of_face[(0, 1)]] = images[bc.vertex_of_face[(2,)]]
+    with pytest.raises(IsolationFailure, match=r"\(\(2,\), \(0, 1\)\).*\(0/1, 0/1, 1/1\)"):
+        verify_isolation(spec)
