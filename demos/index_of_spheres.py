@@ -1,42 +1,28 @@
 #!/usr/bin/env python3
-# The mod-2 index of a free involution, computed from cup powers.
+# The mod-2 index of a free involution, from one F2 system on the complex.
 #
 # The antipodal m-sphere has index exactly m; a disjoint union takes the
-# max of its parts.  The computation is all F2 linear algebra on the
-# quotient: build the double cover's characteristic cocycle w from a
-# choice of sheets, then find the largest n with w^n not a coboundary.
+# max of its parts.  hind solves Yang's chain conditions eps(c_0) = 1 and
+# d c_k = (1 + g) c_{k-1} over F2 in one elimination, dimension by
+# dimension, and reports the first dimension where they cannot be met.
 
 from tverlab import (
     FixedSimplexError,
     SimplicialComplex,
     Z2Complex,
-    characteristic_cocycle,
     cross_polytope_sphere,
-    cup_power,
     disjoint_union_index,
     hind,
-    is_coboundary,
-    quotient,
 )
 
-for m in range(4):
+for m in range(7):
     X = cross_polytope_sphere(m)
     print(f"S^{m} as a cross-polytope: {len(X.complex.vertices)} vertices,"
           f" {len(X.complex.facets)} facets, hind = {hind(X)}")
 
-# the quotient of the circle is a circle; of the 2-sphere, a projective plane
-q = quotient(cross_polytope_sphere(2))
-print("quotient of S^2: euler characteristic", q.complex.euler_characteristic())
-
-w = characteristic_cocycle(q)
-print("characteristic cocycle supported on", len(w.support), "edges")
-print("w   a coboundary?", is_coboundary(w, q))
-print("w^2 a coboundary?", is_coboundary(cup_power(w, 2, q), q))
-print("w^3 vanishes?    ", not cup_power(w, 3, q))
-
-# an involution that fixes a simplex has no quotient in this sense
+# an involution that fixes a simplex has no finite index
 try:
-    quotient(Z2Complex(SimplicialComplex([[0, 1]]), {0: 1, 1: 0}))
+    hind(Z2Complex(SimplicialComplex([[0, 1]]), {0: 1, 1: 0}))
 except FixedSimplexError as exc:
     print("fixed edge rejected:", exc)
 

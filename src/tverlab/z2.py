@@ -1,20 +1,17 @@
-"""Free simplicial involutions and their mod-2 cohomological index.
+"""Free simplicial involutions and their mod-2 homological index.
 
-The index of a free Z/2-complex is computed on the quotient: the double
-cover X -> X/Z2 is classified by a degree-1 mod-2 cocycle w, and the index
-is the largest n with w^n (cup power) not a coboundary, capped by dim X.
-
-Quotients are always taken after one barycentric subdivision: for a free
-simplicial involution every simplex is disjoint from its image, which
-makes chains rigid enough that the subdivided quotient is a genuine
-simplicial model of the orbit space (two chains with the same orbit labels
-differ by the global deck swap).
+The index of a free Z/2-complex (X, g) is Yang's homological index: the
+largest n <= dim X with chains c_0, ..., c_n in C_*(X; F_2) such that
+eps(c_0) = 1 and d c_k = (1 + g) c_{k-1} for k = 1..n (Yang 1954;
+Matousek, "Using the Borsuk-Ulam Theorem", ch. 5).  It equals the largest
+n with w^n != 0, for w the class of the double cover X -> X/Z2.  All of
+these chain conditions together form one linear system over F_2 on the
+faces of X, solved by a single elimination in order of dimension.
 """
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
-from typing import Dict, FrozenSet, Sequence
+from typing import Dict, Optional, Sequence
 
 from .complexes import SimplicialComplex, Simplex, barycentric_subdivision
 
@@ -53,211 +50,57 @@ class Z2Complex:
         return True
 
 
-@dataclass(frozen=True)
-class F2Cochain:
-    """A mod-2 cochain, stored by its support."""
+def _gf2_solvable(rows: Sequence[int], ncols: int) -> Optional[int]:
+    """Eliminate an F_2 system row by row, in the given order.  Each row is
+    an int bitset of its columns, with the right-hand side as bit `ncols`,
+    above every column.
 
-    degree: int
-    support: FrozenSet[Simplex]
-
-    def __bool__(self) -> bool:
-        return bool(self.support)
-
-    def __xor__(self, other: "F2Cochain") -> "F2Cochain":
-        if self.degree != other.degree:
-            raise ValueError("cochain degrees differ")
-        return F2Cochain(self.degree, self.support ^ other.support)
-
-    def value(self, s: Simplex) -> int:
-        return 1 if tuple(s) in self.support else 0
-
-
-class QuotientData:
-    """The subdivided double cover, its involution, and the quotient."""
-
-    def __init__(
-        self,
-        cover: SimplicialComplex,
-        cover_involution: Dict[int, int],
-        quotient_complex: SimplicialComplex,
-        orbit_of: Dict[int, int],
-        section: Dict[int, int],
-    ):
-        self.cover = cover
-        self.cover_involution = cover_involution
-        self.complex = quotient_complex
-        self.orbit_of = orbit_of
-        self.section = section
-
-    def with_section(self, section: Dict[int, int]) -> "QuotientData":
-        if set(section) != set(self.section):
-            raise ValueError("section must cover every orbit")
-        for orbit, rep in section.items():
-            if self.orbit_of.get(rep) != orbit:
-                raise ValueError(f"vertex {rep} does not lie over orbit {orbit}")
-        return QuotientData(
-            self.cover, self.cover_involution, self.complex, self.orbit_of, section
-        )
-
-
-def quotient(X: Z2Complex) -> QuotientData:
-    """Quotient by the free involution, after one barycentric subdivision."""
-    if not X.is_free():
-        raise FixedSimplexError("fixed simplex found: the action is not free")
-    bc = barycentric_subdivision(X.complex)
-    g_faces = {
-        v: bc.vertex_of_face[X._image(f)] for v, f in bc.face_of_vertex.items()
-    }
-    orbit_of: Dict[int, int] = {}
-    section: Dict[int, int] = {}
-    nxt = 0
-    for v in bc.complex.vertices:
-        if v in orbit_of:
-            continue
-        w = g_faces[v]
-        if w == v:
-            raise FixedSimplexError("fixed simplex found: the action is not free")
-        orbit_of[v] = nxt
-        orbit_of[w] = nxt
-        section[nxt] = v
-        nxt += 1
-    facets = set()
-    for f in bc.complex.facets:
-        img = tuple(sorted(orbit_of[v] for v in f))
-        if len(set(img)) != len(f):
-            raise FixedSimplexError("simplex collapses onto its own orbit")
-        facets.add(img)
-    Q = SimplicialComplex(facets)
-    data = QuotientData(bc.complex, g_faces, Q, orbit_of, section)
-    _check_double_cover(data)
-    return data
-
-
-def _check_double_cover(q: QuotientData) -> None:
-    """Every quotient simplex must have exactly two (swapped) lifts."""
-    for k in range(q.complex.dim + 1):
-        up = len(q.cover.faces_of_dim(k))
-        down = len(q.complex.faces_of_dim(k))
-        if up != 2 * down:
-            raise FixedSimplexError(
-                f"quotient is not a double cover in dimension {k}"
-            )
-
-
-def characteristic_cocycle(q: QuotientData) -> F2Cochain:
-    """The degree-1 cocycle classifying the double cover.
-
-    An edge gets bit 1 when its lift starting at the section representative
-    ends on the other sheet.  Independence of the section holds up to
-    coboundary, which is all the cup powers see.
-    """
-    g = q.cover_involution
-    support = set()
-    for a, b in q.complex.faces_of_dim(1):
-        va, vb = q.section[a], q.section[b]
-        if q.cover.has_face((va, vb)):
-            bit = 0
-        else:
-            if not q.cover.has_face((va, g[vb])):
-                raise RuntimeError(f"edge ({a},{b}) has no lift at the section")
-            bit = 1
-        if bit:
-            support.add((a, b) if a < b else (b, a))
-    w = F2Cochain(1, frozenset(support))
-    if coboundary(w, q.complex):
-        raise RuntimeError("characteristic cochain is not a cocycle")
-    return w
-
-
-def coboundary(x: F2Cochain, K: SimplicialComplex) -> F2Cochain:
-    """delta x, mod 2: parity of supported facets of each (degree+1)-simplex."""
-    support = set()
-    for s in K.faces_of_dim(x.degree + 1):
-        parity = sum(
-            1
-            for drop in range(len(s))
-            if (s[:drop] + s[drop + 1:]) in x.support
-        )
-        if parity % 2:
-            support.add(s)
-    return F2Cochain(x.degree + 1, frozenset(support))
-
-
-def cup_power(w: F2Cochain, n: int, q: QuotientData) -> F2Cochain:
-    """n-fold cup power of a degree-1 cochain, by the front/back face rule.
-
-    On an n-simplex v_0 < ... < v_n the value is the product of the bits of
-    the consecutive edges (v_i, v_{i+1}); n = 0 gives the unit 0-cochain.
-    """
-    if w.degree != 1:
-        raise ValueError("cup_power expects a degree-1 cochain")
-    if n < 0:
-        raise ValueError("cup power must be nonnegative")
-    K = q.complex
-    if n == 0:
-        return F2Cochain(0, frozenset((v,) for v in K.vertices))
-    support = set()
-    for s in K.faces_of_dim(n):
-        if all(
-            ((s[i], s[i + 1]) in w.support) for i in range(n)
-        ):
-            support.add(s)
-    return F2Cochain(n, frozenset(support))
-
-
-def is_coboundary(x: F2Cochain, q: QuotientData) -> bool:
-    """Solve delta y = x over F_2 on the quotient complex."""
-    K = q.complex
-    if coboundary(x, K):
-        raise ValueError("not a cocycle; coboundary query is meaningless")
-    if not x.support:
-        return True
-    if x.degree == 0:
-        return False  # a nonzero 0-cochain is never a coboundary here
-    cols = K.faces_of_dim(x.degree - 1)
-    col_bit = {c: 1 << i for i, c in enumerate(cols)}
-    rhs_bit = 1 << len(cols)
-    rows = []
-    for s in K.faces_of_dim(x.degree):
-        row = rhs_bit if s in x.support else 0
-        for drop in range(len(s)):
-            row ^= col_bit[s[:drop] + s[drop + 1:]]
-        rows.append(row)
-    return _gf2_solvable(rows, len(cols))
-
-
-def _gf2_solvable(rows: Sequence[int], ncols: int) -> bool:
-    """Is the F_2 system consistent?  Each row is an int bitset of its
-    columns, with the right-hand side as bit `ncols`, above every column.
-
-    Xor elimination keyed by each row's lowest set bit: a row that reduces
+    Returns the index of the first row that makes the rows before it and
+    itself inconsistent, or None when the whole system is solvable.  Xor
+    elimination is keyed by each row's lowest set bit: a row that reduces
     to the right-hand-side bit alone reads 0 = 1.
     """
     rhs_bit = 1 << ncols
     pivots: Dict[int, int] = {}
-    for row in rows:
+    for i, row in enumerate(rows):
         while row:
             low = row & -row
             if low == rhs_bit:
-                return False
+                return i
             if low not in pivots:
                 pivots[low] = row
                 break
             row ^= pivots[low]
-    return True
+    return None
 
 
 def hind(X: Z2Complex) -> int:
-    """Largest n <= dim X with the n-th cup power of the classifying cocycle
-    not a coboundary.  Raises FixedSimplexError on a non-free action."""
-    q = quotient(X)
-    w = characteristic_cocycle(q)
-    best = 0
-    for n in range(1, X.complex.dim + 1):
-        wn = cup_power(w, n, q)
-        if wn.support and not is_coboundary(wn, q):
-            best = n
-    return best
+    """Yang's homological index of a free Z/2-complex: the largest n <= dim X
+    with chains c_0..c_n, eps(c_0) = 1 and d c_k = (1 + g) c_{k-1}.
+
+    One F_2 system, one column per face of X.  Its rows are the augmentation
+    row, then, by dimension, the row of each face f below the top dimension:
+    the coefficient of f in d c_{k} + (1 + g) c_{k-1}, k - 1 = dim f.  That
+    row reads only columns of dimension k - 1 and k, so the rows up to
+    dimension n - 1 are exactly the system for n.  The index is the
+    dimension of the face whose row first makes the system inconsistent.
+    Raises FixedSimplexError on a non-free action."""
+    if not X.is_free():
+        raise FixedSimplexError("fixed simplex found: the action is not free")
+    K = X.complex
+    faces = K.faces()
+    # Higher faces get the lower bits, so each row pivots on a coface.
+    col = {f: 1 << i for i, f in enumerate(reversed(faces))}
+    cofaces = dict.fromkeys(faces, 0)
+    for s in faces:
+        if len(s) > 1:
+            for drop in range(len(s)):
+                cofaces[s[:drop] + s[drop + 1:]] ^= col[s]
+    row_faces = [f for f in faces if len(f) <= K.dim]
+    rows = [sum(col[(v,)] for v in K.vertices) | (1 << len(faces))]
+    rows.extend(col[f] ^ col[X._image(f)] ^ cofaces[f] for f in row_faces)
+    first = _gf2_solvable(rows, len(faces))
+    return K.dim if first is None else len(row_faces[first - 1]) - 1
 
 
 def z2_disjoint_union(*parts: Z2Complex) -> Z2Complex:

@@ -51,6 +51,10 @@ def test_hind_sphere_and_alias(capsys):
     }
     code, records, _ = run(capsys, "hind", "--sphere", "1")
     assert code == 0 and records[0]["hind"] == 1
+    code, records, _ = run(capsys, "hind", "--sphere", "5")
+    assert code == 0 and records[0] == {
+        "sphere": 5, "hind": 5, "expected": 5, "ok": True
+    }
 
 
 def test_hind_from_input_file(tmp_path, capsys):

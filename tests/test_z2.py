@@ -1,31 +1,227 @@
-"""Free involutions, quotients, and the mod-2 index.
+"""Free involutions and the mod-2 index.
 
-Quotient sizes are cross-checked against an independent chain count on
-the cover: after one subdivision the quotient must contain exactly half
-the faces of the cover in every dimension.
+The reference oracle for `hind` is the cup-power path: quotient by the
+involution after one barycentric subdivision, take the characteristic
+cocycle w of the double cover, and find the largest n with w^n not a
+coboundary.  Quotient sizes are cross-checked against an independent chain
+count on the cover: after one subdivision the quotient must contain exactly
+half the faces of the cover in every dimension.
 """
 import itertools
+from dataclasses import dataclass
+from typing import Dict, FrozenSet
 
 import pytest
 
 from tverlab import (
-    F2Cochain,
     FixedSimplexError,
     SimplicialComplex,
     SplitMix64,
     Z2Complex,
-    characteristic_cocycle,
     cross_polytope_sphere,
-    cup_power,
     disjoint_union_index,
     hind,
-    is_coboundary,
-    quotient,
+    skeleton,
     subdivide_z2,
     z2_disjoint_union,
 )
-from tverlab.z2 import _gf2_solvable, coboundary
+from tverlab.complexes import Simplex, barycentric_subdivision
+from tverlab.z2 import _gf2_solvable
 
+
+# ---------------------------------------------------------------------------
+# reference oracle: the index from cup powers on the quotient
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class F2Cochain:
+    """A mod-2 cochain, stored by its support."""
+
+    degree: int
+    support: FrozenSet[Simplex]
+
+    def __bool__(self) -> bool:
+        return bool(self.support)
+
+    def __xor__(self, other: "F2Cochain") -> "F2Cochain":
+        if self.degree != other.degree:
+            raise ValueError("cochain degrees differ")
+        return F2Cochain(self.degree, self.support ^ other.support)
+
+    def value(self, s: Simplex) -> int:
+        return 1 if tuple(s) in self.support else 0
+
+
+class QuotientData:
+    """The subdivided double cover, its involution, and the quotient."""
+
+    def __init__(
+        self,
+        cover: SimplicialComplex,
+        cover_involution: Dict[int, int],
+        quotient_complex: SimplicialComplex,
+        orbit_of: Dict[int, int],
+        section: Dict[int, int],
+    ):
+        self.cover = cover
+        self.cover_involution = cover_involution
+        self.complex = quotient_complex
+        self.orbit_of = orbit_of
+        self.section = section
+
+    def with_section(self, section: Dict[int, int]) -> "QuotientData":
+        if set(section) != set(self.section):
+            raise ValueError("section must cover every orbit")
+        for orbit, rep in section.items():
+            if self.orbit_of.get(rep) != orbit:
+                raise ValueError(f"vertex {rep} does not lie over orbit {orbit}")
+        return QuotientData(
+            self.cover, self.cover_involution, self.complex, self.orbit_of, section
+        )
+
+
+def quotient(X: Z2Complex) -> QuotientData:
+    """Quotient by the free involution, after one barycentric subdivision."""
+    if not X.is_free():
+        raise FixedSimplexError("fixed simplex found: the action is not free")
+    bc = barycentric_subdivision(X.complex)
+    g_faces = {
+        v: bc.vertex_of_face[X._image(f)] for v, f in bc.face_of_vertex.items()
+    }
+    orbit_of: Dict[int, int] = {}
+    section: Dict[int, int] = {}
+    nxt = 0
+    for v in bc.complex.vertices:
+        if v in orbit_of:
+            continue
+        w = g_faces[v]
+        if w == v:
+            raise FixedSimplexError("fixed simplex found: the action is not free")
+        orbit_of[v] = nxt
+        orbit_of[w] = nxt
+        section[nxt] = v
+        nxt += 1
+    facets = set()
+    for f in bc.complex.facets:
+        img = tuple(sorted(orbit_of[v] for v in f))
+        if len(set(img)) != len(f):
+            raise FixedSimplexError("simplex collapses onto its own orbit")
+        facets.add(img)
+    Q = SimplicialComplex(facets)
+    data = QuotientData(bc.complex, g_faces, Q, orbit_of, section)
+    _check_double_cover(data)
+    return data
+
+
+def _check_double_cover(q: QuotientData) -> None:
+    """Every quotient simplex must have exactly two (swapped) lifts."""
+    for k in range(q.complex.dim + 1):
+        up = len(q.cover.faces_of_dim(k))
+        down = len(q.complex.faces_of_dim(k))
+        if up != 2 * down:
+            raise FixedSimplexError(
+                f"quotient is not a double cover in dimension {k}"
+            )
+
+
+def characteristic_cocycle(q: QuotientData) -> F2Cochain:
+    """The degree-1 cocycle classifying the double cover.
+
+    An edge gets bit 1 when its lift starting at the section representative
+    ends on the other sheet.  Independence of the section holds up to
+    coboundary, which is all the cup powers see.
+    """
+    g = q.cover_involution
+    support = set()
+    for a, b in q.complex.faces_of_dim(1):
+        va, vb = q.section[a], q.section[b]
+        if q.cover.has_face((va, vb)):
+            bit = 0
+        else:
+            if not q.cover.has_face((va, g[vb])):
+                raise RuntimeError(f"edge ({a},{b}) has no lift at the section")
+            bit = 1
+        if bit:
+            support.add((a, b) if a < b else (b, a))
+    w = F2Cochain(1, frozenset(support))
+    if coboundary(w, q.complex):
+        raise RuntimeError("characteristic cochain is not a cocycle")
+    return w
+
+
+def coboundary(x: F2Cochain, K: SimplicialComplex) -> F2Cochain:
+    """delta x, mod 2: parity of supported facets of each (degree+1)-simplex."""
+    support = set()
+    for s in K.faces_of_dim(x.degree + 1):
+        parity = sum(
+            1
+            for drop in range(len(s))
+            if (s[:drop] + s[drop + 1:]) in x.support
+        )
+        if parity % 2:
+            support.add(s)
+    return F2Cochain(x.degree + 1, frozenset(support))
+
+
+def cup_power(w: F2Cochain, n: int, q: QuotientData) -> F2Cochain:
+    """n-fold cup power of a degree-1 cochain, by the front/back face rule.
+
+    On an n-simplex v_0 < ... < v_n the value is the product of the bits of
+    the consecutive edges (v_i, v_{i+1}); n = 0 gives the unit 0-cochain.
+    """
+    if w.degree != 1:
+        raise ValueError("cup_power expects a degree-1 cochain")
+    if n < 0:
+        raise ValueError("cup power must be nonnegative")
+    K = q.complex
+    if n == 0:
+        return F2Cochain(0, frozenset((v,) for v in K.vertices))
+    support = set()
+    for s in K.faces_of_dim(n):
+        if all(
+            ((s[i], s[i + 1]) in w.support) for i in range(n)
+        ):
+            support.add(s)
+    return F2Cochain(n, frozenset(support))
+
+
+def is_coboundary(x: F2Cochain, q: QuotientData) -> bool:
+    """Solve delta y = x over F_2 on the quotient complex."""
+    K = q.complex
+    if coboundary(x, K):
+        raise ValueError("not a cocycle; coboundary query is meaningless")
+    if not x.support:
+        return True
+    if x.degree == 0:
+        return False  # a nonzero 0-cochain is never a coboundary here
+    cols = K.faces_of_dim(x.degree - 1)
+    col_bit = {c: 1 << i for i, c in enumerate(cols)}
+    rhs_bit = 1 << len(cols)
+    rows = []
+    for s in K.faces_of_dim(x.degree):
+        row = rhs_bit if s in x.support else 0
+        for drop in range(len(s)):
+            row ^= col_bit[s[:drop] + s[drop + 1:]]
+        rows.append(row)
+    return _gf2_solvable(rows, len(cols)) is None
+
+
+def hind_by_cup_powers(X: Z2Complex) -> int:
+    """Largest n <= dim X with the n-th cup power of the classifying cocycle
+    not a coboundary.  Raises FixedSimplexError on a non-free action."""
+    q = quotient(X)
+    w = characteristic_cocycle(q)
+    best = 0
+    for n in range(1, X.complex.dim + 1):
+        wn = cup_power(w, n, q)
+        if wn.support and not is_coboundary(wn, q):
+            best = n
+    return best
+
+
+# ---------------------------------------------------------------------------
+# tests
+# ---------------------------------------------------------------------------
 
 def chain_count(K, length):
     faces = K.faces()
@@ -58,11 +254,13 @@ def test_involution_validation():
 
 def test_fixed_simplices_rejected():
     edge = SimplicialComplex([[0, 1]])
-    with pytest.raises(FixedSimplexError):
-        quotient(Z2Complex(edge, {0: 0, 1: 1}))
-    # swapping the endpoints fixes the edge as a set
-    with pytest.raises(FixedSimplexError):
-        quotient(Z2Complex(edge, {0: 1, 1: 0}))
+    for involution in ({0: 0, 1: 1}, {0: 1, 1: 0}):
+        # swapping the endpoints fixes the edge as a set
+        X = Z2Complex(edge, involution)
+        with pytest.raises(FixedSimplexError):
+            quotient(X)
+        with pytest.raises(FixedSimplexError):
+            hind(X)
 
 
 def test_quotient_of_zero_sphere_is_a_point():
@@ -153,6 +351,21 @@ def brute_force_solvable(rows, ncols):
     return False
 
 
+def brute_force_first_inconsistent(rows, ncols):
+    """Index of the shortest inconsistent prefix of the rows, or None: the
+    longest prefix that some assignment satisfies, over all assignments."""
+    rhs = 1 << ncols
+    longest = 0
+    for y in range(1 << ncols):
+        k = 0
+        while k < len(rows) and bin(rows[k] & y & (rhs - 1)).count("1") % 2 == (
+            1 if rows[k] & rhs else 0
+        ):
+            k += 1
+        longest = max(longest, k)
+    return None if longest == len(rows) else longest
+
+
 def test_gf2_elimination_matches_exhaustive_search():
     rng = SplitMix64(2024)
     for _ in range(300):
@@ -162,10 +375,12 @@ def test_gf2_elimination_matches_exhaustive_search():
             rows.append(rows[rng.below(len(rows))])  # duplicate row
         if rng.below(4) == 0:
             rows.insert(rng.below(len(rows) + 1), 1 << ncols)  # reads 0 = 1
-        assert _gf2_solvable(rows, ncols) == brute_force_solvable(rows, ncols)
-    assert not _gf2_solvable([0b011, 0b011 | 0b100], 2)
-    assert _gf2_solvable([0b101, 0b101, 0b110], 2)
-    assert _gf2_solvable([], 3)
+        first = _gf2_solvable(rows, ncols)
+        assert (first is None) == brute_force_solvable(rows, ncols)
+        assert first == brute_force_first_inconsistent(rows, ncols)
+    assert _gf2_solvable([0b011, 0b011 | 0b100], 2) == 1
+    assert _gf2_solvable([0b101, 0b101, 0b110], 2) is None
+    assert _gf2_solvable([], 3) is None
 
 
 def test_sphere_index_values():
@@ -173,10 +388,30 @@ def test_sphere_index_values():
         assert hind(cross_polytope_sphere(m)) == m
 
 
-@pytest.mark.slow
 def test_sphere_index_three_and_four():
     assert hind(cross_polytope_sphere(3)) == 3
     assert hind(cross_polytope_sphere(4)) == 4
+
+
+def test_sphere_index_five_to_seven():
+    for m in (5, 6, 7):
+        assert hind(cross_polytope_sphere(m)) == m
+
+
+def test_hind_builds_no_complex(monkeypatch):
+    X = z2_disjoint_union(
+        subdivide_z2(cross_polytope_sphere(2)), cross_polytope_sphere(3)
+    )
+    builds = []
+    init = SimplicialComplex.__init__
+
+    def counted_init(self, facets):
+        builds.append(1)
+        init(self, facets)
+
+    monkeypatch.setattr(SimplicialComplex, "__init__", counted_init)
+    assert hind(X) == 3
+    assert builds == []
 
 
 def test_index_invariant_under_subdivision():
@@ -197,3 +432,85 @@ def test_disjoint_union_index_is_max():
             == X.complex.euler_characteristic() + Y.complex.euler_characteristic()
         )
         assert disjoint_union_index(X, Y) == max(a, b)
+
+
+def relabelled(X, rng):
+    """X with its vertices sent to distinct random ids below twice their
+    count."""
+    ids = list(range(2 * len(X.complex.vertices)))
+    for i in range(len(ids) - 1, 0, -1):
+        j = rng.below(i + 1)
+        ids[i], ids[j] = ids[j], ids[i]
+    new = dict(zip(X.complex.vertices, ids))
+    return Z2Complex(
+        SimplicialComplex([[new[v] for v in f] for f in X.complex.facets]),
+        {new[v]: new[w] for v, w in X.involution.items()},
+    )
+
+
+def random_invariant_subcomplex(rng):
+    """The complex spanned by random faces of S^1-S^3 and their images,
+    relabelled, subdivided once in a quarter of the cases."""
+    X = cross_polytope_sphere(rng.int_between(1, 3))
+    faces = X.complex.faces()
+    count = rng.int_between(1, len(faces) // 2)
+    picked = [faces[rng.below(len(faces))] for _ in range(count)]
+    picked += [X._image(f) for f in picked]
+    verts = {v for f in picked for v in f}
+    Y = Z2Complex(
+        SimplicialComplex(picked),
+        {v: w for v, w in X.involution.items() if v in verts},
+    )
+    Y = relabelled(Y, rng)
+    return subdivide_z2(Y) if rng.below(4) == 0 else Y
+
+
+def annulus():
+    """The circle times an interval: two antipodal 4-cycles joined by a band
+    of triangles, the involution antipodal on each cycle."""
+    cycle = (0, 2, 1, 3)  # the cross-polytope circle, in cyclic order
+    facets = []
+    for i in range(4):
+        a, b = cycle[i], cycle[(i + 1) % 4]
+        facets += [(a, b, a + 4), (b, a + 4, b + 4)]
+    involution = {v: v ^ 1 for v in range(8)}
+    return Z2Complex(SimplicialComplex(facets), involution)
+
+
+def fixed_cases():
+    """(label, complex, index) for the cross-check against the oracle."""
+    S = cross_polytope_sphere
+    cases = [(f"S^{m}", S(m), m) for m in range(5)]
+    cases += [(f"sd S^{m}", subdivide_z2(S(m)), m) for m in range(3)]
+    cases += [
+        ("S^0+S^0", z2_disjoint_union(S(0), S(0)), 0),
+        ("S^1+S^2", z2_disjoint_union(S(1), S(2)), 2),
+        ("sd S^1+S^2", z2_disjoint_union(subdivide_z2(S(1)), S(2)), 2),
+        ("annulus", annulus(), 1),
+        ("sd annulus", subdivide_z2(annulus()), 1),
+    ]
+    for m in (3, 4):
+        for k in (1, 2):
+            X = S(m)
+            Y = Z2Complex(skeleton(X.complex, k), X.involution)
+            cases.append((f"{k}-skeleton of S^{m}", Y, k))
+    tetrahedra = SimplicialComplex([(0, 1, 2, 3), (4, 5, 6, 7)])
+    swap = {v: v ^ 4 for v in range(8)}
+    cases.append(("two swapped tetrahedra", Z2Complex(tetrahedra, swap), 0))
+    return cases
+
+
+def test_index_matches_cup_powers_on_fixed_cases():
+    for label, X, expected in fixed_cases():
+        assert hind(X) == hind_by_cup_powers(X) == expected, label
+
+
+def test_index_matches_cup_powers_on_seeded_subcomplexes():
+    rng = SplitMix64(707)
+    seen = set()
+    for _ in range(100):
+        X = random_invariant_subcomplex(rng)
+        index = hind(X)
+        assert index == hind_by_cup_powers(X)
+        seen.add((X.complex.dim, index))
+    assert {index for _, index in seen} >= {0, 1, 2}
