@@ -13,7 +13,7 @@ import itertools
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Sequence, Tuple
 
 from .exactlp import VPolytope
 from .rationals import Point, rat, rat_str
@@ -138,13 +138,6 @@ def skeleton(K: SimplicialComplex, k: int) -> SimplicialComplex:
     return SimplicialComplex(facets)
 
 
-def cone(K: SimplicialComplex, apex: int) -> SimplicialComplex:
-    """The cone over K with a fresh apex vertex."""
-    if apex in K.vertices:
-        raise ValueError(f"apex {apex} already a vertex of the base")
-    return SimplicialComplex([simplex(f + (apex,)) for f in K.facets])
-
-
 @dataclass
 class BarycentricComplex:
     """Barycentric subdivision: one vertex per face of the base complex,
@@ -253,15 +246,13 @@ def realize_subdivision(bc: BarycentricComplex, base: Realization) -> Realizatio
 
 @dataclass
 class PLMapSpec:
-    """A simplicial map on the barycentric subdivision of a base complex,
-    given by exact images of the subdivision vertices; extended affinely on
-    each chain simplex."""
+    """A piecewise-linear map on the barycentric subdivision of a base
+    complex, given by exact images of the subdivision vertices and extended
+    affinely on each chain simplex."""
 
     source: BarycentricComplex
     source_points: Realization
     vertex_images: Dict[int, Point]
-    target: Optional[SimplicialComplex] = None
-    target_points: Optional[Realization] = None
 
     def __post_init__(self):
         dims = {len(p) for p in self.vertex_images.values()}

@@ -5,17 +5,21 @@ barycenters of faces of dimension <= d-1 and sends every higher
 barycenter to the global barycenter c has the property that among any r
 pairwise disjoint faces, at least one (any one of dimension <= d-1, and
 by counting there always is one) has image disjoint from the images of
-the others.  This module builds f exactly, enumerates all disjoint
-r-tuples, and certifies each isolation by a separating functional: for a
-small face s, h_s(y) = sum_{j in s} y_j is 1 on every vertex image of s
-and at most |s|/(m+1) < 1 on every vertex image of a disjoint face.  The
-images are unions of hulls of those vertex images, so the exact check on
-the vertices proves the images disjoint.  No LP is solved.
+the others.  f is affine on each chain simplex of the subdivision, so
+the images of the 2^{m+1} - 1 face barycenters give it whole, and this
+module writes them as one closed-form table: 1/|g| on the coordinates of
+g when dim g <= d-1, and c otherwise.  No complex is built.  It then
+enumerates all disjoint r-tuples and certifies each isolation by a
+separating functional: for a small face s, h_s(y) = sum_{j in s} y_j is
+1 on every vertex image of s and at most |s|/(m+1) < 1 on every vertex
+image of a disjoint face.  The images are unions of hulls of those vertex
+images, so the exact check on the vertices proves the images disjoint.
+No LP is solved.
 
 One dimension higher, at m = (d+1)r - 1, the same map admits r disjoint
 faces with intersecting images: every face of dimension >= d has its
 barycenter mapped to c.  The probe returns the first such tuple, checked
-by evaluating the map at each face's barycenter.
+by reading each face's barycenter image from the table.
 """
 from __future__ import annotations
 
@@ -23,22 +27,10 @@ import hashlib
 import itertools
 import json
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
 
-from .complexes import (
-    BarycentricComplex,
-    PLMapSpec,
-    Realization,
-    SimplicialComplex,
-    Simplex,
-    barycentric_subdivision,
-    cone,
-    full_simplex,
-    realize_standard,
-    realize_subdivision,
-    skeleton,
-    standard_center,
-)
+from .complexes import Simplex, standard_center
 from .rationals import Point, rat_str
 
 
@@ -48,57 +40,29 @@ class IsolationFailure(AssertionError):
 
 @dataclass
 class CounterexampleSpec:
-    """The construction data at m = (d+1)r - 2 (or the probe's m + 1)."""
+    """The map at m = (d+1)r - 2 (or the probe's m + 1) as the image of
+    each nonempty face's barycenter; the map is affine on every chain of
+    faces, so these images determine it."""
 
     d: int
     r: int
     m: int
-    base: SimplicialComplex
-    subdivision: BarycentricComplex
-    cone_complex: SimplicialComplex
-    cone_points: Realization
-    apex: int
-    apex_point: Point
-    map_spec: PLMapSpec
+    center: Point
+    images: Dict[Simplex, Point]
 
 
 def _build_map(d: int, r: int, m: int) -> CounterexampleSpec:
-    base = full_simplex(m)
-    base_points = realize_standard(m)
-    skel = skeleton(base, d - 1)
-    apex = m + 1
-    W = cone(skel, apex)
     c = standard_center(m)
-    cone_points = Realization(
-        m + 1, {**base_points.points, apex: c}
-    )
-    bc = barycentric_subdivision(base)
-    sub_points = realize_subdivision(bc, base_points)
-    images: Dict[int, Point] = {}
-    for v, face in bc.face_of_vertex.items():
-        if len(face) - 1 <= d - 1:
-            images[v] = sub_points.point(v)
-        else:
-            images[v] = c
-    spec = PLMapSpec(
-        source=bc,
-        source_points=sub_points,
-        vertex_images=images,
-        target=W,
-        target_points=cone_points,
-    )
-    return CounterexampleSpec(
-        d=d,
-        r=r,
-        m=m,
-        base=base,
-        subdivision=bc,
-        cone_complex=W,
-        cone_points=cone_points,
-        apex=apex,
-        apex_point=c,
-        map_spec=spec,
-    )
+    images: Dict[Simplex, Point] = {}
+    for k in range(1, m + 2):
+        for g in itertools.combinations(range(m + 1), k):
+            if k - 1 <= d - 1:
+                images[g] = tuple(
+                    Fraction(1, k) if i in g else Fraction(0) for i in range(m + 1)
+                )
+            else:
+                images[g] = c
+    return CounterexampleSpec(d=d, r=r, m=m, center=c, images=images)
 
 
 def build_counterexample(d: int, r: int) -> CounterexampleSpec:
@@ -172,10 +136,9 @@ def verify_isolation(spec: CounterexampleSpec) -> IsolationReport:
     Each such face s is certified against every other face t of the tuple
     by h_s(y) = sum_{j in s} y_j: its largest value on t's vertex images
     (the threshold) must lie below its smallest on s's.  The vertex images
-    are read from the map, each (s, t) pair is checked once, and a tuple
+    are read from the table, each (s, t) pair is checked once, and a tuple
     with no small face or a pair the functional fails to separate raises
     IsolationFailure naming the tuple."""
-    bc, vertex_images = spec.subdivision, spec.map_spec.vertex_images
     image_cache: Dict[Simplex, List[Point]] = {}
     certified: Dict[Tuple[Simplex, Simplex], str] = {}
 
@@ -183,7 +146,7 @@ def verify_isolation(spec: CounterexampleSpec) -> IsolationReport:
         """Images of f's subdivision vertices, one per nonempty subface."""
         if f not in image_cache:
             image_cache[f] = [
-                vertex_images[bc.vertex_of_face[g]]
+                spec.images[g]
                 for k in range(1, len(f) + 1)
                 for g in itertools.combinations(f, k)
             ]
@@ -257,17 +220,14 @@ def probe_tverberg_plus_one(d: int, r: int) -> ProbeResult:
     inside their own disjoint faces).  Every face of dimension >= d owns
     c, the image of its barycenter, so the witness is the first tuple in
     canonical order whose faces all have dimension >= d, at the point c,
-    checked by reading each face's barycenter image from the map."""
+    checked by reading each face's barycenter image from the table."""
     if d < 1 or r < 2:
         raise ValueError("need d >= 1 and r >= 2")
     m = (d + 1) * r - 1
     spec = _build_map(d, r, m)
-    c, images = spec.apex_point, spec.map_spec.vertex_images
+    c, images = spec.center, spec.images
     tuples = enumerate_disjoint_tuples(m, r)
     for scanned, faces in enumerate(tuples, 1):
-        if all(
-            len(f) - 1 >= d and images[spec.subdivision.vertex_of_face[f]] == c
-            for f in faces
-        ):
+        if all(len(f) - 1 >= d and images[f] == c for f in faces):
             return ProbeResult(found=True, faces=faces, point=c, tuples_scanned=scanned)
     return ProbeResult(found=False, tuples_scanned=len(tuples))

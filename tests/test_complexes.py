@@ -15,7 +15,6 @@ from tverlab import (
     SplitMix64,
     barycenter,
     barycentric_subdivision,
-    cone,
     faces_of_simplex,
     full_simplex,
     grid_points_in_simplex,
@@ -116,18 +115,13 @@ def test_full_simplex_face_counts():
         faces_of_simplex(2, 3)
 
 
-def test_skeleton_and_cone():
+def test_skeleton():
     K = full_simplex(3)
     sk = skeleton(K, 1)
     assert sk.dim == 1
     assert len(sk.faces_of_dim(1)) == 6
     # graph K4: chi = 4 - 6
     assert sk.euler_characteristic() == -2
-    C = cone(sk, 9)
-    assert C.euler_characteristic() == 1
-    assert C.has_face((0, 9)) and not C.has_face((0, 1, 2))
-    with pytest.raises(ValueError):
-        cone(K, 2)
 
 
 def test_connected_components():

@@ -7,13 +7,20 @@ import pytest
 
 from tverlab import (
     IsolationFailure,
+    PLMapSpec,
+    SimplicialComplex,
+    barycentric_subdivision,
     build_counterexample,
     enumerate_disjoint_tuples,
+    full_simplex,
     pl_image_of_face,
     probe_tverberg_plus_one,
+    realize_standard,
+    realize_subdivision,
     standard_center,
     verify_isolation,
 )
+from tverlab.cli import main
 from tverlab.conemap import _build_map
 from tverlab.exactlp import common_point_system, common_point_with_weights, lp_feasible
 
@@ -25,6 +32,17 @@ def disjoint_tuple_count(m, r):
         (-1) ** j * comb(r, j) * (r + 1 - j) ** (m + 1) for j in range(r + 1)
     )
     return ordered // factorial(r)
+
+
+def pl_map(spec):
+    """The cone map as a PLMapSpec on the full barycentric subdivision of
+    the m-simplex, each subdivision vertex sent to its face's image."""
+    bc = barycentric_subdivision(full_simplex(spec.m))
+    return PLMapSpec(
+        source=bc,
+        source_points=realize_subdivision(bc, realize_standard(spec.m)),
+        vertex_images={v: spec.images[g] for v, g in bc.face_of_vertex.items()},
+    )
 
 
 def test_enumeration_counts_match_closed_form():
@@ -51,14 +69,15 @@ def test_enumeration_canonical_order():
 def test_build_counterexample_shape():
     spec = build_counterexample(1, 2)
     assert spec.m == 2
-    assert spec.apex == 3
-    assert spec.apex_point == standard_center(2)
-    assert spec.cone_complex.facets == frozenset({(0, 3), (1, 3), (2, 3)})
+    assert spec.center == standard_center(2)
+    assert len(spec.images) == 7
     # vertices of the base keep their barycenter, everything else collapses
-    img = pl_image_of_face(spec.map_spec, (0, 1))
+    assert spec.images[(1,)] == (0, 1, 0)
+    assert spec.images[(0, 1)] == spec.images[(0, 1, 2)] == spec.center
+    img = pl_image_of_face(pl_map(spec), (0, 1))
     assert len(img) == 2
     for poly in img:
-        assert spec.apex_point in poly.vertices
+        assert spec.center in poly.vertices
     with pytest.raises(ValueError):
         build_counterexample(0, 2)
     with pytest.raises(ValueError):
@@ -83,8 +102,7 @@ def test_isolation_failure_on_sabotaged_map():
     spec = build_counterexample(1, 2)
     # collapse a base vertex onto the center: its image now meets every
     # other image, so the predicted isolation must be reported broken
-    v = spec.subdivision.vertex_of_face[(2,)]
-    spec.map_spec.vertex_images[v] = spec.apex_point
+    spec.images[(2,)] = spec.center
     with pytest.raises(IsolationFailure):
         verify_isolation(spec)
 
@@ -111,24 +129,24 @@ def test_probe_skips_small_face_tuples():
     assert result.tuples_scanned == first_big + 1
 
 
-def lp_disjoint(spec, s, t):
-    """Oracle: the images of faces s and t share no point, shown by one
-    exact LP per pair of polytope pieces."""
+def lp_disjoint(f, s, t):
+    """Oracle: under the PL map f the images of faces s and t share no
+    point, shown by one exact LP per pair of polytope pieces."""
     return all(
         lp_feasible(common_point_system([P, Q])[0]).status == "infeasible"
-        for P in pl_image_of_face(spec.map_spec, s)
-        for Q in pl_image_of_face(spec.map_spec, t)
+        for P in pl_image_of_face(f, s)
+        for Q in pl_image_of_face(f, t)
     )
 
 
 def lp_probe(d, r):
     """Oracle: the LP scan over image pieces, as (faces, point, scanned)."""
     m = (d + 1) * r - 1
-    spec = _build_map(d, r, m)
+    f = pl_map(_build_map(d, r, m))
     for scanned, faces in enumerate(enumerate_disjoint_tuples(m, r), 1):
-        if any(len(f) - 1 <= d - 1 for f in faces):
+        if any(len(g) - 1 <= d - 1 for g in faces):
             continue
-        pieces = [pl_image_of_face(spec.map_spec, f) for f in faces]
+        pieces = [pl_image_of_face(f, g) for g in faces]
         for choice in itertools.product(*pieces):
             found = common_point_with_weights(list(choice))
             if found is not None:
@@ -139,6 +157,7 @@ def lp_probe(d, r):
 def test_certified_pairs_are_lp_disjoint():
     for d, r in ((1, 2), (1, 3), (2, 2)):
         spec = build_counterexample(d, r)
+        f = pl_map(spec)
         pairs = {
             (row.faces[i], g)
             for row in verify_isolation(spec).rows
@@ -148,7 +167,7 @@ def test_certified_pairs_are_lp_disjoint():
         }
         assert pairs
         for s, t in sorted(pairs):
-            assert lp_disjoint(spec, s, t), (d, r, s, t)
+            assert lp_disjoint(f, s, t), (d, r, s, t)
 
 
 def test_probe_matches_the_lp_scan():
@@ -169,7 +188,7 @@ def test_isolation_and_probe_solve_no_lp(monkeypatch):
 
 
 def test_isolation_beyond_the_small_cases():
-    for d, r in ((1, 4), (3, 2)):
+    for d, r in ((1, 4), (3, 2), (2, 3)):
         report = verify_isolation(build_counterexample(d, r))
         assert len(report.rows) == disjoint_tuple_count(report.m, r)
         for row in report.rows:
@@ -180,7 +199,51 @@ def test_isolation_beyond_the_small_cases():
 def test_isolation_failure_when_a_disjoint_image_reaches_the_small_face():
     spec = build_counterexample(1, 2)
     # the barycenter of the edge (0, 1) now maps onto the vertex 2
-    bc, images = spec.subdivision, spec.map_spec.vertex_images
-    images[bc.vertex_of_face[(0, 1)]] = images[bc.vertex_of_face[(2,)]]
+    spec.images[(0, 1)] = spec.images[(2,)]
     with pytest.raises(IsolationFailure, match=r"\(\(2,\), \(0, 1\)\).*\(0/1, 0/1, 1/1\)"):
         verify_isolation(spec)
+
+
+def test_images_match_the_subdivision_construction():
+    # the table against the subdivision vertices realized at their
+    # barycenters, at the critical m and one above
+    for d, r in ((1, 2), (1, 3), (2, 2), (1, 4)):
+        for m in ((d + 1) * r - 2, (d + 1) * r - 1):
+            spec = _build_map(d, r, m)
+            base = full_simplex(m)
+            bc = barycentric_subdivision(base)
+            points = realize_subdivision(bc, realize_standard(m))
+            assert set(spec.images) == set(base.faces())
+            for g, y in spec.images.items():
+                if len(g) - 1 <= d - 1:
+                    assert y == points.point(bc.vertex_of_face[g]), (d, r, m, g)
+                else:
+                    assert y == standard_center(m), (d, r, m, g)
+
+
+def test_isolation_and_probe_build_no_complex(monkeypatch):
+    builds = []
+    init = SimplicialComplex.__init__
+
+    def counted_init(self, facets):
+        builds.append(1)
+        init(self, facets)
+
+    monkeypatch.setattr(SimplicialComplex, "__init__", counted_init)
+    for d, r in ((1, 2), (2, 2)):
+        assert verify_isolation(build_counterexample(d, r)).rows
+        assert probe_tverberg_plus_one(d, r).found
+    assert builds == []
+
+
+def test_probe_at_seven_dimensions():
+    result = probe_tverberg_plus_one(1, 4)
+    assert result.found
+    assert all(len(f) - 1 >= 1 for f in result.faces)
+    assert result.point == standard_center(7)
+
+
+def test_counterexample_cli_at_seven_dimensions(capsys):
+    assert main(["counterexample", "--d", "2", "--r", "3"]) == 0
+    summary = json.loads(capsys.readouterr().out.splitlines()[-1])["summary"]
+    assert summary["tuples"] == disjoint_tuple_count(7, 3)
