@@ -37,11 +37,12 @@ cert = min_cover_homothety(
 )
 print("set avoiding facet 2: delta* =", cert.delta)
 
-# sampled fibers of two maps off the triangle; exact cover per fiber cell
-for label, spec in (
-    ("first coordinate", coordinate_projection_map(2)),
-    ("constant", constant_map(2)),
+# sampled fibers of two exact maps of barycentric coordinates off the
+# triangle; exact cover per fiber cell
+for label, f in (
+    ("first coordinate", coordinate_projection_map),
+    ("constant", constant_map),
 ):
-    report = fiber_width_demo(spec, 3, label=label)
+    report = fiber_width_demo(2, f, 3, label=label)
     print(f"{label} map: {len(report.cells)} sampled fiber cells,"
           f" max delta* = {report.max_delta}")

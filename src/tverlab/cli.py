@@ -256,20 +256,11 @@ def cmd_fiber_demo(args, parser):
         parser.error("need --d (source simplex dimension)")
     density = max(1, args.trials)
     records = []
-    for label, spec in (
-        ("coordinate projection", cover.coordinate_projection_map(args.d)),
-        ("constant map", cover.constant_map(args.d)),
+    for label, f in (
+        ("coordinate projection", cover.coordinate_projection_map),
+        ("constant map", cover.constant_map),
     ):
-        report = cover.fiber_width_demo(spec, density, label=label)
-        records.append(
-            {
-                "evidence": label,
-                "source_dim": report.source_dim,
-                "density": report.density,
-                "max_delta": rat_str(report.max_delta),
-            }
-        )
-        records.extend(c.to_record() | {"map": label} for c in report.cells)
+        records.extend(cover.fiber_width_demo(args.d, f, density, label=label).to_records())
     return PASS, records
 
 

@@ -1,22 +1,19 @@
-"""Abstract simplicial complexes, barycentric subdivision, and rational
-piecewise-linear maps.
+"""Abstract simplicial complexes and barycentric subdivision.
 
 Simplices are sorted tuples of integer vertex ids.  A complex is given by
 its maximal simplices (facets); its faces are indexed by dimension once,
-when it is built.  Geometry is exact: realizations assign rational points,
-the standard m-simplex lives on the unit coordinate vectors of R^{m+1},
-and barycenters are exact averages.
+when it is built.  The one piece of geometry is the exact center of the
+standard m-simplex, whose vertices are the unit vectors of R^{m+1}.
 """
 from __future__ import annotations
 
 import itertools
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, Iterable, List, Sequence, Tuple
+from typing import Dict, Iterable, List, Tuple
 
-from .exactlp import VPolytope
-from .rationals import Point, rat, rat_str
+from .rationals import Point
 
 Simplex = Tuple[int, ...]
 
@@ -175,156 +172,6 @@ def barycentric_subdivision(K: SimplicialComplex) -> BarycentricComplex:
     )
 
 
-# ---------------------------------------------------------------------------
-# exact geometry
-# ---------------------------------------------------------------------------
-
-@dataclass
-class Realization:
-    """Exact rational coordinates for the vertices of a complex."""
-
-    ambient_dim: int
-    points: Dict[int, Point] = field(default_factory=dict)
-
-    def point(self, v: int) -> Point:
-        return self.points[v]
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "ambient_dim": self.ambient_dim,
-                "points": {
-                    str(v): [rat_str(c) for c in p]
-                    for v, p in sorted(self.points.items())
-                },
-            },
-            sort_keys=True,
-        )
-
-    @classmethod
-    def from_json(cls, text: str) -> "Realization":
-        data = json.loads(text)
-        return cls(
-            data["ambient_dim"],
-            {int(v): tuple(rat(c) for c in p) for v, p in data["points"].items()},
-        )
-
-
-def barycenter(points: Sequence[Point]) -> Point:
-    if not points:
-        raise ValueError("barycenter of nothing")
-    n = len(points)
-    return tuple(sum(p[i] for p in points) / n for i in range(len(points[0])))
-
-
-def realize_standard(m: int) -> Realization:
-    """Vertices 0..m on the unit coordinate vectors of R^{m+1}."""
-    pts = {}
-    for i in range(m + 1):
-        e = [Fraction(0)] * (m + 1)
-        e[i] = Fraction(1)
-        pts[i] = tuple(e)
-    return Realization(m + 1, pts)
-
-
 def standard_center(m: int) -> Point:
     """Barycenter of the standard m-simplex: (1/(m+1), ..., 1/(m+1))."""
     return tuple([Fraction(1, m + 1)] * (m + 1))
-
-
-def realize_subdivision(bc: BarycentricComplex, base: Realization) -> Realization:
-    """Each subdivision vertex sits at the exact barycenter of its face."""
-    pts = {}
-    for v, f in bc.face_of_vertex.items():
-        pts[v] = barycenter([base.point(u) for u in f])
-    return Realization(base.ambient_dim, pts)
-
-
-# ---------------------------------------------------------------------------
-# piecewise-linear maps on a subdivision
-# ---------------------------------------------------------------------------
-
-@dataclass
-class PLMapSpec:
-    """A piecewise-linear map on the barycentric subdivision of a base
-    complex, given by exact images of the subdivision vertices and extended
-    affinely on each chain simplex."""
-
-    source: BarycentricComplex
-    source_points: Realization
-    vertex_images: Dict[int, Point]
-
-    def __post_init__(self):
-        dims = {len(p) for p in self.vertex_images.values()}
-        if len(dims) != 1:
-            raise ValueError("vertex images must share one ambient dimension")
-        (self.image_dim,) = dims
-        missing = set(self.source.complex.vertices) - set(self.vertex_images)
-        if missing:
-            raise ValueError(f"no image for subdivision vertices {sorted(missing)}")
-
-
-def pl_image_of_face(spec: PLMapSpec, face: Iterable[int]) -> List[VPolytope]:
-    """The image of a closed base face as a union of V-polytopes.
-
-    The subdivision of the face consists of its maximal chains; the map is
-    affine on each, so each chain contributes the hull of its vertex
-    images.  No union normalization is attempted: a caller asks its
-    questions of each piece (the isolation check needs only the vertex
-    images, and reads them from the map directly).
-    """
-    f = simplex(face)
-    if not spec.source.base.has_face(f):
-        raise ValueError(f"{f} is not a face of the base complex")
-    polys = {}
-    for perm in itertools.permutations(f):
-        pts = []
-        for k in range(1, len(perm) + 1):
-            v = spec.source.vertex_of_face[tuple(sorted(perm[:k]))]
-            pts.append(spec.vertex_images[v])
-        key = frozenset(pts)
-        if key not in polys:
-            polys[key] = tuple(sorted(set(pts)))
-    ordered = sorted(polys.values())
-    return [VPolytope(spec.image_dim, verts) for verts in ordered]
-
-
-def pl_value(spec: PLMapSpec, p: Sequence) -> Point:
-    """Evaluate the map at an exact point of the standard base simplex.
-
-    Requires the base to be the full m-simplex realized standardly: the
-    chain simplex containing p is read off the sorted order of its
-    coordinates, and the barycentric weights along the chain are exact.
-    """
-    base = spec.source.base
-    m = base.dim
-    if base.facets != frozenset({tuple(range(m + 1))}):
-        raise ValueError("pl_value needs the solid standard simplex as base")
-    x = [rat(c) for c in p]
-    if len(x) != m + 1:
-        raise ValueError("point must have m+1 barycentric coordinates")
-    if any(c < 0 for c in x) or sum(x) != 1:
-        raise ValueError("point must lie in the standard simplex")
-    order = sorted(range(m + 1), key=lambda i: (-x[i], i))
-    image = [Fraction(0)] * spec.image_dim
-    prefix: List[int] = []
-    for rank, idx in enumerate(order):
-        prefix.append(idx)
-        nxt = x[order[rank + 1]] if rank + 1 <= m else Fraction(0)
-        w = (rank + 1) * (x[idx] - nxt)
-        if w == 0:
-            continue
-        v = spec.source.vertex_of_face[tuple(sorted(prefix))]
-        img = spec.vertex_images[v]
-        for i in range(spec.image_dim):
-            image[i] += w * img[i]
-    return tuple(image)
-
-
-def squaring_map(x: Sequence) -> Point:
-    """(x_0, ..., x_m) on the unit sphere -> (x_0^2, ..., x_m^2) in the
-    standard simplex.  Identifies antipodes; exact on rational inputs."""
-    xs = [rat(c) for c in x]
-    if sum(c * c for c in xs) != 1:
-        raise ValueError("input must lie on the unit sphere exactly")
-    return tuple(c * c for c in xs)

@@ -74,25 +74,28 @@ def build_counterexample(d: int, r: int) -> CounterexampleSpec:
 
 def enumerate_disjoint_tuples(m: int, r: int) -> List[Tuple[Simplex, ...]]:
     """Unordered r-tuples of pairwise disjoint nonempty faces of the
-    m-simplex, canonical order (faces ordered by dimension then lex)."""
-    faces = []
-    for k in range(1, m + 2):
-        faces.extend(itertools.combinations(range(m + 1), k))
-    faces.sort(key=lambda f: (len(f), f))
+    m-simplex, canonical order (faces ordered by dimension then lex).
+
+    Each next face is drawn from the combinations of the still-unused
+    vertices, no smaller than the previous face (and after it at equal
+    size), and small enough that the faces still to come fit; so every
+    branch ends in a tuple and the work is proportional to the output."""
     out: List[Tuple[Simplex, ...]] = []
 
-    def rec(start: int, chosen: List[Simplex], used: set):
+    def rec(chosen: List[Simplex], free: Tuple[int, ...]):
         if len(chosen) == r:
             out.append(tuple(chosen))
             return
-        for idx in range(start, len(faces)):
-            f = faces[idx]
-            if used.isdisjoint(f):
+        prev = chosen[-1] if chosen else ()
+        for k in range(max(1, len(prev)), len(free) // (r - len(chosen)) + 1):
+            for f in itertools.combinations(free, k):
+                if k == len(prev) and f < prev:
+                    continue
                 chosen.append(f)
-                rec(idx + 1, chosen, used | set(f))
+                rec(chosen, tuple(v for v in free if v not in f))
                 chosen.pop()
 
-    rec(0, [], set())
+    rec([], tuple(range(m + 1)))
     return out
 
 

@@ -12,24 +12,17 @@ and the tight pairs; the body check and the translate are one exact
 elimination each, and no LP is solved.  The standard n-simplex ships
 centered in this form; barycentric sets are mapped to it by dropping the
 last coordinate and recentering (covering radii are affine invariants).
+The fiber demo evaluates an exact map of barycentric coordinates on a
+rational grid of the simplex and covers each sampled fiber the same way.
 """
 from __future__ import annotations
 
 import itertools
-import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from .complexes import (
-    PLMapSpec,
-    barycentric_subdivision,
-    full_simplex,
-    pl_value,
-    realize_standard,
-    realize_subdivision,
-)
 from .rationals import Point, rat, rat_str
 
 
@@ -222,44 +215,25 @@ class FiberReport:
     def max_delta(self) -> Fraction:
         return max(c.certificate.delta for c in self.cells)
 
-    def to_json_lines(self) -> str:
-        lines = [
-            json.dumps(
-                {
-                    "evidence": self.label,
-                    "source_dim": self.source_dim,
-                    "density": self.density,
-                    "max_delta": rat_str(self.max_delta),
-                },
-                sort_keys=True,
-            )
-        ]
-        lines.extend(
-            json.dumps(c.to_record(), sort_keys=True) for c in self.cells
-        )
-        return "\n".join(lines)
+    def to_records(self) -> List[dict]:
+        """A header record, then one record per cell tagged with the map."""
+        header = {
+            "evidence": self.label,
+            "source_dim": self.source_dim,
+            "density": self.density,
+            "max_delta": rat_str(self.max_delta),
+        }
+        return [header] + [c.to_record() | {"map": self.label} for c in self.cells]
 
 
-def _subdivided_map(n: int, image_of_point) -> PLMapSpec:
-    base = full_simplex(n)
-    base_points = realize_standard(n)
-    bc = barycentric_subdivision(base)
-    sub_points = realize_subdivision(bc, base_points)
-    images = {v: image_of_point(sub_points.point(v)) for v in bc.complex.vertices}
-    return PLMapSpec(source=bc, source_points=sub_points, vertex_images=images)
+def coordinate_projection_map(p: Point) -> Point:
+    """First barycentric coordinate of the simplex, onto [0, 1]."""
+    return (p[0],)
 
 
-def coordinate_projection_map(n: int) -> PLMapSpec:
-    """First barycentric coordinate of the n-simplex, onto [0, 1].
-
-    The projection is globally affine, so its extension over the
-    subdivision is the projection itself."""
-    return _subdivided_map(n, lambda p: (p[0],))
-
-
-def constant_map(n: int) -> PLMapSpec:
+def constant_map(p: Point) -> Point:
     """Everything to a single point; the lone fiber is the whole simplex."""
-    return _subdivided_map(n, lambda p: (Fraction(0),))
+    return (Fraction(0),)
 
 
 def grid_points_in_simplex(n: int, density: int) -> List[Point]:
@@ -279,23 +253,27 @@ def grid_points_in_simplex(n: int, density: int) -> List[Point]:
     return pts
 
 
-def fiber_width_demo(spec: PLMapSpec, density: int, label: str = "sampled fibers") -> FiberReport:
-    """Sampled lower-bound evidence for the width of the map's fibers.
+def fiber_width_demo(
+    n: int,
+    f: Callable[[Point], Point],
+    density: int,
+    label: str = "sampled fibers",
+) -> FiberReport:
+    """Sampled lower-bound evidence for the width of the fibers of f.
 
-    Rational grid points of the source simplex are bucketed by the grid
-    cell of their image; each bucket gets an exact covering-radius
-    certificate against the source simplex.  This is exploratory: results
-    are labeled evidence, not verified claims about true fibers."""
-    m = spec.source.base.dim
+    f takes an exact barycentric point of the standard n-simplex to an
+    exact point of some R^k.  Rational grid points of the simplex are
+    bucketed by the grid cell of their image; each bucket gets an exact
+    covering-radius certificate against the simplex.  This is exploratory:
+    results are labeled evidence, not verified claims about true fibers."""
     buckets: Dict[Tuple[int, ...], List[Point]] = {}
-    for p in grid_points_in_simplex(m, density):
-        y = pl_value(spec, p)
-        cell = tuple(math.floor(c * density) for c in y)
+    for p in grid_points_in_simplex(n, density):
+        cell = tuple(math.floor(c * density) for c in f(p))
         buckets.setdefault(cell, []).append(p)
-    body = standard_simplex_body(m)
+    body = standard_simplex_body(n)
     cells = []
     for cell in sorted(buckets):
         pts = buckets[cell]
         cert = min_cover_homothety([barycentric_to_centered(p) for p in pts], body)
         cells.append(FiberCell(cell=cell, count=len(pts), certificate=cert))
-    return FiberReport(source_dim=m, density=density, label=label, cells=cells)
+    return FiberReport(source_dim=n, density=density, label=label, cells=cells)

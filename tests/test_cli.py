@@ -1,4 +1,5 @@
 """The command line front end: exit codes, JSON shape, and byte stability."""
+import hashlib
 import json
 import os
 import subprocess
@@ -103,6 +104,37 @@ def test_fiber_demo_output(capsys):
     assert code == 0
     labels = {rec["evidence"] for rec in records if "evidence" in rec}
     assert labels == {"coordinate projection", "constant map"}
+
+
+# sha256 of `fiber-demo --d D --trials DENSITY` stdout, as printed when the
+# maps were still evaluated through a barycentric subdivision
+FIBER_DEMO_SHA256 = {
+    (1, 12): "37e2d901f1265818dcf6a0d8bc0f8645def9732e9f50ef5c4f9ffd967813050c",
+    (2, 3): "76f409167c24dc6c4505e5d5ab2fd3934ea54f9aa85cb9089b847f0e58d749ab",
+    (3, 1): "c6b42d6edb2d7e19fe09ec74ee3854afe3c1359c94a876169a5c084946f9b7cb",
+    (3, 2): "78f4bb9e73cef3ff448e86c4b3311114ef29ecb2ac4bff7ec3f5545e120997b1",
+}
+
+
+def test_fiber_demo_bytes_are_pinned(capsys):
+    for (d, density), digest in FIBER_DEMO_SHA256.items():
+        code, _, out = run(capsys, "fiber-demo", "--d", str(d), "--trials", str(density))
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest, (d, density)
+
+
+def test_fiber_demo_builds_no_complex(monkeypatch, capsys):
+    builds = []
+    init = tverlab.SimplicialComplex.__init__
+
+    def counted_init(self, facets):
+        builds.append(1)
+        init(self, facets)
+
+    monkeypatch.setattr(tverlab.SimplicialComplex, "__init__", counted_init)
+    for d in (1, 2, 3):
+        assert run(capsys, "fiber-demo", "--d", str(d), "--trials", "2")[0] == 0
+    assert builds == []
 
 
 def test_point_config_input(tmp_path, capsys):
@@ -240,3 +272,8 @@ def test_cli_import_needs_no_numpy():
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     )
     assert out.stdout.strip() == "False"
+
+
+def test_every_exported_name_resolves():
+    assert len(set(tverlab.__all__)) == len(tverlab.__all__)
+    assert [name for name in tverlab.__all__ if not hasattr(tverlab, name)] == []

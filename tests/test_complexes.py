@@ -1,4 +1,4 @@
-"""Simplicial complexes, barycentric subdivision, and exact PL maps.
+"""Simplicial complexes and barycentric subdivision.
 
 The subdivision face counts are checked against an independent chain
 counter on the face poset.
@@ -9,24 +9,13 @@ from fractions import Fraction as F
 import pytest
 
 from tverlab import (
-    PLMapSpec,
-    Realization,
     SimplicialComplex,
     SplitMix64,
-    barycenter,
     barycentric_subdivision,
     faces_of_simplex,
     full_simplex,
-    grid_points_in_simplex,
-    in_convex_hull,
-    pl_image_of_face,
-    pl_value,
-    rational_sphere_point,
-    realize_standard,
-    realize_subdivision,
     simplex,
     skeleton,
-    squaring_map,
     standard_center,
 )
 
@@ -132,9 +121,6 @@ def test_connected_components():
 def test_json_round_trip():
     K = SimplicialComplex([[0, 1, 2], [2, 3]])
     assert SimplicialComplex.from_json(K.to_json()) == K
-    R = realize_standard(1)
-    back = Realization.from_json(R.to_json())
-    assert back.points == R.points and back.ambient_dim == R.ambient_dim
 
 
 def test_subdivision_of_triangle_counts():
@@ -161,69 +147,4 @@ def test_subdivision_counts_match_chain_oracle():
 
 
 def test_realize_standard_and_center():
-    R = realize_standard(2)
-    assert R.point(0) == (F(1), F(0), F(0))
     assert standard_center(2) == (F(1, 3), F(1, 3), F(1, 3))
-    assert barycenter([R.point(0), R.point(1)]) == (F(1, 2), F(1, 2), F(0))
-
-
-def identity_spec(m):
-    base = full_simplex(m)
-    points = realize_standard(m)
-    bc = barycentric_subdivision(base)
-    sub = realize_subdivision(bc, points)
-    return PLMapSpec(
-        source=bc,
-        source_points=sub,
-        vertex_images={v: sub.point(v) for v in bc.face_of_vertex},
-    )
-
-
-def test_identity_map_covers_and_evaluates():
-    spec = identity_spec(2)
-    pieces = pl_image_of_face(spec, (0, 1, 2))
-    assert len(pieces) == 6
-    for p in grid_points_in_simplex(2, 4):
-        assert any(in_convex_hull(p, poly.vertices).inside for poly in pieces)
-        assert pl_value(spec, p) == p
-
-
-def test_pl_value_rejects_bad_points():
-    spec = identity_spec(1)
-    with pytest.raises(ValueError):
-        pl_value(spec, (F(1, 2), F(1, 4)))  # does not sum to 1
-    with pytest.raises(ValueError):
-        pl_value(spec, (F(3, 2), F(-1, 2)))
-    with pytest.raises(ValueError):
-        pl_image_of_face(spec, (0, 7))
-
-
-def test_collapse_map_image():
-    # send every subdivision vertex to the center: image of anything is {c}
-    base = full_simplex(2)
-    points = realize_standard(2)
-    bc = barycentric_subdivision(base)
-    sub = realize_subdivision(bc, points)
-    c = standard_center(2)
-    spec = PLMapSpec(
-        source=bc,
-        source_points=sub,
-        vertex_images={v: c for v in bc.face_of_vertex},
-    )
-    assert pl_image_of_face(spec, (0, 1, 2)) == [
-        type(pl_image_of_face(spec, (0,))[0])(3, (c,))
-    ]
-    assert pl_value(spec, (F(1), F(0), F(0))) == c
-
-
-def test_squaring_map_on_rational_sphere_points():
-    rng = SplitMix64(5150)
-    for _ in range(40):
-        m = rng.int_between(1, 3)
-        x = rational_sphere_point(rng, m)
-        assert sum(c * c for c in x) == 1
-        y = squaring_map(x)
-        assert sum(y) == 1 and all(c >= 0 for c in y)
-        assert squaring_map(tuple(-c for c in x)) == y
-    with pytest.raises(ValueError):
-        squaring_map((F(1), F(1)))

@@ -1,28 +1,42 @@
-"""Disjoint-face enumeration, isolation verification, and the probe."""
+"""Disjoint-face enumeration, isolation verification, and the probe.
+
+The LP oracles read the cone map as a piecewise-linear map on the full
+barycentric subdivision of the m-simplex; that map, realized exactly,
+lives here and nowhere in the package.
+"""
 import itertools
 import json
+from dataclasses import dataclass
+from fractions import Fraction
 from math import comb, factorial
+from typing import Dict, Iterable, List, Sequence
 
 import pytest
 
 from tverlab import (
+    BarycentricComplex,
     IsolationFailure,
-    PLMapSpec,
     SimplicialComplex,
     barycentric_subdivision,
     build_counterexample,
     enumerate_disjoint_tuples,
     full_simplex,
-    pl_image_of_face,
+    grid_points_in_simplex,
+    in_convex_hull,
     probe_tverberg_plus_one,
-    realize_standard,
-    realize_subdivision,
+    simplex,
     standard_center,
     verify_isolation,
 )
 from tverlab.cli import main
 from tverlab.conemap import _build_map
-from tverlab.exactlp import common_point_system, common_point_with_weights, lp_feasible
+from tverlab.exactlp import (
+    VPolytope,
+    common_point_system,
+    common_point_with_weights,
+    lp_feasible,
+)
+from tverlab.rationals import Point
 
 
 def disjoint_tuple_count(m, r):
@@ -34,15 +48,100 @@ def disjoint_tuple_count(m, r):
     return ordered // factorial(r)
 
 
+def realize_standard(m: int) -> Dict[int, Point]:
+    """Vertices 0..m on the unit coordinate vectors of R^{m+1}."""
+    pts = {}
+    for i in range(m + 1):
+        e = [Fraction(0)] * (m + 1)
+        e[i] = Fraction(1)
+        pts[i] = tuple(e)
+    return pts
+
+
+def barycenter(points: Sequence[Point]) -> Point:
+    n = len(points)
+    return tuple(sum(p[i] for p in points) / n for i in range(len(points[0])))
+
+
+def realize_subdivision(bc: BarycentricComplex, base: Dict[int, Point]) -> Dict[int, Point]:
+    """Each subdivision vertex sits at the exact barycenter of its face."""
+    return {v: barycenter([base[u] for u in f]) for v, f in bc.face_of_vertex.items()}
+
+
+@dataclass
+class PLMapSpec:
+    """A piecewise-linear map on the barycentric subdivision of a base
+    complex, given by exact images of the subdivision vertices and extended
+    affinely on each chain simplex."""
+
+    source: BarycentricComplex
+    vertex_images: Dict[int, Point]
+
+    def __post_init__(self):
+        dims = {len(p) for p in self.vertex_images.values()}
+        if len(dims) != 1:
+            raise ValueError("vertex images must share one ambient dimension")
+        (self.image_dim,) = dims
+        missing = set(self.source.complex.vertices) - set(self.vertex_images)
+        if missing:
+            raise ValueError(f"no image for subdivision vertices {sorted(missing)}")
+
+
+def pl_image_of_face(spec: PLMapSpec, face: Iterable[int]) -> List[VPolytope]:
+    """The image of a closed base face as a union of V-polytopes: the map
+    is affine on each maximal chain of the face's subdivision, so each
+    chain contributes the hull of its vertex images."""
+    f = simplex(face)
+    if not spec.source.base.has_face(f):
+        raise ValueError(f"{f} is not a face of the base complex")
+    polys = {}
+    for perm in itertools.permutations(f):
+        pts = []
+        for k in range(1, len(perm) + 1):
+            v = spec.source.vertex_of_face[tuple(sorted(perm[:k]))]
+            pts.append(spec.vertex_images[v])
+        key = frozenset(pts)
+        if key not in polys:
+            polys[key] = tuple(sorted(set(pts)))
+    ordered = sorted(polys.values())
+    return [VPolytope(spec.image_dim, verts) for verts in ordered]
+
+
 def pl_map(spec):
     """The cone map as a PLMapSpec on the full barycentric subdivision of
     the m-simplex, each subdivision vertex sent to its face's image."""
     bc = barycentric_subdivision(full_simplex(spec.m))
     return PLMapSpec(
         source=bc,
-        source_points=realize_subdivision(bc, realize_standard(spec.m)),
         vertex_images={v: spec.images[g] for v, g in bc.face_of_vertex.items()},
     )
+
+
+def identity_map(m):
+    bc = barycentric_subdivision(full_simplex(m))
+    return PLMapSpec(source=bc, vertex_images=realize_subdivision(bc, realize_standard(m)))
+
+
+def test_pl_image_of_the_identity_covers_the_simplex():
+    pieces = pl_image_of_face(identity_map(2), (0, 1, 2))
+    assert len(pieces) == 6
+    for p in grid_points_in_simplex(2, 4):
+        assert any(in_convex_hull(p, poly.vertices).inside for poly in pieces)
+
+
+def test_pl_image_rejects_a_non_face():
+    with pytest.raises(ValueError):
+        pl_image_of_face(identity_map(1), (0, 7))
+
+
+def test_pl_image_of_the_collapse_map():
+    # send every subdivision vertex to the center: image of anything is {c}
+    bc = barycentric_subdivision(full_simplex(2))
+    c = standard_center(2)
+    spec = PLMapSpec(source=bc, vertex_images={v: c for v in bc.face_of_vertex})
+    assert pl_image_of_face(spec, (0, 1, 2)) == [
+        type(pl_image_of_face(spec, (0,))[0])(3, (c,))
+    ]
 
 
 def test_enumeration_counts_match_closed_form():
@@ -55,6 +154,22 @@ def test_enumeration_counts_match_closed_form():
             seen.add(faces)
             flat = [v for f in faces for v in f]
             assert len(flat) == len(set(flat))
+
+
+def test_enumeration_matches_the_brute_force_oracle():
+    # the pairwise-disjoint r-combinations of the faces sorted by (len, lex)
+    cases = [(m, r) for m in range(6) for r in range(4)] + [(6, 3)]
+    for m, r in cases:
+        faces = sorted(
+            (f for k in range(1, m + 2) for f in itertools.combinations(range(m + 1), k)),
+            key=lambda f: (len(f), f),
+        )
+        oracle = [
+            t
+            for t in itertools.combinations(faces, r)
+            if all(set(a).isdisjoint(b) for a, b in itertools.combinations(t, 2))
+        ]
+        assert enumerate_disjoint_tuples(m, r) == oracle, (m, r)
 
 
 def test_enumeration_canonical_order():
@@ -216,7 +331,7 @@ def test_images_match_the_subdivision_construction():
             assert set(spec.images) == set(base.faces())
             for g, y in spec.images.items():
                 if len(g) - 1 <= d - 1:
-                    assert y == points.point(bc.vertex_of_face[g]), (d, r, m, g)
+                    assert y == points[bc.vertex_of_face[g]], (d, r, m, g)
                 else:
                     assert y == standard_center(m), (d, r, m, g)
 

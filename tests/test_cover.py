@@ -251,15 +251,16 @@ def test_grid_point_counts():
 
 
 def test_fiber_demo_constant_map_needs_everything():
-    report = fiber_width_demo(constant_map(1), 3, label="constant")
+    report = fiber_width_demo(1, constant_map, 3, label="constant")
     assert len(report.cells) == 1
     assert report.max_delta == 1
-    lines = report.to_json_lines().splitlines()
-    assert "constant" in lines[0]
+    records = report.to_records()
+    assert records[0]["evidence"] == "constant"
+    assert records[1]["map"] == "constant"
 
 
 def test_fiber_demo_projection_cells():
-    report = fiber_width_demo(coordinate_projection_map(2), 3)
+    report = fiber_width_demo(2, coordinate_projection_map, 3)
     assert report.source_dim == 2 and report.density == 3
     assert sum(cell.count for cell in report.cells) == comb(2 + 3, 2)
     # the x0 = s fiber is a segment that shrinks as s grows: the s = 0
