@@ -6,17 +6,18 @@ parameters, seed); --jobs is accepted for interface stability but the
 pipeline is sequential and results are emitted in canonical order, so
 output bytes never depend on it.
 
-Exit codes: 0 all checks passed; 1 a verified claim was falsified (the
-offending record is in the output); 2 usage error; 3 internal error (a
-self-check failed, or a KeyError or TypeError arose with no --input; the
-output holds one record {"command": ..., "internal_error": ...} and
-nothing else).  A point configuration below (d+1)(r-1)+1 points with no
-partition falsifies nothing: its record has "outside_hypotheses": true
-and "ok": true.
+Exit codes: 0 all checks passed; 1 exactly when some record says
+"ok": false (the falsified claim is in the output); 2 usage error; 3
+internal error (a self-check failed, or a KeyError or TypeError arose
+with no --input; the output holds one record {"command": ...,
+"internal_error": ...} and nothing else).  A point configuration below
+(d+1)(r-1)+1 points with no partition falsifies nothing: its record has
+"outside_hypotheses": true and "ok": true.
 """
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import json
 import sys
@@ -44,7 +45,7 @@ def _emit(records: List[dict], output: Optional[str]) -> None:
 
 
 # ---------------------------------------------------------------------------
-# subcommand handlers: each returns (exit_code, records)
+# subcommand handlers: each returns its records
 # ---------------------------------------------------------------------------
 
 def _configs(args, parser) -> List[depth.PointConfig]:
@@ -62,12 +63,9 @@ def _configs(args, parser) -> List[depth.PointConfig]:
 
 def cmd_centerpoint(args, parser):
     records = []
-    ok_all = True
     for i, config in enumerate(_configs(args, parser)):
         cert = depth.centerpoint(config, args.r)
         outside = cert is None and config.n < depth.guaranteed_size(config.d, args.r)
-        ok = outside or (cert is not None and cert.depth >= args.r)
-        ok_all &= ok
         records.append(
             {
                 "trial": i,
@@ -75,16 +73,15 @@ def cmd_centerpoint(args, parser):
                 "point": None if cert is None else point_strs(cert.point),
                 "depth": None if cert is None else cert.depth,
                 "r": args.r,
-                "ok": ok,
+                "ok": outside or (cert is not None and cert.depth >= args.r),
             }
             | ({"outside_hypotheses": True} if outside else {})
         )
-    return (PASS if ok_all else FALSIFIED), records
+    return records
 
 
 def cmd_tverberg(args, parser):
     records = []
-    ok_all = True
     for i, config in enumerate(_configs(args, parser)):
         cert = depth.tverberg_partition(config, args.r)
         if cert is None:
@@ -92,52 +89,36 @@ def cmd_tverberg(args, parser):
             rec = {"trial": i, "ok": ok, "r": args.r} | ({"outside_hypotheses": True} if ok else {})
         else:
             dep = depth.tukey_depth(cert.point, config)
-            ok = depth.check_tverberg_certificate(cert, config) and dep.depth >= args.r
             rec = {
                 "trial": i,
                 "blocks": [list(b) for b in cert.blocks],
                 "point": point_strs(cert.point),
                 "depth": dep.depth,
                 "r": args.r,
-                "ok": ok,
+                "ok": dep.depth >= args.r,
             }
-        ok_all &= ok
         records.append(rec)
-    return (PASS if ok_all else FALSIFIED), records
+    return records
 
 
 def cmd_reduce(args, parser):
     if args.d is None or args.r is None:
         parser.error("need --d and --r")
     plan = depth.reduction_plan(args.r, args.d)
-    records = [
-        {
-            "plan": {
-                "r": plan.r,
-                "d": plan.d,
-                "k": plan.k,
-                "R": plan.R,
-                "m": plan.m,
-                "M": plan.M,
-            }
-        }
-    ]
+    records = [{"plan": dataclasses.asdict(plan)}]
     rng = SplitMix64(args.seed)
-    ok_all = True
     for i in range(args.trials):
         config = depth.random_point_config(args.d, plan.m + 1, rng)
         cert = depth.reduce_central_from_tverberg(config, args.r)
-        ok = cert.depth >= args.r
-        ok_all &= ok
         records.append(
             {
                 "trial": i,
                 "point": point_strs(cert.point),
                 "depth": cert.depth,
-                "ok": ok,
+                "ok": cert.depth >= args.r,
             }
         )
-    return (PASS if ok_all else FALSIFIED), records
+    return records
 
 
 def cmd_hind(args, parser):
@@ -150,16 +131,12 @@ def cmd_hind(args, parser):
             z2.SimplicialComplex(data["maximal_simplices"]),
             {int(k): v for k, v in data["involution"].items()},
         )
-        value = z2.hind(X)
-        return PASS, [{"hind": value}]
+        return [{"hind": z2.hind(X)}]
     m = args.sphere if args.sphere is not None else args.m
     if m is None:
         parser.error("need --m (sphere dimension) or --input")
     value = z2.hind(z2.cross_polytope_sphere(m))
-    ok = value == m
-    return (PASS if ok else FALSIFIED), [
-        {"sphere": m, "hind": value, "expected": m, "ok": ok}
-    ]
+    return [{"sphere": m, "hind": value, "expected": m, "ok": value == m}]
 
 
 def cmd_counterexample(args, parser):
@@ -169,7 +146,7 @@ def cmd_counterexample(args, parser):
     try:
         report = conemap.verify_isolation(spec)
     except conemap.IsolationFailure as exc:
-        return FALSIFIED, [{"ok": False, "error": str(exc)}]
+        return [{"ok": False, "error": str(exc)}]
     records = [row.to_record() for row in report.rows]
     records.append(
         {
@@ -182,16 +159,14 @@ def cmd_counterexample(args, parser):
             }
         }
     )
-    return PASS, records
+    return records
 
 
 def cmd_probe(args, parser):
     if args.d is None or args.r is None:
         parser.error("need --d and --r")
     result = conemap.probe_tverberg_plus_one(args.d, args.r)
-    rec = result.to_record()
-    rec["ok"] = result.found
-    return (PASS if result.found else FALSIFIED), [rec]
+    return [result.to_record() | {"ok": result.found}]
 
 
 def _random_facet_touching(n: int, rng: SplitMix64, extra: int = 2):
@@ -225,30 +200,27 @@ def cmd_cover(args, parser):
         rec = cert.to_record()
         rec["touches_all_facets"] = touches
         rec["ok"] = (not touches) or cert.delta >= 1
-        return (PASS if rec["ok"] else FALSIFIED), [rec]
+        return [rec]
     if args.d is None:
         parser.error("need --d (simplex dimension) or --input")
     body = cover.standard_simplex_body(args.d)
     rng = SplitMix64(args.seed)
     records = []
-    ok_all = True
     for i in range(args.trials):
         pts = _random_facet_touching(args.d, rng)
         touches = cover.touches_all_facets(pts)
         cert = cover.min_cover_homothety(
             [cover.barycentric_to_centered(p) for p in pts], body
         )
-        ok = touches and cert.delta >= 1
-        ok_all &= ok
         records.append(
             {
                 "trial": i,
                 "delta": rat_str(cert.delta),
                 "touches_all_facets": touches,
-                "ok": ok,
+                "ok": touches and cert.delta >= 1,
             }
         )
-    return (PASS if ok_all else FALSIFIED), records
+    return records
 
 
 def cmd_fiber_demo(args, parser):
@@ -261,7 +233,7 @@ def cmd_fiber_demo(args, parser):
         ("constant map", cover.constant_map),
     ):
         records.extend(cover.fiber_width_demo(args.d, f, density, label=label).to_records())
-    return PASS, records
+    return records
 
 
 # ---------------------------------------------------------------------------
@@ -281,7 +253,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--m", type=int, default=None, help="simplex or sphere dimension")
         p.add_argument("--seed", type=int, default=0, help="64-bit seed (SplitMix64)")
         p.add_argument("--trials", type=int, default=trials_default, help="trial count or grid density")
-        p.add_argument("--input", type=str, default=None, help="input JSON path")
         p.add_argument("--output", type=str, default=None, help="write JSON lines here instead of stdout")
         p.add_argument("--jobs", type=int, default=1, help="accepted for compatibility; output never depends on it")
 
@@ -298,6 +269,8 @@ def build_parser() -> argparse.ArgumentParser:
     ):
         p = sub.add_parser(name, help=help_text)
         common(p)
+        if name in ("centerpoint", "tverberg", "hind", "cover"):
+            p.add_argument("--input", type=str, default=None, help="input JSON path")
         if name == "hind":
             p.add_argument("--sphere", type=int, default=None, help="alias for --m")
         handlers[name] = fn
@@ -307,7 +280,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args, extra = parser.parse_known_args(argv)
+    if extra:
+        parser.error(f"{args.command}: unrecognized arguments: {' '.join(extra)}")
     for field in ("trials", "jobs"):
         if getattr(args, field) is not None and getattr(args, field) < 1:
             parser.error(f"--{field} must be at least 1")
@@ -316,7 +291,7 @@ def main(argv=None) -> int:
         if value is not None and value < 0:
             parser.error(f"--{field} must be nonnegative")
     try:
-        code, records = args._handlers[args.command](args, parser)
+        records = args._handlers[args.command](args, parser)
     except (OSError, ValueError) as exc:
         # Unreadable --input files, malformed JSON, and out-of-range
         # dimensions are usage errors, not falsified checks.
@@ -324,7 +299,7 @@ def main(argv=None) -> int:
     except (KeyError, TypeError) as exc:
         # A missing key or a non-exact scalar (a JSON float) in --input is
         # bad input; anywhere else it is a bug.
-        if args.input:
+        if getattr(args, "input", None):
             what = "missing input key " if isinstance(exc, KeyError) else ""
             parser.error(f"{args.command}: {what}{exc}")
         code, records = INTERNAL, [
@@ -334,6 +309,8 @@ def main(argv=None) -> int:
         # A certificate or self-check that failed is a bug, not a falsified
         # claim.
         code, records = INTERNAL, [{"command": args.command, "internal_error": str(exc)}]
+    else:
+        code = FALSIFIED if any(r.get("ok") is False for r in records) else PASS
     _emit(records, args.output)
     return code
 

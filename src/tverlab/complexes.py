@@ -8,7 +8,6 @@ standard m-simplex, whose vertices are the unit vectors of R^{m+1}.
 from __future__ import annotations
 
 import itertools
-import json
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, Iterable, List, Tuple
@@ -96,30 +95,12 @@ class SimplicialComplex:
             f"vertices={len(self.vertices)}, facets={len(self.facets)})"
         )
 
-    def to_json(self) -> str:
-        return json.dumps(
-            {"maximal_simplices": sorted([list(f) for f in self.facets])},
-            sort_keys=True,
-        )
-
-    @classmethod
-    def from_json(cls, text: str) -> "SimplicialComplex":
-        data = json.loads(text)
-        return cls(data["maximal_simplices"])
-
 
 def full_simplex(m: int) -> SimplicialComplex:
     """The solid m-simplex on vertices 0..m."""
     if m < 0:
         raise ValueError("dimension must be nonnegative")
     return SimplicialComplex([tuple(range(m + 1))])
-
-
-def faces_of_simplex(m: int, dim: int) -> List[Simplex]:
-    """All dim-faces of the m-simplex, lexicographic."""
-    if dim < 0 or dim > m:
-        raise ValueError(f"no {dim}-faces in a {m}-simplex")
-    return [tuple(c) for c in itertools.combinations(range(m + 1), dim + 1)]
 
 
 def skeleton(K: SimplicialComplex, k: int) -> SimplicialComplex:

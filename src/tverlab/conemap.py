@@ -26,6 +26,7 @@ from __future__ import annotations
 import hashlib
 import itertools
 import json
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
@@ -124,11 +125,6 @@ class IsolationReport:
     m: int
     rows: List[IsolationRow]
 
-    def to_json_lines(self) -> str:
-        return "\n".join(
-            json.dumps(row.to_record(), sort_keys=True) for row in self.rows
-        )
-
 
 def verify_isolation(spec: CounterexampleSpec) -> IsolationReport:
     """Check every disjoint r-tuple for an isolated face.
@@ -141,15 +137,24 @@ def verify_isolation(spec: CounterexampleSpec) -> IsolationReport:
     (the threshold) must lie below its smallest on s's.  The vertex images
     are read from the table, each (s, t) pair is checked once, and a tuple
     with no small face or a pair the functional fails to separate raises
-    IsolationFailure naming the tuple."""
-    image_cache: Dict[Simplex, List[Point]] = {}
+    IsolationFailure naming the tuple.  The sums are taken over integers:
+    every image is scaled once by L, the lcm of the table's denominators,
+    which is exact by construction."""
+    L = math.lcm(*(c.denominator for y in spec.images.values() for c in y))
+    scaled = {
+        g: tuple(c.numerator * (L // c.denominator) for c in y)
+        for g, y in spec.images.items()
+    }
+    unscaled = lambda v: rat_str(Fraction(v, L))
+    image_cache: Dict[Simplex, List[Tuple[int, ...]]] = {}
     certified: Dict[Tuple[Simplex, Simplex], str] = {}
 
-    def images(f: Simplex) -> List[Point]:
-        """Images of f's subdivision vertices, one per nonempty subface."""
+    def images(f: Simplex) -> List[Tuple[int, ...]]:
+        """L times the images of f's subdivision vertices, one per nonempty
+        subface."""
         if f not in image_cache:
             image_cache[f] = [
-                spec.images[g]
+                scaled[g]
                 for k in range(1, len(f) + 1)
                 for g in itertools.combinations(f, k)
             ]
@@ -162,11 +167,11 @@ def verify_isolation(spec: CounterexampleSpec) -> IsolationReport:
             if high >= low:
                 raise IsolationFailure(
                     f"tuple {faces}: predicted-isolated face {s} is not "
-                    f"separated from {t}: h = {rat_str(high)} at the vertex "
-                    f"image ({', '.join(map(rat_str, worst))}) of {t}, not "
-                    f"below {rat_str(low)}"
+                    f"separated from {t}: h = {unscaled(high)} at the vertex "
+                    f"image ({', '.join(map(unscaled, worst))}) of {t}, not "
+                    f"below {unscaled(low)}"
                 )
-            payload = json.dumps([list(s), list(t), rat_str(high)]).encode()
+            payload = json.dumps([list(s), list(t), unscaled(high)]).encode()
             certified[s, t] = hashlib.sha256(payload).hexdigest()[:12]
         return certified[s, t]
 

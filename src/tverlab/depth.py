@@ -17,12 +17,11 @@ from fractions import Fraction
 from typing import Iterator, List, Optional, Sequence, Tuple
 
 from .exactlp import (
-    VPolytope,
     common_point_with_weights,
     in_convex_hull,
     strict_separator,  # unused: perfbench/tests/test_bench_trace.py traces this binding
 )
-from .rationals import Point, rat, rat_str
+from .rationals import Point, rat
 from .rng import SplitMix64
 
 
@@ -44,12 +43,6 @@ class PointConfig:
 
     def subset(self, labels: Sequence[int]) -> List[Point]:
         return [self.points[i] for i in labels]
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {"d": self.d, "points": [[rat_str(c) for c in p] for p in self.points]},
-            sort_keys=True,
-        )
 
     @classmethod
     def from_json(cls, text: str) -> "PointConfig":
@@ -169,7 +162,7 @@ def hull_membership_depth(x: Sequence, config: PointConfig, q: int) -> bool:
         raise ValueError("subset size out of range")
     xx = tuple(rat(c) for c in x)
     for subset in itertools.combinations(range(config.n), q):
-        if not in_convex_hull(xx, config.subset(subset)).inside:
+        if in_convex_hull(xx, config.subset(subset)) is None:
             return False
     return True
 
@@ -228,17 +221,27 @@ def tverberg_partition(config: PointConfig, r: int) -> Optional[TverbergCertific
         raise ValueError("need at least one block")
     if r > config.n:
         return None
-    d = config.d
     for blocks in iter_partitions(config.n, r):
-        pts = [config.subset(b) for b in blocks]
-        if _bbox_reject(pts, d):
+        if _bbox_reject([config.subset(b) for b in blocks], config.d):
             continue
-        polys = [VPolytope(d, tuple(p)) for p in pts]
-        found = common_point_with_weights(polys)
-        if found is not None:
-            point, weights = found
-            return TverbergCertificate(blocks=blocks, point=point, weights=weights)
+        cert = _partition_certificate(config, blocks)
+        if cert is not None:
+            return cert
     return None
+
+
+def _partition_certificate(
+    config: PointConfig, blocks: Tuple[Tuple[int, ...], ...]
+) -> Optional[TverbergCertificate]:
+    """The certificate of a partition whose block hulls meet, checked here
+    where it is made; None if the hulls share no point."""
+    found = common_point_with_weights([config.subset(b) for b in blocks])
+    if found is None:
+        return None
+    cert = TverbergCertificate(blocks, *found)
+    if not check_tverberg_certificate(cert, config):
+        raise RuntimeError("partition certificate failed verification")
+    return cert
 
 
 def check_tverberg_certificate(cert: TverbergCertificate, config: PointConfig) -> bool:
@@ -276,9 +279,7 @@ def _depth_from_lifted_partition(
     of the k-fold lift is original point i // k, and every closed halfspace
     through the point holds a lifted point of each block, so at least
     ceil(#blocks / k) original points; tukey_depth's halfspace bounds it
-    from above."""
-    if not check_tverberg_certificate(cert, lifted):
-        raise RuntimeError("partition certificate failed verification")
+    from above.  The certificate was checked where it was made."""
     if -(-len(cert.blocks) // k) < r:
         raise RuntimeError(f"{len(cert.blocks)} blocks of a {k}-fold lift: depth < {r}")
     depth = tukey_depth(cert.point, PointConfig(lifted.d, lifted.points[::k]))
@@ -353,10 +354,7 @@ def reduce_central_from_tverberg(config: PointConfig, r: int) -> DepthCertificat
         )
     lifted = PointConfig(d, tuple(p for p in config.points for _ in range(plan.k)))
     if d == 1:
-        blocks = _lifted_partition_1d(lifted.points, plan.R)
-        polys = [VPolytope(d, tuple(lifted.subset(b))) for b in blocks]
-        found = common_point_with_weights(polys)
-        cert = None if found is None else TverbergCertificate(blocks, *found)
+        cert = _partition_certificate(lifted, _lifted_partition_1d(lifted.points, plan.R))
     else:
         cert = tverberg_partition(lifted, plan.R)
     if cert is None:

@@ -69,21 +69,6 @@ class LinearSystem:
 
 
 @dataclass(frozen=True)
-class VPolytope:
-    """Convex hull of finitely many exact rational points."""
-
-    ambient_dim: int
-    vertices: Tuple[Point, ...]
-
-    def __post_init__(self):
-        if not self.vertices:
-            raise ValueError("a V-polytope needs at least one vertex")
-        for v in self.vertices:
-            if len(v) != self.ambient_dim:
-                raise ValueError("vertex dimension mismatch")
-
-
-@dataclass(frozen=True)
 class FarkasCertificate:
     """Multipliers nu (one per constraint row, >= 0 on the <= rows) with
     sum nu_i * coeffs_i == 0 and sum nu_i * rhs_i == -1."""
@@ -99,16 +84,6 @@ class LPOutcome:
     duals: Optional[Tuple[Fraction, ...]] = None
     farkas: Optional[FarkasCertificate] = None
     ray: Optional[Point] = None
-
-    @property
-    def feasible(self) -> bool:
-        return self.status != INFEASIBLE
-
-
-@dataclass(frozen=True)
-class HullMembership:
-    inside: bool
-    weights: Optional[Tuple[Fraction, ...]] = None
 
 
 # ---------------------------------------------------------------------------
@@ -448,8 +423,9 @@ def lp_feasible(system: LinearSystem) -> LPOutcome:
     return _Tableau(system).solve([Fraction(0)] * system.n_vars)
 
 
-def in_convex_hull(p: Sequence, points: Sequence[Sequence]) -> HullMembership:
-    """Is p a convex combination of the given points?  Exact weights if so."""
+def in_convex_hull(p: Sequence, points: Sequence[Sequence]) -> Optional[Point]:
+    """Exact convex weights writing p from the given points, or None if p
+    is outside their hull."""
     pp = tuple(rat(c) for c in p)
     pts = [tuple(rat(c) for c in q) for q in points]
     if not pts:
@@ -468,63 +444,53 @@ def in_convex_hull(p: Sequence, points: Sequence[Sequence]) -> HullMembership:
     for i in range(d):
         rows.append(eq([pts[j][i] for j in range(k)], pp[i]))
     out = lp_feasible(LinearSystem(k, rows))
-    if out.status == OPTIMAL:
-        return HullMembership(True, out.witness)
-    return HullMembership(False, None)
+    return out.witness if out.status == OPTIMAL else None
 
 
-def common_point_system(polys: Sequence[VPolytope]) -> Tuple[LinearSystem, list]:
-    """Convex weights per polytope (from offsets) giving one common point."""
-    if not polys:
-        raise ValueError("need at least one polytope")
-    d = polys[0].ambient_dim
-    for p in polys:
-        if p.ambient_dim != d:
-            raise ValueError("ambient dimension mismatch")
+def common_point_with_weights(blocks: Sequence[Sequence[Sequence]]):
+    """A common point of the hulls of the point blocks, with exact convex
+    weights per block writing it, as (point, weights); or None."""
+    if not blocks or not all(blocks):
+        raise ValueError("need at least one block, each of at least one point")
+    pts = [[tuple(rat(c) for c in q) for q in b] for b in blocks]
+    d = len(pts[0][0])
+    if any(len(q) != d for b in pts for q in b):
+        raise ValueError("point dimension mismatch")
     offsets = []
     total = 0
-    for p in polys:
+    for b in pts:
         offsets.append(total)
-        total += len(p.vertices)
+        total += len(b)
     rows = []
     for j in range(total):
         coeffs = [Fraction(0)] * total
         coeffs[j] = Fraction(-1)
         rows.append((tuple(coeffs), LE, Fraction(0)))
-    for p, off in zip(polys, offsets):
+    for b, off in zip(pts, offsets):
         coeffs = [Fraction(0)] * total
-        for j in range(len(p.vertices)):
+        for j in range(len(b)):
             coeffs[off + j] = Fraction(1)
         rows.append((tuple(coeffs), EQ, Fraction(1)))
-    first = polys[0]
-    for p, off in zip(polys[1:], offsets[1:]):
+    first = pts[0]
+    for b, off in zip(pts[1:], offsets[1:]):
         for i in range(d):
             coeffs = [Fraction(0)] * total
-            for j, v in enumerate(first.vertices):
+            for j, v in enumerate(first):
                 coeffs[j] += v[i]
-            for j, v in enumerate(p.vertices):
+            for j, v in enumerate(b):
                 coeffs[off + j] -= v[i]
             rows.append((tuple(coeffs), EQ, Fraction(0)))
-    return LinearSystem(total, rows), offsets
-
-
-def common_point_with_weights(polys: Sequence[VPolytope]):
-    """Common point of the polytopes with convex weights per polytope, or None."""
-    system, offsets = common_point_system(polys)
-    out = lp_feasible(system)
+    out = lp_feasible(LinearSystem(total, rows))
     if out.status != OPTIMAL:
         return None
     lam = out.witness
-    first = polys[0]
-    d = first.ambient_dim
     point = tuple(
-        sum(lam[j] * first.vertices[j][i] for j in range(len(first.vertices)))
-        for i in range(d)
+        sum(lam[j] * v[i] for j, v in enumerate(first)) for i in range(d)
     )
-    weights = []
-    for p, off in zip(polys, offsets):
-        weights.append(tuple(lam[off + j] for j in range(len(p.vertices))))
-    return point, tuple(weights)
+    weights = tuple(
+        tuple(lam[off:off + len(b)]) for b, off in zip(pts, offsets)
+    )
+    return point, weights
 
 
 def strict_separator(points: Sequence[Sequence], x: Sequence):

