@@ -1,15 +1,12 @@
-"""Exact rational linear programming.
+"""Exact rational linear feasibility.
 
-A two-phase primal simplex over `fractions.Fraction` with Bland's rule,
+Phase 1 of the primal simplex over `fractions.Fraction` with Bland's rule,
 so termination is guaranteed and no tolerance ever enters.  Every answer
 carries a certificate that is re-verified before it is returned:
 
 * feasible      -> a witness point satisfying every constraint exactly;
 * infeasible    -> a Farkas combination: multipliers, nonnegative on the
-                   inequality rows, combining the rows to 0 <= -1;
-* optimal       -> row multipliers proving the optimum is a lower bound,
-                   attained exactly by the primal witness;
-* unbounded     -> an improving ray.
+                   inequality rows, combining the rows to 0 <= -1.
 
 Problem sizes here are tiny (tens of variables), which is the regime
 where exact tableau simplex is perfectly practical.
@@ -29,7 +26,6 @@ Row = Tuple[Tuple[Fraction, ...], str, Fraction]
 
 OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
-UNBOUNDED = "unbounded"
 
 
 def le(coeffs: Sequence, rhs) -> Row:
@@ -79,11 +75,8 @@ class FarkasCertificate:
 @dataclass(frozen=True)
 class LPOutcome:
     status: str
-    value: Optional[Fraction] = None
     witness: Optional[Point] = None
-    duals: Optional[Tuple[Fraction, ...]] = None
     farkas: Optional[FarkasCertificate] = None
-    ray: Optional[Point] = None
 
 
 # ---------------------------------------------------------------------------
@@ -117,29 +110,6 @@ def check_farkas(system: LinearSystem, cert: FarkasCertificate) -> bool:
     return all(c == 0 for c in combo) and total < 0
 
 
-def check_dual_bound(
-    system: LinearSystem,
-    objective: Sequence[Fraction],
-    value: Fraction,
-    duals: Sequence[Fraction],
-) -> bool:
-    """mu_i <= 0 on <= rows, sum mu_i coeffs_i == objective, sum mu_i rhs_i == value.
-
-    For any feasible x this gives  objective . x >= value  exactly.
-    """
-    if len(duals) != len(system.constraints):
-        return False
-    combo = [Fraction(0)] * system.n_vars
-    total = Fraction(0)
-    for mu, (coeffs, rel, rhs) in zip(duals, system.constraints):
-        if rel == LE and mu > 0:
-            return False
-        for j, c in enumerate(coeffs):
-            combo[j] += mu * c
-        total += mu * rhs
-    return all(c == o for c, o in zip(combo, objective)) and total == value
-
-
 # ---------------------------------------------------------------------------
 # the simplex core
 # ---------------------------------------------------------------------------
@@ -150,8 +120,8 @@ class _Tableau:
     Free variables are split x = u - v, except variables recognized as
     nonnegative from rows of the shape  -c*x_j <= 0  (c > 0), which keep a
     single column.  Artificial columns are never allowed to re-enter the
-    basis, and they double as a running copy of B^-1 so that row
-    multipliers can be read off the objective row exactly.
+    basis, and they double as a running copy of B^-1 so that Farkas
+    multipliers can be read off the phase-1 objective row exactly.
     """
 
     def __init__(self, system: LinearSystem):
@@ -234,8 +204,8 @@ class _Tableau:
             R[:] = [a - f * b for a, b in zip(R, row)]
         self.basis[i] = j
 
-    def _bland(self, R) -> str:
-        """Run Bland-rule pivots until optimal or unbounded."""
+    def _bland(self, R):
+        """Run Bland-rule pivots until no reduced cost is negative."""
         T = self.T
         guard = 0
         limit = 1000 + 50 * self.width * (len(T) + 2)
@@ -249,7 +219,7 @@ class _Tableau:
                     enter = j
                     break
             if enter is None:
-                return OPTIMAL
+                return
             leave = None
             best = None
             for i in range(len(T)):
@@ -260,47 +230,18 @@ class _Tableau:
                     if best is None or key < best:
                         best = key
                         leave = i
-            if leave is None:
-                self._ray_col = enter
-                return UNBOUNDED
+            if leave is None:  # the phase-1 objective is bounded below by 0
+                raise RuntimeError("phase 1 cannot be unbounded")
             self._pivot(R, leave, enter)
 
-    # -- objective rows ------------------------------------------------------
-
-    def _reduced_row(self, c_std):
-        R = list(c_std) + [Fraction(0)]
-        for i, b in enumerate(self.basis):
-            f = R[b]
-            if f:
-                R = [a - f * t for a, t in zip(R, self.T[i])]
-        return R
-
     def phase1(self):
-        c = [Fraction(0)] * (self.width - 1)
-        for k in range(self.m_kept):
-            c[self.nstruct + k] = Fraction(1)
-        R = self._reduced_row(c)
-        status = self._bland(R)
-        if status != OPTIMAL:  # phase-1 objective is bounded below by zero
-            raise RuntimeError("phase 1 cannot be unbounded")
+        """Minimise the sum of the artificials; returns the objective row,
+        whose last entry is minus that minimum."""
+        R = [Fraction(0)] * self.nstruct + [Fraction(1)] * self.m_kept + [Fraction(0)]
+        for row in self.T:  # price out the artificial starting basis
+            R = [a - t for a, t in zip(R, row)]
+        self._bland(R)
         return R
-
-    def drive_out_artificials(self):
-        i = 0
-        while i < len(self.T):
-            if self.basis[i] >= self.nstruct:
-                if self.T[i][-1] != 0:
-                    raise RuntimeError("artificial basic at nonzero value")
-                j = next(
-                    (j for j in range(self.nstruct) if self.T[i][j] != 0), None
-                )
-                if j is None:  # redundant row
-                    del self.T[i]
-                    del self.basis[i]
-                    continue
-                dummy = [Fraction(0)] * self.width
-                self._pivot(dummy, i, j)
-            i += 1
 
     # -- extraction ----------------------------------------------------------
 
@@ -316,116 +257,50 @@ class _Tableau:
             x.append(v)
         return tuple(x)
 
-    def row_multipliers(self, R, art_cost: Fraction, targets):
-        """Multipliers over the original rows, from the artificial columns.
+    def farkas(self, R) -> FarkasCertificate:
+        """The Farkas certificate from the phase-1 objective row R.
 
-        The reduced cost under artificial column k is art_cost - y_k, so
-        y_k = art_cost - R[k].  Bound rows that were folded into plain
+        The reduced cost under artificial column k is 1 - y_k, so
+        y_k = 1 - R[k], and nu = -y combines the kept rows to 0 with a
+        negative right-hand side.  Bound rows that were folded into plain
         columns get their multiplier reconstructed so the combined
-        coefficient at each variable comes to targets[j] exactly.
+        coefficient at each variable comes to 0 exactly.
         """
         rows = self.system.constraints
-        y = [art_cost - R[self.nstruct + k] for k in range(self.m_kept)]
-        mu = [Fraction(0)] * len(rows)
+        nu = [Fraction(0)] * len(rows)
         for i, idx in enumerate(self.kept):
-            mu[idx] = self.sigma[i] * y[i]
+            nu[idx] = self.sigma[i] * (R[self.nstruct + i] - 1)
         for j, (idx, c) in self.nonneg_row.items():
-            g = sum(mu[k] * rows[k][0][j] for k in self.kept)
-            mu[idx] = (targets[j] - g) / c  # bound row coeff is c (< 0) at var j
-        return mu
-
-    def solve(self, objective):
-        """Full two-phase run; returns LPOutcome (not yet certificate-checked)."""
-        system = self.system
-        n = system.n_vars
-        obj = [rat(c) for c in objective]
-        if len(obj) != n:
-            raise ValueError("objective dimension mismatch")
-
-        R1 = self.phase1()
-        if -R1[-1] > 0:  # minimal artificial sum positive -> infeasible
-            mu = self.row_multipliers(R1, Fraction(1), [Fraction(0)] * n)
-            nu = [-m for m in mu]
-            total = sum(
-                v * rhs for v, (_, _, rhs) in zip(nu, system.constraints)
-            )
-            if total >= 0:
-                raise RuntimeError("Farkas extraction failed")
-            scale = -1 / total
-            nu = tuple(v * scale for v in nu)
-            cert = FarkasCertificate(nu)
-            if not check_farkas(system, cert):
-                raise RuntimeError("Farkas certificate failed verification")
-            return LPOutcome(status=INFEASIBLE, farkas=cert)
-
-        self.drive_out_artificials()
-
-        c_std = [Fraction(0)] * (self.width - 1)
-        for col, (kind, payload) in enumerate(self.cols):
-            if kind == "+":
-                c_std[col] = obj[payload]
-            elif kind == "-":
-                c_std[col] = -obj[payload]
-        R2 = self._reduced_row(c_std)
-        status = self._bland(R2)
-
-        if status == UNBOUNDED:
-            j = self._ray_col
-            d_std = [Fraction(0)] * self.nstruct
-            d_std[j] = Fraction(1)
-            for i, b in enumerate(self.basis):
-                if b < self.nstruct:
-                    d_std[b] = -self.T[i][j]
-            ray = []
-            for k in range(n):
-                v = d_std[self.pos_col[k]]
-                if k in self.neg_col:
-                    v -= d_std[self.neg_col[k]]
-                ray.append(v)
-            ray = tuple(ray)
-            self._verify_ray(obj, ray)
-            return LPOutcome(status=UNBOUNDED, ray=ray)
-
-        x = self.witness()
-        if not check_witness(system, x):
-            raise RuntimeError("simplex witness failed exact verification")
-        value = sum(c * v for c, v in zip(obj, x))
-        if value != -R2[-1]:
-            raise RuntimeError("objective bookkeeping mismatch")
-        mu = tuple(self.row_multipliers(R2, Fraction(0), obj))
-        if not check_dual_bound(system, obj, value, mu):
-            raise RuntimeError("dual certificate failed verification")
-        return LPOutcome(status=OPTIMAL, value=value, witness=x, duals=mu)
-
-    def _verify_ray(self, obj, ray):
-        drop = sum(c * v for c, v in zip(obj, ray))
-        if drop >= 0:
-            raise RuntimeError("unbounded ray does not improve the objective")
-        for coeffs, rel, _ in self.system.constraints:
-            along = sum(c * v for c, v in zip(coeffs, ray))
-            if rel == LE and along > 0:
-                raise RuntimeError("ray exits a <= constraint")
-            if rel == EQ and along != 0:
-                raise RuntimeError("ray exits an == constraint")
+            g = sum(nu[k] * rows[k][0][j] for k in self.kept)
+            nu[idx] = -g / c  # bound row coeff is c (< 0) at var j
+        total = sum(v * rhs for v, (_, _, rhs) in zip(nu, rows))
+        if total >= 0:
+            raise RuntimeError("Farkas extraction failed")
+        return FarkasCertificate(tuple(v / -total for v in nu))
 
 
 # ---------------------------------------------------------------------------
 # public operations
 # ---------------------------------------------------------------------------
 
-def lp_minimize(system: LinearSystem, objective: Sequence) -> LPOutcome:
-    """Exact minimum of objective . x over the system (or infeasible/unbounded)."""
-    return _Tableau(system).solve(objective)
-
-
 def lp_feasible(system: LinearSystem) -> LPOutcome:
     """Feasibility with witness, or a verified Farkas certificate."""
-    return _Tableau(system).solve([Fraction(0)] * system.n_vars)
+    tab = _Tableau(system)
+    R = tab.phase1()
+    if R[-1] != 0:  # minimal artificial sum positive -> infeasible
+        cert = tab.farkas(R)
+        if not check_farkas(system, cert):
+            raise RuntimeError("Farkas certificate failed verification")
+        return LPOutcome(status=INFEASIBLE, farkas=cert)
+    x = tab.witness()
+    if not check_witness(system, x):
+        raise RuntimeError("simplex witness failed exact verification")
+    return LPOutcome(status=OPTIMAL, witness=x)
 
 
-def in_convex_hull(p: Sequence, points: Sequence[Sequence]) -> Optional[Point]:
-    """Exact convex weights writing p from the given points, or None if p
-    is outside their hull."""
+def _hull_membership(p: Sequence, points: Sequence[Sequence]) -> LPOutcome:
+    """lp_feasible on the rows  -lambda_j <= 0  (j < k),  sum lambda == 1,
+    then  sum_j lambda_j points_j[i] == p[i]  for each coordinate i."""
     pp = tuple(rat(c) for c in p)
     pts = [tuple(rat(c) for c in q) for q in points]
     if not pts:
@@ -443,8 +318,13 @@ def in_convex_hull(p: Sequence, points: Sequence[Sequence]) -> Optional[Point]:
     rows.append(eq([Fraction(1)] * k, 1))
     for i in range(d):
         rows.append(eq([pts[j][i] for j in range(k)], pp[i]))
-    out = lp_feasible(LinearSystem(k, rows))
-    return out.witness if out.status == OPTIMAL else None
+    return lp_feasible(LinearSystem(k, rows))
+
+
+def in_convex_hull(p: Sequence, points: Sequence[Sequence]) -> Optional[Point]:
+    """Exact convex weights writing p from the given points, or None if p
+    is outside their hull."""
+    return _hull_membership(p, points).witness
 
 
 def common_point_with_weights(blocks: Sequence[Sequence[Sequence]]):
@@ -496,41 +376,16 @@ def common_point_with_weights(blocks: Sequence[Sequence[Sequence]]):
 def strict_separator(points: Sequence[Sequence], x: Sequence):
     """Affine functional strictly positive on points, strictly negative at x.
 
-    Coefficients are confined to the box [-1, 1] and the slack of the two
-    strict sides is maximized, so strict separability is exactly
-    'maximal margin > 0'.  Returns (coeffs, offset, margin) or None.
+    Read off the Farkas certificate nu of the hull-membership system:
+    a = nu on the coordinate rows and a0 = nu on the sum row + 1/2, so
+    a . b + a0 = nu_b + 1/2 >= 1/2 at every point b and a . x + a0 = -1/2.
+    The margin is 1/2, not the largest possible.  Returns
+    (coeffs, offset, margin), or None when x lies in the hull.
     """
-    xx = tuple(rat(c) for c in x)
-    pts = [tuple(rat(c) for c in q) for q in points]
-    d = len(xx)
-    for q in pts:
-        if len(q) != d:
-            raise ValueError("point dimension mismatch")
-    nv = d + 2  # a_0..a_{d-1}, a0, t
-    rows = []
-    for b in pts:  # a.b + a0 >= t
-        rows.append(le(list(-c for c in b) + [-1, 1], 0))
-    rows.append(le(list(xx) + [1, 1], 0))  # a.x + a0 <= -t
-    for i in range(d):
-        unit = [Fraction(0)] * nv
-        unit[i] = Fraction(1)
-        rows.append((tuple(unit), LE, Fraction(1)))
-        rows.append((tuple(-u for u in unit), LE, Fraction(1)))
-    unit = [Fraction(0)] * nv
-    unit[d] = Fraction(1)
-    rows.append((tuple(unit), LE, Fraction(1)))
-    rows.append((tuple(-u for u in unit), LE, Fraction(1)))
-    tcol = [Fraction(0)] * nv
-    tcol[d + 1] = Fraction(-1)
-    rows.append((tuple(tcol), LE, Fraction(0)))  # t >= 0
-    objective = [Fraction(0)] * nv
-    objective[d + 1] = Fraction(-1)  # maximize t
-    out = lp_minimize(LinearSystem(nv, rows), objective)
-    if out.status != OPTIMAL:
-        raise RuntimeError("separation LP must be bounded and feasible")
-    margin = -out.value
-    if margin <= 0:
+    out = _hull_membership(x, points)
+    if out.witness is not None:
         return None
-    w = out.witness
-    return (w[:d], w[d], margin)
-
+    nu = out.farkas.multipliers
+    k = len(points)
+    half = Fraction(1, 2)
+    return nu[k + 1:], nu[k] + half, half

@@ -141,6 +141,27 @@ def test_counterexample_bytes_are_pinned(capsys):
         assert hashlib.sha256(out.encode()).hexdigest() == digest, (d, r)
 
 
+# sha256 of the stdout of commands that print exact LP witnesses, as printed
+# when the LP kernel still ran phase 2 on feasible systems
+LP_WITNESS_SHA256 = {
+    ("centerpoint", "--d", "2", "--r", "3", "--trials", "20", "--seed", "7"):
+        "16485c62f8dd9a0e3d03ac371227dfed44dd389c2f382f7c70c68574269cd504",
+    ("tverberg", "--d", "2", "--r", "3", "--trials", "5"):
+        "2c2d1851181d65177c8b4e2339dc0abe1a5f0e0b982e38794898ba22f8011bcd",
+    ("reduce", "--d", "1", "--r", "6", "--trials", "10"):
+        "fc4a207754910a19f2c37b8ddc8afb431a968d7918f9fc0ea86e04f92255e795",
+    ("reduce", "--d", "2", "--r", "3", "--trials", "3", "--seed", "2"):
+        "fb3eae18b199420160d188b6a6bb4fda7fb36c3953a85620ca51770e36940dbd",
+}
+
+
+def test_lp_witness_bytes_are_pinned(capsys):
+    for argv, digest in LP_WITNESS_SHA256.items():
+        code, _, out = run(capsys, *argv)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest, argv
+
+
 def test_fiber_demo_builds_no_complex(monkeypatch, capsys):
     builds = []
     init = tverlab.SimplicialComplex.__init__

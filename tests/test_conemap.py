@@ -286,7 +286,7 @@ def test_isolation_and_probe_solve_no_lp(monkeypatch):
     def no_lp(*args, **kwargs):
         raise AssertionError("an LP was solved")
 
-    monkeypatch.setattr("tverlab.exactlp._Tableau.solve", no_lp)
+    monkeypatch.setattr("tverlab.exactlp._Tableau.__init__", no_lp)
     for d, r in ((1, 2), (2, 2)):
         assert verify_isolation(build_counterexample(d, r)).rows
         assert probe_tverberg_plus_one(d, r).found

@@ -14,19 +14,21 @@ from math import comb, prod
 import pytest
 
 from tverlab import (
+    OPTIMAL,
     LinearSystem,
     SplitMix64,
     UnboundedBodyError,
     barycentric_to_centered,
     constant_map,
     coordinate_projection_map,
+    eq,
     facet_touching_check,
     fiber_width_demo,
     grid_points_in_simplex,
     h_polytope,
     interval_body,
     le,
-    lp_minimize,
+    lp_feasible,
     min_cover_homothety,
     standard_simplex_body,
 )
@@ -155,17 +157,30 @@ def test_body_validation():
 
 
 def lp_cover(points, body):
-    """The homothety LP: minimize delta s.t. A(s - t) <= delta b for every s,
-    over (delta, t); the tight pairs as min_cover_homothety reports them."""
+    """The homothety LP  min delta  s.t.  A(s - t) <= delta b  for every s,
+    over (delta, t), solved by feasibility and LP duality.  At the
+    facet-sum delta the primal over t is feasible, and its witness is the
+    one translate there.  The dual system  mu >= 0, sum mu b = 1,
+    sum mu a = 0, sum mu a.s = delta  is feasible too, which puts every
+    feasible delta' at or above delta.  Returns delta, the translate and the
+    tight pairs as min_cover_homothety reports them."""
     n = body.ambient_dim
-    rows = [
-        le([-rhs] + [-c for c in coeffs], -sum(c * v for c, v in zip(coeffs, p)))
-        for p in points
-        for coeffs, rhs in body.rows
+    pairs = [(p, coeffs, rhs) for p in points for coeffs, rhs in body.rows]
+    top = [max(sum(c * v for c, v in zip(coeffs, p)) for p in points) for coeffs, _ in body.rows]
+    delta = sum(top) / sum(rhs for _, rhs in body.rows)
+    primal = [
+        le([-c for c in coeffs], delta * rhs - sum(c * v for c, v in zip(coeffs, p)))
+        for p, coeffs, rhs in pairs
     ]
-    out = lp_minimize(LinearSystem(n + 1, rows), [1] + [0] * n)
-    assert out.status == "optimal"
-    delta, t = out.witness[0], out.witness[1:]
+    out = lp_feasible(LinearSystem(n, primal))
+    assert out.status == OPTIMAL
+    t = out.witness
+    m = len(pairs)
+    dual = [le([-int(j == k) for j in range(m)], 0) for k in range(m)]
+    dual.append(eq([rhs for _, _, rhs in pairs], 1))
+    dual += [eq([coeffs[i] for _, coeffs, _ in pairs], 0) for i in range(n)]
+    dual.append(eq([sum(c * v for c, v in zip(coeffs, p)) for p, coeffs, _ in pairs], delta))
+    assert lp_feasible(LinearSystem(m, dual)).status == OPTIMAL
     tight = tuple(
         (pi, ri)
         for pi, p in enumerate(points)
@@ -231,7 +246,7 @@ def test_cover_solves_no_lp_minimize(monkeypatch):
     def no_lp(*args):
         raise AssertionError("building a body and covering must solve no LP")
 
-    monkeypatch.setattr("tverlab.exactlp._Tableau.solve", no_lp)
+    monkeypatch.setattr("tverlab.exactlp._Tableau.__init__", no_lp)
     for n in range(1, 5):
         verts = [tuple(F(int(i == j)) for i in range(n + 1)) for j in range(n + 1)]
         body = standard_simplex_body(n)

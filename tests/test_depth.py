@@ -98,7 +98,7 @@ def test_depth_runs_no_lp(monkeypatch):
     def no_lp(self, objective):
         raise AssertionError("tukey_depth must not solve an LP")
 
-    monkeypatch.setattr("tverlab.exactlp._Tableau.solve", no_lp)
+    monkeypatch.setattr("tverlab.exactlp._Tableau.__init__", no_lp)
     cube = point_config(3, [[i, j, k] for i in (0, 2) for j in (0, 2) for k in (0, 2)])
     assert tukey_depth((F(1), F(1), F(1)), cube).depth == 4
     assert tukey_depth((F(0), F(0), F(0)), cube).depth == 1

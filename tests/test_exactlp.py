@@ -1,17 +1,16 @@
-"""Exact LP solver checked against a brute-force vertex-enumeration oracle."""
+"""Exact LP feasibility checked against a brute-force vertex-enumeration oracle."""
 import itertools
 from fractions import Fraction as F
 
 import pytest
 
+import tverlab.exactlp
 from tverlab import (
     EQ,
     INFEASIBLE,
     OPTIMAL,
-    UNBOUNDED,
     LinearSystem,
     SplitMix64,
-    check_dual_bound,
     check_farkas,
     check_witness,
     common_point_with_weights,
@@ -19,7 +18,6 @@ from tverlab import (
     in_convex_hull,
     le,
     lp_feasible,
-    lp_minimize,
     strict_separator,
 )
 
@@ -78,7 +76,7 @@ def random_system(rng, n):
     return LinearSystem(n, rows)
 
 
-def test_minimum_matches_vertex_oracle():
+def test_feasibility_matches_vertex_oracle():
     rng = SplitMix64(2024)
     optimal_seen = infeasible_seen = 0
     for _ in range(120):
@@ -86,16 +84,14 @@ def test_minimum_matches_vertex_oracle():
         system = random_system(rng, n)
         objective = [F(rng.int_between(-5, 5)) for _ in range(n)]
         expected = oracle_minimum(system, objective)
-        out = lp_minimize(system, objective)
+        out = lp_feasible(system)
         if expected is None:
             assert out.status == INFEASIBLE
             assert check_farkas(system, out.farkas)
             infeasible_seen += 1
         else:
             assert out.status == OPTIMAL
-            assert out.value == expected
             assert check_witness(system, out.witness)
-            assert check_dual_bound(system, objective, out.value, out.duals)
             optimal_seen += 1
     # the generator must actually exercise both outcomes
     assert optimal_seen > 60 and infeasible_seen > 5
@@ -111,25 +107,32 @@ def test_equality_rows_against_oracle():
         system = LinearSystem(n, rows)
         objective = [F(rng.int_between(-5, 5)) for _ in range(n)]
         expected = oracle_minimum(system, objective)
-        out = lp_minimize(system, objective)
+        out = lp_feasible(system)
         if expected is None:
             assert out.status == INFEASIBLE and check_farkas(system, out.farkas)
         else:
-            assert out.status == OPTIMAL and out.value == expected
+            assert out.status == OPTIMAL and check_witness(system, out.witness)
 
 
-def test_unbounded_reports_improving_ray():
-    system = LinearSystem(1, [le([F(-1)], F(0))])
-    out = lp_minimize(system, [F(-1)])
-    assert out.status == UNBOUNDED
-    assert out.ray == (F(1),)
+def test_one_bland_pass_per_feasible_call(monkeypatch):
+    passes = []
+    bland = tverlab.exactlp._Tableau._bland
 
-    # two variables, ray along x0 = x1
-    system = LinearSystem(
-        2, [le([F(-1), F(0)], F(0)), le([F(1), F(-1)], F(0))]
-    )
-    out = lp_minimize(system, [F(-1), F(-1)])
-    assert out.status == UNBOUNDED
+    def counted(self, R):
+        passes.append(1)
+        return bland(self, R)
+
+    monkeypatch.setattr("tverlab.exactlp._Tableau._bland", counted)
+    rng = SplitMix64(2024)
+    feasible = 0
+    for _ in range(40):
+        n = rng.int_between(1, 3)
+        system = random_system(rng, n)
+        passes.clear()
+        if lp_feasible(system).status == OPTIMAL:
+            assert len(passes) == 1
+            feasible += 1
+    assert feasible > 20
 
 
 def test_infeasible_farkas_normalized():
@@ -142,24 +145,26 @@ def test_infeasible_farkas_normalized():
 
 
 def test_degenerate_cycling_guard():
-    # classic degenerate square: many ties for the leaving variable
+    # classic degenerate square: many ties for the leaving variable, and
+    # x + y >= 2 leaves the corner (1, 1) as the only feasible point
     rows = [
         le([F(1), F(0)], F(1)),
         le([F(0), F(1)], F(1)),
         le([F(1), F(1)], F(2)),
         le([F(-1), F(0)], F(0)),
         le([F(0), F(-1)], F(0)),
+        le([F(-1), F(-1)], F(-2)),
     ]
-    out = lp_minimize(LinearSystem(2, rows), [F(-1), F(-1)])
-    assert out.status == OPTIMAL and out.value == F(-2)
+    out = lp_feasible(LinearSystem(2, rows))
+    assert out.status == OPTIMAL and out.witness == (F(1), F(1))
 
 
 def test_exact_rational_pivoting():
-    # tiny coefficients that float arithmetic would mangle
+    # tiny coefficients that float arithmetic would mangle; x == a is forced
     a = F(1, 10**12)
-    system = LinearSystem(1, [le([F(-1)], F(0)), le([F(1)], a)])
-    out = lp_minimize(system, [F(-1)])
-    assert out.value == -a and out.witness == (a,)
+    system = LinearSystem(1, [le([F(-1)], F(0)), le([F(1)], a), le([F(-1)], -a)])
+    out = lp_feasible(system)
+    assert out.status == OPTIMAL and out.witness == (a,)
 
 
 def test_malformed_systems_rejected():
@@ -167,8 +172,6 @@ def test_malformed_systems_rejected():
         LinearSystem(2, [le([F(1)], F(0))])
     with pytest.raises(ValueError):
         le([F(1)], "nonsense")
-    with pytest.raises(ValueError):
-        lp_minimize(LinearSystem(1, [le([F(1)], F(1))]), [F(1), F(2)])
 
 
 def test_hull_membership_square_center():
