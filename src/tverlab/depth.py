@@ -14,6 +14,7 @@ import itertools
 import json
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Iterator, List, Optional, Sequence, Tuple
 
 from .exactlp import (
@@ -108,25 +109,37 @@ def check_depth_certificate(cert: DepthCertificate, config: PointConfig) -> bool
     return inside == cert.depth
 
 
-def _fewest_on_open_side(W: Sequence[Point], d: int) -> Tuple[int, List[Fraction]]:
-    """The fewest w in W (all nonzero) with u.w > 0 over functionals u on R^d
-    that vanish on no w, and such a u.  The cell of an optimal u has a facet
-    on some hyperplane u.v = 0 with v in W, so u is a recursive answer for W
-    projected along v, tilted off u.v = 0 to put the w on the line of v on
-    their smaller side."""
+def _primitive(w: Sequence[int]) -> Tuple[int, ...]:
+    """The primitive integer vector on the line of w (nonzero), with its
+    first nonzero entry positive."""
+    g = gcd(*w)
+    if next(filter(None, w)) < 0:
+        g = -g
+    return tuple(c // g for c in w)
+
+
+def _fewest_on_open_side(W: Sequence[Tuple[int, ...]], d: int) -> Tuple[int, List[Fraction]]:
+    """The fewest w in W (nonzero integer vectors) with u.w > 0 over
+    functionals u on R^d that vanish on no w, and such a u.  The cell of an
+    optimal u has a facet on some hyperplane u.v = 0 with v in W, so u is a
+    recursive answer for W projected along v, tilted off u.v = 0 to put the
+    w on the line of v on their smaller side.  Each w is projected to
+    v_k*w - w_k*v, a positive multiple of w - w_k*(v/v_k), which keeps every
+    sign the recursion reads and keeps the vectors integer."""
     if not W:
         return 0, [Fraction(0)] * d
     best = None
-    for v in dict.fromkeys(tuple(c / next(filter(None, w)) for c in w) for w in W):
-        k = v.index(1)  # the first nonzero coordinate of v
-        proj = [tuple(c - w[k] * vc for c, vc in zip(w, v)) for w in W]
+    for v in dict.fromkeys(map(_primitive, W)):
+        k = next(i for i, c in enumerate(v) if c)
+        vk = v[k]
+        proj = [tuple(vk * c - w[k] * vc for c, vc in zip(w, v)) for w in W]
         off = [i for i, p in enumerate(proj) if any(p)]
         pos = sum(1 for w, p in zip(W, proj) if w[k] > 0 and not any(p))
         neg = len(W) - len(off) - pos
         count, u = _fewest_on_open_side([proj[i] for i in off], d)
         count += min(pos, neg)
         if best is None or count < best[0]:
-            u[k] -= sum(c * vc for c, vc in zip(u, v))  # now u.v = 0
+            u[k] -= sum(c * vc for c, vc in zip(u, v)) / vk  # now u.v = 0
             # a tilt along e_k too small to flip the sign of any u.w off the line
             eps = min((abs(sum(c * wc for c, wc in zip(u, W[i])) / (2 * W[i][k]))
                        for i in off if W[i][k]), default=Fraction(1))
@@ -138,12 +151,15 @@ def _fewest_on_open_side(W: Sequence[Point], d: int) -> Tuple[int, List[Fraction
 def tukey_depth(x: Sequence, config: PointConfig) -> DepthCertificate:
     """Exact halfspace depth of x in the configuration, by an exact recursion
     over the dimension (no LP): with w = p - x, the number of w = 0 plus the
-    fewest nonzero w with u.w > 0; the witness halfspace is u.(y - x) >= 0."""
+    fewest nonzero w with u.w > 0; the witness halfspace is u.(y - x) >= 0.
+    The recursion runs on the w scaled to integers by the lcm of their
+    denominators."""
     xx = tuple(rat(c) for c in x)
     if len(xx) != config.d:
         raise ValueError("point dimension mismatch")
     W = [tuple(c - xc for c, xc in zip(p, xx)) for p in config.points]
-    nonzero = [w for w in W if any(w)]
+    L = lcm(*(c.denominator for w in W for c in w))
+    nonzero = [tuple(c.numerator * (L // c.denominator) for c in w) for w in W if any(w)]
     count, u = _fewest_on_open_side(nonzero, config.d)
     offset = -sum((c * xc for c, xc in zip(u, xx)), Fraction(0))
     cert = DepthCertificate(xx, config.n - len(nonzero) + count, tuple(u), offset)

@@ -1,8 +1,11 @@
 """Exact rational linear feasibility.
 
-Phase 1 of the primal simplex over `fractions.Fraction` with Bland's rule,
-so termination is guaranteed and no tolerance ever enters.  Every answer
-carries a certificate that is re-verified before it is returned:
+Phase 1 of the primal simplex with Bland's rule, so termination is
+guaranteed and no tolerance ever enters.  The tableau is integer and is
+pivoted fraction-free (Bareiss 1968, as in Avis's lrs): its rows share one
+positive denominator and every division is exact.  Every value returned
+is still a `fractions.Fraction`, and every answer carries a certificate
+that is re-verified before it is returned:
 
 * feasible      -> a witness point satisfying every constraint exactly;
 * infeasible    -> a Farkas combination: multipliers, nonnegative on the
@@ -15,6 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Optional, Sequence, Tuple
 
 from .rationals import Point, rat
@@ -39,23 +43,23 @@ def eq(coeffs: Sequence, rhs) -> Row:
 
 
 class LinearSystem:
-    """A finite list of exact linear constraints over n_vars free variables."""
+    """A finite list of exact linear constraints over n_vars free variables.
+
+    Rows are taken as given, so their entries must already be Fractions,
+    as `le`, `eq` and the builders below make them."""
 
     def __init__(self, n_vars: int, constraints: Sequence[Row]):
         if n_vars < 0:
             raise ValueError("n_vars must be nonnegative")
         self.n_vars = n_vars
-        rows = []
-        for coeffs, rel, rhs in constraints:
-            coeffs = tuple(rat(c) for c in coeffs)
+        for coeffs, rel, _ in constraints:
             if len(coeffs) != n_vars:
                 raise ValueError(
                     f"constraint has {len(coeffs)} coefficients, expected {n_vars}"
                 )
             if rel not in (LE, EQ):
                 raise ValueError(f"unknown relation {rel!r}")
-            rows.append((coeffs, rel, rat(rhs)))
-        self.constraints: Tuple[Row, ...] = tuple(rows)
+        self.constraints: Tuple[Row, ...] = tuple(constraints)
 
     def __len__(self) -> int:
         return len(self.constraints)
@@ -115,13 +119,20 @@ def check_farkas(system: LinearSystem, cert: FarkasCertificate) -> bool:
 # ---------------------------------------------------------------------------
 
 class _Tableau:
-    """Standard-form tableau  [A | I | b]  with artificial identity basis.
+    """Standard-form integer tableau  [A | I | b]  with artificial identity
+    basis, pivoted fraction-free (Bareiss): every entry is an integer over
+    the one positive common denominator D, the last pivot.
 
     Free variables are split x = u - v, except variables recognized as
     nonnegative from rows of the shape  -c*x_j <= 0  (c > 0), which keep a
-    single column.  Artificial columns are never allowed to re-enter the
-    basis, and they double as a running copy of B^-1 so that Farkas
-    multipliers can be read off the phase-1 objective row exactly.
+    single column.  Kept row i is scaled to integers by L_i, the lcm of its
+    denominators, with its sign chosen so that rhs >= 0; its artificial
+    column stays a unit column, and artificial i costs M/L_i with M the lcm
+    of all L_i.  That objective is M times the plain sum of the unscaled
+    artificials, so the pivots are those of the Fraction tableau.
+    Artificial columns are never allowed to re-enter the basis, and they
+    double as a running copy of B^-1 so that Farkas multipliers can be
+    read off the phase-1 objective row exactly.
     """
 
     def __init__(self, system: LinearSystem):
@@ -166,42 +177,50 @@ class _Tableau:
         self.m_kept = m
         self.width = self.nstruct + m + 1  # + rhs
 
-        zero = Fraction(0)
         self.T = []
         self.sigma = []
+        self.scale = []
         for i, idx in enumerate(kept):
             coeffs, rel, rhs = rows[idx]
             s = 1 if rhs >= 0 else -1
+            L = lcm(rhs.denominator, *(c.denominator for c in coeffs))
             self.sigma.append(s)
-            row = [zero] * self.width
+            self.scale.append(L)
+            row = [0] * self.width
             for j, c in enumerate(coeffs):
                 if c == 0:
                     continue
-                row[self.pos_col[j]] += s * c
+                c = s * c.numerator * (L // c.denominator)
+                row[self.pos_col[j]] += c
                 if j in self.neg_col:
-                    row[self.neg_col[j]] -= s * c
+                    row[self.neg_col[j]] -= c
             if i in slack_col:
-                row[slack_col[i]] = Fraction(s)
-            row[self.nstruct + i] = Fraction(1)
-            row[-1] = s * rhs
+                row[slack_col[i]] = s * L
+            row[self.nstruct + i] = 1
+            row[-1] = s * rhs.numerator * (L // rhs.denominator)
             self.T.append(row)
+        self.M = lcm(*self.scale)
+        self.D = 1
         self.basis = [self.nstruct + i for i in range(m)]
 
     # -- pivoting ----------------------------------------------------------
 
     def _pivot(self, R, i, j):
+        """Fraction-free pivot on T[i][j] > 0: row i is kept as it is, the
+        other rows become (p*row - f*T[i]) // D exactly, and D becomes p."""
         T = self.T
-        piv = T[i][j]
-        T[i] = [v / piv for v in T[i]]
-        row = T[i]
+        p = T[i][j]
+        D = self.D
+        prow = T[i]
         for r in range(len(T)):
             if r != i:
                 f = T[r][j]
-                if f:
-                    T[r] = [a - f * b for a, b in zip(T[r], row)]
+                if f or p != D:
+                    T[r] = [(p * a - f * b) // D for a, b in zip(T[r], prow)]
         f = R[j]
-        if f:
-            R[:] = [a - f * b for a, b in zip(R, row)]
+        if f or p != D:
+            R[:] = [(p * a - f * b) // D for a, b in zip(R, prow)]
+        self.D = p
         self.basis[i] = j
 
     def _bland(self, R):
@@ -220,26 +239,30 @@ class _Tableau:
                     break
             if enter is None:
                 return
+            # least ratio b_i / a_i over a_i > 0 (D cancels), ties to the
+            # smaller basis index
             leave = None
-            best = None
             for i in range(len(T)):
                 a = T[i][enter]
                 if a > 0:
-                    ratio = T[i][-1] / a
-                    key = (ratio, self.basis[i])
-                    if best is None or key < best:
-                        best = key
+                    if leave is None:
+                        leave = i
+                        continue
+                    lhs = T[i][-1] * T[leave][enter]
+                    rhs = T[leave][-1] * a
+                    if lhs < rhs or (lhs == rhs and self.basis[i] < self.basis[leave]):
                         leave = i
             if leave is None:  # the phase-1 objective is bounded below by 0
                 raise RuntimeError("phase 1 cannot be unbounded")
             self._pivot(R, leave, enter)
 
     def phase1(self):
-        """Minimise the sum of the artificials; returns the objective row,
-        whose last entry is minus that minimum."""
-        R = [Fraction(0)] * self.nstruct + [Fraction(1)] * self.m_kept + [Fraction(0)]
-        for row in self.T:  # price out the artificial starting basis
-            R = [a - t for a, t in zip(R, row)]
+        """Minimise M times the sum of the unscaled artificials; returns the
+        objective row over D, whose last entry is minus that minimum."""
+        costs = [self.M // L for L in self.scale]
+        R = [0] * self.nstruct + costs + [0]
+        for row, c in zip(self.T, costs):  # price out the artificial basis
+            R = [a - c * t for a, t in zip(R, row)]
         self._bland(R)
         return R
 
@@ -251,25 +274,27 @@ class _Tableau:
             val[b] = self.T[i][-1]
         x = []
         for j in range(self.system.n_vars):
-            v = val.get(self.pos_col[j], Fraction(0))
+            v = val.get(self.pos_col[j], 0)
             if j in self.neg_col:
-                v -= val.get(self.neg_col[j], Fraction(0))
-            x.append(v)
+                v -= val.get(self.neg_col[j], 0)
+            x.append(Fraction(v, self.D))
         return tuple(x)
 
     def farkas(self, R) -> FarkasCertificate:
         """The Farkas certificate from the phase-1 objective row R.
 
-        The reduced cost under artificial column k is 1 - y_k, so
-        y_k = 1 - R[k], and nu = -y combines the kept rows to 0 with a
-        negative right-hand side.  Bound rows that were folded into plain
-        columns get their multiplier reconstructed so the combined
+        The reduced cost under artificial column k is R_k/D = (M/L_k)(1 - y_k)
+        for the dual y of the unscaled rows, so y_k = 1 - L_k*R_k/(D*M), and
+        nu = -y combines the kept rows to 0 with a negative right-hand side.  Bound rows that were folded into
+        plain columns get their multiplier reconstructed so the combined
         coefficient at each variable comes to 0 exactly.
         """
         rows = self.system.constraints
         nu = [Fraction(0)] * len(rows)
+        DM = self.D * self.M
         for i, idx in enumerate(self.kept):
-            nu[idx] = self.sigma[i] * (R[self.nstruct + i] - 1)
+            y = 1 - Fraction(self.scale[i] * R[self.nstruct + i], DM)
+            nu[idx] = -self.sigma[i] * y
         for j, (idx, c) in self.nonneg_row.items():
             g = sum(nu[k] * rows[k][0][j] for k in self.kept)
             nu[idx] = -g / c  # bound row coeff is c (< 0) at var j

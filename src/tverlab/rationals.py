@@ -1,8 +1,9 @@
 """Exact rational scalars and their text form.
 
-Every coordinate, weight, and LP value in this package is a
-`fractions.Fraction` (arbitrary precision, always reduced, positive
-denominator).  Serialized form is the string ``"p/q"``.
+Every coordinate, weight, and LP value this package takes or returns is
+a `fractions.Fraction` (arbitrary precision, always reduced, positive
+denominator); the LP tableau and the depth recursion compute inside on
+integers scaled from them.  Serialized form is the string ``"p/q"``.
 """
 from __future__ import annotations
 

@@ -1,8 +1,11 @@
 """Tukey depth, Tverberg partitions, and the prime-lift depth reduction."""
+import hashlib
 from fractions import Fraction as F
 from math import comb, factorial
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import tverlab.depth as depth_module
 
@@ -92,6 +95,64 @@ def test_depth_matches_hull_membership_threshold():
         assert type(cert.halfspace_offset) is F
         for r in range(1, n + 1):
             assert (cert.depth >= r) == hull_membership_depth(x, config, n - r + 1)
+
+
+def tukey_halfspace_digest():
+    """sha256 over (depth, halfspace coeffs, halfspace offset) of tukey_depth
+    on seeded configurations in d = 1, 2, 3: random rational points, and
+    integer points in a small box (repeats, collinear directions), queried
+    at a data point, at the centroid and at a random point."""
+    rng = SplitMix64(31337)
+    lines = []
+    for d in (1, 2, 3):
+        for trial in range(12):
+            n = rng.int_between(2, 9)
+            if trial % 2:
+                config = random_point_config(d, n, rng, num_bound=1, den_bound=1)
+            else:
+                config = random_point_config(d, n, rng, num_bound=6, den_bound=3)
+            queries = (
+                config.points[rng.below(n)],
+                tuple(sum(p[k] for p in config.points) / n for k in range(d)),
+                rng.rational_point(d, num_bound=3, den_bound=3),
+            )
+            for x in queries:
+                cert = tukey_depth(x, config)
+                coeffs = ",".join(str(c) for c in cert.halfspace_coeffs)
+                lines.append(f"{cert.depth};{coeffs};{cert.halfspace_offset}")
+    return hashlib.sha256("\n".join(lines).encode()).hexdigest()
+
+
+# taken when the projections of the depth recursion were still Fractions
+TUKEY_HALFSPACE_SHA256 = "e86bd2eb4bdcbc82b869110b2ab7e69a47b2d5d08c6ae2bcec5fdfaad955d4a5"
+
+
+def test_tukey_halfspaces_are_pinned():
+    assert tukey_halfspace_digest() == TUKEY_HALFSPACE_SHA256
+
+
+@st.composite
+def configs_and_queries(draw):
+    """A configuration of 1-7 points in d <= 3 with small rational
+    coordinates (repeats and collinear directions are likely), and a query
+    point that is either a data point or any small rational point."""
+    d = draw(st.integers(1, 3))
+    coord = st.builds(F, st.integers(-3, 3), st.integers(1, 2))
+    point = st.tuples(*[coord] * d)
+    points = draw(st.lists(point, min_size=1, max_size=7))
+    x = draw(st.one_of(st.sampled_from(points), point))
+    return PointConfig(d, tuple(points)), x
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=150)
+@given(configs_and_queries())
+def test_depth_is_the_hull_membership_threshold(config_and_query):
+    """depth >= n - q + 1 exactly when every q-subset's hull contains x."""
+    config, x = config_and_query
+    depth = tukey_depth(x, config).depth
+    n = config.n
+    for q in range(1, n + 1):
+        assert (depth >= n - q + 1) == hull_membership_depth(x, config, q)
 
 
 def test_depth_runs_no_lp(monkeypatch):

@@ -1,13 +1,17 @@
-"""Exact LP feasibility checked against a brute-force vertex-enumeration oracle."""
+"""Exact LP feasibility checked against a brute-force vertex-enumeration
+oracle, and the integer phase 1 against the Fraction tableau it replaced."""
 import itertools
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import tverlab.exactlp
 from tverlab import (
     EQ,
     INFEASIBLE,
+    LE,
     OPTIMAL,
     LinearSystem,
     SplitMix64,
@@ -15,11 +19,202 @@ from tverlab import (
     check_witness,
     common_point_with_weights,
     eq,
+    guaranteed_size,
+    hull_membership_depth,
     in_convex_hull,
     le,
     lp_feasible,
+    random_point_config,
+    reduce_central_from_tverberg,
+    reduction_plan,
     strict_separator,
+    tverberg_partition,
 )
+from tverlab.exactlp import FarkasCertificate
+
+
+# ---------------------------------------------------------------------------
+# the Fraction tableau, as the oracle of the integer kernel
+# ---------------------------------------------------------------------------
+
+class FractionTableau:
+    """The Fraction phase 1 that the integer kernel replaced, kept as its
+    oracle.  Standard-form tableau  [A | I | b]  with artificial identity basis.
+
+    Free variables are split x = u - v, except variables recognized as
+    nonnegative from rows of the shape  -c*x_j <= 0  (c > 0), which keep a
+    single column.  Artificial columns are never allowed to re-enter the
+    basis, and they double as a running copy of B^-1 so that Farkas
+    multipliers can be read off the phase-1 objective row exactly.
+    """
+
+    def __init__(self, system: LinearSystem):
+        self.system = system
+        n = system.n_vars
+        rows = system.constraints
+
+        # nonnegative-variable detection
+        self.nonneg_row: dict = {}  # var -> (row index, negative coefficient)
+        kept = []
+        for idx, (coeffs, rel, rhs) in enumerate(rows):
+            nz = [(j, c) for j, c in enumerate(coeffs) if c != 0]
+            if (
+                rel == LE
+                and rhs == 0
+                and len(nz) == 1
+                and nz[0][1] < 0
+                and nz[0][0] not in self.nonneg_row
+            ):
+                self.nonneg_row[nz[0][0]] = (idx, nz[0][1])
+                continue
+            kept.append(idx)
+        self.kept = kept
+
+        # column layout: split/plain variable columns, then slacks
+        self.cols = []  # (kind, payload): ("+", var) ("-", var) ("s", kept position)
+        self.pos_col = {}
+        self.neg_col = {}
+        for j in range(n):
+            self.pos_col[j] = len(self.cols)
+            self.cols.append(("+", j))
+            if j not in self.nonneg_row:
+                self.neg_col[j] = len(self.cols)
+                self.cols.append(("-", j))
+        slack_col = {}
+        for i, idx in enumerate(kept):
+            if rows[idx][1] == LE:
+                slack_col[i] = len(self.cols)
+                self.cols.append(("s", i))
+        self.nstruct = len(self.cols)
+        m = len(kept)
+        self.m_kept = m
+        self.width = self.nstruct + m + 1  # + rhs
+
+        zero = F(0)
+        self.T = []
+        self.sigma = []
+        for i, idx in enumerate(kept):
+            coeffs, rel, rhs = rows[idx]
+            s = 1 if rhs >= 0 else -1
+            self.sigma.append(s)
+            row = [zero] * self.width
+            for j, c in enumerate(coeffs):
+                if c == 0:
+                    continue
+                row[self.pos_col[j]] += s * c
+                if j in self.neg_col:
+                    row[self.neg_col[j]] -= s * c
+            if i in slack_col:
+                row[slack_col[i]] = F(s)
+            row[self.nstruct + i] = F(1)
+            row[-1] = s * rhs
+            self.T.append(row)
+        self.basis = [self.nstruct + i for i in range(m)]
+
+    # -- pivoting ----------------------------------------------------------
+
+    def _pivot(self, R, i, j):
+        T = self.T
+        piv = T[i][j]
+        T[i] = [v / piv for v in T[i]]
+        row = T[i]
+        for r in range(len(T)):
+            if r != i:
+                f = T[r][j]
+                if f:
+                    T[r] = [a - f * b for a, b in zip(T[r], row)]
+        f = R[j]
+        if f:
+            R[:] = [a - f * b for a, b in zip(R, row)]
+        self.basis[i] = j
+
+    def _bland(self, R):
+        """Run Bland-rule pivots until no reduced cost is negative."""
+        T = self.T
+        guard = 0
+        limit = 1000 + 50 * self.width * (len(T) + 2)
+        while True:
+            guard += 1
+            if guard > limit:  # Bland's rule terminates; this is a tripwire
+                raise RuntimeError("simplex iteration limit exceeded")
+            enter = None
+            for j in range(self.nstruct):
+                if R[j] < 0:
+                    enter = j
+                    break
+            if enter is None:
+                return
+            leave = None
+            best = None
+            for i in range(len(T)):
+                a = T[i][enter]
+                if a > 0:
+                    ratio = T[i][-1] / a
+                    key = (ratio, self.basis[i])
+                    if best is None or key < best:
+                        best = key
+                        leave = i
+            if leave is None:  # the phase-1 objective is bounded below by 0
+                raise RuntimeError("phase 1 cannot be unbounded")
+            self._pivot(R, leave, enter)
+
+    def phase1(self):
+        """Minimise the sum of the artificials; returns the objective row,
+        whose last entry is minus that minimum."""
+        R = [F(0)] * self.nstruct + [F(1)] * self.m_kept + [F(0)]
+        for row in self.T:  # price out the artificial starting basis
+            R = [a - t for a, t in zip(R, row)]
+        self._bland(R)
+        return R
+
+    # -- extraction ----------------------------------------------------------
+
+    def witness(self):
+        val = {}
+        for i, b in enumerate(self.basis):
+            val[b] = self.T[i][-1]
+        x = []
+        for j in range(self.system.n_vars):
+            v = val.get(self.pos_col[j], F(0))
+            if j in self.neg_col:
+                v -= val.get(self.neg_col[j], F(0))
+            x.append(v)
+        return tuple(x)
+
+    def farkas(self, R) -> FarkasCertificate:
+        """The Farkas certificate from the phase-1 objective row R.
+
+        The reduced cost under artificial column k is 1 - y_k, so
+        y_k = 1 - R[k], and nu = -y combines the kept rows to 0 with a
+        negative right-hand side.  Bound rows that were folded into plain
+        columns get their multiplier reconstructed so the combined
+        coefficient at each variable comes to 0 exactly.
+        """
+        rows = self.system.constraints
+        nu = [F(0)] * len(rows)
+        for i, idx in enumerate(self.kept):
+            nu[idx] = self.sigma[i] * (R[self.nstruct + i] - 1)
+        for j, (idx, c) in self.nonneg_row.items():
+            g = sum(nu[k] * rows[k][0][j] for k in self.kept)
+            nu[idx] = -g / c  # bound row coeff is c (< 0) at var j
+        total = sum(v * rhs for v, (_, _, rhs) in zip(nu, rows))
+        if total >= 0:
+            raise RuntimeError("Farkas extraction failed")
+        return FarkasCertificate(tuple(v / -total for v in nu))
+
+
+def oracle_feasible(system):
+    """(status, witness, Farkas multipliers) from the Fraction tableau."""
+    tab = FractionTableau(system)
+    R = tab.phase1()
+    if R[-1] != 0:
+        return INFEASIBLE, None, tab.farkas(R).multipliers
+    return OPTIMAL, tab.witness(), None
+
+
+def assert_matches_oracle(system, out):
+    farkas = None if out.farkas is None else out.farkas.multipliers
+    assert (out.status, out.witness, farkas) == oracle_feasible(system)
 
 
 def solve_square(A, b):
@@ -133,6 +328,86 @@ def test_one_bland_pass_per_feasible_call(monkeypatch):
             assert len(passes) == 1
             feasible += 1
     assert feasible > 20
+
+
+def recorded_systems(monkeypatch, run):
+    """Every (system, outcome) that lp_feasible sees while run() runs."""
+    seen = []
+    solve = tverlab.exactlp.lp_feasible
+
+    def recording(system):
+        out = solve(system)
+        seen.append((system, out))
+        return out
+
+    monkeypatch.setattr("tverlab.exactlp.lp_feasible", recording)
+    run()
+    return seen
+
+
+def test_partition_systems_match_the_fraction_tableau(monkeypatch):
+    """The partition-search systems of acceptance criterion 3, from its seeds."""
+    def criterion_3():
+        for d, r in ((1, 2), (1, 3), (2, 2), (2, 3), (3, 2)):
+            rng = SplitMix64(100 * d + r)
+            n = guaranteed_size(d, r)
+            for _ in range(50):
+                config = random_point_config(d, n, rng, num_bound=6, den_bound=3)
+                tverberg_partition(config, r)
+
+    seen = recorded_systems(monkeypatch, criterion_3)
+    assert len(seen) == 992
+    assert {out.status for _, out in seen} == {OPTIMAL, INFEASIBLE}
+    for system, out in seen:
+        assert_matches_oracle(system, out)
+
+
+def test_hull_systems_match_the_fraction_tableau(monkeypatch):
+    """The lift-partition and hull-membership systems of acceptance
+    criterion 4, from its seeds."""
+    def criterion_4():
+        for r in (4, 6):
+            rng = SplitMix64(4000 + r)
+            plan = reduction_plan(r, 1)
+            for _ in range(10):
+                config = random_point_config(1, plan.m + 1, rng, num_bound=6, den_bound=3)
+                cert = reduce_central_from_tverberg(config, r)
+                assert hull_membership_depth(cert.point, config, r)
+
+    seen = recorded_systems(monkeypatch, criterion_4)
+    assert len(seen) == 4990
+    for system, out in seen:
+        assert_matches_oracle(system, out)
+
+
+small_fractions = st.builds(F, st.integers(-6, 6), st.integers(1, 4))
+
+
+@st.composite
+def small_systems(draw):
+    """1-3 variables; LE and EQ rows with rational coefficients and
+    right-hand sides of either sign; bound rows -c*x_j <= 0 (c > 0), some
+    on the same variable, spliced in anywhere."""
+    n = draw(st.integers(1, 3))
+    rows = [
+        (
+            tuple(draw(st.lists(small_fractions, min_size=n, max_size=n))),
+            draw(st.sampled_from((LE, EQ))),
+            draw(small_fractions),
+        )
+        for _ in range(draw(st.integers(1, 5)))
+    ]
+    for j in draw(st.lists(st.integers(0, n - 1), max_size=n + 1)):
+        coeffs = [F(0)] * n
+        coeffs[j] = -draw(st.builds(F, st.integers(1, 5), st.integers(1, 3)))
+        rows.insert(draw(st.integers(0, len(rows))), (tuple(coeffs), LE, F(0)))
+    return LinearSystem(n, rows)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=400)
+@given(small_systems())
+def test_integer_phase1_matches_the_fraction_tableau(system):
+    assert_matches_oracle(system, lp_feasible(system))
 
 
 def test_infeasible_farkas_normalized():
