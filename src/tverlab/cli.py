@@ -25,7 +25,7 @@ from fractions import Fraction
 from typing import List, Optional
 
 from . import conemap, cover, depth, z2
-from .rationals import point_strs, rat_str
+from .rationals import point_strs, rat, rat_str
 from .rng import SplitMix64
 
 PASS, FALSIFIED, USAGE, INTERNAL = 0, 1, 2, 3
@@ -191,7 +191,7 @@ def cmd_cover(args, parser):
     if args.input:
         with open(args.input) as fh:
             data = json.load(fh)
-        pts = data["barycentric_points"]
+        pts = [tuple(rat(c) for c in p) for p in data["barycentric_points"]]
         touches = cover.touches_all_facets(pts)
         cert = cover.min_cover_homothety(
             [cover.barycentric_to_centered(p) for p in pts],

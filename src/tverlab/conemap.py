@@ -26,13 +26,12 @@ from __future__ import annotations
 import hashlib
 import itertools
 import json
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
 
 from .complexes import Simplex, standard_center
-from .rationals import Point, rat_str
+from .rationals import Point, integer_scaled, rat_str
 
 
 class IsolationFailure(AssertionError):
@@ -140,11 +139,8 @@ def verify_isolation(spec: CounterexampleSpec) -> IsolationReport:
     IsolationFailure naming the tuple.  The sums are taken over integers:
     every image is scaled once by L, the lcm of the table's denominators,
     which is exact by construction."""
-    L = math.lcm(*(c.denominator for y in spec.images.values() for c in y))
-    scaled = {
-        g: tuple(c.numerator * (L // c.denominator) for c in y)
-        for g, y in spec.images.items()
-    }
+    L, rows = integer_scaled(list(spec.images.values()))
+    scaled = dict(zip(spec.images, rows))
     unscaled = lambda v: rat_str(Fraction(v, L))
     image_cache: Dict[Simplex, List[Tuple[int, ...]]] = {}
     certified: Dict[Tuple[Simplex, Simplex], str] = {}

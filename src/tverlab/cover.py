@@ -8,9 +8,12 @@ a_i.(s_i - t) <= delta b_i over one point s_i per row cancels t, so
 delta >= sum_i top_i / sum_i b_i with top_i = max over s in S of a_i.s,
 and equality holds exactly when every row is tight at some point.  The
 certificate records delta, the translate solving a_i.t = top_i - delta b_i,
-and the tight pairs; the body check and the translate are one exact
-elimination each, and no LP is solved.  The standard n-simplex ships
-centered in this form; barycentric sets are mapped to it by dropping the
+and the tight pairs.  The covering work is on integers: the points are
+scaled by the lcm of their denominators and each row by its own, and
+top_i, delta, the check of every (point, row) pair and the tight pairs
+are read off one table of integer dot products.  The body check and the
+translate are still one exact elimination each, and no LP is solved.
+The standard n-simplex ships centered in this form; barycentric sets are mapped to it by dropping the
 last coordinate and recentering (covering radii are affine invariants).
 The fiber demo evaluates an exact map of barycentric coordinates on a
 rational grid of the simplex and covers each sampled fiber the same way.
@@ -19,11 +22,12 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from .rationals import Point, rat, rat_str
+from .rationals import Point, integer_scaled, rat, rat_str
 
 
 class UnboundedBodyError(ValueError):
@@ -133,7 +137,13 @@ def min_cover_homothety(
 ) -> CoverCertificate:
     """Exact smallest delta >= 0 with every point in delta*body + t, by the
     facet-sum identity; the translate solves the first n of the n+1
-    equations (the last holds too, as both sides sum to 0)."""
+    equations (the last holds too, as both sides sum to 0).
+
+    The points are scaled to integers by L, the lcm of their denominators,
+    and row i by l_i, the lcm of its own; dots[p][i] = L*l_i*a_i.p.  Row i
+    holds at p exactly when dots[p][i] <= L*l_i*(a_i.t + delta*b_i), one
+    exact bound num_i/den_i per row, so each (point, row) pair is checked
+    by integer products."""
     pts = [tuple(rat(c) for c in p) for p in points]
     if not pts:
         raise ValueError("need at least one point to cover")
@@ -141,16 +151,27 @@ def min_cover_homothety(
     for p in pts:
         if len(p) != n:
             raise ValueError("point dimension mismatch")
-    top = [max(sum(c * v for c, v in zip(a, p)) for p in pts) for a, _ in body.rows]
+    L, ints = integer_scaled(pts)
+    scales, int_rows = [], []
+    for a, b in body.rows:
+        l, (row,) = integer_scaled([a + (b,)])
+        scales.append(L * l)
+        int_rows.append(row[:-1])
+    dots = [[sum(map(operator.mul, a, p)) for a in int_rows] for p in ints]
+    top = [Fraction(max(col), s) for col, s in zip(zip(*dots), scales)]
     delta = sum(top) / sum(b for _, b in body.rows)  # the facet-sum identity
     t = _solve_square([(a, hi - delta * b) for (a, b), hi in zip(body.rows[:-1], top)])
+    bounds = []
+    for (a, b), s in zip(body.rows, scales):
+        bound = s * (sum(c * v for c, v in zip(a, t)) + delta * b)
+        bounds.append((bound.numerator, bound.denominator))
     tight = []
-    for pi, p in enumerate(pts):
-        for ri, (coeffs, rhs) in enumerate(body.rows):
-            lhs = sum(c * (v - tv) for c, v, tv in zip(coeffs, p, t))
-            if lhs > delta * rhs:
+    for pi, row in enumerate(dots):
+        for ri, (dot, (num, den)) in enumerate(zip(row, bounds)):
+            lhs = dot * den
+            if lhs > num:
                 raise RuntimeError("cover certificate violates a row")
-            if lhs == delta * rhs:
+            if lhs == num:
                 tight.append((pi, ri))
     if {ri for _, ri in tight} != set(range(len(body.rows))):
         raise RuntimeError("a body row has no tight point, so delta is not minimal")

@@ -14,7 +14,7 @@ import itertools
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd
 from typing import Iterator, List, Optional, Sequence, Tuple
 
 from .exactlp import (
@@ -22,7 +22,7 @@ from .exactlp import (
     in_convex_hull,
     strict_separator,  # unused: perfbench/tests/test_bench_trace.py traces this binding
 )
-from .rationals import Point, rat
+from .rationals import Point, integer_scaled, rat
 from .rng import SplitMix64
 
 
@@ -158,8 +158,7 @@ def tukey_depth(x: Sequence, config: PointConfig) -> DepthCertificate:
     if len(xx) != config.d:
         raise ValueError("point dimension mismatch")
     W = [tuple(c - xc for c, xc in zip(p, xx)) for p in config.points]
-    L = lcm(*(c.denominator for w in W for c in w))
-    nonzero = [tuple(c.numerator * (L // c.denominator) for c in w) for w in W if any(w)]
+    nonzero = [w for w in integer_scaled(W)[1] if any(w)]
     count, u = _fewest_on_open_side(nonzero, config.d)
     offset = -sum((c * xc for c, xc in zip(u, xx)), Fraction(0))
     cert = DepthCertificate(xx, config.n - len(nonzero) + count, tuple(u), offset)
@@ -216,9 +215,10 @@ def iter_partitions(n: int, r: int) -> Iterator[Tuple[Tuple[int, ...], ...]]:
     yield from rec(1, 1) if n else iter(())
 
 
-def _bbox_reject(blocks_points: Sequence[Sequence[Point]], d: int) -> bool:
+def _bbox_reject(blocks_points: Sequence[Sequence[Tuple[int, ...]]], d: int) -> bool:
     """Cheap necessary condition: per coordinate, the blocks' ranges must
-    share a point."""
+    share a point.  The points come scaled to integers by one positive
+    common factor, which keeps every comparison."""
     for i in range(d):
         lo = max(min(p[i] for p in block) for block in blocks_points)
         hi = min(max(p[i] for p in block) for block in blocks_points)
@@ -231,14 +231,16 @@ def tverberg_partition(config: PointConfig, r: int) -> Optional[TverbergCertific
     """First (canonical order) partition into r blocks whose hulls intersect.
 
     Exhaustive over set partitions; each candidate is screened by a
-    bounding-box test and settled by an exact LP.  Returns None when no
-    partition works (possible below the guaranteed size)."""
+    bounding-box test on the points scaled to integers once, and settled
+    by an exact LP.  Returns None when no partition works (possible below
+    the guaranteed size)."""
     if r < 1:
         raise ValueError("need at least one block")
     if r > config.n:
         return None
+    ints = integer_scaled(config.points)[1]
     for blocks in iter_partitions(config.n, r):
-        if _bbox_reject([config.subset(b) for b in blocks], config.d):
+        if _bbox_reject([[ints[l] for l in b] for b in blocks], config.d):
             continue
         cert = _partition_certificate(config, blocks)
         if cert is not None:

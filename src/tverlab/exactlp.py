@@ -16,6 +16,7 @@ where exact tableau simplex is perfectly practical.
 """
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
@@ -199,6 +200,12 @@ class _Tableau:
             row[self.nstruct + i] = 1
             row[-1] = s * rhs.numerator * (L // rhs.denominator)
             self.T.append(row)
+        # the kept rows' initial right-hand sides and, per folded variable,
+        # their initial column, for the Farkas multipliers
+        self.rhs0 = [row[-1] for row in self.T]
+        self.folded_col = {
+            j: [row[self.pos_col[j]] for row in self.T] for j in self.nonneg_row
+        }
         self.M = lcm(*self.scale)
         self.D = 1
         self.basis = [self.nstruct + i for i in range(m)]
@@ -285,23 +292,25 @@ class _Tableau:
 
         The reduced cost under artificial column k is R_k/D = (M/L_k)(1 - y_k)
         for the dual y of the unscaled rows, so y_k = 1 - L_k*R_k/(D*M), and
-        nu = -y combines the kept rows to 0 with a negative right-hand side.  Bound rows that were folded into
-        plain columns get their multiplier reconstructed so the combined
-        coefficient at each variable comes to 0 exactly.
+        nu = -y combines the kept rows to 0 with a negative right-hand side.
+        On the kept rows as the tableau first scaled and signed them (integer
+        a_k, b_k), nu is the integer mu_k = R_k - D*(M/L_k) over D*M, so the
+        total T = sum mu_k b_k is negative.  A bound row folded into the
+        plain column of var j, coefficient c < 0 there, takes G_j/(c*T) with
+        G_j = sum mu_k a_kj, which brings the coefficient at j to 0.  Each
+        multiplier is normalised by -T and made a Fraction once.
         """
-        rows = self.system.constraints
-        nu = [Fraction(0)] * len(rows)
-        DM = self.D * self.M
-        for i, idx in enumerate(self.kept):
-            y = 1 - Fraction(self.scale[i] * R[self.nstruct + i], DM)
-            nu[idx] = -self.sigma[i] * y
-        for j, (idx, c) in self.nonneg_row.items():
-            g = sum(nu[k] * rows[k][0][j] for k in self.kept)
-            nu[idx] = -g / c  # bound row coeff is c (< 0) at var j
-        total = sum(v * rhs for v, (_, _, rhs) in zip(nu, rows))
+        mu = [R[self.nstruct + i] - self.D * (self.M // L) for i, L in enumerate(self.scale)]
+        total = sum(map(operator.mul, mu, self.rhs0))
         if total >= 0:
             raise RuntimeError("Farkas extraction failed")
-        return FarkasCertificate(tuple(v / -total for v in nu))
+        nu = [None] * len(self.system.constraints)
+        for i, idx in enumerate(self.kept):
+            nu[idx] = Fraction(self.sigma[i] * self.scale[i] * mu[i], -total)
+        for j, (idx, c) in self.nonneg_row.items():
+            g = sum(map(operator.mul, mu, self.folded_col[j]))
+            nu[idx] = Fraction(g * c.denominator, total * c.numerator)
+        return FarkasCertificate(tuple(nu))
 
 
 # ---------------------------------------------------------------------------

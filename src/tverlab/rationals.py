@@ -2,13 +2,15 @@
 
 Every coordinate, weight, and LP value this package takes or returns is
 a `fractions.Fraction` (arbitrary precision, always reduced, positive
-denominator); the LP tableau and the depth recursion compute inside on
-integers scaled from them.  Serialized form is the string ``"p/q"``.
+denominator); the LP tableau, the depth recursion, the partition screen,
+the isolation sums and the covering kernel compute inside on integers
+scaled from them.  Serialized form is the string ``"p/q"``.
 """
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Sequence, Tuple
+from math import lcm
+from typing import List, Sequence, Tuple
 
 Rational = Fraction
 Point = Tuple[Fraction, ...]
@@ -34,6 +36,13 @@ def rat_str(value: Fraction) -> str:
     """Serialize a Fraction as ``"p/q"`` (denominator always written)."""
     f = rat(value)
     return f"{f.numerator}/{f.denominator}"
+
+
+def integer_scaled(vectors: Sequence[Sequence[Fraction]]) -> Tuple[int, List[Tuple[int, ...]]]:
+    """L, the lcm of the denominators of every entry, and each vector times
+    L as integers; L > 0 keeps every sign and order between entries."""
+    L = lcm(*(c.denominator for v in vectors for c in v))
+    return L, [tuple(c.numerator * (L // c.denominator) for c in v) for v in vectors]
 
 
 def point_strs(p: Sequence[Fraction]) -> list:

@@ -12,7 +12,10 @@ from itertools import permutations
 from math import comb, prod
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import tverlab.cover
 from tverlab import (
     OPTIMAL,
     LinearSystem,
@@ -240,6 +243,57 @@ def test_closed_form_matches_the_homothety_lp():
         ]
         cert = min_cover_homothety(pts, body)
         assert (cert.delta, cert.translate, cert.tight) == lp_cover(pts, body)
+
+
+# coordinates over small, large and coprime denominators at once
+mixed_fractions = st.builds(
+    F, st.integers(-60, 60), st.sampled_from((1, 2, 3, 7, 10, 1024, 999983))
+)
+
+
+@st.composite
+def bodies_and_points(draw):
+    n = draw(st.integers(1, 4))
+    body = random_facet_sum_body(SplitMix64(draw(st.integers(0, 2**32))), n)
+    pts = draw(st.lists(st.tuples(*[mixed_fractions] * n), min_size=1, max_size=5))
+    return body, pts
+
+
+@settings(derandomize=True, database=None, deadline=None)
+@given(bodies_and_points())
+def test_random_bodies_match_the_homothety_lp(case):
+    body, pts = case
+    cert = min_cover_homothety(pts, body)
+    assert (cert.delta, cert.translate, cert.tight) == lp_cover(pts, body)
+
+
+def test_the_row_check_rejects_a_shifted_translate(monkeypatch):
+    """Every row is tight at the true translate and the a_i sum to 0, so any
+    shift lowers some row's bound below its tight point."""
+    rng = SplitMix64(4242)
+    cases = [
+        (standard_simplex_body(2), [barycentric_to_centered(p) for p in (
+            (F(1, 2), F(1, 2), F(0)), (F(0), F(1, 3), F(2, 3)), (F(1, 4), F(0), F(3, 4))
+        )]),
+        (interval_body(), [(F(1, 4),), (F(3, 4),)]),
+    ]
+    for n in (1, 2, 3):
+        body = random_facet_sum_body(rng, n)
+        cases.append((body, [tuple(F(rng.int_between(-6, 6), 7) for _ in range(n))] * 2))
+    solve = tverlab.cover._solve_square
+    for body, pts in cases:  # bodies first: building one solves a square system
+        for k in range(body.ambient_dim):
+            for step in (F(1, 1000), F(-3)):
+                def shifted(rows, k=k, step=step):
+                    t = list(solve(rows))
+                    t[k] += step
+                    return tuple(t)
+
+                monkeypatch.setattr(tverlab.cover, "_solve_square", shifted)
+                with pytest.raises(RuntimeError, match="violates a row"):
+                    min_cover_homothety(pts, body)
+                monkeypatch.setattr(tverlab.cover, "_solve_square", solve)
+                min_cover_homothety(pts, body)
 
 
 def test_cover_solves_no_lp_minimize(monkeypatch):
