@@ -20,6 +20,7 @@ rational grid of the simplex and covers each sampled fiber the same way.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import operator
@@ -87,12 +88,14 @@ def interval_body() -> HPolytopeBody:
     return h_polytope([((-1,), 0), ((1,), 1)])
 
 
+@functools.cache
 def standard_simplex_body(n: int) -> HPolytopeBody:
     """The standard n-simplex translated so its barycenter is the origin.
 
     In these coordinates y_i >= -1/(n+1) and sum y_i <= 1/(n+1); the
     origin is interior, and covering radii agree with the barycentric
-    picture because translation does not change them."""
+    picture because translation does not change them.  The body is
+    immutable, so it is built and checked once per n."""
     if n < 1:
         raise ValueError("need n >= 1")
     c = Fraction(1, n + 1)

@@ -1,5 +1,8 @@
-"""Exact rational linear feasibility.
+"""Exact rational linear feasibility over nonnegative variables.
 
+A system is the set  {x >= 0 : rows}  of LE and EQ rows; every system the
+package solves is a convex-combination system whose variables are weights,
+so nonnegativity is the kernel's contract rather than a row of its own.
 Phase 1 of the primal simplex with Bland's rule, so termination is
 guaranteed and no tolerance ever enters.  The tableau is integer and is
 pivoted fraction-free (Bareiss 1968, as in Avis's lrs): its rows share one
@@ -7,9 +10,11 @@ positive denominator and every division is exact.  Every value returned
 is still a `fractions.Fraction`, and every answer carries a certificate
 that is re-verified before it is returned:
 
-* feasible      -> a witness point satisfying every constraint exactly;
-* infeasible    -> a Farkas combination: multipliers, nonnegative on the
-                   inequality rows, combining the rows to 0 <= -1.
+* feasible      -> a witness point x >= 0 satisfying every row exactly;
+* infeasible    -> a Farkas combination: one multiplier per row,
+                   nonnegative on the inequality rows, combining the rows
+                   to  c . x <= -1  with every c_j >= 0, which no x >= 0
+                   satisfies.
 
 Problem sizes here are tiny (tens of variables), which is the regime
 where exact tableau simplex is perfectly practical.
@@ -44,7 +49,8 @@ def eq(coeffs: Sequence, rhs) -> Row:
 
 
 class LinearSystem:
-    """A finite list of exact linear constraints over n_vars free variables.
+    """The set  {x >= 0 : rows}  over n_vars nonnegative variables, for a
+    finite list of exact LE and EQ rows.
 
     Rows are taken as given, so their entries must already be Fractions,
     as `le`, `eq` and the builders below make them."""
@@ -71,8 +77,9 @@ class LinearSystem:
 
 @dataclass(frozen=True)
 class FarkasCertificate:
-    """Multipliers nu (one per constraint row, >= 0 on the <= rows) with
-    sum nu_i * coeffs_i == 0 and sum nu_i * rhs_i == -1."""
+    """Multipliers nu, one per constraint row and >= 0 on the <= rows, with
+    sum nu_i * coeffs_i >= 0 componentwise and sum nu_i * rhs_i == -1: no
+    x >= 0 satisfies the rows."""
 
     multipliers: Tuple[Fraction, ...]
 
@@ -89,7 +96,7 @@ class LPOutcome:
 # ---------------------------------------------------------------------------
 
 def check_witness(system: LinearSystem, x: Sequence[Fraction]) -> bool:
-    if len(x) != system.n_vars:
+    if len(x) != system.n_vars or any(v < 0 for v in x):
         return False
     for coeffs, rel, rhs in system.constraints:
         lhs = sum(c * v for c, v in zip(coeffs, x))
@@ -112,7 +119,7 @@ def check_farkas(system: LinearSystem, cert: FarkasCertificate) -> bool:
         for j, c in enumerate(coeffs):
             combo[j] += nu * c
         total += nu * rhs
-    return all(c == 0 for c in combo) and total < 0
+    return all(c >= 0 for c in combo) and total < 0
 
 
 # ---------------------------------------------------------------------------
@@ -120,92 +127,50 @@ def check_farkas(system: LinearSystem, cert: FarkasCertificate) -> bool:
 # ---------------------------------------------------------------------------
 
 class _Tableau:
-    """Standard-form integer tableau  [A | I | b]  with artificial identity
-    basis, pivoted fraction-free (Bareiss): every entry is an integer over
-    the one positive common denominator D, the last pivot.
+    """Standard-form integer tableau  [A | S | I | b]  for  {x >= 0 : rows}:
+    one column per variable, one slack column per <= row and one artificial
+    column per row, whose identity is the starting basis.  It is pivoted
+    fraction-free (Bareiss): every entry is an integer over the one
+    positive common denominator D, the last pivot.
 
-    Free variables are split x = u - v, except variables recognized as
-    nonnegative from rows of the shape  -c*x_j <= 0  (c > 0), which keep a
-    single column.  Kept row i is scaled to integers by L_i, the lcm of its
-    denominators, with its sign chosen so that rhs >= 0; its artificial
-    column stays a unit column, and artificial i costs M/L_i with M the lcm
-    of all L_i.  That objective is M times the plain sum of the unscaled
-    artificials, so the pivots are those of the Fraction tableau.
-    Artificial columns are never allowed to re-enter the basis, and they
-    double as a running copy of B^-1 so that Farkas multipliers can be
-    read off the phase-1 objective row exactly.
+    Row i is scaled to integers by L_i, the lcm of its denominators, with
+    its sign chosen so that rhs >= 0; its artificial column stays a unit
+    column, and artificial i costs M/L_i with M the lcm of all L_i.  That
+    objective is M times the plain sum of the unscaled artificials, so the
+    pivots are those of the Fraction tableau.  Artificial columns are never
+    allowed to re-enter the basis, and they double as a running copy of
+    B^-1 so that Farkas multipliers can be read off the phase-1 objective
+    row exactly.
     """
 
     def __init__(self, system: LinearSystem):
         self.system = system
         n = system.n_vars
         rows = system.constraints
-
-        # nonnegative-variable detection
-        self.nonneg_row: dict = {}  # var -> (row index, negative coefficient)
-        kept = []
-        for idx, (coeffs, rel, rhs) in enumerate(rows):
-            nz = [(j, c) for j, c in enumerate(coeffs) if c != 0]
-            if (
-                rel == LE
-                and rhs == 0
-                and len(nz) == 1
-                and nz[0][1] < 0
-                and nz[0][0] not in self.nonneg_row
-            ):
-                self.nonneg_row[nz[0][0]] = (idx, nz[0][1])
-                continue
-            kept.append(idx)
-        self.kept = kept
-
-        # column layout: split/plain variable columns, then slacks
-        self.cols = []  # (kind, payload): ("+", var) ("-", var) ("s", kept position)
-        self.pos_col = {}
-        self.neg_col = {}
-        for j in range(n):
-            self.pos_col[j] = len(self.cols)
-            self.cols.append(("+", j))
-            if j not in self.nonneg_row:
-                self.neg_col[j] = len(self.cols)
-                self.cols.append(("-", j))
         slack_col = {}
-        for i, idx in enumerate(kept):
-            if rows[idx][1] == LE:
-                slack_col[i] = len(self.cols)
-                self.cols.append(("s", i))
-        self.nstruct = len(self.cols)
-        m = len(kept)
-        self.m_kept = m
+        for i, (_, rel, _) in enumerate(rows):
+            if rel == LE:
+                slack_col[i] = n + len(slack_col)
+        self.nstruct = n + len(slack_col)
+        m = len(rows)
         self.width = self.nstruct + m + 1  # + rhs
 
         self.T = []
         self.sigma = []
         self.scale = []
-        for i, idx in enumerate(kept):
-            coeffs, rel, rhs = rows[idx]
+        for i, (coeffs, rel, rhs) in enumerate(rows):
             s = 1 if rhs >= 0 else -1
             L = lcm(rhs.denominator, *(c.denominator for c in coeffs))
             self.sigma.append(s)
             self.scale.append(L)
-            row = [0] * self.width
-            for j, c in enumerate(coeffs):
-                if c == 0:
-                    continue
-                c = s * c.numerator * (L // c.denominator)
-                row[self.pos_col[j]] += c
-                if j in self.neg_col:
-                    row[self.neg_col[j]] -= c
+            row = [s * c.numerator * (L // c.denominator) for c in coeffs]
+            row += [0] * (self.width - n)
             if i in slack_col:
                 row[slack_col[i]] = s * L
             row[self.nstruct + i] = 1
             row[-1] = s * rhs.numerator * (L // rhs.denominator)
             self.T.append(row)
-        # the kept rows' initial right-hand sides and, per folded variable,
-        # their initial column, for the Farkas multipliers
-        self.rhs0 = [row[-1] for row in self.T]
-        self.folded_col = {
-            j: [row[self.pos_col[j]] for row in self.T] for j in self.nonneg_row
-        }
+        self.rhs0 = [row[-1] for row in self.T]  # for the Farkas total
         self.M = lcm(*self.scale)
         self.D = 1
         self.basis = [self.nstruct + i for i in range(m)]
@@ -276,15 +241,10 @@ class _Tableau:
     # -- extraction ----------------------------------------------------------
 
     def witness(self) -> Point:
-        val = {}
+        x = [Fraction(0)] * self.system.n_vars
         for i, b in enumerate(self.basis):
-            val[b] = self.T[i][-1]
-        x = []
-        for j in range(self.system.n_vars):
-            v = val.get(self.pos_col[j], 0)
-            if j in self.neg_col:
-                v -= val.get(self.neg_col[j], 0)
-            x.append(Fraction(v, self.D))
+            if b < len(x):
+                x[b] = Fraction(self.T[i][-1], self.D)
         return tuple(x)
 
     def farkas(self, R) -> FarkasCertificate:
@@ -292,25 +252,21 @@ class _Tableau:
 
         The reduced cost under artificial column k is R_k/D = (M/L_k)(1 - y_k)
         for the dual y of the unscaled rows, so y_k = 1 - L_k*R_k/(D*M), and
-        nu = -y combines the kept rows to 0 with a negative right-hand side.
-        On the kept rows as the tableau first scaled and signed them (integer
-        a_k, b_k), nu is the integer mu_k = R_k - D*(M/L_k) over D*M, so the
-        total T = sum mu_k b_k is negative.  A bound row folded into the
-        plain column of var j, coefficient c < 0 there, takes G_j/(c*T) with
-        G_j = sum mu_k a_kj, which brings the coefficient at j to 0.  Each
-        multiplier is normalised by -T and made a Fraction once.
+        nu = -y combines the rows with a negative right-hand side; the
+        reduced costs of the variable and slack columns, >= 0 at the
+        optimum, make the combination >= 0 and nu >= 0 on the <= rows.  On
+        the rows as the tableau first scaled and signed them (right-hand
+        sides b_k), nu is the integer mu_k = R_k - D*(M/L_k) over D*M, so the
+        total T = sum mu_k b_k is negative.  Each multiplier is normalised
+        by -T and made a Fraction once.
         """
         mu = [R[self.nstruct + i] - self.D * (self.M // L) for i, L in enumerate(self.scale)]
         total = sum(map(operator.mul, mu, self.rhs0))
         if total >= 0:
             raise RuntimeError("Farkas extraction failed")
-        nu = [None] * len(self.system.constraints)
-        for i, idx in enumerate(self.kept):
-            nu[idx] = Fraction(self.sigma[i] * self.scale[i] * mu[i], -total)
-        for j, (idx, c) in self.nonneg_row.items():
-            g = sum(map(operator.mul, mu, self.folded_col[j]))
-            nu[idx] = Fraction(g * c.denominator, total * c.numerator)
-        return FarkasCertificate(tuple(nu))
+        return FarkasCertificate(tuple(
+            Fraction(s * L * v, -total) for s, L, v in zip(self.sigma, self.scale, mu)
+        ))
 
 
 # ---------------------------------------------------------------------------
@@ -318,7 +274,8 @@ class _Tableau:
 # ---------------------------------------------------------------------------
 
 def lp_feasible(system: LinearSystem) -> LPOutcome:
-    """Feasibility with witness, or a verified Farkas certificate."""
+    """A witness x >= 0 of the rows, or a verified Farkas certificate that
+    none exists."""
     tab = _Tableau(system)
     R = tab.phase1()
     if R[-1] != 0:  # minimal artificial sum positive -> infeasible
@@ -333,7 +290,7 @@ def lp_feasible(system: LinearSystem) -> LPOutcome:
 
 
 def _hull_membership(p: Sequence, points: Sequence[Sequence]) -> LPOutcome:
-    """lp_feasible on the rows  -lambda_j <= 0  (j < k),  sum lambda == 1,
+    """lp_feasible over the weights lambda >= 0 on the rows  sum lambda == 1,
     then  sum_j lambda_j points_j[i] == p[i]  for each coordinate i."""
     pp = tuple(rat(c) for c in p)
     pts = [tuple(rat(c) for c in q) for q in points]
@@ -344,12 +301,7 @@ def _hull_membership(p: Sequence, points: Sequence[Sequence]) -> LPOutcome:
         if len(q) != d:
             raise ValueError("point dimension mismatch")
     k = len(pts)
-    rows = []
-    for j in range(k):
-        coeffs = [Fraction(0)] * k
-        coeffs[j] = Fraction(-1)
-        rows.append((tuple(coeffs), LE, Fraction(0)))
-    rows.append(eq([Fraction(1)] * k, 1))
+    rows = [eq([Fraction(1)] * k, 1)]
     for i in range(d):
         rows.append(eq([pts[j][i] for j in range(k)], pp[i]))
     return lp_feasible(LinearSystem(k, rows))
@@ -363,7 +315,11 @@ def in_convex_hull(p: Sequence, points: Sequence[Sequence]) -> Optional[Point]:
 
 def common_point_with_weights(blocks: Sequence[Sequence[Sequence]]):
     """A common point of the hulls of the point blocks, with exact convex
-    weights per block writing it, as (point, weights); or None."""
+    weights per block writing it, as (point, weights); or None.
+
+    The variables are the weights lambda >= 0 of all blocks: one sum row
+    per block, then per later block B and coordinate i the coupling row
+    sum_{v in first block} lambda_v v[i] - sum_{v in B} lambda_v v[i] == 0."""
     if not blocks or not all(blocks):
         raise ValueError("need at least one block, each of at least one point")
     pts = [[tuple(rat(c) for c in q) for q in b] for b in blocks]
@@ -376,24 +332,16 @@ def common_point_with_weights(blocks: Sequence[Sequence[Sequence]]):
         offsets.append(total)
         total += len(b)
     rows = []
-    for j in range(total):
-        coeffs = [Fraction(0)] * total
-        coeffs[j] = Fraction(-1)
-        rows.append((tuple(coeffs), LE, Fraction(0)))
     for b, off in zip(pts, offsets):
-        coeffs = [Fraction(0)] * total
-        for j in range(len(b)):
-            coeffs[off + j] = Fraction(1)
-        rows.append((tuple(coeffs), EQ, Fraction(1)))
+        coeffs = [0] * total
+        coeffs[off:off + len(b)] = [1] * len(b)
+        rows.append(eq(coeffs, 1))
     first = pts[0]
     for b, off in zip(pts[1:], offsets[1:]):
         for i in range(d):
-            coeffs = [Fraction(0)] * total
-            for j, v in enumerate(first):
-                coeffs[j] += v[i]
-            for j, v in enumerate(b):
-                coeffs[off + j] -= v[i]
-            rows.append((tuple(coeffs), EQ, Fraction(0)))
+            coeffs = [v[i] for v in first] + [0] * (total - len(first))
+            coeffs[off:off + len(b)] = [-v[i] for v in b]
+            rows.append(eq(coeffs, 0))
     out = lp_feasible(LinearSystem(total, rows))
     if out.status != OPTIMAL:
         return None
@@ -410,9 +358,10 @@ def common_point_with_weights(blocks: Sequence[Sequence[Sequence]]):
 def strict_separator(points: Sequence[Sequence], x: Sequence):
     """Affine functional strictly positive on points, strictly negative at x.
 
-    Read off the Farkas certificate nu of the hull-membership system:
-    a = nu on the coordinate rows and a0 = nu on the sum row + 1/2, so
-    a . b + a0 = nu_b + 1/2 >= 1/2 at every point b and a . x + a0 = -1/2.
+    Read off the Farkas certificate nu of the hull-membership system over
+    lambda >= 0, whose combination c is >= 0 at every point b:  a = nu on
+    the coordinate rows and a0 = nu on the sum row + 1/2, so
+    a . b + a0 = c_b + 1/2 >= 1/2 at every point b and a . x + a0 = -1/2.
     The margin is 1/2, not the largest possible.  Returns
     (coeffs, offset, margin), or None when x lies in the hull.
     """
@@ -420,6 +369,5 @@ def strict_separator(points: Sequence[Sequence], x: Sequence):
     if out.witness is not None:
         return None
     nu = out.farkas.multipliers
-    k = len(points)
     half = Fraction(1, 2)
-    return nu[k + 1:], nu[k] + half, half
+    return nu[1:], nu[0] + half, half

@@ -162,22 +162,23 @@ def test_body_validation():
 def lp_cover(points, body):
     """The homothety LP  min delta  s.t.  A(s - t) <= delta b  for every s,
     over (delta, t), solved by feasibility and LP duality.  At the
-    facet-sum delta the primal over t is feasible, and its witness is the
-    one translate there.  The dual system  mu >= 0, sum mu b = 1,
-    sum mu a = 0, sum mu a.s = delta  is feasible too, which puts every
-    feasible delta' at or above delta.  Returns delta, the translate and the
-    tight pairs as min_cover_homothety reports them."""
+    facet-sum delta the primal over the free t = u - v (u, v >= 0) is
+    feasible, and its witness gives the one translate there.  The dual
+    system  mu >= 0, sum mu b = 1, sum mu a = 0, sum mu a.s = delta  is
+    feasible too, which puts every feasible delta' at or above delta.
+    Returns delta, the translate and the tight pairs as min_cover_homothety
+    reports them."""
     n = body.ambient_dim
     pairs = [(p, coeffs, rhs) for p in points for coeffs, rhs in body.rows]
     top = [max(sum(c * v for c, v in zip(coeffs, p)) for p in points) for coeffs, _ in body.rows]
     delta = sum(top) / sum(rhs for _, rhs in body.rows)
     primal = [
-        le([-c for c in coeffs], delta * rhs - sum(c * v for c, v in zip(coeffs, p)))
+        le([-c for c in coeffs] + list(coeffs), delta * rhs - sum(c * v for c, v in zip(coeffs, p)))
         for p, coeffs, rhs in pairs
     ]
-    out = lp_feasible(LinearSystem(n, primal))
+    out = lp_feasible(LinearSystem(2 * n, primal))
     assert out.status == OPTIMAL
-    t = out.witness
+    t = tuple(u - v for u, v in zip(out.witness[:n], out.witness[n:]))
     m = len(pairs)
     dual = [le([-int(j == k) for j in range(m)], 0) for k in range(m)]
     dual.append(eq([rhs for _, _, rhs in pairs], 1))

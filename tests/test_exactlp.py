@@ -1,5 +1,6 @@
-"""Exact LP feasibility checked against a brute-force vertex-enumeration
-oracle, and the integer phase 1 against the Fraction tableau it replaced."""
+"""Exact LP feasibility over x >= 0 checked against a brute-force
+vertex-enumeration oracle over free variables (through x = u - v), and the
+integer phase 1 against the general-form Fraction tableau it replaced."""
 import itertools
 from fractions import Fraction as F
 
@@ -38,8 +39,9 @@ from tverlab.exactlp import FarkasCertificate
 # ---------------------------------------------------------------------------
 
 class FractionTableau:
-    """The Fraction phase 1 that the integer kernel replaced, kept as its
-    oracle.  Standard-form tableau  [A | I | b]  with artificial identity basis.
+    """The general-form Fraction phase 1 that the integer kernel replaced,
+    kept as its oracle; it reads the kernel's systems through `with_bounds`.
+    Standard-form tableau  [A | I | b]  with artificial identity basis.
 
     Free variables are split x = u - v, except variables recognized as
     nonnegative from rows of the shape  -c*x_j <= 0  (c > 0), which keep a
@@ -212,9 +214,32 @@ def oracle_feasible(system):
     return OPTIMAL, tab.witness(), None
 
 
+def with_bounds(system):
+    """The general form of  {x >= 0 : rows}: a row  -x_j <= 0  for each j,
+    then the rows."""
+    n = system.n_vars
+    bounds = [le([-int(i == j) for i in range(n)], 0) for j in range(n)]
+    return LinearSystem(n, bounds + list(system.constraints))
+
+
+def split_free(system):
+    """The system over free x as one over u, v >= 0 with x = u - v: each
+    row's coefficients c become (c, -c)."""
+    return LinearSystem(2 * system.n_vars, [
+        (coeffs + tuple(-c for c in coeffs), rel, rhs)
+        for coeffs, rel, rhs in system.constraints
+    ])
+
+
 def assert_matches_oracle(system, out):
-    farkas = None if out.farkas is None else out.farkas.multipliers
-    assert (out.status, out.witness, farkas) == oracle_feasible(system)
+    """The kernel on system against the oracle on with_bounds(system), whose
+    first n multipliers belong to the bound rows."""
+    status, witness, farkas = oracle_feasible(with_bounds(system))
+    assert (out.status, out.witness) == (status, witness)
+    if farkas is None:
+        assert out.farkas is None
+    else:
+        assert out.farkas.multipliers == farkas[system.n_vars:]
 
 
 def solve_square(A, b):
@@ -279,14 +304,15 @@ def test_feasibility_matches_vertex_oracle():
         system = random_system(rng, n)
         objective = [F(rng.int_between(-5, 5)) for _ in range(n)]
         expected = oracle_minimum(system, objective)
-        out = lp_feasible(system)
+        split = split_free(system)
+        out = lp_feasible(split)
         if expected is None:
             assert out.status == INFEASIBLE
-            assert check_farkas(system, out.farkas)
+            assert check_farkas(split, out.farkas)
             infeasible_seen += 1
         else:
             assert out.status == OPTIMAL
-            assert check_witness(system, out.witness)
+            assert check_witness(split, out.witness)
             optimal_seen += 1
     # the generator must actually exercise both outcomes
     assert optimal_seen > 60 and infeasible_seen > 5
@@ -302,11 +328,12 @@ def test_equality_rows_against_oracle():
         system = LinearSystem(n, rows)
         objective = [F(rng.int_between(-5, 5)) for _ in range(n)]
         expected = oracle_minimum(system, objective)
-        out = lp_feasible(system)
+        split = split_free(system)
+        out = lp_feasible(split)
         if expected is None:
-            assert out.status == INFEASIBLE and check_farkas(system, out.farkas)
+            assert out.status == INFEASIBLE and check_farkas(split, out.farkas)
         else:
-            assert out.status == OPTIMAL and check_witness(system, out.witness)
+            assert out.status == OPTIMAL and check_witness(split, out.witness)
 
 
 def test_one_bland_pass_per_feasible_call(monkeypatch):
@@ -324,7 +351,7 @@ def test_one_bland_pass_per_feasible_call(monkeypatch):
         n = rng.int_between(1, 3)
         system = random_system(rng, n)
         passes.clear()
-        if lp_feasible(system).status == OPTIMAL:
+        if lp_feasible(split_free(system)).status == OPTIMAL:
             assert len(passes) == 1
             feasible += 1
     assert feasible > 20
@@ -380,6 +407,29 @@ def test_hull_systems_match_the_fraction_tableau(monkeypatch):
         assert_matches_oracle(system, out)
 
 
+def test_convex_combination_systems_have_no_bound_rows(monkeypatch):
+    """lambda >= 0 is the kernel's contract: a hull system is its sum row and
+    d coordinate rows, a partition system r sum rows and d(r - 1) coupling
+    rows."""
+    rng = SplitMix64(5)
+    expected = []
+
+    def run():
+        for d in (1, 2, 3):
+            pts = [rng.rational_point(d) for _ in range(4)]
+            in_convex_hull(rng.rational_point(d), pts)
+            strict_separator(pts, rng.rational_point(d))
+            expected.extend([(4, 1 + d)] * 2)
+            for r in (2, 3, 4):
+                common_point_with_weights(
+                    [[rng.rational_point(d) for _ in range(2)] for _ in range(r)]
+                )
+                expected.append((2 * r, r + d * (r - 1)))
+
+    seen = recorded_systems(monkeypatch, run)
+    assert [(system.n_vars, len(system)) for system, _ in seen] == expected
+
+
 small_fractions = st.builds(F, st.integers(-6, 6), st.integers(1, 4))
 
 
@@ -417,6 +467,24 @@ def test_infeasible_farkas_normalized():
     nu = out.farkas.multipliers
     assert all(v >= 0 for v in nu)
     assert sum(v * rhs for v, (_, _, rhs) in zip(nu, system.constraints)) == F(-1)
+
+
+def test_variables_are_nonnegative():
+    # x_0 == -1 has no solution with x_0 >= 0
+    system = LinearSystem(1, [eq([F(1)], F(-1))])
+    out = lp_feasible(system)
+    assert out.status == INFEASIBLE and check_farkas(system, out.farkas)
+    assert not check_witness(LinearSystem(1, [le([F(1)], F(1))]), (F(-1),))
+
+
+def test_farkas_combination_is_nonnegative_not_zero():
+    # x_0 + x_1 <= -1 is empty over x >= 0 though its row is not 0
+    empty = LinearSystem(2, [le([F(1), F(1)], F(-1))])
+    assert check_farkas(empty, FarkasCertificate((F(1),)))
+    assert lp_feasible(empty).status == INFEASIBLE
+    # x_0 - x_1 <= -1 holds at (0, 1): a negative entry certifies nothing
+    feasible = LinearSystem(2, [le([F(1), F(-1)], F(-1))])
+    assert not check_farkas(feasible, FarkasCertificate((F(1),)))
 
 
 def test_degenerate_cycling_guard():
