@@ -115,10 +115,10 @@ def barycentric_to_centered(p: Sequence) -> Point:
     n = len(pp) - 1
     if n < 1:
         raise ValueError("need at least two barycentric coordinates")
-    if any(c < 0 for c in pp) or sum(pp) != 1:
+    L, (ints,) = integer_scaled([pp])
+    if any(c < 0 for c in ints) or sum(ints) != L:
         raise ValueError("not a barycentric point of the standard simplex")
-    c = Fraction(1, n + 1)
-    return tuple(pp[i] - c for i in range(n))
+    return tuple(Fraction((n + 1) * c - L, (n + 1) * L) for c in ints[:n])
 
 
 @dataclass(frozen=True)

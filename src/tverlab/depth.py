@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
@@ -102,11 +103,12 @@ class ReductionPlan:
 
 
 def check_depth_certificate(cert: DepthCertificate, config: PointConfig) -> bool:
-    lam = lambda p: sum(c * v for c, v in zip(cert.halfspace_coeffs, p))
-    if lam(cert.point) + cert.halfspace_offset < 0:
-        return False
-    inside = sum(1 for p in config.points if lam(p) + cert.halfspace_offset >= 0)
-    return inside == cert.depth
+    """The halfspace holds the point and exactly `depth` points, read over
+    the points scaled by L and (coeffs, offset) by K to integers."""
+    L, ints = integer_scaled((*config.points, cert.point))
+    _, ((*a, a0),) = integer_scaled([(*cert.halfspace_coeffs, cert.halfspace_offset)])
+    *inside, holds_x = [sum(map(operator.mul, a, p)) + L * a0 >= 0 for p in ints]
+    return holds_x and sum(inside) == cert.depth
 
 
 def _primitive(w: Sequence[int]) -> Tuple[int, ...]:
@@ -118,16 +120,17 @@ def _primitive(w: Sequence[int]) -> Tuple[int, ...]:
     return tuple(c // g for c in w)
 
 
-def _fewest_on_open_side(W: Sequence[Tuple[int, ...]], d: int) -> Tuple[int, List[Fraction]]:
+def _fewest_on_open_side(W: Sequence[Tuple[int, ...]], d: int) -> Tuple[int, List[int], int]:
     """The fewest w in W (nonzero integer vectors) with u.w > 0 over
-    functionals u on R^d that vanish on no w, and such a u.  The cell of an
-    optimal u has a facet on some hyperplane u.v = 0 with v in W, so u is a
-    recursive answer for W projected along v, tilted off u.v = 0 to put the
-    w on the line of v on their smaller side.  Each w is projected to
-    v_k*w - w_k*v, a positive multiple of w - w_k*(v/v_k), which keeps every
-    sign the recursion reads and keeps the vectors integer."""
+    functionals u on R^d that vanish on no w, and such a u as an integer
+    vector U over a positive denominator q.  The cell of an optimal u has
+    a facet on some hyperplane u.v = 0 with v in W, so u is a recursive
+    answer for W projected along v, tilted off u.v = 0 to put the w on the
+    line of v on their smaller side.  Each w is projected to v_k*w - w_k*v,
+    a positive multiple of w - w_k*(v/v_k), which keeps every sign the
+    recursion reads and keeps the vectors integer."""
     if not W:
-        return 0, [Fraction(0)] * d
+        return 0, [0] * d, 1
     best = None
     for v in dict.fromkeys(map(_primitive, W)):
         k = next(i for i, c in enumerate(v) if c)
@@ -136,15 +139,26 @@ def _fewest_on_open_side(W: Sequence[Tuple[int, ...]], d: int) -> Tuple[int, Lis
         off = [i for i, p in enumerate(proj) if any(p)]
         pos = sum(1 for w, p in zip(W, proj) if w[k] > 0 and not any(p))
         neg = len(W) - len(off) - pos
-        count, u = _fewest_on_open_side([proj[i] for i in off], d)
+        count, U, q = _fewest_on_open_side([proj[i] for i in off], d)
         count += min(pos, neg)
         if best is None or count < best[0]:
-            u[k] -= sum(c * vc for c, vc in zip(u, v)) / vk  # now u.v = 0
-            # a tilt along e_k too small to flip the sign of any u.w off the line
-            eps = min((abs(sum(c * wc for c, wc in zip(u, W[i])) / (2 * W[i][k]))
-                       for i in off if W[i][k]), default=Fraction(1))
-            u[k] += eps if pos <= neg else -eps
-            best = (count, u)
+            # u[k] -= u.v / v_k over the denominator q*v_k (v_k > 0): now u.v = 0
+            uv = sum(map(operator.mul, U, v))
+            U = [c * vk for c in U]
+            U[k] -= uv
+            q *= vk
+            # a tilt eps = e/(q*f) along e_k too small to flip the sign of any
+            # u.w off the line: the least |U.w| / (2|w_k|) by cross-multiplying
+            # (f = 0 until one is seen), or 1 when no such w has w_k != 0
+            e, f = q, 0
+            for w in (W[i] for i in off if W[i][k]):
+                ew, fw = abs(sum(map(operator.mul, U, w))), 2 * abs(w[k])
+                if not f or ew * f < e * fw:
+                    e, f = ew, fw
+            f = f or 1
+            U = [c * f for c in U]
+            U[k] += e if pos <= neg else -e
+            best = (count, U, q * f)
     return best
 
 
@@ -152,16 +166,19 @@ def tukey_depth(x: Sequence, config: PointConfig) -> DepthCertificate:
     """Exact halfspace depth of x in the configuration, by an exact recursion
     over the dimension (no LP): with w = p - x, the number of w = 0 plus the
     fewest nonzero w with u.w > 0; the witness halfspace is u.(y - x) >= 0.
-    The recursion runs on the w scaled to integers by the lcm of their
-    denominators."""
+    The points and x are scaled to integers once by the lcm L of their
+    denominators, a common positive factor that keeps every count and tilt,
+    and the recursion runs on the integer w."""
     xx = tuple(rat(c) for c in x)
     if len(xx) != config.d:
         raise ValueError("point dimension mismatch")
-    W = [tuple(c - xc for c, xc in zip(p, xx)) for p in config.points]
-    nonzero = [w for w in integer_scaled(W)[1] if any(w)]
-    count, u = _fewest_on_open_side(nonzero, config.d)
-    offset = -sum((c * xc for c, xc in zip(u, xx)), Fraction(0))
-    cert = DepthCertificate(xx, config.n - len(nonzero) + count, tuple(u), offset)
+    L, (*P, X) = integer_scaled((*config.points, xx))
+    W = [tuple(c - xc for c, xc in zip(p, X)) for p in P]
+    nonzero = [w for w in W if any(w)]
+    count, U, q = _fewest_on_open_side(nonzero, config.d)
+    u = tuple(Fraction(c, q) for c in U)
+    offset = Fraction(-sum(map(operator.mul, U, X)), q * L)
+    cert = DepthCertificate(xx, config.n - len(nonzero) + count, u, offset)
     if not check_depth_certificate(cert, config):
         raise RuntimeError("depth certificate failed verification")
     return cert
@@ -263,18 +280,21 @@ def _partition_certificate(
 
 
 def check_tverberg_certificate(cert: TverbergCertificate, config: PointConfig) -> bool:
+    """The blocks partition the labels and one weight tuple per block writes
+    the point: over the points scaled by L and the weights by K to
+    integers, sum (K w_j)(L p_j) == K (L x)."""
     labels = sorted(l for b in cert.blocks for l in b)
-    if labels != list(range(config.n)):
+    if (labels != list(range(config.n)) or len(cert.weights) != len(cert.blocks)
+            or len(cert.point) != config.d):
         return False
+    _, (*P, x) = integer_scaled((*config.points, cert.point))
     for block, ws in zip(cert.blocks, cert.weights):
-        if len(block) != len(ws) or any(w < 0 for w in ws) or sum(ws) != 1:
+        K, (w,) = integer_scaled([ws])
+        if len(block) != len(w) or any(c < 0 for c in w) or sum(w) != K:
             return False
-        combo = tuple(
-            sum(w * config.points[l][i] for w, l in zip(ws, block))
-            for i in range(config.d)
-        )
-        if combo != cert.point:
-            return False
+        for i in range(config.d):
+            if sum(c * P[l][i] for c, l in zip(w, block)) != K * x[i]:
+                return False
     return True
 
 

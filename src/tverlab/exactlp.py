@@ -8,7 +8,8 @@ guaranteed and no tolerance ever enters.  The tableau is integer and is
 pivoted fraction-free (Bareiss 1968, as in Avis's lrs): its rows share one
 positive denominator and every division is exact.  Every value returned
 is still a `fractions.Fraction`, and every answer carries a certificate
-that is re-verified before it is returned:
+that is re-verified, in integers over the system's rows scaled once by
+the lcm of their denominators, before it is returned:
 
 * feasible      -> a witness point x >= 0 satisfying every row exactly;
 * infeasible    -> a Farkas combination: one multiplier per row,
@@ -27,7 +28,7 @@ from fractions import Fraction
 from math import lcm
 from typing import Optional, Sequence, Tuple
 
-from .rationals import Point, rat
+from .rationals import Point, integer_scaled, rat
 
 LE = "<="
 EQ = "=="
@@ -53,20 +54,27 @@ class LinearSystem:
     finite list of exact LE and EQ rows.
 
     Rows are taken as given, so their entries must already be Fractions,
-    as `le`, `eq` and the builders below make them."""
+    as `le`, `eq` and the builders below make them.  Each row is also kept
+    scaled to integers once, as (L_i, L_i a_i, rel, L_i b_i) with L_i the
+    lcm of its denominators, and M is the lcm of all L_i; the tableau and
+    both certificate checks read these."""
 
     def __init__(self, n_vars: int, constraints: Sequence[Row]):
         if n_vars < 0:
             raise ValueError("n_vars must be nonnegative")
         self.n_vars = n_vars
-        for coeffs, rel, _ in constraints:
+        self.scaled = []
+        for coeffs, rel, rhs in constraints:
             if len(coeffs) != n_vars:
                 raise ValueError(
                     f"constraint has {len(coeffs)} coefficients, expected {n_vars}"
                 )
             if rel not in (LE, EQ):
                 raise ValueError(f"unknown relation {rel!r}")
+            L, (row,) = integer_scaled([(*coeffs, rhs)])
+            self.scaled.append((L, row[:-1], rel, row[-1]))
         self.constraints: Tuple[Row, ...] = tuple(constraints)
+        self.M = lcm(*(L for L, _, _, _ in self.scaled))
 
     def __len__(self) -> int:
         return len(self.constraints)
@@ -92,33 +100,41 @@ class LPOutcome:
 
 
 # ---------------------------------------------------------------------------
-# certificate checks (exact; the solver re-verifies everything it returns)
+# certificate checks (exact; the solver re-verifies everything it returns),
+# in integers: x or nu is scaled by the lcm of its denominators and read
+# against the system's scaled rows
 # ---------------------------------------------------------------------------
 
 def check_witness(system: LinearSystem, x: Sequence[Fraction]) -> bool:
-    if len(x) != system.n_vars or any(v < 0 for v in x):
+    """x = X/D >= 0 satisfies every row: (L_i a_i).X against D L_i b_i."""
+    if len(x) != system.n_vars:
         return False
-    for coeffs, rel, rhs in system.constraints:
-        lhs = sum(c * v for c, v in zip(coeffs, x))
-        if rel == LE and lhs > rhs:
-            return False
-        if rel == EQ and lhs != rhs:
+    D, (X,) = integer_scaled([x])
+    if any(v < 0 for v in X):
+        return False
+    for _, coeffs, rel, rhs in system.scaled:
+        lhs, bound = sum(map(operator.mul, coeffs, X)), D * rhs
+        if lhs > bound or (rel == EQ and lhs != bound):
             return False
     return True
 
 
 def check_farkas(system: LinearSystem, cert: FarkasCertificate) -> bool:
+    """nu = N/K certifies that no x >= 0 satisfies the rows: sum nu_i (a_i, b_i)
+    is 1/(K M) times the scaled rows combined with weights N_i M/L_i."""
     mult = cert.multipliers
     if len(mult) != len(system.constraints):
         return False
-    combo = [Fraction(0)] * system.n_vars
-    total = Fraction(0)
-    for nu, (coeffs, rel, rhs) in zip(mult, system.constraints):
+    _, (N,) = integer_scaled([mult])
+    combo = [0] * system.n_vars
+    total = 0
+    for nu, (L, coeffs, rel, rhs) in zip(N, system.scaled):
         if rel == LE and nu < 0:
             return False
-        for j, c in enumerate(coeffs):
-            combo[j] += nu * c
-        total += nu * rhs
+        if nu:
+            w = nu * (system.M // L)
+            combo = [c + w * a for c, a in zip(combo, coeffs)]
+            total += w * rhs
     return all(c >= 0 for c in combo) and total < 0
 
 
@@ -133,14 +149,14 @@ class _Tableau:
     fraction-free (Bareiss): every entry is an integer over the one
     positive common denominator D, the last pivot.
 
-    Row i is scaled to integers by L_i, the lcm of its denominators, with
-    its sign chosen so that rhs >= 0; its artificial column stays a unit
-    column, and artificial i costs M/L_i with M the lcm of all L_i.  That
-    objective is M times the plain sum of the unscaled artificials, so the
-    pivots are those of the Fraction tableau.  Artificial columns are never
-    allowed to re-enter the basis, and they double as a running copy of
-    B^-1 so that Farkas multipliers can be read off the phase-1 objective
-    row exactly.
+    Row i is the system's row scaled to integers by L_i, the lcm of its
+    denominators, signed so that rhs >= 0; its artificial column stays a
+    unit column, and artificial i costs M/L_i with M the lcm of all L_i.
+    That objective is M times the plain sum of the unscaled artificials, so
+    the pivots are those of the Fraction tableau.  Artificial columns are
+    never allowed to re-enter the basis, and they double as a running copy
+    of B^-1 so that Farkas multipliers can be read off the phase-1
+    objective row exactly.
     """
 
     def __init__(self, system: LinearSystem):
@@ -158,20 +174,18 @@ class _Tableau:
         self.T = []
         self.sigma = []
         self.scale = []
-        for i, (coeffs, rel, rhs) in enumerate(rows):
+        for i, (L, coeffs, rel, rhs) in enumerate(system.scaled):
             s = 1 if rhs >= 0 else -1
-            L = lcm(rhs.denominator, *(c.denominator for c in coeffs))
             self.sigma.append(s)
             self.scale.append(L)
-            row = [s * c.numerator * (L // c.denominator) for c in coeffs]
-            row += [0] * (self.width - n)
+            row = [s * c for c in coeffs] + [0] * (self.width - n)
             if i in slack_col:
                 row[slack_col[i]] = s * L
             row[self.nstruct + i] = 1
-            row[-1] = s * rhs.numerator * (L // rhs.denominator)
+            row[-1] = s * rhs
             self.T.append(row)
         self.rhs0 = [row[-1] for row in self.T]  # for the Farkas total
-        self.M = lcm(*self.scale)
+        self.M = system.M
         self.D = 1
         self.basis = [self.nstruct + i for i in range(m)]
 
@@ -331,27 +345,26 @@ def common_point_with_weights(blocks: Sequence[Sequence[Sequence]]):
     for b in pts:
         offsets.append(total)
         total += len(b)
+    zero, one = Fraction(0), Fraction(1)
     rows = []
     for b, off in zip(pts, offsets):
-        coeffs = [0] * total
-        coeffs[off:off + len(b)] = [1] * len(b)
-        rows.append(eq(coeffs, 1))
+        coeffs = [zero] * total
+        coeffs[off:off + len(b)] = [one] * len(b)
+        rows.append((tuple(coeffs), EQ, one))
     first = pts[0]
     for b, off in zip(pts[1:], offsets[1:]):
         for i in range(d):
-            coeffs = [v[i] for v in first] + [0] * (total - len(first))
+            coeffs = [v[i] for v in first] + [zero] * (total - len(first))
             coeffs[off:off + len(b)] = [-v[i] for v in b]
-            rows.append(eq(coeffs, 0))
+            rows.append((tuple(coeffs), EQ, zero))
     out = lp_feasible(LinearSystem(total, rows))
     if out.status != OPTIMAL:
         return None
     lam = out.witness
-    point = tuple(
-        sum(lam[j] * v[i] for j, v in enumerate(first)) for i in range(d)
-    )
-    weights = tuple(
-        tuple(lam[off:off + len(b)]) for b, off in zip(pts, offsets)
-    )
+    D, (w,) = integer_scaled([lam[:len(first)]])
+    L, ints = integer_scaled(first)
+    point = tuple(Fraction(sum(map(operator.mul, w, c)), D * L) for c in zip(*ints))
+    weights = tuple(tuple(lam[off:off + len(b)]) for b, off in zip(pts, offsets))
     return point, weights
 
 

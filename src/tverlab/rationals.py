@@ -2,9 +2,10 @@
 
 Every coordinate, weight, and LP value this package takes or returns is
 a `fractions.Fraction` (arbitrary precision, always reduced, positive
-denominator); the LP tableau, the depth recursion, the partition screen,
-the isolation sums and the covering kernel compute inside on integers
-scaled from them.  Serialized form is the string ``"p/q"``.
+denominator); the LP tableau and its certificate checks, the depth
+recursion and tilts, the partition screen and certificate checks, the
+isolation sums and the covering kernel compute inside on integers scaled
+from them.  Serialized form is the string ``"p/q"``.
 """
 from __future__ import annotations
 

@@ -159,6 +159,24 @@ def test_body_validation():
         barycentric_to_centered((F(1, 2), F(1, 4)))
 
 
+def test_barycentric_to_centered_matches_the_fraction_form():
+    """The integer check and recentering against p_i - 1/(n+1) and the
+    Fraction sum check, on seeded points and copies moved by 1/10^12."""
+    rng = SplitMix64(515)
+    tiny = F(1, 10**12)
+    for _ in range(60):
+        n = rng.int_between(1, 4)
+        p = random_barycentric(rng, n)
+        assert barycentric_to_centered(p) == tuple(c - F(1, n + 1) for c in p[:n])
+        for j in range(n + 1):
+            for moved in (p[j] + tiny, p[j] - tiny):
+                q = p[:j] + (moved,) + p[j + 1:]
+                with pytest.raises(ValueError, match="not a barycentric point"):
+                    barycentric_to_centered(q)
+    with pytest.raises(ValueError, match="not a barycentric point"):
+        barycentric_to_centered((F(3, 2), F(-1, 2)))
+
+
 def lp_cover(points, body):
     """The homothety LP  min delta  s.t.  A(s - t) <= delta b  for every s,
     over (delta, t), solved by feasibility and LP duality.  At the

@@ -223,6 +223,18 @@ def test_tampered_tverberg_certificate_rejected():
     assert not check_tverberg_certificate(wrong, config)
 
 
+def test_tverberg_certificate_needs_one_weight_tuple_per_block():
+    """Weights are zipped with blocks, so a short weight list must not
+    leave blocks unchecked."""
+    config = point_config(1, [[0], [1], [2]])
+    cert = tverberg_partition(config, 2)
+    assert len(cert.blocks) == len(cert.weights) == 2
+    short = type(cert)(blocks=cert.blocks, point=cert.point, weights=cert.weights[:1])
+    assert not check_tverberg_certificate(short, config)
+    none = type(cert)(blocks=cert.blocks, point=(F(10**6),), weights=())
+    assert not check_tverberg_certificate(none, config)
+
+
 def test_guaranteed_size():
     assert guaranteed_size(1, 2) == 3
     assert guaranteed_size(2, 3) == 7
@@ -319,3 +331,91 @@ def test_config_json_round_trip():
     back = PointConfig.from_json('{"d": 2, "points": [["1/2", "3/1"], ["-2/5", "0/1"]]}')
     assert back == config
     assert back.points[1][0] == F(-2, 5)
+
+
+# ---------------------------------------------------------------------------
+# the Fraction certificate checks, as the oracle of the integer ones
+# ---------------------------------------------------------------------------
+
+def fraction_check_depth_certificate(cert, config):
+    """check_depth_certificate as it was in Fractions."""
+    lam = lambda p: sum(c * v for c, v in zip(cert.halfspace_coeffs, p))
+    if lam(cert.point) + cert.halfspace_offset < 0:
+        return False
+    inside = sum(1 for p in config.points if lam(p) + cert.halfspace_offset >= 0)
+    return inside == cert.depth
+
+
+def fraction_check_tverberg_certificate(cert, config):
+    """check_tverberg_certificate as it was in Fractions, with its one
+    weight tuple per block."""
+    labels = sorted(l for b in cert.blocks for l in b)
+    if labels != list(range(config.n)) or len(cert.weights) != len(cert.blocks):
+        return False
+    for block, ws in zip(cert.blocks, cert.weights):
+        if len(block) != len(ws) or any(w < 0 for w in ws) or sum(ws) != 1:
+            return False
+        combo = tuple(
+            sum(w * config.points[l][i] for w, l in zip(ws, block))
+            for i in range(config.d)
+        )
+        if combo != cert.point:
+            return False
+    return True
+
+
+TINY = F(1, 10**12)
+
+
+def perturbed(vec):
+    """Per entry of vec: vec with that entry moved by +-1/10^12, and with
+    its sign flipped."""
+    for j, v in enumerate(vec):
+        for w in (v + TINY, v - TINY, -v):
+            yield tuple(vec[:j]) + (w,) + tuple(vec[j + 1:])
+
+
+def tampered_certificates(tv, dp):
+    """Copies of a Tverberg certificate tv and a depth certificate dp with
+    one field perturbed."""
+    T, D = type(tv), type(dp)
+    yield from (T(tv.blocks, x, tv.weights) for x in perturbed(tv.point))
+    for b, ws in enumerate(tv.weights):
+        for w in perturbed(ws):
+            yield T(tv.blocks, tv.point, tv.weights[:b] + (w,) + tv.weights[b + 1:])
+    yield T(tv.blocks, tv.point, tv.weights[:-1])
+    yield from (D(x, dp.depth, dp.halfspace_coeffs, dp.halfspace_offset)
+                for x in perturbed(dp.point))
+    yield from (D(dp.point, dp.depth + s, dp.halfspace_coeffs, dp.halfspace_offset)
+                for s in (-1, 1))
+    yield from (D(dp.point, dp.depth, a, dp.halfspace_offset)
+                for a in perturbed(dp.halfspace_coeffs))
+    yield from (D(dp.point, dp.depth, dp.halfspace_coeffs, a0)
+                for (a0,) in perturbed((dp.halfspace_offset,)))
+
+
+def test_integer_certificate_checks_agree_with_the_fraction_checks():
+    """On the certificates of acceptance criterion 3's configurations, from
+    its seeds, and on copies with one field perturbed by +-1/10^12 or a
+    sign flip, the integer checks and the Fraction ones agree."""
+    checks = {
+        "TverbergCertificate": (check_tverberg_certificate, fraction_check_tverberg_certificate),
+        "DepthCertificate": (check_depth_certificate, fraction_check_depth_certificate),
+    }
+    accepted = rejected = 0
+    for d, r in ((1, 2), (1, 3), (2, 2), (2, 3), (3, 2)):
+        rng = SplitMix64(100 * d + r)
+        n = guaranteed_size(d, r)
+        for _ in range(50):
+            config = random_point_config(d, n, rng, num_bound=6, den_bound=3)
+            tv = tverberg_partition(config, r)
+            dp = tukey_depth(tv.point, config)
+            assert fraction_check_tverberg_certificate(tv, config)
+            assert fraction_check_depth_certificate(dp, config)
+            for cert in tampered_certificates(tv, dp):
+                integer, fraction = checks[type(cert).__name__]
+                verdict = integer(cert, config)
+                assert verdict == fraction(cert, config)
+                accepted += verdict
+                rejected += not verdict
+    assert accepted > 1000 and rejected > 5000

@@ -3,6 +3,7 @@ vertex-enumeration oracle over free variables (through x = u - v), and the
 integer phase 1 against the general-form Fraction tableau it replaced."""
 import itertools
 from fractions import Fraction as F
+from math import lcm
 
 import pytest
 from hypothesis import given, settings
@@ -458,6 +459,91 @@ def small_systems(draw):
 @given(small_systems())
 def test_integer_phase1_matches_the_fraction_tableau(system):
     assert_matches_oracle(system, lp_feasible(system))
+
+
+# ---------------------------------------------------------------------------
+# the Fraction certificate checks, as the oracle of the integer ones
+# ---------------------------------------------------------------------------
+
+def fraction_check_witness(system, x):
+    """check_witness as it was in Fractions, over the unscaled rows."""
+    if len(x) != system.n_vars or any(v < 0 for v in x):
+        return False
+    for coeffs, rel, rhs in system.constraints:
+        lhs = sum(c * v for c, v in zip(coeffs, x))
+        if rel == LE and lhs > rhs:
+            return False
+        if rel == EQ and lhs != rhs:
+            return False
+    return True
+
+
+def fraction_check_farkas(system, cert):
+    """check_farkas as it was in Fractions, over the unscaled rows."""
+    mult = cert.multipliers
+    if len(mult) != len(system.constraints):
+        return False
+    combo = [F(0)] * system.n_vars
+    total = F(0)
+    for nu, (coeffs, rel, rhs) in zip(mult, system.constraints):
+        if rel == LE and nu < 0:
+            return False
+        for j, c in enumerate(coeffs):
+            combo[j] += nu * c
+        total += nu * rhs
+    return all(c >= 0 for c in combo) and total < 0
+
+
+TINY = F(1, 10**12)
+
+
+def perturbed(vec):
+    """vec, then per entry: vec with that entry moved by +-1/10^12, and
+    with its sign flipped."""
+    yield tuple(vec)
+    for j, v in enumerate(vec):
+        for w in (v + TINY, v - TINY, -v):
+            yield tuple(vec[:j]) + (w,) + tuple(vec[j + 1:])
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=200)
+@given(small_systems())
+def test_scaled_rows_are_the_rows_times_their_lcm(system):
+    Ls = []
+    for (coeffs, rel, rhs), (L, a, rel2, b) in zip(
+        system.constraints, system.scaled, strict=True
+    ):
+        assert L == lcm(*(c.denominator for c in coeffs + (rhs,)))
+        assert all(type(c) is int for c in a + (b,))
+        assert (a, rel2, b) == (tuple(L * c for c in coeffs), rel, L * rhs)
+        Ls.append(L)
+    assert system.M == lcm(*Ls)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(small_systems())
+def test_integer_checks_agree_with_the_fraction_checks(system):
+    """On the kernel's answer and on copies of it perturbed by +-1/10^12 or
+    a sign flip, the integer checks and the Fraction ones agree."""
+    out = lp_feasible(system)
+    if out.status == OPTIMAL:
+        x = out.witness
+        verdicts = [(check_witness(system, y), fraction_check_witness(system, y))
+                    for y in perturbed(x)]
+        # a positive coordinate made negative leaves x >= 0
+        assert all(not check_witness(system, y) for y in perturbed(x) if min(y) < 0)
+    else:
+        nu = out.farkas.multipliers
+        verdicts = [(check_farkas(system, FarkasCertificate(m)),
+                     fraction_check_farkas(system, FarkasCertificate(m)))
+                    for m in perturbed(nu)]
+        # a multiplier made negative on an LE row certifies nothing
+        assert not any(
+            check_farkas(system, FarkasCertificate(m)) for m in perturbed(nu)
+            if any(v < 0 and rel == LE for v, (_, rel, _) in zip(m, system.constraints))
+        )
+    assert verdicts[0] == (True, True)
+    assert all(a == b for a, b in verdicts)
 
 
 def test_infeasible_farkas_normalized():
