@@ -8,14 +8,13 @@
 from fractions import Fraction as F
 
 from tverlab import (
-    barycentric_to_centered,
     constant_map,
     coordinate_projection_map,
     facet_touching_check,
     fiber_width_demo,
     interval_body,
+    min_cover_barycentric,
     min_cover_homothety,
-    standard_simplex_body,
 )
 
 # two points in the unit interval: the smallest covering interval
@@ -25,16 +24,12 @@ print(f"[1/4, 3/4] inside [0,1]: delta* = {cert.delta}, translate {cert.translat
 # midpoints of the triangle's edges touch all three facets
 mids = [(F(1, 2), F(1, 2), F(0)), (F(0), F(1, 2), F(1, 2)), (F(1, 2), F(0), F(1, 2))]
 print("edge midpoints touch all facets:", facet_touching_check(mids))
-cert = min_cover_homothety(
-    [barycentric_to_centered(p) for p in mids], standard_simplex_body(2)
-)
+cert = min_cover_barycentric(mids)
 print("  delta* =", cert.delta)  # exactly 1, despite the set looking small
 
 # a set clear of one facet shrinks below 1
 inner = [(F(1, 2), F(1, 4), F(1, 4)), (F(1, 4), F(1, 2), F(1, 4))]
-cert = min_cover_homothety(
-    [barycentric_to_centered(p) for p in inner], standard_simplex_body(2)
-)
+cert = min_cover_barycentric(inner)
 print("set avoiding facet 2: delta* =", cert.delta)
 
 # sampled fibers of two exact maps of barycentric coordinates off the

@@ -193,25 +193,20 @@ def cmd_cover(args, parser):
             data = json.load(fh)
         pts = [tuple(rat(c) for c in p) for p in data["barycentric_points"]]
         touches = cover.touches_all_facets(pts)
-        cert = cover.min_cover_homothety(
-            [cover.barycentric_to_centered(p) for p in pts],
-            cover.standard_simplex_body(len(pts[0]) - 1),
-        )
+        cert = cover.min_cover_barycentric(pts)
         rec = cert.to_record()
         rec["touches_all_facets"] = touches
         rec["ok"] = (not touches) or cert.delta >= 1
         return [rec]
     if args.d is None:
         parser.error("need --d (simplex dimension) or --input")
-    body = cover.standard_simplex_body(args.d)
+    cover.standard_simplex_body(args.d)  # rejects --d 0 before a trial is drawn
     rng = SplitMix64(args.seed)
     records = []
     for i in range(args.trials):
         pts = _random_facet_touching(args.d, rng)
         touches = cover.touches_all_facets(pts)
-        cert = cover.min_cover_homothety(
-            [cover.barycentric_to_centered(p) for p in pts], body
-        )
+        cert = cover.min_cover_barycentric(pts)
         records.append(
             {
                 "trial": i,

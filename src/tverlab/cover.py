@@ -8,13 +8,16 @@ a_i.(s_i - t) <= delta b_i over one point s_i per row cancels t, so
 delta >= sum_i top_i / sum_i b_i with top_i = max over s in S of a_i.s,
 and equality holds exactly when every row is tight at some point.  The
 certificate records delta, the translate solving a_i.t = top_i - delta b_i,
-and the tight pairs.  The covering work is on integers: the points are
-scaled by the lcm of their denominators and each row by its own, and
-top_i, delta, the check of every (point, row) pair and the tight pairs
-are read off one table of integer dot products.  The body check and the
-translate are still one exact elimination each, and no LP is solved.
-The standard n-simplex ships centered in this form; barycentric sets are mapped to it by dropping the
-last coordinate and recentering (covering radii are affine invariants).
+and the tight pairs.  The covering work is on integers from input to
+certificate: each row is scaled by the lcm of its own denominators and
+the points by one common denominator, and top_i, delta, the translate,
+the check of every (point, row) pair and the tight pairs are read in
+integers; only delta and the translate become Fractions, for the
+certificate.  The body check and the inverse of the first n rows, which
+gives every translate, are one exact elimination per body, and no LP is
+solved.  The standard n-simplex ships centered in this form; a
+barycentric set is mapped to it by one set-level scaling that drops the
+last coordinate and recenters (covering radii are affine invariants).
 The fiber demo evaluates an exact map of barycentric coordinates on a
 rational grid of the simplex and covers each sampled fiber the same way.
 """
@@ -24,11 +27,13 @@ import functools
 import itertools
 import math
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .rationals import Point, integer_scaled, rat, rat_str
+
+IntPoint = Tuple[int, ...]
 
 
 class UnboundedBodyError(ValueError):
@@ -38,10 +43,23 @@ class UnboundedBodyError(ValueError):
 
 @dataclass(frozen=True)
 class HPolytopeBody:
-    """A bounded simplex body {y : rows . y <= rhs} in facet-sum form."""
+    """A bounded simplex body {y : rows . y <= rhs} in facet-sum form.
+
+    Building it checks the form and runs one exact elimination on the
+    first n rows, which proves the body bounded and gives their inverse.
+    The body keeps, for every cover against it, each row scaled by the
+    lcm l_i of its own denominators as integers (A_i, B_i), the weights
+    M/l_i with M = lcm l_i, rhs_sum = M sum b_i = sum B_i M/l_i, and the
+    inverse of the first n integer rows as an integer matrix over its
+    lcm inverse_scale."""
 
     ambient_dim: int
     rows: Tuple[Tuple[Point, Fraction], ...]
+    int_rows: Tuple[Tuple[IntPoint, int], ...] = field(init=False, repr=False, compare=False)
+    weights: Tuple[int, ...] = field(init=False, repr=False, compare=False)
+    rhs_sum: int = field(init=False, repr=False, compare=False)
+    inverse: Tuple[IntPoint, ...] = field(init=False, repr=False, compare=False)
+    inverse_scale: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         for coeffs, _ in self.rows:
@@ -49,30 +67,56 @@ class HPolytopeBody:
                 raise ValueError("row dimension mismatch")
         if len(self.rows) != self.ambient_dim + 1:
             raise ValueError("need n+1 rows")
-        if _solve_square(self.rows[:-1]) is None:
+        scales, int_rows = [], []
+        for a, b in self.rows:
+            l, (row,) = integer_scaled([a + (b,)])
+            scales.append(l)
+            int_rows.append((row[:-1], row[-1]))
+        found = _integer_inverse([a for a, _ in int_rows[:-1]])
+        if found is None:
             raise UnboundedBodyError("the first n rows are linearly dependent")
         if (
             any(map(sum, zip(*(coeffs for coeffs, _ in self.rows))))
             or sum(rhs for _, rhs in self.rows) <= 0
         ):
             raise ValueError("need coefficients summing to 0, rhs sum > 0")
+        m = math.lcm(*scales)
+        weights = tuple(m // l for l in scales)
+        init = functools.partial(object.__setattr__, self)
+        init("int_rows", tuple(int_rows))
+        init("weights", weights)
+        init("rhs_sum", sum(b * w for (_, b), w in zip(int_rows, weights)))
+        init("inverse_scale", found[0])
+        init("inverse", found[1])
 
 
-def _solve_square(rows: Sequence[Tuple[Point, Fraction]]) -> Optional[Point]:
-    """The unique t with a.t = c for the n rows (a, c) in n unknowns, by
-    Gauss-Jordan elimination, or None when the a are linearly dependent."""
-    m = [list(a) + [c] for a, c in rows]
-    for col in range(len(m)):
-        pivot = next((r for r in range(col, len(m)) if m[r][col]), None)
+def _integer_inverse(rows: Sequence[IntPoint]) -> Optional[Tuple[int, Tuple[IntPoint, ...]]]:
+    """(E, V) with V/E the inverse of the square integer matrix `rows` and
+    E > 0 the lcm of its denominators, or None when the rows are linearly
+    dependent.  Fraction-free Gauss-Jordan on [rows | I] (Bareiss): every
+    entry stays an integer minor, each division is exact, and at the end
+    the left block is p*I and the right block p times the inverse, p the
+    last pivot."""
+    n = len(rows)
+    m = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(rows)]
+    prev = 1
+    for col in range(n):
+        pivot = next((r for r in range(col, n) if m[r][col]), None)
         if pivot is None:
             return None
         m[col], m[pivot] = m[pivot], m[col]
-        head = m[col][col]
-        m[col] = [v / head for v in m[col]]
+        head = m[col]
+        p = head[col]
         for r, row in enumerate(m):
-            if r != col and row[col]:
-                m[r] = [v - row[col] * w for v, w in zip(row, m[col])]
-    return tuple(row[-1] for row in m)
+            if r != col:
+                f = row[col]
+                m[r] = [(p * v - f * w) // prev for v, w in zip(row, head)]
+        prev = p
+    right = [row[n:] for row in m]
+    g = math.gcd(prev, *(v for row in right for v in row))
+    if prev < 0:
+        g = -g
+    return prev // g, tuple(tuple(v // g for v in row) for row in right)
 
 
 def h_polytope(rows: Sequence[Tuple[Sequence, object]]) -> HPolytopeBody:
@@ -108,17 +152,38 @@ def standard_simplex_body(n: int) -> HPolytopeBody:
     return HPolytopeBody(n, tuple(rows))
 
 
+def _barycentric_scaled(points: Sequence[Sequence]) -> Tuple[int, List[IntPoint]]:
+    """A barycentric set of the standard n-simplex (n+1 coordinates each,
+    nonnegative, summing to one) scaled once: ((n+1)L and, per point, the
+    integers (n+1)c - L of its first n coordinates c), L the lcm of every
+    denominator in the set.  Point / ((n+1)L) is the point in the centered
+    body's coordinates."""
+    pts = [tuple(rat(c) for c in p) for p in points]
+    if not pts:
+        raise ValueError("need at least one point to cover")
+    n = len(pts[0]) - 1
+    if n < 1:
+        raise ValueError("need at least two barycentric coordinates")
+    if any(len(p) != n + 1 for p in pts):
+        raise ValueError("mixed dimensions")
+    L, ints = integer_scaled(pts)
+    if any(min(p) < 0 or sum(p) != L for p in ints):
+        raise ValueError("not a barycentric point of the standard simplex")
+    return _centered(n, L, ints)
+
+
+def _centered(n: int, L: int, ints: Sequence[IntPoint]) -> Tuple[int, List[IntPoint]]:
+    """Barycentric points ints/L of the standard n-simplex in the centered
+    body's coordinates c - 1/(n+1), over the one denominator (n+1)L."""
+    k = n + 1
+    return k * L, [tuple(k * c - L for c in p[:n]) for p in ints]
+
+
 def barycentric_to_centered(p: Sequence) -> Point:
     """Map a barycentric point of the standard simplex (n+1 coordinates,
     nonnegative, summing to one) into the centered body's coordinates."""
-    pp = tuple(rat(c) for c in p)
-    n = len(pp) - 1
-    if n < 1:
-        raise ValueError("need at least two barycentric coordinates")
-    L, (ints,) = integer_scaled([pp])
-    if any(c < 0 for c in ints) or sum(ints) != L:
-        raise ValueError("not a barycentric point of the standard simplex")
-    return tuple(Fraction((n + 1) * c - L, (n + 1) * L) for c in ints[:n])
+    D, (q,) = _barycentric_scaled([p])
+    return tuple(Fraction(c, D) for c in q)
 
 
 @dataclass(frozen=True)
@@ -135,18 +200,65 @@ class CoverCertificate:
         }
 
 
+def _translate(body: HPolytopeBody, rhs: Sequence[int], den: int) -> Tuple[IntPoint, int]:
+    """(u, g) with t = u/g the one solution of A_i.t = rhs_i/den over the
+    first n integer rows: the body's inverse applied to rhs."""
+    return (
+        tuple(sum(map(operator.mul, row, rhs)) for row in body.inverse),
+        body.inverse_scale * den,
+    )
+
+
+def _cover_scaled(D: int, points: Sequence[IntPoint], body: HPolytopeBody) -> CoverCertificate:
+    """The covering certificate of the points P/D (integer P, D > 0).
+
+    With row i scaled to (A_i, B_i) by l_i, dots[p][i] = A_i.P_p, and
+    top[i] = T_i, the column's max, gives top_i = T_i/(l_i D); so
+    delta = num/den with num = sum_i T_i M/l_i and den = D * rhs_sum.  The translate's equations
+    are A_i.t = (T_i rhs_sum - num B_i)/den; with t = u/g, row i holds at
+    P_p exactly when dots[p][i] * g * rhs_sum <= den A_i.u + num B_i g, one
+    integer bound per row."""
+    rows = body.int_rows
+    dots = [[sum(map(operator.mul, a, p)) for a, _ in rows] for p in points]
+    top = [max(col) for col in zip(*dots)]
+    s = body.rhs_sum
+    num = sum(map(operator.mul, top, body.weights))  # the facet-sum identity
+    den = D * s
+    u, g = _translate(body, [hi * s - num * b for hi, (_, b) in zip(top, rows[:-1])], den)
+    scale = g * s
+    # dot * scale <= bound exactly when dot <= bound // scale; equal exactly
+    # when also bound % scale == 0
+    bounds = [
+        divmod(den * sum(map(operator.mul, a, u)) + num * b * g, scale) for a, b in rows
+    ]
+    tight = []
+    for pi, row in enumerate(dots):
+        for ri, (dot, (q, r)) in enumerate(zip(row, bounds)):
+            if dot > q:
+                raise RuntimeError("cover certificate violates a row")
+            if dot == q and not r:
+                tight.append((pi, ri))
+    if {ri for _, ri in tight} != set(range(len(rows))):
+        raise RuntimeError("a body row has no tight point, so delta is not minimal")
+    return CoverCertificate(
+        delta=Fraction(num, den),
+        translate=tuple(Fraction(c, g) for c in u),
+        tight=tuple(tight),
+    )
+
+
 def min_cover_homothety(
     points: Sequence[Sequence], body: HPolytopeBody
 ) -> CoverCertificate:
     """Exact smallest delta >= 0 with every point in delta*body + t, by the
     facet-sum identity; the translate solves the first n of the n+1
-    equations (the last holds too, as both sides sum to 0).
+    equations (the last holds too, as both sides sum to 0) through the
+    inverse the body holds.
 
-    The points are scaled to integers by L, the lcm of their denominators,
-    and row i by l_i, the lcm of its own; dots[p][i] = L*l_i*a_i.p.  Row i
-    holds at p exactly when dots[p][i] <= L*l_i*(a_i.t + delta*b_i), one
-    exact bound num_i/den_i per row, so each (point, row) pair is checked
-    by integer products."""
+    The points are scaled to integers once, by the lcm of their
+    denominators; delta, the translate, every (point, row) check and the
+    tight pairs are then integers over one denominator, and only delta
+    and the translate are built as Fractions."""
     pts = [tuple(rat(c) for c in p) for p in points]
     if not pts:
         raise ValueError("need at least one point to cover")
@@ -155,30 +267,14 @@ def min_cover_homothety(
         if len(p) != n:
             raise ValueError("point dimension mismatch")
     L, ints = integer_scaled(pts)
-    scales, int_rows = [], []
-    for a, b in body.rows:
-        l, (row,) = integer_scaled([a + (b,)])
-        scales.append(L * l)
-        int_rows.append(row[:-1])
-    dots = [[sum(map(operator.mul, a, p)) for a in int_rows] for p in ints]
-    top = [Fraction(max(col), s) for col, s in zip(zip(*dots), scales)]
-    delta = sum(top) / sum(b for _, b in body.rows)  # the facet-sum identity
-    t = _solve_square([(a, hi - delta * b) for (a, b), hi in zip(body.rows[:-1], top)])
-    bounds = []
-    for (a, b), s in zip(body.rows, scales):
-        bound = s * (sum(c * v for c, v in zip(a, t)) + delta * b)
-        bounds.append((bound.numerator, bound.denominator))
-    tight = []
-    for pi, row in enumerate(dots):
-        for ri, (dot, (num, den)) in enumerate(zip(row, bounds)):
-            lhs = dot * den
-            if lhs > num:
-                raise RuntimeError("cover certificate violates a row")
-            if lhs == num:
-                tight.append((pi, ri))
-    if {ri for _, ri in tight} != set(range(len(body.rows))):
-        raise RuntimeError("a body row has no tight point, so delta is not minimal")
-    return CoverCertificate(delta=delta, translate=t, tight=tuple(tight))
+    return _cover_scaled(L, ints, body)
+
+
+def min_cover_barycentric(points_barycentric: Sequence[Sequence]) -> CoverCertificate:
+    """min_cover_homothety of a barycentric set against the centered
+    standard simplex, with the set scaled to integers once."""
+    D, ints = _barycentric_scaled(points_barycentric)
+    return _cover_scaled(D, ints, standard_simplex_body(len(ints[0])))
 
 
 def touches_all_facets(points_barycentric: Sequence[Sequence]) -> bool:
@@ -200,15 +296,8 @@ def facet_touching_check(points_barycentric: Sequence[Sequence]) -> bool:
     min_cover_homothety >= 1."""
     pts = list(points_barycentric)
     touches = touches_all_facets(pts)
-    if touches:
-        cert = min_cover_homothety(
-            [barycentric_to_centered(p) for p in pts],
-            standard_simplex_body(len(pts[0]) - 1),
-        )
-        if cert.delta < 1:
-            raise RuntimeError(
-                "facet-touching set covered by a strictly smaller homothet"
-            )
+    if touches and min_cover_barycentric(pts).delta < 1:
+        raise RuntimeError("facet-touching set covered by a strictly smaller homothet")
     return touches
 
 
@@ -260,12 +349,11 @@ def constant_map(p: Point) -> Point:
     return (Fraction(0),)
 
 
-def grid_points_in_simplex(n: int, density: int) -> List[Point]:
-    """All rational points of the standard n-simplex with denominator
-    `density` (compositions of density into n+1 parts)."""
+def _compositions(n: int, density: int) -> Iterator[IntPoint]:
+    """The compositions of density into n+1 nonnegative parts, in the
+    order of their cut positions."""
     if density < 1:
         raise ValueError("density must be positive")
-    pts = []
     for cut in itertools.combinations(range(density + n), n):
         parts = []
         prev = -1
@@ -273,8 +361,13 @@ def grid_points_in_simplex(n: int, density: int) -> List[Point]:
             parts.append(c - prev - 1)
             prev = c
         parts.append(density + n - 1 - prev)
-        pts.append(tuple(Fraction(p, density) for p in parts))
-    return pts
+        yield tuple(parts)
+
+
+def grid_points_in_simplex(n: int, density: int) -> List[Point]:
+    """All rational points of the standard n-simplex with denominator
+    `density` (compositions of density into n+1 parts)."""
+    return [tuple(Fraction(c, density) for c in parts) for parts in _compositions(n, density)]
 
 
 def fiber_width_demo(
@@ -287,17 +380,21 @@ def fiber_width_demo(
 
     f takes an exact barycentric point of the standard n-simplex to an
     exact point of some R^k.  Rational grid points of the simplex are
-    bucketed by the grid cell of their image; each bucket gets an exact
-    covering-radius certificate against the simplex.  This is exploratory:
-    results are labeled evidence, not verified claims about true fibers."""
-    buckets: Dict[Tuple[int, ...], List[Point]] = {}
-    for p in grid_points_in_simplex(n, density):
-        cell = tuple(math.floor(c * density) for c in f(p))
-        buckets.setdefault(cell, []).append(p)
+    bucketed by the grid cell of their image; each bucket keeps the
+    grid's integer compositions (the points times density), which are
+    already barycentric over the one denominator density, and gets an
+    exact covering-radius certificate against the simplex from them.
+    This is exploratory: results are labeled evidence, not verified
+    claims about true fibers."""
+    buckets: Dict[Tuple[int, ...], List[IntPoint]] = {}
+    for parts in _compositions(n, density):
+        image = f(tuple(Fraction(c, density) for c in parts))
+        cell = tuple(math.floor(c * density) for c in image)
+        buckets.setdefault(cell, []).append(parts)
     body = standard_simplex_body(n)
     cells = []
     for cell in sorted(buckets):
-        pts = buckets[cell]
-        cert = min_cover_homothety([barycentric_to_centered(p) for p in pts], body)
-        cells.append(FiberCell(cell=cell, count=len(pts), certificate=cert))
+        parts = buckets[cell]
+        cert = _cover_scaled(*_centered(n, density, parts), body)
+        cells.append(FiberCell(cell=cell, count=len(parts), certificate=cert))
     return FiberReport(source_dim=n, density=density, label=label, cells=cells)

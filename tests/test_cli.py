@@ -355,6 +355,27 @@ def test_bad_input_files_are_usage_errors(tmp_path, capsys):
         assert argv[0] in err
 
 
+def test_malformed_barycentric_sets_are_usage_errors(tmp_path, capsys):
+    """cover --input rejects each of these sets with exit 2 and no traceback."""
+    sets = [
+        [["1/2", "-1/2", "1"], ["0", "1", "0"]],  # a negative coordinate
+        [["1/2", "1/4", "1/3"], ["0", "1", "0"]],  # a sum other than 1
+        [["1/2", "1/2"], ["0", "1", "0"]],  # mixed widths
+        [],
+        [[]],
+    ]
+    for pts in sets:
+        path = tmp_path / "pts.json"
+        path.write_text(json.dumps({"barycentric_points": pts}))
+        with pytest.raises(SystemExit) as e:
+            main(["cover", "--input", str(path)])
+        assert e.value.code == 2, pts
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "Traceback" not in captured.err
+        assert "cover" in captured.err
+
+
 def test_output_bytes_do_not_depend_on_jobs(tmp_path):
     outs = []
     for jobs in ("1", "4"):

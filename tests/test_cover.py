@@ -32,9 +32,11 @@ from tverlab import (
     interval_body,
     le,
     lp_feasible,
+    min_cover_barycentric,
     min_cover_homothety,
     standard_simplex_body,
 )
+from tverlab.rationals import integer_scaled
 
 
 def random_barycentric(rng, n):
@@ -175,6 +177,10 @@ def test_barycentric_to_centered_matches_the_fraction_form():
                     barycentric_to_centered(q)
     with pytest.raises(ValueError, match="not a barycentric point"):
         barycentric_to_centered((F(3, 2), F(-1, 2)))
+    with pytest.raises(ValueError, match="mixed dimensions"):
+        min_cover_barycentric([(F(1, 2), F(1, 2)), (F(0), F(1), F(0))])
+    with pytest.raises(ValueError, match="not a barycentric point"):
+        min_cover_barycentric([(F(1, 2), F(1, 2)), (F(1, 2), F(1, 3))])
 
 
 def lp_cover(points, body):
@@ -231,27 +237,25 @@ def random_facet_sum_body(rng, n):
     return h_polytope([(a, F(rng.int_between(1, 6), rng.int_between(1, 3))) for a in rows])
 
 
-def test_closed_form_matches_the_homothety_lp():
+def homothety_lp_cases():
+    """(points, body) pairs: seeded sets against the centered simplex, one
+    point, repeated points, scaled sets partly outside the simplex, the
+    interval, and general simplex bodies in facet-sum form."""
     rng = SplitMix64(2718)
     cases = []
     for _ in range(24):
         n = rng.int_between(1, 4)
+        body = standard_simplex_body(n)
         pts = [
             barycentric_to_centered(random_barycentric(rng, n))
             for _ in range(rng.int_between(1, 5))
         ]
-        cases.append((n, pts))
-        cases.append((n, pts[:1]))  # one point
-        cases.append((n, pts + pts[:2]))  # repeated points
+        cases.append((pts, body))
+        cases.append((pts[:1], body))  # one point
+        cases.append((pts + pts[:2], body))  # repeated points
         for lam in (2, 3):  # centered and scaled: some points leave the simplex
-            cases.append((n, [tuple(lam * c for c in p) for p in pts]))
-    bodies = {n: standard_simplex_body(n) for n in range(1, 5)}
-    for n, pts in cases:
-        cert = min_cover_homothety(pts, bodies[n])
-        assert (cert.delta, cert.translate, cert.tight) == lp_cover(pts, bodies[n])
-    pts = [(F(1, 4),), (F(3, 4),), (F(-1),)]
-    cert = min_cover_homothety(pts, interval_body())
-    assert (cert.delta, cert.translate, cert.tight) == lp_cover(pts, interval_body())
+            cases.append(([tuple(lam * c for c in p) for p in pts], body))
+    cases.append(([(F(1, 4),), (F(3, 4),), (F(-1),)], interval_body()))
     rng = SplitMix64(1618)
     for _ in range(30):  # general simplex bodies in facet-sum form
         n = rng.int_between(1, 4)
@@ -260,6 +264,12 @@ def test_closed_form_matches_the_homothety_lp():
             tuple(F(rng.int_between(-6, 6), rng.int_between(1, 3)) for _ in range(n))
             for _ in range(rng.int_between(1, 5))
         ]
+        cases.append((pts, body))
+    return cases
+
+
+def test_closed_form_matches_the_homothety_lp():
+    for pts, body in homothety_lp_cases():
         cert = min_cover_homothety(pts, body)
         assert (cert.delta, cert.translate, cert.tight) == lp_cover(pts, body)
 
@@ -299,19 +309,21 @@ def test_the_row_check_rejects_a_shifted_translate(monkeypatch):
     for n in (1, 2, 3):
         body = random_facet_sum_body(rng, n)
         cases.append((body, [tuple(F(rng.int_between(-6, 6), 7) for _ in range(n))] * 2))
-    solve = tverlab.cover._solve_square
-    for body, pts in cases:  # bodies first: building one solves a square system
+    translate = tverlab.cover._translate
+    for body, pts in cases:
         for k in range(body.ambient_dim):
             for step in (F(1, 1000), F(-3)):
-                def shifted(rows, k=k, step=step):
-                    t = list(solve(rows))
+                def shifted(body, rhs, den, k=k, step=step):
+                    u, g = translate(body, rhs, den)
+                    t = [F(c, g) for c in u]
                     t[k] += step
-                    return tuple(t)
+                    g, (u,) = integer_scaled([t])
+                    return u, g
 
-                monkeypatch.setattr(tverlab.cover, "_solve_square", shifted)
+                monkeypatch.setattr(tverlab.cover, "_translate", shifted)
                 with pytest.raises(RuntimeError, match="violates a row"):
                     min_cover_homothety(pts, body)
-                monkeypatch.setattr(tverlab.cover, "_solve_square", solve)
+                monkeypatch.setattr(tverlab.cover, "_translate", translate)
                 min_cover_homothety(pts, body)
 
 
@@ -327,6 +339,115 @@ def test_cover_solves_no_lp_minimize(monkeypatch):
         assert cert.delta == 1
     cert = min_cover_homothety([(F(1, 4),), (F(3, 4),)], interval_body())
     assert cert.delta == F(1, 2)
+
+
+def solve_square(rows):
+    """The unique t with a.t = c for the n rows (a, c) in n unknowns, by
+    Gauss-Jordan elimination over Fractions, or None when the a are
+    linearly dependent."""
+    m = [list(a) + [c] for a, c in rows]
+    for col in range(len(m)):
+        pivot = next((r for r in range(col, len(m)) if m[r][col]), None)
+        if pivot is None:
+            return None
+        m[col], m[pivot] = m[pivot], m[col]
+        head = m[col][col]
+        m[col] = [v / head for v in m[col]]
+        for r, row in enumerate(m):
+            if r != col and row[col]:
+                m[r] = [v - row[col] * w for v, w in zip(row, m[col])]
+    return tuple(row[-1] for row in m)
+
+
+def reference_cover(points, body):
+    """The covering kernel that solved the body system once per cover over
+    Fractions: top_i and delta as Fractions, the translate by Gauss-Jordan,
+    one Fraction bound per row.  Returns (delta, translate, tight)."""
+    pts = [tuple(F(c) for c in p) for p in points]
+    L, ints = integer_scaled(pts)
+    scales, int_rows = [], []
+    for a, b in body.rows:
+        l, (row,) = integer_scaled([a + (b,)])
+        scales.append(L * l)
+        int_rows.append(row[:-1])
+    dots = [[sum(c * v for c, v in zip(a, p)) for a in int_rows] for p in ints]
+    top = [F(max(col), s) for col, s in zip(zip(*dots), scales)]
+    delta = sum(top) / sum(b for _, b in body.rows)
+    t = solve_square([(a, hi - delta * b) for (a, b), hi in zip(body.rows[:-1], top)])
+    bounds = []
+    for (a, b), s in zip(body.rows, scales):
+        bound = s * (sum(c * v for c, v in zip(a, t)) + delta * b)
+        bounds.append((bound.numerator, bound.denominator))
+    tight = []
+    for pi, row in enumerate(dots):
+        for ri, (dot, (num, den)) in enumerate(zip(row, bounds)):
+            assert dot * den <= num
+            if dot * den == num:
+                tight.append((pi, ri))
+    return delta, t, tuple(tight)
+
+
+def test_seeded_sets_match_the_fraction_reference():
+    for pts, body in homothety_lp_cases():
+        cert = min_cover_homothety(pts, body)
+        assert (cert.delta, cert.translate, cert.tight) == reference_cover(pts, body)
+    rng = SplitMix64(2719)
+    for _ in range(40):  # barycentric sets, scaled once for the whole set
+        n = rng.int_between(1, 4)
+        pts = [random_barycentric(rng, n) for _ in range(rng.int_between(1, 5))]
+        cert = min_cover_barycentric(pts)
+        centered = [barycentric_to_centered(p) for p in pts]
+        assert (cert.delta, cert.translate, cert.tight) == reference_cover(
+            centered, standard_simplex_body(n)
+        )
+
+
+@settings(derandomize=True, database=None, deadline=None)
+@given(bodies_and_points())
+def test_random_bodies_match_the_fraction_reference(case):
+    body, pts = case
+    cert = min_cover_homothety(pts, body)
+    assert (cert.delta, cert.translate, cert.tight) == reference_cover(pts, body)
+
+
+def test_the_body_inverse_inverts_its_first_rows():
+    rng = SplitMix64(3141)
+    bodies = [standard_simplex_body(n) for n in range(1, 5)] + [interval_body()]
+    bodies += [random_facet_sum_body(rng, rng.int_between(1, 4)) for _ in range(30)]
+    for body in bodies:
+        n = body.ambient_dim
+        rows = [a for a, _ in body.int_rows[:-1]]
+        product = [
+            [sum(r[k] * v[k] for k in range(n)) for v in zip(*body.inverse)] for r in rows
+        ]
+        assert product == [[body.inverse_scale * (i == j) for j in range(n)] for i in range(n)]
+
+
+def test_a_cover_builds_only_delta_and_the_translate():
+    """Once its points and body exist, one cover builds n + 1 Fractions."""
+    rng = SplitMix64(6180)
+    cases = homothety_lp_cases() + [
+        (
+            [tuple(F(rng.int_between(-60, 60), d) for d in (3, 1024, 999983, 7)[:n]) for _ in range(4)],
+            random_facet_sum_body(rng, n),
+        )
+        for n in range(1, 5)
+    ]
+    built = []
+    new = vars(F)["__new__"]
+
+    def counted(cls, *args, **kwargs):
+        built.append(args)
+        return new.__func__(cls, *args, **kwargs)
+
+    for pts, body in cases:
+        built.clear()
+        F.__new__ = staticmethod(counted)
+        try:
+            min_cover_homothety(pts, body)
+        finally:
+            F.__new__ = new
+        assert len(built) <= body.ambient_dim + 1
 
 
 def test_grid_point_counts():
