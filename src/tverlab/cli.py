@@ -127,10 +127,12 @@ def cmd_hind(args, parser):
             data = json.load(fh)
         if not isinstance(data["involution"], dict):
             raise ValueError('"involution" must be a JSON object')
-        X = z2.Z2Complex(
-            z2.SimplicialComplex(data["maximal_simplices"]),
-            {int(k): v for k, v in data["involution"].items()},
-        )
+        involution = {}
+        for k, v in data["involution"].items():
+            if int(k) in involution:
+                raise ValueError(f"vertex {int(k)} appears twice in the involution")
+            involution[int(k)] = v
+        X = z2.Z2Complex(z2.SimplicialComplex(data["maximal_simplices"]), involution)
         return [{"hind": z2.hind(X)}]
     m = args.sphere if args.sphere is not None else args.m
     if m is None:

@@ -1,12 +1,15 @@
 """Abstract simplicial complexes and barycentric subdivision.
 
 Simplices are sorted tuples of integer vertex ids.  A complex is given by
-its maximal simplices (facets); its faces are indexed by dimension once,
-when it is built.  The one piece of geometry is the exact center of the
-standard m-simplex, whose vertices are the unit vectors of R^{m+1}.
+simplices that generate it; its maximal ones (facets) and its faces by
+dimension are indexed once, on first use, so a caller that reads only the
+given simplices (the Z2 index) never sorts the faces.  The one piece of
+geometry is the exact center of the standard m-simplex, whose vertices are
+the unit vectors of R^{m+1}.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
@@ -30,39 +33,66 @@ def simplex(vertices: Iterable[int]) -> Simplex:
     return vs
 
 
-class SimplicialComplex:
-    """A finite abstract simplicial complex, given by its facets."""
+class _FaceIndex:
+    """The sorted face index of a complex: its maximal simplices, every
+    face, the faces of each dimension in lex order, its dimension and its
+    vertices."""
 
-    def __init__(self, facets: Iterable[Iterable[int]]):
-        sims = {simplex(f) for f in facets}
-        if not sims:
-            raise ValueError("a complex needs at least one simplex")
+    def __init__(self, sims: set):
         proper = {
             face
             for s in sims
             for k in range(1, len(s))
             for face in itertools.combinations(s, k)
         }
-        self.facets: frozenset = frozenset(sims - proper)
-        self._face_set = proper | self.facets
-        self._faces_by_dim: Dict[int, List[Simplex]] = {}
-        for s in sorted(self._face_set):
-            self._faces_by_dim.setdefault(len(s) - 1, []).append(s)
-        self.dim: int = max(self._faces_by_dim)
-        self.vertices: Tuple[int, ...] = tuple(
-            v for (v,) in self._faces_by_dim[0]
-        )
+        self.facets = frozenset(sims - proper)
+        self.face_set = proper | self.facets
+        self.faces_by_dim: Dict[int, List[Simplex]] = {}
+        for s in sorted(self.face_set):
+            self.faces_by_dim.setdefault(len(s) - 1, []).append(s)
+        self.dim = max(self.faces_by_dim)
+        self.vertices = tuple(v for (v,) in self.faces_by_dim[0])
+
+
+class SimplicialComplex:
+    """A finite abstract simplicial complex, given by its facets.
+
+    It keeps the given simplices, in canonical form, as `simplices`; the
+    sorted face index (maximal facets, faces by dimension, `dim`,
+    `vertices`) is built on first use."""
+
+    def __init__(self, facets: Iterable[Iterable[int]]):
+        self.simplices = {simplex(f) for f in facets}
+        if not self.simplices:
+            raise ValueError("a complex needs at least one simplex")
+
+    @functools.cached_property
+    def _index(self) -> _FaceIndex:
+        return _FaceIndex(self.simplices)
+
+    @property
+    def facets(self) -> frozenset:
+        return self._index.facets
+
+    @property
+    def dim(self) -> int:
+        return self._index.dim
+
+    @property
+    def vertices(self) -> Tuple[int, ...]:
+        return self._index.vertices
 
     def faces(self) -> List[Simplex]:
         """All nonempty faces, sorted by (dimension, lexicographic)."""
-        return [s for k in range(self.dim + 1) for s in self._faces_by_dim[k]]
+        by_dim = self._index.faces_by_dim
+        return [s for k in range(self.dim + 1) for s in by_dim[k]]
 
     def faces_of_dim(self, k: int) -> List[Simplex]:
-        return list(self._faces_by_dim.get(k, ()))
+        return list(self._index.faces_by_dim.get(k, ()))
 
     def has_face(self, s: Iterable[int]) -> bool:
         t = tuple(sorted(set(s)))
-        return not t or t in self._face_set
+        return not t or t in self._index.face_set
 
     def euler_characteristic(self) -> int:
         return sum((-1) ** (len(s) - 1) for s in self.faces())

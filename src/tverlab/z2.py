@@ -7,11 +7,17 @@ Matousek, "Using the Borsuk-Ulam Theorem", ch. 5).  It equals the largest
 n with w^n != 0, for w the class of the double cover X -> X/Z2.  All of
 these chain conditions together form one linear system over F_2 on the
 faces of X, solved by a single elimination in order of dimension.
+
+A Z2Complex numbers its faces once, as bitmasks, when it is built.  Its
+vertices are relabelled so that each orbit {v, g v} is two adjacent bits;
+g then acts on a face's mask as one fixed bit swap, and no image is
+sorted.  The facet-image check, `is_free` and `hind` all read that one
+table, and none of them builds the complex's sorted face index.
 """
 from __future__ import annotations
 
 import itertools
-from typing import Dict, Optional, Sequence
+from typing import Dict, List, Optional, Sequence
 
 from .complexes import SimplicialComplex, Simplex, barycentric_subdivision
 
@@ -22,20 +28,95 @@ class FixedSimplexError(ValueError):
 
 
 class Z2Complex:
-    """A simplicial complex with a simplicial involution on its vertices."""
+    """A simplicial complex with a simplicial involution on its vertices.
+
+    The face table: `_bit` maps each vertex to its bit, each orbit taking
+    two adjacent bits (the lower one in `_lo`) and a vertex that g fixes
+    one bit (in `_fixed`).  `_faces[k]` lists the masks of the k-faces in
+    ascending order, `_columns` maps each mask to its column bit in
+    `hind`'s system, and `_cofaces` to the column bits of its
+    codimension-one cofaces."""
 
     def __init__(self, complex: SimplicialComplex, involution: Dict[int, int]):
         self.complex = complex
         self.involution = dict(involution)
-        verts = set(complex.vertices)
+        verts = set().union(*complex.simplices)
         if set(self.involution) != verts or set(self.involution.values()) != verts:
             raise ValueError("involution must be a permutation of the vertices")
         for v in verts:
             if self.involution[self.involution[v]] != v:
                 raise ValueError("involution must have order two")
-        for f in complex.facets:
-            if not complex.has_face(self._image(f)):
-                raise ValueError(f"involution does not map simplex {f} to a simplex")
+        self._relabel(verts)
+        given: Dict[int, List[int]] = {}
+        for s in complex.simplices:
+            given.setdefault(len(s), []).append(self._mask(s))
+        self._number_faces(given)
+        columns = self._columns
+        if any(self._swap(m) not in columns for ms in given.values() for m in ms):
+            # Name the first maximal simplex whose image is missing.
+            f = next(
+                f for f in complex.facets if self._swap(self._mask(f)) not in columns
+            )
+            raise ValueError(f"involution does not map simplex {f} to a simplex")
+        # A float or bool equal to a vertex id passes every check above.
+        for v, w in self.involution.items():
+            if type(v) is not int or type(w) is not int:
+                raise ValueError("vertex ids must be integers")
+
+    def _relabel(self, verts) -> None:
+        """One bit per vertex, the smallest vertex getting the highest bit,
+        each vertex followed by its image."""
+        g = self.involution
+        bit: Dict[int, int] = {}
+        lo = fixed = 0
+        top = 1 << len(verts)
+        for v in sorted(verts):
+            if v in bit:
+                continue
+            top >>= 1
+            bit[v] = top
+            if g[v] == v:
+                fixed |= top
+            else:
+                top >>= 1
+                bit[g[v]] = top
+                lo |= top
+        self._bit, self._lo, self._fixed = bit, lo, fixed
+
+    def _number_faces(self, given: Dict[int, List[int]]) -> None:
+        """Walk the faces top-down from the given simplices' masks (keyed
+        by size), numbering each dimension's faces in ascending mask order
+        and recording their cofaces on the way.  Among faces of one
+        dimension, ascending masks are descending lex order (see `hind`)."""
+        size = max(given)
+        faces: List[List[int]] = []
+        columns: Dict[int, int] = {}
+        cofaces: Dict[int, int] = {}
+        level = dict.fromkeys(given[size], 0)
+        n = 0
+        while size:
+            masks = sorted(level)
+            faces.append(masks)
+            cofaces.update(level)
+            size -= 1
+            level = dict.fromkeys(given.get(size, ()), 0)
+            for m in masks:
+                col = columns[m] = 1 << n
+                n += 1
+                rest = m if size else 0
+                while rest:
+                    low = rest & -rest
+                    level[m ^ low] = level.get(m ^ low, 0) | col
+                    rest ^= low
+        faces.reverse()
+        self._faces, self._columns, self._cofaces = faces, columns, cofaces
+
+    def _mask(self, s: Simplex) -> int:
+        return sum(map(self._bit.__getitem__, s))
+
+    def _swap(self, m: int) -> int:
+        lo = self._lo
+        return ((m & lo) << 1) | ((m >> 1) & lo) | (m & self._fixed)
 
     def _image(self, s: Simplex) -> Simplex:
         return tuple(sorted(self.involution[v] for v in s))
@@ -43,10 +124,14 @@ class Z2Complex:
     def is_free(self) -> bool:
         # A setwise-fixed simplex either fixes a vertex or contains a pair
         # {v, g(v)}, which would itself be a fixed edge.
-        for v in self.complex.vertices:
-            g = self.involution[v]
-            if g == v or self.complex.has_face((v, g)):
+        if self._fixed:
+            return False
+        lo = self._lo
+        while lo:
+            b = lo & -lo
+            if b | b << 1 in self._columns:  # the edge {v, g v}
                 return False
+            lo ^= b
         return True
 
 
@@ -84,23 +169,27 @@ def hind(X: Z2Complex) -> int:
     row reads only columns of dimension k - 1 and k, so the rows up to
     dimension n - 1 are exactly the system for n.  The index is the
     dimension of the face whose row first makes the system inconsistent.
+
+    Columns and rows come from X's face table.  Whether the rows up to
+    dimension k are consistent depends neither on the column order nor on
+    the row order within a dimension, so neither changes the index, but
+    both change the elimination's work.  The table keeps the order of the
+    face list sorted by (dimension, lex) in the relabelled vertices: the
+    columns run through it backwards, so higher faces get the lower bits
+    and each row pivots on a coface, and the rows run through it forwards.
+    (Numbering a dimension's faces in set order instead made S^7 several
+    times slower.)
     Raises FixedSimplexError on a non-free action."""
     if not X.is_free():
         raise FixedSimplexError("fixed simplex found: the action is not free")
-    K = X.complex
-    faces = K.faces()
-    # Higher faces get the lower bits, so each row pivots on a coface.
-    col = {f: 1 << i for i, f in enumerate(reversed(faces))}
-    cofaces = dict.fromkeys(faces, 0)
-    for s in faces:
-        if len(s) > 1:
-            for drop in range(len(s)):
-                cofaces[s[:drop] + s[drop + 1:]] ^= col[s]
-    row_faces = [f for f in faces if len(f) <= K.dim]
-    rows = [sum(col[(v,)] for v in K.vertices) | (1 << len(faces))]
-    rows.extend(col[f] ^ col[X._image(f)] ^ cofaces[f] for f in row_faces)
-    first = _gf2_solvable(rows, len(faces))
-    return K.dim if first is None else len(row_faces[first - 1]) - 1
+    columns, cofaces, swap = X._columns, X._cofaces, X._swap
+    rows = [sum(columns[m] for m in X._faces[0]) | (1 << len(columns))]
+    row_dims = []
+    for k, masks in enumerate(X._faces[:-1]):
+        rows.extend(columns[m] ^ columns[swap(m)] ^ cofaces[m] for m in reversed(masks))
+        row_dims += [k] * len(masks)
+    first = _gf2_solvable(rows, len(columns))
+    return len(X._faces) - 1 if first is None else row_dims[first - 1]
 
 
 def z2_disjoint_union(*parts: Z2Complex) -> Z2Complex:

@@ -72,6 +72,34 @@ def test_hind_from_input_file(tmp_path, capsys):
     assert code == 0 and records[0] == {"hind": 1}
 
 
+def test_hind_rejects_non_integer_involution_values(tmp_path, capsys):
+    for value in ("1.0", "true"):
+        path = tmp_path / "points.json"
+        path.write_text(
+            '{"maximal_simplices": [[0], [1]], "involution": {"0": %s, "1": 0}}' % value
+        )
+        with pytest.raises(SystemExit) as e:
+            main(["hind", "--input", str(path)])
+        assert e.value.code == 2, value
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "vertex ids must be integers" in captured.err
+        assert "Traceback" not in captured.err
+
+
+def test_hind_rejects_colliding_involution_keys(tmp_path, capsys):
+    path = tmp_path / "points.json"
+    path.write_text(
+        '{"maximal_simplices": [[0], [1]], "involution": {"0": 1, "1": 0, "01": 0}}'
+    )
+    with pytest.raises(SystemExit) as e:
+        main(["hind", "--input", str(path)])
+    assert e.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "vertex 1 appears twice" in captured.err
+
+
 def test_counterexample_and_probe(capsys):
     code, records, _ = run(capsys, "counterexample", "--d", "1", "--r", "2")
     assert code == 0

@@ -12,7 +12,10 @@ from dataclasses import dataclass
 from typing import Dict, FrozenSet
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import tverlab.cli
 from tverlab import (
     FixedSimplexError,
     SimplicialComplex,
@@ -250,6 +253,10 @@ def test_involution_validation():
         Z2Complex(tri, {0: 1, 1: 2, 2: 0})  # order 3, not an involution
     with pytest.raises(ValueError):
         Z2Complex(SimplicialComplex([[0, 1], [2]]), {0: 2, 2: 0, 1: 1})
+    points = SimplicialComplex([[0], [1]])
+    for involution in ({0: 1.0, 1: 0}, {0: True, 1: 0}, {0.0: 1, 1: 0}):
+        with pytest.raises(ValueError, match="vertex ids must be integers"):
+            Z2Complex(points, involution)
 
 
 def test_fixed_simplices_rejected():
@@ -261,6 +268,12 @@ def test_fixed_simplices_rejected():
             quotient(X)
         with pytest.raises(FixedSimplexError):
             hind(X)
+    # Fixing vertex 1 makes the action non-free, but the construction
+    # first finds that the edge (0, 1) has no image.
+    K = SimplicialComplex([[0, 1], [2]])
+    with pytest.raises(ValueError, match="does not map simplex") as e:
+        Z2Complex(K, {0: 2, 2: 0, 1: 1})
+    assert not isinstance(e.value, FixedSimplexError)
 
 
 def test_quotient_of_zero_sphere_is_a_point():
@@ -414,6 +427,24 @@ def test_hind_builds_no_complex(monkeypatch):
     assert builds == []
 
 
+def test_hind_builds_no_sorted_face_index(monkeypatch, tmp_path, capsys):
+    def boom(self):
+        raise AssertionError("the sorted face index was built")
+
+    path = tmp_path / "circle.json"
+    path.write_text(
+        '{"maximal_simplices": [[5, 2], [5, -3], [9, 2], [9, -3]],'
+        ' "involution": {"5": 9, "9": 5, "2": -3, "-3": 2}}'
+    )
+    monkeypatch.setattr(SimplicialComplex, "_index", property(boom))
+    assert tverlab.cli.main(["hind", "--input", str(path)]) == 0
+    assert tverlab.cli.main(["hind", "--sphere", "3"]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        '{"hind":1}',
+        '{"expected":3,"hind":3,"ok":true,"sphere":3}',
+    ]
+
+
 def test_index_invariant_under_subdivision():
     for m in (0, 1):
         X = cross_polytope_sphere(m)
@@ -514,3 +545,31 @@ def test_index_matches_cup_powers_on_seeded_subcomplexes():
         assert index == hind_by_cup_powers(X)
         seen.add((X.complex.dim, index))
     assert {index for _, index in seen} >= {0, 1, 2}
+
+
+@st.composite
+def invariant_subcomplexes(draw):
+    """A g-invariant subcomplex of S^1-S^3, its vertices sent to arbitrary
+    distinct ints (negative, with gaps), subdivided once or not."""
+    X = cross_polytope_sphere(draw(st.integers(1, 3)))
+    faces = X.complex.faces()
+    picked = draw(st.lists(st.sampled_from(faces), min_size=1, max_size=8))
+    picked += [X._image(f) for f in picked]
+    verts = sorted({v for f in picked for v in f})
+    ids = draw(
+        st.lists(
+            st.integers(-10**6, 10**6), min_size=len(verts), max_size=len(verts), unique=True
+        )
+    )
+    new = dict(zip(verts, ids))
+    Y = Z2Complex(
+        SimplicialComplex([[new[v] for v in f] for f in picked]),
+        {new[v]: new[X.involution[v]] for v in verts},
+    )
+    return subdivide_z2(Y) if draw(st.booleans()) else Y
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=80)
+@given(invariant_subcomplexes())
+def test_index_matches_cup_powers_on_relabelled_subcomplexes(X):
+    assert hind(X) == hind_by_cup_powers(X)
