@@ -25,7 +25,7 @@ from fractions import Fraction
 from typing import List, Optional
 
 from . import conemap, cover, depth, z2
-from .rationals import point_strs, rat, rat_str
+from .rationals import point_strs, rat_str, read_scaled
 from .rng import SplitMix64
 
 PASS, FALSIFIED, USAGE, INTERNAL = 0, 1, 2, 3
@@ -193,7 +193,7 @@ def cmd_cover(args, parser):
     if args.input:
         with open(args.input) as fh:
             data = json.load(fh)
-        pts = [tuple(rat(c) for c in p) for p in data["barycentric_points"]]
+        pts = read_scaled(data["barycentric_points"])
         touches = cover.touches_all_facets(pts)
         cert = cover.min_cover_barycentric(pts)
         rec = cert.to_record()
@@ -206,7 +206,7 @@ def cmd_cover(args, parser):
     rng = SplitMix64(args.seed)
     records = []
     for i in range(args.trials):
-        pts = _random_facet_touching(args.d, rng)
+        pts = read_scaled(_random_facet_touching(args.d, rng))
         touches = cover.touches_all_facets(pts)
         cert = cover.min_cover_barycentric(pts)
         records.append(

@@ -10,10 +10,12 @@ and equality holds exactly when every row is tight at some point.  The
 certificate records delta, the translate solving a_i.t = top_i - delta b_i,
 and the tight pairs.  The covering work is on integers from input to
 certificate: each row is scaled by the lcm of its own denominators and
-the points by one common denominator, and top_i, delta, the translate,
-the check of every (point, row) pair and the tight pairs are read in
-integers; only delta and the translate become Fractions, for the
-certificate.  The body check and the inverse of the first n rows, which
+the points by one common denominator (input scalars are read straight
+into those integers by `read_scaled`, with no Fraction per coordinate;
+a set read once serves the facet test and the cover), and top_i, delta,
+the translate, the check of every (point, row) pair and the tight pairs
+are read in integers; only delta and the translate become Fractions, for
+the certificate.  The body check and the inverse of the first n rows, which
 gives every translate, are one exact elimination per body, and no LP is
 solved.  The standard n-simplex ships centered in this form; a
 barycentric set is mapped to it by one set-level scaling that drops the
@@ -31,7 +33,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
-from .rationals import Point, integer_scaled, rat, rat_str
+from .rationals import Point, integer_scaled, rat, rat_str, read_scaled
 
 IntPoint = Tuple[int, ...]
 
@@ -154,19 +156,18 @@ def standard_simplex_body(n: int) -> HPolytopeBody:
 
 def _barycentric_scaled(points: Sequence[Sequence]) -> Tuple[int, List[IntPoint]]:
     """A barycentric set of the standard n-simplex (n+1 coordinates each,
-    nonnegative, summing to one) scaled once: ((n+1)L and, per point, the
-    integers (n+1)c - L of its first n coordinates c), L the lcm of every
-    denominator in the set.  Point / ((n+1)L) is the point in the centered
-    body's coordinates."""
-    pts = [tuple(rat(c) for c in p) for p in points]
-    if not pts:
+    nonnegative, summing to one), read once with read_scaled (or as read
+    already): ((n+1)L and, per point, the integers (n+1)c - L of its first
+    n coordinates c), L the lcm of every denominator in the set.
+    Point / ((n+1)L) is the point in the centered body's coordinates."""
+    L, ints = read_scaled(points)
+    if not ints:
         raise ValueError("need at least one point to cover")
-    n = len(pts[0]) - 1
+    n = len(ints[0]) - 1
     if n < 1:
         raise ValueError("need at least two barycentric coordinates")
-    if any(len(p) != n + 1 for p in pts):
+    if any(len(p) != n + 1 for p in ints):
         raise ValueError("mixed dimensions")
-    L, ints = integer_scaled(pts)
     if any(min(p) < 0 or sum(p) != L for p in ints):
         raise ValueError("not a barycentric point of the standard simplex")
     return _centered(n, L, ints)
@@ -259,42 +260,40 @@ def min_cover_homothety(
     denominators; delta, the translate, every (point, row) check and the
     tight pairs are then integers over one denominator, and only delta
     and the translate are built as Fractions."""
-    pts = [tuple(rat(c) for c in p) for p in points]
-    if not pts:
+    L, ints = read_scaled(points)
+    if not ints:
         raise ValueError("need at least one point to cover")
-    n = body.ambient_dim
-    for p in pts:
-        if len(p) != n:
-            raise ValueError("point dimension mismatch")
-    L, ints = integer_scaled(pts)
+    if any(len(p) != body.ambient_dim for p in ints):
+        raise ValueError("point dimension mismatch")
     return _cover_scaled(L, ints, body)
 
 
 def min_cover_barycentric(points_barycentric: Sequence[Sequence]) -> CoverCertificate:
     """min_cover_homothety of a barycentric set against the centered
-    standard simplex, with the set scaled to integers once."""
+    standard simplex, with the set scaled to integers once; a set read by
+    read_scaled already is used as it is."""
     D, ints = _barycentric_scaled(points_barycentric)
     return _cover_scaled(D, ints, standard_simplex_body(len(ints[0])))
 
 
 def touches_all_facets(points_barycentric: Sequence[Sequence]) -> bool:
     """Does the set (in barycentric coordinates) touch every facet of the
-    simplex, i.e. does every coordinate vanish somewhere?"""
-    pts = [tuple(rat(c) for c in p) for p in points_barycentric]
-    if not pts:
+    simplex, i.e. does every coordinate vanish somewhere?  The set is read
+    with read_scaled, so a set read already is used as it is."""
+    _, ints = read_scaled(points_barycentric)
+    if not ints:
         raise ValueError("need at least one point")
-    width = {len(p) for p in pts}
+    width = {len(p) for p in ints}
     if len(width) != 1:
         raise ValueError("mixed dimensions")
-    (w,) = width
-    return all(any(p[i] == 0 for p in pts) for i in range(w))
+    return all(not all(col) for col in zip(*ints))
 
 
 def facet_touching_check(points_barycentric: Sequence[Sequence]) -> bool:
     """touches_all_facets, and when the set touches every facet, assert
     exactly that no strictly smaller homothet covers it:
     min_cover_homothety >= 1."""
-    pts = list(points_barycentric)
+    pts = read_scaled(points_barycentric)
     touches = touches_all_facets(pts)
     if touches and min_cover_barycentric(pts).delta < 1:
         raise RuntimeError("facet-touching set covered by a strictly smaller homothet")

@@ -6,16 +6,20 @@ Tverberg partitions come from a canonical brute-force scan with an LP
 feasibility check per candidate, and the reduction to a prime number of
 parts duplicates each point k times and partitions the lifted cloud.  A
 centerpoint's depth >= r is certified from both sides: the blocks give the
-lower bound, the depth halfspace the upper bound.
+lower bound, the depth halfspace the upper bound.  A configuration is
+scaled to integers once (`PointConfig.scaled`); the depth recursion, the
+partition screen, each candidate's LP rows and both certificate checks
+read that one scaling.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from typing import Iterator, List, Optional, Sequence, Tuple
 
 from .exactlp import (
@@ -23,13 +27,17 @@ from .exactlp import (
     in_convex_hull,
     strict_separator,  # unused: perfbench/tests/test_bench_trace.py traces this binding
 )
-from .rationals import Point, integer_scaled, rat
+from .rationals import Point, Scaled, integer_scaled, rat, read_scaled
 from .rng import SplitMix64
 
 
 @dataclass(frozen=True)
 class PointConfig:
-    """A labeled list of exact rational points in R^d (labels 0..n-1)."""
+    """A labeled list of exact rational points in R^d (labels 0..n-1).
+
+    `scaled` holds the points scaled to integers once, by the lcm L of
+    their denominators; it is computed on first use and is not a field,
+    so equality, hashing and repr ignore it."""
 
     d: int
     points: Tuple[Point, ...]
@@ -43,15 +51,22 @@ class PointConfig:
     def n(self) -> int:
         return len(self.points)
 
+    @functools.cached_property
+    def scaled(self) -> Scaled:
+        return read_scaled(self.points)
+
     def subset(self, labels: Sequence[int]) -> List[Point]:
         return [self.points[i] for i in labels]
 
     @classmethod
     def from_json(cls, text: str) -> "PointConfig":
+        """The configuration {"d": d, "points": [[scalar, ...], ...]}, with
+        d a nonnegative JSON integer and each scalar one `rat` reads."""
         data = json.loads(text)
-        return cls(
-            data["d"], tuple(tuple(rat(c) for c in p) for p in data["points"])
-        )
+        d = data["d"]
+        if type(d) is not int or d < 0:
+            raise ValueError('"d" must be a nonnegative integer')
+        return cls(d, tuple(tuple(rat(c) for c in p) for p in data["points"]))
 
 
 def point_config(d: int, points: Sequence[Sequence]) -> PointConfig:
@@ -104,11 +119,13 @@ class ReductionPlan:
 
 def check_depth_certificate(cert: DepthCertificate, config: PointConfig) -> bool:
     """The halfspace holds the point and exactly `depth` points, read over
-    the points scaled by L and (coeffs, offset) by K to integers."""
-    L, ints = integer_scaled((*config.points, cert.point))
+    the configuration as scaled once (P/L), the point scaled to X/E, and
+    (coeffs, offset) scaled by K to integers (a, a0): a.P + L a0 >= 0."""
+    L, P = config.scaled
+    E, (X,) = integer_scaled([cert.point])
     _, ((*a, a0),) = integer_scaled([(*cert.halfspace_coeffs, cert.halfspace_offset)])
-    *inside, holds_x = [sum(map(operator.mul, a, p)) + L * a0 >= 0 for p in ints]
-    return holds_x and sum(inside) == cert.depth
+    inside = sum(sum(map(operator.mul, a, p)) + L * a0 >= 0 for p in P)
+    return sum(map(operator.mul, a, X)) + E * a0 >= 0 and inside == cert.depth
 
 
 def _primitive(w: Sequence[int]) -> Tuple[int, ...]:
@@ -166,18 +183,24 @@ def tukey_depth(x: Sequence, config: PointConfig) -> DepthCertificate:
     """Exact halfspace depth of x in the configuration, by an exact recursion
     over the dimension (no LP): with w = p - x, the number of w = 0 plus the
     fewest nonzero w with u.w > 0; the witness halfspace is u.(y - x) >= 0.
-    The points and x are scaled to integers once by the lcm L of their
+    The points and x are brought to integers over the lcm M of all their
     denominators, a common positive factor that keeps every count and tilt,
-    and the recursion runs on the integer w."""
+    from the configuration's one scaling (over L) and x's (over E); the
+    recursion runs on the integer w."""
     xx = tuple(rat(c) for c in x)
     if len(xx) != config.d:
         raise ValueError("point dimension mismatch")
-    L, (*P, X) = integer_scaled((*config.points, xx))
+    L, P = config.scaled
+    E, (X,) = integer_scaled([xx])
+    M = lcm(L, E)
+    if M != L:
+        P = [tuple(c * (M // L) for c in p) for p in P]
+    X = tuple(c * (M // E) for c in X)
     W = [tuple(c - xc for c, xc in zip(p, X)) for p in P]
     nonzero = [w for w in W if any(w)]
     count, U, q = _fewest_on_open_side(nonzero, config.d)
     u = tuple(Fraction(c, q) for c in U)
-    offset = Fraction(-sum(map(operator.mul, U, X)), q * L)
+    offset = Fraction(-sum(map(operator.mul, U, X)), q * M)
     cert = DepthCertificate(xx, config.n - len(nonzero) + count, u, offset)
     if not check_depth_certificate(cert, config):
         raise RuntimeError("depth certificate failed verification")
@@ -249,13 +272,13 @@ def tverberg_partition(config: PointConfig, r: int) -> Optional[TverbergCertific
 
     Exhaustive over set partitions; each candidate is screened by a
     bounding-box test on the points scaled to integers once, and settled
-    by an exact LP.  Returns None when no partition works (possible below
-    the guaranteed size)."""
+    by an exact LP built from the same integers.  Returns None when no
+    partition works (possible below the guaranteed size)."""
     if r < 1:
         raise ValueError("need at least one block")
     if r > config.n:
         return None
-    ints = integer_scaled(config.points)[1]
+    ints = config.scaled.rows
     for blocks in iter_partitions(config.n, r):
         if _bbox_reject([[ints[l] for l in b] for b in blocks], config.d):
             continue
@@ -269,8 +292,10 @@ def _partition_certificate(
     config: PointConfig, blocks: Tuple[Tuple[int, ...], ...]
 ) -> Optional[TverbergCertificate]:
     """The certificate of a partition whose block hulls meet, checked here
-    where it is made; None if the hulls share no point."""
-    found = common_point_with_weights([config.subset(b) for b in blocks])
+    where it is made; None if the hulls share no point.  The blocks go to
+    the LP as the configuration's integer points over its one L."""
+    L, ints = config.scaled
+    found = common_point_with_weights([Scaled(L, [ints[l] for l in b]) for b in blocks])
     if found is None:
         return None
     cert = TverbergCertificate(blocks, *found)
@@ -281,19 +306,21 @@ def _partition_certificate(
 
 def check_tverberg_certificate(cert: TverbergCertificate, config: PointConfig) -> bool:
     """The blocks partition the labels and one weight tuple per block writes
-    the point: over the points scaled by L and the weights by K to
-    integers, sum (K w_j)(L p_j) == K (L x)."""
+    the point: over the configuration as scaled once (P/L), the point
+    scaled to X/E and the weights by K to integers,
+    E sum (K w_j) P_j == K L X."""
     labels = sorted(l for b in cert.blocks for l in b)
     if (labels != list(range(config.n)) or len(cert.weights) != len(cert.blocks)
             or len(cert.point) != config.d):
         return False
-    _, (*P, x) = integer_scaled((*config.points, cert.point))
+    L, P = config.scaled
+    E, (X,) = integer_scaled([cert.point])
     for block, ws in zip(cert.blocks, cert.weights):
         K, (w,) = integer_scaled([ws])
         if len(block) != len(w) or any(c < 0 for c in w) or sum(w) != K:
             return False
         for i in range(config.d):
-            if sum(c * P[l][i] for c, l in zip(w, block)) != K * x[i]:
+            if E * sum(c * P[l][i] for c, l in zip(w, block)) != K * L * X[i]:
                 return False
     return True
 
@@ -320,7 +347,8 @@ def _depth_from_lifted_partition(
     from above.  The certificate was checked where it was made."""
     if -(-len(cert.blocks) // k) < r:
         raise RuntimeError(f"{len(cert.blocks)} blocks of a {k}-fold lift: depth < {r}")
-    depth = tukey_depth(cert.point, PointConfig(lifted.d, lifted.points[::k]))
+    config = lifted if k == 1 else PointConfig(lifted.d, lifted.points[::k])
+    depth = tukey_depth(cert.point, config)
     if depth.depth < r:
         raise RuntimeError("common point of the partition has depth below r")
     return depth

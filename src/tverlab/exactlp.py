@@ -22,18 +22,21 @@ where exact tableau simplex is perfectly practical.
 """
 from __future__ import annotations
 
+import functools
+import itertools
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
-from typing import Optional, Sequence, Tuple
+from math import gcd, lcm
+from typing import Iterable, Optional, Sequence, Tuple
 
-from .rationals import Point, integer_scaled, rat
+from .rationals import Point, integer_scaled, rat, read_scaled
 
 LE = "<="
 EQ = "=="
 
 Row = Tuple[Tuple[Fraction, ...], str, Fraction]
+ScaledRow = Tuple[int, Tuple[int, ...], str, int]
 
 OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
@@ -57,30 +60,58 @@ class LinearSystem:
     as `le`, `eq` and the builders below make them.  Each row is also kept
     scaled to integers once, as (L_i, L_i a_i, rel, L_i b_i) with L_i the
     lcm of its denominators, and M is the lcm of all L_i; the tableau and
-    both certificate checks read these."""
+    both certificate checks read these.  `from_scaled` builds a system
+    from such rows directly, and then the Fraction `constraints` are
+    derived only when something reads them."""
 
     def __init__(self, n_vars: int, constraints: Sequence[Row]):
+        self.constraints: Tuple[Row, ...] = tuple(constraints)
+        self._set_scaled(n_vars, (_scaled_row(row) for row in self.constraints))
+
+    @classmethod
+    def from_scaled(cls, n_vars: int, scaled: Iterable[ScaledRow]) -> "LinearSystem":
+        """The system of the rows (L_i, A_i, rel, B_i) / L_i, each given as
+        its own lcm scaling: L_i > 0 and gcd(L_i, A_i, B_i) = 1."""
+        system = cls.__new__(cls)
+        system._set_scaled(n_vars, scaled)
+        return system
+
+    def _set_scaled(self, n_vars: int, scaled: Iterable[ScaledRow]) -> None:
         if n_vars < 0:
             raise ValueError("n_vars must be nonnegative")
         self.n_vars = n_vars
         self.scaled = []
-        for coeffs, rel, rhs in constraints:
+        for row in scaled:
+            _, coeffs, rel, _ = row
             if len(coeffs) != n_vars:
                 raise ValueError(
                     f"constraint has {len(coeffs)} coefficients, expected {n_vars}"
                 )
             if rel not in (LE, EQ):
                 raise ValueError(f"unknown relation {rel!r}")
-            L, (row,) = integer_scaled([(*coeffs, rhs)])
-            self.scaled.append((L, row[:-1], rel, row[-1]))
-        self.constraints: Tuple[Row, ...] = tuple(constraints)
+            self.scaled.append(row)
         self.M = lcm(*(L for L, _, _, _ in self.scaled))
 
+    @functools.cached_property
+    def constraints(self) -> Tuple[Row, ...]:
+        """The rows as Fractions, (A_i / L_i, rel, B_i / L_i); a system
+        built from Fraction rows keeps the rows it was given."""
+        return tuple(
+            (tuple(Fraction(c, L) for c in coeffs), rel, Fraction(rhs, L))
+            for L, coeffs, rel, rhs in self.scaled
+        )
+
     def __len__(self) -> int:
-        return len(self.constraints)
+        return len(self.scaled)
 
     def __repr__(self) -> str:
-        return f"LinearSystem(n_vars={self.n_vars}, m={len(self.constraints)})"
+        return f"LinearSystem(n_vars={self.n_vars}, m={len(self)})"
+
+
+def _scaled_row(row: Row) -> ScaledRow:
+    coeffs, rel, rhs = row
+    L, (ints,) = integer_scaled([(*coeffs, rhs)])
+    return L, ints[:-1], rel, ints[-1]
 
 
 @dataclass(frozen=True)
@@ -123,7 +154,7 @@ def check_farkas(system: LinearSystem, cert: FarkasCertificate) -> bool:
     """nu = N/K certifies that no x >= 0 satisfies the rows: sum nu_i (a_i, b_i)
     is 1/(K M) times the scaled rows combined with weights N_i M/L_i."""
     mult = cert.multipliers
-    if len(mult) != len(system.constraints):
+    if len(mult) != len(system):
         return False
     _, (N,) = integer_scaled([mult])
     combo = [0] * system.n_vars
@@ -162,13 +193,12 @@ class _Tableau:
     def __init__(self, system: LinearSystem):
         self.system = system
         n = system.n_vars
-        rows = system.constraints
         slack_col = {}
-        for i, (_, rel, _) in enumerate(rows):
+        for i, (_, _, rel, _) in enumerate(system.scaled):
             if rel == LE:
                 slack_col[i] = n + len(slack_col)
         self.nstruct = n + len(slack_col)
-        m = len(rows)
+        m = len(system)
         self.width = self.nstruct + m + 1  # + rhs
 
         self.T = []
@@ -331,40 +361,44 @@ def common_point_with_weights(blocks: Sequence[Sequence[Sequence]]):
     """A common point of the hulls of the point blocks, with exact convex
     weights per block writing it, as (point, weights); or None.
 
-    The variables are the weights lambda >= 0 of all blocks: one sum row
-    per block, then per later block B and coordinate i the coupling row
-    sum_{v in first block} lambda_v v[i] - sum_{v in B} lambda_v v[i] == 0."""
-    if not blocks or not all(blocks):
+    Each block is read with read_scaled, so a block read already is used
+    as it is, and the blocks are brought to one denominator L.  The
+    variables are the weights lambda >= 0 of all blocks: one sum row per
+    block, then per later block B and coordinate i the coupling row
+    sum_{v in first block} lambda_v v[i] - sum_{v in B} lambda_v v[i] == 0.
+    The system is built in its scaled form: a coupling row is R/L for the
+    integer points, and with g = gcd(L, R) its own lcm scaling is
+    (L/g, R/g), so no Fraction row is built."""
+    read = [read_scaled(b) for b in blocks]
+    if not read or not all(rows for _, rows in read):
         raise ValueError("need at least one block, each of at least one point")
-    pts = [[tuple(rat(c) for c in q) for q in b] for b in blocks]
-    d = len(pts[0][0])
-    if any(len(q) != d for b in pts for q in b):
+    d = len(read[0].rows[0])
+    if any(len(q) != d for _, rows in read for q in rows):
         raise ValueError("point dimension mismatch")
-    offsets = []
-    total = 0
-    for b in pts:
-        offsets.append(total)
-        total += len(b)
-    zero, one = Fraction(0), Fraction(1)
-    rows = []
-    for b, off in zip(pts, offsets):
-        coeffs = [zero] * total
-        coeffs[off:off + len(b)] = [one] * len(b)
-        rows.append((tuple(coeffs), EQ, one))
+    L = lcm(*(s for s, _ in read))
+    pts = [rows if s == L else [tuple(c * (L // s) for c in q) for q in rows] for s, rows in read]
+    sizes = [len(b) for b in pts]
+    total = sum(sizes)
+    offsets = list(itertools.accumulate(sizes, initial=0))
+    scaled = []
+    for size, off in zip(sizes, offsets):
+        coeffs = [0] * total
+        coeffs[off:off + size] = [1] * size
+        scaled.append((1, tuple(coeffs), EQ, 1))
     first = pts[0]
     for b, off in zip(pts[1:], offsets[1:]):
         for i in range(d):
-            coeffs = [v[i] for v in first] + [zero] * (total - len(first))
+            coeffs = [v[i] for v in first] + [0] * (total - len(first))
             coeffs[off:off + len(b)] = [-v[i] for v in b]
-            rows.append((tuple(coeffs), EQ, zero))
-    out = lp_feasible(LinearSystem(total, rows))
+            g = gcd(L, *coeffs)
+            scaled.append((L // g, tuple(c // g for c in coeffs), EQ, 0))
+    out = lp_feasible(LinearSystem.from_scaled(total, scaled))
     if out.status != OPTIMAL:
         return None
     lam = out.witness
     D, (w,) = integer_scaled([lam[:len(first)]])
-    L, ints = integer_scaled(first)
-    point = tuple(Fraction(sum(map(operator.mul, w, c)), D * L) for c in zip(*ints))
-    weights = tuple(tuple(lam[off:off + len(b)]) for b, off in zip(pts, offsets))
+    point = tuple(Fraction(sum(map(operator.mul, w, c)), D * L) for c in zip(*first))
+    weights = tuple(tuple(lam[off:off + size]) for size, off in zip(sizes, offsets))
     return point, weights
 
 

@@ -1,17 +1,21 @@
 """Exact rational scalars and their text form.
 
-Every coordinate, weight, and LP value this package takes or returns is
-a `fractions.Fraction` (arbitrary precision, always reduced, positive
+Every coordinate, weight, and LP value this package returns is a
+`fractions.Fraction` (arbitrary precision, always reduced, positive
 denominator); the LP tableau and its certificate checks, the depth
-recursion and tilts, the partition screen and certificate checks, the
+recursion and tilts, the partition search and certificate checks, the
 isolation sums and the covering kernel compute inside on integers scaled
-from them.  Serialized form is the string ``"p/q"``.
+from them.  Input scalars (ints, Fractions, or strings `rat` reads) can
+be read straight into such integers with `read_scaled`, which builds no
+Fraction for an int or a plain ``"p"`` or ``"p/q"`` string.  Serialized
+form is the string ``"p/q"``.
 """
 from __future__ import annotations
 
+import re
 from fractions import Fraction
-from math import lcm
-from typing import List, Sequence, Tuple
+from math import gcd, lcm
+from typing import Iterable, List, NamedTuple, Sequence, Tuple
 
 Rational = Fraction
 Point = Tuple[Fraction, ...]
@@ -44,6 +48,48 @@ def integer_scaled(vectors: Sequence[Sequence[Fraction]]) -> Tuple[int, List[Tup
     L as integers; L > 0 keeps every sign and order between entries."""
     L = lcm(*(c.denominator for v in vectors for c in v))
     return L, [tuple(c.numerator * (L // c.denominator) for c in v) for v in vectors]
+
+
+class Scaled(NamedTuple):
+    """Rows of rationals as integers over one positive common denominator:
+    row i is rows[i] / scale.  From read_scaled, scale is the lcm of the
+    rows' denominators."""
+
+    scale: int
+    rows: List[Tuple[int, ...]]
+
+
+_PLAIN = re.compile(r"([+-]?[0-9]+)(?:/([0-9]+))?")
+
+
+def _reduced(value) -> Tuple[int, int]:
+    """The numerator and denominator of rat(value), raising what it raises;
+    an int or a plain "p" or "p/q" string (ASCII digits, no spaces, q > 0)
+    is read with int, every other value through rat."""
+    if type(value) is int:
+        return value, 1
+    if type(value) is str:
+        m = _PLAIN.fullmatch(value)
+        if m:
+            p, q = m.groups()
+            p, q = int(p), int(q or 1)
+            if q:
+                g = gcd(p, q)
+                return p // g, q // g
+    f = rat(value)
+    return f.numerator, f.denominator
+
+
+def read_scaled(rows: Iterable[Iterable]) -> Scaled:
+    """Rows of input scalars read once into integers: the Scaled form of
+    the rows coerced by rat, with the same scalars accepted and the same
+    errors raised in the same (row-major) order.  An already Scaled value
+    is returned as it is."""
+    if isinstance(rows, Scaled):
+        return rows
+    pairs = [[_reduced(c) for c in row] for row in rows]
+    L = lcm(*(q for row in pairs for _, q in row))
+    return Scaled(L, [tuple(p * (L // q) for p, q in row) for row in pairs])
 
 
 def point_strs(p: Sequence[Fraction]) -> list:

@@ -4,12 +4,14 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 
 import tverlab
 import tverlab.cli
 from tverlab.cli import main
+from tverlab.rationals import rat, rat_str
 
 
 def run(capsys, *argv):
@@ -435,3 +437,94 @@ def test_cli_import_needs_no_numpy():
 def test_every_exported_name_resolves():
     assert len(set(tverlab.__all__)) == len(tverlab.__all__)
     assert [name for name in tverlab.__all__ if not hasattr(tverlab, name)] == []
+
+
+def test_d_must_be_a_nonnegative_integer(tmp_path, capsys):
+    """A "d" that is not a JSON integer >= 0 is one usage error.  Unchecked,
+    `true` runs as d = 1, -1 with no points passes as outside the
+    hypotheses, and 1.0 and "1" fail with Python's own messages."""
+    path = tmp_path / "config.json"
+    for d, points in (("true", '[["0"], ["1"], ["2"]]'), ("-1", "[]"),
+                      ("1.0", '[["0"], ["1"], ["2"]]'), ('"1"', '[["0"], ["1"], ["2"]]')):
+        path.write_text('{"d": %s, "points": %s}' % (d, points))
+        for command in ("centerpoint", "tverberg"):
+            with pytest.raises(SystemExit) as e:
+                main([command, "--r", "2", "--input", str(path)])
+            assert e.value.code == 2, (d, command)
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err.endswith(
+                f'error: {command}: "d" must be a nonnegative integer\n'
+            ), (d, command)
+
+
+# sha256 of "exit code, stdout, stderr" of `cover --input` on the set
+# [[s, 1 - s, "0"], ["0", "1/2", "1/2"], ["1/3", "1/3", "1/3"]] for each
+# scalar s that `rat` reads (1 - s written "p/q"), and on
+# [[s, "1/2", "0"], ...] for each it rejects, as printed when every input
+# scalar was read through `rat`
+READ_SCALARS_SHA256 = {
+    0: "f8c31fa6efb8a74721c727803f145d3415ca24ccdd38dc9c66730461514eed3e",
+    1: "bf6c6e3d572fd2392c7a015695456a4cd126c8669b5172dd238229abf2b974a0",
+    "3": "3f447c7e7b837de46348311063ca408a802b28f71d4f8b002b84bca1954ffaed",
+    "+3/4": "cd85587a80f832d85b519307a294a64f55bf59b7c64d503a64c3e962be98df44",
+    "-0": "f8c31fa6efb8a74721c727803f145d3415ca24ccdd38dc9c66730461514eed3e",
+    " 1/2 ": "efa0e579291d7dd531e8894b40aeb7bf117f5139b9dcd767e97fc996d56dc490",
+    "0.5": "efa0e579291d7dd531e8894b40aeb7bf117f5139b9dcd767e97fc996d56dc490",
+    "1e-1": "efa0e579291d7dd531e8894b40aeb7bf117f5139b9dcd767e97fc996d56dc490",
+    "1_0/20": "efa0e579291d7dd531e8894b40aeb7bf117f5139b9dcd767e97fc996d56dc490",
+    "2/4": "efa0e579291d7dd531e8894b40aeb7bf117f5139b9dcd767e97fc996d56dc490",
+}
+REJECTED_SCALARS_SHA256 = {
+    True: "8412ef2ac8e7d9cc575cffd65c49e9b0fdad8430582894bf85d3f3849b02d18e",
+    0.5: "c57a476a5fb94f0cbfe52b3bfd5f5ff8316894b3ff8a6ec588946bed82a47936",
+    "1/0": "07fb96e98d5c3225659c9615827766cc5d8e7022cac41fae9c891504487a1bf2",
+    "1/-2": "1373c2922557b1284f6f3f75e1dde9b879fbae27335d70f81d950e232a1e40ae",
+    "": "a39492f9eef311815c4fbd920ea6dc1bd8d401b6226d7271fb61b35fee37b0c9",
+    "abc": "626c4a4a10c914920a6533a16f62a62f9ffbbdc8dd7dbcc057178df68f5f60c9",
+}
+
+
+def test_cover_input_scalars_read_as_rat_reads_them(tmp_path, capsys):
+    path = tmp_path / "pts.json"
+    rest = [["0", "1/2", "1/2"], ["1/3", "1/3", "1/3"]]
+    cases = [(s, [[s, rat_str(1 - rat(s)), "0"]] + rest, digest, None)
+             for s, digest in READ_SCALARS_SHA256.items()]
+    cases += [(s, [[s, "1/2", "0"]] + rest, digest, 2)
+              for s, digest in REJECTED_SCALARS_SHA256.items()]
+    for s, pts, digest, usage in cases:
+        path.write_text(json.dumps({"barycentric_points": pts}))
+        try:
+            code = main(["cover", "--input", str(path)])
+        except SystemExit as e:
+            code = e.code
+        captured = capsys.readouterr()
+        got = f"{code}\n{captured.out}\n{captured.err}"
+        assert hashlib.sha256(got.encode()).hexdigest() == digest, repr(s)
+        assert usage is None or code == usage
+
+
+def test_a_cover_input_builds_only_delta_and_the_translate(tmp_path, capsys):
+    """Read straight into integers, a `cover --input` set of ints and "p/q"
+    strings builds n + 1 Fractions in all: delta and the translate."""
+    path = tmp_path / "pts.json"
+    built = []
+    new = vars(Fraction)["__new__"]
+
+    def counted(cls, *args, **kwargs):
+        built.append(args)
+        return new.__func__(cls, *args, **kwargs)
+
+    for key, pts in COVER_INPUTS.items():
+        n = len(pts[0]) - 1
+        tverlab.standard_simplex_body(n)  # built and cached once per n
+        path.write_text(json.dumps({"barycentric_points": pts}))
+        built.clear()
+        Fraction.__new__ = staticmethod(counted)
+        try:
+            code = main(["cover", "--input", str(path)])
+        finally:
+            Fraction.__new__ = new
+        capsys.readouterr()
+        assert code == 0
+        assert len(built) == n + 1, key

@@ -146,6 +146,13 @@ def test_facet_touching_forces_full_size():
     assert not facet_touching_check([(F(1, 2), F(1, 2), F(0)), (F(1), F(0), F(0))])
 
 
+def test_touches_all_facets_rejects_mixed_widths():
+    with pytest.raises(ValueError, match="mixed dimensions"):
+        tverlab.cover.touches_all_facets([(F(1, 2), F(1, 2)), (F(0), F(1), F(0))])
+    with pytest.raises(ValueError, match="need at least one point"):
+        tverlab.cover.touches_all_facets([])
+
+
 def test_body_validation():
     with pytest.raises(UnboundedBodyError):
         h_polytope([((1, 0), 1), ((-1, 0), 0), ((0, 1), 1)])

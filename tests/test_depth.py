@@ -1,5 +1,6 @@
 """Tukey depth, Tverberg partitions, and the prime-lift depth reduction."""
 import hashlib
+import sys
 from fractions import Fraction as F
 from math import comb, factorial
 
@@ -12,6 +13,7 @@ import tverlab.depth as depth_module
 from tverlab import (
     PointConfig,
     SplitMix64,
+    TverbergCertificate,
     centerpoint,
     check_depth_certificate,
     check_tverberg_certificate,
@@ -235,6 +237,16 @@ def test_tverberg_certificate_needs_one_weight_tuple_per_block():
     assert not check_tverberg_certificate(none, config)
 
 
+def test_tverberg_certificate_needs_nonnegative_weights():
+    """Affine weights that sum to one and write the point are not convex
+    weights: 1 = -1/2*0 + 2*1 - 1/2*2 certifies nothing."""
+    config = point_config(1, [[0], [1], [2]])
+    convex = TverbergCertificate(((0, 1, 2),), (F(1),), ((F(1, 3),) * 3,))
+    assert check_tverberg_certificate(convex, config)
+    affine = TverbergCertificate(((0, 1, 2),), (F(1),), ((F(-1, 2), F(2), F(-1, 2)),))
+    assert not check_tverberg_certificate(affine, config)
+
+
 def test_guaranteed_size():
     assert guaranteed_size(1, 2) == 3
     assert guaranteed_size(2, 3) == 7
@@ -419,3 +431,37 @@ def test_integer_certificate_checks_agree_with_the_fraction_checks():
                 accepted += verdict
                 rejected += not verdict
     assert accepted > 1000 and rejected > 5000
+
+
+def test_the_partition_search_scales_each_configuration_once(monkeypatch):
+    """However many candidates tverberg_partition scans, the configuration
+    is read into integers once and the depth module calls integer_scaled
+    r + 1 times (the certificate check's point and its r weight tuples);
+    the kernel calls it once per LP solve (that solve's certificate check)
+    and once for the common point, never per row."""
+    calls = {"tverlab.depth.integer_scaled": 0, "tverlab.exactlp.integer_scaled": 0,
+             "tverlab.depth.read_scaled": 0, "tverlab.exactlp.lp_feasible": 0}
+
+    def counting(name, fn):
+        def counted(*args):
+            calls[name] += 1
+            return fn(*args)
+        return counted
+
+    for name in calls:
+        module, attr = name.rsplit(".", 1)
+        monkeypatch.setattr(name, counting(name, getattr(sys.modules[module], attr)))
+    solves_seen = set()
+    for d, r in ((1, 2), (1, 3), (2, 2), (2, 3), (3, 2)):
+        rng = SplitMix64(100 * d + r)
+        for _ in range(10):
+            config = random_point_config(d, guaranteed_size(d, r), rng, num_bound=6, den_bound=3)
+            for name in calls:
+                calls[name] = 0
+            assert tverberg_partition(config, r) is not None
+            solves = calls["tverlab.exactlp.lp_feasible"]
+            solves_seen.add(solves)
+            assert calls["tverlab.depth.read_scaled"] == 1
+            assert calls["tverlab.depth.integer_scaled"] == r + 1
+            assert calls["tverlab.exactlp.integer_scaled"] == solves + 1
+    assert len(solves_seen) > 5  # scans of many lengths

@@ -33,6 +33,7 @@ from tverlab import (
     tverberg_partition,
 )
 from tverlab.exactlp import FarkasCertificate
+from tverlab.rationals import Scaled
 
 
 # ---------------------------------------------------------------------------
@@ -655,3 +656,110 @@ def test_common_point_of_polytopes():
 
     far = ((F(10), F(10)),)
     assert common_point_with_weights([tri1, far]) is None
+
+
+# ---------------------------------------------------------------------------
+# partition systems built in scaled form, against the Fraction rows
+# ---------------------------------------------------------------------------
+
+def fraction_partition_system(blocks):
+    """The system of common_point_with_weights as it was built from Fraction
+    rows: a sum row per block, then per later block B and coordinate i the
+    coupling row (first block's v[i], -B's v[i]) == 0."""
+    sizes = [len(b) for b in blocks]
+    total, d = sum(sizes), len(blocks[0][0])
+    offsets = [sum(sizes[:k]) for k in range(len(blocks))]
+    rows = []
+    for size, off in zip(sizes, offsets):
+        coeffs = [F(0)] * total
+        coeffs[off:off + size] = [F(1)] * size
+        rows.append((tuple(coeffs), EQ, F(1)))
+    first = blocks[0]
+    for b, off in zip(blocks[1:], offsets[1:]):
+        for i in range(d):
+            coeffs = [v[i] for v in first] + [F(0)] * (total - len(first))
+            coeffs[off:off + len(b)] = [-v[i] for v in b]
+            rows.append((tuple(coeffs), EQ, F(0)))
+    return LinearSystem(total, rows)
+
+
+def assert_same_system(scaled_built, blocks):
+    reference = fraction_partition_system(blocks)
+    assert scaled_built.n_vars == reference.n_vars
+    assert scaled_built.scaled == reference.scaled
+    assert scaled_built.M == reference.M
+    assert len(scaled_built) == len(reference)
+    assert scaled_built.constraints == reference.constraints
+
+
+def solving_into(record):
+    """lp_feasible that passes each system it solves to record first."""
+    solve = tverlab.exactlp.lp_feasible
+
+    def recording(system):
+        record(system)
+        return solve(system)
+
+    return recording
+
+
+def test_scaled_partition_systems_equal_the_fraction_built_ones(monkeypatch):
+    """The 992 partition-search systems of acceptance criterion 3, each
+    against the system built from the configuration's Fraction points."""
+    cases = []
+    certificate = tverlab.depth._partition_certificate
+
+    def recording(config, blocks):
+        cases.append(([config.subset(b) for b in blocks], []))
+        return certificate(config, blocks)
+
+    monkeypatch.setattr("tverlab.depth._partition_certificate", recording)
+    monkeypatch.setattr(
+        "tverlab.exactlp.lp_feasible", solving_into(lambda system: cases[-1][1].append(system))
+    )
+    for d, r in ((1, 2), (1, 3), (2, 2), (2, 3), (3, 2)):
+        rng = SplitMix64(100 * d + r)
+        n = guaranteed_size(d, r)
+        for _ in range(50):
+            tverberg_partition(random_point_config(d, n, rng, num_bound=6, den_bound=3), r)
+    assert len(cases) == 992
+    for blocks, (system,) in cases:
+        assert_same_system(system, blocks)
+
+
+mixed_scalars = st.builds(
+    F, st.integers(-40, 40), st.sampled_from((1, 2, 3, 4, 6, 7, 12, 1024, 999983))
+)
+
+
+@st.composite
+def scaled_partitions(draw):
+    """A partition of 3-7 points in R^1..R^3 with widely mixed denominators
+    into 2-3 blocks, and the blocks as one Scaled block each over a common
+    denominator: the lcm of theirs times an extra factor, as when the
+    configuration has denominators that these coordinates do not."""
+    d = draw(st.integers(1, 3))
+    n = draw(st.integers(3, 7))
+    points = [tuple(draw(st.lists(mixed_scalars, min_size=d, max_size=d))) for _ in range(n)]
+    r = draw(st.integers(2, 3))
+    labels = draw(st.lists(st.integers(0, r - 1), min_size=n, max_size=n))
+    blocks = [b for b in ([points[i] for i in range(n) if labels[i] == k] for k in range(r)) if b]
+    L = lcm(*(c.denominator for p in points for c in p)) * draw(st.sampled_from((1, 2, 5, 12)))
+    scaled = [Scaled(L, [tuple(int(c * L) for c in p) for p in b]) for b in blocks]
+    return blocks, scaled
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=200)
+@given(scaled_partitions())
+def test_scaled_systems_of_mixed_denominators_equal_the_fraction_built_ones(case):
+    blocks, scaled = case
+    for given_blocks in (blocks, scaled):
+        seen = []
+        solve = tverlab.exactlp.lp_feasible
+        tverlab.exactlp.lp_feasible = solving_into(seen.append)
+        try:
+            common_point_with_weights(given_blocks)
+        finally:
+            tverlab.exactlp.lp_feasible = solve
+        (system,) = seen
+        assert_same_system(system, blocks)
