@@ -48,6 +48,15 @@ def _emit(records: List[dict], output: Optional[str]) -> None:
 # subcommand handlers: each returns its records
 # ---------------------------------------------------------------------------
 
+def _input_object(path: str) -> dict:
+    """The JSON value of an --input file, which must be an object."""
+    with open(path) as fh:
+        data = json.load(fh)
+    if not isinstance(data, dict):
+        raise ValueError("input must be a JSON object")
+    return data
+
+
 def _configs(args, parser) -> List[depth.PointConfig]:
     if args.r is None or (args.d is None and not args.input):
         parser.error(f"{args.command}: need --r, and --d or --input")
@@ -123,8 +132,7 @@ def cmd_reduce(args, parser):
 
 def cmd_hind(args, parser):
     if args.input:
-        with open(args.input) as fh:
-            data = json.load(fh)
+        data = _input_object(args.input)
         if not isinstance(data["involution"], dict):
             raise ValueError('"involution" must be a JSON object')
         involution = {}
@@ -132,7 +140,11 @@ def cmd_hind(args, parser):
             if int(k) in involution:
                 raise ValueError(f"vertex {int(k)} appears twice in the involution")
             involution[int(k)] = v
-        X = z2.Z2Complex(z2.SimplicialComplex(data["maximal_simplices"]), involution)
+        try:
+            K = z2.SimplicialComplex(data["maximal_simplices"])
+        except TypeError:  # a value that does not iterate, or ids that do not compare or hash
+            raise ValueError('"maximal_simplices" must be an array of arrays of vertex ids') from None
+        X = z2.Z2Complex(K, involution)
         return [{"hind": z2.hind(X)}]
     m = args.sphere if args.sphere is not None else args.m
     if m is None:
@@ -191,9 +203,7 @@ def _random_facet_touching(n: int, rng: SplitMix64, extra: int = 2):
 
 def cmd_cover(args, parser):
     if args.input:
-        with open(args.input) as fh:
-            data = json.load(fh)
-        pts = read_scaled(data["barycentric_points"])
+        pts = read_scaled(_input_object(args.input)["barycentric_points"])
         touches = cover.touches_all_facets(pts)
         cert = cover.min_cover_barycentric(pts)
         rec = cert.to_record()

@@ -61,12 +61,20 @@ class PointConfig:
     @classmethod
     def from_json(cls, text: str) -> "PointConfig":
         """The configuration {"d": d, "points": [[scalar, ...], ...]}, with
-        d a nonnegative JSON integer and each scalar one `rat` reads."""
+        d a nonnegative JSON integer and each scalar one `rat` reads.  The
+        points are read once, by `read_scaled`; their Fractions are built
+        from its integers, and it fills the `scaled` cache."""
         data = json.loads(text)
+        if not isinstance(data, dict):
+            raise ValueError("input must be a JSON object")
         d = data["d"]
         if type(d) is not int or d < 0:
             raise ValueError('"d" must be a nonnegative integer')
-        return cls(d, tuple(tuple(rat(c) for c in p) for p in data["points"]))
+        scaled = read_scaled(data["points"])
+        L = scaled.scale
+        config = cls(d, tuple(tuple(Fraction(c, L) for c in p) for p in scaled.rows))
+        vars(config)["scaled"] = scaled
+        return config
 
 
 def point_config(d: int, points: Sequence[Sequence]) -> PointConfig:

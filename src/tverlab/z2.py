@@ -11,8 +11,11 @@ faces of X, solved by a single elimination in order of dimension.
 A Z2Complex numbers its faces once, as bitmasks, when it is built.  Its
 vertices are relabelled so that each orbit {v, g v} is two adjacent bits;
 g then acts on a face's mask as one fixed bit swap, and no image is
-sorted.  The facet-image check, `is_free` and `hind` all read that one
-table, and none of them builds the complex's sorted face index.
+sorted.  Each dimension's faces are numbered with bits local to that
+dimension's band; `hind` stacks the bands, vertices lowest, and pivots
+each row on its highest bit, so a row stays an int as wide as the bands
+it touches.  The facet-image check, `is_free` and `hind` all read that
+one table, and none of them builds the complex's sorted face index.
 """
 from __future__ import annotations
 
@@ -33,9 +36,11 @@ class Z2Complex:
     The face table: `_bit` maps each vertex to its bit, each orbit taking
     two adjacent bits (the lower one in `_lo`) and a vertex that g fixes
     one bit (in `_fixed`).  `_faces[k]` lists the masks of the k-faces in
-    ascending order, `_columns` maps each mask to its column bit in
-    `hind`'s system, and `_cofaces` to the column bits of its
-    codimension-one cofaces."""
+    ascending order.  `_columns` maps each mask to its bit in its
+    dimension's band, len(_faces[k]) bits wide, the first mask taking the
+    highest; `_cofaces` maps it to the band-local bits of its
+    codimension-one cofaces in the band above.  `hind` shifts the bands
+    into place."""
 
     def __init__(self, complex: SimplicialComplex, involution: Dict[int, int]):
         self.complex = complex
@@ -85,28 +90,30 @@ class Z2Complex:
 
     def _number_faces(self, given: Dict[int, List[int]]) -> None:
         """Walk the faces top-down from the given simplices' masks (keyed
-        by size), numbering each dimension's faces in ascending mask order
-        and recording their cofaces on the way.  Among faces of one
-        dimension, ascending masks are descending lex order (see `hind`)."""
+        by size), recording each level's cofaces on the way.  A level is
+        complete before it is numbered, so its faces get band-local bits:
+        the smallest mask the band's highest bit, the largest bit 0 (see
+        `hind`).  A face's coface bits are those of the band above."""
         size = max(given)
         faces: List[List[int]] = []
         columns: Dict[int, int] = {}
         cofaces: Dict[int, int] = {}
         level = dict.fromkeys(given[size], 0)
-        n = 0
         while size:
             masks = sorted(level)
             faces.append(masks)
             cofaces.update(level)
             size -= 1
             level = dict.fromkeys(given.get(size, ()), 0)
+            col = 1 << len(masks)
             for m in masks:
-                col = columns[m] = 1 << n
-                n += 1
+                col >>= 1
+                columns[m] = col
                 rest = m if size else 0
                 while rest:
                     low = rest & -rest
-                    level[m ^ low] = level.get(m ^ low, 0) | col
+                    sub = m ^ low
+                    level[sub] = level.get(sub, 0) | col
                     rest ^= low
         faces.reverse()
         self._faces, self._columns, self._cofaces = faces, columns, cofaces
@@ -142,20 +149,25 @@ def _gf2_solvable(rows: Sequence[int], ncols: int) -> Optional[int]:
 
     Returns the index of the first row that makes the rows before it and
     itself inconsistent, or None when the whole system is solvable.  Xor
-    elimination is keyed by each row's lowest set bit: a row that reduces
-    to the right-hand-side bit alone reads 0 = 1.
+    elimination is keyed by each row's highest column bit, found with
+    `bit_length`; the right-hand side rides below the columns, as bit 0,
+    so a row that reduces to it alone (the int 1) reads 0 = 1.  A row
+    whose columns are all low bits stays a small int through every step.
     """
-    rhs_bit = 1 << ncols
-    pivots: Dict[int, int] = {}
+    cols = (1 << ncols) - 1
+    pivots = [0] * (ncols + 2)
     for i, row in enumerate(rows):
-        while row:
-            low = row & -row
-            if low == rhs_bit:
-                return i
-            if low not in pivots:
-                pivots[low] = row
+        row = (row & cols) << 1 | row >> ncols
+        while row > 1:
+            top = row.bit_length()
+            pivot = pivots[top]
+            if not pivot:
+                pivots[top] = row
                 break
-            row ^= pivots[low]
+            row ^= pivot
+        else:
+            if row:
+                return i
     return None
 
 
@@ -173,23 +185,34 @@ def hind(X: Z2Complex) -> int:
     Columns and rows come from X's face table.  Whether the rows up to
     dimension k are consistent depends neither on the column order nor on
     the row order within a dimension, so neither changes the index, but
-    both change the elimination's work.  The table keeps the order of the
-    face list sorted by (dimension, lex) in the relabelled vertices: the
-    columns run through it backwards, so higher faces get the lower bits
-    and each row pivots on a coface, and the rows run through it forwards.
-    (Numbering a dimension's faces in set order instead made S^7 several
-    times slower.)
+    both change the elimination's work.  The columns are the table's
+    bands placed bottom-up, vertices lowest, so higher faces get the
+    higher bits and each row pivots on a coface; within a band the
+    smallest mask, the first face in lex order, has the highest bit.  The
+    rows run through each dimension in lex order.  A row of dimension k
+    is then an int of the bands up to k + 1 only, and so is every pivot
+    it meets.  (Numbering a dimension's faces in set order instead made
+    S^7 several times slower.)
     Raises FixedSimplexError on a non-free action."""
     if not X.is_free():
         raise FixedSimplexError("fixed simplex found: the action is not free")
-    columns, cofaces, swap = X._columns, X._cofaces, X._swap
-    rows = [sum(columns[m] for m in X._faces[0]) | (1 << len(columns))]
+    columns, cofaces, lo, faces = X._columns, X._cofaces, X._lo, X._faces
+    ncols = len(columns)
+    rows = [((1 << len(faces[0])) - 1) | (1 << ncols)]
     row_dims = []
-    for k, masks in enumerate(X._faces[:-1]):
-        rows.extend(columns[m] ^ columns[swap(m)] ^ cofaces[m] for m in reversed(masks))
-        row_dims += [k] * len(masks)
-    first = _gf2_solvable(rows, len(columns))
-    return len(X._faces) - 1 if first is None else row_dims[first - 1]
+    shift = 0
+    for k, masks in enumerate(faces[:-1]):
+        width = len(masks)
+        # g m is ((m & lo) << 1) | ((m >> 1) & lo): g fixes no vertex.
+        rows.extend(
+            (columns[m] ^ columns[((m & lo) << 1) | ((m >> 1) & lo)] | cofaces[m] << width)
+            << shift
+            for m in reversed(masks)
+        )
+        row_dims += [k] * width
+        shift += width
+    first = _gf2_solvable(rows, ncols)
+    return len(faces) - 1 if first is None else row_dims[first - 1]
 
 
 def z2_disjoint_union(*parts: Z2Complex) -> Z2Complex:

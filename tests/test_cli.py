@@ -528,3 +528,53 @@ def test_a_cover_input_builds_only_delta_and_the_translate(tmp_path, capsys):
         capsys.readouterr()
         assert code == 0
         assert len(built) == n + 1, key
+
+
+def usage_error(capsys, argv):
+    """Exit code and the last stderr line of a run that must print nothing."""
+    with pytest.raises(SystemExit) as e:
+        main(argv)
+    captured = capsys.readouterr()
+    assert captured.out == "" and "Traceback" not in captured.err
+    return e.value.code, captured.err.splitlines()[-1]
+
+
+def test_an_input_that_is_not_a_json_object_is_a_usage_error(tmp_path, capsys):
+    """Indexed unchecked, a list, null, string or number printed Python's
+    own "list indices must be integers or slices, not str" and the like."""
+    path = tmp_path / "input.json"
+    for value in ("[1, 2]", "null", '"d"', "3"):
+        path.write_text(value)
+        for command in (["centerpoint", "--r", "2"], ["tverberg", "--r", "2"], ["cover"], ["hind"]):
+            argv = command + ["--input", str(path)]
+            assert usage_error(capsys, argv) == (
+                2, f"tverlab: error: {command[0]}: input must be a JSON object"
+            ), (value, command)
+
+
+def test_maximal_simplices_that_are_not_an_array_are_a_usage_error(tmp_path, capsys):
+    path = tmp_path / "complex.json"
+    for value in ("5", "null", "1.5", "true"):
+        path.write_text('{"maximal_simplices": %s, "involution": {"0": 1, "1": 0}}' % value)
+        assert usage_error(capsys, ["hind", "--input", str(path)]) == (
+            2, 'tverlab: error: hind: "maximal_simplices" must be an array of arrays of vertex ids'
+        ), value
+
+
+def test_maximal_simplices_that_are_not_arrays_are_a_usage_error(tmp_path, capsys):
+    """An entry that does not iterate, or vertex ids that do not compare,
+    printed "'int' object is not iterable" and the like; an entry whose
+    ids are not integers keeps its own message."""
+    path = tmp_path / "complex.json"
+    cases = {
+        "[[0], 1]": '"maximal_simplices" must be an array of arrays of vertex ids',
+        "[[0], null]": '"maximal_simplices" must be an array of arrays of vertex ids',
+        '[[0, "1"]]': '"maximal_simplices" must be an array of arrays of vertex ids',
+        '[[0, 0], 1]': "repeated vertex in simplex (0, 0)",
+        '["01"]': "vertex ids must be integers",
+    }
+    for value, message in cases.items():
+        path.write_text('{"maximal_simplices": %s, "involution": {"0": 1, "1": 0}}' % value)
+        assert usage_error(capsys, ["hind", "--input", str(path)]) == (
+            2, f"tverlab: error: hind: {message}"
+        ), value

@@ -1,5 +1,6 @@
 """Tukey depth, Tverberg partitions, and the prime-lift depth reduction."""
 import hashlib
+import json
 import sys
 from fractions import Fraction as F
 from math import comb, factorial
@@ -27,6 +28,7 @@ from tverlab import (
     tukey_depth,
     tverberg_partition,
 )
+from tverlab.rationals import read_scaled
 
 
 def depth_1d(x, values):
@@ -465,3 +467,30 @@ def test_the_partition_search_scales_each_configuration_once(monkeypatch):
             assert calls["tverlab.depth.integer_scaled"] == r + 1
             assert calls["tverlab.exactlp.integer_scaled"] == solves + 1
     assert len(solves_seen) > 5  # scans of many lengths
+
+
+def test_from_json_reads_each_scalar_once_without_a_string_parse():
+    """Ints and plain "p/q" strings are read into integers once; the
+    Fractions are built from those integers, never from a string, and the
+    read fills `scaled`.  Other scalars `rat` reads give the same values."""
+    plain = [[3, "-1/2"], ["4/6", "0"], ["-7", 2], ["5/3", "10/4"]]
+    parsed = []
+    new = vars(F)["__new__"]
+
+    def counted(cls, *args, **kwargs):
+        parsed.extend(a for a in args if isinstance(a, str))
+        return new.__func__(cls, *args, **kwargs)
+
+    F.__new__ = staticmethod(counted)
+    try:
+        config = PointConfig.from_json(json.dumps({"d": 2, "points": plain}))
+    finally:
+        F.__new__ = new
+    assert parsed == []
+    assert "scaled" in vars(config)
+    assert config == point_config(2, plain)
+    assert config.scaled == read_scaled(config.points)
+    other = [[" 1/2 ", "0.25"], ["1e-1", "2/4"]]
+    config = PointConfig.from_json(json.dumps({"d": 2, "points": other}))
+    assert config == point_config(2, other)
+    assert config.scaled == read_scaled(config.points)

@@ -406,9 +406,133 @@ def test_sphere_index_three_and_four():
     assert hind(cross_polytope_sphere(4)) == 4
 
 
+def lowest_bit_solvable(rows, ncols, steps=None):
+    """The elimination keyed by each row's lowest set bit, with the
+    right-hand side as bit `ncols` above every column: the reference for
+    `_gf2_solvable`.  Appends one entry to `steps` per xor step."""
+    rhs_bit = 1 << ncols
+    pivots = {}
+    for i, row in enumerate(rows):
+        while row:
+            low = row & -row
+            if low == rhs_bit:
+                return i
+            if low not in pivots:
+                pivots[low] = row
+                break
+            row ^= pivots[low]
+            if steps is not None:
+                steps.append(1)
+    return None
+
+
+def highest_bit_xor_steps(rows, ncols):
+    """The xor steps of an elimination keyed by each row's highest column
+    bit, the right-hand side carried beside the row."""
+    pivots, steps = {}, 0
+    for row in rows:
+        rhs, row = row >> ncols, row & ((1 << ncols) - 1)
+        while row:
+            top = row.bit_length()
+            if top not in pivots:
+                pivots[top] = row, rhs
+                break
+            row ^= pivots[top][0]
+            rhs ^= pivots[top][1]
+            steps += 1
+        else:
+            if rhs:
+                break
+    return steps
+
+
+def mirrored(row, ncols):
+    """Column c sent to column ncols - 1 - c; the right-hand side kept."""
+    cols = format(row & ((1 << ncols) - 1), f"0{ncols}b")
+    return int(cols[::-1], 2) | (row >> ncols << ncols)
+
+
+@st.composite
+def gf2_systems(draw):
+    """Rows over up to 300 columns: dense and sparse rows, zero rows,
+    right-hand-side-only rows, duplicates, and xors of earlier rows with
+    the right-hand side kept or flipped (so most systems become
+    inconsistent somewhere)."""
+    ncols = draw(st.integers(1, 300))
+    rhs = 1 << ncols
+    rows = []
+    for kind in draw(st.lists(st.integers(0, 6), max_size=40)):
+        if kind == 0 or not rows and kind >= 4:
+            row = draw(st.integers(0, 2 * rhs - 1))
+        elif kind == 1:
+            row = sum(1 << c for c in draw(st.sets(st.integers(0, ncols), max_size=4)))
+        elif kind == 2:
+            row = 0
+        elif kind == 3:
+            row = rhs
+        elif kind == 4:
+            row = rows[draw(st.integers(0, len(rows) - 1))]
+        else:
+            row = 0
+            for j in draw(st.sets(st.integers(0, len(rows) - 1), min_size=1)):
+                row ^= rows[j]
+            row ^= rhs * (kind - 5)
+        rows.append(row)
+    return rows, ncols
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(gf2_systems())
+def test_gf2_elimination_matches_the_lowest_bit_reference(system):
+    rows, ncols = system
+    assert _gf2_solvable(rows, ncols) == lowest_bit_solvable(rows, ncols)
+
+
+# xor steps of the lowest-bit elimination on the rows of `hind` as they
+# were built before the columns were mirrored (same rows, same pivots)
+MIRRORED_XOR_STEPS = {
+    "S^2": 34, "S^3": 235, "S^4": 1318, "S^5": 6615,
+    "sd S^2": 298, "sd S^3": 8839, "sd S^2+S^3": 1240,
+}
+
+
+def test_hind_rows_are_the_lowest_bit_rows_mirrored(monkeypatch):
+    """Mirrored, the rows `hind` builds take the lowest-bit reference
+    through exactly as many xor steps as the highest-bit elimination takes
+    on them as built; both pivot on a coface and make the same steps."""
+    S = cross_polytope_sphere
+    cases = {f"S^{m}": S(m) for m in range(2, 6)}
+    cases["sd S^2"] = subdivide_z2(S(2))
+    cases["sd S^3"] = subdivide_z2(S(3))
+    cases["sd S^2+S^3"] = relabelled(
+        z2_disjoint_union(subdivide_z2(S(2)), S(3)), SplitMix64(19)
+    )
+    systems = []
+    solve = tverlab.z2._gf2_solvable
+    monkeypatch.setattr(
+        tverlab.z2, "_gf2_solvable",
+        lambda rows, ncols: systems.append((rows, ncols)) or solve(rows, ncols),
+    )
+    for label, X in cases.items():
+        systems.clear()
+        hind(X)
+        [(rows, ncols)] = systems
+        steps = []
+        first = lowest_bit_solvable([mirrored(r, ncols) for r in rows], ncols, steps)
+        assert first == solve(rows, ncols), label
+        assert len(steps) == highest_bit_xor_steps(rows, ncols), label
+        assert len(steps) == MIRRORED_XOR_STEPS[label], label
+
+
 def test_sphere_index_five_to_seven():
     for m in (5, 6, 7):
         assert hind(cross_polytope_sphere(m)) == m
+
+
+def test_index_of_large_complexes():
+    """sd S^4 has 24482 faces, S^8 19682."""
+    assert hind(subdivide_z2(cross_polytope_sphere(4))) == 4
+    assert hind(cross_polytope_sphere(8)) == 8
 
 
 def test_hind_builds_no_complex(monkeypatch):
