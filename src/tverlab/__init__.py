@@ -1,163 +1,116 @@
 """Exact rational toolkit for Tukey depth, Tverberg partitions, Z2 index
-computations, and simplex covering certificates."""
+computations, and simplex covering certificates.
 
-from .complexes import (
-    BarycentricComplex,
-    SimplicialComplex,
-    barycentric_subdivision,
-    full_simplex,
-    simplex,
-    skeleton,
-    standard_center,
-)
-from .conemap import (
-    CounterexampleSpec,
-    IsolationFailure,
-    IsolationReport,
-    ProbeResult,
-    build_counterexample,
-    enumerate_disjoint_tuples,
-    probe_tverberg_plus_one,
-    verify_isolation,
-)
-from .cover import (
-    CoverCertificate,
-    FiberReport,
-    HPolytopeBody,
-    UnboundedBodyError,
-    barycentric_to_centered,
-    constant_map,
-    coordinate_projection_map,
-    facet_touching_check,
-    fiber_width_demo,
-    grid_points_in_simplex,
-    h_polytope,
-    interval_body,
-    min_cover_barycentric,
-    min_cover_homothety,
-    standard_simplex_body,
-)
-from .depth import (
-    DepthCertificate,
-    PointConfig,
-    ReductionPlan,
-    TverbergCertificate,
-    centerpoint,
-    check_depth_certificate,
-    check_tverberg_certificate,
-    guaranteed_size,
-    hull_membership_depth,
-    iter_partitions,
-    point_config,
-    random_point_config,
-    reduce_central_from_tverberg,
-    reduction_plan,
-    tukey_depth,
-    tverberg_partition,
-)
-from .exactlp import (
-    EQ,
-    INFEASIBLE,
-    LE,
-    OPTIMAL,
-    FarkasCertificate,
-    LinearSystem,
-    LPOutcome,
-    check_farkas,
-    check_witness,
-    common_point_with_weights,
-    eq,
-    in_convex_hull,
-    le,
-    lp_feasible,
-    strict_separator,
-)
-from .rationals import Rational, point_strs, rat, rat_str
-from .rng import SplitMix64
-from .z2 import (
-    FixedSimplexError,
-    Z2Complex,
-    cross_polytope_sphere,
-    disjoint_union_index,
-    hind,
-    subdivide_z2,
-    z2_disjoint_union,
-)
+Each public name is listed once, under its module, in `_EXPORTS`, and is
+imported on first use (PEP 562): `from tverlab import X` loads only X's
+module and the modules it imports, and `import tverlab` loads none.  The
+modules themselves (`tverlab.depth`, `tverlab.z2`, ...) resolve the same
+way.  The command line (`tverlab.cli`) imports every layer it dispatches
+to when it is imported, so a run pays its imports before its first claim
+and each layer is in `sys.modules` for tools that wrap its functions.
+"""
+
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BarycentricComplex",
-    "CounterexampleSpec",
-    "CoverCertificate",
-    "DepthCertificate",
-    "EQ",
-    "FarkasCertificate",
-    "FiberReport",
-    "FixedSimplexError",
-    "HPolytopeBody",
-    "INFEASIBLE",
-    "IsolationFailure",
-    "IsolationReport",
-    "LE",
-    "LPOutcome",
-    "LinearSystem",
-    "OPTIMAL",
-    "PointConfig",
-    "ProbeResult",
-    "Rational",
-    "ReductionPlan",
-    "SimplicialComplex",
-    "SplitMix64",
-    "TverbergCertificate",
-    "UnboundedBodyError",
-    "Z2Complex",
-    "barycentric_subdivision",
-    "barycentric_to_centered",
-    "build_counterexample",
-    "centerpoint",
-    "check_depth_certificate",
-    "check_farkas",
-    "check_tverberg_certificate",
-    "check_witness",
-    "common_point_with_weights",
-    "constant_map",
-    "coordinate_projection_map",
-    "cross_polytope_sphere",
-    "disjoint_union_index",
-    "enumerate_disjoint_tuples",
-    "eq",
-    "facet_touching_check",
-    "fiber_width_demo",
-    "full_simplex",
-    "grid_points_in_simplex",
-    "guaranteed_size",
-    "h_polytope",
-    "hind",
-    "hull_membership_depth",
-    "in_convex_hull",
-    "interval_body",
-    "iter_partitions",
-    "le",
-    "lp_feasible",
-    "min_cover_barycentric",
-    "min_cover_homothety",
-    "point_config",
-    "point_strs",
-    "probe_tverberg_plus_one",
-    "random_point_config",
-    "rat",
-    "rat_str",
-    "reduce_central_from_tverberg",
-    "reduction_plan",
-    "simplex",
-    "skeleton",
-    "standard_center",
-    "standard_simplex_body",
-    "strict_separator",
-    "subdivide_z2",
-    "tukey_depth",
-    "tverberg_partition",
-    "verify_isolation",
-    "z2_disjoint_union",
-]
+_EXPORTS = {
+    "complexes": (
+        "BarycentricComplex",
+        "SimplicialComplex",
+        "barycentric_subdivision",
+        "full_simplex",
+        "simplex",
+        "skeleton",
+        "standard_center",
+    ),
+    "conemap": (
+        "CounterexampleSpec",
+        "IsolationFailure",
+        "IsolationReport",
+        "ProbeResult",
+        "build_counterexample",
+        "enumerate_disjoint_tuples",
+        "probe_tverberg_plus_one",
+        "verify_isolation",
+    ),
+    "cover": (
+        "CoverCertificate",
+        "FiberReport",
+        "HPolytopeBody",
+        "UnboundedBodyError",
+        "barycentric_to_centered",
+        "constant_map",
+        "coordinate_projection_map",
+        "facet_touching_check",
+        "fiber_width_demo",
+        "grid_points_in_simplex",
+        "h_polytope",
+        "interval_body",
+        "min_cover_barycentric",
+        "min_cover_homothety",
+        "standard_simplex_body",
+    ),
+    "depth": (
+        "DepthCertificate",
+        "PointConfig",
+        "ReductionPlan",
+        "TverbergCertificate",
+        "centerpoint",
+        "check_depth_certificate",
+        "check_tverberg_certificate",
+        "guaranteed_size",
+        "hull_membership_depth",
+        "iter_partitions",
+        "point_config",
+        "random_point_config",
+        "reduce_central_from_tverberg",
+        "reduction_plan",
+        "tukey_depth",
+        "tverberg_partition",
+    ),
+    "exactlp": (
+        "EQ",
+        "INFEASIBLE",
+        "LE",
+        "OPTIMAL",
+        "FarkasCertificate",
+        "LinearSystem",
+        "LPOutcome",
+        "check_farkas",
+        "check_witness",
+        "common_point_with_weights",
+        "eq",
+        "in_convex_hull",
+        "le",
+        "lp_feasible",
+        "strict_separator",
+    ),
+    "rationals": ("Rational", "point_strs", "rat", "rat_str"),
+    "rng": ("SplitMix64",),
+    "z2": (
+        "FixedSimplexError",
+        "Z2Complex",
+        "cross_polytope_sphere",
+        "disjoint_union_index",
+        "hind",
+        "subdivide_z2",
+        "z2_disjoint_union",
+    ),
+}
+
+_MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = sorted(_MODULE_OF)
+
+
+def __getattr__(name: str):
+    if name in _EXPORTS:
+        return importlib.import_module(f".{name}", __name__)
+    if name not in _MODULE_OF:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(importlib.import_module(f".{_MODULE_OF[name]}", __name__), name)
+
+
+def __dir__():
+    return [*globals(), *__all__]

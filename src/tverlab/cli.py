@@ -25,7 +25,7 @@ from fractions import Fraction
 from typing import List, Optional
 
 from . import conemap, cover, depth, z2
-from .rationals import point_strs, rat_str, read_scaled
+from .rationals import point_strs, rat_str, read_json_rows, read_scaled
 from .rng import SplitMix64
 
 PASS, FALSIFIED, USAGE, INTERNAL = 0, 1, 2, 3
@@ -137,9 +137,13 @@ def cmd_hind(args, parser):
             raise ValueError('"involution" must be a JSON object')
         involution = {}
         for k, v in data["involution"].items():
-            if int(k) in involution:
-                raise ValueError(f"vertex {int(k)} appears twice in the involution")
-            involution[int(k)] = v
+            try:
+                u = int(k)
+            except ValueError:
+                raise ValueError(f'"involution" key {k!r} is not an integer vertex id') from None
+            if u in involution:
+                raise ValueError(f"vertex {u} appears twice in the involution")
+            involution[u] = v
         try:
             K = z2.SimplicialComplex(data["maximal_simplices"])
         except TypeError:  # a value that does not iterate, or ids that do not compare or hash
@@ -203,7 +207,7 @@ def _random_facet_touching(n: int, rng: SplitMix64, extra: int = 2):
 
 def cmd_cover(args, parser):
     if args.input:
-        pts = read_scaled(_input_object(args.input)["barycentric_points"])
+        pts = read_json_rows(_input_object(args.input), "barycentric_points")
         touches = cover.touches_all_facets(pts)
         cert = cover.min_cover_barycentric(pts)
         rec = cert.to_record()

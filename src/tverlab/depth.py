@@ -27,7 +27,7 @@ from .exactlp import (
     in_convex_hull,
     strict_separator,  # unused: perfbench/tests/test_bench_trace.py traces this binding
 )
-from .rationals import Point, Scaled, integer_scaled, rat, read_scaled
+from .rationals import Point, Scaled, integer_scaled, rat, read_json_rows, read_scaled
 from .rng import SplitMix64
 
 
@@ -62,15 +62,16 @@ class PointConfig:
     def from_json(cls, text: str) -> "PointConfig":
         """The configuration {"d": d, "points": [[scalar, ...], ...]}, with
         d a nonnegative JSON integer and each scalar one `rat` reads.  The
-        points are read once, by `read_scaled`; their Fractions are built
-        from its integers, and it fills the `scaled` cache."""
+        points, an array of arrays, are read once, by `read_json_rows`;
+        their Fractions are built from its integers, and it fills the
+        `scaled` cache."""
         data = json.loads(text)
         if not isinstance(data, dict):
             raise ValueError("input must be a JSON object")
         d = data["d"]
         if type(d) is not int or d < 0:
             raise ValueError('"d" must be a nonnegative integer')
-        scaled = read_scaled(data["points"])
+        scaled = read_json_rows(data, "points")
         L = scaled.scale
         config = cls(d, tuple(tuple(Fraction(c, L) for c in p) for p in scaled.rows))
         vars(config)["scaled"] = scaled

@@ -92,5 +92,14 @@ def read_scaled(rows: Iterable[Iterable]) -> Scaled:
     return Scaled(L, [tuple(p * (L // q) for p, q in row) for row in pairs])
 
 
+def read_json_rows(data: dict, key: str) -> Scaled:
+    """read_scaled of data[key], a JSON value that must be an array of
+    arrays (a string or an object would iterate as a row of scalars)."""
+    rows = data[key]
+    if type(rows) is not list or any(type(row) is not list for row in rows):
+        raise ValueError(f'"{key}" must be an array of arrays of scalars')
+    return read_scaled(rows)
+
+
 def point_strs(p: Sequence[Fraction]) -> list:
     return [rat_str(v) for v in p]

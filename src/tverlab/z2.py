@@ -45,6 +45,11 @@ class Z2Complex:
     def __init__(self, complex: SimplicialComplex, involution: Dict[int, int]):
         self.complex = complex
         self.involution = dict(involution)
+        # Before the set comparisons: an unhashable id would fail in them,
+        # and a float or bool equal to a vertex id would pass them.
+        for v, w in self.involution.items():
+            if type(v) is not int or type(w) is not int:
+                raise ValueError("involution vertex ids must be integers")
         verts = set().union(*complex.simplices)
         if set(self.involution) != verts or set(self.involution.values()) != verts:
             raise ValueError("involution must be a permutation of the vertices")
@@ -63,10 +68,6 @@ class Z2Complex:
                 f for f in complex.facets if self._swap(self._mask(f)) not in columns
             )
             raise ValueError(f"involution does not map simplex {f} to a simplex")
-        # A float or bool equal to a vertex id passes every check above.
-        for v, w in self.involution.items():
-            if type(v) is not int or type(w) is not int:
-                raise ValueError("vertex ids must be integers")
 
     def _relabel(self, verts) -> None:
         """One bit per vertex, the smallest vertex getting the highest bit,

@@ -434,9 +434,64 @@ def test_cli_import_needs_no_numpy():
     assert out.stdout.strip() == "False"
 
 
+# The package's public names, as the eager package exported them.
+EXPORTED = """
+    BarycentricComplex CounterexampleSpec CoverCertificate DepthCertificate EQ
+    FarkasCertificate FiberReport FixedSimplexError HPolytopeBody INFEASIBLE
+    IsolationFailure IsolationReport LE LPOutcome LinearSystem OPTIMAL PointConfig
+    ProbeResult Rational ReductionPlan SimplicialComplex SplitMix64
+    TverbergCertificate UnboundedBodyError Z2Complex barycentric_subdivision
+    barycentric_to_centered build_counterexample centerpoint check_depth_certificate
+    check_farkas check_tverberg_certificate check_witness common_point_with_weights
+    constant_map coordinate_projection_map cross_polytope_sphere disjoint_union_index
+    enumerate_disjoint_tuples eq facet_touching_check fiber_width_demo full_simplex
+    grid_points_in_simplex guaranteed_size h_polytope hind hull_membership_depth
+    in_convex_hull interval_body iter_partitions le lp_feasible min_cover_barycentric
+    min_cover_homothety point_config point_strs probe_tverberg_plus_one
+    random_point_config rat rat_str reduce_central_from_tverberg reduction_plan simplex
+    skeleton standard_center standard_simplex_body strict_separator subdivide_z2
+    tukey_depth tverberg_partition verify_isolation z2_disjoint_union
+""".split()
+
+
+def tverlab_modules_after(code):
+    """The tverlab.* modules a fresh interpreter has loaded after `code`."""
+    src = os.path.dirname(os.path.dirname(tverlab.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    code += "; print(*sorted(m for m in sys.modules if m.startswith('tverlab.')))"
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    return out.stdout.split()
+
+
 def test_every_exported_name_resolves():
-    assert len(set(tverlab.__all__)) == len(tverlab.__all__)
-    assert [name for name in tverlab.__all__ if not hasattr(tverlab, name)] == []
+    """Each name resolves, on first use, to its module's own object; the
+    package imports no module until a name or module of it is used, and
+    the CLI imports every layer (the benchmark's tracer wraps them all
+    right after `import tverlab.cli`)."""
+    assert len(EXPORTED) == 73 and sorted(tverlab.__all__) == EXPORTED
+    modules = [getattr(tverlab, m) for m in (
+        "complexes", "conemap", "cover", "depth", "exactlp", "rationals", "rng", "z2"
+    )]
+    for name in tverlab.__all__:
+        value = getattr(tverlab, name)
+        assert any(vars(module).get(name) is value for module in modules), name
+    namespace = {}
+    exec("from tverlab import *", namespace)
+    assert sorted(set(namespace) - {"__builtins__"}) == EXPORTED
+    with pytest.raises(AttributeError, match="no attribute 'tukey'"):
+        tverlab.tukey
+    assert tverlab_modules_after("import sys, tverlab") == []
+    assert tverlab_modules_after(
+        "import sys, tverlab; tverlab.depth.tukey_depth"
+    ) == ["tverlab.depth", "tverlab.exactlp", "tverlab.rationals", "tverlab.rng"]
+    assert tverlab_modules_after("import sys, tverlab.z2") == [
+        "tverlab.complexes", "tverlab.rationals", "tverlab.z2"
+    ]
+    layers = ["complexes", "conemap", "cover", "depth", "exactlp", "z2"]
+    loaded = tverlab_modules_after("import sys, tverlab.cli")
+    assert set(f"tverlab.{layer}" for layer in layers) <= set(loaded)
 
 
 def test_d_must_be_a_nonnegative_integer(tmp_path, capsys):
@@ -577,4 +632,40 @@ def test_maximal_simplices_that_are_not_arrays_are_a_usage_error(tmp_path, capsy
         path.write_text('{"maximal_simplices": %s, "involution": {"0": 1, "1": 0}}' % value)
         assert usage_error(capsys, ["hind", "--input", str(path)]) == (
             2, f"tverlab: error: hind: {message}"
+        ), value
+
+
+def test_malformed_involution_entries_are_a_usage_error(tmp_path, capsys):
+    """A key that is not an integer string printed Python's "invalid literal
+    for int() with base 10: 'a'", and a list value "unhashable type: 'list'"."""
+    path = tmp_path / "complex.json"
+    cases = {
+        '{"a": 1, "1": 0}': "\"involution\" key 'a' is not an integer vertex id",
+        '{"0": [1], "1": 0}': "involution vertex ids must be integers",
+    }
+    for involution, message in cases.items():
+        path.write_text('{"maximal_simplices": [[0], [1]], "involution": %s}' % involution)
+        assert usage_error(capsys, ["hind", "--input", str(path)]) == (
+            2, f"tverlab: error: hind: {message}"
+        ), involution
+
+
+def test_points_that_are_not_arrays_of_arrays_are_a_usage_error(tmp_path, capsys):
+    """A string or an object iterated as a row of scalars: "points":
+    ["12", "34", "56", "70"] ran as (1, 2), (3, 4), (5, 6), (7, 0) and
+    exited 0, and an object row printed "Invalid literal for Fraction: 'a'"."""
+    path = tmp_path / "input.json"
+    cases = [
+        (["tverberg", "--r", "2"], '{"d": 2, "points": ["12", "34", "56", "70"]}'),
+        (["centerpoint", "--r", "2"], '{"d": 1, "points": "123"}'),
+        (["tverberg", "--r", "2"], '{"d": 1, "points": [{"a": 1}, ["1"], ["2"]]}'),
+        (["cover"], '{"barycentric_points": ["01", "10"]}'),
+        (["cover"], '{"barycentric_points": {"a": 1}}'),
+        (["cover"], '{"barycentric_points": [["1", "0"], {"a": 1}]}'),
+    ]
+    for command, value in cases:
+        path.write_text(value)
+        key = next(iter(json.loads(value).keys() - {"d"}))
+        assert usage_error(capsys, command + ["--input", str(path)]) == (
+            2, f'tverlab: error: {command[0]}: "{key}" must be an array of arrays of scalars'
         ), value
