@@ -16,12 +16,8 @@ __version__ = "0.1.0"
 
 _EXPORTS = {
     "complexes": (
-        "BarycentricComplex",
         "SimplicialComplex",
-        "barycentric_subdivision",
-        "full_simplex",
         "simplex",
-        "skeleton",
         "standard_center",
     ),
     "conemap": (
@@ -39,12 +35,10 @@ _EXPORTS = {
         "FiberReport",
         "HPolytopeBody",
         "UnboundedBodyError",
-        "barycentric_to_centered",
         "constant_map",
         "coordinate_projection_map",
         "facet_touching_check",
         "fiber_width_demo",
-        "grid_points_in_simplex",
         "h_polytope",
         "interval_body",
         "min_cover_barycentric",
@@ -60,7 +54,6 @@ _EXPORTS = {
         "check_depth_certificate",
         "check_tverberg_certificate",
         "guaranteed_size",
-        "hull_membership_depth",
         "iter_partitions",
         "point_config",
         "random_point_config",
@@ -86,7 +79,7 @@ _EXPORTS = {
         "lp_feasible",
         "strict_separator",
     ),
-    "rationals": ("Rational", "point_strs", "rat", "rat_str"),
+    "rationals": ("point_strs", "rat", "rat_str"),
     "rng": ("SplitMix64",),
     "z2": (
         "FixedSimplexError",
@@ -94,7 +87,6 @@ _EXPORTS = {
         "cross_polytope_sphere",
         "disjoint_union_index",
         "hind",
-        "subdivide_z2",
         "z2_disjoint_union",
     ),
 }

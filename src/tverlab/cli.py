@@ -62,7 +62,10 @@ def _configs(args, parser) -> List[depth.PointConfig]:
         parser.error(f"{args.command}: need --r, and --d or --input")
     if args.input:
         with open(args.input) as fh:
-            return [depth.PointConfig.from_json(fh.read())]
+            config = depth.PointConfig.from_json(fh.read())
+        if args.d is not None and args.d != config.d:
+            raise ValueError(f'--d {args.d} differs from the input\'s "d" {config.d}')
+        return [config]
     rng = SplitMix64(args.seed)
     n = depth.guaranteed_size(args.d, args.r)
     return [
@@ -258,12 +261,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, trials_default=5):
+    def common(p):
         p.add_argument("--d", type=int, default=None, help="ambient or simplex dimension")
         p.add_argument("--r", type=int, default=None, help="number of parts / depth target")
         p.add_argument("--m", type=int, default=None, help="simplex or sphere dimension")
         p.add_argument("--seed", type=int, default=0, help="64-bit seed (SplitMix64)")
-        p.add_argument("--trials", type=int, default=trials_default, help="trial count or grid density")
+        p.add_argument("--trials", type=int, default=5, help="trial count or grid density")
         p.add_argument("--output", type=str, default=None, help="write JSON lines here instead of stdout")
         p.add_argument("--jobs", type=int, default=1, help="accepted for compatibility; output never depends on it")
 

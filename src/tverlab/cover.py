@@ -180,13 +180,6 @@ def _centered(n: int, L: int, ints: Sequence[IntPoint]) -> Tuple[int, List[IntPo
     return k * L, [tuple(k * c - L for c in p[:n]) for p in ints]
 
 
-def barycentric_to_centered(p: Sequence) -> Point:
-    """Map a barycentric point of the standard simplex (n+1 coordinates,
-    nonnegative, summing to one) into the centered body's coordinates."""
-    D, (q,) = _barycentric_scaled([p])
-    return tuple(Fraction(c, D) for c in q)
-
-
 @dataclass(frozen=True)
 class CoverCertificate:
     delta: Fraction
@@ -361,12 +354,6 @@ def _compositions(n: int, density: int) -> Iterator[IntPoint]:
             prev = c
         parts.append(density + n - 1 - prev)
         yield tuple(parts)
-
-
-def grid_points_in_simplex(n: int, density: int) -> List[Point]:
-    """All rational points of the standard n-simplex with denominator
-    `density` (compositions of density into n+1 parts)."""
-    return [tuple(Fraction(c, density) for c in parts) for parts in _compositions(n, density)]
 
 
 def fiber_width_demo(

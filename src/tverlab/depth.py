@@ -14,7 +14,6 @@ read that one scaling.
 from __future__ import annotations
 
 import functools
-import itertools
 import json
 import operator
 from dataclasses import dataclass
@@ -24,7 +23,6 @@ from typing import Iterator, List, Optional, Sequence, Tuple
 
 from .exactlp import (
     common_point_with_weights,
-    in_convex_hull,
     strict_separator,  # unused: perfbench/tests/test_bench_trace.py traces this binding
 )
 from .rationals import Point, Scaled, integer_scaled, rat, read_json_rows, read_scaled
@@ -54,9 +52,6 @@ class PointConfig:
     @functools.cached_property
     def scaled(self) -> Scaled:
         return read_scaled(self.points)
-
-    def subset(self, labels: Sequence[int]) -> List[Point]:
-        return [self.points[i] for i in labels]
 
     @classmethod
     def from_json(cls, text: str) -> "PointConfig":
@@ -214,21 +209,6 @@ def tukey_depth(x: Sequence, config: PointConfig) -> DepthCertificate:
     if not check_depth_certificate(cert, config):
         raise RuntimeError("depth certificate failed verification")
     return cert
-
-
-def hull_membership_depth(x: Sequence, config: PointConfig, q: int) -> bool:
-    """Is x in the convex hull of every q-point subset of the configuration?
-
-    Equivalent to tukey_depth(x) >= n - q + 1; this is the Hahn-Banach
-    restatement that the tests exercise from both sides.
-    """
-    if not 1 <= q <= config.n:
-        raise ValueError("subset size out of range")
-    xx = tuple(rat(c) for c in x)
-    for subset in itertools.combinations(range(config.n), q):
-        if in_convex_hull(xx, config.subset(subset)) is None:
-            return False
-    return True
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,6 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Iterable, List, NamedTuple, Sequence, Tuple
 
-Rational = Fraction
 Point = Tuple[Fraction, ...]
 
 

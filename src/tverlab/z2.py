@@ -15,14 +15,14 @@ sorted.  Each dimension's faces are numbered with bits local to that
 dimension's band; `hind` stacks the bands, vertices lowest, and pivots
 each row on its highest bit, so a row stays an int as wide as the bands
 it touches.  The facet-image check, `is_free` and `hind` all read that
-one table, and none of them builds the complex's sorted face index.
+one table, and none of them lists the complex's facets or vertices.
 """
 from __future__ import annotations
 
 import itertools
 from typing import Dict, List, Optional, Sequence
 
-from .complexes import SimplicialComplex, Simplex, barycentric_subdivision
+from .complexes import SimplicialComplex, Simplex
 
 
 class FixedSimplexError(ValueError):
@@ -125,9 +125,6 @@ class Z2Complex:
     def _swap(self, m: int) -> int:
         lo = self._lo
         return ((m & lo) << 1) | ((m >> 1) & lo) | (m & self._fixed)
-
-    def _image(self, s: Simplex) -> Simplex:
-        return tuple(sorted(self.involution[v] for v in s))
 
     def is_free(self) -> bool:
         # A setwise-fixed simplex either fixes a vertex or contains a pair
@@ -262,11 +259,3 @@ def cross_polytope_sphere(m: int) -> Z2Complex:
         involution[2 * i + 1] = 2 * i
     return Z2Complex(SimplicialComplex(facets), involution)
 
-
-def subdivide_z2(X: Z2Complex) -> Z2Complex:
-    """Barycentric subdivision with the induced involution on face barycenters."""
-    bc = barycentric_subdivision(X.complex)
-    involution = {
-        v: bc.vertex_of_face[X._image(f)] for v, f in bc.face_of_vertex.items()
-    }
-    return Z2Complex(bc.complex, involution)

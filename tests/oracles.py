@@ -1,0 +1,193 @@
+"""Reference routines that the tests check tverlab against.
+
+None of them is run by the command line or the demos: the face listing of
+a simplicial complex, the solid simplex and its skeleta, barycentric
+subdivision (of a complex and of a Z2 complex), the hull-membership scan
+over every q-point subset that restates Tukey depth, and two maps of
+barycentric points of the standard simplex.  Methods of the package's
+classes became functions that take the complex or the configuration.
+"""
+from __future__ import annotations
+
+import functools
+import itertools
+from dataclasses import dataclass
+from fractions import Fraction
+from typing import Dict, Iterable, List, Sequence, Tuple
+
+from tverlab import PointConfig, SimplicialComplex, Z2Complex, in_convex_hull, rat
+from tverlab.complexes import Simplex
+from tverlab.cover import _barycentric_scaled, _compositions
+from tverlab.rationals import Point
+
+
+# ---------------------------------------------------------------------------
+# simplicial complexes
+# ---------------------------------------------------------------------------
+
+@functools.lru_cache(maxsize=8)
+def _face_index(K: SimplicialComplex) -> Tuple[set, Dict[int, List[Simplex]]]:
+    """Every face of K, and its faces of each dimension in lex order.  The
+    cache serves the repeated listings of one complex that an oracle makes;
+    equal complexes have the same faces, and callers copy what they hand
+    out."""
+    face_set = {
+        face
+        for s in K.simplices
+        for k in range(1, len(s) + 1)
+        for face in itertools.combinations(s, k)
+    }
+    faces_by_dim: Dict[int, List[Simplex]] = {}
+    for s in sorted(face_set):
+        faces_by_dim.setdefault(len(s) - 1, []).append(s)
+    return face_set, faces_by_dim
+
+
+def faces(K: SimplicialComplex) -> List[Simplex]:
+    """All nonempty faces, sorted by (dimension, lexicographic)."""
+    by_dim = _face_index(K)[1]
+    return [s for k in range(K.dim + 1) for s in by_dim[k]]
+
+
+def faces_of_dim(K: SimplicialComplex, k: int) -> List[Simplex]:
+    return list(_face_index(K)[1].get(k, ()))
+
+
+def has_face(K: SimplicialComplex, s: Iterable[int]) -> bool:
+    t = tuple(sorted(set(s)))
+    return not t or t in _face_index(K)[0]
+
+
+def euler_characteristic(K: SimplicialComplex) -> int:
+    return sum((-1) ** (len(s) - 1) for s in faces(K))
+
+
+def connected_components(K: SimplicialComplex) -> int:
+    parent = {v: v for v in K.vertices}
+
+    def find(a):
+        while parent[a] != a:
+            parent[a] = parent[parent[a]]
+            a = parent[a]
+        return a
+
+    for f in K.facets:
+        for a, b in zip(f, f[1:]):
+            ra, rb = find(a), find(b)
+            if ra != rb:
+                parent[ra] = rb
+    return len({find(v) for v in K.vertices})
+
+
+def full_simplex(m: int) -> SimplicialComplex:
+    """The solid m-simplex on vertices 0..m."""
+    if m < 0:
+        raise ValueError("dimension must be nonnegative")
+    return SimplicialComplex([tuple(range(m + 1))])
+
+
+def skeleton(K: SimplicialComplex, k: int) -> SimplicialComplex:
+    """The k-skeleton: all faces of dimension <= k."""
+    if k < 0:
+        raise ValueError("skeleton dimension must be nonnegative")
+    facets = set()
+    for f in K.facets:
+        if len(f) <= k + 1:
+            facets.add(f)
+        else:
+            facets.update(itertools.combinations(f, k + 1))
+    return SimplicialComplex(facets)
+
+
+@dataclass
+class BarycentricComplex:
+    """Barycentric subdivision: one vertex per face of the base complex,
+    simplices from chains of faces ordered by inclusion."""
+
+    base: SimplicialComplex
+    complex: SimplicialComplex
+    face_of_vertex: Dict[int, Simplex]
+    vertex_of_face: Dict[Simplex, int]
+
+    def chain_of(self, sd_simplex: Simplex) -> Tuple[Simplex, ...]:
+        chain = sorted((self.face_of_vertex[v] for v in sd_simplex), key=len)
+        for a, b in zip(chain, chain[1:]):
+            if not set(a) < set(b):
+                raise ValueError(f"{sd_simplex} is not a chain simplex")
+        return tuple(chain)
+
+
+def barycentric_subdivision(K: SimplicialComplex) -> BarycentricComplex:
+    vertex_of_face = {f: i for i, f in enumerate(faces(K))}
+    face_of_vertex = {i: f for f, i in vertex_of_face.items()}
+    facets = set()
+    for f in K.facets:
+        for perm in itertools.permutations(f):
+            chain = []
+            for k in range(1, len(perm) + 1):
+                chain.append(vertex_of_face[tuple(sorted(perm[:k]))])
+            facets.add(tuple(sorted(chain)))
+    return BarycentricComplex(
+        base=K,
+        complex=SimplicialComplex(facets),
+        face_of_vertex=face_of_vertex,
+        vertex_of_face=vertex_of_face,
+    )
+
+
+# ---------------------------------------------------------------------------
+# Z2 complexes
+# ---------------------------------------------------------------------------
+
+def image(X: Z2Complex, s: Simplex) -> Simplex:
+    """The simplex g s, in canonical form."""
+    return tuple(sorted(X.involution[v] for v in s))
+
+
+def subdivide_z2(X: Z2Complex) -> Z2Complex:
+    """Barycentric subdivision with the induced involution on face barycenters."""
+    bc = barycentric_subdivision(X.complex)
+    involution = {
+        v: bc.vertex_of_face[image(X, f)] for v, f in bc.face_of_vertex.items()
+    }
+    return Z2Complex(bc.complex, involution)
+
+
+# ---------------------------------------------------------------------------
+# depth
+# ---------------------------------------------------------------------------
+
+def subset(config: PointConfig, labels: Sequence[int]) -> List[Point]:
+    return [config.points[i] for i in labels]
+
+
+def hull_membership_depth(x: Sequence, config: PointConfig, q: int) -> bool:
+    """Is x in the convex hull of every q-point subset of the configuration?
+
+    Equivalent to tukey_depth(x) >= n - q + 1; this is the Hahn-Banach
+    restatement that the tests exercise from both sides.
+    """
+    if not 1 <= q <= config.n:
+        raise ValueError("subset size out of range")
+    xx = tuple(rat(c) for c in x)
+    for labels in itertools.combinations(range(config.n), q):
+        if in_convex_hull(xx, subset(config, labels)) is None:
+            return False
+    return True
+
+
+# ---------------------------------------------------------------------------
+# the standard simplex
+# ---------------------------------------------------------------------------
+
+def barycentric_to_centered(p: Sequence) -> Point:
+    """Map a barycentric point of the standard simplex (n+1 coordinates,
+    nonnegative, summing to one) into the centered body's coordinates."""
+    D, (q,) = _barycentric_scaled([p])
+    return tuple(Fraction(c, D) for c in q)
+
+
+def grid_points_in_simplex(n: int, density: int) -> List[Point]:
+    """All rational points of the standard n-simplex with denominator
+    `density` (compositions of density into n+1 parts)."""
+    return [tuple(Fraction(c, density) for c in parts) for parts in _compositions(n, density)]

@@ -9,7 +9,6 @@ from fractions import Fraction as F
 
 from tverlab import (
     SplitMix64,
-    barycentric_to_centered,
     centerpoint,
     check_depth_certificate,
     check_tverberg_certificate,
@@ -17,7 +16,6 @@ from tverlab import (
     disjoint_union_index,
     guaranteed_size,
     hind,
-    hull_membership_depth,
     min_cover_homothety,
     probe_tverberg_plus_one,
     random_point_config,
@@ -30,6 +28,8 @@ from tverlab import (
     verify_isolation,
 )
 from tverlab.cli import main
+
+from oracles import barycentric_to_centered, hull_membership_depth, subset
 
 PAIRS = ((1, 2), (1, 3), (2, 2), (2, 3), (3, 2))
 
@@ -71,7 +71,7 @@ def test_criterion_2_depth_hull_equivalence():
             if trial % 2:
                 size = rng.int_between(1, n)
                 labels = sorted(rng.below(n) for _ in range(size))
-                pts = config.subset(sorted(set(labels)))
+                pts = subset(config, sorted(set(labels)))
                 x = tuple(sum(p[k] for p in pts) / len(pts) for k in range(d))
             else:
                 x = rng.rational_point(d, num_bound=4, den_bound=2)

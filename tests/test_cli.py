@@ -263,6 +263,25 @@ def test_point_config_input(tmp_path, capsys):
     assert code == 0 and records[0]["depth"] == 2
 
 
+def test_a_d_that_differs_from_the_input_is_a_usage_error(tmp_path, capsys):
+    """--d next to --input must agree with the file's "d"; unchecked, the
+    run answered the file's dimension and exited 0."""
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"d": 1, "points": [[1], [2], [3]]}))
+    for command in ("centerpoint", "tverberg"):
+        with pytest.raises(SystemExit) as e:
+            main([command, "--d", "3", "--r", "2", "--input", str(path)])
+        assert e.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.endswith(
+            f'error: {command}: --d 3 differs from the input\'s "d" 1\n'
+        )
+        _, _, matching = run(capsys, command, "--d", "1", "--r", "2", "--input", str(path))
+        _, _, unset = run(capsys, command, "--r", "2", "--input", str(path))
+        assert matching == unset and json.loads(unset)["ok"]
+
+
 def test_inputs_below_the_guaranteed_size_falsify_nothing(tmp_path, capsys):
     path = tmp_path / "config.json"
     path.write_text(json.dumps({"d": 1, "points": [[0], [1], [2]]}))
@@ -434,23 +453,23 @@ def test_cli_import_needs_no_numpy():
     assert out.stdout.strip() == "False"
 
 
-# The package's public names, as the eager package exported them.
+# The package's public names.
 EXPORTED = """
-    BarycentricComplex CounterexampleSpec CoverCertificate DepthCertificate EQ
-    FarkasCertificate FiberReport FixedSimplexError HPolytopeBody INFEASIBLE
-    IsolationFailure IsolationReport LE LPOutcome LinearSystem OPTIMAL PointConfig
-    ProbeResult Rational ReductionPlan SimplicialComplex SplitMix64
-    TverbergCertificate UnboundedBodyError Z2Complex barycentric_subdivision
-    barycentric_to_centered build_counterexample centerpoint check_depth_certificate
-    check_farkas check_tverberg_certificate check_witness common_point_with_weights
-    constant_map coordinate_projection_map cross_polytope_sphere disjoint_union_index
-    enumerate_disjoint_tuples eq facet_touching_check fiber_width_demo full_simplex
-    grid_points_in_simplex guaranteed_size h_polytope hind hull_membership_depth
-    in_convex_hull interval_body iter_partitions le lp_feasible min_cover_barycentric
-    min_cover_homothety point_config point_strs probe_tverberg_plus_one
-    random_point_config rat rat_str reduce_central_from_tverberg reduction_plan simplex
-    skeleton standard_center standard_simplex_body strict_separator subdivide_z2
-    tukey_depth tverberg_partition verify_isolation z2_disjoint_union
+    CounterexampleSpec CoverCertificate DepthCertificate EQ FarkasCertificate
+    FiberReport FixedSimplexError HPolytopeBody INFEASIBLE IsolationFailure
+    IsolationReport LE LPOutcome LinearSystem OPTIMAL PointConfig ProbeResult
+    ReductionPlan SimplicialComplex SplitMix64 TverbergCertificate
+    UnboundedBodyError Z2Complex build_counterexample centerpoint
+    check_depth_certificate check_farkas check_tverberg_certificate check_witness
+    common_point_with_weights constant_map coordinate_projection_map
+    cross_polytope_sphere disjoint_union_index enumerate_disjoint_tuples eq
+    facet_touching_check fiber_width_demo guaranteed_size h_polytope hind
+    in_convex_hull interval_body iter_partitions le lp_feasible
+    min_cover_barycentric min_cover_homothety point_config point_strs
+    probe_tverberg_plus_one random_point_config rat rat_str
+    reduce_central_from_tverberg reduction_plan simplex standard_center
+    standard_simplex_body strict_separator tukey_depth tverberg_partition
+    verify_isolation z2_disjoint_union
 """.split()
 
 
@@ -470,7 +489,7 @@ def test_every_exported_name_resolves():
     package imports no module until a name or module of it is used, and
     the CLI imports every layer (the benchmark's tracer wraps them all
     right after `import tverlab.cli`)."""
-    assert len(EXPORTED) == 73 and sorted(tverlab.__all__) == EXPORTED
+    assert len(EXPORTED) == 64 and sorted(tverlab.__all__) == EXPORTED
     modules = [getattr(tverlab, m) for m in (
         "complexes", "conemap", "cover", "depth", "exactlp", "rationals", "rng", "z2"
     )]

@@ -11,25 +11,33 @@ import pytest
 from tverlab import (
     SimplicialComplex,
     SplitMix64,
-    barycentric_subdivision,
-    full_simplex,
     simplex,
-    skeleton,
     standard_center,
+)
+
+from oracles import (
+    barycentric_subdivision,
+    connected_components,
+    euler_characteristic,
+    faces,
+    faces_of_dim,
+    full_simplex,
+    has_face,
+    skeleton,
 )
 
 
 def count_chains(K, length):
     """Strictly nested chains of `length` nonempty faces, by poset DP."""
-    faces = K.faces()
-    ending = {f: [0] * (length + 1) for f in faces}
-    for f in faces:  # sorted by size, so proper subfaces come first
+    face_list = faces(K)
+    ending = {f: [0] * (length + 1) for f in face_list}
+    for f in face_list:  # sorted by size, so proper subfaces come first
         ending[f][1] = 1
         for size in range(1, len(f)):
             for g in itertools.combinations(f, size):
                 for ln in range(2, length + 1):
                     ending[f][ln] += ending[g][ln - 1]
-    return sum(ending[f][length] for f in faces)
+    return sum(ending[f][length] for f in face_list)
 
 
 def random_complex(rng, pool=5):
@@ -61,7 +69,7 @@ def test_dominated_facets_removed():
     # dominated two and three dimensions down, and listed out of order
     K = SimplicialComplex([[2], [0, 1], [3, 2, 1, 0]])
     assert K.facets == frozenset({(0, 1, 2, 3)})
-    assert K.faces() == full_simplex(3).faces()
+    assert faces(K) == faces(full_simplex(3))
 
 
 def facet_scan_has_face(K, s):
@@ -80,44 +88,44 @@ def test_has_face_matches_facet_scan():
         ((0, 7), False),
         ((), True),
     ):
-        assert K.has_face(s) is expected
+        assert has_face(K, s) is expected
         assert facet_scan_has_face(K, s) is expected
     rng = SplitMix64(77)
     for _ in range(25):
         K = random_complex(rng)
         for size in range(4):
             for s in itertools.product(range(6), repeat=size):
-                assert K.has_face(s) == facet_scan_has_face(K, s)
+                assert has_face(K, s) == facet_scan_has_face(K, s)
 
 
 def test_full_simplex_face_counts():
     K = full_simplex(2)
-    assert len(K.faces()) == 7
-    assert K.faces_of_dim(0) == [(0,), (1,), (2,)]
-    assert K.faces_of_dim(1) == [(0, 1), (0, 2), (1, 2)]
-    assert K.euler_characteristic() == 1
+    assert len(faces(K)) == 7
+    assert faces_of_dim(K, 0) == [(0,), (1,), (2,)]
+    assert faces_of_dim(K, 1) == [(0, 1), (0, 2), (1, 2)]
+    assert euler_characteristic(K) == 1
 
 
 def test_skeleton():
     K = full_simplex(3)
     sk = skeleton(K, 1)
     assert sk.dim == 1
-    assert len(sk.faces_of_dim(1)) == 6
+    assert len(faces_of_dim(sk, 1)) == 6
     # graph K4: chi = 4 - 6
-    assert sk.euler_characteristic() == -2
+    assert euler_characteristic(sk) == -2
 
 
 def test_connected_components():
     K = SimplicialComplex([[0, 1], [2, 3], [4]])
-    assert K.connected_components() == 3
+    assert connected_components(K) == 3
 
 
 def test_subdivision_of_triangle_counts():
     bc = barycentric_subdivision(full_simplex(2))
     sd = bc.complex
-    assert len(sd.faces_of_dim(0)) == 7
-    assert len(sd.faces_of_dim(1)) == 12
-    assert len(sd.faces_of_dim(2)) == 6
+    assert len(faces_of_dim(sd, 0)) == 7
+    assert len(faces_of_dim(sd, 1)) == 12
+    assert len(faces_of_dim(sd, 2)) == 6
     # every sd facet is a full flag: vertex < edge < triangle
     for f in sd.facets:
         chain = bc.chain_of(f)
@@ -130,9 +138,9 @@ def test_subdivision_counts_match_chain_oracle():
         K = random_complex(rng)
         sd = barycentric_subdivision(K).complex
         for k in range(K.dim + 1):
-            assert len(sd.faces_of_dim(k)) == count_chains(K, k + 1)
-        assert sd.euler_characteristic() == K.euler_characteristic()
-        assert sd.connected_components() == K.connected_components()
+            assert len(faces_of_dim(sd, k)) == count_chains(K, k + 1)
+        assert euler_characteristic(sd) == euler_characteristic(K)
+        assert connected_components(sd) == connected_components(K)
 
 
 def test_realize_standard_and_center():

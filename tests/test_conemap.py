@@ -14,14 +14,10 @@ from typing import Dict, Iterable, List, Sequence, Tuple
 import pytest
 
 from tverlab import (
-    BarycentricComplex,
     IsolationFailure,
     SimplicialComplex,
-    barycentric_subdivision,
     build_counterexample,
     enumerate_disjoint_tuples,
-    full_simplex,
-    grid_points_in_simplex,
     in_convex_hull,
     probe_tverberg_plus_one,
     simplex,
@@ -32,6 +28,15 @@ from tverlab.cli import main
 from tverlab.conemap import _build_map
 from tverlab.exactlp import common_point_with_weights
 from tverlab.rationals import Point
+
+from oracles import (
+    BarycentricComplex,
+    barycentric_subdivision,
+    faces,
+    full_simplex,
+    grid_points_in_simplex,
+    has_face,
+)
 
 
 def disjoint_tuple_count(m, r):
@@ -86,7 +91,7 @@ def pl_image_of_face(spec: PLMapSpec, face: Iterable[int]) -> List[Tuple[Point, 
     its points: the map is affine on each maximal chain of the face's
     subdivision, so each chain contributes the hull of its vertex images."""
     f = simplex(face)
-    if not spec.source.base.has_face(f):
+    if not has_face(spec.source.base, f):
         raise ValueError(f"{f} is not a face of the base complex")
     polys = {}
     for perm in itertools.permutations(f):
@@ -318,7 +323,7 @@ def test_images_match_the_subdivision_construction():
             base = full_simplex(m)
             bc = barycentric_subdivision(base)
             points = realize_subdivision(bc, realize_standard(m))
-            assert set(spec.images) == set(base.faces())
+            assert set(spec.images) == set(faces(base))
             for g, y in spec.images.items():
                 if len(g) - 1 <= d - 1:
                     assert y == points[bc.vertex_of_face[g]], (d, r, m, g)

@@ -21,13 +21,11 @@ from tverlab import (
     LinearSystem,
     SplitMix64,
     UnboundedBodyError,
-    barycentric_to_centered,
     constant_map,
     coordinate_projection_map,
     eq,
     facet_touching_check,
     fiber_width_demo,
-    grid_points_in_simplex,
     h_polytope,
     interval_body,
     le,
@@ -37,6 +35,8 @@ from tverlab import (
     standard_simplex_body,
 )
 from tverlab.rationals import integer_scaled
+
+from oracles import barycentric_to_centered, grid_points_in_simplex
 
 
 def random_barycentric(rng, n):

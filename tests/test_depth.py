@@ -19,7 +19,7 @@ from tverlab import (
     check_depth_certificate,
     check_tverberg_certificate,
     guaranteed_size,
-    hull_membership_depth,
+    in_convex_hull,
     iter_partitions,
     point_config,
     random_point_config,
@@ -29,6 +29,8 @@ from tverlab import (
     tverberg_partition,
 )
 from tverlab.rationals import read_scaled
+
+from oracles import hull_membership_depth, subset
 
 
 def depth_1d(x, values):
@@ -208,7 +210,7 @@ def test_tverberg_square_corners():
     assert cert.blocks == ((0, 3), (1, 2))
     assert cert.point == (F(1, 2), F(1, 2))
     for block, weights in zip(cert.blocks, cert.weights):
-        pts = config.subset(block)
+        pts = subset(config, block)
         assert sum(weights) == 1 and all(w >= 0 for w in weights)
         for k in range(2):
             assert sum(w * p[k] for w, p in zip(weights, pts)) == cert.point[k]
@@ -308,9 +310,11 @@ def test_reduce_random_line_configs():
 
 def test_reduce_runs_no_hull_membership(monkeypatch):
     def no_hull_scan(*args):
-        raise AssertionError("reduce must not scan hull membership")
+        raise AssertionError("reduce must not solve a hull-membership LP")
 
-    monkeypatch.setattr("tverlab.depth.hull_membership_depth", no_hull_scan)
+    monkeypatch.setattr("tverlab.exactlp._hull_membership", no_hull_scan)
+    with pytest.raises(AssertionError):  # the seam every hull LP goes through
+        in_convex_hull((F(0),), [(F(0),)])
     rng = SplitMix64(4321)
     for r in (4, 6):
         plan = reduction_plan(r, 1)

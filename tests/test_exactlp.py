@@ -22,7 +22,6 @@ from tverlab import (
     common_point_with_weights,
     eq,
     guaranteed_size,
-    hull_membership_depth,
     in_convex_hull,
     le,
     lp_feasible,
@@ -34,6 +33,8 @@ from tverlab import (
 )
 from tverlab.exactlp import FarkasCertificate
 from tverlab.rationals import Scaled
+
+from oracles import hull_membership_depth, subset
 
 
 # ---------------------------------------------------------------------------
@@ -710,7 +711,7 @@ def test_scaled_partition_systems_equal_the_fraction_built_ones(monkeypatch):
     certificate = tverlab.depth._partition_certificate
 
     def recording(config, blocks):
-        cases.append(([config.subset(b) for b in blocks], []))
+        cases.append(([subset(config, b) for b in blocks], []))
         return certificate(config, blocks)
 
     monkeypatch.setattr("tverlab.depth._partition_certificate", recording)
