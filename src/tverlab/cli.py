@@ -30,6 +30,10 @@ from .rng import SplitMix64
 
 PASS, FALSIFIED, USAGE, INTERNAL = 0, 1, 2, 3
 
+# flags that --input overrides (the file gives one configuration or
+# complex), so giving one next to it is a usage error
+INPUT_DECIDES = {"centerpoint": ("trials",), "tverberg": ("trials",), "hind": ("m", "sphere")}
+
 
 def _emit(records: List[dict], output: Optional[str]) -> None:
     text = "\n".join(
@@ -100,7 +104,7 @@ def cmd_tverberg(args, parser):
             ok = config.n < depth.guaranteed_size(config.d, args.r)  # no claim applies
             rec = {"trial": i, "ok": ok, "r": args.r} | ({"outside_hypotheses": True} if ok else {})
         else:
-            dep = depth.tukey_depth(cert.point, config)
+            dep = depth._depth_from_lifted_partition(config, 1, args.r, cert)
             rec = {
                 "trial": i,
                 "blocks": [list(b) for b in cert.blocks],
@@ -211,6 +215,8 @@ def _random_facet_touching(n: int, rng: SplitMix64, extra: int = 2):
 def cmd_cover(args, parser):
     if args.input:
         pts = read_json_rows(_input_object(args.input), "barycentric_points")
+        if args.d is not None and pts.rows and args.d != len(pts.rows[0]) - 1:
+            raise ValueError(f"--d {args.d} differs from the input's n {len(pts.rows[0]) - 1}")
         touches = cover.touches_all_facets(pts)
         cert = cover.min_cover_barycentric(pts)
         rec = cert.to_record()
@@ -266,7 +272,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--r", type=int, default=None, help="number of parts / depth target")
         p.add_argument("--m", type=int, default=None, help="simplex or sphere dimension")
         p.add_argument("--seed", type=int, default=0, help="64-bit seed (SplitMix64)")
-        p.add_argument("--trials", type=int, default=5, help="trial count or grid density")
+        p.add_argument("--trials", type=int, default=None, help="trial count or grid density (default 5)")
         p.add_argument("--output", type=str, default=None, help="write JSON lines here instead of stdout")
         p.add_argument("--jobs", type=int, default=1, help="accepted for compatibility; output never depends on it")
 
@@ -304,6 +310,12 @@ def main(argv=None) -> int:
         value = getattr(args, field)
         if value is not None and value < 0:
             parser.error(f"--{field} must be nonnegative")
+    if getattr(args, "input", None):
+        for field in INPUT_DECIDES.get(args.command, ()):
+            if getattr(args, field) is not None:
+                parser.error(f"{args.command}: --{field} does not apply to --input")
+    if args.trials is None:
+        args.trials = 5
     try:
         records = args._handlers[args.command](args, parser)
     except (OSError, ValueError) as exc:

@@ -2,14 +2,18 @@
 
 Everything is exact: depth comes from a recursion over the dimension that
 projects the points along each line through the query point (no LP),
-Tverberg partitions come from a canonical brute-force scan with an LP
-feasibility check per candidate, and the reduction to a prime number of
-parts duplicates each point k times and partitions the lifted cloud.  A
-centerpoint's depth >= r is certified from both sides: the blocks give the
-lower bound, the depth halfspace the upper bound.  A configuration is
-scaled to integers once (`PointConfig.scaled`); the depth recursion, the
-partition screen, each candidate's LP rows and both certificate checks
-read that one scaling.
+Tverberg partitions from a scan of the set partitions in canonical order,
+and the reduction to a prime number of parts duplicates each point k times
+and partitions the lifted cloud.  A centerpoint's depth >= r is certified
+from both sides: the blocks give the lower bound, the depth halfspace the
+upper bound.  Both searches use the certificates they already hold: the
+depth recursion behind a partition stops at the first halfspace that
+holds no more points than the blocks guarantee, and the partition scan
+settles a candidate by LP only when neither the blocks' coordinate ranges
+nor the Farkas certificate of an earlier failed candidate separate its
+blocks.  A configuration is scaled to integers once
+(`PointConfig.scaled`); the depth recursion, the partition screens, each
+candidate's LP rows and both certificate checks read that one scaling.
 """
 from __future__ import annotations
 
@@ -19,7 +23,7 @@ import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Iterator, List, Optional, Sequence, Tuple
+from typing import Iterator, List, Optional, Sequence, Tuple, Union
 
 from .exactlp import (
     common_point_with_weights,
@@ -141,7 +145,9 @@ def _primitive(w: Sequence[int]) -> Tuple[int, ...]:
     return tuple(c // g for c in w)
 
 
-def _fewest_on_open_side(W: Sequence[Tuple[int, ...]], d: int) -> Tuple[int, List[int], int]:
+def _fewest_on_open_side(
+    W: Sequence[Tuple[int, ...]], d: int, stop: int
+) -> Tuple[int, List[int], int]:
     """The fewest w in W (nonzero integer vectors) with u.w > 0 over
     functionals u on R^d that vanish on no w, and such a u as an integer
     vector U over a positive denominator q.  The cell of an optimal u has
@@ -149,7 +155,14 @@ def _fewest_on_open_side(W: Sequence[Tuple[int, ...]], d: int) -> Tuple[int, Lis
     answer for W projected along v, tilted off u.v = 0 to put the w on the
     line of v on their smaller side.  Each w is projected to v_k*w - w_k*v,
     a positive multiple of w - w_k*(v/v_k), which keeps every sign the
-    recursion reads and keeps the vectors integer."""
+    recursion reads and keeps the vectors integer.
+
+    The search returns as soon as its best count is <= stop, a proven
+    lower bound on the answer (-1 never stops it early).
+    Every branch counts a real functional, so the first branch to reach
+    the bound is the first minimum, the one the full scan keeps; a sub-call
+    gets the bound less the count its tilt adds, which bounds its own
+    answer from below by the same argument."""
     if not W:
         return 0, [0] * d, 1
     best = None
@@ -160,8 +173,9 @@ def _fewest_on_open_side(W: Sequence[Tuple[int, ...]], d: int) -> Tuple[int, Lis
         off = [i for i, p in enumerate(proj) if any(p)]
         pos = sum(1 for w, p in zip(W, proj) if w[k] > 0 and not any(p))
         neg = len(W) - len(off) - pos
-        count, U, q = _fewest_on_open_side([proj[i] for i in off], d)
-        count += min(pos, neg)
+        tilt = min(pos, neg)
+        count, U, q = _fewest_on_open_side([proj[i] for i in off], d, stop - tilt)
+        count += tilt
         if best is None or count < best[0]:
             # u[k] -= u.v / v_k over the denominator q*v_k (v_k > 0): now u.v = 0
             uv = sum(map(operator.mul, U, v))
@@ -180,6 +194,8 @@ def _fewest_on_open_side(W: Sequence[Tuple[int, ...]], d: int) -> Tuple[int, Lis
             U = [c * f for c in U]
             U[k] += e if pos <= neg else -e
             best = (count, U, q * f)
+            if count <= stop:
+                break
     return best
 
 
@@ -190,7 +206,14 @@ def tukey_depth(x: Sequence, config: PointConfig) -> DepthCertificate:
     The points and x are brought to integers over the lcm M of all their
     denominators, a common positive factor that keeps every count and tilt,
     from the configuration's one scaling (over L) and x's (over E); the
-    recursion runs on the integer w."""
+    recursion runs on the integer w and scans every branch."""
+    return _tukey_depth(x, config, None)
+
+
+def _tukey_depth(x: Sequence, config: PointConfig, lower: Optional[int]) -> DepthCertificate:
+    """tukey_depth, stopped as soon as a halfspace holds `lower` points when
+    `lower` is a proven lower bound on the depth (None: no bound); a depth
+    below that bound is an internal error."""
     xx = tuple(rat(c) for c in x)
     if len(xx) != config.d:
         raise ValueError("point dimension mismatch")
@@ -202,10 +225,14 @@ def tukey_depth(x: Sequence, config: PointConfig) -> DepthCertificate:
     X = tuple(c * (M // E) for c in X)
     W = [tuple(c - xc for c, xc in zip(p, X)) for p in P]
     nonzero = [w for w in W if any(w)]
-    count, U, q = _fewest_on_open_side(nonzero, config.d)
+    zeros = config.n - len(nonzero)
+    stop = -1 if lower is None else lower - zeros
+    count, U, q = _fewest_on_open_side(nonzero, config.d, stop)
+    if lower is not None and zeros + count < lower:
+        raise RuntimeError(f"depth {zeros + count} below the proven lower bound {lower}")
     u = tuple(Fraction(c, q) for c in U)
     offset = Fraction(-sum(map(operator.mul, U, X)), q * M)
-    cert = DepthCertificate(xx, config.n - len(nonzero) + count, u, offset)
+    cert = DepthCertificate(xx, zeros + count, u, offset)
     if not check_depth_certificate(cert, config):
         raise RuntimeError("depth certificate failed verification")
     return cert
@@ -221,72 +248,101 @@ def iter_partitions(n: int, r: int) -> Iterator[Tuple[Tuple[int, ...], ...]]:
 
     Block lists come out sorted by smallest element, which the RGS encoding
     guarantees."""
+    return _partitions(n, r, None)
+
+
+def _partitions(
+    n: int, r: int, points: Optional[Sequence[Tuple[int, ...]]]
+) -> Iterator[Tuple[Tuple[int, ...], ...]]:
+    """iter_partitions; given one integer point per label (scaled by one
+    positive common factor, which keeps every comparison), only the
+    partitions whose blocks' coordinate ranges share a point in every
+    coordinate, a necessary condition for their hulls to meet.  Each
+    block's per-coordinate minimum and maximum are kept on the recursion's
+    stack, so a partition is screened in O(d r)."""
     if r < 1 or r > n:
         return
-    a = [0] * n
+    members: List[List[int]] = [[] for _ in range(r)]
+    lo: List[Tuple[int, ...]] = [()] * r
+    hi: List[Tuple[int, ...]] = [()] * r
 
     def rec(i: int, used: int):
         if i == n:
-            if used == r:
-                blocks: List[List[int]] = [[] for _ in range(r)]
-                for idx, b in enumerate(a):
-                    blocks[b].append(idx)
-                yield tuple(tuple(b) for b in blocks)
+            if points is None or all(max(a) <= min(b) for a, b in zip(zip(*lo), zip(*hi))):
+                yield tuple(map(tuple, members))
             return
-        remaining = n - i
-        for b in range(min(used + 1, r)):
-            # feasibility prune: can we still reach exactly r blocks?
-            new_used = used + (1 if b == used else 0)
-            if new_used + (remaining - 1) >= r:
-                a[i] = b
-                yield from rec(i + 1, new_used)
+        # label i joins an open block while the n - i - 1 labels after it can
+        # still open the rest, or opens block `used` while fewer than r are open
+        for b in range(0 if used + n - i > r else used, min(used + 1, r)):
+            if points is not None:
+                saved = lo[b], hi[b]
+                p = points[i]
+                if members[b]:
+                    lo[b], hi[b] = tuple(map(min, lo[b], p)), tuple(map(max, hi[b], p))
+                else:
+                    lo[b] = hi[b] = p
+            members[b].append(i)
+            yield from rec(i + 1, used + (b == used))
+            members[b].pop()
+            if points is not None:
+                lo[b], hi[b] = saved
 
-    yield from rec(1, 1) if n else iter(())
-
-
-def _bbox_reject(blocks_points: Sequence[Sequence[Tuple[int, ...]]], d: int) -> bool:
-    """Cheap necessary condition: per coordinate, the blocks' ranges must
-    share a point.  The points come scaled to integers by one positive
-    common factor, which keeps every comparison."""
-    for i in range(d):
-        lo = max(min(p[i] for p in block) for block in blocks_points)
-        hi = min(max(p[i] for p in block) for block in blocks_points)
-        if lo > hi:
-            return True
-    return False
+    yield from rec(0, 0)
 
 
 def tverberg_partition(config: PointConfig, r: int) -> Optional[TverbergCertificate]:
     """First (canonical order) partition into r blocks whose hulls intersect.
 
-    Exhaustive over set partitions; each candidate is screened by a
-    bounding-box test on the points scaled to integers once, and settled
-    by an exact LP built from the same integers.  Returns None when no
+    Exhaustive over set partitions, in the order of iter_partitions; a
+    candidate is rejected if its blocks' coordinate ranges miss each other
+    (over the points scaled to integers once), or if an earlier candidate's
+    Farkas certificate already separates its blocks; otherwise it is
+    settled by an exact LP built from the same integers.  Each failed LP
+    leaves a cut: functionals u_j with sum 0, kept as the integer table
+    T[j][v] = u_j.P_v, and a later candidate whose block minima of T sum to
+    a positive number has no common point (see common_point_with_weights).
+    The cuts are tried most recently hit first.  Returns None when no
     partition works (possible below the guaranteed size)."""
     if r < 1:
         raise ValueError("need at least one block")
-    if r > config.n:
-        return None
     ints = config.scaled.rows
-    for blocks in iter_partitions(config.n, r):
-        if _bbox_reject([[ints[l] for l in b] for b in blocks], config.d):
-            continue
-        cert = _partition_certificate(config, blocks)
-        if cert is not None:
-            return cert
+    cuts: List[List[List[int]]] = []
+    for blocks in _partitions(config.n, r, ints):
+        for k, table in enumerate(cuts):
+            if _separates(table, blocks):
+                cuts.insert(0, cuts.pop(k))
+                break
+        else:
+            found = _partition_certificate(config, blocks)
+            if isinstance(found, TverbergCertificate):
+                return found
+            table = [[sum(map(operator.mul, u, p)) for p in ints] for u in found]
+            if not _separates(table, blocks):
+                raise RuntimeError("a Farkas cut does not separate its own partition")
+            cuts.insert(0, table)
     return None
+
+
+def _separates(table: Sequence[Sequence[int]], blocks: Tuple[Tuple[int, ...], ...]) -> bool:
+    """Whether the cut table T[j][v] = u_j.P_v proves that the blocks' hulls
+    share no point: sum_j min_{v in block j} T[j][v] > 0."""
+    return sum(min(map(t.__getitem__, b)) for t, b in zip(table, blocks)) > 0
 
 
 def _partition_certificate(
     config: PointConfig, blocks: Tuple[Tuple[int, ...], ...]
-) -> Optional[TverbergCertificate]:
+) -> Union[TverbergCertificate, Tuple[Tuple[int, ...], ...]]:
     """The certificate of a partition whose block hulls meet, checked here
-    where it is made; None if the hulls share no point.  The blocks go to
-    the LP as the configuration's integer points over its one L."""
+    where it is made; if the hulls share no point, the functionals u_j that
+    separate them (as common_point_with_weights gives them).  The blocks go
+    to the LP as the configuration's integer points over its one L."""
     L, ints = config.scaled
-    found = common_point_with_weights([Scaled(L, [ints[l] for l in b]) for b in blocks])
+    separators: list = []
+    found = common_point_with_weights(
+        [Scaled(L, [ints[l] for l in b]) for b in blocks], separators
+    )
     if found is None:
-        return None
+        return separators[0]
     cert = TverbergCertificate(blocks, *found)
     if not check_tverberg_certificate(cert, config):
         raise RuntimeError("partition certificate failed verification")
@@ -333,14 +389,13 @@ def _depth_from_lifted_partition(
     of the k-fold lift is original point i // k, and every closed halfspace
     through the point holds a lifted point of each block, so at least
     ceil(#blocks / k) original points; tukey_depth's halfspace bounds it
-    from above.  The certificate was checked where it was made."""
-    if -(-len(cert.blocks) // k) < r:
+    from above, and its search stops where the two bounds meet.  The
+    certificate was checked where it was made."""
+    lower = -(-len(cert.blocks) // k)
+    if lower < r:
         raise RuntimeError(f"{len(cert.blocks)} blocks of a {k}-fold lift: depth < {r}")
     config = lifted if k == 1 else PointConfig(lifted.d, lifted.points[::k])
-    depth = tukey_depth(cert.point, config)
-    if depth.depth < r:
-        raise RuntimeError("common point of the partition has depth below r")
-    return depth
+    return _tukey_depth(cert.point, config, lower)
 
 
 # ---------------------------------------------------------------------------
@@ -412,6 +467,6 @@ def reduce_central_from_tverberg(config: PointConfig, r: int) -> DepthCertificat
         cert = _partition_certificate(lifted, _lifted_partition_1d(lifted.points, plan.R))
     else:
         cert = tverberg_partition(lifted, plan.R)
-    if cert is None:
+    if not isinstance(cert, TverbergCertificate):
         raise RuntimeError("no Tverberg partition of the lifted cloud")
     return _depth_from_lifted_partition(lifted, plan.k, r, cert)

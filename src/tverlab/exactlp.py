@@ -125,9 +125,14 @@ class FarkasCertificate:
 
 @dataclass(frozen=True)
 class LPOutcome:
+    """A witness, or a Farkas certificate together with its multipliers on
+    the system's scaled rows as integers over one positive denominator
+    (`scaled_farkas`), for callers that read the rows in integers."""
+
     status: str
     witness: Optional[Point] = None
     farkas: Optional[FarkasCertificate] = None
+    scaled_farkas: Optional[Tuple[int, ...]] = None
 
 
 # ---------------------------------------------------------------------------
@@ -291,8 +296,9 @@ class _Tableau:
                 x[b] = Fraction(self.T[i][-1], self.D)
         return tuple(x)
 
-    def farkas(self, R) -> FarkasCertificate:
-        """The Farkas certificate from the phase-1 objective row R.
+    def farkas(self, R) -> Tuple[FarkasCertificate, Tuple[int, ...]]:
+        """The Farkas certificate from the phase-1 objective row R, and its
+        multipliers on the system's scaled rows as integers.
 
         The reduced cost under artificial column k is R_k/D = (M/L_k)(1 - y_k)
         for the dual y of the unscaled rows, so y_k = 1 - L_k*R_k/(D*M), and
@@ -301,16 +307,18 @@ class _Tableau:
         optimum, make the combination >= 0 and nu >= 0 on the <= rows.  On
         the rows as the tableau first scaled and signed them (right-hand
         sides b_k), nu is the integer mu_k = R_k - D*(M/L_k) over D*M, so the
-        total T = sum mu_k b_k is negative.  Each multiplier is normalised
-        by -T and made a Fraction once.
+        total T = sum mu_k b_k is negative.  On the system's scaled rows the
+        multipliers are the integers sigma_k*mu_k over -T; on its unscaled
+        rows they are L_k*sigma_k*mu_k over -T, each made a Fraction once.
         """
         mu = [R[self.nstruct + i] - self.D * (self.M // L) for i, L in enumerate(self.scale)]
         total = sum(map(operator.mul, mu, self.rhs0))
         if total >= 0:
             raise RuntimeError("Farkas extraction failed")
+        scaled = tuple(map(operator.mul, self.sigma, mu))
         return FarkasCertificate(tuple(
-            Fraction(s * L * v, -total) for s, L, v in zip(self.sigma, self.scale, mu)
-        ))
+            Fraction(L * v, -total) for L, v in zip(self.scale, scaled)
+        )), scaled
 
 
 # ---------------------------------------------------------------------------
@@ -323,10 +331,10 @@ def lp_feasible(system: LinearSystem) -> LPOutcome:
     tab = _Tableau(system)
     R = tab.phase1()
     if R[-1] != 0:  # minimal artificial sum positive -> infeasible
-        cert = tab.farkas(R)
+        cert, scaled = tab.farkas(R)
         if not check_farkas(system, cert):
             raise RuntimeError("Farkas certificate failed verification")
-        return LPOutcome(status=INFEASIBLE, farkas=cert)
+        return LPOutcome(status=INFEASIBLE, farkas=cert, scaled_farkas=scaled)
     x = tab.witness()
     if not check_witness(system, x):
         raise RuntimeError("simplex witness failed exact verification")
@@ -357,7 +365,9 @@ def in_convex_hull(p: Sequence, points: Sequence[Sequence]) -> Optional[Point]:
     return _hull_membership(p, points).witness
 
 
-def common_point_with_weights(blocks: Sequence[Sequence[Sequence]]):
+def common_point_with_weights(
+    blocks: Sequence[Sequence[Sequence]], separators: Optional[list] = None
+):
     """A common point of the hulls of the point blocks, with exact convex
     weights per block writing it, as (point, weights); or None.
 
@@ -368,7 +378,18 @@ def common_point_with_weights(blocks: Sequence[Sequence[Sequence]]):
     sum_{v in first block} lambda_v v[i] - sum_{v in B} lambda_v v[i] == 0.
     The system is built in its scaled form: a coupling row is R/L for the
     integer points, and with g = gcd(L, R) its own lcm scaling is
-    (L/g, R/g), so no Fraction row is built."""
+    (L/g, R/g), so no Fraction row is built.
+
+    When the hulls share no point and `separators` is a list, the proof is
+    appended to it: integer functionals u_1..u_r on R^d, one per block,
+    with sum_j u_j = 0 and sum_j min_{v in block j} u_j.v > 0.  At a common
+    point x each u_j.x would be at least block j's minimum while the u_j.x
+    sum to 0, so the same test proves any other blocks' hulls disjoint
+    too, block j read by u_j.  They come from the Farkas multipliers nu
+    scaled to integers (`scaled_farkas` times each row's scaling L_k):
+    u_B = -nu on block B's coupling rows and u_1 = -(u_2 + ... + u_r);
+    nu_j on block j's sum row bounds u_j's minimum over the block below
+    by -nu_j, and the nu_j sum to a negative number."""
     read = [read_scaled(b) for b in blocks]
     if not read or not all(rows for _, rows in read):
         raise ValueError("need at least one block, each of at least one point")
@@ -394,6 +415,10 @@ def common_point_with_weights(blocks: Sequence[Sequence[Sequence]]):
             scaled.append((L // g, tuple(c // g for c in coeffs), EQ, 0))
     out = lp_feasible(LinearSystem.from_scaled(total, scaled))
     if out.status != OPTIMAL:
+        if separators is not None:
+            nu = [N * row[0] for N, row in zip(out.scaled_farkas, scaled)]
+            later = [tuple(-c for c in nu[k:k + d]) for k in range(len(pts), len(nu), d)]
+            separators.append((tuple(-sum(c) for c in zip(*later)), *later))
         return None
     lam = out.witness
     D, (w,) = integer_scaled([lam[:len(first)]])

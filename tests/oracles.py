@@ -3,8 +3,10 @@
 None of them is run by the command line or the demos: the face listing of
 a simplicial complex, the solid simplex and its skeleta, barycentric
 subdivision (of a complex and of a Z2 complex), the hull-membership scan
-over every q-point subset that restates Tukey depth, and two maps of
-barycentric points of the standard simplex.  Methods of the package's
+over every q-point subset that restates Tukey depth, the partition search
+with an LP per candidate that passes the bounding box (no Farkas cuts) and
+the Fraction-built partition system, and two maps of barycentric points of
+the standard simplex.  Methods of the package's
 classes became functions that take the complex or the configuration.
 """
 from __future__ import annotations
@@ -13,12 +15,22 @@ import functools
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, Iterable, List, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
-from tverlab import PointConfig, SimplicialComplex, Z2Complex, in_convex_hull, rat
+from tverlab import (
+    EQ,
+    LinearSystem,
+    PointConfig,
+    SimplicialComplex,
+    TverbergCertificate,
+    Z2Complex,
+    common_point_with_weights,
+    in_convex_hull,
+    rat,
+)
 from tverlab.complexes import Simplex
 from tverlab.cover import _barycentric_scaled, _compositions
-from tverlab.rationals import Point
+from tverlab.rationals import Point, Scaled
 
 
 # ---------------------------------------------------------------------------
@@ -174,6 +186,80 @@ def hull_membership_depth(x: Sequence, config: PointConfig, q: int) -> bool:
         if in_convex_hull(xx, subset(config, labels)) is None:
             return False
     return True
+
+
+def canonical_partitions(n: int, r: int) -> Iterator[Tuple[Tuple[int, ...], ...]]:
+    """All partitions of 0..n-1 into exactly r nonempty blocks in canonical
+    (restricted-growth-string, lexicographic) order, each built from its
+    string at the leaf."""
+    if r < 1 or r > n:
+        return
+    a = [0] * n
+
+    def rec(i: int, used: int):
+        if i == n:
+            if used == r:
+                blocks: List[List[int]] = [[] for _ in range(r)]
+                for idx, b in enumerate(a):
+                    blocks[b].append(idx)
+                yield tuple(tuple(b) for b in blocks)
+            return
+        remaining = n - i
+        for b in range(min(used + 1, r)):
+            # feasibility prune: can we still reach exactly r blocks?
+            new_used = used + (1 if b == used else 0)
+            if new_used + (remaining - 1) >= r:
+                a[i] = b
+                yield from rec(i + 1, new_used)
+
+    yield from rec(1, 1) if n else iter(())
+
+
+def boxes_miss(blocks_points: Sequence[Sequence[Tuple[int, ...]]], d: int) -> bool:
+    """Some coordinate in which the blocks' ranges share no point, each
+    range taken over the whole block."""
+    for i in range(d):
+        lo = max(min(p[i] for p in block) for block in blocks_points)
+        hi = min(max(p[i] for p in block) for block in blocks_points)
+        if lo > hi:
+            return True
+    return False
+
+
+def cut_free_tverberg_partition(config: PointConfig, r: int) -> Optional[TverbergCertificate]:
+    """The first partition in canonical order whose hulls meet, by an LP per
+    candidate that passes the bounding-box screen and no other screen."""
+    if r < 1:
+        raise ValueError("need at least one block")
+    L, ints = config.scaled
+    for blocks in canonical_partitions(config.n, r):
+        if boxes_miss([[ints[l] for l in b] for b in blocks], config.d):
+            continue
+        found = common_point_with_weights([Scaled(L, [ints[l] for l in b]) for b in blocks])
+        if found is not None:
+            return TverbergCertificate(blocks, *found)
+    return None
+
+
+def fraction_partition_system(blocks):
+    """The system of common_point_with_weights as it was built from Fraction
+    rows: a sum row per block, then per later block B and coordinate i the
+    coupling row (first block's v[i], -B's v[i]) == 0."""
+    sizes = [len(b) for b in blocks]
+    total, d = sum(sizes), len(blocks[0][0])
+    offsets = [sum(sizes[:k]) for k in range(len(blocks))]
+    rows = []
+    for size, off in zip(sizes, offsets):
+        coeffs = [Fraction(0)] * total
+        coeffs[off:off + size] = [Fraction(1)] * size
+        rows.append((tuple(coeffs), EQ, Fraction(1)))
+    first = blocks[0]
+    for b, off in zip(blocks[1:], offsets[1:]):
+        for i in range(d):
+            coeffs = [v[i] for v in first] + [Fraction(0)] * (total - len(first))
+            coeffs[off:off + len(b)] = [-v[i] for v in b]
+            rows.append((tuple(coeffs), EQ, Fraction(0)))
+    return LinearSystem(total, rows)
 
 
 # ---------------------------------------------------------------------------

@@ -282,6 +282,41 @@ def test_a_d_that_differs_from_the_input_is_a_usage_error(tmp_path, capsys):
         assert matching == unset and json.loads(unset)["ok"]
 
 
+def test_flags_that_input_overrides_are_usage_errors(tmp_path, capsys):
+    """Next to --input, hind's --m and --sphere, an explicit --trials of
+    centerpoint and tverberg, and a cover --d other than the file's n are
+    usage errors; unchecked, each run answered the file and exited 0."""
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"d": 1, "points": [[1], [2], [3]]}))
+    cycle = tmp_path / "cycle.json"
+    cycle.write_text(json.dumps({"maximal_simplices": [[0, 1], [1, 2], [2, 3], [3, 0]],
+                                 "involution": {"0": 2, "1": 3, "2": 0, "3": 1}}))
+    points = tmp_path / "points.json"
+    points.write_text(json.dumps({"barycentric_points": [[1, 0, 0], [0, 1, 0], [0, 0, 1]]}))
+    for argv, message in (
+        (["hind", "--sphere", "5", "--input", str(cycle)], "hind: --sphere does not apply to --input"),
+        (["hind", "--m", "1", "--input", str(cycle)], "hind: --m does not apply to --input"),
+        (["centerpoint", "--r", "2", "--trials", "3", "--input", str(config)],
+         "centerpoint: --trials does not apply to --input"),
+        (["tverberg", "--r", "2", "--trials", "5", "--input", str(config)],
+         "tverberg: --trials does not apply to --input"),
+        (["cover", "--d", "5", "--input", str(points)], "cover: --d 5 differs from the input's n 2"),
+    ):
+        with pytest.raises(SystemExit) as e:
+            main(argv)
+        assert e.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.endswith(f"error: {message}\n")
+    assert run(capsys, "hind", "--input", str(cycle))[1] == [{"hind": 1}]
+    _, _, matching = run(capsys, "cover", "--d", "2", "--input", str(points))
+    _, _, unset = run(capsys, "cover", "--input", str(points))
+    assert matching == unset and json.loads(unset)["ok"]
+    for command in ("centerpoint", "tverberg"):
+        code, records, _ = run(capsys, command, "--r", "2", "--input", str(config))
+        assert code == 0 and len(records) == 1
+
+
 def test_inputs_below_the_guaranteed_size_falsify_nothing(tmp_path, capsys):
     path = tmp_path / "config.json"
     path.write_text(json.dumps({"d": 1, "points": [[0], [1], [2]]}))
@@ -312,7 +347,8 @@ def test_internal_errors_exit_three(monkeypatch, capsys):
     def broken(*args):
         raise RuntimeError("depth certificate failed verification")
 
-    monkeypatch.setattr("tverlab.depth.tukey_depth", broken)
+    # the depth step of centerpoint, tverberg and reduce, bounded below by the partition
+    monkeypatch.setattr("tverlab.depth._tukey_depth", broken)
     code, records, _ = run(capsys, "centerpoint", "--d", "1", "--r", "2", "--trials", "2")
     assert code == 3
     assert records == [

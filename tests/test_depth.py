@@ -28,9 +28,17 @@ from tverlab import (
     tukey_depth,
     tverberg_partition,
 )
+from tverlab.exactlp import FarkasCertificate, check_farkas
 from tverlab.rationals import read_scaled
 
-from oracles import hull_membership_depth, subset
+from oracles import (
+    boxes_miss,
+    canonical_partitions,
+    cut_free_tverberg_partition,
+    fraction_partition_system,
+    hull_membership_depth,
+    subset,
+)
 
 
 def depth_1d(x, values):
@@ -498,3 +506,170 @@ def test_from_json_reads_each_scalar_once_without_a_string_parse():
     config = PointConfig.from_json(json.dumps({"d": 2, "points": other}))
     assert config == point_config(2, other)
     assert config.scaled == read_scaled(config.points)
+
+
+# ---------------------------------------------------------------------------
+# the searches stop early on the certificates they hold
+# ---------------------------------------------------------------------------
+
+def seeded_centerpoint_configs():
+    """Seeded configurations at the guaranteed size for d <= 4, r <= 3."""
+    for d in (1, 2, 3, 4):
+        for r in (2, 3):
+            rng = SplitMix64(5000 + 10 * d + r)
+            for _ in range(4 if d * r < 12 else 2):
+                yield random_point_config(d, guaranteed_size(d, r), rng, num_bound=6, den_bound=3), r
+
+
+def test_the_depth_bounded_by_the_partition_is_the_exhaustive_one():
+    """centerpoint stops the depth search at the blocks' lower bound and
+    returns the certificate the exhaustive search returns."""
+    for config, r in seeded_centerpoint_configs():
+        cert = centerpoint(config, r)
+        assert cert == tukey_depth(cert.point, config)
+        assert cert.depth >= r
+
+
+@st.composite
+def configs_with_a_depth_bound(draw):
+    """A configuration and a query as configs_and_queries draws them, with
+    every lower bound from 0 to the query's exact depth."""
+    config, x = draw(configs_and_queries())
+    return config, x, tukey_depth(x, config)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=150)
+@given(configs_with_a_depth_bound())
+def test_any_true_lower_bound_gives_the_exhaustive_certificate(case):
+    config, x, exhaustive = case
+    for lower in range(exhaustive.depth + 1):
+        assert depth_module._tukey_depth(x, config, lower) == exhaustive
+
+
+def test_a_depth_below_the_lower_bound_is_an_internal_error(monkeypatch, capsys, tmp_path):
+    """The square's two diagonals meet at its centre, a point of depth 2
+    that no corner sits on; a recursion that answered 0 there would break
+    the bound the two blocks prove."""
+    from tverlab.cli import main
+
+    monkeypatch.setattr("tverlab.depth._fewest_on_open_side", lambda W, d, stop: (0, [0] * d, 1))
+    corners = [[0, 0], [2, 0], [0, 2], [2, 2]]
+    with pytest.raises(RuntimeError, match="depth 0 below the proven lower bound 2"):
+        centerpoint(point_config(2, corners), 2)
+    path = tmp_path / "square.json"
+    path.write_text(json.dumps({"d": 2, "points": corners}))
+    for command in ("centerpoint", "tverberg"):
+        assert main([command, "--r", "2", "--input", str(path)]) == 3
+        record = json.loads(capsys.readouterr().out)
+        assert record == {"command": command,
+                          "internal_error": "depth 0 below the proven lower bound 2"}
+
+
+def test_the_bounded_depth_search_makes_few_recursion_calls(monkeypatch):
+    """(4,3) seed 1: the exhaustive recursion makes 1784 calls at the common
+    point, the one stopped at depth 3 makes 5."""
+    calls = []
+    recursion = depth_module._fewest_on_open_side
+
+    def counted(*args):
+        calls.append(len(args[0]))
+        return recursion(*args)
+
+    monkeypatch.setattr("tverlab.depth._fewest_on_open_side", counted)
+    config = random_point_config(4, guaranteed_size(4, 3), SplitMix64(1))
+    cert = centerpoint(config, 3)
+    assert len(calls) == 5
+    calls.clear()
+    assert tukey_depth(cert.point, config) == cert
+    assert len(calls) == 1784
+
+
+def seeded_partition_configs():
+    """Configurations of acceptance criterion 3's sizes and seeds (ten per
+    size), and a few past its sizes."""
+    for d, r, trials in ((1, 2, 10), (1, 3, 10), (2, 2, 10), (2, 3, 10), (3, 2, 10),
+                         (1, 4, 3), (2, 4, 2), (3, 3, 2)):
+        rng = SplitMix64(100 * d + r)
+        for _ in range(trials):
+            yield random_point_config(d, guaranteed_size(d, r), rng, num_bound=6, den_bound=3), r
+
+
+def test_the_search_with_cuts_returns_the_cut_free_certificates():
+    for config, r in seeded_partition_configs():
+        cert = tverberg_partition(config, r)
+        assert repr(cert) == repr(cut_free_tverberg_partition(config, r))
+
+
+@st.composite
+def partition_instances(draw):
+    """2-9 points in d <= 3 with small rational coordinates (repeats and
+    collinear points are likely), and r in 2..3; below the guaranteed size
+    the search may find no partition."""
+    d = draw(st.integers(1, 3))
+    r = draw(st.integers(2, 3))
+    coord = st.builds(F, st.integers(-3, 3), st.integers(1, 2))
+    n = draw(st.integers(r, min(9, guaranteed_size(d, r))))
+    points = draw(st.lists(st.tuples(*[coord] * d), min_size=n, max_size=n))
+    return PointConfig(d, tuple(points)), r
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=150)
+@given(partition_instances())
+def test_the_search_with_cuts_agrees_with_the_cut_free_one(case):
+    config, r = case
+    assert repr(tverberg_partition(config, r)) == repr(cut_free_tverberg_partition(config, r))
+
+
+def farkas_of_a_cut(functionals, blocks, config):
+    """The Farkas certificate that a cut, by its minima over the blocks,
+    gives the blocks' own partition system: c_j = -min_{v in block j} u_j.v
+    on the sum rows and y_B = -u_B on block B's coupling rows."""
+    minima = [min(sum(c * p for c, p in zip(u, config.points[v])) for v in b)
+              for u, b in zip(functionals, blocks)]
+    return FarkasCertificate(
+        tuple(-m for m in minima) + tuple(F(-c) for u in functionals[1:] for c in u)
+    )
+
+
+def test_every_cut_rejection_is_a_farkas_certificate_of_its_candidate(monkeypatch):
+    """Replaying the canonical order: a candidate that passes the box goes
+    to the LP exactly when no earlier cut separates its blocks, and each
+    one a cut rejects gets, from that cut, a Farkas certificate for its own
+    system that check_farkas accepts."""
+    solved = []
+    certificate = depth_module._partition_certificate
+
+    def recording(config, blocks):
+        solved.append((blocks, certificate(config, blocks)))
+        return solved[-1][1]
+
+    monkeypatch.setattr("tverlab.depth._partition_certificate", recording)
+    rejected = 0
+    for config, r in seeded_partition_configs():
+        solved.clear()
+        found = tverberg_partition(config, r)
+        ints = config.scaled.rows
+        lp = iter(solved)
+        cuts = []
+        for blocks in canonical_partitions(config.n, r):
+            if boxes_miss([[ints[l] for l in b] for b in blocks], config.d):
+                continue
+            cut = next((u for u in cuts if separated(u, blocks, ints)), None)
+            if cut is None:
+                sent, outcome = next(lp)
+                assert sent == blocks
+                if outcome == found:
+                    break
+                cuts.append(outcome)
+                cut = outcome
+            else:
+                rejected += 1
+            system = fraction_partition_system([subset(config, b) for b in blocks])
+            assert check_farkas(system, farkas_of_a_cut(cut, blocks, config))
+        assert next(lp, None) is None
+    assert rejected > 300
+
+
+def separated(functionals, blocks, ints):
+    return sum(min(sum(c * p for c, p in zip(u, ints[v])) for v in b)
+               for u, b in zip(functionals, blocks)) > 0

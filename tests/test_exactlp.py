@@ -34,7 +34,7 @@ from tverlab import (
 from tverlab.exactlp import FarkasCertificate
 from tverlab.rationals import Scaled
 
-from oracles import hull_membership_depth, subset
+from oracles import fraction_partition_system, hull_membership_depth, subset
 
 
 # ---------------------------------------------------------------------------
@@ -386,7 +386,7 @@ def test_partition_systems_match_the_fraction_tableau(monkeypatch):
                 tverberg_partition(config, r)
 
     seen = recorded_systems(monkeypatch, criterion_3)
-    assert len(seen) == 992
+    assert len(seen) == 676
     assert {out.status for _, out in seen} == {OPTIMAL, INFEASIBLE}
     for system, out in seen:
         assert_matches_oracle(system, out)
@@ -663,27 +663,6 @@ def test_common_point_of_polytopes():
 # partition systems built in scaled form, against the Fraction rows
 # ---------------------------------------------------------------------------
 
-def fraction_partition_system(blocks):
-    """The system of common_point_with_weights as it was built from Fraction
-    rows: a sum row per block, then per later block B and coordinate i the
-    coupling row (first block's v[i], -B's v[i]) == 0."""
-    sizes = [len(b) for b in blocks]
-    total, d = sum(sizes), len(blocks[0][0])
-    offsets = [sum(sizes[:k]) for k in range(len(blocks))]
-    rows = []
-    for size, off in zip(sizes, offsets):
-        coeffs = [F(0)] * total
-        coeffs[off:off + size] = [F(1)] * size
-        rows.append((tuple(coeffs), EQ, F(1)))
-    first = blocks[0]
-    for b, off in zip(blocks[1:], offsets[1:]):
-        for i in range(d):
-            coeffs = [v[i] for v in first] + [F(0)] * (total - len(first))
-            coeffs[off:off + len(b)] = [-v[i] for v in b]
-            rows.append((tuple(coeffs), EQ, F(0)))
-    return LinearSystem(total, rows)
-
-
 def assert_same_system(scaled_built, blocks):
     reference = fraction_partition_system(blocks)
     assert scaled_built.n_vars == reference.n_vars
@@ -705,7 +684,7 @@ def solving_into(record):
 
 
 def test_scaled_partition_systems_equal_the_fraction_built_ones(monkeypatch):
-    """The 992 partition-search systems of acceptance criterion 3, each
+    """The 676 partition-search systems of acceptance criterion 3, each
     against the system built from the configuration's Fraction points."""
     cases = []
     certificate = tverlab.depth._partition_certificate
@@ -723,7 +702,7 @@ def test_scaled_partition_systems_equal_the_fraction_built_ones(monkeypatch):
         n = guaranteed_size(d, r)
         for _ in range(50):
             tverberg_partition(random_point_config(d, n, rng, num_bound=6, den_bound=3), r)
-    assert len(cases) == 992
+    assert len(cases) == 676
     for blocks, (system,) in cases:
         assert_same_system(system, blocks)
 
