@@ -63,9 +63,7 @@ _EXPORTS = {
         "tverberg_partition",
     ),
     "exactlp": (
-        "EQ",
         "INFEASIBLE",
-        "LE",
         "OPTIMAL",
         "FarkasCertificate",
         "LinearSystem",
@@ -75,7 +73,6 @@ _EXPORTS = {
         "common_point_with_weights",
         "eq",
         "in_convex_hull",
-        "le",
         "lp_feasible",
         "strict_separator",
     ),

@@ -30,9 +30,14 @@ from .rng import SplitMix64
 
 PASS, FALSIFIED, USAGE, INTERNAL = 0, 1, 2, 3
 
-# flags that --input overrides (the file gives one configuration or
-# complex), so giving one next to it is a usage error
-INPUT_DECIDES = {"centerpoint": ("trials",), "tverberg": ("trials",), "hind": ("m", "sphere")}
+# flags that --input overrides (the file gives one configuration, complex
+# or point set, and no draw), so giving one next to it is a usage error
+INPUT_DECIDES = {
+    "centerpoint": ("trials", "seed"),
+    "tverberg": ("trials", "seed"),
+    "hind": ("m", "sphere"),
+    "cover": ("trials", "seed"),
+}
 
 
 def _emit(records: List[dict], output: Optional[str]) -> None:
@@ -271,7 +276,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--d", type=int, default=None, help="ambient or simplex dimension")
         p.add_argument("--r", type=int, default=None, help="number of parts / depth target")
         p.add_argument("--m", type=int, default=None, help="simplex or sphere dimension")
-        p.add_argument("--seed", type=int, default=0, help="64-bit seed (SplitMix64)")
+        p.add_argument("--seed", type=int, default=None, help="64-bit seed (SplitMix64, default 0)")
         p.add_argument("--trials", type=int, default=None, help="trial count or grid density (default 5)")
         p.add_argument("--output", type=str, default=None, help="write JSON lines here instead of stdout")
         p.add_argument("--jobs", type=int, default=1, help="accepted for compatibility; output never depends on it")
@@ -316,6 +321,8 @@ def main(argv=None) -> int:
                 parser.error(f"{args.command}: --{field} does not apply to --input")
     if args.trials is None:
         args.trials = 5
+    if args.seed is None:
+        args.seed = 0
     try:
         records = args._handlers[args.command](args, parser)
     except (OSError, ValueError) as exc:
@@ -337,7 +344,10 @@ def main(argv=None) -> int:
         code, records = INTERNAL, [{"command": args.command, "internal_error": str(exc)}]
     else:
         code = FALSIFIED if any(r.get("ok") is False for r in records) else PASS
-    _emit(records, args.output)
+    try:
+        _emit(records, args.output)
+    except OSError as exc:  # an --output path that cannot be written
+        parser.error(f"{args.command}: {exc}")
     return code
 
 

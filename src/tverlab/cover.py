@@ -33,7 +33,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
-from .rationals import Point, integer_scaled, rat, rat_str, read_scaled
+from .rationals import Point, bareiss_pivot, integer_scaled, rat, rat_str, read_scaled
 
 IntPoint = Tuple[int, ...]
 
@@ -95,10 +95,11 @@ class HPolytopeBody:
 def _integer_inverse(rows: Sequence[IntPoint]) -> Optional[Tuple[int, Tuple[IntPoint, ...]]]:
     """(E, V) with V/E the inverse of the square integer matrix `rows` and
     E > 0 the lcm of its denominators, or None when the rows are linearly
-    dependent.  Fraction-free Gauss-Jordan on [rows | I] (Bareiss): every
-    entry stays an integer minor, each division is exact, and at the end
-    the left block is p*I and the right block p times the inverse, p the
-    last pivot."""
+    dependent.  Fraction-free Gauss-Jordan on [rows | I], one
+    `bareiss_pivot` per column on the first row from the diagonal down
+    with a nonzero entry there: every entry stays an integer minor, and at
+    the end the left block is p*I and the right block p times the
+    inverse, p the last pivot (of either sign)."""
     n = len(rows)
     m = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(rows)]
     prev = 1
@@ -107,13 +108,7 @@ def _integer_inverse(rows: Sequence[IntPoint]) -> Optional[Tuple[int, Tuple[IntP
         if pivot is None:
             return None
         m[col], m[pivot] = m[pivot], m[col]
-        head = m[col]
-        p = head[col]
-        for r, row in enumerate(m):
-            if r != col:
-                f = row[col]
-                m[r] = [(p * v - f * w) // prev for v, w in zip(row, head)]
-        prev = p
+        prev = bareiss_pivot(m, col, col, prev)
     right = [row[n:] for row in m]
     g = math.gcd(prev, *(v for row in right for v in row))
     if prev < 0:

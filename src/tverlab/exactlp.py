@@ -1,21 +1,22 @@
 """Exact rational linear feasibility over nonnegative variables.
 
-A system is the set  {x >= 0 : rows}  of LE and EQ rows; every system the
-package solves is a convex-combination system whose variables are weights,
-so nonnegativity is the kernel's contract rather than a row of its own.
-Phase 1 of the primal simplex with Bland's rule, so termination is
-guaranteed and no tolerance ever enters.  The tableau is integer and is
-pivoted fraction-free (Bareiss 1968, as in Avis's lrs): its rows share one
-positive denominator and every division is exact.  Every value returned
-is still a `fractions.Fraction`, and every answer carries a certificate
-that is re-verified, in integers over the system's rows scaled once by
-the lcm of their denominators, before it is returned:
+A system is the set  {x >= 0 : Ax = b}  in standard form: each row
+(coeffs, rhs) reads  coeffs . x == rhs.  Every system the package solves is
+a convex-combination system whose variables are weights, so nonnegativity
+is the kernel's contract rather than a row of its own, and an inequality
+is a row with a slack variable of the caller's.  Phase 1 of the primal
+simplex with Bland's rule, so termination is guaranteed and no tolerance
+ever enters.  The tableau is integer and is pivoted fraction-free
+(`rationals.bareiss_pivot`): its rows share one positive denominator and
+every division is exact.  Every value returned is still a
+`fractions.Fraction`, and every answer carries a certificate that is
+re-verified, in integers over the system's rows scaled once by the lcm of
+their denominators, before it is returned:
 
 * feasible      -> a witness point x >= 0 satisfying every row exactly;
-* infeasible    -> a Farkas combination: one multiplier per row,
-                   nonnegative on the inequality rows, combining the rows
-                   to  c . x <= -1  with every c_j >= 0, which no x >= 0
-                   satisfies.
+* infeasible    -> a Farkas combination: one multiplier per row, combining
+                   the rows to  c . x == -1  with every c_j >= 0, which no
+                   x >= 0 satisfies.
 
 Problem sizes here are tiny (tens of variables), which is the regime
 where exact tableau simplex is perfectly practical.
@@ -30,37 +31,29 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Iterable, Optional, Sequence, Tuple
 
-from .rationals import Point, integer_scaled, rat, read_scaled
+from .rationals import Point, bareiss_pivot, integer_scaled, rat, read_scaled
 
-LE = "<="
-EQ = "=="
-
-Row = Tuple[Tuple[Fraction, ...], str, Fraction]
-ScaledRow = Tuple[int, Tuple[int, ...], str, int]
+Row = Tuple[Tuple[Fraction, ...], Fraction]
+ScaledRow = Tuple[int, Tuple[int, ...], int]
 
 OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
 
 
-def le(coeffs: Sequence, rhs) -> Row:
-    """Build the constraint row  coeffs . x <= rhs."""
-    return (tuple(rat(c) for c in coeffs), LE, rat(rhs))
-
-
 def eq(coeffs: Sequence, rhs) -> Row:
     """Build the constraint row  coeffs . x == rhs."""
-    return (tuple(rat(c) for c in coeffs), EQ, rat(rhs))
+    return (tuple(rat(c) for c in coeffs), rat(rhs))
 
 
 class LinearSystem:
-    """The set  {x >= 0 : rows}  over n_vars nonnegative variables, for a
-    finite list of exact LE and EQ rows.
+    """The set  {x >= 0 : a_i . x == b_i for each row i}  over n_vars
+    nonnegative variables, for a finite list of exact rows (a_i, b_i).
 
     Rows are taken as given, so their entries must already be Fractions,
-    as `le`, `eq` and the builders below make them.  Each row is also kept
-    scaled to integers once, as (L_i, L_i a_i, rel, L_i b_i) with L_i the
-    lcm of its denominators, and M is the lcm of all L_i; the tableau and
-    both certificate checks read these.  `from_scaled` builds a system
+    as `eq` and the builders below make them.  Each row is also kept
+    scaled to integers once, as (L_i, L_i a_i, L_i b_i) with L_i the lcm
+    of its denominators, and M is the lcm of all L_i; the tableau and both
+    certificate checks read these.  `from_scaled` builds a system
     from such rows directly, and then the Fraction `constraints` are
     derived only when something reads them."""
 
@@ -70,7 +63,7 @@ class LinearSystem:
 
     @classmethod
     def from_scaled(cls, n_vars: int, scaled: Iterable[ScaledRow]) -> "LinearSystem":
-        """The system of the rows (L_i, A_i, rel, B_i) / L_i, each given as
+        """The system of the rows (L_i, A_i, B_i) / L_i, each given as
         its own lcm scaling: L_i > 0 and gcd(L_i, A_i, B_i) = 1."""
         system = cls.__new__(cls)
         system._set_scaled(n_vars, scaled)
@@ -80,25 +73,21 @@ class LinearSystem:
         if n_vars < 0:
             raise ValueError("n_vars must be nonnegative")
         self.n_vars = n_vars
-        self.scaled = []
-        for row in scaled:
-            _, coeffs, rel, _ = row
+        self.scaled = list(scaled)
+        for _, coeffs, _ in self.scaled:
             if len(coeffs) != n_vars:
                 raise ValueError(
                     f"constraint has {len(coeffs)} coefficients, expected {n_vars}"
                 )
-            if rel not in (LE, EQ):
-                raise ValueError(f"unknown relation {rel!r}")
-            self.scaled.append(row)
-        self.M = lcm(*(L for L, _, _, _ in self.scaled))
+        self.M = lcm(*(L for L, _, _ in self.scaled))
 
     @functools.cached_property
     def constraints(self) -> Tuple[Row, ...]:
-        """The rows as Fractions, (A_i / L_i, rel, B_i / L_i); a system
-        built from Fraction rows keeps the rows it was given."""
+        """The rows as Fractions, (A_i / L_i, B_i / L_i); a system built
+        from Fraction rows keeps the rows it was given."""
         return tuple(
-            (tuple(Fraction(c, L) for c in coeffs), rel, Fraction(rhs, L))
-            for L, coeffs, rel, rhs in self.scaled
+            (tuple(Fraction(c, L) for c in coeffs), Fraction(rhs, L))
+            for L, coeffs, rhs in self.scaled
         )
 
     def __len__(self) -> int:
@@ -109,16 +98,16 @@ class LinearSystem:
 
 
 def _scaled_row(row: Row) -> ScaledRow:
-    coeffs, rel, rhs = row
+    coeffs, rhs = row
     L, (ints,) = integer_scaled([(*coeffs, rhs)])
-    return L, ints[:-1], rel, ints[-1]
+    return L, ints[:-1], ints[-1]
 
 
 @dataclass(frozen=True)
 class FarkasCertificate:
-    """Multipliers nu, one per constraint row and >= 0 on the <= rows, with
-    sum nu_i * coeffs_i >= 0 componentwise and sum nu_i * rhs_i == -1: no
-    x >= 0 satisfies the rows."""
+    """Multipliers nu, one per constraint row, with sum nu_i * coeffs_i >= 0
+    componentwise and sum nu_i * rhs_i == -1: no x >= 0 satisfies the
+    rows."""
 
     multipliers: Tuple[Fraction, ...]
 
@@ -142,17 +131,13 @@ class LPOutcome:
 # ---------------------------------------------------------------------------
 
 def check_witness(system: LinearSystem, x: Sequence[Fraction]) -> bool:
-    """x = X/D >= 0 satisfies every row: (L_i a_i).X against D L_i b_i."""
+    """x = X/D >= 0 satisfies every row: (L_i a_i).X == D L_i b_i."""
     if len(x) != system.n_vars:
         return False
     D, (X,) = integer_scaled([x])
-    if any(v < 0 for v in X):
-        return False
-    for _, coeffs, rel, rhs in system.scaled:
-        lhs, bound = sum(map(operator.mul, coeffs, X)), D * rhs
-        if lhs > bound or (rel == EQ and lhs != bound):
-            return False
-    return True
+    return all(v >= 0 for v in X) and all(
+        sum(map(operator.mul, coeffs, X)) == D * rhs for _, coeffs, rhs in system.scaled
+    )
 
 
 def check_farkas(system: LinearSystem, cert: FarkasCertificate) -> bool:
@@ -164,9 +149,7 @@ def check_farkas(system: LinearSystem, cert: FarkasCertificate) -> bool:
     _, (N,) = integer_scaled([mult])
     combo = [0] * system.n_vars
     total = 0
-    for nu, (L, coeffs, rel, rhs) in zip(N, system.scaled):
-        if rel == LE and nu < 0:
-            return False
+    for nu, (L, coeffs, rhs) in zip(N, system.scaled):
         if nu:
             w = nu * (system.M // L)
             combo = [c + w * a for c, a in zip(combo, coeffs)]
@@ -179,11 +162,11 @@ def check_farkas(system: LinearSystem, cert: FarkasCertificate) -> bool:
 # ---------------------------------------------------------------------------
 
 class _Tableau:
-    """Standard-form integer tableau  [A | S | I | b]  for  {x >= 0 : rows}:
-    one column per variable, one slack column per <= row and one artificial
-    column per row, whose identity is the starting basis.  It is pivoted
-    fraction-free (Bareiss): every entry is an integer over the one
-    positive common denominator D, the last pivot.
+    """Integer tableau  [A | I | b]  for  {x >= 0 : Ax = b}: one column per
+    variable and one artificial column per row, whose identity is the
+    starting basis.  It is pivoted fraction-free (`bareiss_pivot`): every
+    entry is an integer over the one positive common denominator D, the
+    last pivot.
 
     Row i is the system's row scaled to integers by L_i, the lcm of its
     denominators, signed so that rhs >= 0; its artificial column stays a
@@ -198,72 +181,43 @@ class _Tableau:
     def __init__(self, system: LinearSystem):
         self.system = system
         n = system.n_vars
-        slack_col = {}
-        for i, (_, _, rel, _) in enumerate(system.scaled):
-            if rel == LE:
-                slack_col[i] = n + len(slack_col)
-        self.nstruct = n + len(slack_col)
         m = len(system)
-        self.width = self.nstruct + m + 1  # + rhs
-
         self.T = []
         self.sigma = []
-        self.scale = []
-        for i, (L, coeffs, rel, rhs) in enumerate(system.scaled):
+        for i, (_, coeffs, rhs) in enumerate(system.scaled):
             s = 1 if rhs >= 0 else -1
             self.sigma.append(s)
-            self.scale.append(L)
-            row = [s * c for c in coeffs] + [0] * (self.width - n)
-            if i in slack_col:
-                row[slack_col[i]] = s * L
-            row[self.nstruct + i] = 1
+            row = [s * c for c in coeffs] + [0] * (m + 1)
+            row[n + i] = 1
             row[-1] = s * rhs
             self.T.append(row)
         self.rhs0 = [row[-1] for row in self.T]  # for the Farkas total
+        self.scale = [L for L, _, _ in system.scaled]
         self.M = system.M
         self.D = 1
-        self.basis = [self.nstruct + i for i in range(m)]
-
-    # -- pivoting ----------------------------------------------------------
-
-    def _pivot(self, R, i, j):
-        """Fraction-free pivot on T[i][j] > 0: row i is kept as it is, the
-        other rows become (p*row - f*T[i]) // D exactly, and D becomes p."""
-        T = self.T
-        p = T[i][j]
-        D = self.D
-        prow = T[i]
-        for r in range(len(T)):
-            if r != i:
-                f = T[r][j]
-                if f or p != D:
-                    T[r] = [(p * a - f * b) // D for a, b in zip(T[r], prow)]
-        f = R[j]
-        if f or p != D:
-            R[:] = [(p * a - f * b) // D for a, b in zip(R, prow)]
-        self.D = p
-        self.basis[i] = j
+        self.basis = [n + i for i in range(m)]
 
     def _bland(self, R):
-        """Run Bland-rule pivots until no reduced cost is negative."""
+        """Run Bland-rule pivots until no reduced cost in the objective row
+        R is negative; R is pivoted as one more row, and returned."""
         T = self.T
+        m = len(T)
+        n = self.system.n_vars
+        T.append(R)
         guard = 0
-        limit = 1000 + 50 * self.width * (len(T) + 2)
+        limit = 1000 + 50 * len(R) * (m + 2)
         while True:
             guard += 1
             if guard > limit:  # Bland's rule terminates; this is a tripwire
                 raise RuntimeError("simplex iteration limit exceeded")
-            enter = None
-            for j in range(self.nstruct):
-                if R[j] < 0:
-                    enter = j
-                    break
+            R = T[m]
+            enter = next((j for j in range(n) if R[j] < 0), None)
             if enter is None:
-                return
+                return T.pop()
             # least ratio b_i / a_i over a_i > 0 (D cancels), ties to the
             # smaller basis index
             leave = None
-            for i in range(len(T)):
+            for i in range(m):
                 a = T[i][enter]
                 if a > 0:
                     if leave is None:
@@ -275,17 +229,17 @@ class _Tableau:
                         leave = i
             if leave is None:  # the phase-1 objective is bounded below by 0
                 raise RuntimeError("phase 1 cannot be unbounded")
-            self._pivot(R, leave, enter)
+            self.D = bareiss_pivot(T, leave, enter, self.D)
+            self.basis[leave] = enter
 
     def phase1(self):
         """Minimise M times the sum of the unscaled artificials; returns the
         objective row over D, whose last entry is minus that minimum."""
         costs = [self.M // L for L in self.scale]
-        R = [0] * self.nstruct + costs + [0]
+        R = [0] * self.system.n_vars + costs + [0]
         for row, c in zip(self.T, costs):  # price out the artificial basis
             R = [a - c * t for a, t in zip(R, row)]
-        self._bland(R)
-        return R
+        return self._bland(R)
 
     # -- extraction ----------------------------------------------------------
 
@@ -303,15 +257,16 @@ class _Tableau:
         The reduced cost under artificial column k is R_k/D = (M/L_k)(1 - y_k)
         for the dual y of the unscaled rows, so y_k = 1 - L_k*R_k/(D*M), and
         nu = -y combines the rows with a negative right-hand side; the
-        reduced costs of the variable and slack columns, >= 0 at the
-        optimum, make the combination >= 0 and nu >= 0 on the <= rows.  On
-        the rows as the tableau first scaled and signed them (right-hand
-        sides b_k), nu is the integer mu_k = R_k - D*(M/L_k) over D*M, so the
-        total T = sum mu_k b_k is negative.  On the system's scaled rows the
-        multipliers are the integers sigma_k*mu_k over -T; on its unscaled
-        rows they are L_k*sigma_k*mu_k over -T, each made a Fraction once.
+        reduced costs of the variable columns, >= 0 at the optimum, make the
+        combination >= 0.  On the rows as the tableau first scaled and
+        signed them (right-hand sides b_k), nu is the integer
+        mu_k = R_k - D*(M/L_k) over D*M, so the total T = sum mu_k b_k is
+        negative.  On the system's scaled rows the multipliers are the
+        integers sigma_k*mu_k over -T; on its unscaled rows they are
+        L_k*sigma_k*mu_k over -T, each made a Fraction once.
         """
-        mu = [R[self.nstruct + i] - self.D * (self.M // L) for i, L in enumerate(self.scale)]
+        n = self.system.n_vars
+        mu = [R[n + i] - self.D * (self.M // L) for i, L in enumerate(self.scale)]
         total = sum(map(operator.mul, mu, self.rhs0))
         if total >= 0:
             raise RuntimeError("Farkas extraction failed")
@@ -405,14 +360,14 @@ def common_point_with_weights(
     for size, off in zip(sizes, offsets):
         coeffs = [0] * total
         coeffs[off:off + size] = [1] * size
-        scaled.append((1, tuple(coeffs), EQ, 1))
+        scaled.append((1, tuple(coeffs), 1))
     first = pts[0]
     for b, off in zip(pts[1:], offsets[1:]):
         for i in range(d):
             coeffs = [v[i] for v in first] + [0] * (total - len(first))
             coeffs[off:off + len(b)] = [-v[i] for v in b]
             g = gcd(L, *coeffs)
-            scaled.append((L // g, tuple(c // g for c in coeffs), EQ, 0))
+            scaled.append((L // g, tuple(c // g for c in coeffs), 0))
     out = lp_feasible(LinearSystem.from_scaled(total, scaled))
     if out.status != OPTIMAL:
         if separators is not None:

@@ -5,7 +5,9 @@ Every coordinate, weight, and LP value this package returns is a
 denominator); the LP tableau and its certificate checks, the depth
 recursion and tilts, the partition search and certificate checks, the
 isolation sums and the covering kernel compute inside on integers scaled
-from them.  Input scalars (ints, Fractions, or strings `rat` reads) can
+from them.  Integer rows over one common denominator are eliminated by
+one fraction-free step, `bareiss_pivot`, which the LP tableau and the
+covering body's inverse both use.  Input scalars (ints, Fractions, or strings `rat` reads) can
 be read straight into such integers with `read_scaled`, which builds no
 Fraction for an int or a plain ``"p"`` or ``"p/q"`` string.  Serialized
 form is the string ``"p/q"``.
@@ -40,6 +42,23 @@ def rat_str(value: Fraction) -> str:
     """Serialize a Fraction as ``"p/q"`` (denominator always written)."""
     f = rat(value)
     return f"{f.numerator}/{f.denominator}"
+
+
+def bareiss_pivot(rows: List[List[int]], i: int, j: int, D: int) -> int:
+    """One fraction-free pivot (Bareiss 1968, as in Avis's lrs) on
+    rows[i][j] != 0, for integer rows over the common denominator D (the
+    last pivot, 1 at the start): row i is kept, every other row r becomes
+    (p*r - r[j]*row_i) // D, each division exact, and the new denominator
+    p = rows[i][j] is returned.  Over p, row i is then the pivot row
+    divided by its pivot and the others are eliminated, as in Gauss-Jordan.
+    Rows are replaced in the list, not changed in place."""
+    head = rows[i]
+    p = head[j]
+    for r, row in enumerate(rows):
+        f = row[j]
+        if r != i and (f or p != D):
+            rows[r] = [(p * a - f * b) // D for a, b in zip(row, head)]
+    return p
 
 
 def integer_scaled(vectors: Sequence[Sequence[Fraction]]) -> Tuple[int, List[Tuple[int, ...]]]:

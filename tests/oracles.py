@@ -5,8 +5,9 @@ a simplicial complex, the solid simplex and its skeleta, barycentric
 subdivision (of a complex and of a Z2 complex), the hull-membership scan
 over every q-point subset that restates Tukey depth, the partition search
 with an LP per candidate that passes the bounding box (no Farkas cuts) and
-the Fraction-built partition system, and two maps of barycentric points of
-the standard simplex.  Methods of the package's
+the Fraction-built partition system, general-form LP rows (<= and ==) and
+the standard-form system the kernel reads them as, and two maps of
+barycentric points of the standard simplex.  Methods of the package's
 classes became functions that take the complex or the configuration.
 """
 from __future__ import annotations
@@ -18,7 +19,6 @@ from fractions import Fraction
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from tverlab import (
-    EQ,
     LinearSystem,
     PointConfig,
     SimplicialComplex,
@@ -252,14 +252,45 @@ def fraction_partition_system(blocks):
     for size, off in zip(sizes, offsets):
         coeffs = [Fraction(0)] * total
         coeffs[off:off + size] = [Fraction(1)] * size
-        rows.append((tuple(coeffs), EQ, Fraction(1)))
+        rows.append((tuple(coeffs), Fraction(1)))
     first = blocks[0]
     for b, off in zip(blocks[1:], offsets[1:]):
         for i in range(d):
             coeffs = [v[i] for v in first] + [Fraction(0)] * (total - len(first))
             coeffs[off:off + len(b)] = [-v[i] for v in b]
-            rows.append((tuple(coeffs), EQ, Fraction(0)))
+            rows.append((tuple(coeffs), Fraction(0)))
     return LinearSystem(total, rows)
+
+
+# ---------------------------------------------------------------------------
+# general-form LP rows
+# ---------------------------------------------------------------------------
+
+LE = "<="
+EQ = "=="
+
+
+def le(coeffs: Sequence, rhs) -> Tuple[Point, str, Fraction]:
+    """The general-form row  coeffs . x <= rhs."""
+    return (tuple(rat(c) for c in coeffs), LE, rat(rhs))
+
+
+def eq(coeffs: Sequence, rhs) -> Tuple[Point, str, Fraction]:
+    """The general-form row  coeffs . x == rhs."""
+    return (tuple(rat(c) for c in coeffs), EQ, rat(rhs))
+
+
+def standard_form(n: int, rows: Sequence[Tuple[Point, str, Fraction]]) -> LinearSystem:
+    """The kernel's system for general-form rows over x >= 0 in R^n: after
+    the n variables, one slack column per <= row, in row order, with
+    coefficient 1 in its row, so that  a . x <= b  becomes  a . x + s == b.
+    A witness's first n entries are x; the multipliers are one per row."""
+    slack = [i for i, (_, rel, _) in enumerate(rows) if rel == LE]
+    zero, one = Fraction(0), Fraction(1)
+    return LinearSystem(n + len(slack), [
+        (tuple(coeffs) + tuple(one if k == i else zero for k in slack), rhs)
+        for i, (coeffs, _, rhs) in enumerate(rows)
+    ])
 
 
 # ---------------------------------------------------------------------------

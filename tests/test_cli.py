@@ -283,9 +283,10 @@ def test_a_d_that_differs_from_the_input_is_a_usage_error(tmp_path, capsys):
 
 
 def test_flags_that_input_overrides_are_usage_errors(tmp_path, capsys):
-    """Next to --input, hind's --m and --sphere, an explicit --trials of
-    centerpoint and tverberg, and a cover --d other than the file's n are
-    usage errors; unchecked, each run answered the file and exited 0."""
+    """Next to --input, hind's --m and --sphere, an explicit --trials or
+    --seed of centerpoint, tverberg and cover, and a cover --d other than
+    the file's n are usage errors; unchecked, each run answered the file
+    and exited 0."""
     config = tmp_path / "config.json"
     config.write_text(json.dumps({"d": 1, "points": [[1], [2], [3]]}))
     cycle = tmp_path / "cycle.json"
@@ -300,6 +301,12 @@ def test_flags_that_input_overrides_are_usage_errors(tmp_path, capsys):
          "centerpoint: --trials does not apply to --input"),
         (["tverberg", "--r", "2", "--trials", "5", "--input", str(config)],
          "tverberg: --trials does not apply to --input"),
+        (["centerpoint", "--r", "2", "--seed", "3", "--input", str(config)],
+         "centerpoint: --seed does not apply to --input"),
+        (["tverberg", "--r", "2", "--seed", "0", "--input", str(config)],
+         "tverberg: --seed does not apply to --input"),
+        (["cover", "--seed", "3", "--input", str(points)], "cover: --seed does not apply to --input"),
+        (["cover", "--trials", "7", "--input", str(points)], "cover: --trials does not apply to --input"),
         (["cover", "--d", "5", "--input", str(points)], "cover: --d 5 differs from the input's n 2"),
     ):
         with pytest.raises(SystemExit) as e:
@@ -315,6 +322,20 @@ def test_flags_that_input_overrides_are_usage_errors(tmp_path, capsys):
     for command in ("centerpoint", "tverberg"):
         code, records, _ = run(capsys, command, "--r", "2", "--input", str(config))
         assert code == 0 and len(records) == 1
+
+
+def test_an_unwritable_output_is_a_usage_error(tmp_path, capsys):
+    """An --output that is a directory, or whose directory is missing, exits
+    2 with a usage message and writes nothing to stdout; it raised
+    IsADirectoryError or FileNotFoundError and exited 1."""
+    for path, reason in ((tmp_path, "Is a directory"), (tmp_path / "no" / "x.json", "No such file")):
+        with pytest.raises(SystemExit) as e:
+            main(["hind", "--m", "1", "--output", str(path)])
+        assert e.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "error: hind: [Errno " in captured.err and reason in captured.err
+        assert "Traceback" not in captured.err
 
 
 def test_inputs_below_the_guaranteed_size_falsify_nothing(tmp_path, capsys):
@@ -491,16 +512,16 @@ def test_cli_import_needs_no_numpy():
 
 # The package's public names.
 EXPORTED = """
-    CounterexampleSpec CoverCertificate DepthCertificate EQ FarkasCertificate
+    CounterexampleSpec CoverCertificate DepthCertificate FarkasCertificate
     FiberReport FixedSimplexError HPolytopeBody INFEASIBLE IsolationFailure
-    IsolationReport LE LPOutcome LinearSystem OPTIMAL PointConfig ProbeResult
+    IsolationReport LPOutcome LinearSystem OPTIMAL PointConfig ProbeResult
     ReductionPlan SimplicialComplex SplitMix64 TverbergCertificate
     UnboundedBodyError Z2Complex build_counterexample centerpoint
     check_depth_certificate check_farkas check_tverberg_certificate check_witness
     common_point_with_weights constant_map coordinate_projection_map
     cross_polytope_sphere disjoint_union_index enumerate_disjoint_tuples eq
     facet_touching_check fiber_width_demo guaranteed_size h_polytope hind
-    in_convex_hull interval_body iter_partitions le lp_feasible
+    in_convex_hull interval_body iter_partitions lp_feasible
     min_cover_barycentric min_cover_homothety point_config point_strs
     probe_tverberg_plus_one random_point_config rat rat_str
     reduce_central_from_tverberg reduction_plan simplex standard_center
@@ -525,7 +546,7 @@ def test_every_exported_name_resolves():
     package imports no module until a name or module of it is used, and
     the CLI imports every layer (the benchmark's tracer wraps them all
     right after `import tverlab.cli`)."""
-    assert len(EXPORTED) == 64 and sorted(tverlab.__all__) == EXPORTED
+    assert len(EXPORTED) == 61 and sorted(tverlab.__all__) == EXPORTED
     modules = [getattr(tverlab, m) for m in (
         "complexes", "conemap", "cover", "depth", "exactlp", "rationals", "rng", "z2"
     )]

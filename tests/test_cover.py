@@ -18,17 +18,14 @@ from hypothesis import strategies as st
 import tverlab.cover
 from tverlab import (
     OPTIMAL,
-    LinearSystem,
     SplitMix64,
     UnboundedBodyError,
     constant_map,
     coordinate_projection_map,
-    eq,
     facet_touching_check,
     fiber_width_demo,
     h_polytope,
     interval_body,
-    le,
     lp_feasible,
     min_cover_barycentric,
     min_cover_homothety,
@@ -36,7 +33,7 @@ from tverlab import (
 )
 from tverlab.rationals import integer_scaled
 
-from oracles import barycentric_to_centered, grid_points_in_simplex
+from oracles import barycentric_to_centered, eq, grid_points_in_simplex, le, standard_form
 
 
 def random_barycentric(rng, n):
@@ -198,7 +195,8 @@ def lp_cover(points, body):
     system  mu >= 0, sum mu b = 1, sum mu a = 0, sum mu a.s = delta  is
     feasible too, which puts every feasible delta' at or above delta.
     Returns delta, the translate and the tight pairs as min_cover_homothety
-    reports them."""
+    reports them.  Both systems reach the kernel through standard_form, so
+    the primal witness's first 2n entries are (u, v)."""
     n = body.ambient_dim
     pairs = [(p, coeffs, rhs) for p in points for coeffs, rhs in body.rows]
     top = [max(sum(c * v for c, v in zip(coeffs, p)) for p in points) for coeffs, _ in body.rows]
@@ -207,15 +205,15 @@ def lp_cover(points, body):
         le([-c for c in coeffs] + list(coeffs), delta * rhs - sum(c * v for c, v in zip(coeffs, p)))
         for p, coeffs, rhs in pairs
     ]
-    out = lp_feasible(LinearSystem(2 * n, primal))
+    out = lp_feasible(standard_form(2 * n, primal))
     assert out.status == OPTIMAL
-    t = tuple(u - v for u, v in zip(out.witness[:n], out.witness[n:]))
+    t = tuple(u - v for u, v in zip(out.witness[:n], out.witness[n:2 * n]))
     m = len(pairs)
     dual = [le([-int(j == k) for j in range(m)], 0) for k in range(m)]
     dual.append(eq([rhs for _, _, rhs in pairs], 1))
     dual += [eq([coeffs[i] for _, coeffs, _ in pairs], 0) for i in range(n)]
     dual.append(eq([sum(c * v for c, v in zip(coeffs, p)) for p, coeffs, _ in pairs], delta))
-    assert lp_feasible(LinearSystem(m, dual)).status == OPTIMAL
+    assert lp_feasible(standard_form(m, dual)).status == OPTIMAL
     tight = tuple(
         (pi, ri)
         for pi, p in enumerate(points)

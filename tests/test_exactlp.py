@@ -1,9 +1,14 @@
 """Exact LP feasibility over x >= 0 checked against a brute-force
 vertex-enumeration oracle over free variables (through x = u - v), and the
-integer phase 1 against the general-form Fraction tableau it replaced."""
+integer phase 1 against the general-form Fraction tableau it replaced.
+
+The general-form systems here (<= and == rows) reach the kernel through
+`standard_form`, which gives each <= row a slack column; a witness is
+compared on its first n entries, the original variables."""
 import itertools
 from fractions import Fraction as F
 from math import lcm
+from typing import NamedTuple
 
 import pytest
 from hypothesis import given, settings
@@ -11,19 +16,15 @@ from hypothesis import strategies as st
 
 import tverlab.exactlp
 from tverlab import (
-    EQ,
     INFEASIBLE,
-    LE,
     OPTIMAL,
     LinearSystem,
     SplitMix64,
     check_farkas,
     check_witness,
     common_point_with_weights,
-    eq,
     guaranteed_size,
     in_convex_hull,
-    le,
     lp_feasible,
     random_point_config,
     reduce_central_from_tverberg,
@@ -34,7 +35,29 @@ from tverlab import (
 from tverlab.exactlp import FarkasCertificate
 from tverlab.rationals import Scaled
 
-from oracles import fraction_partition_system, hull_membership_depth, subset
+from oracles import (
+    EQ,
+    LE,
+    eq,
+    fraction_partition_system,
+    hull_membership_depth,
+    le,
+    standard_form,
+    subset,
+)
+
+
+class General(NamedTuple):
+    """{x >= 0 : rows} over n_vars variables for general-form rows
+    (coeffs, rel, rhs); the kernel solves standard_form(*system)."""
+
+    n_vars: int
+    constraints: tuple
+
+
+def general(system: LinearSystem) -> General:
+    """A standard-form system's rows as general-form == rows."""
+    return General(system.n_vars, tuple((c, EQ, b) for c, b in system.constraints))
 
 
 # ---------------------------------------------------------------------------
@@ -43,7 +66,7 @@ from oracles import fraction_partition_system, hull_membership_depth, subset
 
 class FractionTableau:
     """The general-form Fraction phase 1 that the integer kernel replaced,
-    kept as its oracle; it reads the kernel's systems through `with_bounds`.
+    kept as its oracle; it reads General systems through `with_bounds`.
     Standard-form tableau  [A | I | b]  with artificial identity basis.
 
     Free variables are split x = u - v, except variables recognized as
@@ -53,7 +76,7 @@ class FractionTableau:
     multipliers can be read off the phase-1 objective row exactly.
     """
 
-    def __init__(self, system: LinearSystem):
+    def __init__(self, system: General):
         self.system = system
         n = system.n_vars
         rows = system.constraints
@@ -222,23 +245,25 @@ def with_bounds(system):
     then the rows."""
     n = system.n_vars
     bounds = [le([-int(i == j) for i in range(n)], 0) for j in range(n)]
-    return LinearSystem(n, bounds + list(system.constraints))
+    return General(n, (*bounds, *system.constraints))
 
 
 def split_free(system):
     """The system over free x as one over u, v >= 0 with x = u - v: each
     row's coefficients c become (c, -c)."""
-    return LinearSystem(2 * system.n_vars, [
+    return General(2 * system.n_vars, tuple(
         (coeffs + tuple(-c for c in coeffs), rel, rhs)
         for coeffs, rel, rhs in system.constraints
-    ])
+    ))
 
 
 def assert_matches_oracle(system, out):
-    """The kernel on system against the oracle on with_bounds(system), whose
-    first n multipliers belong to the bound rows."""
+    """The kernel's outcome on standard_form(*system) against the oracle on
+    with_bounds(system), whose first n multipliers belong to the bound
+    rows."""
     status, witness, farkas = oracle_feasible(with_bounds(system))
-    assert (out.status, out.witness) == (status, witness)
+    assert out.status == status
+    assert (None if out.witness is None else out.witness[:system.n_vars]) == witness
     if farkas is None:
         assert out.farkas is None
     else:
@@ -296,7 +321,7 @@ def random_system(rng, n):
         e[j] = F(1)
         rows.append(le(e, K))
         rows.append(le([-c for c in e], K))
-    return LinearSystem(n, rows)
+    return General(n, tuple(rows))
 
 
 def test_feasibility_matches_vertex_oracle():
@@ -307,7 +332,7 @@ def test_feasibility_matches_vertex_oracle():
         system = random_system(rng, n)
         objective = [F(rng.int_between(-5, 5)) for _ in range(n)]
         expected = oracle_minimum(system, objective)
-        split = split_free(system)
+        split = standard_form(*split_free(system))
         out = lp_feasible(split)
         if expected is None:
             assert out.status == INFEASIBLE
@@ -327,11 +352,10 @@ def test_equality_rows_against_oracle():
         n = rng.int_between(2, 3)
         system = random_system(rng, n)
         coeffs = [F(rng.int_between(-3, 3)) for _ in range(n)]
-        rows = list(system.constraints) + [eq(coeffs, F(rng.int_between(-2, 2)))]
-        system = LinearSystem(n, rows)
+        system = General(n, (*system.constraints, eq(coeffs, F(rng.int_between(-2, 2)))))
         objective = [F(rng.int_between(-5, 5)) for _ in range(n)]
         expected = oracle_minimum(system, objective)
-        split = split_free(system)
+        split = standard_form(*split_free(system))
         out = lp_feasible(split)
         if expected is None:
             assert out.status == INFEASIBLE and check_farkas(split, out.farkas)
@@ -354,7 +378,7 @@ def test_one_bland_pass_per_feasible_call(monkeypatch):
         n = rng.int_between(1, 3)
         system = random_system(rng, n)
         passes.clear()
-        if lp_feasible(split_free(system)).status == OPTIMAL:
+        if lp_feasible(standard_form(*split_free(system))).status == OPTIMAL:
             assert len(passes) == 1
             feasible += 1
     assert feasible > 20
@@ -376,7 +400,18 @@ def recorded_systems(monkeypatch, run):
 
 
 def test_partition_systems_match_the_fraction_tableau(monkeypatch):
-    """The partition-search systems of acceptance criterion 3, from its seeds."""
+    """The partition-search systems of acceptance criterion 3, from its
+    seeds: 676 solves in 3661 Bland pivots, as the general-form integer
+    tableau took them, each one bareiss_pivot of the tableau."""
+    pivots = []
+    pivot = tverlab.exactlp.bareiss_pivot
+
+    def counted(*args):
+        pivots.append(1)
+        return pivot(*args)
+
+    monkeypatch.setattr("tverlab.exactlp.bareiss_pivot", counted)
+
     def criterion_3():
         for d, r in ((1, 2), (1, 3), (2, 2), (2, 3), (3, 2)):
             rng = SplitMix64(100 * d + r)
@@ -386,10 +421,10 @@ def test_partition_systems_match_the_fraction_tableau(monkeypatch):
                 tverberg_partition(config, r)
 
     seen = recorded_systems(monkeypatch, criterion_3)
-    assert len(seen) == 676
+    assert (len(seen), len(pivots)) == (676, 3661)
     assert {out.status for _, out in seen} == {OPTIMAL, INFEASIBLE}
     for system, out in seen:
-        assert_matches_oracle(system, out)
+        assert_matches_oracle(general(system), out)
 
 
 def test_hull_systems_match_the_fraction_tableau(monkeypatch):
@@ -407,7 +442,7 @@ def test_hull_systems_match_the_fraction_tableau(monkeypatch):
     seen = recorded_systems(monkeypatch, criterion_4)
     assert len(seen) == 4990
     for system, out in seen:
-        assert_matches_oracle(system, out)
+        assert_matches_oracle(general(system), out)
 
 
 def test_convex_combination_systems_have_no_bound_rows(monkeypatch):
@@ -454,13 +489,13 @@ def small_systems(draw):
         coeffs = [F(0)] * n
         coeffs[j] = -draw(st.builds(F, st.integers(1, 5), st.integers(1, 3)))
         rows.insert(draw(st.integers(0, len(rows))), (tuple(coeffs), LE, F(0)))
-    return LinearSystem(n, rows)
+    return General(n, tuple(rows))
 
 
 @settings(derandomize=True, database=None, deadline=None, max_examples=400)
 @given(small_systems())
 def test_integer_phase1_matches_the_fraction_tableau(system):
-    assert_matches_oracle(system, lp_feasible(system))
+    assert_matches_oracle(system, lp_feasible(standard_form(*system)))
 
 
 # ---------------------------------------------------------------------------
@@ -468,7 +503,8 @@ def test_integer_phase1_matches_the_fraction_tableau(system):
 # ---------------------------------------------------------------------------
 
 def fraction_check_witness(system, x):
-    """check_witness as it was in Fractions, over the unscaled rows."""
+    """check_witness as it was in Fractions, over the unscaled general-form
+    rows."""
     if len(x) != system.n_vars or any(v < 0 for v in x):
         return False
     for coeffs, rel, rhs in system.constraints:
@@ -481,7 +517,8 @@ def fraction_check_witness(system, x):
 
 
 def fraction_check_farkas(system, cert):
-    """check_farkas as it was in Fractions, over the unscaled rows."""
+    """check_farkas as it was in Fractions, over the unscaled general-form
+    rows: nu >= 0 on the <= rows stands in for the slack columns."""
     mult = cert.multipliers
     if len(mult) != len(system.constraints):
         return False
@@ -508,16 +545,24 @@ def perturbed(vec):
             yield tuple(vec[:j]) + (w,) + tuple(vec[j + 1:])
 
 
+def with_slacks(system, x):
+    """x followed by the slacks  b - a . x  of the system's <= rows, in row
+    order: the point of standard_form(*system) that x stands for."""
+    return tuple(x) + tuple(
+        rhs - sum(c * v for c, v in zip(coeffs, x))
+        for coeffs, rel, rhs in system.constraints if rel == LE
+    )
+
+
 @settings(derandomize=True, database=None, deadline=None, max_examples=200)
 @given(small_systems())
 def test_scaled_rows_are_the_rows_times_their_lcm(system):
+    system = standard_form(*system)
     Ls = []
-    for (coeffs, rel, rhs), (L, a, rel2, b) in zip(
-        system.constraints, system.scaled, strict=True
-    ):
+    for (coeffs, rhs), (L, a, b) in zip(system.constraints, system.scaled, strict=True):
         assert L == lcm(*(c.denominator for c in coeffs + (rhs,)))
         assert all(type(c) is int for c in a + (b,))
-        assert (a, rel2, b) == (tuple(L * c for c in coeffs), rel, L * rhs)
+        assert (a, b) == (tuple(L * c for c in coeffs), L * rhs)
         Ls.append(L)
     assert system.M == lcm(*Ls)
 
@@ -526,22 +571,26 @@ def test_scaled_rows_are_the_rows_times_their_lcm(system):
 @given(small_systems())
 def test_integer_checks_agree_with_the_fraction_checks(system):
     """On the kernel's answer and on copies of it perturbed by +-1/10^12 or
-    a sign flip, the integer checks and the Fraction ones agree."""
-    out = lp_feasible(system)
+    a sign flip, the integer checks on the standard form and the Fraction
+    ones on the general form agree; a perturbed x gets its slacks
+    recomputed."""
+    std = standard_form(*system)
+    out = lp_feasible(std)
     if out.status == OPTIMAL:
-        x = out.witness
-        verdicts = [(check_witness(system, y), fraction_check_witness(system, y))
+        x = out.witness[:system.n_vars]
+        verdicts = [(check_witness(std, with_slacks(system, y)), fraction_check_witness(system, y))
                     for y in perturbed(x)]
         # a positive coordinate made negative leaves x >= 0
-        assert all(not check_witness(system, y) for y in perturbed(x) if min(y) < 0)
+        assert all(not check_witness(std, with_slacks(system, y)) for y in perturbed(x) if min(y) < 0)
     else:
         nu = out.farkas.multipliers
-        verdicts = [(check_farkas(system, FarkasCertificate(m)),
+        verdicts = [(check_farkas(std, FarkasCertificate(m)),
                      fraction_check_farkas(system, FarkasCertificate(m)))
                     for m in perturbed(nu)]
-        # a multiplier made negative on an LE row certifies nothing
+        # a multiplier made negative on an LE row certifies nothing: its
+        # slack column combines to that multiplier
         assert not any(
-            check_farkas(system, FarkasCertificate(m)) for m in perturbed(nu)
+            check_farkas(std, FarkasCertificate(m)) for m in perturbed(nu)
             if any(v < 0 and rel == LE for v, (_, rel, _) in zip(m, system.constraints))
         )
     assert verdicts[0] == (True, True)
@@ -549,29 +598,29 @@ def test_integer_checks_agree_with_the_fraction_checks(system):
 
 
 def test_infeasible_farkas_normalized():
-    system = LinearSystem(1, [le([F(1)], F(0)), le([F(-1)], F(-1))])
+    system = standard_form(1, [le([F(1)], F(0)), le([F(-1)], F(-1))])
     out = lp_feasible(system)
     assert out.status == INFEASIBLE
     nu = out.farkas.multipliers
     assert all(v >= 0 for v in nu)
-    assert sum(v * rhs for v, (_, _, rhs) in zip(nu, system.constraints)) == F(-1)
+    assert sum(v * rhs for v, (_, rhs) in zip(nu, system.constraints)) == F(-1)
 
 
 def test_variables_are_nonnegative():
     # x_0 == -1 has no solution with x_0 >= 0
-    system = LinearSystem(1, [eq([F(1)], F(-1))])
+    system = standard_form(1, [eq([F(1)], F(-1))])
     out = lp_feasible(system)
     assert out.status == INFEASIBLE and check_farkas(system, out.farkas)
-    assert not check_witness(LinearSystem(1, [le([F(1)], F(1))]), (F(-1),))
+    assert not check_witness(standard_form(1, [le([F(1)], F(1))]), (F(-1), F(2)))
 
 
 def test_farkas_combination_is_nonnegative_not_zero():
     # x_0 + x_1 <= -1 is empty over x >= 0 though its row is not 0
-    empty = LinearSystem(2, [le([F(1), F(1)], F(-1))])
+    empty = standard_form(2, [le([F(1), F(1)], F(-1))])
     assert check_farkas(empty, FarkasCertificate((F(1),)))
     assert lp_feasible(empty).status == INFEASIBLE
     # x_0 - x_1 <= -1 holds at (0, 1): a negative entry certifies nothing
-    feasible = LinearSystem(2, [le([F(1), F(-1)], F(-1))])
+    feasible = standard_form(2, [le([F(1), F(-1)], F(-1))])
     assert not check_farkas(feasible, FarkasCertificate((F(1),)))
 
 
@@ -586,23 +635,23 @@ def test_degenerate_cycling_guard():
         le([F(0), F(-1)], F(0)),
         le([F(-1), F(-1)], F(-2)),
     ]
-    out = lp_feasible(LinearSystem(2, rows))
-    assert out.status == OPTIMAL and out.witness == (F(1), F(1))
+    out = lp_feasible(standard_form(2, rows))
+    assert out.status == OPTIMAL and out.witness[:2] == (F(1), F(1))
 
 
 def test_exact_rational_pivoting():
     # tiny coefficients that float arithmetic would mangle; x == a is forced
     a = F(1, 10**12)
-    system = LinearSystem(1, [le([F(-1)], F(0)), le([F(1)], a), le([F(-1)], -a)])
+    system = standard_form(1, [le([F(-1)], F(0)), le([F(1)], a), le([F(-1)], -a)])
     out = lp_feasible(system)
-    assert out.status == OPTIMAL and out.witness == (a,)
+    assert out.status == OPTIMAL and out.witness[:1] == (a,)
 
 
 def test_malformed_systems_rejected():
     with pytest.raises(ValueError):
-        LinearSystem(2, [le([F(1)], F(0))])
+        LinearSystem(2, [tverlab.exactlp.eq([F(1)], F(0))])
     with pytest.raises(ValueError):
-        le([F(1)], "nonsense")
+        tverlab.exactlp.eq([F(1)], "nonsense")
 
 
 def test_hull_membership_square_center():

@@ -1,13 +1,13 @@
 """read_scaled, the reader of input scalars, against rat followed by
 integer_scaled: the same integers for every scalar rat reads, and the same
 exception and message, in the same row-major order, for every one it
-rejects."""
+rejects.  bareiss_pivot against Fraction Gauss-Jordan elimination."""
 from fractions import Fraction as F
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from tverlab.rationals import Scaled, integer_scaled, rat, read_scaled
+from tverlab.rationals import Scaled, bareiss_pivot, integer_scaled, rat, read_scaled
 
 numerators = st.integers(-10**9, 10**9)
 denominators = st.integers(1, 10**6)
@@ -68,3 +68,37 @@ def test_read_scaled_passes_a_read_value_through():
     read = read_scaled([["1/2", 3], [F(-1, 3), "0"]])
     assert read == Scaled(6, [(3, 18), (-2, 0)])
     assert read_scaled(read) is read
+
+
+@st.composite
+def pivot_runs(draw):
+    """A small integer matrix and a sequence of pivot positions in it, some
+    of them on a zero entry (skipped) or on a row pivoted before."""
+    m, n = draw(st.integers(1, 4)), draw(st.integers(1, 5))
+    rows = [draw(st.lists(st.integers(-5, 5), min_size=n, max_size=n)) for _ in range(m)]
+    steps = draw(st.lists(st.tuples(st.integers(0, m - 1), st.integers(0, n - 1)), max_size=8))
+    return rows, steps
+
+
+@example(([[-2, 1, 3], [3, 4, -1], [1, -3, 2]], [(0, 0), (1, 1), (2, 2), (0, 1), (2, 0)]))
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(pivot_runs())
+def test_bareiss_pivot_is_gauss_jordan_over_its_denominator(case):
+    """After each pivot, every integer row over the returned denominator
+    equals the Fraction Gauss-Jordan row (pivot row divided by its pivot,
+    the others eliminated), for pivots of either sign."""
+    rows, steps = case
+    ints = [list(row) for row in rows]
+    fracs = [[F(v) for v in row] for row in rows]
+    D = 1
+    for i, j in steps:
+        if not fracs[i][j]:
+            continue
+        head = [v / fracs[i][j] for v in fracs[i]]
+        fracs = [
+            head if r == i else [a - row[j] * b for a, b in zip(row, head)]
+            for r, row in enumerate(fracs)
+        ]
+        D = bareiss_pivot(ints, i, j, D)
+        assert all(type(v) is int for row in ints for v in row)
+        assert [[F(v, D) for v in row] for row in ints] == fracs
