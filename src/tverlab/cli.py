@@ -17,7 +17,6 @@ with no --input; the output holds one record {"command": ...,
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import functools
 import json
 import sys
@@ -126,7 +125,7 @@ def cmd_reduce(args, parser):
     if args.d is None or args.r is None:
         parser.error("need --d and --r")
     plan = depth.reduction_plan(args.r, args.d)
-    records = [{"plan": dataclasses.asdict(plan)}]
+    records = [{"plan": plan._asdict()}]
     rng = SplitMix64(args.seed)
     for i in range(args.trials):
         config = depth.random_point_config(args.d, plan.m + 1, rng)
@@ -271,15 +270,13 @@ def build_parser() -> argparse.ArgumentParser:
         description="exact-arithmetic checks for depth, partitions, index, and covering claims",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p):
-        p.add_argument("--d", type=int, default=None, help="ambient or simplex dimension")
-        p.add_argument("--r", type=int, default=None, help="number of parts / depth target")
-        p.add_argument("--m", type=int, default=None, help="simplex or sphere dimension")
-        p.add_argument("--seed", type=int, default=None, help="64-bit seed (SplitMix64, default 0)")
-        p.add_argument("--trials", type=int, default=None, help="trial count or grid density (default 5)")
-        p.add_argument("--output", type=str, default=None, help="write JSON lines here instead of stdout")
-        p.add_argument("--jobs", type=int, default=1, help="accepted for compatibility; output never depends on it")
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--d", type=int, default=None, help="ambient or simplex dimension")
+    common.add_argument("--r", type=int, default=None, help="number of parts / depth target")
+    common.add_argument("--seed", type=int, default=None, help="64-bit seed (SplitMix64, default 0)")
+    common.add_argument("--trials", type=int, default=None, help="trial count or grid density (default 5)")
+    common.add_argument("--output", type=str, default=None, help="write JSON lines here instead of stdout")
+    common.add_argument("--jobs", type=int, default=1, help="accepted for compatibility; output never depends on it")
 
     handlers = {}
     for name, fn, help_text in (
@@ -292,11 +289,11 @@ def build_parser() -> argparse.ArgumentParser:
         ("cover", cmd_cover, "covering-radius certificates; facet-touching sets need delta >= 1"),
         ("fiber-demo", cmd_fiber_demo, "sampled fiber-width evidence for maps off the simplex"),
     ):
-        p = sub.add_parser(name, help=help_text)
-        common(p)
+        p = sub.add_parser(name, help=help_text, parents=[common])
         if name in ("centerpoint", "tverberg", "hind", "cover"):
             p.add_argument("--input", type=str, default=None, help="input JSON path")
         if name == "hind":
+            p.add_argument("--m", type=int, default=None, help="sphere dimension")
             p.add_argument("--sphere", type=int, default=None, help="alias for --m")
         handlers[name] = fn
     parser.set_defaults(_handlers=handlers)
@@ -312,7 +309,7 @@ def main(argv=None) -> int:
         if getattr(args, field) is not None and getattr(args, field) < 1:
             parser.error(f"--{field} must be at least 1")
     for field in ("d", "r", "m"):
-        value = getattr(args, field)
+        value = getattr(args, field, None)
         if value is not None and value < 0:
             parser.error(f"--{field} must be nonnegative")
     if getattr(args, "input", None):

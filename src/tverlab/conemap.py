@@ -26,9 +26,8 @@ from __future__ import annotations
 import hashlib
 import itertools
 import json
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, NamedTuple, Optional, Tuple
 
 from .complexes import Simplex, standard_center
 from .rationals import Point, integer_scaled, rat_str
@@ -38,8 +37,7 @@ class IsolationFailure(AssertionError):
     """A disjoint tuple whose predicted-isolated face is not isolated."""
 
 
-@dataclass
-class CounterexampleSpec:
+class CounterexampleSpec(NamedTuple):
     """The map at m = (d+1)r - 2 (or the probe's m + 1) as the image of
     each nonempty face's barycenter; the map is affine on every chain of
     faces, so these images determine it."""
@@ -99,8 +97,7 @@ def enumerate_disjoint_tuples(m: int, r: int) -> List[Tuple[Simplex, ...]]:
     return out
 
 
-@dataclass
-class IsolationRow:
+class IsolationRow(NamedTuple):
     faces: Tuple[Simplex, ...]
     isolated_index: int
     small_indices: Tuple[int, ...]
@@ -117,8 +114,7 @@ class IsolationRow:
         }
 
 
-@dataclass
-class IsolationReport:
+class IsolationReport(NamedTuple):
     d: int
     r: int
     m: int
@@ -199,8 +195,7 @@ def verify_isolation(spec: CounterexampleSpec) -> IsolationReport:
     return IsolationReport(d=spec.d, r=spec.r, m=spec.m, rows=rows)
 
 
-@dataclass
-class ProbeResult:
+class ProbeResult(NamedTuple):
     found: bool
     faces: Optional[Tuple[Simplex, ...]] = None
     point: Optional[Point] = None

@@ -29,11 +29,10 @@ import functools
 import itertools
 import math
 import operator
-from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
-from .rationals import Point, bareiss_pivot, integer_scaled, rat, rat_str, read_scaled
+from .rationals import Frozen, Point, bareiss_pivot, integer_scaled, rat, rat_str, read_scaled
 
 IntPoint = Tuple[int, ...]
 
@@ -43,27 +42,28 @@ class UnboundedBodyError(ValueError):
     meaningless (such a body may also be empty)."""
 
 
-@dataclass(frozen=True)
-class HPolytopeBody:
+class HPolytopeBody(Frozen):
     """A bounded simplex body {y : rows . y <= rhs} in facet-sum form.
 
     Building it checks the form and runs one exact elimination on the
     first n rows, which proves the body bounded and gives their inverse.
     The body keeps, for every cover against it, each row scaled by the
-    lcm l_i of its own denominators as integers (A_i, B_i), the weights
-    M/l_i with M = lcm l_i, rhs_sum = M sum b_i = sum B_i M/l_i, and the
-    inverse of the first n integer rows as an integer matrix over its
-    lcm inverse_scale."""
+    lcm l_i of its own denominators as integers (A_i, B_i) in `int_rows`,
+    the `weights` M/l_i with M = lcm l_i, `rhs_sum` = M sum b_i =
+    sum B_i M/l_i, and the `inverse` of the first n integer rows as an
+    integer matrix over its lcm `inverse_scale`.  These are derived, not
+    fields: equality, hashing and repr read `ambient_dim` and `rows`
+    only."""
 
-    ambient_dim: int
-    rows: Tuple[Tuple[Point, Fraction], ...]
-    int_rows: Tuple[Tuple[IntPoint, int], ...] = field(init=False, repr=False, compare=False)
-    weights: Tuple[int, ...] = field(init=False, repr=False, compare=False)
-    rhs_sum: int = field(init=False, repr=False, compare=False)
-    inverse: Tuple[IntPoint, ...] = field(init=False, repr=False, compare=False)
-    inverse_scale: int = field(init=False, repr=False, compare=False)
+    _fields = ("ambient_dim", "rows")
+
+    def __init__(self, ambient_dim: int, rows: Tuple[Tuple[Point, Fraction], ...]):
+        vars(self).update(ambient_dim=ambient_dim, rows=rows)
+        self.__post_init__()
 
     def __post_init__(self):
+        """The checks and the derived integer form, once per build; kept
+        apart from __init__ so that a wrapper on it counts body builds."""
         for coeffs, _ in self.rows:
             if len(coeffs) != self.ambient_dim:
                 raise ValueError("row dimension mismatch")
@@ -84,12 +84,13 @@ class HPolytopeBody:
             raise ValueError("need coefficients summing to 0, rhs sum > 0")
         m = math.lcm(*scales)
         weights = tuple(m // l for l in scales)
-        init = functools.partial(object.__setattr__, self)
-        init("int_rows", tuple(int_rows))
-        init("weights", weights)
-        init("rhs_sum", sum(b * w for (_, b), w in zip(int_rows, weights)))
-        init("inverse_scale", found[0])
-        init("inverse", found[1])
+        vars(self).update(
+            int_rows=tuple(int_rows),
+            weights=weights,
+            rhs_sum=sum(b * w for (_, b), w in zip(int_rows, weights)),
+            inverse_scale=found[0],
+            inverse=found[1],
+        )
 
 
 def _integer_inverse(rows: Sequence[IntPoint]) -> Optional[Tuple[int, Tuple[IntPoint, ...]]]:
@@ -175,8 +176,7 @@ def _centered(n: int, L: int, ints: Sequence[IntPoint]) -> Tuple[int, List[IntPo
     return k * L, [tuple(k * c - L for c in p[:n]) for p in ints]
 
 
-@dataclass(frozen=True)
-class CoverCertificate:
+class CoverCertificate(NamedTuple):
     delta: Fraction
     translate: Point
     tight: Tuple[Tuple[int, int], ...]  # (point index, body row index) pairs
@@ -292,8 +292,7 @@ def facet_touching_check(points_barycentric: Sequence[Sequence]) -> bool:
 # fiber-width exploration (inexact by design: sampled evidence only)
 # ---------------------------------------------------------------------------
 
-@dataclass
-class FiberCell:
+class FiberCell(NamedTuple):
     cell: Tuple[int, ...]
     count: int
     certificate: CoverCertificate
@@ -304,8 +303,7 @@ class FiberCell:
         return rec
 
 
-@dataclass
-class FiberReport:
+class FiberReport(NamedTuple):
     source_dim: int
     density: int
     label: str

@@ -20,34 +20,32 @@ from __future__ import annotations
 import functools
 import json
 import operator
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Iterator, List, Optional, Sequence, Tuple, Union
+from typing import Iterator, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 from .exactlp import (
     common_point_with_weights,
     strict_separator,  # unused: perfbench/tests/test_bench_trace.py traces this binding
 )
-from .rationals import Point, Scaled, integer_scaled, rat, read_json_rows, read_scaled
+from .rationals import Frozen, Point, Scaled, integer_scaled, rat, read_json_rows, read_scaled
 from .rng import SplitMix64
 
 
-@dataclass(frozen=True)
-class PointConfig:
+class PointConfig(Frozen):
     """A labeled list of exact rational points in R^d (labels 0..n-1).
 
     `scaled` holds the points scaled to integers once, by the lcm L of
     their denominators; it is computed on first use and is not a field,
     so equality, hashing and repr ignore it."""
 
-    d: int
-    points: Tuple[Point, ...]
+    _fields = ("d", "points")
 
-    def __post_init__(self):
-        for p in self.points:
-            if len(p) != self.d:
+    def __init__(self, d: int, points: Tuple[Point, ...]):
+        for p in points:
+            if len(p) != d:
                 raise ValueError("point dimension mismatch")
+        vars(self).update(d=d, points=points)
 
     @property
     def n(self) -> int:
@@ -89,8 +87,7 @@ def random_point_config(
     )
 
 
-@dataclass(frozen=True)
-class DepthCertificate:
+class DepthCertificate(NamedTuple):
     """x, its exact Tukey depth, and a closed halfspace
     {y : coeffs.y + offset >= 0} containing x together with exactly
     `depth` points of the configuration."""
@@ -101,8 +98,7 @@ class DepthCertificate:
     halfspace_offset: Fraction
 
 
-@dataclass(frozen=True)
-class TverbergCertificate:
+class TverbergCertificate(NamedTuple):
     """A partition of the labels into blocks whose hulls share `point`,
     with exact convex weights per block writing the point."""
 
@@ -111,8 +107,7 @@ class TverbergCertificate:
     weights: Tuple[Tuple[Fraction, ...], ...]
 
 
-@dataclass(frozen=True)
-class ReductionPlan:
+class ReductionPlan(NamedTuple):
     """Parameters of the prime lift: R = k(r-1)+1 prime, each point taken
     k times, so an R-part partition upstairs forces the depth bound for r
     parts downstairs."""

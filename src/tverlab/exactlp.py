@@ -26,10 +26,9 @@ from __future__ import annotations
 import functools
 import itertools
 import operator
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Iterable, Optional, Sequence, Tuple
+from typing import Iterable, NamedTuple, Optional, Sequence, Tuple
 
 from .rationals import Point, bareiss_pivot, integer_scaled, rat, read_scaled
 
@@ -103,8 +102,7 @@ def _scaled_row(row: Row) -> ScaledRow:
     return L, ints[:-1], ints[-1]
 
 
-@dataclass(frozen=True)
-class FarkasCertificate:
+class FarkasCertificate(NamedTuple):
     """Multipliers nu, one per constraint row, with sum nu_i * coeffs_i >= 0
     componentwise and sum nu_i * rhs_i == -1: no x >= 0 satisfies the
     rows."""
@@ -112,8 +110,7 @@ class FarkasCertificate:
     multipliers: Tuple[Fraction, ...]
 
 
-@dataclass(frozen=True)
-class LPOutcome:
+class LPOutcome(NamedTuple):
     """A witness, or a Farkas certificate together with its multipliers on
     the system's scaled rows as integers over one positive denominator
     (`scaled_farkas`), for callers that read the rows in integers."""

@@ -7,10 +7,13 @@ recursion and tilts, the partition search and certificate checks, the
 isolation sums and the covering kernel compute inside on integers scaled
 from them.  Integer rows over one common denominator are eliminated by
 one fraction-free step, `bareiss_pivot`, which the LP tableau and the
-covering body's inverse both use.  Input scalars (ints, Fractions, or strings `rat` reads) can
-be read straight into such integers with `read_scaled`, which builds no
-Fraction for an int or a plain ``"p"`` or ``"p/q"`` string.  Serialized
-form is the string ``"p/q"``.
+covering body's inverse both use.  Input scalars (ints, Fractions, or
+strings `rat` reads) can be read straight into such integers with
+`read_scaled`, which builds no Fraction for an int or a plain ``"p"`` or
+``"p/q"`` string.  Serialized form is the string ``"p/q"``.  `Frozen` is
+the base of the two value classes that keep more than their fields
+(`depth.PointConfig`, `cover.HPolytopeBody`); the package's other records
+are `NamedTuple`s.
 """
 from __future__ import annotations
 
@@ -66,6 +69,36 @@ def integer_scaled(vectors: Sequence[Sequence[Fraction]]) -> Tuple[int, List[Tup
     L as integers; L > 0 keeps every sign and order between entries."""
     L = lcm(*(c.denominator for v in vectors for c in v))
     return L, [tuple(c.numerator * (L // c.denominator) for c in v) for v in vectors]
+
+
+class Frozen:
+    """A value whose fields, named in `_fields`, its __init__ sets once
+    (through `vars(self)`): ==, hash and repr read those fields only, so
+    whatever else the instance caches is ignored, and assigning or
+    deleting an attribute raises AttributeError."""
+
+    _fields: Tuple[str, ...] = ()
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__name__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
 
 
 class Scaled(NamedTuple):

@@ -362,6 +362,19 @@ def test_usage_errors_exit_two(capsys):
     with pytest.raises(SystemExit) as e:
         main(["centerpoint", "--d", "1", "--r", "2", "--jobs", "0"])
     assert e.value.code == 2
+    # --m, the sphere dimension, is hind's alone; elsewhere it was ignored
+    for argv in (
+        ["reduce", "--d", "1", "--r", "2", "--trials", "1", "--m", "7"],
+        ["centerpoint", "--m", "4"],
+        *([sub, "--d", "1", "--r", "2", "--m", "1"]
+          for sub in ("tverberg", "counterexample", "probe", "cover", "fiber-demo")),
+    ):
+        with pytest.raises(SystemExit) as e:
+            main(argv)
+        assert e.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.endswith(f"error: {argv[0]}: unrecognized arguments: {' '.join(argv[-2:])}\n")
 
 
 def test_internal_errors_exit_three(monkeypatch, capsys):
@@ -501,13 +514,15 @@ def test_output_bytes_do_not_depend_on_jobs(tmp_path):
 
 
 def test_cli_import_needs_no_numpy():
+    """Nor `dataclasses`, nor the `inspect` it imports: the records are
+    NamedTuples and two plain classes, built with no generated code."""
     src = os.path.dirname(os.path.dirname(tverlab.__file__))
     env = dict(os.environ, PYTHONPATH=src)
-    code = "import sys, tverlab.cli; print('numpy' in sys.modules)"
+    code = "import sys, tverlab.cli; print(*(m in sys.modules for m in ('numpy', 'dataclasses', 'inspect')))"
     out = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     )
-    assert out.stdout.strip() == "False"
+    assert out.stdout.split() == ["False"] * 3
 
 
 # The package's public names.
