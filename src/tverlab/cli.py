@@ -270,13 +270,16 @@ def build_parser() -> argparse.ArgumentParser:
         description="exact-arithmetic checks for depth, partitions, index, and covering claims",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--d", type=int, default=None, help="ambient or simplex dimension")
-    common.add_argument("--r", type=int, default=None, help="number of parts / depth target")
-    common.add_argument("--seed", type=int, default=None, help="64-bit seed (SplitMix64, default 0)")
-    common.add_argument("--trials", type=int, default=None, help="trial count or grid density (default 5)")
-    common.add_argument("--output", type=str, default=None, help="write JSON lines here instead of stdout")
-    common.add_argument("--jobs", type=int, default=1, help="accepted for compatibility; output never depends on it")
+    # every subcommand takes `shared`; all but hind, which reads none of
+    # them, take `sized` too
+    shared = argparse.ArgumentParser(add_help=False)
+    shared.add_argument("--seed", type=int, default=None, help="64-bit seed (SplitMix64, default 0)")
+    shared.add_argument("--output", type=str, default=None, help="write JSON lines here instead of stdout")
+    shared.add_argument("--jobs", type=int, default=1, help="accepted for compatibility; output never depends on it")
+    sized = argparse.ArgumentParser(add_help=False)
+    sized.add_argument("--d", type=int, default=None, help="ambient or simplex dimension")
+    sized.add_argument("--r", type=int, default=None, help="number of parts / depth target")
+    sized.add_argument("--trials", type=int, default=None, help="trial count or grid density (default 5)")
 
     handlers = {}
     for name, fn, help_text in (
@@ -289,12 +292,14 @@ def build_parser() -> argparse.ArgumentParser:
         ("cover", cmd_cover, "covering-radius certificates; facet-touching sets need delta >= 1"),
         ("fiber-demo", cmd_fiber_demo, "sampled fiber-width evidence for maps off the simplex"),
     ):
-        p = sub.add_parser(name, help=help_text, parents=[common])
+        parents = [shared] if name == "hind" else [shared, sized]
+        p = sub.add_parser(name, help=help_text, parents=parents)
         if name in ("centerpoint", "tverberg", "hind", "cover"):
             p.add_argument("--input", type=str, default=None, help="input JSON path")
         if name == "hind":
-            p.add_argument("--m", type=int, default=None, help="sphere dimension")
-            p.add_argument("--sphere", type=int, default=None, help="alias for --m")
+            sphere = p.add_mutually_exclusive_group()
+            sphere.add_argument("--m", type=int, default=None, help="sphere dimension")
+            sphere.add_argument("--sphere", type=int, default=None, help="alias for --m")
         handlers[name] = fn
     parser.set_defaults(_handlers=handlers)
     return parser
@@ -306,7 +311,8 @@ def main(argv=None) -> int:
     if extra:
         parser.error(f"{args.command}: unrecognized arguments: {' '.join(extra)}")
     for field in ("trials", "jobs"):
-        if getattr(args, field) is not None and getattr(args, field) < 1:
+        value = getattr(args, field, None)
+        if value is not None and value < 1:
             parser.error(f"--{field} must be at least 1")
     for field in ("d", "r", "m"):
         value = getattr(args, field, None)
@@ -316,7 +322,7 @@ def main(argv=None) -> int:
         for field in INPUT_DECIDES.get(args.command, ()):
             if getattr(args, field) is not None:
                 parser.error(f"{args.command}: --{field} does not apply to --input")
-    if args.trials is None:
+    if getattr(args, "trials", 0) is None:
         args.trials = 5
     if args.seed is None:
         args.seed = 0

@@ -3,17 +3,20 @@
 Everything is exact: depth comes from a recursion over the dimension that
 projects the points along each line through the query point (no LP),
 Tverberg partitions from a scan of the set partitions in canonical order,
-and the reduction to a prime number of parts duplicates each point k times
-and partitions the lifted cloud.  A centerpoint's depth >= r is certified
-from both sides: the blocks give the lower bound, the depth halfspace the
-upper bound.  Both searches use the certificates they already hold: the
-depth recursion behind a partition stops at the first halfspace that
-holds no more points than the blocks guarantee, and the partition scan
-settles a candidate by LP only when neither the blocks' coordinate ranges
-nor the Farkas certificate of an earlier failed candidate separate its
-blocks.  A configuration is scaled to integers once
-(`PointConfig.scaled`); the depth recursion, the partition screens, each
-candidate's LP rows and both certificate checks read that one scaling.
+except that two blocks are read off the points' affine dependency when it
+is unique up to scale (Radon's theorem: d + 2 points in general position,
+no LP), and the reduction to a prime number of parts duplicates each
+point k times and partitions the lifted cloud.  A centerpoint's depth
+>= r is certified from both sides: the blocks give the lower bound, the
+depth halfspace the upper bound.  Both searches use the certificates they
+already hold: the depth recursion behind a partition stops at the first
+halfspace that holds no more points than the blocks guarantee, and the
+partition scan settles a candidate by LP only when neither the blocks'
+coordinate ranges nor the Farkas certificate of an earlier failed
+candidate separate its blocks.  A configuration is scaled to integers once
+(`PointConfig.scaled`); the depth recursion, the affine dependency, the
+partition screens, each candidate's LP rows and both certificate checks
+read that one scaling.
 """
 from __future__ import annotations
 
@@ -28,7 +31,9 @@ from .exactlp import (
     common_point_with_weights,
     strict_separator,  # unused: perfbench/tests/test_bench_trace.py traces this binding
 )
-from .rationals import Frozen, Point, Scaled, integer_scaled, rat, read_json_rows, read_scaled
+from .rationals import (
+    Frozen, Point, Scaled, bareiss_pivot, integer_scaled, rat, read_json_rows, read_scaled,
+)
 from .rng import SplitMix64
 
 
@@ -288,18 +293,26 @@ def _partitions(
 def tverberg_partition(config: PointConfig, r: int) -> Optional[TverbergCertificate]:
     """First (canonical order) partition into r blocks whose hulls intersect.
 
-    Exhaustive over set partitions, in the order of iter_partitions; a
-    candidate is rejected if its blocks' coordinate ranges miss each other
-    (over the points scaled to integers once), or if an earlier candidate's
-    Farkas certificate already separates its blocks; otherwise it is
-    settled by an exact LP built from the same integers.  Each failed LP
-    leaves a cut: functionals u_j with sum 0, kept as the integer table
-    T[j][v] = u_j.P_v, and a later candidate whose block minima of T sum to
-    a positive number has no common point (see common_point_with_weights).
-    The cuts are tried most recently hit first.  Returns None when no
-    partition works (possible below the guaranteed size)."""
+    For r = 2, when the points have one affine dependency up to scale (as
+    d + 2 points in general position do), the partition and its weights
+    are read off it (_radon_partition) and no LP is solved.  Otherwise the
+    search is exhaustive over set partitions, in the order of
+    iter_partitions; a candidate is rejected if its blocks' coordinate
+    ranges miss each other (over the points scaled to integers once), or
+    if an earlier candidate's Farkas certificate already separates its
+    blocks; otherwise it is settled by an exact LP built from the same
+    integers.  Each failed LP leaves a cut: functionals u_j with sum 0,
+    kept as the integer table T[j][v] = u_j.P_v, and a later candidate
+    whose block minima of T sum to a positive number has no common point
+    (see common_point_with_weights).  The cuts are tried most recently hit
+    first.  Returns None when no partition works (possible below the
+    guaranteed size)."""
     if r < 1:
         raise ValueError("need at least one block")
+    if r == 2:
+        found = _radon_partition(config)
+        if found is not None:
+            return found
     ints = config.scaled.rows
     cuts: List[List[List[int]]] = []
     for blocks in _partitions(config.n, r, ints):
@@ -316,6 +329,64 @@ def tverberg_partition(config: PointConfig, r: int) -> Optional[TverbergCertific
                 raise RuntimeError("a Farkas cut does not separate its own partition")
             cuts.insert(0, table)
     return None
+
+
+def _affine_dependency(config: PointConfig) -> Optional[Tuple[int, ...]]:
+    """The points' affine dependency when it is unique up to scale: the
+    primitive integer vector kappa spanning the kernel of the (d+1) x n
+    matrix with columns (P_v, 1), its first nonzero entry positive, if that
+    kernel is one line (rank n - 1); None otherwise.  One fraction-free
+    Gauss-Jordan elimination, column by column: over its last pivot D, each
+    pivot column c has D in its row i, so with f the one free column,
+    kappa_f = D and kappa_c = -row_i[f]."""
+    n = config.n
+    rows = [list(c) for c in zip(*config.scaled.rows)] + [[1] * n]
+    D, pivot_row, free = 1, {}, []
+    for j in range(n):
+        i = next((i for i, row in enumerate(rows) if row[j] and i not in pivot_row.values()), None)
+        if i is None:
+            free.append(j)
+        else:
+            D = bareiss_pivot(rows, i, j, D)
+            pivot_row[j] = i
+    if len(free) != 1:
+        return None
+    (f,) = free
+    return _primitive([D if j == f else -rows[pivot_row[j]][f] for j in range(n)])
+
+
+def _radon_partition(config: PointConfig) -> Optional[TverbergCertificate]:
+    """The first 2-block partition in canonical order whose hulls meet, read
+    off the affine dependency kappa when it is unique up to scale (Radon);
+    None when it is not, and the search decides.  A common point writes
+    (point, 1) from each block with nonnegative weights, and their
+    difference is a multiple of kappa, so the meeting partitions are the
+    ones that part kappa's positive entries from its negative ones.  The
+    first in canonical order puts every label it can in block 0: with kappa
+    oriented so that its first nonzero entry is positive, block 0 is
+    {v : kappa_v >= 0}.  The weights are unique, kappa on block 0 and
+    -kappa on block 1, each over their sum S, so they are the LP's.  That
+    kappa is such a dependency is checked in integers, and the certificate
+    by check_tverberg_certificate."""
+    kappa = _affine_dependency(config)
+    if kappa is None:
+        return None
+    L, P = config.scaled
+    columns = [*zip(*P), (1,) * config.n]
+    if next(filter(None, kappa), 0) <= 0 or any(sum(map(operator.mul, kappa, c)) for c in columns):
+        raise RuntimeError("affine dependency failed verification")
+    blocks = (tuple(v for v, k in enumerate(kappa) if k >= 0),
+              tuple(v for v, k in enumerate(kappa) if k < 0))
+    first = [kappa[v] for v in blocks[0]]
+    S = sum(first)
+    point = tuple(Fraction(sum(map(operator.mul, first, c)), S * L)
+                  for c in zip(*(P[v] for v in blocks[0])))
+    weights = (tuple(Fraction(k, S) for k in first),
+               tuple(Fraction(-kappa[v], S) for v in blocks[1]))
+    cert = TverbergCertificate(blocks, point, weights)
+    if not check_tverberg_certificate(cert, config):
+        raise RuntimeError("partition certificate failed verification")
+    return cert
 
 
 def _separates(table: Sequence[Sequence[int]], blocks: Tuple[Tuple[int, ...], ...]) -> bool:

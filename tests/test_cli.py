@@ -375,6 +375,22 @@ def test_usage_errors_exit_two(capsys):
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.endswith(f"error: {argv[0]}: unrecognized arguments: {' '.join(argv[-2:])}\n")
+    # hind reads no --d, --r or --trials; --m and --sphere name one dimension
+    for argv, message in (
+        (["hind", "--sphere", "2", "--d", "5", "--r", "9", "--trials", "3"],
+         "hind: unrecognized arguments: --d 5 --r 9 --trials 3"),
+        (["hind", "--m", "2", "--d", "5"], "hind: unrecognized arguments: --d 5"),
+        (["hind", "--m", "2", "--r", "9"], "hind: unrecognized arguments: --r 9"),
+        (["hind", "--m", "2", "--trials", "3"], "hind: unrecognized arguments: --trials 3"),
+        (["hind", "--m", "2", "--sphere", "3"], "argument --sphere: not allowed with argument --m"),
+        (["hind", "--sphere", "3", "--m", "2"], "argument --m: not allowed with argument --sphere"),
+    ):
+        with pytest.raises(SystemExit) as e:
+            main(argv)
+        assert e.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.endswith(f"error: {message}\n")
 
 
 def test_internal_errors_exit_three(monkeypatch, capsys):

@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import tverlab.depth as depth_module
+import tverlab.exactlp as exactlp_module
 
 from tverlab import (
     PointConfig,
@@ -452,7 +453,9 @@ def test_the_partition_search_scales_each_configuration_once(monkeypatch):
     is read into integers once and the depth module calls integer_scaled
     r + 1 times (the certificate check's point and its r weight tuples);
     the kernel calls it once per LP solve (that solve's certificate check)
-    and once for the common point, never per row."""
+    and once for the common point, never per row.  The r = 2
+    configurations go through the search, with their Radon step off."""
+    monkeypatch.setattr("tverlab.depth._radon_partition", lambda config: None)
     calls = {"tverlab.depth.integer_scaled": 0, "tverlab.exactlp.integer_scaled": 0,
              "tverlab.depth.read_scaled": 0, "tverlab.exactlp.lp_feasible": 0}
 
@@ -635,7 +638,9 @@ def test_every_cut_rejection_is_a_farkas_certificate_of_its_candidate(monkeypatc
     """Replaying the canonical order: a candidate that passes the box goes
     to the LP exactly when no earlier cut separates its blocks, and each
     one a cut rejects gets, from that cut, a Farkas certificate for its own
-    system that check_farkas accepts."""
+    system that check_farkas accepts.  The r = 2 configurations go through
+    the search, with their Radon step off."""
+    monkeypatch.setattr("tverlab.depth._radon_partition", lambda config: None)
     solved = []
     certificate = depth_module._partition_certificate
 
@@ -673,3 +678,115 @@ def test_every_cut_rejection_is_a_farkas_certificate_of_its_candidate(monkeypatc
 def separated(functionals, blocks, ints):
     return sum(min(sum(c * p for c, p in zip(u, ints[v])) for v in b)
                for u, b in zip(functionals, blocks)) > 0
+
+
+# ---------------------------------------------------------------------------
+# r = 2: Radon partitions from the points' affine dependency
+# ---------------------------------------------------------------------------
+
+def searched_without_radon(config):
+    """tverberg_partition(config, 2) by the canonical search alone."""
+    radon = depth_module._radon_partition
+    depth_module._radon_partition = lambda config: None
+    try:
+        return tverberg_partition(config, 2)
+    finally:
+        depth_module._radon_partition = radon
+
+
+@st.composite
+def radon_instances(draw):
+    """1..d+4 points in R^d, d = 0..4, with small rational coordinates:
+    distinct points drawn freely, of which each after the first may be
+    replaced by a repeat of an earlier one or a point on the line or plane
+    through two or three earlier ones (an affine combination of them), so
+    sets in general position and degenerate ones are both common."""
+    d = draw(st.integers(0, 4))
+    n = draw(st.integers(1, d + 4))
+    coord = st.builds(F, st.integers(-6, 6), st.integers(1, 3))
+    points = draw(st.lists(st.tuples(*[coord] * d), min_size=n, max_size=n, unique=d > 0))
+    for j in range(1, n):
+        k = draw(st.sampled_from((0, 0, 0, 0, 1, 2, 3)))
+        if k:
+            base = [draw(st.sampled_from(points[:j])) for _ in range(k)]
+            ts = [draw(coord) for _ in range(k - 1)]
+            weights = [*ts, 1 - sum(ts)]
+            points[j] = tuple(sum(w * q[i] for w, q in zip(weights, base)) for i in range(d))
+    return PointConfig(d, tuple(points))
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=400)
+@given(radon_instances())
+def test_the_radon_step_returns_the_search_certificate(config):
+    searched = searched_without_radon(config)
+    radon = depth_module._radon_partition(config)
+    assert radon is None or radon == searched
+    assert repr(tverberg_partition(config, 2)) == repr(searched)
+
+
+def test_radon_partitions_at_d_plus_2_points_solve_no_lp(monkeypatch):
+    """In general position d + 2 points have one affine dependency, and
+    centerpoint, tverberg and reduce at r = 2 read the partition off it."""
+    def no_lp(system):
+        raise AssertionError("an LP was solved")
+
+    monkeypatch.setattr("tverlab.exactlp.lp_feasible", no_lp)
+    for d in range(0, 6):
+        rng = SplitMix64(200 + d)
+        for _ in range(10):
+            config = random_point_config(d, d + 2, rng)
+            cert = tverberg_partition(config, 2)
+            assert check_tverberg_certificate(cert, config)
+            assert cert.blocks[0][0] == 0 and all(cert.blocks)
+            assert centerpoint(config, 2).depth >= 2
+            if d >= 2:
+                assert reduce_central_from_tverberg(config, 2).depth >= 2
+
+
+def test_past_d_plus_2_points_the_search_decides(monkeypatch):
+    """Past d + 2 points the kernel is at least a plane: the step answers
+    nothing, and the search solves LPs and finds the cut-free answer."""
+    answers, solves = [], []
+    radon = depth_module._radon_partition
+    solve = exactlp_module.lp_feasible
+
+    def recorded(config):
+        answers.append(radon(config))
+        return answers[-1]
+
+    def counted(system):
+        solves.append(1)
+        return solve(system)
+
+    monkeypatch.setattr("tverlab.depth._radon_partition", recorded)
+    monkeypatch.setattr("tverlab.exactlp.lp_feasible", counted)
+    for d in (1, 2, 3):
+        rng = SplitMix64(300 + d)
+        for n in (d + 3, d + 4, d + 5):
+            solves.clear()
+            config = random_point_config(d, n, rng)
+            cert = tverberg_partition(config, 2)
+            assert answers[-1] is None and solves
+            assert repr(cert) == repr(cut_free_tverberg_partition(config, 2))
+
+
+def test_a_kappa_that_is_not_the_oriented_dependency_is_rejected(monkeypatch, capsys, tmp_path):
+    """The square's corners have the one dependency (1, -1, -1, 1): its
+    diagonals cross.  Its negative, a combination that misses a coordinate
+    or the sum, and zero are each an internal error."""
+    from tverlab.cli import main
+
+    corners = [[0, 0], [2, 0], [0, 2], [2, 2]]
+    config = point_config(2, corners)
+    assert depth_module._affine_dependency(config) == (1, -1, -1, 1)
+    assert tverberg_partition(config, 2).blocks == ((0, 3), (1, 2))
+    path = tmp_path / "square.json"
+    path.write_text(json.dumps({"d": 2, "points": corners}))
+    for kappa in ((-1, 1, 1, -1), (1, 1, -1, -1), (1, -1, -1, 2), (0, 0, 0, 0)):
+        monkeypatch.setattr("tverlab.depth._affine_dependency", lambda config: kappa)
+        with pytest.raises(RuntimeError, match="affine dependency failed verification"):
+            tverberg_partition(config, 2)
+        assert main(["tverberg", "--r", "2", "--input", str(path)]) == 3
+        assert json.loads(capsys.readouterr().out) == {
+            "command": "tverberg", "internal_error": "affine dependency failed verification"
+        }

@@ -402,7 +402,9 @@ def recorded_systems(monkeypatch, run):
 def test_partition_systems_match_the_fraction_tableau(monkeypatch):
     """The partition-search systems of acceptance criterion 3, from its
     seeds: 676 solves in 3661 Bland pivots, as the general-form integer
-    tableau took them, each one bareiss_pivot of the tableau."""
+    tableau took them, each one bareiss_pivot of the tableau.  The r = 2
+    configurations go through the search, with their Radon step off."""
+    monkeypatch.setattr("tverlab.depth._radon_partition", lambda config: None)
     pivots = []
     pivot = tverlab.exactlp.bareiss_pivot
 
@@ -734,7 +736,9 @@ def solving_into(record):
 
 def test_scaled_partition_systems_equal_the_fraction_built_ones(monkeypatch):
     """The 676 partition-search systems of acceptance criterion 3, each
-    against the system built from the configuration's Fraction points."""
+    against the system built from the configuration's Fraction points
+    (the r = 2 ones through the search, with their Radon step off)."""
+    monkeypatch.setattr("tverlab.depth._radon_partition", lambda config: None)
     cases = []
     certificate = tverlab.depth._partition_certificate
 
