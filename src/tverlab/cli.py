@@ -270,30 +270,33 @@ def build_parser() -> argparse.ArgumentParser:
         description="exact-arithmetic checks for depth, partitions, index, and covering claims",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    # every subcommand takes `shared`; all but hind, which reads none of
-    # them, take `sized` too
+    # every subcommand takes `shared`, and of the sized flags only those its
+    # handler reads
     shared = argparse.ArgumentParser(add_help=False)
     shared.add_argument("--seed", type=int, default=None, help="64-bit seed (SplitMix64, default 0)")
     shared.add_argument("--output", type=str, default=None, help="write JSON lines here instead of stdout")
     shared.add_argument("--jobs", type=int, default=1, help="accepted for compatibility; output never depends on it")
-    sized = argparse.ArgumentParser(add_help=False)
-    sized.add_argument("--d", type=int, default=None, help="ambient or simplex dimension")
-    sized.add_argument("--r", type=int, default=None, help="number of parts / depth target")
-    sized.add_argument("--trials", type=int, default=None, help="trial count or grid density (default 5)")
+    sized = {}
+    for flag, text in (
+        ("d", "ambient or simplex dimension"),
+        ("r", "number of parts / depth target"),
+        ("trials", "trial count or grid density (default 5)"),
+    ):
+        sized[flag] = argparse.ArgumentParser(add_help=False)
+        sized[flag].add_argument(f"--{flag}", type=int, default=None, help=text)
 
     handlers = {}
-    for name, fn, help_text in (
-        ("centerpoint", cmd_centerpoint, "depth >= r certificates on seeded configurations"),
-        ("tverberg", cmd_tverberg, "canonical Tverberg partitions with common-point certificates"),
-        ("reduce", cmd_reduce, "prime-lift reduction: depth via an R-part partition of the lifted cloud"),
-        ("hind", cmd_hind, "Z2 index of cross-polytope spheres (or an --input complex)"),
-        ("counterexample", cmd_counterexample, "isolated-face verification for the cone map at m=(d+1)r-2"),
-        ("probe", cmd_probe, "common-point witness one dimension up, m=(d+1)r-1"),
-        ("cover", cmd_cover, "covering-radius certificates; facet-touching sets need delta >= 1"),
-        ("fiber-demo", cmd_fiber_demo, "sampled fiber-width evidence for maps off the simplex"),
+    for name, fn, flags, help_text in (
+        ("centerpoint", cmd_centerpoint, "d r trials", "depth >= r certificates on seeded configurations"),
+        ("tverberg", cmd_tverberg, "d r trials", "canonical Tverberg partitions with common-point certificates"),
+        ("reduce", cmd_reduce, "d r trials", "prime-lift reduction: depth via an R-part partition of the lifted cloud"),
+        ("hind", cmd_hind, "", "Z2 index of cross-polytope spheres (or an --input complex)"),
+        ("counterexample", cmd_counterexample, "d r", "isolated-face verification for the cone map at m=(d+1)r-2"),
+        ("probe", cmd_probe, "d r", "common-point witness one dimension up, m=(d+1)r-1"),
+        ("cover", cmd_cover, "d trials", "covering-radius certificates; facet-touching sets need delta >= 1"),
+        ("fiber-demo", cmd_fiber_demo, "d trials", "sampled fiber-width evidence for maps off the simplex"),
     ):
-        parents = [shared] if name == "hind" else [shared, sized]
-        p = sub.add_parser(name, help=help_text, parents=parents)
+        p = sub.add_parser(name, help=help_text, parents=[shared] + [sized[f] for f in flags.split()])
         if name in ("centerpoint", "tverberg", "hind", "cover"):
             p.add_argument("--input", type=str, default=None, help="input JSON path")
         if name == "hind":

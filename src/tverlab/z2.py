@@ -4,25 +4,25 @@ The index of a free Z/2-complex (X, g) is Yang's homological index: the
 largest n <= dim X with chains c_0, ..., c_n in C_*(X; F_2) such that
 eps(c_0) = 1 and d c_k = (1 + g) c_{k-1} for k = 1..n (Yang 1954;
 Matousek, "Using the Borsuk-Ulam Theorem", ch. 5).  It equals the largest
-n with w^n != 0, for w the class of the double cover X -> X/Z2.  All of
-these chain conditions together form one linear system over F_2 on the
-faces of X, solved by a single elimination in order of dimension.
+n with w^n != 0, for w the class of the double cover X -> X/Z2.  The index
+of a disjoint union is the max over its invariant parts, and a part's is
+at most its dimension, so `hind` solves one F_2 system per g-invariant
+component, and only for those whose dimension can raise the index.
 
-A Z2Complex numbers its faces once, as bitmasks, when it is built.  Its
-vertices are relabelled so that each orbit {v, g v} is two adjacent bits;
-g then acts on a face's mask as one fixed bit swap, and no image is
-sorted.  Each dimension's faces are numbered with bits local to that
-dimension's band; `hind` stacks the bands, vertices lowest, and pivots
-each row on its highest bit, so a row stays an int as wide as the bands
-it touches.  The facet-image check, `is_free` and `hind` all read that
-one table, and none of them lists the complex's facets or vertices.
+A Z2Complex relabels its vertices so that each orbit {v, g v} is two
+adjacent bits, and keeps its given simplices as bitmasks; g acts on a mask
+as one fixed bit swap.  Validation and `is_free` read only those masks.
+`hind` numbers a component's faces with bits local to each dimension's
+band and stacks the bands, vertices lowest, so each row pivots on its
+highest bit and stays an int as wide as the bands it touches.
 """
 from __future__ import annotations
 
 import itertools
+import operator
 from typing import Dict, List, Optional, Sequence
 
-from .complexes import SimplicialComplex, Simplex
+from .complexes import SimplicialComplex
 
 
 class FixedSimplexError(ValueError):
@@ -33,14 +33,10 @@ class FixedSimplexError(ValueError):
 class Z2Complex:
     """A simplicial complex with a simplicial involution on its vertices.
 
-    The face table: `_bit` maps each vertex to its bit, each orbit taking
-    two adjacent bits (the lower one in `_lo`) and a vertex that g fixes
-    one bit (in `_fixed`).  `_faces[k]` lists the masks of the k-faces in
-    ascending order.  `_columns` maps each mask to its bit in its
-    dimension's band, len(_faces[k]) bits wide, the first mask taking the
-    highest; `_cofaces` maps it to the band-local bits of its
-    codimension-one cofaces in the band above.  `hind` shifts the bands
-    into place."""
+    `_bit` maps each vertex to its bit, each orbit taking two adjacent bits
+    (the lower one in `_lo`) and a vertex that g fixes one bit (in
+    `_fixed`).  `_masks` lists the masks of the given simplices and
+    `_images` those of their images under g, in the same order."""
 
     def __init__(self, complex: SimplicialComplex, involution: Dict[int, int]):
         self.complex = complex
@@ -57,17 +53,29 @@ class Z2Complex:
             if self.involution[self.involution[v]] != v:
                 raise ValueError("involution must have order two")
         self._relabel(verts)
-        given: Dict[int, List[int]] = {}
-        for s in complex.simplices:
-            given.setdefault(len(s), []).append(self._mask(s))
-        self._number_faces(given)
-        columns = self._columns
-        if any(self._swap(m) not in columns for ms in given.values() for m in ms):
-            # Name the first maximal simplex whose image is missing.
-            f = next(
-                f for f in complex.facets if self._swap(self._mask(f)) not in columns
-            )
-            raise ValueError(f"involution does not map simplex {f} to a simplex")
+        bit, lo, fixed = self._bit.__getitem__, self._lo, self._fixed
+        masks = self._masks = [sum(map(bit, s)) for s in complex.simplices]
+        images = self._images = [((m & lo) << 1) | ((m >> 1) & lo) | (m & fixed) for m in masks]
+        given = set(masks)
+        if not given.issuperset(images):
+            # An image that is not given must lie in a given simplex, one
+            # that holds the image's lowest vertex.
+            holding: Dict[int, List[int]] = {}
+            for m in masks:
+                rest = m
+                while rest:
+                    low = rest & -rest
+                    holding.setdefault(low, []).append(m)
+                    rest ^= low
+
+            def is_face(s: int) -> bool:
+                return s in given or any(s & m == s for m in holding[s & -s])
+
+            if not all(map(is_face, images)):
+                # Name the first maximal simplex whose image is missing.
+                image = dict(zip(masks, images))
+                f = next(f for f in complex.facets if not is_face(image[sum(map(bit, f))]))
+                raise ValueError(f"involution does not map simplex {f} to a simplex")
 
     def _relabel(self, verts) -> None:
         """One bit per vertex, the smallest vertex getting the highest bit,
@@ -89,55 +97,115 @@ class Z2Complex:
                 lo |= top
         self._bit, self._lo, self._fixed = bit, lo, fixed
 
-    def _number_faces(self, given: Dict[int, List[int]]) -> None:
-        """Walk the faces top-down from the given simplices' masks (keyed
-        by size), recording each level's cofaces on the way.  A level is
-        complete before it is numbered, so its faces get band-local bits:
-        the smallest mask the band's highest bit, the largest bit 0 (see
-        `hind`).  A face's coface bits are those of the band above."""
-        size = max(given)
-        faces: List[List[int]] = []
-        columns: Dict[int, int] = {}
-        cofaces: Dict[int, int] = {}
-        level = dict.fromkeys(given[size], 0)
-        while size:
-            masks = sorted(level)
-            faces.append(masks)
-            cofaces.update(level)
-            size -= 1
-            level = dict.fromkeys(given.get(size, ()), 0)
-            col = 1 << len(masks)
-            for m in masks:
-                col >>= 1
-                columns[m] = col
-                rest = m if size else 0
-                while rest:
-                    low = rest & -rest
-                    sub = m ^ low
-                    level[sub] = level.get(sub, 0) | col
-                    rest ^= low
-        faces.reverse()
-        self._faces, self._columns, self._cofaces = faces, columns, cofaces
-
-    def _mask(self, s: Simplex) -> int:
-        return sum(map(self._bit.__getitem__, s))
-
-    def _swap(self, m: int) -> int:
-        lo = self._lo
-        return ((m & lo) << 1) | ((m >> 1) & lo) | (m & self._fixed)
-
     def is_free(self) -> bool:
         # A setwise-fixed simplex either fixes a vertex or contains a pair
-        # {v, g(v)}, which would itself be a fixed edge.
-        if self._fixed:
-            return False
-        lo = self._lo
-        while lo:
-            b = lo & -lo
-            if b | b << 1 in self._columns:  # the edge {v, g v}
-                return False
-            lo ^= b
-        return True
+        # {v, g(v)}; either way some given simplex meets its image.
+        return not any(map(operator.and_, self._masks, self._images))
+
+
+def _components(masks: Sequence[int], lo: int, bits: int) -> List[List[int]]:
+    """A free complex's masks grouped by g-invariant component (the
+    orbit-closure of a connected component); `bits` holds every vertex bit.
+
+    A flood from the first mask's orbits: each pass absorbs the masks that
+    meet the component, until one adds nothing.  A component holding every
+    vertex left takes the rest unfiltered, so a connected complex costs a
+    pass or two.  Long chains or many components would make the passes
+    quadratic, so after four passes' worth of masks `_walk_orbits` takes
+    over."""
+    budget = 4 * len(masks)
+    rest = masks
+    parts = []
+    while True:
+        left, comp = rest, rest[0]
+        while True:
+            comp |= (comp & lo) << 1 | (comp >> 1) & lo
+            if comp == bits:
+                parts.append(rest)
+                return parts
+            budget -= len(left)
+            if budget < 0:
+                return _walk_orbits(masks)
+            todo, left, grown = left, [], comp
+            for m in todo:
+                if m & grown:
+                    grown |= m
+                else:
+                    left.append(m)
+            if grown == comp:
+                break
+            comp = grown
+        parts.append([m for m in rest if m & comp])
+        rest = left
+        bits ^= comp
+
+
+def _walk_orbits(masks: Sequence[int]) -> List[List[int]]:
+    """`_components` in linear time.  Orbit i holds bits 2i and 2i + 1 (g
+    fixes no vertex), so bit_length names a bit's orbit.  Each orbit's
+    reach (the masks holding it) is collected, a walk over the reaches
+    labels the orbits, and each mask goes with its top bit's orbit."""
+    reach: Dict[int, int] = {}
+    for m in masks:
+        rest = m
+        while rest:
+            low = rest & -rest
+            orbit = low.bit_length() - 1 >> 1
+            reach[orbit] = reach.get(orbit, 0) | m
+            rest ^= low
+    label: Dict[int, int] = {}
+    parts: List[List[int]] = []
+    for start in reach:
+        if start in label:
+            continue
+        label[start] = len(parts)
+        stack = [start]
+        while stack:
+            rest = reach[stack.pop()]
+            while rest:
+                low = rest & -rest
+                orbit = low.bit_length() - 1 >> 1
+                if orbit not in label:
+                    label[orbit] = len(parts)
+                    stack.append(orbit)
+                rest ^= low
+        parts.append([])
+    for m in masks:
+        parts[label[m.bit_length() - 1 >> 1]].append(m)
+    return parts
+
+
+def _number_faces(given: Dict[int, List[int]]):
+    """The face table of the complex spanned by masks given by size.
+
+    The faces are walked top-down, each level's cofaces recorded on the
+    way; a complete level is numbered in its band, the smallest mask taking
+    the highest bit.  Returns `faces` (faces[k] the k-faces' masks,
+    ascending), `columns` (each mask's band-local bit) and `cofaces` (the
+    band-local bits of its codimension-one cofaces in the band above)."""
+    size = max(given)
+    faces: List[List[int]] = []
+    columns: Dict[int, int] = {}
+    cofaces: Dict[int, int] = {}
+    level = dict.fromkeys(given[size], 0)
+    while size:
+        masks = sorted(level)
+        faces.append(masks)
+        cofaces.update(level)
+        size -= 1
+        level = dict.fromkeys(given.get(size, ()), 0)
+        col = 1 << len(masks)
+        for m in masks:
+            col >>= 1
+            columns[m] = col
+            rest = m if size else 0
+            while rest:
+                low = rest & -rest
+                sub = m ^ low
+                level[sub] = level.get(sub, 0) | col
+                rest ^= low
+    faces.reverse()
+    return faces, columns, cofaces
 
 
 def _gf2_solvable(rows: Sequence[int], ncols: int) -> Optional[int]:
@@ -173,44 +241,55 @@ def hind(X: Z2Complex) -> int:
     """Yang's homological index of a free Z/2-complex: the largest n <= dim X
     with chains c_0..c_n, eps(c_0) = 1 and d c_k = (1 + g) c_{k-1}.
 
-    One F_2 system, one column per face of X.  Its rows are the augmentation
-    row, then, by dimension, the row of each face f below the top dimension:
-    the coefficient of f in d c_{k} + (1 + g) c_{k-1}, k - 1 = dim f.  That
-    row reads only columns of dimension k - 1 and k, so the rows up to
-    dimension n - 1 are exactly the system for n.  The index is the
-    dimension of the face whose row first makes the system inconsistent.
+    The index is the max over the g-invariant components, each at most its
+    dimension, so the components are taken by decreasing dimension and one
+    is solved only while its dimension is above the best index so far.
 
-    Columns and rows come from X's face table.  Whether the rows up to
-    dimension k are consistent depends neither on the column order nor on
-    the row order within a dimension, so neither changes the index, but
-    both change the elimination's work.  The columns are the table's
-    bands placed bottom-up, vertices lowest, so higher faces get the
-    higher bits and each row pivots on a coface; within a band the
-    smallest mask, the first face in lex order, has the highest bit.  The
-    rows run through each dimension in lex order.  A row of dimension k
-    is then an int of the bands up to k + 1 only, and so is every pivot
-    it meets.  (Numbering a dimension's faces in set order instead made
-    S^7 several times slower.)
+    A component's F_2 system has one column per face.  Its rows are the
+    augmentation row, then, by dimension, the row of each face f below the
+    top dimension: the coefficient of f in d c_k + (1 + g) c_{k-1},
+    k - 1 = dim f.  That row reads only columns of dimension k - 1 and k,
+    so the rows up to dimension n - 1 are exactly the system for n, and the
+    index is the dimension of the face whose row first makes it
+    inconsistent.  Neither the column order nor the row order within a
+    dimension changes the index, but both change the work: the bands are
+    placed bottom-up, so each row pivots on a coface, and the rows run
+    through each dimension in lex order, so a row of dimension k and every
+    pivot it meets is an int of the bands up to k + 1 only.  (Numbering a
+    dimension's faces in set order instead made S^7 several times slower.)
     Raises FixedSimplexError on a non-free action."""
     if not X.is_free():
         raise FixedSimplexError("fixed simplex found: the action is not free")
-    columns, cofaces, lo, faces = X._columns, X._cofaces, X._lo, X._faces
-    ncols = len(columns)
-    rows = [((1 << len(faces[0])) - 1) | (1 << ncols)]
-    row_dims = []
-    shift = 0
-    for k, masks in enumerate(faces[:-1]):
-        width = len(masks)
-        # g m is ((m & lo) << 1) | ((m >> 1) & lo): g fixes no vertex.
-        rows.extend(
-            (columns[m] ^ columns[((m & lo) << 1) | ((m >> 1) & lo)] | cofaces[m] << width)
-            << shift
-            for m in reversed(masks)
-        )
-        row_dims += [k] * width
-        shift += width
-    first = _gf2_solvable(rows, ncols)
-    return len(faces) - 1 if first is None else row_dims[first - 1]
+    lo = X._lo
+    parts = []
+    for part in _components(X._masks, lo, (1 << len(X._bit)) - 1):
+        given: Dict[int, List[int]] = {}
+        for m in part:
+            given.setdefault(m.bit_count(), []).append(m)
+        parts.append((max(given) - 1, given))
+    parts.sort(key=lambda part: part[0], reverse=True)
+    best = 0
+    for dim, given in parts:
+        if dim <= best:
+            break
+        faces, columns, cofaces = _number_faces(given)
+        ncols = len(columns)
+        rows = [((1 << len(faces[0])) - 1) | (1 << ncols)]
+        row_dims = []
+        shift = 0
+        for k, masks in enumerate(faces[:-1]):
+            width = len(masks)
+            # g m is ((m & lo) << 1) | ((m >> 1) & lo): g fixes no vertex.
+            rows.extend(
+                (columns[m] ^ columns[((m & lo) << 1) | ((m >> 1) & lo)] | cofaces[m] << width)
+                << shift
+                for m in reversed(masks)
+            )
+            row_dims += [k] * width
+            shift += width
+        first = _gf2_solvable(rows, ncols)
+        best = max(best, dim if first is None else row_dims[first - 1])
+    return best
 
 
 def z2_disjoint_union(*parts: Z2Complex) -> Z2Complex:

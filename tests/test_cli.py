@@ -367,7 +367,8 @@ def test_usage_errors_exit_two(capsys):
         ["reduce", "--d", "1", "--r", "2", "--trials", "1", "--m", "7"],
         ["centerpoint", "--m", "4"],
         *([sub, "--d", "1", "--r", "2", "--m", "1"]
-          for sub in ("tverberg", "counterexample", "probe", "cover", "fiber-demo")),
+          for sub in ("tverberg", "counterexample", "probe")),
+        *([sub, "--d", "1", "--m", "1"] for sub in ("cover", "fiber-demo")),
     ):
         with pytest.raises(SystemExit) as e:
             main(argv)
@@ -375,8 +376,18 @@ def test_usage_errors_exit_two(capsys):
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.endswith(f"error: {argv[0]}: unrecognized arguments: {' '.join(argv[-2:])}\n")
-    # hind reads no --d, --r or --trials; --m and --sphere name one dimension
+    # hind reads no --d, --r or --trials, probe and counterexample no
+    # --trials, cover and fiber-demo no --r; --m and --sphere name one
+    # dimension
     for argv, message in (
+        (["probe", "--d", "1", "--r", "2", "--trials", "9"],
+         "probe: unrecognized arguments: --trials 9"),
+        (["counterexample", "--d", "1", "--r", "2", "--trials", "9"],
+         "counterexample: unrecognized arguments: --trials 9"),
+        (["cover", "--d", "2", "--r", "7", "--trials", "1"],
+         "cover: unrecognized arguments: --r 7"),
+        (["fiber-demo", "--d", "1", "--r", "7", "--trials", "1"],
+         "fiber-demo: unrecognized arguments: --r 7"),
         (["hind", "--sphere", "2", "--d", "5", "--r", "9", "--trials", "3"],
          "hind: unrecognized arguments: --d 5 --r 9 --trials 3"),
         (["hind", "--m", "2", "--d", "5"], "hind: unrecognized arguments: --d 5"),
@@ -421,9 +432,13 @@ def test_a_failed_partition_check_is_an_internal_error(monkeypatch, capsys):
 def test_input_is_a_usage_error_where_it_is_not_read(tmp_path, capsys):
     path = tmp_path / "config.json"
     path.write_text('{"d": 1, "points": [["0"], ["1"], ["2"]]}')
-    for sub in ("reduce", "counterexample", "probe", "fiber-demo"):
+    for argv in (
+        *([sub, "--d", "1", "--r", "2"] for sub in ("reduce", "counterexample", "probe")),
+        ["fiber-demo", "--d", "1"],  # which reads no --r
+    ):
+        sub = argv[0]
         with pytest.raises(SystemExit) as e:
-            main([sub, "--d", "1", "--r", "2", "--input", str(path)])
+            main([*argv, "--input", str(path)])
         assert e.value.code == 2
         err = capsys.readouterr().err
         assert f"error: {sub}: unrecognized arguments: --input" in err

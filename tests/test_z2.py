@@ -27,7 +27,7 @@ from tverlab import (
     z2_disjoint_union,
 )
 from tverlab.complexes import Simplex
-from tverlab.z2 import _gf2_solvable
+from tverlab.z2 import _components, _gf2_solvable, _walk_orbits
 
 from oracles import (
     barycentric_subdivision,
@@ -286,6 +286,26 @@ def test_fixed_simplices_rejected():
     assert not isinstance(e.value, FixedSimplexError)
 
 
+def test_images_may_be_faces_of_given_simplices():
+    """Validation reads only the given simplices: an image that is a face
+    of one but not given itself is accepted; one that is no face is
+    rejected, naming the first maximal simplex whose image is missing."""
+    swap = {0: 3, 3: 0, 1: 4, 4: 1, 2: 5, 5: 2}
+    X = Z2Complex(SimplicialComplex([(0, 1, 2), (3, 4, 5), (0, 1)]), swap)
+    assert X.is_free() and hind(X) == hind_by_cup_powers(X) == 0
+    for simplices, involution, named in (
+        ([(0, 1, 2), (3, 4), (5,)], swap, (0, 1, 2)),
+        ([(0, 1, 2), (0, 1), (3, 4), (5,)], swap, (0, 1, 2)),
+        ([(0, 1), (2, 3), (4, 5), (6, 7)],
+         {0: 4, 4: 0, 1: 6, 6: 1, 2: 5, 5: 2, 3: 7, 7: 3}, (0, 1)),
+        ([(1, 2, 3), (4, 5, 6), (1, 2), (7,), (8,)],
+         {1: 4, 4: 1, 2: 7, 7: 2, 3: 8, 8: 3, 5: 6, 6: 5}, (1, 2, 3)),
+    ):
+        with pytest.raises(ValueError) as e:
+            Z2Complex(SimplicialComplex(simplices), involution)
+        assert str(e.value) == f"involution does not map simplex {named} to a simplex"
+
+
 def test_quotient_of_zero_sphere_is_a_point():
     q = quotient(cross_polytope_sphere(0))
     assert q.complex.facets == frozenset({(0,)})
@@ -499,10 +519,11 @@ def test_gf2_elimination_matches_the_lowest_bit_reference(system):
 
 
 # xor steps of the lowest-bit elimination on the rows of `hind` as they
-# were built before the columns were mirrored (same rows, same pivots)
+# were built before the columns were mirrored (same rows, same pivots); of
+# sd S^2+S^3 only the S^3 component is solved
 MIRRORED_XOR_STEPS = {
     "S^2": 34, "S^3": 235, "S^4": 1318, "S^5": 6615,
-    "sd S^2": 298, "sd S^3": 8839, "sd S^2+S^3": 1240,
+    "sd S^2": 298, "sd S^3": 8839, "sd S^2+S^3": 235,
 }
 
 
@@ -532,6 +553,25 @@ def test_hind_rows_are_the_lowest_bit_rows_mirrored(monkeypatch):
         assert first == solve(rows, ncols), label
         assert len(steps) == highest_bit_xor_steps(rows, ncols), label
         assert len(steps) == MIRRORED_XOR_STEPS[label], label
+
+
+def test_hind_solves_only_the_components_that_can_raise_the_index(monkeypatch):
+    """A component is solved only while its dimension is above the best
+    index so far: of sd S^2 + S^3 only S^3 (80 faces), of sd S^2 + sd S^2
+    only one copy (146 faces)."""
+    S = cross_polytope_sphere
+    systems = []
+    solve = tverlab.z2._gf2_solvable
+    monkeypatch.setattr(
+        tverlab.z2, "_gf2_solvable",
+        lambda rows, ncols: systems.append(ncols) or solve(rows, ncols),
+    )
+    for parts, columns in (((subdivide_z2(S(2)), S(3)), 80),
+                           ((subdivide_z2(S(2)), subdivide_z2(S(2))), 146)):
+        X = relabelled(z2_disjoint_union(*parts), SplitMix64(19))
+        systems.clear()
+        assert hind(X) == max(p.complex.dim for p in parts)
+        assert systems == [columns]
 
 
 def test_sphere_index_five_to_seven():
@@ -680,6 +720,92 @@ def test_index_matches_cup_powers_on_seeded_subcomplexes():
         assert index == hind_by_cup_powers(X)
         seen.add((X.complex.dim, index))
     assert {index for _, index in seen} >= {0, 1, 2}
+
+
+def orbit_components(X):
+    """The vertex sets of X's g-invariant components, by union-find over
+    the given simplices and the involution."""
+    parent = {v: v for v in X.involution}
+
+    def find(a):
+        while parent[a] != a:
+            parent[a] = parent[parent[a]]
+            a = parent[a]
+        return a
+
+    pairs = list(X.involution.items())
+    pairs += [(s[0], v) for s in X.complex.simplices for v in s[1:]]
+    for a, b in pairs:
+        parent[find(a)] = find(b)
+    groups = {}
+    for v in X.involution:
+        groups.setdefault(find(v), set()).add(v)
+    return sorted(map(sorted, groups.values()))
+
+
+def mask_components(X, split):
+    """`split`'s components of X, as sorted vertex lists."""
+    vertex_of = {b: v for v, b in X._bit.items()}
+    if split is _walk_orbits:
+        parts = split(X._masks)
+    else:
+        parts = split(X._masks, X._lo, (1 << len(X._bit)) - 1)
+    assert sorted(m for part in parts for m in part) == sorted(X._masks)
+    return sorted(
+        sorted(vertex_of[b] for b in vertex_of if any(m & b for m in part))
+        for part in parts
+    )
+
+
+def test_union_index_is_the_max_over_its_parts(monkeypatch):
+    """hind of a union of two seeded invariant subcomplexes equals the max of
+    the cup-power oracle over the parts, and some unions need both parts
+    solved: the higher part's index is below the lower part's dimension."""
+    rng = SplitMix64(2601)
+    systems = []
+    solve = tverlab.z2._gf2_solvable
+    monkeypatch.setattr(
+        tverlab.z2, "_gf2_solvable",
+        lambda rows, ncols: systems.append(ncols) or solve(rows, ncols),
+    )
+    both_solved = 0
+    for _ in range(30):
+        parts = [random_invariant_subcomplex(rng) for _ in range(2)]
+        oracle = [hind_by_cup_powers(p) for p in parts]
+        union = relabelled(z2_disjoint_union(*parts), rng)
+        systems.clear()
+        assert hind(union) == max(oracle)
+        high, low = sorted(range(2), key=lambda i: -parts[i].complex.dim)
+        if oracle[high] < parts[low].complex.dim:
+            both_solved += 1
+            assert len(systems) >= 2
+        for split in (_components, _walk_orbits):
+            assert mask_components(union, split) == orbit_components(union)
+    assert both_solved >= 3
+
+
+def test_long_chains_and_many_components_walk_the_orbits(monkeypatch):
+    """A relabelled 400-cycle floods too slowly and 40 disjoint circles have
+    too many components: both leave the flood for the orbit walk, which
+    sd S^2 + S^3 never reaches."""
+    walks = []
+    walk = tverlab.z2._walk_orbits
+    monkeypatch.setattr(
+        tverlab.z2, "_walk_orbits", lambda masks: walks.append(1) or walk(masks)
+    )
+    union = z2_disjoint_union(subdivide_z2(cross_polytope_sphere(2)), cross_polytope_sphere(3))
+    assert hind(relabelled(union, SplitMix64(19))) == 3 and walks == []
+    n = 200
+    cycle = Z2Complex(
+        SimplicialComplex([(i, (i + 1) % (2 * n)) for i in range(2 * n)]),
+        {i: (i + n) % (2 * n) for i in range(2 * n)},
+    )
+    X = relabelled(cycle, SplitMix64(5))
+    assert hind(X) == 1 and len(walks) == 1
+    assert mask_components(X, _walk_orbits) == orbit_components(X)
+    circles = z2_disjoint_union(*[cross_polytope_sphere(1)] * 40)
+    assert hind(circles) == 1 and len(walks) == 2
+    assert len(mask_components(circles, _walk_orbits)) == 40
 
 
 @st.composite
