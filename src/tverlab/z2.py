@@ -18,6 +18,7 @@ highest bit and stays an int as wide as the bands it touches.
 """
 from __future__ import annotations
 
+import bisect
 import itertools
 import operator
 from typing import Dict, List, Optional, Sequence
@@ -103,75 +104,52 @@ class Z2Complex:
         return not any(map(operator.and_, self._masks, self._images))
 
 
-def _components(masks: Sequence[int], lo: int, bits: int) -> List[List[int]]:
+def _components(masks: List[int], lo: int) -> List[List[int]]:
     """A free complex's masks grouped by g-invariant component (the
-    orbit-closure of a connected component); `bits` holds every vertex bit.
+    orbit-closure of a connected component), one step per orbit.
 
-    A flood from the first mask's orbits: each pass absorbs the masks that
-    meet the component, until one adds nothing.  A component holding every
-    vertex left takes the rest unfiltered, so a connected complex costs a
-    pass or two.  Long chains or many components would make the passes
-    quadratic, so after four passes' worth of masks `_walk_orbits` takes
-    over."""
-    budget = 4 * len(masks)
-    rest = masks
-    parts = []
-    while True:
-        left, comp = rest, rest[0]
-        while True:
-            comp |= (comp & lo) << 1 | (comp >> 1) & lo
-            if comp == bits:
-                parts.append(rest)
-                return parts
-            budget -= len(left)
-            if budget < 0:
-                return _walk_orbits(masks)
-            todo, left, grown = left, [], comp
-            for m in todo:
-                if m & grown:
-                    grown |= m
-                else:
-                    left.append(m)
-            if grown == comp:
-                break
-            comp = grown
-        parts.append([m for m in rest if m & comp])
-        rest = left
-        bits ^= comp
-
-
-def _walk_orbits(masks: Sequence[int]) -> List[List[int]]:
-    """`_components` in linear time.  Orbit i holds bits 2i and 2i + 1 (g
-    fixes no vertex), so bit_length names a bit's orbit.  Each orbit's
-    reach (the masks holding it) is collected, a walk over the reaches
-    labels the orbits, and each mask goes with its top bit's orbit."""
-    reach: Dict[int, int] = {}
-    for m in masks:
-        rest = m
-        while rest:
-            low = rest & -rest
-            orbit = low.bit_length() - 1 >> 1
-            reach[orbit] = reach.get(orbit, 0) | m
-            rest ^= low
+    Orbit i holds bits 2i and 2i + 1 (g fixes no vertex), so
+    `m.bit_length() - 1 | 1` names the top orbit of a mask m by the bit
+    length of that orbit's lower bit.  The orbits are eliminated top-down:
+    at each, the masks whose top orbit it is (one run of the sorted masks)
+    and the unions waiting there merge into one union, which waits at its
+    next orbit below, or, holding none, is a finished component.  A union
+    that meets every orbit is the whole complex."""
+    ordered = sorted(masks)
+    end = len(ordered)
+    waiting: Dict[int, int] = {}
+    runs = []
+    below: Dict[int, int] = {}
+    for k in range(ordered[-1].bit_length() - 1 | 1, 0, -2):
+        low = 1 << k - 1
+        union = waiting.pop(k, 0)
+        if end and ordered[end - 1] >= low:
+            start = bisect.bisect_left(ordered, low, 0, end)
+            for m in ordered[start:end]:
+                union |= m
+            runs.append((k, start, end))
+            end = start
+        elif not union:
+            continue
+        if (union | union >> 1) & lo == lo:
+            return [masks]
+        rest = union & low - 1
+        if rest:
+            below[k] = nxt = rest.bit_length() - 1 | 1
+            waiting[nxt] = waiting.get(nxt, 0) | union
+        else:
+            below[k] = 0
+    # Bottom-up, each orbit takes the label of the one its union went on to.
     label: Dict[int, int] = {}
     parts: List[List[int]] = []
-    for start in reach:
-        if start in label:
-            continue
-        label[start] = len(parts)
-        stack = [start]
-        while stack:
-            rest = reach[stack.pop()]
-            while rest:
-                low = rest & -rest
-                orbit = low.bit_length() - 1 >> 1
-                if orbit not in label:
-                    label[orbit] = len(parts)
-                    stack.append(orbit)
-                rest ^= low
-        parts.append([])
-    for m in masks:
-        parts[label[m.bit_length() - 1 >> 1]].append(m)
+    for k in reversed(below):
+        if below[k]:
+            label[k] = label[below[k]]
+        else:
+            label[k] = len(parts)
+            parts.append([])
+    for k, start, end in runs:
+        parts[label[k]] += ordered[start:end]
     return parts
 
 
@@ -262,7 +240,7 @@ def hind(X: Z2Complex) -> int:
         raise FixedSimplexError("fixed simplex found: the action is not free")
     lo = X._lo
     parts = []
-    for part in _components(X._masks, lo, (1 << len(X._bit)) - 1):
+    for part in _components(X._masks, lo):
         given: Dict[int, List[int]] = {}
         for m in part:
             given.setdefault(m.bit_count(), []).append(m)

@@ -7,7 +7,9 @@ coboundary.  Quotient sizes are cross-checked against an independent chain
 count on the cover: after one subdivision the quotient must contain exactly
 half the faces of the cover in every dimension.
 """
+import functools
 import itertools
+import operator
 from dataclasses import dataclass
 from typing import Dict, FrozenSet
 
@@ -27,7 +29,7 @@ from tverlab import (
     z2_disjoint_union,
 )
 from tverlab.complexes import Simplex
-from tverlab.z2 import _components, _gf2_solvable, _walk_orbits
+from tverlab.z2 import _components, _gf2_solvable
 
 from oracles import (
     barycentric_subdivision,
@@ -743,18 +745,12 @@ def orbit_components(X):
     return sorted(map(sorted, groups.values()))
 
 
-def mask_components(X, split):
-    """`split`'s components of X, as sorted vertex lists."""
-    vertex_of = {b: v for v, b in X._bit.items()}
-    if split is _walk_orbits:
-        parts = split(X._masks)
-    else:
-        parts = split(X._masks, X._lo, (1 << len(X._bit)) - 1)
+def mask_components(X):
+    """`_components` of X, as sorted vertex lists."""
+    parts = _components(X._masks, X._lo)
     assert sorted(m for part in parts for m in part) == sorted(X._masks)
-    return sorted(
-        sorted(vertex_of[b] for b in vertex_of if any(m & b for m in part))
-        for part in parts
-    )
+    spans = [functools.reduce(operator.or_, part) for part in parts]
+    return sorted(sorted(v for v, b in X._bit.items() if b & span) for span in spans)
 
 
 def test_union_index_is_the_max_over_its_parts(monkeypatch):
@@ -779,33 +775,29 @@ def test_union_index_is_the_max_over_its_parts(monkeypatch):
         if oracle[high] < parts[low].complex.dim:
             both_solved += 1
             assert len(systems) >= 2
-        for split in (_components, _walk_orbits):
-            assert mask_components(union, split) == orbit_components(union)
+        assert mask_components(union) == orbit_components(union)
     assert both_solved >= 3
 
 
-def test_long_chains_and_many_components_walk_the_orbits(monkeypatch):
-    """A relabelled 400-cycle floods too slowly and 40 disjoint circles have
-    too many components: both leave the flood for the orbit walk, which
-    sd S^2 + S^3 never reaches."""
-    walks = []
-    walk = tverlab.z2._walk_orbits
-    monkeypatch.setattr(
-        tverlab.z2, "_walk_orbits", lambda masks: walks.append(1) or walk(masks)
-    )
-    union = z2_disjoint_union(subdivide_z2(cross_polytope_sphere(2)), cross_polytope_sphere(3))
-    assert hind(relabelled(union, SplitMix64(19))) == 3 and walks == []
-    n = 200
-    cycle = Z2Complex(
-        SimplicialComplex([(i, (i + 1) % (2 * n)) for i in range(2 * n)]),
-        {i: (i + n) % (2 * n) for i in range(2 * n)},
-    )
-    X = relabelled(cycle, SplitMix64(5))
-    assert hind(X) == 1 and len(walks) == 1
-    assert mask_components(X, _walk_orbits) == orbit_components(X)
+def test_long_chains_and_many_components_split_by_orbits():
+    """The orbit elimination splits a relabelled 4000-cycle, 40 disjoint
+    circles and a long cycle beside a sphere; a connected complex comes
+    back as its own masks."""
+    def cycle(n):
+        return Z2Complex(
+            SimplicialComplex([(i, (i + 1) % (2 * n)) for i in range(2 * n)]),
+            {i: (i + n) % (2 * n) for i in range(2 * n)},
+        )
+
+    X = relabelled(cycle(2000), SplitMix64(5))
+    assert _components(X._masks, X._lo) == [X._masks]
+    assert mask_components(X) == orbit_components(X)
     circles = z2_disjoint_union(*[cross_polytope_sphere(1)] * 40)
-    assert hind(circles) == 1 and len(walks) == 2
-    assert len(mask_components(circles, _walk_orbits)) == 40
+    assert hind(circles) == 1
+    assert len(mask_components(circles)) == 40
+    X = relabelled(z2_disjoint_union(cycle(200), subdivide_z2(cross_polytope_sphere(2))), SplitMix64(7))
+    assert hind(X) == 2
+    assert mask_components(X) == orbit_components(X)
 
 
 @st.composite
