@@ -65,13 +65,11 @@ _EXPORTS = {
     "exactlp": (
         "INFEASIBLE",
         "OPTIMAL",
-        "FarkasCertificate",
         "LinearSystem",
         "LPOutcome",
         "check_farkas",
         "check_witness",
         "common_point_with_weights",
-        "eq",
         "in_convex_hull",
         "lp_feasible",
         "strict_separator",

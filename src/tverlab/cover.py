@@ -32,7 +32,7 @@ import operator
 from fractions import Fraction
 from typing import Callable, Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
-from .rationals import Frozen, Point, bareiss_pivot, integer_scaled, rat, rat_str, read_scaled
+from .rationals import Frozen, Point, bareiss_eliminate, integer_scaled, rat, rat_str, read_scaled
 
 IntPoint = Tuple[int, ...]
 
@@ -96,21 +96,17 @@ class HPolytopeBody(Frozen):
 def _integer_inverse(rows: Sequence[IntPoint]) -> Optional[Tuple[int, Tuple[IntPoint, ...]]]:
     """(E, V) with V/E the inverse of the square integer matrix `rows` and
     E > 0 the lcm of its denominators, or None when the rows are linearly
-    dependent.  Fraction-free Gauss-Jordan on [rows | I], one
-    `bareiss_pivot` per column on the first row from the diagonal down
-    with a nonzero entry there: every entry stays an integer minor, and at
-    the end the left block is p*I and the right block p times the
-    inverse, p the last pivot (of either sign)."""
+    dependent.  Fraction-free Gauss-Jordan on [rows | I] over the left
+    block (`bareiss_eliminate`): every entry stays an integer minor, and at
+    the end the row holding column j's pivot is p e_j on the left and p
+    times row j of the inverse on the right, p the last pivot (of either
+    sign)."""
     n = len(rows)
     m = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(rows)]
-    prev = 1
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if m[r][col]), None)
-        if pivot is None:
-            return None
-        m[col], m[pivot] = m[pivot], m[col]
-        prev = bareiss_pivot(m, col, col, prev)
-    right = [row[n:] for row in m]
+    prev, pivots = bareiss_eliminate(m, n)
+    if len(pivots) < n:
+        return None
+    right = [m[pivots[j]][n:] for j in range(n)]
     g = math.gcd(prev, *(v for row in right for v in row))
     if prev < 0:
         g = -g

@@ -32,7 +32,7 @@ from .exactlp import (
     strict_separator,  # unused: perfbench/tests/test_bench_trace.py traces this binding
 )
 from .rationals import (
-    Frozen, Point, Scaled, bareiss_pivot, integer_scaled, rat, read_json_rows, read_scaled,
+    Frozen, Point, Scaled, bareiss_eliminate, integer_scaled, rat, read_json_rows, read_scaled,
 )
 from .rng import SplitMix64
 
@@ -336,23 +336,16 @@ def _affine_dependency(config: PointConfig) -> Optional[Tuple[int, ...]]:
     primitive integer vector kappa spanning the kernel of the (d+1) x n
     matrix with columns (P_v, 1), its first nonzero entry positive, if that
     kernel is one line (rank n - 1); None otherwise.  One fraction-free
-    Gauss-Jordan elimination, column by column: over its last pivot D, each
-    pivot column c has D in its row i, so with f the one free column,
+    Gauss-Jordan elimination (`bareiss_eliminate`): over its last pivot D,
+    each pivot column c has D in its row i, so with f the one free column,
     kappa_f = D and kappa_c = -row_i[f]."""
     n = config.n
     rows = [list(c) for c in zip(*config.scaled.rows)] + [[1] * n]
-    D, pivot_row, free = 1, {}, []
-    for j in range(n):
-        i = next((i for i, row in enumerate(rows) if row[j] and i not in pivot_row.values()), None)
-        if i is None:
-            free.append(j)
-        else:
-            D = bareiss_pivot(rows, i, j, D)
-            pivot_row[j] = i
-    if len(free) != 1:
+    D, pivots = bareiss_eliminate(rows, n)
+    if len(pivots) != n - 1:
         return None
-    (f,) = free
-    return _primitive([D if j == f else -rows[pivot_row[j]][f] for j in range(n)])
+    (f,) = set(range(n)) - pivots.keys()
+    return _primitive([D if j == f else -rows[pivots[j]][f] for j in range(n)])
 
 
 def _radon_partition(config: PointConfig) -> Optional[TverbergCertificate]:

@@ -1,23 +1,25 @@
 """Exact rational linear feasibility over nonnegative variables.
 
-A system is the set  {x >= 0 : Ax = b}  in standard form: each row
-(coeffs, rhs) reads  coeffs . x == rhs.  Every system the package solves is
-a convex-combination system whose variables are weights, so nonnegativity
-is the kernel's contract rather than a row of its own, and an inequality
-is a row with a slack variable of the caller's.  Phase 1 of the primal
-simplex with Bland's rule, so termination is guaranteed and no tolerance
-ever enters.  The tableau is integer and is pivoted fraction-free
+A system is the set  {x >= 0 : Ax = b}  in standard form, given by integer
+rows (L_i, A_i, B_i): row i reads  (A_i / L_i) . x == B_i / L_i  with
+L_i > 0.  Every system the package solves is a convex-combination system
+whose variables are weights, so nonnegativity is the kernel's contract
+rather than a row of its own, and an inequality is a row with a slack
+variable of the caller's.  Phase 1 of the primal simplex with Bland's
+rule, so termination is guaranteed and no tolerance ever enters.  The
+tableau is integer and is pivoted fraction-free
 (`rationals.bareiss_pivot`): its rows share one positive denominator and
-every division is exact.  Every value returned is still a
-`fractions.Fraction`, and every answer carries a certificate that is
-re-verified, in integers over the system's rows scaled once by the lcm of
-their denominators, before it is returned:
+every division is exact.  Every answer carries a certificate in integers,
+re-verified against the integer rows before it is returned:
 
-* feasible      -> a witness point x >= 0 satisfying every row exactly;
-* infeasible    -> a Farkas combination: one multiplier per row, combining
-                   the rows to  c . x == -1  with every c_j >= 0, which no
-                   x >= 0 satisfies.
+* feasible      -> a witness X over one positive denominator D, the
+                   tableau's last pivot: x = X/D >= 0 satisfies every row;
+* infeasible    -> Farkas multipliers N, one integer per row, combining
+                   the rows (A_i, B_i) to  c . x == t  with every
+                   c_j >= 0 and t < 0, which no x >= 0 satisfies.
 
+`Fraction`s are built only by the functions that hand values to callers:
+`in_convex_hull`, `strict_separator` and `common_point_with_weights`.
 Problem sizes here are tiny (tens of variables), which is the regime
 where exact tableau simplex is perfectly practical.
 """
@@ -30,60 +32,40 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Iterable, NamedTuple, Optional, Sequence, Tuple
 
-from .rationals import Point, bareiss_pivot, integer_scaled, rat, read_scaled
+from .rationals import Point, bareiss_pivot, read_scaled
 
-Row = Tuple[Tuple[Fraction, ...], Fraction]
 ScaledRow = Tuple[int, Tuple[int, ...], int]
 
 OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
-
-
-def eq(coeffs: Sequence, rhs) -> Row:
-    """Build the constraint row  coeffs . x == rhs."""
-    return (tuple(rat(c) for c in coeffs), rat(rhs))
+_ZERO = Fraction(0)
 
 
 class LinearSystem:
-    """The set  {x >= 0 : a_i . x == b_i for each row i}  over n_vars
-    nonnegative variables, for a finite list of exact rows (a_i, b_i).
+    """The set  {x >= 0 : (A_i / L_i) . x == B_i / L_i for each row i}
+    over n_vars nonnegative variables, from integer rows (L_i, A_i, B_i)
+    with L_i > 0; the builders here give each row as its own lcm scaling,
+    gcd(L_i, A_i, B_i) = 1.  `scaled` keeps the rows, and M is the lcm of
+    all L_i; the tableau and both certificate checks read these.  The
+    Fraction `constraints` are derived only when something reads them."""
 
-    Rows are taken as given, so their entries must already be Fractions,
-    as `eq` and the builders below make them.  Each row is also kept
-    scaled to integers once, as (L_i, L_i a_i, L_i b_i) with L_i the lcm
-    of its denominators, and M is the lcm of all L_i; the tableau and both
-    certificate checks read these.  `from_scaled` builds a system
-    from such rows directly, and then the Fraction `constraints` are
-    derived only when something reads them."""
-
-    def __init__(self, n_vars: int, constraints: Sequence[Row]):
-        self.constraints: Tuple[Row, ...] = tuple(constraints)
-        self._set_scaled(n_vars, (_scaled_row(row) for row in self.constraints))
-
-    @classmethod
-    def from_scaled(cls, n_vars: int, scaled: Iterable[ScaledRow]) -> "LinearSystem":
-        """The system of the rows (L_i, A_i, B_i) / L_i, each given as
-        its own lcm scaling: L_i > 0 and gcd(L_i, A_i, B_i) = 1."""
-        system = cls.__new__(cls)
-        system._set_scaled(n_vars, scaled)
-        return system
-
-    def _set_scaled(self, n_vars: int, scaled: Iterable[ScaledRow]) -> None:
+    def __init__(self, n_vars: int, rows: Iterable[ScaledRow]):
         if n_vars < 0:
             raise ValueError("n_vars must be nonnegative")
         self.n_vars = n_vars
-        self.scaled = list(scaled)
-        for _, coeffs, _ in self.scaled:
+        self.scaled = list(rows)
+        for L, coeffs, rhs in self.scaled:
             if len(coeffs) != n_vars:
                 raise ValueError(
                     f"constraint has {len(coeffs)} coefficients, expected {n_vars}"
                 )
+            if type(L) is not int or L <= 0 or any(type(c) is not int for c in (*coeffs, rhs)):
+                raise ValueError("a row must be integers (L, A, B) with L > 0")
         self.M = lcm(*(L for L, _, _ in self.scaled))
 
     @functools.cached_property
-    def constraints(self) -> Tuple[Row, ...]:
-        """The rows as Fractions, (A_i / L_i, B_i / L_i); a system built
-        from Fraction rows keeps the rows it was given."""
+    def constraints(self) -> Tuple[Tuple[Point, Fraction], ...]:
+        """The rows as Fractions, (A_i / L_i, B_i / L_i)."""
         return tuple(
             (tuple(Fraction(c, L) for c in coeffs), Fraction(rhs, L))
             for L, coeffs, rhs in self.scaled
@@ -96,61 +78,41 @@ class LinearSystem:
         return f"LinearSystem(n_vars={self.n_vars}, m={len(self)})"
 
 
-def _scaled_row(row: Row) -> ScaledRow:
-    coeffs, rhs = row
-    L, (ints,) = integer_scaled([(*coeffs, rhs)])
-    return L, ints[:-1], ints[-1]
-
-
-class FarkasCertificate(NamedTuple):
-    """Multipliers nu, one per constraint row, with sum nu_i * coeffs_i >= 0
-    componentwise and sum nu_i * rhs_i == -1: no x >= 0 satisfies the
-    rows."""
-
-    multipliers: Tuple[Fraction, ...]
-
-
 class LPOutcome(NamedTuple):
-    """A witness, or a Farkas certificate together with its multipliers on
-    the system's scaled rows as integers over one positive denominator
-    (`scaled_farkas`), for callers that read the rows in integers."""
+    """A witness X over its positive denominator D (x = X/D), or Farkas
+    multipliers as integers on the system's rows (L_i, A_i, B_i)."""
 
     status: str
-    witness: Optional[Point] = None
-    farkas: Optional[FarkasCertificate] = None
-    scaled_farkas: Optional[Tuple[int, ...]] = None
+    witness: Optional[Tuple[int, ...]] = None
+    denominator: Optional[int] = None
+    farkas: Optional[Tuple[int, ...]] = None
 
 
 # ---------------------------------------------------------------------------
 # certificate checks (exact; the solver re-verifies everything it returns),
-# in integers: x or nu is scaled by the lcm of its denominators and read
-# against the system's scaled rows
+# in integers against the system's rows (L_i, A_i, B_i)
 # ---------------------------------------------------------------------------
 
-def check_witness(system: LinearSystem, x: Sequence[Fraction]) -> bool:
-    """x = X/D >= 0 satisfies every row: (L_i a_i).X == D L_i b_i."""
-    if len(x) != system.n_vars:
+def check_witness(system: LinearSystem, D: int, X: Sequence[int]) -> bool:
+    """x = X/D >= 0, with D > 0, satisfies every row: A_i . X == D B_i."""
+    if len(X) != system.n_vars or D <= 0:
         return False
-    D, (X,) = integer_scaled([x])
     return all(v >= 0 for v in X) and all(
         sum(map(operator.mul, coeffs, X)) == D * rhs for _, coeffs, rhs in system.scaled
     )
 
 
-def check_farkas(system: LinearSystem, cert: FarkasCertificate) -> bool:
-    """nu = N/K certifies that no x >= 0 satisfies the rows: sum nu_i (a_i, b_i)
-    is 1/(K M) times the scaled rows combined with weights N_i M/L_i."""
-    mult = cert.multipliers
-    if len(mult) != len(system):
+def check_farkas(system: LinearSystem, N: Sequence[int]) -> bool:
+    """N certifies that no x >= 0 satisfies the rows: sum N_i A_i >= 0
+    componentwise and sum N_i B_i < 0."""
+    if len(N) != len(system):
         return False
-    _, (N,) = integer_scaled([mult])
     combo = [0] * system.n_vars
     total = 0
-    for nu, (L, coeffs, rhs) in zip(N, system.scaled):
+    for nu, (_, coeffs, rhs) in zip(N, system.scaled):
         if nu:
-            w = nu * (system.M // L)
-            combo = [c + w * a for c, a in zip(combo, coeffs)]
-            total += w * rhs
+            combo = [c + nu * a for c, a in zip(combo, coeffs)]
+            total += nu * rhs
     return all(c >= 0 for c in combo) and total < 0
 
 
@@ -165,8 +127,8 @@ class _Tableau:
     entry is an integer over the one positive common denominator D, the
     last pivot.
 
-    Row i is the system's row scaled to integers by L_i, the lcm of its
-    denominators, signed so that rhs >= 0; its artificial column stays a
+    Row i is the system's integer row (A_i, B_i), the row scaled by L_i,
+    signed so that rhs >= 0; its artificial column stays a
     unit column, and artificial i costs M/L_i with M the lcm of all L_i.
     That objective is M times the plain sum of the unscaled artificials, so
     the pivots are those of the Fraction tableau.  Artificial columns are
@@ -188,9 +150,7 @@ class _Tableau:
             row[n + i] = 1
             row[-1] = s * rhs
             self.T.append(row)
-        self.rhs0 = [row[-1] for row in self.T]  # for the Farkas total
-        self.scale = [L for L, _, _ in system.scaled]
-        self.M = system.M
+        self.costs = [system.M // L for L, _, _ in system.scaled]
         self.D = 1
         self.basis = [n + i for i in range(m)]
 
@@ -232,45 +192,36 @@ class _Tableau:
     def phase1(self):
         """Minimise M times the sum of the unscaled artificials; returns the
         objective row over D, whose last entry is minus that minimum."""
-        costs = [self.M // L for L in self.scale]
-        R = [0] * self.system.n_vars + costs + [0]
-        for row, c in zip(self.T, costs):  # price out the artificial basis
+        R = [0] * self.system.n_vars + self.costs + [0]
+        for row, c in zip(self.T, self.costs):  # price out the artificial basis
             R = [a - c * t for a, t in zip(R, row)]
         return self._bland(R)
 
     # -- extraction ----------------------------------------------------------
 
-    def witness(self) -> Point:
-        x = [Fraction(0)] * self.system.n_vars
+    def witness(self) -> Tuple[int, ...]:
+        X = [0] * self.system.n_vars
         for i, b in enumerate(self.basis):
-            if b < len(x):
-                x[b] = Fraction(self.T[i][-1], self.D)
-        return tuple(x)
+            if b < len(X):
+                X[b] = self.T[i][-1]
+        return tuple(X)
 
-    def farkas(self, R) -> Tuple[FarkasCertificate, Tuple[int, ...]]:
-        """The Farkas certificate from the phase-1 objective row R, and its
-        multipliers on the system's scaled rows as integers.
+    def farkas(self, R) -> Tuple[int, ...]:
+        """The Farkas multipliers on the system's rows (L_k, A_k, B_k), as
+        integers, from the phase-1 objective row R.
 
         The reduced cost under artificial column k is R_k/D = (M/L_k)(1 - y_k)
         for the dual y of the unscaled rows, so y_k = 1 - L_k*R_k/(D*M), and
         nu = -y combines the rows with a negative right-hand side; the
         reduced costs of the variable columns, >= 0 at the optimum, make the
         combination >= 0.  On the rows as the tableau first scaled and
-        signed them (right-hand sides b_k), nu is the integer
-        mu_k = R_k - D*(M/L_k) over D*M, so the total T = sum mu_k b_k is
-        negative.  On the system's scaled rows the multipliers are the
-        integers sigma_k*mu_k over -T; on its unscaled rows they are
-        L_k*sigma_k*mu_k over -T, each made a Fraction once.
+        signed them, nu is the integer mu_k = R_k - D*(M/L_k) over D*M, so
+        on the system's rows the multipliers are sigma_k*mu_k; check_farkas
+        verifies that they combine the rows to a negative right-hand side.
         """
         n = self.system.n_vars
-        mu = [R[n + i] - self.D * (self.M // L) for i, L in enumerate(self.scale)]
-        total = sum(map(operator.mul, mu, self.rhs0))
-        if total >= 0:
-            raise RuntimeError("Farkas extraction failed")
-        scaled = tuple(map(operator.mul, self.sigma, mu))
-        return FarkasCertificate(tuple(
-            Fraction(L * v, -total) for L, v in zip(self.scale, scaled)
-        )), scaled
+        mu = [R[n + i] - self.D * c for i, c in enumerate(self.costs)]
+        return tuple(map(operator.mul, self.sigma, mu))
 
 
 # ---------------------------------------------------------------------------
@@ -283,38 +234,44 @@ def lp_feasible(system: LinearSystem) -> LPOutcome:
     tab = _Tableau(system)
     R = tab.phase1()
     if R[-1] != 0:  # minimal artificial sum positive -> infeasible
-        cert, scaled = tab.farkas(R)
-        if not check_farkas(system, cert):
+        N = tab.farkas(R)
+        if not check_farkas(system, N):
             raise RuntimeError("Farkas certificate failed verification")
-        return LPOutcome(status=INFEASIBLE, farkas=cert, scaled_farkas=scaled)
-    x = tab.witness()
-    if not check_witness(system, x):
+        return LPOutcome(status=INFEASIBLE, farkas=N)
+    X = tab.witness()
+    if not check_witness(system, tab.D, X):
         raise RuntimeError("simplex witness failed exact verification")
-    return LPOutcome(status=OPTIMAL, witness=x)
+    return LPOutcome(status=OPTIMAL, witness=X, denominator=tab.D)
 
 
-def _hull_membership(p: Sequence, points: Sequence[Sequence]) -> LPOutcome:
-    """lp_feasible over the weights lambda >= 0 on the rows  sum lambda == 1,
-    then  sum_j lambda_j points_j[i] == p[i]  for each coordinate i."""
-    pp = tuple(rat(c) for c in p)
-    pts = [tuple(rat(c) for c in q) for q in points]
-    if not pts:
+def _fractions(X: Sequence[int], D: int) -> Point:
+    """X/D as Fractions, its zero entries the one shared _ZERO."""
+    return tuple(Fraction(v, D) if v else _ZERO for v in X)
+
+
+def _hull_membership(p: Sequence, points: Sequence[Sequence]) -> Tuple[LinearSystem, LPOutcome]:
+    """The system over the weights lambda >= 0 with the rows  sum lambda == 1,
+    then  sum_j lambda_j points_j[i] == p[i]  per coordinate i, and its
+    outcome.  p and the points are read by one read_scaled, over L; with
+    g = gcd(L, X_i, P_j[i]), row i is its own lcm scaling (L, P_j[i], X_i)/g."""
+    L, (X, *P) = read_scaled([p, *points])
+    if not P:
         raise ValueError("need at least one point")
-    d = len(pp)
-    for q in pts:
-        if len(q) != d:
-            raise ValueError("point dimension mismatch")
-    k = len(pts)
-    rows = [eq([Fraction(1)] * k, 1)]
-    for i in range(d):
-        rows.append(eq([pts[j][i] for j in range(k)], pp[i]))
-    return lp_feasible(LinearSystem(k, rows))
+    if any(len(q) != len(X) for q in P):
+        raise ValueError("point dimension mismatch")
+    rows = [(1, (1,) * len(P), 1)]
+    for x, coeffs in zip(X, zip(*P)):
+        g = gcd(L, x, *coeffs)
+        rows.append((L // g, tuple(c // g for c in coeffs), x // g))
+    system = LinearSystem(len(P), rows)
+    return system, lp_feasible(system)
 
 
 def in_convex_hull(p: Sequence, points: Sequence[Sequence]) -> Optional[Point]:
     """Exact convex weights writing p from the given points, or None if p
     is outside their hull."""
-    return _hull_membership(p, points).witness
+    _, out = _hull_membership(p, points)
+    return None if out.witness is None else _fractions(out.witness, out.denominator)
 
 
 def common_point_with_weights(
@@ -330,15 +287,17 @@ def common_point_with_weights(
     sum_{v in first block} lambda_v v[i] - sum_{v in B} lambda_v v[i] == 0.
     The system is built in its scaled form: a coupling row is R/L for the
     integer points, and with g = gcd(L, R) its own lcm scaling is
-    (L/g, R/g), so no Fraction row is built.
+    (L/g, R/g), so no Fraction row is built.  With the witness X/D, the
+    point is sum X_v P_v / (D L) over the first block and the weights are
+    X_v / D.
 
     When the hulls share no point and `separators` is a list, the proof is
     appended to it: integer functionals u_1..u_r on R^d, one per block,
     with sum_j u_j = 0 and sum_j min_{v in block j} u_j.v > 0.  At a common
     point x each u_j.x would be at least block j's minimum while the u_j.x
     sum to 0, so the same test proves any other blocks' hulls disjoint
-    too, block j read by u_j.  They come from the Farkas multipliers nu
-    scaled to integers (`scaled_farkas` times each row's scaling L_k):
+    too, block j read by u_j.  They come from the Farkas multipliers on
+    the unscaled rows, nu_k = N_k L_k up to a positive factor:
     u_B = -nu on block B's coupling rows and u_1 = -(u_2 + ... + u_r);
     nu_j on block j's sum row bounds u_j's minimum over the block below
     by -nu_j, and the nu_j sum to a negative number."""
@@ -365,33 +324,35 @@ def common_point_with_weights(
             coeffs[off:off + len(b)] = [-v[i] for v in b]
             g = gcd(L, *coeffs)
             scaled.append((L // g, tuple(c // g for c in coeffs), 0))
-    out = lp_feasible(LinearSystem.from_scaled(total, scaled))
+    out = lp_feasible(LinearSystem(total, scaled))
     if out.status != OPTIMAL:
         if separators is not None:
-            nu = [N * row[0] for N, row in zip(out.scaled_farkas, scaled)]
+            nu = [N * row[0] for N, row in zip(out.farkas, scaled)]
             later = [tuple(-c for c in nu[k:k + d]) for k in range(len(pts), len(nu), d)]
             separators.append((tuple(-sum(c) for c in zip(*later)), *later))
         return None
-    lam = out.witness
-    D, (w,) = integer_scaled([lam[:len(first)]])
-    point = tuple(Fraction(sum(map(operator.mul, w, c)), D * L) for c in zip(*first))
-    weights = tuple(tuple(lam[off:off + size]) for size, off in zip(sizes, offsets))
+    X, D = out.witness, out.denominator
+    point = tuple(Fraction(sum(map(operator.mul, X, c)), D * L) for c in zip(*first))
+    weights = tuple(_fractions(X[off:off + size], D) for size, off in zip(sizes, offsets))
     return point, weights
 
 
 def strict_separator(points: Sequence[Sequence], x: Sequence):
     """Affine functional strictly positive on points, strictly negative at x.
 
-    Read off the Farkas certificate nu of the hull-membership system over
-    lambda >= 0, whose combination c is >= 0 at every point b:  a = nu on
-    the coordinate rows and a0 = nu on the sum row + 1/2, so
+    Read off the Farkas multipliers N of the hull-membership system, as
+    nu_k = N_k L_k / (-sum N_k B_k) on its unscaled rows, whose combination
+    c . lambda == -1 has c_b >= 0 at every point b:  a = nu on the
+    coordinate rows and a0 = nu on the sum row + 1/2, so
     a . b + a0 = c_b + 1/2 >= 1/2 at every point b and a . x + a0 = -1/2.
     The margin is 1/2, not the largest possible.  Returns
     (coeffs, offset, margin), or None when x lies in the hull.
     """
-    out = _hull_membership(x, points)
+    system, out = _hull_membership(x, points)
     if out.witness is not None:
         return None
-    nu = out.farkas.multipliers
+    N = out.farkas
+    total = -sum(v * rhs for v, (_, _, rhs) in zip(N, system.scaled))
+    nu = tuple(Fraction(v * L, total) for v, (L, _, _) in zip(N, system.scaled))
     half = Fraction(1, 2)
     return nu[1:], nu[0] + half, half

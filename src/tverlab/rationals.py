@@ -5,22 +5,24 @@ Every coordinate, weight, and LP value this package returns is a
 denominator); the LP tableau and its certificate checks, the depth
 recursion and tilts, the partition search and certificate checks, the
 isolation sums and the covering kernel compute inside on integers scaled
-from them.  Integer rows over one common denominator are eliminated by
-one fraction-free step, `bareiss_pivot`, which the LP tableau and the
-covering body's inverse both use.  Input scalars (ints, Fractions, or
-strings `rat` reads) can be read straight into such integers with
-`read_scaled`, which builds no Fraction for an int or a plain ``"p"`` or
-``"p/q"`` string.  Serialized form is the string ``"p/q"``.  `Frozen` is
-the base of the two value classes that keep more than their fields
-(`depth.PointConfig`, `cover.HPolytopeBody`); the package's other records
-are `NamedTuple`s.
+from them, and the LP kernel's certificates are integers.  Integer rows
+over one common denominator are eliminated by one fraction-free step,
+`bareiss_pivot`: the LP tableau pivots through it by Bland's rule, and
+`bareiss_eliminate`, the one fraction-free Gauss-Jordan, by column order
+for the points' affine dependency and the covering body's inverse.
+Input scalars (ints, Fractions, or strings `rat` reads) can be read
+straight into such integers with `read_scaled`, which builds no Fraction
+for an int or a plain ``"p"`` or ``"p/q"`` string.  Serialized form is
+the string ``"p/q"``.  `Frozen` is the base of the two value classes that
+keep more than their fields (`depth.PointConfig`, `cover.HPolytopeBody`);
+the package's other records are `NamedTuple`s.
 """
 from __future__ import annotations
 
 import re
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Iterable, List, NamedTuple, Sequence, Tuple
+from typing import Dict, Iterable, List, NamedTuple, Sequence, Tuple
 
 Point = Tuple[Fraction, ...]
 
@@ -62,6 +64,20 @@ def bareiss_pivot(rows: List[List[int]], i: int, j: int, D: int) -> int:
         if r != i and (f or p != D):
             rows[r] = [(p * a - f * b) // D for a, b in zip(row, head)]
     return p
+
+
+def bareiss_eliminate(rows: List[List[int]], ncols: int) -> Tuple[int, Dict[int, int]]:
+    """Fraction-free Gauss-Jordan over columns 0..ncols-1: per column, one
+    `bareiss_pivot` on the first row holding no pivot yet with a nonzero
+    entry there.  Returns the last pivot D (1 if none) and {column: its
+    pivot row}; rows holding no pivot end 0 on those columns."""
+    D, pivots = 1, {}
+    for j in range(ncols):
+        i = next((i for i, row in enumerate(rows) if row[j] and i not in pivots.values()), None)
+        if i is not None:
+            D = bareiss_pivot(rows, i, j, D)
+            pivots[j] = i
+    return D, pivots
 
 
 def integer_scaled(vectors: Sequence[Sequence[Fraction]]) -> Tuple[int, List[Tuple[int, ...]]]:

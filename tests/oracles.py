@@ -5,10 +5,12 @@ a simplicial complex, the solid simplex and its skeleta, barycentric
 subdivision (of a complex and of a Z2 complex), the hull-membership scan
 over every q-point subset that restates Tukey depth, the partition search
 with an LP per candidate that passes the bounding box (no Farkas cuts) and
-the Fraction-built partition system, general-form LP rows (<= and ==) and
-the standard-form system the kernel reads them as, and two maps of
-barycentric points of the standard simplex.  Methods of the package's
-classes became functions that take the complex or the configuration.
+the Fraction-built partition system, LP systems from Fraction rows and the
+kernel's integer certificates read as Fractions (and back), general-form
+LP rows (<= and ==) and the standard-form system the kernel reads them as,
+and two maps of barycentric points of the standard simplex.  Methods of
+the package's classes became functions that take the complex or the
+configuration.
 """
 from __future__ import annotations
 
@@ -19,6 +21,7 @@ from fractions import Fraction
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from tverlab import (
+    LPOutcome,
     LinearSystem,
     PointConfig,
     SimplicialComplex,
@@ -30,7 +33,7 @@ from tverlab import (
 )
 from tverlab.complexes import Simplex
 from tverlab.cover import _barycentric_scaled, _compositions
-from tverlab.rationals import Point, Scaled
+from tverlab.rationals import Point, Scaled, integer_scaled
 
 
 # ---------------------------------------------------------------------------
@@ -259,7 +262,49 @@ def fraction_partition_system(blocks):
             coeffs = [v[i] for v in first] + [Fraction(0)] * (total - len(first))
             coeffs[off:off + len(b)] = [-v[i] for v in b]
             rows.append((tuple(coeffs), Fraction(0)))
-    return LinearSystem(total, rows)
+    return fraction_system(total, rows)
+
+
+# ---------------------------------------------------------------------------
+# Fraction rows and certificates, and the kernel's integer forms of them
+# ---------------------------------------------------------------------------
+
+def fraction_system(n_vars: int, rows: Sequence[Tuple[Point, Fraction]]) -> LinearSystem:
+    """The system of the Fraction rows (coeffs, rhs), each scaled to
+    integers by the lcm L of its denominators: (L, L coeffs, L rhs)."""
+    scaled = []
+    for coeffs, rhs in rows:
+        L, (ints,) = integer_scaled([(*coeffs, rhs)])
+        scaled.append((L, ints[:-1], ints[-1]))
+    return LinearSystem(n_vars, scaled)
+
+
+def fraction_witness(out: LPOutcome) -> Optional[Point]:
+    """The kernel's witness X/D as Fractions, or None."""
+    if out.witness is None:
+        return None
+    return tuple(Fraction(v, out.denominator) for v in out.witness)
+
+
+def integer_witness(x: Sequence[Fraction]) -> Tuple[int, Tuple[int, ...]]:
+    """(D, X) with x = X/D, D the lcm of x's denominators."""
+    D, (X,) = integer_scaled([x])
+    return D, X
+
+
+def fraction_multipliers(system: LinearSystem, N: Sequence[int]) -> Point:
+    """The Farkas multipliers N on the system's integer rows (L_i, A_i, B_i)
+    as multipliers nu_i = N_i L_i / (-sum N_k B_k) on its Fraction rows,
+    which combine them to a right-hand side of -1."""
+    total = -sum(v * rhs for v, (_, _, rhs) in zip(N, system.scaled))
+    return tuple(Fraction(v * L, total) for v, (L, _, _) in zip(N, system.scaled))
+
+
+def integer_multipliers(system: LinearSystem, nu: Sequence[Fraction]) -> Tuple[int, ...]:
+    """Multipliers nu on the system's Fraction rows as integers on its
+    integer rows: nu_i / L_i, times the lcm of their denominators."""
+    _, (N,) = integer_scaled([[Fraction(v) / L for v, (L, _, _) in zip(nu, system.scaled)]])
+    return N
 
 
 # ---------------------------------------------------------------------------
@@ -287,7 +332,7 @@ def standard_form(n: int, rows: Sequence[Tuple[Point, str, Fraction]]) -> Linear
     A witness's first n entries are x; the multipliers are one per row."""
     slack = [i for i, (_, rel, _) in enumerate(rows) if rel == LE]
     zero, one = Fraction(0), Fraction(1)
-    return LinearSystem(n + len(slack), [
+    return fraction_system(n + len(slack), [
         (tuple(coeffs) + tuple(one if k == i else zero for k in slack), rhs)
         for i, (coeffs, _, rhs) in enumerate(rows)
     ])

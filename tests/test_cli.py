@@ -558,14 +558,14 @@ def test_cli_import_needs_no_numpy():
 
 # The package's public names.
 EXPORTED = """
-    CounterexampleSpec CoverCertificate DepthCertificate FarkasCertificate
+    CounterexampleSpec CoverCertificate DepthCertificate
     FiberReport FixedSimplexError HPolytopeBody INFEASIBLE IsolationFailure
     IsolationReport LPOutcome LinearSystem OPTIMAL PointConfig ProbeResult
     ReductionPlan SimplicialComplex SplitMix64 TverbergCertificate
     UnboundedBodyError Z2Complex build_counterexample centerpoint
     check_depth_certificate check_farkas check_tverberg_certificate check_witness
     common_point_with_weights constant_map coordinate_projection_map
-    cross_polytope_sphere disjoint_union_index enumerate_disjoint_tuples eq
+    cross_polytope_sphere disjoint_union_index enumerate_disjoint_tuples
     facet_touching_check fiber_width_demo guaranteed_size h_polytope hind
     in_convex_hull interval_body iter_partitions lp_feasible
     min_cover_barycentric min_cover_homothety point_config point_strs
@@ -592,7 +592,7 @@ def test_every_exported_name_resolves():
     package imports no module until a name or module of it is used, and
     the CLI imports every layer (the benchmark's tracer wraps them all
     right after `import tverlab.cli`)."""
-    assert len(EXPORTED) == 61 and sorted(tverlab.__all__) == EXPORTED
+    assert len(EXPORTED) == 59 and sorted(tverlab.__all__) == EXPORTED
     modules = [getattr(tverlab, m) for m in (
         "complexes", "conemap", "cover", "depth", "exactlp", "rationals", "rng", "z2"
     )]

@@ -33,7 +33,14 @@ from tverlab import (
 )
 from tverlab.rationals import integer_scaled
 
-from oracles import barycentric_to_centered, eq, grid_points_in_simplex, le, standard_form
+from oracles import (
+    barycentric_to_centered,
+    eq,
+    fraction_witness,
+    grid_points_in_simplex,
+    le,
+    standard_form,
+)
 
 
 def random_barycentric(rng, n):
@@ -207,7 +214,8 @@ def lp_cover(points, body):
     ]
     out = lp_feasible(standard_form(2 * n, primal))
     assert out.status == OPTIMAL
-    t = tuple(u - v for u, v in zip(out.witness[:n], out.witness[n:2 * n]))
+    x = fraction_witness(out)
+    t = tuple(u - v for u, v in zip(x[:n], x[n:2 * n]))
     m = len(pairs)
     dual = [le([-int(j == k) for j in range(m)], 0) for k in range(m)]
     dual.append(eq([rhs for _, _, rhs in pairs], 1))

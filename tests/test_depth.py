@@ -29,8 +29,8 @@ from tverlab import (
     tukey_depth,
     tverberg_partition,
 )
-from tverlab.exactlp import FarkasCertificate, check_farkas
-from tverlab.rationals import read_scaled
+from tverlab.exactlp import check_farkas
+from tverlab.rationals import Scaled, read_scaled
 
 from oracles import (
     boxes_miss,
@@ -38,6 +38,7 @@ from oracles import (
     cut_free_tverberg_partition,
     fraction_partition_system,
     hull_membership_depth,
+    integer_multipliers,
     subset,
 )
 
@@ -451,13 +452,23 @@ def test_integer_certificate_checks_agree_with_the_fraction_checks():
 def test_the_partition_search_scales_each_configuration_once(monkeypatch):
     """However many candidates tverberg_partition scans, the configuration
     is read into integers once and the depth module calls integer_scaled
-    r + 1 times (the certificate check's point and its r weight tuples);
-    the kernel calls it once per LP solve (that solve's certificate check)
-    and once for the common point, never per row.  The r = 2
-    configurations go through the search, with their Radon step off."""
+    r + 1 times (the certificate check's point and its r weight tuples).
+    The kernel scales nothing per solve: it binds no integer_scaled, and
+    every block it reads is already Scaled.  The r = 2 configurations go
+    through the search, with their Radon step off."""
     monkeypatch.setattr("tverlab.depth._radon_partition", lambda config: None)
-    calls = {"tverlab.depth.integer_scaled": 0, "tverlab.exactlp.integer_scaled": 0,
-             "tverlab.depth.read_scaled": 0, "tverlab.exactlp.lp_feasible": 0}
+    assert not hasattr(exactlp_module, "integer_scaled")
+    unread = []
+    read = exactlp_module.read_scaled
+
+    def reading(rows):
+        if not isinstance(rows, Scaled):
+            unread.append(rows)
+        return read(rows)
+
+    monkeypatch.setattr("tverlab.exactlp.read_scaled", reading)
+    calls = {"tverlab.depth.integer_scaled": 0, "tverlab.depth.read_scaled": 0,
+             "tverlab.exactlp.lp_feasible": 0}
 
     def counting(name, fn):
         def counted(*args):
@@ -480,7 +491,7 @@ def test_the_partition_search_scales_each_configuration_once(monkeypatch):
             solves_seen.add(solves)
             assert calls["tverlab.depth.read_scaled"] == 1
             assert calls["tverlab.depth.integer_scaled"] == r + 1
-            assert calls["tverlab.exactlp.integer_scaled"] == solves + 1
+    assert unread == []
     assert len(solves_seen) > 5  # scans of many lengths
 
 
@@ -624,14 +635,13 @@ def test_the_search_with_cuts_agrees_with_the_cut_free_one(case):
 
 
 def farkas_of_a_cut(functionals, blocks, config):
-    """The Farkas certificate that a cut, by its minima over the blocks,
-    gives the blocks' own partition system: c_j = -min_{v in block j} u_j.v
-    on the sum rows and y_B = -u_B on block B's coupling rows."""
+    """The Farkas multipliers that a cut, by its minima over the blocks,
+    gives the blocks' own partition system, on its Fraction rows:
+    c_j = -min_{v in block j} u_j.v on the sum rows and y_B = -u_B on block
+    B's coupling rows."""
     minima = [min(sum(c * p for c, p in zip(u, config.points[v])) for v in b)
               for u, b in zip(functionals, blocks)]
-    return FarkasCertificate(
-        tuple(-m for m in minima) + tuple(F(-c) for u in functionals[1:] for c in u)
-    )
+    return tuple(-m for m in minima) + tuple(F(-c) for u in functionals[1:] for c in u)
 
 
 def test_every_cut_rejection_is_a_farkas_certificate_of_its_candidate(monkeypatch):
@@ -670,7 +680,8 @@ def test_every_cut_rejection_is_a_farkas_certificate_of_its_candidate(monkeypatc
             else:
                 rejected += 1
             system = fraction_partition_system([subset(config, b) for b in blocks])
-            assert check_farkas(system, farkas_of_a_cut(cut, blocks, config))
+            nu = farkas_of_a_cut(cut, blocks, config)
+            assert check_farkas(system, integer_multipliers(system, nu))
         assert next(lp, None) is None
     assert rejected > 300
 

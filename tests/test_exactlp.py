@@ -32,15 +32,18 @@ from tverlab import (
     strict_separator,
     tverberg_partition,
 )
-from tverlab.exactlp import FarkasCertificate
 from tverlab.rationals import Scaled
 
 from oracles import (
     EQ,
     LE,
     eq,
+    fraction_multipliers,
     fraction_partition_system,
+    fraction_witness,
     hull_membership_depth,
+    integer_multipliers,
+    integer_witness,
     le,
     standard_form,
     subset,
@@ -209,8 +212,8 @@ class FractionTableau:
             x.append(v)
         return tuple(x)
 
-    def farkas(self, R) -> FarkasCertificate:
-        """The Farkas certificate from the phase-1 objective row R.
+    def farkas(self, R):
+        """The Farkas multipliers from the phase-1 objective row R.
 
         The reduced cost under artificial column k is 1 - y_k, so
         y_k = 1 - R[k], and nu = -y combines the kept rows to 0 with a
@@ -228,7 +231,7 @@ class FractionTableau:
         total = sum(v * rhs for v, (_, _, rhs) in zip(nu, rows))
         if total >= 0:
             raise RuntimeError("Farkas extraction failed")
-        return FarkasCertificate(tuple(v / -total for v in nu))
+        return tuple(v / -total for v in nu)
 
 
 def oracle_feasible(system):
@@ -236,7 +239,7 @@ def oracle_feasible(system):
     tab = FractionTableau(system)
     R = tab.phase1()
     if R[-1] != 0:
-        return INFEASIBLE, None, tab.farkas(R).multipliers
+        return INFEASIBLE, None, tab.farkas(R)
     return OPTIMAL, tab.witness(), None
 
 
@@ -257,17 +260,19 @@ def split_free(system):
     ))
 
 
-def assert_matches_oracle(system, out):
-    """The kernel's outcome on standard_form(*system) against the oracle on
-    with_bounds(system), whose first n multipliers belong to the bound
-    rows."""
+def assert_matches_oracle(system, std, out):
+    """The kernel's outcome on std, the standard form of the general-form
+    system, against the oracle on with_bounds(system), whose first n
+    multipliers belong to the bound rows; the kernel's integer witness and
+    multipliers are read as Fractions."""
     status, witness, farkas = oracle_feasible(with_bounds(system))
     assert out.status == status
-    assert (None if out.witness is None else out.witness[:system.n_vars]) == witness
+    x = fraction_witness(out)
+    assert (None if x is None else x[:system.n_vars]) == witness
     if farkas is None:
         assert out.farkas is None
     else:
-        assert out.farkas.multipliers == farkas[system.n_vars:]
+        assert fraction_multipliers(std, out.farkas) == farkas[system.n_vars:]
 
 
 def solve_square(A, b):
@@ -340,7 +345,7 @@ def test_feasibility_matches_vertex_oracle():
             infeasible_seen += 1
         else:
             assert out.status == OPTIMAL
-            assert check_witness(split, out.witness)
+            assert check_witness(split, out.denominator, out.witness)
             optimal_seen += 1
     # the generator must actually exercise both outcomes
     assert optimal_seen > 60 and infeasible_seen > 5
@@ -360,7 +365,7 @@ def test_equality_rows_against_oracle():
         if expected is None:
             assert out.status == INFEASIBLE and check_farkas(split, out.farkas)
         else:
-            assert out.status == OPTIMAL and check_witness(split, out.witness)
+            assert out.status == OPTIMAL and check_witness(split, out.denominator, out.witness)
 
 
 def test_one_bland_pass_per_feasible_call(monkeypatch):
@@ -426,7 +431,7 @@ def test_partition_systems_match_the_fraction_tableau(monkeypatch):
     assert (len(seen), len(pivots)) == (676, 3661)
     assert {out.status for _, out in seen} == {OPTIMAL, INFEASIBLE}
     for system, out in seen:
-        assert_matches_oracle(general(system), out)
+        assert_matches_oracle(general(system), system, out)
 
 
 def test_hull_systems_match_the_fraction_tableau(monkeypatch):
@@ -444,7 +449,7 @@ def test_hull_systems_match_the_fraction_tableau(monkeypatch):
     seen = recorded_systems(monkeypatch, criterion_4)
     assert len(seen) == 4990
     for system, out in seen:
-        assert_matches_oracle(general(system), out)
+        assert_matches_oracle(general(system), system, out)
 
 
 def test_convex_combination_systems_have_no_bound_rows(monkeypatch):
@@ -497,7 +502,8 @@ def small_systems(draw):
 @settings(derandomize=True, database=None, deadline=None, max_examples=400)
 @given(small_systems())
 def test_integer_phase1_matches_the_fraction_tableau(system):
-    assert_matches_oracle(system, lp_feasible(standard_form(*system)))
+    std = standard_form(*system)
+    assert_matches_oracle(system, std, lp_feasible(std))
 
 
 # ---------------------------------------------------------------------------
@@ -518,10 +524,9 @@ def fraction_check_witness(system, x):
     return True
 
 
-def fraction_check_farkas(system, cert):
+def fraction_check_farkas(system, mult):
     """check_farkas as it was in Fractions, over the unscaled general-form
     rows: nu >= 0 on the <= rows stands in for the slack columns."""
-    mult = cert.multipliers
     if len(mult) != len(system.constraints):
         return False
     combo = [F(0)] * system.n_vars
@@ -559,14 +564,18 @@ def with_slacks(system, x):
 @settings(derandomize=True, database=None, deadline=None, max_examples=200)
 @given(small_systems())
 def test_scaled_rows_are_the_rows_times_their_lcm(system):
-    system = standard_form(*system)
+    """Against the general-form rows standard_form was given: each row
+    times the lcm of its denominators, its slack entry 1 times that lcm."""
+    std = standard_form(*system)
+    n = system.n_vars
     Ls = []
-    for (coeffs, rhs), (L, a, b) in zip(system.constraints, system.scaled, strict=True):
+    for (coeffs, rel, rhs), (L, a, b) in zip(system.constraints, std.scaled, strict=True):
         assert L == lcm(*(c.denominator for c in coeffs + (rhs,)))
         assert all(type(c) is int for c in a + (b,))
-        assert (a, b) == (tuple(L * c for c in coeffs), L * rhs)
+        assert (a[:n], b) == (tuple(L * c for c in coeffs), L * rhs)
+        assert sorted(a[n:]) == [0] * (len(a) - n - (rel == LE)) + [L] * (rel == LE)
         Ls.append(L)
-    assert system.M == lcm(*Ls)
+    assert std.M == lcm(*Ls)
 
 
 @settings(derandomize=True, database=None, deadline=None, max_examples=300)
@@ -575,24 +584,27 @@ def test_integer_checks_agree_with_the_fraction_checks(system):
     """On the kernel's answer and on copies of it perturbed by +-1/10^12 or
     a sign flip, the integer checks on the standard form and the Fraction
     ones on the general form agree; a perturbed x gets its slacks
-    recomputed."""
+    recomputed.  The answer is read as Fractions and perturbed there, and
+    each copy goes to the integer checks scaled back to integers."""
     std = standard_form(*system)
     out = lp_feasible(std)
     if out.status == OPTIMAL:
-        x = out.witness[:system.n_vars]
-        verdicts = [(check_witness(std, with_slacks(system, y)), fraction_check_witness(system, y))
+        x = fraction_witness(out)[:system.n_vars]
+        verdicts = [(check_witness(std, *integer_witness(with_slacks(system, y))),
+                     fraction_check_witness(system, y))
                     for y in perturbed(x)]
         # a positive coordinate made negative leaves x >= 0
-        assert all(not check_witness(std, with_slacks(system, y)) for y in perturbed(x) if min(y) < 0)
+        assert all(not check_witness(std, *integer_witness(with_slacks(system, y)))
+                   for y in perturbed(x) if min(y) < 0)
     else:
-        nu = out.farkas.multipliers
-        verdicts = [(check_farkas(std, FarkasCertificate(m)),
-                     fraction_check_farkas(system, FarkasCertificate(m)))
+        nu = fraction_multipliers(std, out.farkas)
+        verdicts = [(check_farkas(std, integer_multipliers(std, m)),
+                     fraction_check_farkas(system, m))
                     for m in perturbed(nu)]
         # a multiplier made negative on an LE row certifies nothing: its
         # slack column combines to that multiplier
         assert not any(
-            check_farkas(std, FarkasCertificate(m)) for m in perturbed(nu)
+            check_farkas(std, integer_multipliers(std, m)) for m in perturbed(nu)
             if any(v < 0 and rel == LE for v, (_, rel, _) in zip(m, system.constraints))
         )
     assert verdicts[0] == (True, True)
@@ -603,7 +615,7 @@ def test_infeasible_farkas_normalized():
     system = standard_form(1, [le([F(1)], F(0)), le([F(-1)], F(-1))])
     out = lp_feasible(system)
     assert out.status == INFEASIBLE
-    nu = out.farkas.multipliers
+    nu = fraction_multipliers(system, out.farkas)
     assert all(v >= 0 for v in nu)
     assert sum(v * rhs for v, (_, rhs) in zip(nu, system.constraints)) == F(-1)
 
@@ -613,17 +625,17 @@ def test_variables_are_nonnegative():
     system = standard_form(1, [eq([F(1)], F(-1))])
     out = lp_feasible(system)
     assert out.status == INFEASIBLE and check_farkas(system, out.farkas)
-    assert not check_witness(standard_form(1, [le([F(1)], F(1))]), (F(-1), F(2)))
+    assert not check_witness(standard_form(1, [le([F(1)], F(1))]), *integer_witness((F(-1), F(2))))
 
 
 def test_farkas_combination_is_nonnegative_not_zero():
     # x_0 + x_1 <= -1 is empty over x >= 0 though its row is not 0
     empty = standard_form(2, [le([F(1), F(1)], F(-1))])
-    assert check_farkas(empty, FarkasCertificate((F(1),)))
+    assert check_farkas(empty, integer_multipliers(empty, (F(1),)))
     assert lp_feasible(empty).status == INFEASIBLE
     # x_0 - x_1 <= -1 holds at (0, 1): a negative entry certifies nothing
     feasible = standard_form(2, [le([F(1), F(-1)], F(-1))])
-    assert not check_farkas(feasible, FarkasCertificate((F(1),)))
+    assert not check_farkas(feasible, integer_multipliers(feasible, (F(1),)))
 
 
 def test_degenerate_cycling_guard():
@@ -638,7 +650,7 @@ def test_degenerate_cycling_guard():
         le([F(-1), F(-1)], F(-2)),
     ]
     out = lp_feasible(standard_form(2, rows))
-    assert out.status == OPTIMAL and out.witness[:2] == (F(1), F(1))
+    assert out.status == OPTIMAL and fraction_witness(out)[:2] == (F(1), F(1))
 
 
 def test_exact_rational_pivoting():
@@ -646,14 +658,26 @@ def test_exact_rational_pivoting():
     a = F(1, 10**12)
     system = standard_form(1, [le([F(-1)], F(0)), le([F(1)], a), le([F(-1)], -a)])
     out = lp_feasible(system)
-    assert out.status == OPTIMAL and out.witness[:1] == (a,)
+    assert out.status == OPTIMAL and fraction_witness(out)[:1] == (a,)
 
 
 def test_malformed_systems_rejected():
+    """A row is integers (L, A, B) with L > 0 and one coefficient per
+    variable."""
     with pytest.raises(ValueError):
-        LinearSystem(2, [tverlab.exactlp.eq([F(1)], F(0))])
+        LinearSystem(2, [(1, (1,), 0)])
+    for row in [
+        (0, (1,), 1),  # L = 0
+        (-1, (1,), 1),  # L < 0: the feasible row -x = -1
+        (F(1), (1,), 1),
+        (True, (1,), 1),
+        (1, (F(1),), 1),
+        (1, (1,), F(1)),
+    ]:
+        with pytest.raises(ValueError):
+            LinearSystem(1, [row])
     with pytest.raises(ValueError):
-        tverlab.exactlp.eq([F(1)], "nonsense")
+        eq([F(1)], "nonsense")
 
 
 def test_hull_membership_square_center():
@@ -673,17 +697,31 @@ def test_hull_of_single_point():
     assert in_convex_hull((F(2),), [(F(3),)]) is None
 
 
+def hull_system(x, pts):
+    """The hull-membership system of x over pts as general-form rows:
+    sum lambda == 1, then one row per coordinate."""
+    k = len(pts)
+    return General(k, (eq([1] * k, 1), *(eq([p[i] for p in pts], c) for i, c in enumerate(x))))
+
+
 def test_separation_is_dual_to_membership():
+    """Membership and separation exclude each other, and both return the
+    Fraction tableau's values: in_convex_hull its witness, strict_separator
+    (nu[1:], nu[0] + 1/2) for its multipliers nu on the hull rows."""
     rng = SplitMix64(7)
     inside = outside = 0
     for _ in range(80):
         d = rng.int_between(1, 3)
         pts = [rng.rational_point(d) for _ in range(rng.int_between(1, 6))]
         x = rng.rational_point(d)
-        member = in_convex_hull(x, pts) is not None
+        weights = in_convex_hull(x, pts)
         sep = strict_separator(pts, x)
-        assert member == (sep is None)
+        assert (weights is not None) == (sep is None)
+        _, witness, farkas = oracle_feasible(with_bounds(hull_system(x, pts)))
+        assert weights == witness
         if sep is not None:
+            nu = farkas[len(pts):]
+            assert sep[:2] == (nu[1:], nu[0] + F(1, 2))
             a, a0, margin = sep
             assert margin > 0
             assert all(sum(ai * bi for ai, bi in zip(a, b)) + a0 >= margin for b in pts)

@@ -1,13 +1,16 @@
 """read_scaled, the reader of input scalars, against rat followed by
 integer_scaled: the same integers for every scalar rat reads, and the same
 exception and message, in the same row-major order, for every one it
-rejects.  bareiss_pivot against Fraction Gauss-Jordan elimination."""
+rejects.  bareiss_pivot and bareiss_eliminate against Fraction
+Gauss-Jordan elimination."""
 from fractions import Fraction as F
 
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from tverlab.rationals import Scaled, bareiss_pivot, integer_scaled, rat, read_scaled
+from tverlab.rationals import (
+    Scaled, bareiss_eliminate, bareiss_pivot, integer_scaled, rat, read_scaled,
+)
 
 numerators = st.integers(-10**9, 10**9)
 denominators = st.integers(1, 10**6)
@@ -86,19 +89,39 @@ def pivot_runs(draw):
 def test_bareiss_pivot_is_gauss_jordan_over_its_denominator(case):
     """After each pivot, every integer row over the returned denominator
     equals the Fraction Gauss-Jordan row (pivot row divided by its pivot,
-    the others eliminated), for pivots of either sign."""
+    the others eliminated), for pivots of either sign.  bareiss_eliminate
+    of the rows is the Fraction Gauss-Jordan that pivots each column on
+    its first row holding no pivot yet with a nonzero entry there, and
+    leaves every other row zero."""
     rows, steps = case
+
+    def gauss_jordan(fracs, i, j):
+        head = [v / fracs[i][j] for v in fracs[i]]
+        return [
+            head if r == i else [a - row[j] * b for a, b in zip(row, head)]
+            for r, row in enumerate(fracs)
+        ]
+
     ints = [list(row) for row in rows]
     fracs = [[F(v) for v in row] for row in rows]
     D = 1
     for i, j in steps:
         if not fracs[i][j]:
             continue
-        head = [v / fracs[i][j] for v in fracs[i]]
-        fracs = [
-            head if r == i else [a - row[j] * b for a, b in zip(row, head)]
-            for r, row in enumerate(fracs)
-        ]
+        fracs = gauss_jordan(fracs, i, j)
         D = bareiss_pivot(ints, i, j, D)
         assert all(type(v) is int for row in ints for v in row)
         assert [[F(v, D) for v in row] for row in ints] == fracs
+
+    ints = [list(row) for row in rows]
+    fracs = [[F(v) for v in row] for row in rows]
+    pivots = {}
+    for j in range(len(rows[0])):
+        i = next((i for i, row in enumerate(fracs) if row[j] and i not in pivots.values()), None)
+        if i is not None:
+            fracs = gauss_jordan(fracs, i, j)
+            pivots[j] = i
+    D, found = bareiss_eliminate(ints, len(rows[0]))
+    assert found == pivots
+    assert [[F(v, D) for v in row] for row in ints] == fracs
+    assert not any(v for r, row in enumerate(ints) if r not in pivots.values() for v in row)

@@ -21,10 +21,10 @@ from tverlab.depth import (
     TverbergCertificate,
     point_config,
 )
-from tverlab.exactlp import FarkasCertificate, LPOutcome
+from tverlab.exactlp import LPOutcome
 
 RECORDS = (
-    FarkasCertificate, LPOutcome, DepthCertificate, TverbergCertificate, ReductionPlan,
+    LPOutcome, DepthCertificate, TverbergCertificate, ReductionPlan,
     CoverCertificate, FiberCell, FiberReport, CounterexampleSpec, IsolationRow,
     IsolationReport, ProbeResult,
 )
@@ -39,12 +39,10 @@ def test_records_keep_their_reprs_equality_and_frozen_fields(monkeypatch):
         (TverbergCertificate(((0, 2), (1,)), (F(1),), ((F(1, 2), F(1, 2)), (F(1),))),
          "TverbergCertificate(blocks=((0, 2), (1,)), point=(Fraction(1, 1),), "
          "weights=((Fraction(1, 2), Fraction(1, 2)), (Fraction(1, 1),)))"),
-        (LPOutcome("infeasible", farkas=FarkasCertificate((F(-1),)), scaled_farkas=(-1,)),
-         "LPOutcome(status='infeasible', witness=None, "
-         "farkas=FarkasCertificate(multipliers=(Fraction(-1, 1),)), scaled_farkas=(-1,))"),
-        (LPOutcome("optimal", witness=(F(1, 3), F(0))),
-         "LPOutcome(status='optimal', witness=(Fraction(1, 3), Fraction(0, 1)), "
-         "farkas=None, scaled_farkas=None)"),
+        (LPOutcome("infeasible", farkas=(-1,)),
+         "LPOutcome(status='infeasible', witness=None, denominator=None, farkas=(-1,))"),
+        (LPOutcome("optimal", witness=(1, 0), denominator=3),
+         "LPOutcome(status='optimal', witness=(1, 0), denominator=3, farkas=None)"),
         (CoverCertificate(F(1, 2), (F(1, 4),), ((0, 1), (1, 0))),
          "CoverCertificate(delta=Fraction(1, 2), translate=(Fraction(1, 4),), "
          "tight=((0, 1), (1, 0)))"),
