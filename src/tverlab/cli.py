@@ -1,4 +1,5 @@
-"""Command-line front end: one subcommand per verifiable claim.
+"""Command-line front end: one subcommand per verifiable claim, its flags,
+needs, ranges and defaults read from the FLAGS and COMMANDS tables below.
 
 Output is JSON lines with sorted keys and exact "p/q" scalars, written to
 stdout or --output.  Runs are deterministic functions of (subcommand,
@@ -29,15 +30,6 @@ from .rng import SplitMix64
 
 PASS, FALSIFIED, USAGE, INTERNAL = 0, 1, 2, 3
 
-# flags that --input overrides (the file gives one configuration, complex
-# or point set, and no draw), so giving one next to it is a usage error
-INPUT_DECIDES = {
-    "centerpoint": ("trials", "seed"),
-    "tverberg": ("trials", "seed"),
-    "hind": ("m", "sphere"),
-    "cover": ("trials", "seed"),
-}
-
 
 def _emit(records: List[dict], output: Optional[str]) -> None:
     text = "\n".join(
@@ -65,10 +57,8 @@ def _input_object(path: str) -> dict:
     return data
 
 
-def _configs(args, parser) -> List[depth.PointConfig]:
-    if args.r is None or (args.d is None and not args.input):
-        parser.error(f"{args.command}: need --r, and --d or --input")
-    if args.input:
+def _configs(args) -> List[depth.PointConfig]:
+    if args.input is not None:
         with open(args.input) as fh:
             config = depth.PointConfig.from_json(fh.read())
         if args.d is not None and args.d != config.d:
@@ -81,9 +71,9 @@ def _configs(args, parser) -> List[depth.PointConfig]:
     ]
 
 
-def cmd_centerpoint(args, parser):
+def cmd_centerpoint(args):
     records = []
-    for i, config in enumerate(_configs(args, parser)):
+    for i, config in enumerate(_configs(args)):
         cert = depth.centerpoint(config, args.r)
         outside = cert is None and config.n < depth.guaranteed_size(config.d, args.r)
         records.append(
@@ -100,9 +90,9 @@ def cmd_centerpoint(args, parser):
     return records
 
 
-def cmd_tverberg(args, parser):
+def cmd_tverberg(args):
     records = []
-    for i, config in enumerate(_configs(args, parser)):
+    for i, config in enumerate(_configs(args)):
         cert = depth.tverberg_partition(config, args.r)
         if cert is None:
             ok = config.n < depth.guaranteed_size(config.d, args.r)  # no claim applies
@@ -121,9 +111,7 @@ def cmd_tverberg(args, parser):
     return records
 
 
-def cmd_reduce(args, parser):
-    if args.d is None or args.r is None:
-        parser.error("need --d and --r")
+def cmd_reduce(args):
     plan = depth.reduction_plan(args.r, args.d)
     records = [{"plan": plan._asdict()}]
     rng = SplitMix64(args.seed)
@@ -141,8 +129,8 @@ def cmd_reduce(args, parser):
     return records
 
 
-def cmd_hind(args, parser):
-    if args.input:
+def cmd_hind(args):
+    if args.input is not None:
         data = _input_object(args.input)
         if not isinstance(data["involution"], dict):
             raise ValueError('"involution" must be a JSON object')
@@ -161,16 +149,12 @@ def cmd_hind(args, parser):
             raise ValueError('"maximal_simplices" must be an array of arrays of vertex ids') from None
         X = z2.Z2Complex(K, involution)
         return [{"hind": z2.hind(X)}]
-    m = args.sphere if args.sphere is not None else args.m
-    if m is None:
-        parser.error("need --m (sphere dimension) or --input")
+    m = args.m if args.sphere is None else args.sphere
     value = z2.hind(z2.cross_polytope_sphere(m))
     return [{"sphere": m, "hind": value, "expected": m, "ok": value == m}]
 
 
-def cmd_counterexample(args, parser):
-    if args.d is None or args.r is None:
-        parser.error("need --d and --r")
+def cmd_counterexample(args):
     spec = conemap.build_counterexample(args.d, args.r)
     try:
         report = conemap.verify_isolation(spec)
@@ -191,9 +175,7 @@ def cmd_counterexample(args, parser):
     return records
 
 
-def cmd_probe(args, parser):
-    if args.d is None or args.r is None:
-        parser.error("need --d and --r")
+def cmd_probe(args):
     result = conemap.probe_tverberg_plus_one(args.d, args.r)
     return [result.to_record() | {"ok": result.found}]
 
@@ -216,8 +198,8 @@ def _random_facet_touching(n: int, rng: SplitMix64, extra: int = 2):
     return pts
 
 
-def cmd_cover(args, parser):
-    if args.input:
+def cmd_cover(args):
+    if args.input is not None:
         pts = read_json_rows(_input_object(args.input), "barycentric_points")
         if args.d is not None and pts.rows and args.d != len(pts.rows[0]) - 1:
             raise ValueError(f"--d {args.d} differs from the input's n {len(pts.rows[0]) - 1}")
@@ -227,8 +209,6 @@ def cmd_cover(args, parser):
         rec["touches_all_facets"] = touches
         rec["ok"] = (not touches) or cert.delta >= 1
         return [rec]
-    if args.d is None:
-        parser.error("need --d (simplex dimension) or --input")
     cover.standard_simplex_body(args.d)  # rejects --d 0 before a trial is drawn
     rng = SplitMix64(args.seed)
     records = []
@@ -247,98 +227,117 @@ def cmd_cover(args, parser):
     return records
 
 
-def cmd_fiber_demo(args, parser):
-    if args.d is None:
-        parser.error("need --d (source simplex dimension)")
-    density = max(1, args.trials)
+def cmd_fiber_demo(args):
     records = []
     for label, f in (
         ("coordinate projection", cover.coordinate_projection_map),
         ("constant map", cover.constant_map),
     ):
-        records.extend(cover.fiber_width_demo(args.d, f, density, label=label).to_records())
+        records.extend(cover.fiber_width_demo(args.d, f, args.trials, label=label).to_records())
     return records
 
 
 # ---------------------------------------------------------------------------
+# flag: type, help, least and greatest value (None: no bound), and the value
+# it takes when not given, set only once the checks have seen whether it was
+FLAGS = {
+    "seed": (int, "64-bit seed (SplitMix64, default 0)", 0, 2**64 - 1, 0),
+    "output": (str, "write JSON lines here instead of stdout", None, None, None),
+    "jobs": (int, "accepted for compatibility; output never depends on it", 1, None, 1),
+    "d": (int, "ambient or simplex dimension", 0, None, None),
+    "r": (int, "number of parts / depth target", 0, None, None),
+    "trials": (int, "trial count or grid density (default 5)", 1, None, 5),
+    "m": (int, "sphere dimension", 0, None, None),
+    "sphere": (int, "alias for --m", 0, None, None),
+    "input": (str, "input JSON path", None, None, None),
+}
+
+# subcommand: handler, the flags it reads beside --seed, --output and --jobs
+# ("a|b": a mutually exclusive pair), the flags it needs ("a|b": either one),
+# the flags an --input file decides (it gives one configuration, complex or
+# point set, and no draw; only these subcommands take --input), and help
+COMMANDS = {
+    "centerpoint": (cmd_centerpoint, "d r trials", "r d|input", "trials seed",
+                    "depth >= r certificates on seeded configurations"),
+    "tverberg": (cmd_tverberg, "d r trials", "r d|input", "trials seed",
+                 "canonical Tverberg partitions with common-point certificates"),
+    "reduce": (cmd_reduce, "d r trials", "d r", "",
+               "prime-lift reduction: depth via an R-part partition of the lifted cloud"),
+    "hind": (cmd_hind, "m|sphere", "m|sphere|input", "m sphere",
+             "Z2 index of cross-polytope spheres (or an --input complex)"),
+    "counterexample": (cmd_counterexample, "d r", "d r", "",
+                       "isolated-face verification for the cone map at m=(d+1)r-2"),
+    "probe": (cmd_probe, "d r", "d r", "", "common-point witness one dimension up, m=(d+1)r-1"),
+    "cover": (cmd_cover, "d trials", "d|input", "trials seed",
+              "covering-radius certificates; facet-touching sets need delta >= 1"),
+    "fiber-demo": (cmd_fiber_demo, "d trials", "d", "", "sampled fiber-width evidence for maps off the simplex"),
+}
+
+
+def _split(handler, reads, needs, decides, text) -> tuple:
+    """A COMMANDS entry as tuples, its words split at "|" into groups, plus
+    (flag, least, greatest, default) for each flag read that has a range."""
+    def groups(words):
+        return tuple(tuple(word.split("|")) for word in words.split())
+
+    reads = groups(f"seed output jobs {reads}" + (" input" if decides else ""))
+    bounds = tuple((flag, *FLAGS[flag][2:]) for group in reads for flag in group if FLAGS[flag][2] is not None)
+    return handler, reads, groups(needs), tuple(decides.split()), text, bounds
+
+
+COMMANDS = {name: _split(*entry) for name, entry in COMMANDS.items()}  # once, at import
+
 
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    """The CLI parser, built once per process."""
+    """The CLI parser, built once per process from COMMANDS and FLAGS."""
     parser = argparse.ArgumentParser(
         prog="tverlab",
         description="exact-arithmetic checks for depth, partitions, index, and covering claims",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    # every subcommand takes `shared`, and of the sized flags only those its
-    # handler reads
-    shared = argparse.ArgumentParser(add_help=False)
-    shared.add_argument("--seed", type=int, default=None, help="64-bit seed (SplitMix64, default 0)")
-    shared.add_argument("--output", type=str, default=None, help="write JSON lines here instead of stdout")
-    shared.add_argument("--jobs", type=int, default=1, help="accepted for compatibility; output never depends on it")
-    sized = {}
-    for flag, text in (
-        ("d", "ambient or simplex dimension"),
-        ("r", "number of parts / depth target"),
-        ("trials", "trial count or grid density (default 5)"),
-    ):
-        sized[flag] = argparse.ArgumentParser(add_help=False)
-        sized[flag].add_argument(f"--{flag}", type=int, default=None, help=text)
-
-    handlers = {}
-    for name, fn, flags, help_text in (
-        ("centerpoint", cmd_centerpoint, "d r trials", "depth >= r certificates on seeded configurations"),
-        ("tverberg", cmd_tverberg, "d r trials", "canonical Tverberg partitions with common-point certificates"),
-        ("reduce", cmd_reduce, "d r trials", "prime-lift reduction: depth via an R-part partition of the lifted cloud"),
-        ("hind", cmd_hind, "", "Z2 index of cross-polytope spheres (or an --input complex)"),
-        ("counterexample", cmd_counterexample, "d r", "isolated-face verification for the cone map at m=(d+1)r-2"),
-        ("probe", cmd_probe, "d r", "common-point witness one dimension up, m=(d+1)r-1"),
-        ("cover", cmd_cover, "d trials", "covering-radius certificates; facet-touching sets need delta >= 1"),
-        ("fiber-demo", cmd_fiber_demo, "d trials", "sampled fiber-width evidence for maps off the simplex"),
-    ):
-        p = sub.add_parser(name, help=help_text, parents=[shared] + [sized[f] for f in flags.split()])
-        if name in ("centerpoint", "tverberg", "hind", "cover"):
-            p.add_argument("--input", type=str, default=None, help="input JSON path")
-        if name == "hind":
-            sphere = p.add_mutually_exclusive_group()
-            sphere.add_argument("--m", type=int, default=None, help="sphere dimension")
-            sphere.add_argument("--sphere", type=int, default=None, help="alias for --m")
-        handlers[name] = fn
-    parser.set_defaults(_handlers=handlers)
+    # one parent parser per flag or exclusive pair, shared by the subcommands
+    # that read it: an add_argument per subparser costs resident memory
+    parents = {}
+    for group in dict.fromkeys(group for entry in COMMANDS.values() for group in entry[1]):
+        parents[group] = parent = argparse.ArgumentParser(add_help=False)
+        holder = parent.add_mutually_exclusive_group() if len(group) > 1 else parent
+        for flag in group:
+            holder.add_argument(f"--{flag}", type=FLAGS[flag][0], default=None, help=FLAGS[flag][1])
+    for name, (_, reads, _, _, text, _) in COMMANDS.items():
+        sub.add_parser(name, help=text, parents=[parents[group] for group in reads])
     return parser
 
 
 def main(argv=None) -> int:
     parser = build_parser()
     args, extra = parser.parse_known_args(argv)
-    if extra:
-        parser.error(f"{args.command}: unrecognized arguments: {' '.join(extra)}")
-    for field in ("trials", "jobs"):
-        value = getattr(args, field, None)
-        if value is not None and value < 1:
-            parser.error(f"--{field} must be at least 1")
-    for field in ("d", "r", "m"):
-        value = getattr(args, field, None)
-        if value is not None and value < 0:
-            parser.error(f"--{field} must be nonnegative")
-    if getattr(args, "input", None):
-        for field in INPUT_DECIDES.get(args.command, ()):
-            if getattr(args, field) is not None:
-                parser.error(f"{args.command}: --{field} does not apply to --input")
-    if getattr(args, "trials", 0) is None:
-        args.trials = 5
-    if args.seed is None:
-        args.seed = 0
+    handler, _, needs, decides, _, bounds = COMMANDS[args.command]
     try:
-        records = args._handlers[args.command](args, parser)
+        if extra:
+            raise ValueError(f"unrecognized arguments: {' '.join(extra)}")
+        if decides and args.input is not None:
+            for flag in decides:
+                if getattr(args, flag) is not None:
+                    raise ValueError(f"--{flag} does not apply to --input")
+        for group in needs:
+            if all(getattr(args, flag) is None for flag in group):
+                raise ValueError("need " + " or ".join(f"--{flag}" for flag in group))
+        for flag, low, high, default in bounds:
+            value = getattr(args, flag)
+            if value is None:
+                setattr(args, flag, default)
+            elif not (low <= value and (high is None or value <= high)):
+                raise ValueError(f"--{flag} must be " + (f"at least {low}" if high is None else f"in {low}..{high}"))
+        records = handler(args)
     except (OSError, ValueError) as exc:
-        # Unreadable --input files, malformed JSON, and out-of-range
-        # dimensions are usage errors, not falsified checks.
+        # The tables' checks, unreadable --input files, malformed JSON, and
+        # out-of-range dimensions are usage errors, not falsified checks.
         parser.error(f"{args.command}: {exc}")
     except (KeyError, TypeError) as exc:
         # A missing key or a non-exact scalar (a JSON float) in --input is
         # bad input; anywhere else it is a bug.
-        if getattr(args, "input", None):
+        if getattr(args, "input", None) is not None:
             what = "missing input key " if isinstance(exc, KeyError) else ""
             parser.error(f"{args.command}: {what}{exc}")
         code, records = INTERNAL, [

@@ -2,9 +2,11 @@
 import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -395,6 +397,18 @@ def test_usage_errors_exit_two(capsys):
         (["hind", "--m", "2", "--trials", "3"], "hind: unrecognized arguments: --trials 3"),
         (["hind", "--m", "2", "--sphere", "3"], "argument --sphere: not allowed with argument --m"),
         (["hind", "--sphere", "3", "--m", "2"], "argument --m: not allowed with argument --sphere"),
+        # every usage error names its subcommand: a needed flag left out,
+        # and a negative --m or --sphere
+        (["centerpoint", "--d", "1"], "centerpoint: need --r"),
+        (["tverberg", "--r", "2"], "tverberg: need --d or --input"),
+        (["reduce", "--d", "1"], "reduce: need --r"),
+        (["hind", "--seed", "1"], "hind: need --m or --sphere or --input"),
+        (["counterexample", "--r", "2"], "counterexample: need --d"),
+        (["probe", "--d", "1"], "probe: need --r"),
+        (["cover", "--trials", "2"], "cover: need --d or --input"),
+        (["fiber-demo", "--trials", "2"], "fiber-demo: need --d"),
+        (["hind", "--m", "-1"], "hind: --m must be at least 0"),
+        (["hind", "--sphere", "-1"], "hind: --sphere must be at least 0"),
     ):
         with pytest.raises(SystemExit) as e:
             main(argv)
@@ -402,6 +416,45 @@ def test_usage_errors_exit_two(capsys):
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.endswith(f"error: {message}\n")
+
+
+def test_a_seed_outside_64_bits_is_a_usage_error(capsys):
+    """SplitMix64 reduces its seed mod 2^64: unchecked, --seed -1 printed the
+    bytes of --seed 2^64 - 1, and --seed 2^64 those of --seed 0."""
+    for seed in (-1, 2**64, -(2**64)):
+        for argv in (["centerpoint", "--d", "1", "--r", "2", "--trials", "1"],
+                     ["cover", "--d", "2", "--trials", "1"], ["hind", "--m", "1"]):
+            with pytest.raises(SystemExit) as e:
+                main([*argv, "--seed", str(seed)])
+            assert e.value.code == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err.endswith(f"error: {argv[0]}: --seed must be in 0..{2**64 - 1}\n")
+    for seed in (0, 2**64 - 1):
+        code, records, _ = run(capsys, "centerpoint", "--d", "1", "--r", "2", "--trials", "1", "--seed", str(seed))
+        assert code == 0 and len(records) == 1
+
+
+def test_the_readme_flag_table_is_the_cli_table():
+    """Each row of the README's flag table (reads, needs, decided by
+    --input; "," between entries, "or" between alternatives) is the
+    subcommand's COMMANDS entry less the shared --seed, --output and
+    --jobs."""
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    table = readme[readme.index("| subcommand | reads |"):].split("\n\n")[0].splitlines()[2:]
+
+    def groups(cell):
+        return tuple(tuple(re.findall(r"`--([a-z]+)`", part)) for part in cell.split(",") if "`--" in part)
+
+    rows = {}
+    for line in table:
+        name, *cells = (cell.strip() for cell in line.strip("|").split("|"))
+        rows[name.strip("`")] = tuple(groups(cell) for cell in cells)
+    shared = {("seed",), ("output",), ("jobs",)}
+    assert rows == {
+        name: (tuple(g for g in reads if g not in shared), needs, tuple((flag,) for flag in decides))
+        for name, (_, reads, needs, decides, *_) in tverlab.cli.COMMANDS.items()
+    }
 
 
 def test_internal_errors_exit_three(monkeypatch, capsys):
