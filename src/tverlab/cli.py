@@ -1,6 +1,10 @@
 """Command-line front end: one subcommand per verifiable claim, its flags,
 needs, ranges and defaults read from the FLAGS and COMMANDS tables below.
 
+argv is walked straight from the tables and read as the argparse parser
+they replaced read it (see `parse`); usage errors end in its error lines,
+and -h prints a usage line and one line per flag, made from the tables.
+
 Output is JSON lines with sorted keys and exact "p/q" scalars, written to
 stdout or --output.  Runs are deterministic functions of (subcommand,
 parameters, seed); --jobs is accepted for interface stability but the
@@ -17,11 +21,12 @@ with no --input; the output holds one record {"command": ...,
 """
 from __future__ import annotations
 
-import argparse
 import functools
 import json
+import re
 import sys
 from fractions import Fraction
+from types import SimpleNamespace
 from typing import List, Optional
 
 from . import conemap, cover, depth, z2
@@ -32,16 +37,12 @@ PASS, FALSIFIED, USAGE, INTERNAL = 0, 1, 2, 3
 
 
 def _emit(records: List[dict], output: Optional[str]) -> None:
-    text = "\n".join(
-        json.dumps(r, sort_keys=True, separators=(",", ":")) for r in records
-    )
-    if text:
-        text += "\n"
-    if output:
+    text = "".join(json.dumps(r, sort_keys=True, separators=(",", ":")) + "\n" for r in records)
+    if output is None:
+        sys.stdout.write(text)
+    else:
         with open(output, "w") as fh:
             fh.write(text)
-    else:
-        sys.stdout.write(text)
 
 
 # ---------------------------------------------------------------------------
@@ -66,9 +67,7 @@ def _configs(args) -> List[depth.PointConfig]:
         return [config]
     rng = SplitMix64(args.seed)
     n = depth.guaranteed_size(args.d, args.r)
-    return [
-        depth.random_point_config(args.d, n, rng) for _ in range(args.trials)
-    ]
+    return [depth.random_point_config(args.d, n, rng) for _ in range(args.trials)]
 
 
 def cmd_centerpoint(args):
@@ -76,17 +75,12 @@ def cmd_centerpoint(args):
     for i, config in enumerate(_configs(args)):
         cert = depth.centerpoint(config, args.r)
         outside = cert is None and config.n < depth.guaranteed_size(config.d, args.r)
-        records.append(
-            {
-                "trial": i,
-                "n": config.n,
-                "point": None if cert is None else point_strs(cert.point),
-                "depth": None if cert is None else cert.depth,
-                "r": args.r,
-                "ok": outside or (cert is not None and cert.depth >= args.r),
-            }
-            | ({"outside_hypotheses": True} if outside else {})
-        )
+        records.append({
+            "trial": i, "n": config.n, "r": args.r,
+            "point": None if cert is None else point_strs(cert.point),
+            "depth": None if cert is None else cert.depth,
+            "ok": outside or (cert is not None and cert.depth >= args.r),
+        } | ({"outside_hypotheses": True} if outside else {}))
     return records
 
 
@@ -99,14 +93,8 @@ def cmd_tverberg(args):
             rec = {"trial": i, "ok": ok, "r": args.r} | ({"outside_hypotheses": True} if ok else {})
         else:
             dep = depth._depth_from_lifted_partition(config, 1, args.r, cert)
-            rec = {
-                "trial": i,
-                "blocks": [list(b) for b in cert.blocks],
-                "point": point_strs(cert.point),
-                "depth": dep.depth,
-                "r": args.r,
-                "ok": dep.depth >= args.r,
-            }
+            rec = {"trial": i, "blocks": [list(b) for b in cert.blocks], "point": point_strs(cert.point),
+                   "depth": dep.depth, "r": args.r, "ok": dep.depth >= args.r}
         records.append(rec)
     return records
 
@@ -118,14 +106,7 @@ def cmd_reduce(args):
     for i in range(args.trials):
         config = depth.random_point_config(args.d, plan.m + 1, rng)
         cert = depth.reduce_central_from_tverberg(config, args.r)
-        records.append(
-            {
-                "trial": i,
-                "point": point_strs(cert.point),
-                "depth": cert.depth,
-                "ok": cert.depth >= args.r,
-            }
-        )
+        records.append({"trial": i, "point": point_strs(cert.point), "depth": cert.depth, "ok": cert.depth >= args.r})
     return records
 
 
@@ -160,19 +141,8 @@ def cmd_counterexample(args):
         report = conemap.verify_isolation(spec)
     except conemap.IsolationFailure as exc:
         return [{"ok": False, "error": str(exc)}]
-    records = [row.to_record() for row in report.rows]
-    records.append(
-        {
-            "summary": {
-                "d": args.d,
-                "r": args.r,
-                "m": spec.m,
-                "tuples": len(report.rows),
-                "all_isolated": True,
-            }
-        }
-    )
-    return records
+    summary = {"d": args.d, "r": args.r, "m": spec.m, "tuples": len(report.rows), "all_isolated": True}
+    return [row.to_record() for row in report.rows] + [{"summary": summary}]
 
 
 def cmd_probe(args):
@@ -181,18 +151,11 @@ def cmd_probe(args):
 
 
 def _random_facet_touching(n: int, rng: SplitMix64, extra: int = 2):
-    """One barycentric point per facet (that coordinate zero), plus a few
-    interior points."""
+    """One barycentric point per facet (coordinate i zero), then `extra`
+    interior points (i None)."""
     pts = []
-    for i in range(n + 1):
-        weights = [0] * (n + 1)
-        for j in range(n + 1):
-            if j != i:
-                weights[j] = rng.int_between(1, 9)
-        total = sum(weights)
-        pts.append(tuple(Fraction(w, total) for w in weights))
-    for _ in range(extra):
-        weights = [rng.int_between(1, 9) for _ in range(n + 1)]
+    for i in [*range(n + 1), *[None] * extra]:
+        weights = [0 if j == i else rng.int_between(1, 9) for j in range(n + 1)]
         total = sum(weights)
         pts.append(tuple(Fraction(w, total) for w in weights))
     return pts
@@ -205,10 +168,7 @@ def cmd_cover(args):
             raise ValueError(f"--d {args.d} differs from the input's n {len(pts.rows[0]) - 1}")
         touches = cover.touches_all_facets(pts)
         cert = cover.min_cover_barycentric(pts)
-        rec = cert.to_record()
-        rec["touches_all_facets"] = touches
-        rec["ok"] = (not touches) or cert.delta >= 1
-        return [rec]
+        return [cert.to_record() | {"touches_all_facets": touches, "ok": (not touches) or cert.delta >= 1}]
     cover.standard_simplex_body(args.d)  # rejects --d 0 before a trial is drawn
     rng = SplitMix64(args.seed)
     records = []
@@ -216,25 +176,15 @@ def cmd_cover(args):
         pts = read_scaled(_random_facet_touching(args.d, rng))
         touches = cover.touches_all_facets(pts)
         cert = cover.min_cover_barycentric(pts)
-        records.append(
-            {
-                "trial": i,
-                "delta": rat_str(cert.delta),
-                "touches_all_facets": touches,
-                "ok": touches and cert.delta >= 1,
-            }
-        )
+        records.append({"trial": i, "delta": rat_str(cert.delta), "touches_all_facets": touches,
+                        "ok": touches and cert.delta >= 1})
     return records
 
 
 def cmd_fiber_demo(args):
-    records = []
-    for label, f in (
-        ("coordinate projection", cover.coordinate_projection_map),
-        ("constant map", cover.constant_map),
-    ):
-        records.extend(cover.fiber_width_demo(args.d, f, args.trials, label=label).to_records())
-    return records
+    return [record for label, f in (("coordinate projection", cover.coordinate_projection_map),
+                                    ("constant map", cover.constant_map))
+            for record in cover.fiber_width_demo(args.d, f, args.trials, label=label).to_records()]
 
 
 # ---------------------------------------------------------------------------
@@ -288,30 +238,122 @@ def _split(handler, reads, needs, decides, text) -> tuple:
 COMMANDS = {name: _split(*entry) for name, entry in COMMANDS.items()}  # once, at import
 
 
+# ---------------------------------------------------------------------------
+# the parser: argv walked with one dict lookup a token, read as argparse read it
+NUMBER = re.compile(r"^-\d+$|^-\d*\.\d+$").match  # a value, though it starts with "-"
+
+
 @functools.cache
-def build_parser() -> argparse.ArgumentParser:
-    """The CLI parser, built once per process from COMMANDS and FLAGS."""
-    parser = argparse.ArgumentParser(
-        prog="tverlab",
-        description="exact-arithmetic checks for depth, partitions, index, and covering claims",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-    # one parent parser per flag or exclusive pair, shared by the subcommands
-    # that read it: an add_argument per subparser costs resident memory
-    parents = {}
-    for group in dict.fromkeys(group for entry in COMMANDS.values() for group in entry[1]):
-        parents[group] = parent = argparse.ArgumentParser(add_help=False)
-        holder = parent.add_mutually_exclusive_group() if len(group) > 1 else parent
-        for flag in group:
-            holder.add_argument(f"--{flag}", type=FLAGS[flag][0], default=None, help=FLAGS[flag][1])
-    for name, (_, reads, _, _, text, _) in COMMANDS.items():
-        sub.add_parser(name, help=text, parents=[parents[group] for group in reads])
-    return parser
+def build_parser() -> dict:
+    """Once per process, from COMMANDS and FLAGS, per subcommand (None: the
+    top level): {option or prefix: [(option, (flag, flags it excludes))]},
+    its usage and its flags."""
+    parsers = {}
+    for name, reads in [(None, ()), *((name, entry[1]) for name, entry in COMMANDS.items())]:
+        flags = {flag: (flag, tuple(g for g in group if g != flag)) for group in reads for flag in group}
+        options = [(o, ("help", ())) for o in ("-h", "--help")] + [(f"--{f}", item) for f, item in flags.items()]
+        prefixes = dict.fromkeys(option[:k] for option, _ in options for k in range(2, len(option)))
+        lookup = {prefix: [(o, e) for o, e in options if o.startswith(prefix)] for prefix in prefixes}
+        parts = ["[%s]" % " | ".join(f"--{flag} {flag.upper()}" for flag in group) for group in reads]
+        usage = " ".join(["usage: tverlab", name, "[-h]", *parts]) if name else (  # as argparse wrapped it
+            "usage: tverlab [-h]\n{0}{{{1}}}\n{0}...".format(" " * 15, ",".join(COMMANDS)))
+        parsers[name] = lookup | {option: [(option, entry)] for option, entry in options}, usage, dict.fromkeys(flags)
+    return parsers
+
+
+def _fail(name, message: str):
+    """A usage error as argparse printed it, on stderr; exit 2."""
+    sys.stderr.write(f"{build_parser()[name][1]}\n{'tverlab ' + name if name else 'tverlab'}: error: {message}\n")
+    raise SystemExit(USAGE)
+
+
+def _help(name):
+    """-h: the usage, then one line per subcommand or flag with its help."""
+    _, usage, flags = build_parser()[name]
+    rows = [(f"--{f} {f.upper()}", FLAGS[f][1]) for f in flags] if name else [(c, e[4]) for c, e in COMMANDS.items()]
+    rows.insert(0, ("-h, --help", "show this help message and exit"))
+    text = COMMANDS[name][4] if name else "exact-arithmetic checks for depth, partitions, index, and covering claims"
+    sys.stdout.write(f"{usage}\n\n{text}\n\n" + "".join(f"  {a:<18}{b}\n" for a, b in rows))
+    raise SystemExit(PASS)
+
+
+def _read(name, lookup: dict, token: str):
+    """One token as argparse read it, before taking any: None for a value,
+    else (the option's entry or None if it is unknown, the value written
+    after "=" or run on after "-h", or None)."""
+    if token[:1] != "-" or token == "-":
+        return None
+    head, eq, value = token.partition("=")
+    value = value if eq else None
+    if token[1] != "-":  # -h, the one short option, runs on into its value: "-hh" is "-h -h"
+        head, value = token[:2], (value if head == "-h" else token[2:])
+        value = (value.lstrip("h") or None) if value else value
+    found = lookup.get(head, ())
+    if len(found) > 1:
+        _fail(name, f"ambiguous option: {token} could match {', '.join(option for option, _ in found)}")
+    if found:
+        return found[0][1], value
+    return None if NUMBER(token) or " " in token else (None, None)
+
+
+def _take(name, tokens: list, args, extra: list):
+    """Take tokens as argparse's parser for `name` took them: set each flag
+    on args, the last one winning, and append unknown tokens to extra.  At
+    the top level (None) return the command's index (None if there is none)."""
+    lookup = build_parser()[name][0]
+    cut = tokens.index("--") if "--" in tokens else len(tokens)  # all after it are values
+    reads = [_read(name, lookup, token) for token in tokens[:cut]]
+    i = 0
+    while i < cut:
+        read, token, i = reads[i], tokens[i], i + 1
+        if read is None and name is None:
+            return i - 1
+        if read is None or read[0] is None:
+            extra.append(token)
+            continue
+        (flag, rivals), value = read
+        if flag == "help":
+            if value is not None:
+                _fail(name, f"argument -h/--help: ignored explicit argument {value!r}")
+            _help(name)
+        if value is None:
+            if i == cut or reads[i] is not None:
+                _fail(name, f"argument --{flag}: expected one argument")
+            value, i = tokens[i], i + 1
+        kind = FLAGS[flag][0]
+        try:
+            value = kind(value)
+        except ValueError:
+            _fail(name, f"argument --{flag}: invalid {kind.__name__} value: {value!r}")
+        for rival in rivals:
+            if getattr(args, rival) is not None:
+                _fail(name, f"argument --{flag}: not allowed with argument --{rival}")
+        setattr(args, flag, value)
+    if name is None and cut + 1 < len(tokens):
+        return cut  # argparse read a "--" with a token after it as the command
+    extra += tokens[cut:]
+
+
+def parse(argv: list):
+    """argv as the argparse parser that the tables replaced read it ("--flag
+    value" or "--flag=value", a unique prefix of a flag, a negative number
+    as a value, the last of a repeated flag, "--" ending the flags): the
+    subcommand's namespace and the tokens it did not know.  A command name
+    is a value wherever it stands, so one in argv[0] needs no top-level walk."""
+    extra = []
+    at = 0 if argv and argv[0] in COMMANDS else _take(None, argv, None, extra)
+    if at is None:
+        _fail(None, "the following arguments are required: command")
+    name = argv[at]
+    if name not in COMMANDS:
+        _fail(None, f"argument command: invalid choice: {name!r} (choose from {', '.join(map(repr, COMMANDS))})")
+    args = SimpleNamespace(command=name, **build_parser()[name][2])
+    _take(name, argv[at + 1:], args, extra)
+    return args, extra
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args, extra = parser.parse_known_args(argv)
+    args, extra = parse(list(sys.argv[1:] if argv is None else argv))
     handler, _, needs, decides, _, bounds = COMMANDS[args.command]
     try:
         if extra:
@@ -333,26 +375,23 @@ def main(argv=None) -> int:
     except (OSError, ValueError) as exc:
         # The tables' checks, unreadable --input files, malformed JSON, and
         # out-of-range dimensions are usage errors, not falsified checks.
-        parser.error(f"{args.command}: {exc}")
+        _fail(None, f"{args.command}: {exc}")
     except (KeyError, TypeError) as exc:
         # A missing key or a non-exact scalar (a JSON float) in --input is
         # bad input; anywhere else it is a bug.
         if getattr(args, "input", None) is not None:
             what = "missing input key " if isinstance(exc, KeyError) else ""
-            parser.error(f"{args.command}: {what}{exc}")
-        code, records = INTERNAL, [
-            {"command": args.command, "internal_error": f"{type(exc).__name__}: {exc}"}
-        ]
+            _fail(None, f"{args.command}: {what}{exc}")
+        code, records = INTERNAL, [{"command": args.command, "internal_error": f"{type(exc).__name__}: {exc}"}]
     except RuntimeError as exc:
-        # A certificate or self-check that failed is a bug, not a falsified
-        # claim.
+        # A failed certificate or self-check is a bug, not a falsified claim.
         code, records = INTERNAL, [{"command": args.command, "internal_error": str(exc)}]
     else:
         code = FALSIFIED if any(r.get("ok") is False for r in records) else PASS
     try:
         _emit(records, args.output)
     except OSError as exc:  # an --output path that cannot be written
-        parser.error(f"{args.command}: {exc}")
+        _fail(None, f"{args.command}: {exc}")
     return code
 
 

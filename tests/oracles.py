@@ -8,12 +8,14 @@ with an LP per candidate that passes the bounding box (no Farkas cuts) and
 the Fraction-built partition system, LP systems from Fraction rows and the
 kernel's integer certificates read as Fractions (and back), general-form
 LP rows (<= and ==) and the standard-form system the kernel reads them as,
-and two maps of barycentric points of the standard simplex.  Methods of
-the package's classes became functions that take the complex or the
+two maps of barycentric points of the standard simplex, and the argparse
+parser that the command line's table walk replaced.  Methods of the
+package's classes became functions that take the complex or the
 configuration.
 """
 from __future__ import annotations
 
+import argparse
 import functools
 import itertools
 from dataclasses import dataclass
@@ -27,6 +29,7 @@ from tverlab import (
     SimplicialComplex,
     TverbergCertificate,
     Z2Complex,
+    cli,
     common_point_with_weights,
     in_convex_hull,
     rat,
@@ -353,3 +356,27 @@ def grid_points_in_simplex(n: int, density: int) -> List[Point]:
     """All rational points of the standard n-simplex with denominator
     `density` (compositions of density into n+1 parts)."""
     return [tuple(Fraction(c, density) for c in parts) for parts in _compositions(n, density)]
+
+
+# ---------------------------------------------------------------------------
+# the command line
+# ---------------------------------------------------------------------------
+
+def argparse_parser() -> argparse.ArgumentParser:
+    """The argparse parser built from cli.COMMANDS and cli.FLAGS, as the CLI
+    built it before it walked argv through the tables itself: one shared
+    parent parser per flag or exclusive pair."""
+    parser = argparse.ArgumentParser(
+        prog="tverlab",
+        description="exact-arithmetic checks for depth, partitions, index, and covering claims",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+    parents = {}
+    for group in dict.fromkeys(group for entry in cli.COMMANDS.values() for group in entry[1]):
+        parents[group] = parent = argparse.ArgumentParser(add_help=False)
+        holder = parent.add_mutually_exclusive_group() if len(group) > 1 else parent
+        for flag in group:
+            holder.add_argument(f"--{flag}", type=cli.FLAGS[flag][0], default=None, help=cli.FLAGS[flag][1])
+    for name, (_, reads, _, _, text, _) in cli.COMMANDS.items():
+        sub.add_parser(name, help=text, parents=[parents[group] for group in reads])
+    return parser

@@ -1,7 +1,10 @@
 """The command line front end: exit codes, JSON shape, and byte stability."""
+import contextlib
 import hashlib
+import io
 import json
 import os
+import random
 import re
 import subprocess
 import sys
@@ -14,6 +17,8 @@ import tverlab
 import tverlab.cli
 from tverlab.cli import main
 from tverlab.rationals import rat, rat_str
+
+from oracles import argparse_parser
 
 
 def run(capsys, *argv):
@@ -844,3 +849,79 @@ def test_points_that_are_not_arrays_of_arrays_are_a_usage_error(tmp_path, capsys
         assert usage_error(capsys, command + ["--input", str(path)]) == (
             2, f'tverlab: error: {command[0]}: "{key}" must be an array of arrays of scalars'
         ), value
+
+
+def test_an_empty_output_path_is_a_usage_error(capsys):
+    """--output "" names no file: it printed to stdout and exited 0."""
+    code, line = usage_error(capsys, ["hind", "--m", "1", "--output", ""])
+    assert code == 2 and line.startswith("tverlab: error: hind: [Errno ")
+
+
+def parsed(parse, argv):
+    """(namespace, leftover tokens) of an argv that parses, else (exit code,
+    last stderr line): 0 for help, 2 for a usage error."""
+    out, err = io.StringIO(), io.StringIO()
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            args, extra = parse(argv)
+    except SystemExit as e:
+        return e.code, (err.getvalue().splitlines() or [""])[-1] if e.code else ""
+    return vars(args), extra
+
+
+# what the argv lists below are drawn from: names, each flag in full, by a
+# unique and an ambiguous prefix and with "=value", values, "--", a stray
+# token and help
+NAMES = [*tverlab.cli.COMMANDS, "nope"]
+VALUES = ["3", "3", "0", "-1", "x", "", "-x", "-x y"]
+TOKENS = [
+    *(f"--{flag}" for flag in tverlab.cli.FLAGS), "--se", "--tri", "--sph", "--inp", "--o", "--j",
+    "--t", "--he", "--s", "--s=1", "--d=3", "--m=-1", "--tri=x", "--seed=", "--sphere=2", "--=3",
+    *VALUES, "--", "stray", "-h", "--help", "-hh", "-hx", "--help=1", *NAMES,
+]
+
+
+def test_the_table_walk_reads_argv_as_argparse_did():
+    """Over 3000 seeded argv lists, the walk gives argparse's subcommand,
+    values and leftover tokens, or its last error line, or help."""
+    kinds = ("expected one argument", "invalid int value", "invalid choice", "are required: command",
+             "ignored explicit argument", "ambiguous option", "not allowed with")
+    oracle, rng, seen = argparse_parser(), random.Random(29), set()
+    for _ in range(3000):
+        name = rng.choice(NAMES + ["hind"] * 3)  # the one exclusive pair, and "--s"
+        flags = [f"--{flag}" for group in tverlab.cli.COMMANDS.get(name, (0, ()))[1] for flag in group]
+        argv = [name] if rng.random() < 0.9 else []
+        for _ in range(rng.randrange(6)):
+            argv += [rng.choice(flags), rng.choice(VALUES)] if flags and rng.random() < 0.6 else [rng.choice(TOKENS)]
+        want = parsed(oracle.parse_known_args, argv)
+        assert parsed(tverlab.cli.parse, argv) == want, argv
+        seen.add("parsed" if isinstance(want[0], dict) else "help" if want[0] == 0 else
+                 next(kind for kind in kinds if kind in want[1]))
+    assert seen == {"parsed", "help", *kinds}
+
+
+def test_help_lists_each_flag_with_its_table_help(capsys):
+    """-h and every subcommand's --help exit 0, print nothing on stderr, and
+    list the flags that COMMANDS says the subcommand reads, each with its
+    FLAGS help."""
+    for argv in (["-h"], *([name, "--help"] for name in tverlab.cli.COMMANDS)):
+        with pytest.raises(SystemExit) as e:
+            main(argv)
+        captured = capsys.readouterr()
+        assert e.value.code == 0 and captured.err == ""
+        if argv[0] == "-h":
+            assert all(name in captured.out for name in tverlab.cli.COMMANDS)
+            continue
+        lines = captured.out.splitlines()
+        for group in tverlab.cli.COMMANDS[argv[0]][1]:
+            for flag in group:
+                assert any(line.split() == [f"--{flag}", flag.upper(), *tverlab.cli.FLAGS[flag][1].split()]
+                           for line in lines), flag
+
+
+def test_the_cli_loads_no_argparse():
+    src = os.path.dirname(os.path.dirname(tverlab.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    code = "import sys, tverlab.cli; tverlab.cli.build_parser(); print('argparse' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.split() == ["False"]
