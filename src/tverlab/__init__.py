@@ -74,7 +74,7 @@ _EXPORTS = {
         "lp_feasible",
         "strict_separator",
     ),
-    "rationals": ("point_strs", "rat", "rat_str"),
+    "rationals": ("rat", "rat_str"),
     "rng": ("SplitMix64",),
     "z2": (
         "FixedSimplexError",

@@ -5,8 +5,10 @@ argv is walked straight from the tables and read as the argparse parser
 they replaced read it (see `parse`); usage errors end in its error lines,
 and -h prints a usage line and one line per flag, made from the tables.
 
-Output is JSON lines with sorted keys and exact "p/q" scalars, written to
-stdout or --output.  Runs are deterministic functions of (subcommand,
+Output is JSON lines with sorted keys, written to stdout or --output by
+this module alone, as it alone reads --input files: the layers return
+NamedTuples, tuples and Fractions, written as arrays and exact "p/q"
+strings (`rat_str`).  Runs are deterministic functions of (subcommand,
 parameters, seed); --jobs is accepted for interface stability but the
 pipeline is sequential and results are emitted in canonical order, so
 output bytes never depend on it.
@@ -30,14 +32,15 @@ from types import SimpleNamespace
 from typing import List, Optional
 
 from . import conemap, cover, depth, z2
-from .rationals import point_strs, rat_str, read_json_rows, read_scaled
+from .rationals import Scaled, rat_str, read_scaled
 from .rng import SplitMix64
 
 PASS, FALSIFIED, USAGE, INTERNAL = 0, 1, 2, 3
 
 
 def _emit(records: List[dict], output: Optional[str]) -> None:
-    text = "".join(json.dumps(r, sort_keys=True, separators=(",", ":")) + "\n" for r in records)
+    text = "".join(json.dumps(r, sort_keys=True, separators=(",", ":"), default=rat_str) + "\n"
+                   for r in records)
     if output is None:
         sys.stdout.write(text)
     else:
@@ -58,10 +61,22 @@ def _input_object(path: str) -> dict:
     return data
 
 
+def _json_rows(data: dict, key: str) -> Scaled:
+    """read_scaled of data[key], a JSON value that must be an array of
+    arrays (a string or an object would iterate as a row of scalars)."""
+    rows = data[key]
+    if type(rows) is not list or any(type(row) is not list for row in rows):
+        raise ValueError(f'"{key}" must be an array of arrays of scalars')
+    return read_scaled(rows)
+
+
 def _configs(args) -> List[depth.PointConfig]:
-    if args.input is not None:
-        with open(args.input) as fh:
-            config = depth.PointConfig.from_json(fh.read())
+    if args.input is not None:  # {"d": d, "points": [[scalar, ...], ...]}
+        data = _input_object(args.input)
+        d = data["d"]
+        if type(d) is not int or d < 0:
+            raise ValueError('"d" must be a nonnegative integer')
+        config = depth.PointConfig.from_scaled(d, _json_rows(data, "points"))
         if args.d is not None and args.d != config.d:
             raise ValueError(f'--d {args.d} differs from the input\'s "d" {config.d}')
         return [config]
@@ -77,7 +92,7 @@ def cmd_centerpoint(args):
         outside = cert is None and config.n < depth.guaranteed_size(config.d, args.r)
         records.append({
             "trial": i, "n": config.n, "r": args.r,
-            "point": None if cert is None else point_strs(cert.point),
+            "point": None if cert is None else cert.point,
             "depth": None if cert is None else cert.depth,
             "ok": outside or (cert is not None and cert.depth >= args.r),
         } | ({"outside_hypotheses": True} if outside else {}))
@@ -93,7 +108,7 @@ def cmd_tverberg(args):
             rec = {"trial": i, "ok": ok, "r": args.r} | ({"outside_hypotheses": True} if ok else {})
         else:
             dep = depth._depth_from_lifted_partition(config, 1, args.r, cert)
-            rec = {"trial": i, "blocks": [list(b) for b in cert.blocks], "point": point_strs(cert.point),
+            rec = {"trial": i, "blocks": cert.blocks, "point": cert.point,
                    "depth": dep.depth, "r": args.r, "ok": dep.depth >= args.r}
         records.append(rec)
     return records
@@ -106,7 +121,7 @@ def cmd_reduce(args):
     for i in range(args.trials):
         config = depth.random_point_config(args.d, plan.m + 1, rng)
         cert = depth.reduce_central_from_tverberg(config, args.r)
-        records.append({"trial": i, "point": point_strs(cert.point), "depth": cert.depth, "ok": cert.depth >= args.r})
+        records.append({"trial": i, "point": cert.point, "depth": cert.depth, "ok": cert.depth >= args.r})
     return records
 
 
@@ -142,12 +157,12 @@ def cmd_counterexample(args):
     except conemap.IsolationFailure as exc:
         return [{"ok": False, "error": str(exc)}]
     summary = {"d": args.d, "r": args.r, "m": spec.m, "tuples": len(report.rows), "all_isolated": True}
-    return [row.to_record() for row in report.rows] + [{"summary": summary}]
+    return [row._asdict() for row in report.rows] + [{"summary": summary}]
 
 
 def cmd_probe(args):
     result = conemap.probe_tverberg_plus_one(args.d, args.r)
-    return [result.to_record() | {"ok": result.found}]
+    return [result._asdict() | {"ok": result.found}]
 
 
 def _random_facet_touching(n: int, rng: SplitMix64, extra: int = 2):
@@ -163,12 +178,12 @@ def _random_facet_touching(n: int, rng: SplitMix64, extra: int = 2):
 
 def cmd_cover(args):
     if args.input is not None:
-        pts = read_json_rows(_input_object(args.input), "barycentric_points")
+        pts = _json_rows(_input_object(args.input), "barycentric_points")
         if args.d is not None and pts.rows and args.d != len(pts.rows[0]) - 1:
             raise ValueError(f"--d {args.d} differs from the input's n {len(pts.rows[0]) - 1}")
         touches = cover.touches_all_facets(pts)
         cert = cover.min_cover_barycentric(pts)
-        return [cert.to_record() | {"touches_all_facets": touches, "ok": (not touches) or cert.delta >= 1}]
+        return [cert._asdict() | {"touches_all_facets": touches, "ok": (not touches) or cert.delta >= 1}]
     cover.standard_simplex_body(args.d)  # rejects --d 0 before a trial is drawn
     rng = SplitMix64(args.seed)
     records = []
@@ -176,15 +191,20 @@ def cmd_cover(args):
         pts = read_scaled(_random_facet_touching(args.d, rng))
         touches = cover.touches_all_facets(pts)
         cert = cover.min_cover_barycentric(pts)
-        records.append({"trial": i, "delta": rat_str(cert.delta), "touches_all_facets": touches,
+        records.append({"trial": i, "delta": cert.delta, "touches_all_facets": touches,
                         "ok": touches and cert.delta >= 1})
     return records
 
 
 def cmd_fiber_demo(args):
-    return [record for label, f in (("coordinate projection", cover.coordinate_projection_map),
-                                    ("constant map", cover.constant_map))
-            for record in cover.fiber_width_demo(args.d, f, args.trials, label=label).to_records()]
+    records = []  # per map, a header, then one record per cell tagged with the map
+    for label, f in (("coordinate projection", cover.coordinate_projection_map),
+                     ("constant map", cover.constant_map)):
+        report = cover.fiber_width_demo(args.d, f, args.trials, label=label)
+        records.append({"evidence": label, "source_dim": report.source_dim, "density": report.density,
+                        "max_delta": report.max_delta})
+        records += [{"cell": c.cell, "count": c.count, "map": label} | c.certificate._asdict() for c in report.cells]
+    return records
 
 
 # ---------------------------------------------------------------------------

@@ -19,7 +19,8 @@ No LP is solved.
 One dimension higher, at m = (d+1)r - 1, the same map admits r disjoint
 faces with intersecting images: every face of dimension >= d has its
 barycenter mapped to c.  The probe returns the first such tuple, checked
-by reading each face's barycenter image from the table.
+by reading each face's barycenter image from the table.  `tverlab.cli`
+writes both reports; the JSON here is only each digest's hash input.
 """
 from __future__ import annotations
 
@@ -103,15 +104,6 @@ class IsolationRow(NamedTuple):
     small_indices: Tuple[int, ...]
     pair_checks: int
     certificate_digests: Tuple[str, ...]
-
-    def to_record(self) -> dict:
-        return {
-            "faces": [list(f) for f in self.faces],
-            "isolated_index": self.isolated_index,
-            "small_indices": list(self.small_indices),
-            "pair_checks": self.pair_checks,
-            "certificate_digests": list(self.certificate_digests),
-        }
 
 
 class IsolationReport(NamedTuple):
@@ -200,14 +192,6 @@ class ProbeResult(NamedTuple):
     faces: Optional[Tuple[Simplex, ...]] = None
     point: Optional[Point] = None
     tuples_scanned: int = 0
-
-    def to_record(self) -> dict:
-        return {
-            "found": self.found,
-            "faces": None if self.faces is None else [list(f) for f in self.faces],
-            "point": None if self.point is None else [rat_str(c) for c in self.point],
-            "tuples_scanned": self.tuples_scanned,
-        }
 
 
 def probe_tverberg_plus_one(d: int, r: int) -> ProbeResult:

@@ -22,6 +22,7 @@ barycentric set is mapped to it by one set-level scaling that drops the
 last coordinate and recenters (covering radii are affine invariants).
 The fiber demo evaluates an exact map of barycentric coordinates on a
 rational grid of the simplex and covers each sampled fiber the same way.
+The records are NamedTuples, which `tverlab.cli` writes as JSON lines.
 """
 from __future__ import annotations
 
@@ -32,7 +33,7 @@ import operator
 from fractions import Fraction
 from typing import Callable, Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
-from .rationals import Frozen, Point, bareiss_eliminate, integer_scaled, rat, rat_str, read_scaled
+from .rationals import Frozen, Point, bareiss_eliminate, integer_scaled, rat, read_scaled
 
 IntPoint = Tuple[int, ...]
 
@@ -177,13 +178,6 @@ class CoverCertificate(NamedTuple):
     translate: Point
     tight: Tuple[Tuple[int, int], ...]  # (point index, body row index) pairs
 
-    def to_record(self) -> dict:
-        return {
-            "delta": rat_str(self.delta),
-            "translate": [rat_str(c) for c in self.translate],
-            "tight": [list(t) for t in self.tight],
-        }
-
 
 def _translate(body: HPolytopeBody, rhs: Sequence[int], den: int) -> Tuple[IntPoint, int]:
     """(u, g) with t = u/g the one solution of A_i.t = rhs_i/den over the
@@ -293,11 +287,6 @@ class FiberCell(NamedTuple):
     count: int
     certificate: CoverCertificate
 
-    def to_record(self) -> dict:
-        rec = {"cell": list(self.cell), "count": self.count}
-        rec.update(self.certificate.to_record())
-        return rec
-
 
 class FiberReport(NamedTuple):
     source_dim: int
@@ -308,16 +297,6 @@ class FiberReport(NamedTuple):
     @property
     def max_delta(self) -> Fraction:
         return max(c.certificate.delta for c in self.cells)
-
-    def to_records(self) -> List[dict]:
-        """A header record, then one record per cell tagged with the map."""
-        header = {
-            "evidence": self.label,
-            "source_dim": self.source_dim,
-            "density": self.density,
-            "max_delta": rat_str(self.max_delta),
-        }
-        return [header] + [c.to_record() | {"map": self.label} for c in self.cells]
 
 
 def coordinate_projection_map(p: Point) -> Point:

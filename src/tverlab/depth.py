@@ -16,12 +16,12 @@ coordinate ranges nor the Farkas certificate of an earlier failed
 candidate separate its blocks.  A configuration is scaled to integers once
 (`PointConfig.scaled`); the depth recursion, the affine dependency, the
 partition screens, each candidate's LP rows and both certificate checks
-read that one scaling.
+read that one scaling, which `PointConfig.from_scaled` takes as read
+(`tverlab.cli` reads --input files; this module knows no file format).
 """
 from __future__ import annotations
 
 import functools
-import json
 import operator
 from fractions import Fraction
 from math import gcd, lcm
@@ -32,7 +32,7 @@ from .exactlp import (
     strict_separator,  # unused: perfbench/tests/test_bench_trace.py traces this binding
 )
 from .rationals import (
-    Frozen, Point, Scaled, bareiss_eliminate, integer_scaled, rat, read_json_rows, read_scaled,
+    Frozen, Point, Scaled, bareiss_eliminate, integer_scaled, rat, read_scaled,
 )
 from .rng import SplitMix64
 
@@ -61,19 +61,11 @@ class PointConfig(Frozen):
         return read_scaled(self.points)
 
     @classmethod
-    def from_json(cls, text: str) -> "PointConfig":
-        """The configuration {"d": d, "points": [[scalar, ...], ...]}, with
-        d a nonnegative JSON integer and each scalar one `rat` reads.  The
-        points, an array of arrays, are read once, by `read_json_rows`;
-        their Fractions are built from its integers, and it fills the
-        `scaled` cache."""
-        data = json.loads(text)
-        if not isinstance(data, dict):
-            raise ValueError("input must be a JSON object")
-        d = data["d"]
-        if type(d) is not int or d < 0:
-            raise ValueError('"d" must be a nonnegative integer')
-        scaled = read_json_rows(data, "points")
+    def from_scaled(cls, d: int, scaled: Scaled) -> "PointConfig":
+        """The configuration of the points scaled.rows / scaled.scale, as
+        `read_scaled` gives them (scale the lcm of their denominators):
+        their Fractions are built from those integers, and `scaled` fills
+        the cache."""
         L = scaled.scale
         config = cls(d, tuple(tuple(Fraction(c, L) for c in p) for p in scaled.rows))
         vars(config)["scaled"] = scaled
@@ -199,21 +191,17 @@ def _fewest_on_open_side(
     return best
 
 
-def tukey_depth(x: Sequence, config: PointConfig) -> DepthCertificate:
+def tukey_depth(x: Sequence, config: PointConfig, lower: Optional[int] = None) -> DepthCertificate:
     """Exact halfspace depth of x in the configuration, by an exact recursion
     over the dimension (no LP): with w = p - x, the number of w = 0 plus the
     fewest nonzero w with u.w > 0; the witness halfspace is u.(y - x) >= 0.
     The points and x are brought to integers over the lcm M of all their
     denominators, a common positive factor that keeps every count and tilt,
     from the configuration's one scaling (over L) and x's (over E); the
-    recursion runs on the integer w and scans every branch."""
-    return _tukey_depth(x, config, None)
-
-
-def _tukey_depth(x: Sequence, config: PointConfig, lower: Optional[int]) -> DepthCertificate:
-    """tukey_depth, stopped as soon as a halfspace holds `lower` points when
-    `lower` is a proven lower bound on the depth (None: no bound); a depth
-    below that bound is an internal error."""
+    recursion runs on the integer w.  It scans every branch, or, when
+    `lower` is a proven lower bound on the depth, stops as soon as a
+    halfspace holds `lower` points; a depth below that bound is an
+    internal error."""
     xx = tuple(rat(c) for c in x)
     if len(xx) != config.d:
         raise ValueError("point dimension mismatch")
@@ -248,14 +236,14 @@ def iter_partitions(n: int, r: int) -> Iterator[Tuple[Tuple[int, ...], ...]]:
 
     Block lists come out sorted by smallest element, which the RGS encoding
     guarantees."""
-    return _partitions(n, r, None)
+    return _partitions(n, r, [()] * n)  # zero-dimensional points pass every screen
 
 
 def _partitions(
-    n: int, r: int, points: Optional[Sequence[Tuple[int, ...]]]
+    n: int, r: int, points: Sequence[Tuple[int, ...]]
 ) -> Iterator[Tuple[Tuple[int, ...], ...]]:
-    """iter_partitions; given one integer point per label (scaled by one
-    positive common factor, which keeps every comparison), only the
+    """iter_partitions, given one integer point per label (scaled by one
+    positive common factor, which keeps every comparison), with only the
     partitions whose blocks' coordinate ranges share a point in every
     coordinate, a necessary condition for their hulls to meet.  Each
     block's per-coordinate minimum and maximum are kept on the recursion's
@@ -268,24 +256,22 @@ def _partitions(
 
     def rec(i: int, used: int):
         if i == n:
-            if points is None or all(max(a) <= min(b) for a, b in zip(zip(*lo), zip(*hi))):
+            if all(max(a) <= min(b) for a, b in zip(zip(*lo), zip(*hi))):
                 yield tuple(map(tuple, members))
             return
         # label i joins an open block while the n - i - 1 labels after it can
         # still open the rest, or opens block `used` while fewer than r are open
         for b in range(0 if used + n - i > r else used, min(used + 1, r)):
-            if points is not None:
-                saved = lo[b], hi[b]
-                p = points[i]
-                if members[b]:
-                    lo[b], hi[b] = tuple(map(min, lo[b], p)), tuple(map(max, hi[b], p))
-                else:
-                    lo[b] = hi[b] = p
+            saved = lo[b], hi[b]
+            p = points[i]
+            if members[b]:
+                lo[b], hi[b] = tuple(map(min, lo[b], p)), tuple(map(max, hi[b], p))
+            else:
+                lo[b] = hi[b] = p
             members[b].append(i)
             yield from rec(i + 1, used + (b == used))
             members[b].pop()
-            if points is not None:
-                lo[b], hi[b] = saved
+            lo[b], hi[b] = saved
 
     yield from rec(0, 0)
 
@@ -454,7 +440,7 @@ def _depth_from_lifted_partition(
     if lower < r:
         raise RuntimeError(f"{len(cert.blocks)} blocks of a {k}-fold lift: depth < {r}")
     config = lifted if k == 1 else PointConfig(lifted.d, lifted.points[::k])
-    return _tukey_depth(cert.point, config, lower)
+    return tukey_depth(cert.point, config, lower)
 
 
 # ---------------------------------------------------------------------------

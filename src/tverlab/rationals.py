@@ -13,9 +13,11 @@ for the points' affine dependency and the covering body's inverse.
 Input scalars (ints, Fractions, or strings `rat` reads) can be read
 straight into such integers with `read_scaled`, which builds no Fraction
 for an int or a plain ``"p"`` or ``"p/q"`` string.  Serialized form is
-the string ``"p/q"``.  `Frozen` is the base of the two value classes that
-keep more than their fields (`depth.PointConfig`, `cover.HPolytopeBody`);
-the package's other records are `NamedTuple`s.
+the string ``"p/q"``, which `rat_str`, the JSON encoder's hook in
+`tverlab.cli`, writes for every Fraction a record holds.  `Frozen` is the
+base of the two value classes that keep more than their fields
+(`depth.PointConfig`, `cover.HPolytopeBody`); the package's other records
+are `NamedTuple`s.
 """
 from __future__ import annotations
 
@@ -44,7 +46,8 @@ def rat(value) -> Fraction:
 
 
 def rat_str(value: Fraction) -> str:
-    """Serialize a Fraction as ``"p/q"`` (denominator always written)."""
+    """Serialize a Fraction as ``"p/q"`` (denominator always written);
+    TypeError for a value that is not an exact rational."""
     f = rat(value)
     return f"{f.numerator}/{f.denominator}"
 
@@ -157,16 +160,3 @@ def read_scaled(rows: Iterable[Iterable]) -> Scaled:
     pairs = [[_reduced(c) for c in row] for row in rows]
     L = lcm(*(q for row in pairs for _, q in row))
     return Scaled(L, [tuple(p * (L // q) for p, q in row) for row in pairs])
-
-
-def read_json_rows(data: dict, key: str) -> Scaled:
-    """read_scaled of data[key], a JSON value that must be an array of
-    arrays (a string or an object would iterate as a row of scalars)."""
-    rows = data[key]
-    if type(rows) is not list or any(type(row) is not list for row in rows):
-        raise ValueError(f'"{key}" must be an array of arrays of scalars')
-    return read_scaled(rows)
-
-
-def point_strs(p: Sequence[Fraction]) -> list:
-    return [rat_str(v) for v in p]

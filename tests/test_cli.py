@@ -1,4 +1,5 @@
 """The command line front end: exit codes, JSON shape, and byte stability."""
+import ast
 import contextlib
 import hashlib
 import io
@@ -195,6 +196,30 @@ LP_WITNESS_SHA256 = {
 def test_lp_witness_bytes_are_pinned(capsys):
     for argv, digest in LP_WITNESS_SHA256.items():
         code, _, out = run(capsys, *argv)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest, argv
+
+
+# a point configuration whose scalars mix JSON integers, "p/q" strings and
+# a padded " 1/2 "
+MIXED_CONFIG = {"d": 2, "points": [[0, "1/3"], [" 1/2 ", 2], ["-3/4", "5/2"], [3, " 1/2 "],
+                                   ["7/5", -1], [-2, "-2/3"], ["1/6", 4]]}
+
+# sha256 of the stdout of `probe` and of `--input` runs on MIXED_CONFIG, as
+# printed when each layer still wrote its own JSON records
+RECORD_SHA256 = {
+    ("probe", "--d", "1", "--r", "3"): "7000ea6daaa81f683deaa134ecf3e1656e01bf2c8cdf0ad744a2c1d6e8e4eb6c",
+    ("probe", "--d", "2", "--r", "2"): "0657288d1f799ac6aecaac678d537e3889a21a36576b7e2eab2d2768486f76ba",
+    ("centerpoint", "--r", "2", "--input"): "bc30718b47b4852a91ca82ca513135cd3272a0c052b33f0a1555f585f37b5040",
+    ("tverberg", "--r", "3", "--input"): "0cac649f45e11dbb5ebc696d691e2d4803dcda2520fd4fb986e0b8d95b9b18e8",
+}
+
+
+def test_record_bytes_are_pinned(tmp_path, capsys):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(MIXED_CONFIG))
+    for argv, digest in RECORD_SHA256.items():
+        code, _, out = run(capsys, *argv, *([str(path)] if argv[-1] == "--input" else []))
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == digest, argv
 
@@ -467,7 +492,7 @@ def test_internal_errors_exit_three(monkeypatch, capsys):
         raise RuntimeError("depth certificate failed verification")
 
     # the depth step of centerpoint, tverberg and reduce, bounded below by the partition
-    monkeypatch.setattr("tverlab.depth._tukey_depth", broken)
+    monkeypatch.setattr("tverlab.depth.tukey_depth", broken)
     code, records, _ = run(capsys, "centerpoint", "--d", "1", "--r", "2", "--trials", "2")
     assert code == 3
     assert records == [
@@ -626,7 +651,7 @@ EXPORTED = """
     cross_polytope_sphere disjoint_union_index enumerate_disjoint_tuples
     facet_touching_check fiber_width_demo guaranteed_size h_polytope hind
     in_convex_hull interval_body iter_partitions lp_feasible
-    min_cover_barycentric min_cover_homothety point_config point_strs
+    min_cover_barycentric min_cover_homothety point_config
     probe_tverberg_plus_one random_point_config rat rat_str
     reduce_central_from_tverberg reduction_plan simplex standard_center
     standard_simplex_body strict_separator tukey_depth tverberg_partition
@@ -650,7 +675,7 @@ def test_every_exported_name_resolves():
     package imports no module until a name or module of it is used, and
     the CLI imports every layer (the benchmark's tracer wraps them all
     right after `import tverlab.cli`)."""
-    assert len(EXPORTED) == 59 and sorted(tverlab.__all__) == EXPORTED
+    assert len(EXPORTED) == 58 and sorted(tverlab.__all__) == EXPORTED
     modules = [getattr(tverlab, m) for m in (
         "complexes", "conemap", "cover", "depth", "exactlp", "rationals", "rng", "z2"
     )]
@@ -672,6 +697,23 @@ def test_every_exported_name_resolves():
     layers = ["complexes", "conemap", "cover", "depth", "exactlp", "z2"]
     loaded = tverlab_modules_after("import sys, tverlab.cli")
     assert set(f"tverlab.{layer}" for layer in layers) <= set(loaded)
+
+
+def test_the_file_formats_live_in_the_cli():
+    """The layers return records and Fractions, and `tverlab.cli` reads and
+    writes the files: no other module imports json (conemap's is the hash
+    input of its certificate digests), and no record writes itself."""
+    importers, writers = set(), set()
+    for path in Path(tverlab.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.FunctionDef) and node.name.startswith("to_record"):
+                writers.add(path.stem)
+            modules = ([alias.name for alias in node.names] if isinstance(node, ast.Import)
+                       else [node.module or ""] if isinstance(node, ast.ImportFrom) else [])
+            if any(m.split(".")[0] == "json" for m in modules):
+                importers.add(path.stem)
+    assert importers <= {"cli", "conemap"} and "cli" in importers
+    assert writers == set()
 
 
 def test_d_must_be_a_nonnegative_integer(tmp_path, capsys):

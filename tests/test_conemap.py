@@ -195,7 +195,13 @@ def test_build_counterexample_shape():
         build_counterexample(1, 1)
 
 
-def test_isolation_on_the_tripod():
+def cli_records(capsys, *argv) -> List[dict]:
+    """The records a successful command-line run prints."""
+    assert main(list(argv)) == 0
+    return [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+
+
+def test_isolation_on_the_tripod(capsys):
     report = verify_isolation(build_counterexample(1, 2))
     assert (report.d, report.r, report.m) == (1, 2, 2)
     assert len(report.rows) == 6
@@ -204,7 +210,7 @@ def test_isolation_on_the_tripod():
         assert row.isolated_index == row.small_indices[0]
         assert row.pair_checks == len(row.certificate_digests)
         assert all(len(dg) == 12 for dg in row.certificate_digests)
-    assert report.rows[0].to_record()["faces"] == [[0], [1]]
+    assert cli_records(capsys, "counterexample", "--d", "1", "--r", "2")[0]["faces"] == [[0], [1]]
 
 
 def test_isolation_failure_on_sabotaged_map():
@@ -216,12 +222,12 @@ def test_isolation_failure_on_sabotaged_map():
         verify_isolation(spec)
 
 
-def test_probe_finds_first_canonical_witness():
+def test_probe_finds_first_canonical_witness(capsys):
     result = probe_tverberg_plus_one(1, 2)
     assert result.found
     assert result.faces == ((0, 1), (2, 3))
     assert result.point == standard_center(3)
-    rec = result.to_record()
+    (rec,) = cli_records(capsys, "probe", "--d", "1", "--r", "2")
     assert rec["found"] and rec["point"] == ["1/4", "1/4", "1/4", "1/4"]
     with pytest.raises(ValueError):
         probe_tverberg_plus_one(1, 0)

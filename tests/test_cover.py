@@ -7,6 +7,7 @@ delta* = 1 - sum_i min_{p in S} p_i.  The facet-sum computation must
 reproduce this exactly, and match the homothety LP over (delta, t) in
 delta, translate and tight pairs.
 """
+import json
 from fractions import Fraction as F
 from itertools import permutations
 from math import comb, prod
@@ -31,6 +32,7 @@ from tverlab import (
     min_cover_homothety,
     standard_simplex_body,
 )
+from tverlab.cli import main
 from tverlab.rationals import integer_scaled
 
 from oracles import (
@@ -472,13 +474,17 @@ def test_grid_point_counts():
             assert sum(p) == 1 and all(c >= 0 for c in p)
 
 
-def test_fiber_demo_constant_map_needs_everything():
+def test_fiber_demo_constant_map_needs_everything(capsys):
     report = fiber_width_demo(1, constant_map, 3, label="constant")
     assert len(report.cells) == 1
     assert report.max_delta == 1
-    records = report.to_records()
-    assert records[0]["evidence"] == "constant"
-    assert records[1]["map"] == "constant"
+    assert report.label == "constant"
+    assert main(["fiber-demo", "--d", "1", "--trials", "3"]) == 0
+    records = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+    at = next(i for i, rec in enumerate(records) if rec.get("evidence") == "constant map")
+    header, *cells = records[at:]
+    assert header["max_delta"] == "1/1"
+    assert [(cell["map"], cell["count"]) for cell in cells] == [("constant map", 4)]
 
 
 def test_fiber_demo_projection_cells():

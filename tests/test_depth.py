@@ -4,11 +4,13 @@ import json
 import sys
 from fractions import Fraction as F
 from math import comb, factorial
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import tverlab.cli as cli_module
 import tverlab.depth as depth_module
 import tverlab.exactlp as exactlp_module
 
@@ -354,9 +356,17 @@ def test_reduce_requires_exact_cloud_size():
         reduce_central_from_tverberg(point_config(1, [[0], [1]]), 4)
 
 
-def test_config_json_round_trip():
+def input_config(tmp_path, text: str) -> PointConfig:
+    """The configuration the command line reads from an --input file."""
+    path = tmp_path / "config.json"
+    path.write_text(text)
+    (config,) = cli_module._configs(SimpleNamespace(input=str(path), d=None))
+    return config
+
+
+def test_config_json_round_trip(tmp_path):
     config = point_config(2, [[F(1, 2), 3], ["-2/5", 0]])
-    back = PointConfig.from_json('{"d": 2, "points": [["1/2", "3/1"], ["-2/5", "0/1"]]}')
+    back = input_config(tmp_path, '{"d": 2, "points": [["1/2", "3/1"], ["-2/5", "0/1"]]}')
     assert back == config
     assert back.points[1][0] == F(-2, 5)
 
@@ -495,8 +505,9 @@ def test_the_partition_search_scales_each_configuration_once(monkeypatch):
     assert len(solves_seen) > 5  # scans of many lengths
 
 
-def test_from_json_reads_each_scalar_once_without_a_string_parse():
-    """Ints and plain "p/q" strings are read into integers once; the
+def test_an_input_config_reads_each_scalar_once_without_a_string_parse(tmp_path):
+    """An --input configuration's ints and plain "p/q" strings are read
+    into integers once (`PointConfig.from_scaled` takes them); the
     Fractions are built from those integers, never from a string, and the
     read fills `scaled`.  Other scalars `rat` reads give the same values."""
     plain = [[3, "-1/2"], ["4/6", "0"], ["-7", 2], ["5/3", "10/4"]]
@@ -509,7 +520,7 @@ def test_from_json_reads_each_scalar_once_without_a_string_parse():
 
     F.__new__ = staticmethod(counted)
     try:
-        config = PointConfig.from_json(json.dumps({"d": 2, "points": plain}))
+        config = input_config(tmp_path, json.dumps({"d": 2, "points": plain}))
     finally:
         F.__new__ = new
     assert parsed == []
@@ -517,7 +528,7 @@ def test_from_json_reads_each_scalar_once_without_a_string_parse():
     assert config == point_config(2, plain)
     assert config.scaled == read_scaled(config.points)
     other = [[" 1/2 ", "0.25"], ["1e-1", "2/4"]]
-    config = PointConfig.from_json(json.dumps({"d": 2, "points": other}))
+    config = input_config(tmp_path, json.dumps({"d": 2, "points": other}))
     assert config == point_config(2, other)
     assert config.scaled == read_scaled(config.points)
 
@@ -557,7 +568,7 @@ def configs_with_a_depth_bound(draw):
 def test_any_true_lower_bound_gives_the_exhaustive_certificate(case):
     config, x, exhaustive = case
     for lower in range(exhaustive.depth + 1):
-        assert depth_module._tukey_depth(x, config, lower) == exhaustive
+        assert tukey_depth(x, config, lower) == exhaustive
 
 
 def test_a_depth_below_the_lower_bound_is_an_internal_error(monkeypatch, capsys, tmp_path):
