@@ -39,7 +39,8 @@ class SimplicialComplex:
 
     It keeps the given simplices, in canonical form, as `simplices`; its
     maximal ones (`facets`) and its sorted `vertices` are found on first
-    use, and `dim` is that of the longest given simplex."""
+    use, and `dim` is that of the longest given simplex.  Complexes
+    compare by identity."""
 
     def __init__(self, facets: Iterable[Iterable[int]]):
         self.simplices = {simplex(f) for f in facets}
@@ -63,18 +64,6 @@ class SimplicialComplex:
     @property
     def dim(self) -> int:
         return max(map(len, self.simplices)) - 1
-
-    def __eq__(self, other):
-        return isinstance(other, SimplicialComplex) and self.facets == other.facets
-
-    def __hash__(self):
-        return hash(self.facets)
-
-    def __repr__(self):
-        return (
-            f"SimplicialComplex(dim={self.dim}, "
-            f"vertices={len(self.vertices)}, facets={len(self.facets)})"
-        )
 
 
 def standard_center(m: int) -> Point:

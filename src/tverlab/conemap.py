@@ -31,7 +31,7 @@ from fractions import Fraction
 from typing import Dict, List, NamedTuple, Optional, Tuple
 
 from .complexes import Simplex, standard_center
-from .rationals import Point, integer_scaled, rat_str
+from .rationals import Point, rat_str, read_scaled
 
 
 class IsolationFailure(AssertionError):
@@ -127,7 +127,7 @@ def verify_isolation(spec: CounterexampleSpec) -> IsolationReport:
     IsolationFailure naming the tuple.  The sums are taken over integers:
     every image is scaled once by L, the lcm of the table's denominators,
     which is exact by construction."""
-    L, rows = integer_scaled(list(spec.images.values()))
+    L, rows = read_scaled(spec.images.values())
     scaled = dict(zip(spec.images, rows))
     unscaled = lambda v: rat_str(Fraction(v, L))
     image_cache: Dict[Simplex, List[Tuple[int, ...]]] = {}

@@ -33,7 +33,7 @@ import operator
 from fractions import Fraction
 from typing import Callable, Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
-from .rationals import Frozen, Point, bareiss_eliminate, integer_scaled, rat, read_scaled
+from .rationals import Frozen, Point, bareiss_eliminate, rat, read_scaled
 
 IntPoint = Tuple[int, ...]
 
@@ -72,7 +72,7 @@ class HPolytopeBody(Frozen):
             raise ValueError("need n+1 rows")
         scales, int_rows = [], []
         for a, b in self.rows:
-            l, (row,) = integer_scaled([a + (b,)])
+            l, (row,) = read_scaled([a + (b,)])
             scales.append(l)
             int_rows.append((row[:-1], row[-1]))
         found = _integer_inverse([a for a, _ in int_rows[:-1]])

@@ -31,9 +31,7 @@ from .exactlp import (
     common_point_with_weights,
     strict_separator,  # unused: perfbench/tests/test_bench_trace.py traces this binding
 )
-from .rationals import (
-    Frozen, Point, Scaled, bareiss_eliminate, integer_scaled, rat, read_scaled,
-)
+from .rationals import Frozen, Point, Scaled, bareiss_eliminate, rat, read_scaled
 from .rng import SplitMix64
 
 
@@ -122,8 +120,8 @@ def check_depth_certificate(cert: DepthCertificate, config: PointConfig) -> bool
     the configuration as scaled once (P/L), the point scaled to X/E, and
     (coeffs, offset) scaled by K to integers (a, a0): a.P + L a0 >= 0."""
     L, P = config.scaled
-    E, (X,) = integer_scaled([cert.point])
-    _, ((*a, a0),) = integer_scaled([(*cert.halfspace_coeffs, cert.halfspace_offset)])
+    E, (X,) = read_scaled([cert.point])
+    _, ((*a, a0),) = read_scaled([(*cert.halfspace_coeffs, cert.halfspace_offset)])
     inside = sum(sum(map(operator.mul, a, p)) + L * a0 >= 0 for p in P)
     return sum(map(operator.mul, a, X)) + E * a0 >= 0 and inside == cert.depth
 
@@ -206,7 +204,7 @@ def tukey_depth(x: Sequence, config: PointConfig, lower: Optional[int] = None) -
     if len(xx) != config.d:
         raise ValueError("point dimension mismatch")
     L, P = config.scaled
-    E, (X,) = integer_scaled([xx])
+    E, (X,) = read_scaled([xx])
     M = lcm(L, E)
     if M != L:
         P = [tuple(c * (M // L) for c in p) for p in P]
@@ -404,9 +402,9 @@ def check_tverberg_certificate(cert: TverbergCertificate, config: PointConfig) -
             or len(cert.point) != config.d):
         return False
     L, P = config.scaled
-    E, (X,) = integer_scaled([cert.point])
+    E, (X,) = read_scaled([cert.point])
     for block, ws in zip(cert.blocks, cert.weights):
-        K, (w,) = integer_scaled([ws])
+        K, (w,) = read_scaled([ws])
         if len(block) != len(w) or any(c < 0 for c in w) or sum(w) != K:
             return False
         for i in range(config.d):
@@ -428,18 +426,18 @@ def centerpoint(config: PointConfig, r: int) -> Optional[DepthCertificate]:
 
 
 def _depth_from_lifted_partition(
-    lifted: PointConfig, k: int, r: int, cert: TverbergCertificate
+    config: PointConfig, k: int, r: int, cert: TverbergCertificate
 ) -> DepthCertificate:
-    """Depth >= r of a partition's common point, from both sides.  Label i
-    of the k-fold lift is original point i // k, and every closed halfspace
-    through the point holds a lifted point of each block, so at least
-    ceil(#blocks / k) original points; tukey_depth's halfspace bounds it
-    from above, and its search stops where the two bounds meet.  The
-    certificate was checked where it was made."""
+    """Depth >= r in `config` of the common point of a partition of its
+    k-fold lift, from both sides.  Label i of the lift is point i // k of
+    `config`, and every closed halfspace through the point holds a lifted
+    point of each block, so at least ceil(#blocks / k) points of `config`;
+    tukey_depth's halfspace, found on `config` itself with its one scaling,
+    bounds it from above, and its search stops where the two bounds meet.
+    The certificate was checked where it was made."""
     lower = -(-len(cert.blocks) // k)
     if lower < r:
         raise RuntimeError(f"{len(cert.blocks)} blocks of a {k}-fold lift: depth < {r}")
-    config = lifted if k == 1 else PointConfig(lifted.d, lifted.points[::k])
     return tukey_depth(cert.point, config, lower)
 
 
@@ -514,4 +512,4 @@ def reduce_central_from_tverberg(config: PointConfig, r: int) -> DepthCertificat
         cert = tverberg_partition(lifted, plan.R)
     if not isinstance(cert, TverbergCertificate):
         raise RuntimeError("no Tverberg partition of the lifted cloud")
-    return _depth_from_lifted_partition(lifted, plan.k, r, cert)
+    return _depth_from_lifted_partition(config, plan.k, r, cert)

@@ -10,8 +10,9 @@ over one common denominator are eliminated by one fraction-free step,
 `bareiss_pivot`: the LP tableau pivots through it by Bland's rule, and
 `bareiss_eliminate`, the one fraction-free Gauss-Jordan, by column order
 for the points' affine dependency and the covering body's inverse.
-Input scalars (ints, Fractions, or strings `rat` reads) can be read
-straight into such integers with `read_scaled`, which builds no Fraction
+`read_scaled` is the one way from scalars to integers over one common
+denominator: it reads input scalars (ints, Fractions, or strings `rat`
+reads) and the Fractions of a certificate alike, and builds no Fraction
 for an int or a plain ``"p"`` or ``"p/q"`` string.  Serialized form is
 the string ``"p/q"``, which `rat_str`, the JSON encoder's hook in
 `tverlab.cli`, writes for every Fraction a record holds.  `Frozen` is the
@@ -24,7 +25,7 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Dict, Iterable, List, NamedTuple, Sequence, Tuple
+from typing import Dict, Iterable, List, NamedTuple, Tuple
 
 Point = Tuple[Fraction, ...]
 
@@ -81,13 +82,6 @@ def bareiss_eliminate(rows: List[List[int]], ncols: int) -> Tuple[int, Dict[int,
             D = bareiss_pivot(rows, i, j, D)
             pivots[j] = i
     return D, pivots
-
-
-def integer_scaled(vectors: Sequence[Sequence[Fraction]]) -> Tuple[int, List[Tuple[int, ...]]]:
-    """L, the lcm of the denominators of every entry, and each vector times
-    L as integers; L > 0 keeps every sign and order between entries."""
-    L = lcm(*(c.denominator for v in vectors for c in v))
-    return L, [tuple(c.numerator * (L // c.denominator) for c in v) for v in vectors]
 
 
 class Frozen:

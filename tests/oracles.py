@@ -5,8 +5,10 @@ a simplicial complex, the solid simplex and its skeleta, barycentric
 subdivision (of a complex and of a Z2 complex), the hull-membership scan
 over every q-point subset that restates Tukey depth, the partition search
 with an LP per candidate that passes the bounding box (no Farkas cuts) and
-the Fraction-built partition system, LP systems from Fraction rows and the
-kernel's integer certificates read as Fractions (and back), general-form
+the Fraction-built partition system, the lcm formula that scales Fractions
+to integers over one denominator (`integer_scaled`, which `read_scaled`
+is checked against), LP systems from Fraction rows and the kernel's
+integer certificates read as Fractions (and back), general-form
 LP rows (<= and ==) and the standard-form system the kernel reads them as,
 two maps of barycentric points of the standard simplex, and the argparse
 parser that the command line's table walk replaced.  Methods of the
@@ -20,6 +22,7 @@ import functools
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from tverlab import (
@@ -32,11 +35,10 @@ from tverlab import (
     cli,
     common_point_with_weights,
     in_convex_hull,
-    rat,
 )
 from tverlab.complexes import Simplex
 from tverlab.cover import _barycentric_scaled, _compositions
-from tverlab.rationals import Point, Scaled, integer_scaled
+from tverlab.rationals import Point, Scaled, rat
 
 
 # ---------------------------------------------------------------------------
@@ -46,9 +48,8 @@ from tverlab.rationals import Point, Scaled, integer_scaled
 @functools.lru_cache(maxsize=8)
 def _face_index(K: SimplicialComplex) -> Tuple[set, Dict[int, List[Simplex]]]:
     """Every face of K, and its faces of each dimension in lex order.  The
-    cache serves the repeated listings of one complex that an oracle makes;
-    equal complexes have the same faces, and callers copy what they hand
-    out."""
+    cache serves the repeated listings of one complex that an oracle makes
+    (complexes compare by identity), and callers copy what they hand out."""
     face_set = {
         face
         for s in K.simplices
@@ -271,6 +272,13 @@ def fraction_partition_system(blocks):
 # ---------------------------------------------------------------------------
 # Fraction rows and certificates, and the kernel's integer forms of them
 # ---------------------------------------------------------------------------
+
+def integer_scaled(vectors: Sequence[Sequence[Fraction]]) -> Tuple[int, List[Tuple[int, ...]]]:
+    """L, the lcm of the denominators of every entry, and each vector times
+    L as integers; L > 0 keeps every sign and order between entries."""
+    L = lcm(*(c.denominator for v in vectors for c in v))
+    return L, [tuple(c.numerator * (L // c.denominator) for c in v) for v in vectors]
+
 
 def fraction_system(n_vars: int, rows: Sequence[Tuple[Point, Fraction]]) -> LinearSystem:
     """The system of the Fraction rows (coeffs, rhs), each scaled to

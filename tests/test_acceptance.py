@@ -10,24 +10,22 @@ from fractions import Fraction as F
 from tverlab import (
     SplitMix64,
     centerpoint,
-    check_depth_certificate,
-    check_tverberg_certificate,
     cross_polytope_sphere,
     disjoint_union_index,
-    guaranteed_size,
     hind,
     min_cover_homothety,
     probe_tverberg_plus_one,
     random_point_config,
     reduce_central_from_tverberg,
     reduction_plan,
-    standard_simplex_body,
     build_counterexample,
     tukey_depth,
     tverberg_partition,
     verify_isolation,
 )
 from tverlab.cli import main
+from tverlab.cover import standard_simplex_body
+from tverlab.depth import check_depth_certificate, check_tverberg_certificate, guaranteed_size
 
 from oracles import barycentric_to_centered, hull_membership_depth, subset
 

@@ -641,21 +641,16 @@ def test_cli_import_needs_no_numpy():
 
 # The package's public names.
 EXPORTED = """
-    CounterexampleSpec CoverCertificate DepthCertificate
-    FiberReport FixedSimplexError HPolytopeBody INFEASIBLE IsolationFailure
-    IsolationReport LPOutcome LinearSystem OPTIMAL PointConfig ProbeResult
-    ReductionPlan SimplicialComplex SplitMix64 TverbergCertificate
-    UnboundedBodyError Z2Complex build_counterexample centerpoint
-    check_depth_certificate check_farkas check_tverberg_certificate check_witness
-    common_point_with_weights constant_map coordinate_projection_map
-    cross_polytope_sphere disjoint_union_index enumerate_disjoint_tuples
-    facet_touching_check fiber_width_demo guaranteed_size h_polytope hind
-    in_convex_hull interval_body iter_partitions lp_feasible
-    min_cover_barycentric min_cover_homothety point_config
-    probe_tverberg_plus_one random_point_config rat rat_str
-    reduce_central_from_tverberg reduction_plan simplex standard_center
-    standard_simplex_body strict_separator tukey_depth tverberg_partition
-    verify_isolation z2_disjoint_union
+    CoverCertificate DepthCertificate FixedSimplexError HPolytopeBody
+    LPOutcome LinearSystem PointConfig ProbeResult SimplicialComplex
+    SplitMix64 TverbergCertificate Z2Complex build_counterexample
+    centerpoint common_point_with_weights constant_map
+    coordinate_projection_map cross_polytope_sphere disjoint_union_index
+    facet_touching_check fiber_width_demo hind in_convex_hull interval_body
+    lp_feasible min_cover_barycentric min_cover_homothety point_config
+    probe_tverberg_plus_one random_point_config reduce_central_from_tverberg
+    reduction_plan strict_separator tukey_depth tverberg_partition
+    verify_isolation
 """.split()
 
 
@@ -675,7 +670,7 @@ def test_every_exported_name_resolves():
     package imports no module until a name or module of it is used, and
     the CLI imports every layer (the benchmark's tracer wraps them all
     right after `import tverlab.cli`)."""
-    assert len(EXPORTED) == 58 and sorted(tverlab.__all__) == EXPORTED
+    assert len(EXPORTED) == 36 and sorted(tverlab.__all__) == EXPORTED
     modules = [getattr(tverlab, m) for m in (
         "complexes", "conemap", "cover", "depth", "exactlp", "rationals", "rng", "z2"
     )]
@@ -697,6 +692,24 @@ def test_every_exported_name_resolves():
     layers = ["complexes", "conemap", "cover", "depth", "exactlp", "z2"]
     loaded = tverlab_modules_after("import sys, tverlab.cli")
     assert set(f"tverlab.{layer}" for layer in layers) <= set(loaded)
+
+
+def test_the_exports_are_what_callers_use():
+    """Each exported name is imported by a demo or named, in backticks, by
+    the README (`name`, `name(...)` or `tverlab.module.name`); a name that
+    only tests use is imported from its module."""
+    root = Path(__file__).parents[1]
+    imported = set()
+    for path in (root / "demos").glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "tverlab":
+                imported.update(alias.name for alias in node.names)
+    named = {
+        m.group(1).rsplit(".", 1)[-1]
+        for span in re.findall(r"`([^`\n]+)`", (root / "README.md").read_text())
+        for m in [re.match(r"\s*([A-Za-z_][\w.]*)", span)] if m
+    }
+    assert [name for name in tverlab.__all__ if name not in imported | named] == []
 
 
 def test_the_file_formats_live_in_the_cli():
@@ -794,7 +807,7 @@ def test_a_cover_input_builds_only_delta_and_the_translate(tmp_path, capsys):
 
     for key, pts in COVER_INPUTS.items():
         n = len(pts[0]) - 1
-        tverlab.standard_simplex_body(n)  # built and cached once per n
+        tverlab.cover.standard_simplex_body(n)  # built and cached once per n
         path.write_text(json.dumps({"barycentric_points": pts}))
         built.clear()
         Fraction.__new__ = staticmethod(counted)

@@ -8,12 +8,8 @@ from fractions import Fraction as F
 
 import pytest
 
-from tverlab import (
-    SimplicialComplex,
-    SplitMix64,
-    simplex,
-    standard_center,
-)
+from tverlab import SimplicialComplex, SplitMix64
+from tverlab.complexes import simplex, standard_center
 
 from oracles import (
     barycentric_subdivision,

@@ -14,18 +14,15 @@ from typing import Dict, Iterable, List, Sequence, Tuple
 import pytest
 
 from tverlab import (
-    IsolationFailure,
     SimplicialComplex,
     build_counterexample,
-    enumerate_disjoint_tuples,
     in_convex_hull,
     probe_tverberg_plus_one,
-    simplex,
-    standard_center,
     verify_isolation,
 )
 from tverlab.cli import main
-from tverlab.conemap import _build_map
+from tverlab.complexes import simplex, standard_center
+from tverlab.conemap import IsolationFailure, _build_map, enumerate_disjoint_tuples
 from tverlab.exactlp import common_point_with_weights
 from tverlab.rationals import Point
 

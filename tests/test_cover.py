@@ -18,28 +18,26 @@ from hypothesis import strategies as st
 
 import tverlab.cover
 from tverlab import (
-    OPTIMAL,
     SplitMix64,
-    UnboundedBodyError,
     constant_map,
     coordinate_projection_map,
     facet_touching_check,
     fiber_width_demo,
-    h_polytope,
     interval_body,
     lp_feasible,
     min_cover_barycentric,
     min_cover_homothety,
-    standard_simplex_body,
 )
 from tverlab.cli import main
-from tverlab.rationals import integer_scaled
+from tverlab.cover import UnboundedBodyError, h_polytope, standard_simplex_body
+from tverlab.exactlp import OPTIMAL
 
 from oracles import (
     barycentric_to_centered,
     eq,
     fraction_witness,
     grid_points_in_simplex,
+    integer_scaled,
     le,
     standard_form,
 )

@@ -19,17 +19,16 @@ from tverlab import (
     SplitMix64,
     TverbergCertificate,
     centerpoint,
-    check_depth_certificate,
-    check_tverberg_certificate,
-    guaranteed_size,
     in_convex_hull,
-    iter_partitions,
     point_config,
     random_point_config,
     reduce_central_from_tverberg,
     reduction_plan,
     tukey_depth,
     tverberg_partition,
+)
+from tverlab.depth import (
+    check_depth_certificate, check_tverberg_certificate, guaranteed_size, iter_partitions,
 )
 from tverlab.exactlp import check_farkas
 from tverlab.rationals import Scaled, read_scaled
@@ -356,6 +355,29 @@ def test_reduce_requires_exact_cloud_size():
         reduce_central_from_tverberg(point_config(1, [[0], [1]]), 4)
 
 
+def test_reduce_reads_depth_on_the_input_configuration(monkeypatch):
+    """The depth half of the certificate is found on the caller's own
+    configuration, whether the lift duplicates it (k = 2) or not (k = 1):
+    no copy of it is rebuilt and scaled again."""
+    seen = []
+    real = depth_module.tukey_depth
+
+    def recording(x, config, lower=None):
+        seen.append(config)
+        return real(x, config, lower)
+
+    monkeypatch.setattr("tverlab.depth.tukey_depth", recording)
+    rng = SplitMix64(2718)
+    for d, r, k in ((1, 4, 2), (2, 3, 1)):
+        plan = reduction_plan(r, d)
+        assert plan.k == k
+        config = random_point_config(d, plan.m + 1, rng, num_bound=6, den_bound=3)
+        seen.clear()
+        cert = reduce_central_from_tverberg(config, r)
+        assert cert.depth >= r
+        assert len(seen) == 1 and seen[0] is config
+
+
 def input_config(tmp_path, text: str) -> PointConfig:
     """The configuration the command line reads from an --input file."""
     path = tmp_path / "config.json"
@@ -460,14 +482,13 @@ def test_integer_certificate_checks_agree_with_the_fraction_checks():
 
 
 def test_the_partition_search_scales_each_configuration_once(monkeypatch):
-    """However many candidates tverberg_partition scans, the configuration
-    is read into integers once and the depth module calls integer_scaled
-    r + 1 times (the certificate check's point and its r weight tuples).
-    The kernel scales nothing per solve: it binds no integer_scaled, and
-    every block it reads is already Scaled.  The r = 2 configurations go
-    through the search, with their Radon step off."""
+    """However many candidates tverberg_partition scans, the configuration's
+    points reach read_scaled once, and the depth module calls it 1 + (r + 1)
+    times in all (the points, then the certificate check's point and its r
+    weight tuples).  The kernel scales nothing per solve: every block it
+    reads is already Scaled.  The r = 2 configurations go through the
+    search, with their Radon step off."""
     monkeypatch.setattr("tverlab.depth._radon_partition", lambda config: None)
-    assert not hasattr(exactlp_module, "integer_scaled")
     unread = []
     read = exactlp_module.read_scaled
 
@@ -477,12 +498,11 @@ def test_the_partition_search_scales_each_configuration_once(monkeypatch):
         return read(rows)
 
     monkeypatch.setattr("tverlab.exactlp.read_scaled", reading)
-    calls = {"tverlab.depth.integer_scaled": 0, "tverlab.depth.read_scaled": 0,
-             "tverlab.exactlp.lp_feasible": 0}
+    calls = {"tverlab.depth.read_scaled": [], "tverlab.exactlp.lp_feasible": []}
 
     def counting(name, fn):
         def counted(*args):
-            calls[name] += 1
+            calls[name].append(args)
             return fn(*args)
         return counted
 
@@ -494,13 +514,13 @@ def test_the_partition_search_scales_each_configuration_once(monkeypatch):
         rng = SplitMix64(100 * d + r)
         for _ in range(10):
             config = random_point_config(d, guaranteed_size(d, r), rng, num_bound=6, den_bound=3)
-            for name in calls:
-                calls[name] = 0
+            for seen in calls.values():
+                seen.clear()
             assert tverberg_partition(config, r) is not None
-            solves = calls["tverlab.exactlp.lp_feasible"]
-            solves_seen.add(solves)
-            assert calls["tverlab.depth.read_scaled"] == 1
-            assert calls["tverlab.depth.integer_scaled"] == r + 1
+            solves_seen.add(len(calls["tverlab.exactlp.lp_feasible"]))
+            reads = [rows for rows, in calls["tverlab.depth.read_scaled"]]
+            assert sum(rows is config.points for rows in reads) == 1
+            assert len(reads) == 1 + (r + 1)
     assert unread == []
     assert len(solves_seen) > 5  # scans of many lengths
 

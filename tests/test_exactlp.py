@@ -16,14 +16,9 @@ from hypothesis import strategies as st
 
 import tverlab.exactlp
 from tverlab import (
-    INFEASIBLE,
-    OPTIMAL,
     LinearSystem,
     SplitMix64,
-    check_farkas,
-    check_witness,
     common_point_with_weights,
-    guaranteed_size,
     in_convex_hull,
     lp_feasible,
     random_point_config,
@@ -32,6 +27,8 @@ from tverlab import (
     strict_separator,
     tverberg_partition,
 )
+from tverlab.depth import guaranteed_size
+from tverlab.exactlp import INFEASIBLE, OPTIMAL, check_farkas, check_witness
 from tverlab.rationals import Scaled
 
 from oracles import (

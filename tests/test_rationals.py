@@ -1,16 +1,16 @@
 """read_scaled, the reader of input scalars, against rat followed by
-integer_scaled: the same integers for every scalar rat reads, and the same
-exception and message, in the same row-major order, for every one it
-rejects.  bareiss_pivot and bareiss_eliminate against Fraction
+the lcm formula (`oracles.integer_scaled`): the same integers for every
+scalar rat reads, and the same exception and message, in the same
+row-major order, for every one it rejects.  bareiss_pivot and bareiss_eliminate against Fraction
 Gauss-Jordan elimination."""
 from fractions import Fraction as F
 
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from tverlab.rationals import (
-    Scaled, bareiss_eliminate, bareiss_pivot, integer_scaled, rat, read_scaled,
-)
+from tverlab.rationals import Scaled, bareiss_eliminate, bareiss_pivot, rat, read_scaled
+
+from oracles import integer_scaled
 
 numerators = st.integers(-10**9, 10**9)
 denominators = st.integers(1, 10**6)

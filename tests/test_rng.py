@@ -2,7 +2,8 @@ from fractions import Fraction as F
 
 import pytest
 
-from tverlab import SplitMix64, rat, rat_str
+from tverlab import SplitMix64
+from tverlab.rationals import rat, rat_str
 
 
 def test_splitmix_reference_stream():

@@ -26,10 +26,9 @@ from tverlab import (
     cross_polytope_sphere,
     disjoint_union_index,
     hind,
-    z2_disjoint_union,
 )
 from tverlab.complexes import Simplex
-from tverlab.z2 import _components, _gf2_solvable
+from tverlab.z2 import _components, _gf2_solvable, z2_disjoint_union
 
 from oracles import (
     barycentric_subdivision,
