@@ -9,23 +9,23 @@
 from fractions import Fraction as F
 
 from tverlab import (
+    PointConfig,
     SplitMix64,
     centerpoint,
-    point_config,
     random_point_config,
     tukey_depth,
     tverberg_partition,
 )
 
 # the smallest interesting case: three collinear points, r = 2
-line = point_config(1, [[0], [1], [2]])
+line = PointConfig(1, [[0], [1], [2]])
 cert = tverberg_partition(line, 2)
 print("three points on a line, r=2")
 print("  blocks:", cert.blocks)          # ((0, 2), (1,))
 print("  common point:", cert.point)     # the middle point
 
 # the four corners of a square meet at the center
-square = point_config(2, [[0, 0], [1, 0], [0, 1], [1, 1]])
+square = PointConfig(2, [[0, 0], [1, 0], [0, 1], [1, 1]])
 cert = tverberg_partition(square, 2)
 print("square corners, r=2")
 print("  blocks:", cert.blocks)          # the two diagonals

@@ -7,7 +7,7 @@ times, the 14 lifted points are split into R=7 blocks (7 is prime and
 R = k(r-1)+1), and the common point of the block hulls lands in every
 hull of q = d(r-1)+1 originals -- which pins its depth at >= 4.
 """
-from tverlab import point_config, random_point_config, reduction_plan, \
+from tverlab import PointConfig, random_point_config, reduction_plan, \
     reduce_central_from_tverberg, SplitMix64
 
 plan = reduction_plan(4, 1)
@@ -16,7 +16,7 @@ print(f"  duplicate k={plan.k} times, partition into R={plan.R} blocks")
 print(f"  cloud size m+1={plan.m + 1}, lifted size M+1={plan.M + 1}")
 assert plan.M + 1 == plan.k * (plan.m + 1)
 
-config = point_config(1, [[i] for i in range(7)])
+config = PointConfig(1, [[i] for i in range(7)])
 cert = reduce_central_from_tverberg(config, 4)
 print(f"integers 0..6: derived point {cert.point[0]} with depth {cert.depth}")
 

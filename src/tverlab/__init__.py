@@ -41,7 +41,6 @@ _EXPORTS = {
         "PointConfig",
         "TverbergCertificate",
         "centerpoint",
-        "point_config",
         "random_point_config",
         "reduce_central_from_tverberg",
         "reduction_plan",
@@ -52,7 +51,6 @@ _EXPORTS = {
         "LinearSystem",
         "LPOutcome",
         "common_point_with_weights",
-        "in_convex_hull",
         "lp_feasible",
         "strict_separator",
     ),

@@ -76,7 +76,7 @@ def _configs(args) -> List[depth.PointConfig]:
         d = data["d"]
         if type(d) is not int or d < 0:
             raise ValueError('"d" must be a nonnegative integer')
-        config = depth.PointConfig.from_scaled(d, _json_rows(data, "points"))
+        config = depth.PointConfig(d, _json_rows(data, "points"))
         if args.d is not None and args.d != config.d:
             raise ValueError(f'--d {args.d} differs from the input\'s "d" {config.d}')
         return [config]

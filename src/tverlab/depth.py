@@ -13,11 +13,12 @@ already hold: the depth recursion behind a partition stops at the first
 halfspace that holds no more points than the blocks guarantee, and the
 partition scan settles a candidate by LP only when neither the blocks'
 coordinate ranges nor the Farkas certificate of an earlier failed
-candidate separate its blocks.  A configuration is scaled to integers once
-(`PointConfig.scaled`); the depth recursion, the affine dependency, the
-partition screens, each candidate's LP rows and both certificate checks
-read that one scaling, which `PointConfig.from_scaled` takes as read
-(`tverlab.cli` reads --input files; this module knows no file format).
+candidate separate its blocks.  A configuration is its points scaled to
+integers once (`PointConfig.scaled`); the depth recursion, the affine
+dependency, the partition screens, each candidate's LP rows and both
+certificate checks read that one scaling, and none of them builds the
+configuration's `Fraction`s (`tverlab.cli` reads --input files; this
+module knows no file format).
 """
 from __future__ import annotations
 
@@ -38,40 +39,28 @@ from .rng import SplitMix64
 class PointConfig(Frozen):
     """A labeled list of exact rational points in R^d (labels 0..n-1).
 
-    `scaled` holds the points scaled to integers once, by the lcm L of
-    their denominators; it is computed on first use and is not a field,
-    so equality, hashing and repr ignore it."""
+    The points are read once, by `read_scaled` (a `Scaled` value is taken
+    as already read), into `scaled`: integer rows over one positive scale
+    L, which every routine here reads.  It is not a field, so equality,
+    hashing and repr ignore it; the field `points`, their `Fraction`s, is
+    built from those integers on first read."""
 
     _fields = ("d", "points")
 
-    def __init__(self, d: int, points: Tuple[Point, ...]):
-        for p in points:
-            if len(p) != d:
-                raise ValueError("point dimension mismatch")
-        vars(self).update(d=d, points=points)
+    def __init__(self, d: int, points: Union[Scaled, Sequence[Sequence]]):
+        scaled = read_scaled(points)
+        if any(len(p) != d for p in scaled.rows):
+            raise ValueError("point dimension mismatch")
+        vars(self).update(d=d, scaled=scaled)
 
     @property
     def n(self) -> int:
-        return len(self.points)
+        return len(self.scaled.rows)
 
     @functools.cached_property
-    def scaled(self) -> Scaled:
-        return read_scaled(self.points)
-
-    @classmethod
-    def from_scaled(cls, d: int, scaled: Scaled) -> "PointConfig":
-        """The configuration of the points scaled.rows / scaled.scale, as
-        `read_scaled` gives them (scale the lcm of their denominators):
-        their Fractions are built from those integers, and `scaled` fills
-        the cache."""
-        L = scaled.scale
-        config = cls(d, tuple(tuple(Fraction(c, L) for c in p) for p in scaled.rows))
-        vars(config)["scaled"] = scaled
-        return config
-
-
-def point_config(d: int, points: Sequence[Sequence]) -> PointConfig:
-    return PointConfig(d, tuple(tuple(rat(c) for c in p) for p in points))
+    def points(self) -> Tuple[Point, ...]:
+        L, rows = self.scaled
+        return tuple(tuple(Fraction(c, L) for c in p) for p in rows)
 
 
 def random_point_config(
@@ -478,11 +467,12 @@ def reduction_plan(r: int, d: int) -> ReductionPlan:
 
 
 def _lifted_partition_1d(
-    points: Sequence[Point], R: int
+    points: Sequence[Tuple[int, ...]], R: int
 ) -> Tuple[Tuple[int, ...], ...]:
     """An R-part Tverberg partition on a line: pair the i-th smallest with
     the i-th largest for i < R, and pool the middle.  Every block's hull
-    contains the median, so the hulls intersect."""
+    contains the median, so the hulls intersect.  The points are integers
+    over one positive scale, which keeps their order."""
     order = sorted(range(len(points)), key=lambda i: (points[i][0], i))
     blocks = []
     for i in range(R - 1):
@@ -495,19 +485,21 @@ def _lifted_partition_1d(
 def reduce_central_from_tverberg(config: PointConfig, r: int) -> DepthCertificate:
     """Depth >= r certificate via an R-part partition of the k-fold lift.
 
-    Duplicates each point k times (distinct labels, identical coordinates)
-    and partitions the lifted cloud into R = k(r-1)+1 prime parts whose
-    hulls share a point: on a line by pairing from both ends, elsewhere by
-    the canonical search.  The R blocks prove depth >= ceil(R/k) = r."""
+    Duplicates each integer row of `config.scaled` k times, over the same
+    scale (distinct labels, identical coordinates), and partitions the
+    lifted cloud into R = k(r-1)+1 prime parts whose hulls share a point:
+    on a line by pairing from both ends, elsewhere by the canonical
+    search.  The R blocks prove depth >= ceil(R/k) = r."""
     d = config.d
     plan = reduction_plan(r, d)
     if config.n != plan.m + 1:
         raise ValueError(
             f"reduction expects exactly m+1 = {plan.m + 1} points, got {config.n}"
         )
-    lifted = PointConfig(d, tuple(p for p in config.points for _ in range(plan.k)))
+    L, P = config.scaled
+    lifted = PointConfig(d, Scaled(L, [p for p in P for _ in range(plan.k)]))
     if d == 1:
-        cert = _partition_certificate(lifted, _lifted_partition_1d(lifted.points, plan.R))
+        cert = _partition_certificate(lifted, _lifted_partition_1d(lifted.scaled.rows, plan.R))
     else:
         cert = tverberg_partition(lifted, plan.R)
     if not isinstance(cert, TverbergCertificate):

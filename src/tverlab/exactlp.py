@@ -18,8 +18,8 @@ re-verified against the integer rows before it is returned:
                    the rows (A_i, B_i) to  c . x == t  with every
                    c_j >= 0 and t < 0, which no x >= 0 satisfies.
 
-`Fraction`s are built only by the functions that hand values to callers:
-`in_convex_hull`, `strict_separator` and `common_point_with_weights`.
+`Fraction`s are built only by the two functions that hand values to
+callers: `strict_separator` and `common_point_with_weights`.
 Problem sizes here are tiny (tens of variables), which is the regime
 where exact tableau simplex is perfectly practical.
 """
@@ -265,13 +265,6 @@ def _hull_membership(p: Sequence, points: Sequence[Sequence]) -> Tuple[LinearSys
         rows.append((L // g, tuple(c // g for c in coeffs), x // g))
     system = LinearSystem(len(P), rows)
     return system, lp_feasible(system)
-
-
-def in_convex_hull(p: Sequence, points: Sequence[Sequence]) -> Optional[Point]:
-    """Exact convex weights writing p from the given points, or None if p
-    is outside their hull."""
-    _, out = _hull_membership(p, points)
-    return None if out.witness is None else _fractions(out.witness, out.denominator)
 
 
 def common_point_with_weights(

@@ -86,9 +86,10 @@ def bareiss_eliminate(rows: List[List[int]], ncols: int) -> Tuple[int, Dict[int,
 
 class Frozen:
     """A value whose fields, named in `_fields`, its __init__ sets once
-    (through `vars(self)`): ==, hash and repr read those fields only, so
-    whatever else the instance caches is ignored, and assigning or
-    deleting an attribute raises AttributeError."""
+    (through `vars(self)`), or a `functools.cached_property` derives on
+    first read: ==, hash and repr read those fields only, so whatever else
+    the instance keeps is ignored, and assigning or deleting an attribute
+    raises AttributeError."""
 
     _fields: Tuple[str, ...] = ()
 

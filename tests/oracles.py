@@ -2,10 +2,11 @@
 
 None of them is run by the command line or the demos: the face listing of
 a simplicial complex, the solid simplex and its skeleta, barycentric
-subdivision (of a complex and of a Z2 complex), the hull-membership scan
-over every q-point subset that restates Tukey depth, the partition search
-with an LP per candidate that passes the bounding box (no Farkas cuts) and
-the Fraction-built partition system, the lcm formula that scales Fractions
+subdivision (of a complex and of a Z2 complex), convex-hull membership
+with its weights and the scan of it over every q-point subset that
+restates Tukey depth, the partition search with an LP per candidate that
+passes the bounding box (no Farkas cuts) and the Fraction-built
+partition system, the lcm formula that scales Fractions
 to integers over one denominator (`integer_scaled`, which `read_scaled`
 is checked against), LP systems from Fraction rows and the kernel's
 integer certificates read as Fractions (and back), general-form
@@ -34,8 +35,8 @@ from tverlab import (
     Z2Complex,
     cli,
     common_point_with_weights,
-    in_convex_hull,
 )
+from tverlab import exactlp
 from tverlab.complexes import Simplex
 from tverlab.cover import _barycentric_scaled, _compositions
 from tverlab.rationals import Point, Scaled, rat
@@ -175,6 +176,13 @@ def subdivide_z2(X: Z2Complex) -> Z2Complex:
 # ---------------------------------------------------------------------------
 # depth
 # ---------------------------------------------------------------------------
+
+def in_convex_hull(p: Sequence, points: Sequence[Sequence]) -> Optional[Point]:
+    """Exact convex weights writing p from the given points, or None if p
+    is outside their hull."""
+    _, out = exactlp._hull_membership(p, points)
+    return None if out.witness is None else exactlp._fractions(out.witness, out.denominator)
+
 
 def subset(config: PointConfig, labels: Sequence[int]) -> List[Point]:
     return [config.points[i] for i in labels]

@@ -439,6 +439,9 @@ def test_usage_errors_exit_two(capsys):
         (["fiber-demo", "--trials", "2"], "fiber-demo: need --d"),
         (["hind", "--m", "-1"], "hind: --m must be at least 0"),
         (["hind", "--sphere", "-1"], "hind: --sphere must be at least 0"),
+        # the layers' own checks of their parameters
+        (["reduce", "--d", "1", "--r", "1"], "reduce: reduction needs r >= 2"),
+        (["reduce", "--d", "0", "--r", "3"], "reduce: dimension must be positive"),
     ):
         with pytest.raises(SystemExit) as e:
             main(argv)
@@ -501,10 +504,47 @@ def test_internal_errors_exit_three(monkeypatch, capsys):
     assert "Traceback" not in capsys.readouterr().err
 
 
+def test_a_falsified_claim_exits_one_with_its_record(monkeypatch, tmp_path, capsys):
+    """Exit 1 exactly when a record says "ok": false: each subcommand's
+    claim, falsified by a patched layer, is printed as its record, and
+    nothing goes to stderr."""
+    build = tverlab.conemap.build_counterexample
+
+    def collapsed(d, r):  # the vertex (2,) sent to the barycenter, as faces of dim >= d are
+        spec = build(d, r)
+        spec.images[(2,)] = spec.center
+        return spec
+
+    path = tmp_path / "interior.json"
+    path.write_text(json.dumps({"barycentric_points": [["1/3", "1/3", "1/3"], ["1/2", "1/4", "1/4"]]}))
+    cases = [
+        ("tverlab.z2.hind", lambda X: 0, ["hind", "--m", "2"],
+         [{"expected": 2, "hind": 0, "ok": False, "sphere": 2}]),
+        ("tverlab.conemap.build_counterexample", collapsed, ["counterexample", "--d", "1", "--r", "2"],
+         [{"error": "tuple ((2,), (0, 1)): predicted-isolated face (2,) is not separated from "
+                    "(0, 1): h = 1/3 at the vertex image (1/3, 1/3, 1/3) of (0, 1), not below 1/3",
+           "ok": False}]),
+        ("tverlab.depth.tverberg_partition", lambda config, r: None,
+         ["centerpoint", "--d", "1", "--r", "2", "--trials", "1"],
+         [{"depth": None, "n": 3, "ok": False, "point": None, "r": 2, "trial": 0}]),
+        ("tverlab.cover.touches_all_facets", lambda pts: True, ["cover", "--input", str(path)],
+         [{"delta": "1/6", "ok": False, "tight": [[0, 0], [1, 1], [1, 2]],
+           "touches_all_facets": True, "translate": ["1/18", "-1/36"]}]),
+    ]
+    for target, patched, argv, expected in cases:
+        with monkeypatch.context() as m:
+            m.setattr(target, patched)
+            code = main(argv)
+        captured = capsys.readouterr()
+        assert code == 1, argv
+        assert [json.loads(line) for line in captured.out.splitlines()] == expected
+        assert captured.err == ""
+
+
 def test_a_failed_partition_check_is_an_internal_error(monkeypatch, capsys):
     monkeypatch.setattr("tverlab.depth.check_tverberg_certificate", lambda *args: False)
     with pytest.raises(RuntimeError, match="partition certificate"):
-        tverlab.depth.tverberg_partition(tverlab.point_config(1, [[0], [1], [2]]), 2)
+        tverlab.depth.tverberg_partition(tverlab.PointConfig(1, [[0], [1], [2]]), 2)
     code, records, _ = run(capsys, "tverberg", "--d", "1", "--r", "2", "--trials", "2")
     assert code == 3
     assert records == [
@@ -646,9 +686,9 @@ EXPORTED = """
     SplitMix64 TverbergCertificate Z2Complex build_counterexample
     centerpoint common_point_with_weights constant_map
     coordinate_projection_map cross_polytope_sphere disjoint_union_index
-    facet_touching_check fiber_width_demo hind in_convex_hull interval_body
-    lp_feasible min_cover_barycentric min_cover_homothety point_config
-    probe_tverberg_plus_one random_point_config reduce_central_from_tverberg
+    facet_touching_check fiber_width_demo hind interval_body lp_feasible
+    min_cover_barycentric min_cover_homothety probe_tverberg_plus_one
+    random_point_config reduce_central_from_tverberg
     reduction_plan strict_separator tukey_depth tverberg_partition
     verify_isolation
 """.split()
@@ -670,7 +710,7 @@ def test_every_exported_name_resolves():
     package imports no module until a name or module of it is used, and
     the CLI imports every layer (the benchmark's tracer wraps them all
     right after `import tverlab.cli`)."""
-    assert len(EXPORTED) == 36 and sorted(tverlab.__all__) == EXPORTED
+    assert len(EXPORTED) == 34 and sorted(tverlab.__all__) == EXPORTED
     modules = [getattr(tverlab, m) for m in (
         "complexes", "conemap", "cover", "depth", "exactlp", "rationals", "rng", "z2"
     )]
@@ -877,6 +917,8 @@ def test_malformed_involution_entries_are_a_usage_error(tmp_path, capsys):
     cases = {
         '{"a": 1, "1": 0}': "\"involution\" key 'a' is not an integer vertex id",
         '{"0": [1], "1": 0}': "involution vertex ids must be integers",
+        '{"0": 0, "1": 2}': "involution must be a permutation of the vertices",
+        '{"0": 1, "1": 1}': "involution must be a permutation of the vertices",
     }
     for involution, message in cases.items():
         path.write_text('{"maximal_simplices": [[0], [1]], "involution": %s}' % involution)

@@ -16,7 +16,6 @@ import pytest
 from tverlab import (
     SimplicialComplex,
     build_counterexample,
-    in_convex_hull,
     probe_tverberg_plus_one,
     verify_isolation,
 )
@@ -33,6 +32,7 @@ from oracles import (
     full_simplex,
     grid_points_in_simplex,
     has_face,
+    in_convex_hull,
 )
 
 

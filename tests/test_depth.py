@@ -19,8 +19,6 @@ from tverlab import (
     SplitMix64,
     TverbergCertificate,
     centerpoint,
-    in_convex_hull,
-    point_config,
     random_point_config,
     reduce_central_from_tverberg,
     reduction_plan,
@@ -39,6 +37,7 @@ from oracles import (
     cut_free_tverberg_partition,
     fraction_partition_system,
     hull_membership_depth,
+    in_convex_hull,
     integer_multipliers,
     subset,
 )
@@ -63,7 +62,7 @@ def test_depth_on_the_line_matches_counting():
     for _ in range(60):
         n = rng.int_between(1, 7)
         values = [F(rng.int_between(-5, 5)) for _ in range(n)]
-        config = point_config(1, [[v] for v in values])
+        config = PointConfig(1, [[v] for v in values])
         x = F(rng.int_between(-6, 6))
         cert = tukey_depth((x,), config)
         assert cert.depth == depth_1d(x, values)
@@ -71,17 +70,17 @@ def test_depth_on_the_line_matches_counting():
 
 
 def test_depth_spot_values_in_the_plane():
-    square = point_config(2, [[0, 0], [1, 0], [0, 1], [1, 1]])
+    square = PointConfig(2, [[0, 0], [1, 0], [0, 1], [1, 1]])
     assert tukey_depth((F(1, 2), F(1, 2)), square).depth == 2
     assert tukey_depth((F(0), F(0)), square).depth == 1
     assert tukey_depth((F(5), F(5)), square).depth == 0
 
-    tri = point_config(2, [[0, 0], [1, 0], [0, 1]])
+    tri = PointConfig(2, [[0, 0], [1, 0], [0, 1]])
     assert tukey_depth((F(1, 3), F(1, 3)), tri).depth == 1
 
 
 def test_depth_certificate_halfspace_is_tight():
-    config = point_config(1, [[0], [1], [2], [3], [4]])
+    config = PointConfig(1, [[0], [1], [2], [3], [4]])
     cert = tukey_depth((F(2),), config)
     assert cert.depth == 3
     # the certifying halfspace contains x and exactly `depth` points
@@ -177,17 +176,17 @@ def test_depth_runs_no_lp(monkeypatch):
         raise AssertionError("tukey_depth must not solve an LP")
 
     monkeypatch.setattr("tverlab.exactlp._Tableau.__init__", no_lp)
-    cube = point_config(3, [[i, j, k] for i in (0, 2) for j in (0, 2) for k in (0, 2)])
+    cube = PointConfig(3, [[i, j, k] for i in (0, 2) for j in (0, 2) for k in (0, 2)])
     assert tukey_depth((F(1), F(1), F(1)), cube).depth == 4
     assert tukey_depth((F(0), F(0), F(0)), cube).depth == 1
-    square = point_config(2, [[0, 0], [1, 0], [0, 1], [1, 1], [0, 0]])
+    square = PointConfig(2, [[0, 0], [1, 0], [0, 1], [1, 1], [0, 0]])
     assert tukey_depth((F(1, 2), F(1, 2)), square).depth == 2
-    line = point_config(1, [[0], [1], [1], [2]])
+    line = PointConfig(1, [[0], [1], [1], [2]])
     assert tukey_depth((F(1),), line).depth == 3
 
 
 def test_depth_rejects_point_of_wrong_dimension():
-    line = point_config(1, [[0], [1], [2]])
+    line = PointConfig(1, [[0], [1], [2]])
     with pytest.raises(ValueError):
         tukey_depth((F(1), F(2)), line)
 
@@ -208,7 +207,7 @@ def test_partition_enumeration_order_and_counts():
 
 
 def test_tverberg_three_collinear_points():
-    config = point_config(1, [[0], [1], [2]])
+    config = PointConfig(1, [[0], [1], [2]])
     cert = tverberg_partition(config, 2)
     assert cert.blocks == ((0, 2), (1,))
     assert cert.point == (F(1),)
@@ -216,7 +215,7 @@ def test_tverberg_three_collinear_points():
 
 
 def test_tverberg_square_corners():
-    config = point_config(2, [[0, 0], [1, 0], [0, 1], [1, 1]])
+    config = PointConfig(2, [[0, 0], [1, 0], [0, 1], [1, 1]])
     cert = tverberg_partition(config, 2)
     assert cert.blocks == ((0, 3), (1, 2))
     assert cert.point == (F(1, 2), F(1, 2))
@@ -228,13 +227,13 @@ def test_tverberg_square_corners():
 
 
 def test_tverberg_none_when_impossible():
-    config = point_config(1, [[0], [1], [2]])
+    config = PointConfig(1, [[0], [1], [2]])
     assert tverberg_partition(config, 3) is None  # three distinct singletons
     assert tverberg_partition(config, 4) is None  # more parts than points
 
 
 def test_tampered_tverberg_certificate_rejected():
-    config = point_config(1, [[0], [1], [2]])
+    config = PointConfig(1, [[0], [1], [2]])
     cert = tverberg_partition(config, 2)
     wrong = type(cert)(blocks=cert.blocks, point=(F(7),), weights=cert.weights)
     assert not check_tverberg_certificate(wrong, config)
@@ -243,7 +242,7 @@ def test_tampered_tverberg_certificate_rejected():
 def test_tverberg_certificate_needs_one_weight_tuple_per_block():
     """Weights are zipped with blocks, so a short weight list must not
     leave blocks unchecked."""
-    config = point_config(1, [[0], [1], [2]])
+    config = PointConfig(1, [[0], [1], [2]])
     cert = tverberg_partition(config, 2)
     assert len(cert.blocks) == len(cert.weights) == 2
     short = type(cert)(blocks=cert.blocks, point=cert.point, weights=cert.weights[:1])
@@ -255,7 +254,7 @@ def test_tverberg_certificate_needs_one_weight_tuple_per_block():
 def test_tverberg_certificate_needs_nonnegative_weights():
     """Affine weights that sum to one and write the point are not convex
     weights: 1 = -1/2*0 + 2*1 - 1/2*2 certifies nothing."""
-    config = point_config(1, [[0], [1], [2]])
+    config = PointConfig(1, [[0], [1], [2]])
     convex = TverbergCertificate(((0, 1, 2),), (F(1),), ((F(1, 3),) * 3,))
     assert check_tverberg_certificate(convex, config)
     affine = TverbergCertificate(((0, 1, 2),), (F(1),), ((F(-1, 2), F(2), F(-1, 2)),))
@@ -296,7 +295,7 @@ def test_reduction_plans():
 
 
 def test_reduce_integer_line_r4():
-    config = point_config(1, [[i] for i in range(7)])
+    config = PointConfig(1, [[i] for i in range(7)])
     cert = reduce_central_from_tverberg(config, 4)
     assert cert.depth >= 4
     assert check_depth_certificate(cert, config)
@@ -304,7 +303,7 @@ def test_reduce_integer_line_r4():
 
 
 def test_reduce_prime_r_falls_back_to_plain_partition():
-    config = point_config(1, [[0], [1], [2], [3], [4]])
+    config = PointConfig(1, [[0], [1], [2], [3], [4]])
     cert = reduce_central_from_tverberg(config, 3)
     assert cert.point == (F(2),) and cert.depth == 3
 
@@ -345,14 +344,14 @@ def test_reduce_rejects_a_partition_with_too_few_blocks(monkeypatch):
         return tuple(sorted([tuple(sorted(first + second))] + rest))
 
     monkeypatch.setattr("tverlab.depth._lifted_partition_1d", merged)
-    config = point_config(1, [[i] for i in range(7)])
+    config = PointConfig(1, [[i] for i in range(7)])
     with pytest.raises(RuntimeError, match="depth < 4"):
         reduce_central_from_tverberg(config, 4)
 
 
 def test_reduce_requires_exact_cloud_size():
     with pytest.raises(ValueError):
-        reduce_central_from_tverberg(point_config(1, [[0], [1]]), 4)
+        reduce_central_from_tverberg(PointConfig(1, [[0], [1]]), 4)
 
 
 def test_reduce_reads_depth_on_the_input_configuration(monkeypatch):
@@ -378,6 +377,37 @@ def test_reduce_reads_depth_on_the_input_configuration(monkeypatch):
         assert len(seen) == 1 and seen[0] is config
 
 
+def test_the_depth_path_builds_no_fraction_of_a_configuration(monkeypatch):
+    """Partitions, centerpoints and the prime lift read a configuration's
+    integers alone: its `points` are never built.  The lift is the input's
+    integer rows, each repeated k times, over the input's own scale."""
+    lifts = []
+    real = depth_module._partition_certificate
+
+    def recording(config, blocks):
+        lifts.append(config)
+        return real(config, blocks)
+
+    monkeypatch.setattr("tverlab.depth._partition_certificate", recording)
+    rng = SplitMix64(1618)
+    for d, r in ((1, 2), (2, 2), (2, 3)):
+        config = random_point_config(d, guaranteed_size(d, r), rng, num_bound=6, den_bound=3)
+        assert tverberg_partition(config, r) is not None
+        assert centerpoint(config, r).depth >= r
+        assert "points" not in vars(config)
+    for d, r, k in ((1, 4, 2), (1, 6, 2), (2, 3, 1)):
+        plan = reduction_plan(r, d)
+        assert plan.k == k
+        config = random_point_config(d, plan.m + 1, rng, num_bound=6, den_bound=3)
+        lifts.clear()
+        assert reduce_central_from_tverberg(config, r).depth >= r
+        L, P = config.scaled
+        assert lifts and all(
+            lift.scaled == Scaled(L, [p for p in P for _ in range(k)]) for lift in lifts
+        )
+        assert all("points" not in vars(c) for c in (config, *lifts))
+
+
 def input_config(tmp_path, text: str) -> PointConfig:
     """The configuration the command line reads from an --input file."""
     path = tmp_path / "config.json"
@@ -387,7 +417,7 @@ def input_config(tmp_path, text: str) -> PointConfig:
 
 
 def test_config_json_round_trip(tmp_path):
-    config = point_config(2, [[F(1, 2), 3], ["-2/5", 0]])
+    config = PointConfig(2, [[F(1, 2), 3], ["-2/5", 0]])
     back = input_config(tmp_path, '{"d": 2, "points": [["1/2", "3/1"], ["-2/5", "0/1"]]}')
     assert back == config
     assert back.points[1][0] == F(-2, 5)
@@ -483,11 +513,12 @@ def test_integer_certificate_checks_agree_with_the_fraction_checks():
 
 def test_the_partition_search_scales_each_configuration_once(monkeypatch):
     """However many candidates tverberg_partition scans, the configuration's
-    points reach read_scaled once, and the depth module calls it 1 + (r + 1)
-    times in all (the points, then the certificate check's point and its r
-    weight tuples).  The kernel scales nothing per solve: every block it
-    reads is already Scaled.  The r = 2 configurations go through the
-    search, with their Radon step off."""
+    points reach read_scaled once, when it is built, and the search calls
+    it r + 1 times more (the certificate check's point and its r weight
+    tuples) and builds no Fraction of the configuration.  The kernel
+    scales nothing per solve: every block it reads is already Scaled.  The
+    r = 2 configurations go through the search, with their Radon step
+    off."""
     monkeypatch.setattr("tverlab.depth._radon_partition", lambda config: None)
     unread = []
     read = exactlp_module.read_scaled
@@ -513,23 +544,23 @@ def test_the_partition_search_scales_each_configuration_once(monkeypatch):
     for d, r in ((1, 2), (1, 3), (2, 2), (2, 3), (3, 2)):
         rng = SplitMix64(100 * d + r)
         for _ in range(10):
-            config = random_point_config(d, guaranteed_size(d, r), rng, num_bound=6, den_bound=3)
             for seen in calls.values():
                 seen.clear()
+            config = random_point_config(d, guaranteed_size(d, r), rng, num_bound=6, den_bound=3)
+            assert len(calls["tverlab.depth.read_scaled"]) == 1
             assert tverberg_partition(config, r) is not None
             solves_seen.add(len(calls["tverlab.exactlp.lp_feasible"]))
-            reads = [rows for rows, in calls["tverlab.depth.read_scaled"]]
-            assert sum(rows is config.points for rows in reads) == 1
-            assert len(reads) == 1 + (r + 1)
+            assert len(calls["tverlab.depth.read_scaled"]) == 1 + (r + 1)
+            assert "points" not in vars(config)
     assert unread == []
     assert len(solves_seen) > 5  # scans of many lengths
 
 
 def test_an_input_config_reads_each_scalar_once_without_a_string_parse(tmp_path):
     """An --input configuration's ints and plain "p/q" strings are read
-    into integers once (`PointConfig.from_scaled` takes them); the
-    Fractions are built from those integers, never from a string, and the
-    read fills `scaled`.  Other scalars `rat` reads give the same values."""
+    into integers once (`PointConfig` takes them as read); the Fractions
+    are built from those integers, never from a string, and only when
+    `points` is read.  Other scalars `rat` reads give the same values."""
     plain = [[3, "-1/2"], ["4/6", "0"], ["-7", 2], ["5/3", "10/4"]]
     parsed = []
     new = vars(F)["__new__"]
@@ -544,12 +575,12 @@ def test_an_input_config_reads_each_scalar_once_without_a_string_parse(tmp_path)
     finally:
         F.__new__ = new
     assert parsed == []
-    assert "scaled" in vars(config)
-    assert config == point_config(2, plain)
+    assert "scaled" in vars(config) and "points" not in vars(config)
+    assert config == PointConfig(2, plain)
     assert config.scaled == read_scaled(config.points)
     other = [[" 1/2 ", "0.25"], ["1e-1", "2/4"]]
     config = input_config(tmp_path, json.dumps({"d": 2, "points": other}))
-    assert config == point_config(2, other)
+    assert config == PointConfig(2, other)
     assert config.scaled == read_scaled(config.points)
 
 
@@ -600,7 +631,7 @@ def test_a_depth_below_the_lower_bound_is_an_internal_error(monkeypatch, capsys,
     monkeypatch.setattr("tverlab.depth._fewest_on_open_side", lambda W, d, stop: (0, [0] * d, 1))
     corners = [[0, 0], [2, 0], [0, 2], [2, 2]]
     with pytest.raises(RuntimeError, match="depth 0 below the proven lower bound 2"):
-        centerpoint(point_config(2, corners), 2)
+        centerpoint(PointConfig(2, corners), 2)
     path = tmp_path / "square.json"
     path.write_text(json.dumps({"d": 2, "points": corners}))
     for command in ("centerpoint", "tverberg"):
@@ -819,7 +850,7 @@ def test_a_kappa_that_is_not_the_oriented_dependency_is_rejected(monkeypatch, ca
     from tverlab.cli import main
 
     corners = [[0, 0], [2, 0], [0, 2], [2, 2]]
-    config = point_config(2, corners)
+    config = PointConfig(2, corners)
     assert depth_module._affine_dependency(config) == (1, -1, -1, 1)
     assert tverberg_partition(config, 2).blocks == ((0, 3), (1, 2))
     path = tmp_path / "square.json"

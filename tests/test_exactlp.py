@@ -19,7 +19,6 @@ from tverlab import (
     LinearSystem,
     SplitMix64,
     common_point_with_weights,
-    in_convex_hull,
     lp_feasible,
     random_point_config,
     reduce_central_from_tverberg,
@@ -39,6 +38,7 @@ from oracles import (
     fraction_partition_system,
     fraction_witness,
     hull_membership_depth,
+    in_convex_hull,
     integer_multipliers,
     integer_witness,
     le,

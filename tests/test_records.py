@@ -19,9 +19,9 @@ from tverlab.depth import (
     PointConfig,
     ReductionPlan,
     TverbergCertificate,
-    point_config,
 )
 from tverlab.exactlp import LPOutcome
+from tverlab.rationals import Scaled
 
 RECORDS = (
     LPOutcome, DepthCertificate, TverbergCertificate, ReductionPlan,
@@ -31,7 +31,8 @@ RECORDS = (
 
 
 def test_records_keep_their_reprs_equality_and_frozen_fields(monkeypatch):
-    config = point_config(1, [[0], ["1/2"]])
+    config = PointConfig(1, [[0], ["1/2"]])
+    assert config.scaled == Scaled(2, [(0,), (1,)]) and "points" not in vars(config)
     reprs = [
         (DepthCertificate((F(1, 2),), 1, (F(1),), F(-1, 2)),
          "DepthCertificate(point=(Fraction(1, 2),), depth=1, "
@@ -54,9 +55,11 @@ def test_records_keep_their_reprs_equality_and_frozen_fields(monkeypatch):
     for record, text in reprs:
         assert repr(record) == text
 
-    # the cached scaling and the body's derived integer form are not fields
+    # the kept scaling and the body's derived integer form are not fields;
+    # a configuration's points are built from its integers on first read
     fresh = PointConfig(config.d, config.points)
-    assert config.scaled and "scaled" in vars(config) and "scaled" not in vars(fresh)
+    assert "points" in vars(config) and "points" not in vars(fresh)
+    assert fresh.scaled == config.scaled and fresh.points == config.points
     assert config == fresh and hash(config) == hash(fresh) == hash((1, config.points))
     assert repr(config) == repr(fresh) and config != (config.d, config.points)
     body, again = interval_body(), h_polytope([((-1,), 0), ((1,), 1)])
@@ -64,7 +67,8 @@ def test_records_keep_their_reprs_equality_and_frozen_fields(monkeypatch):
     assert hash(body) == hash(again) == hash((1, body.rows))
     assert body != PointConfig(1, ()) and body.inverse == again.inverse
 
-    for record, field in [(config, "d"), (config, "scaled"), (body, "rows"), (body, "inverse")] + [
+    for record, field in [(config, "d"), (config, "points"), (config, "scaled"), (body, "rows"),
+                          (body, "inverse")] + [
         (cls(*[None] * len(cls._fields)), cls._fields[-1]) for cls in RECORDS
     ]:
         with pytest.raises(AttributeError):
