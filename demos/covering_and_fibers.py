@@ -1,7 +1,8 @@
 #!/usr/bin/env python3
 # How large a homothet of the simplex does a point set need?
 #
-# The covering radius delta* is exact, in closed form for a simplex body.
+# The covering radius delta* is exact, in closed form: one minus the sum,
+# over the coordinates, of the least value each takes on the set.
 # A set touching every facet of the simplex forces delta* >= 1: shrinking
 # is impossible once every coordinate vanishes somewhere in the set.
 
@@ -12,14 +13,13 @@ from tverlab import (
     coordinate_projection_map,
     facet_touching_check,
     fiber_width_demo,
-    interval_body,
     min_cover_barycentric,
-    min_cover_homothety,
 )
 
-# two points in the unit interval: the smallest covering interval
-cert = min_cover_homothety([(F(1, 4),), (F(3, 4),)], interval_body())
-print(f"[1/4, 3/4] inside [0,1]: delta* = {cert.delta}, translate {cert.translate}")
+# two points of the unit interval, the 1-simplex in barycentric form
+# (x, 1 - x): the smallest covering interval is [1/4, 3/4] itself
+cert = min_cover_barycentric([(F(1, 4), F(3, 4)), (F(3, 4), F(1, 4))])
+print(f"[1/4, 3/4] inside [0,1]: delta* = {cert.delta}, tight pairs {cert.tight}")
 
 # midpoints of the triangle's edges touch all three facets
 mids = [(F(1, 2), F(1, 2), F(0)), (F(0), F(1, 2), F(1, 2)), (F(1, 2), F(0), F(1, 2))]

@@ -27,14 +27,11 @@ _EXPORTS = {
     ),
     "cover": (
         "CoverCertificate",
-        "HPolytopeBody",
         "constant_map",
         "coordinate_projection_map",
         "facet_touching_check",
         "fiber_width_demo",
-        "interval_body",
         "min_cover_barycentric",
-        "min_cover_homothety",
     ),
     "depth": (
         "DepthCertificate",

@@ -38,9 +38,11 @@ from .rng import SplitMix64
 PASS, FALSIFIED, USAGE, INTERNAL = 0, 1, 2, 3
 
 
+ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"), default=rat_str)  # one per process
+
+
 def _emit(records: List[dict], output: Optional[str]) -> None:
-    text = "".join(json.dumps(r, sort_keys=True, separators=(",", ":"), default=rat_str) + "\n"
-                   for r in records)
+    text = "".join(ENCODER.encode(r) + "\n" for r in records)
     if output is None:
         sys.stdout.write(text)
     else:
@@ -184,7 +186,8 @@ def cmd_cover(args):
         touches = cover.touches_all_facets(pts)
         cert = cover.min_cover_barycentric(pts)
         return [cert._asdict() | {"touches_all_facets": touches, "ok": (not touches) or cert.delta >= 1}]
-    cover.standard_simplex_body(args.d)  # rejects --d 0 before a trial is drawn
+    if args.d < 1:  # before a trial is drawn
+        raise ValueError("need n >= 1")
     rng = SplitMix64(args.seed)
     records = []
     for i in range(args.trials):

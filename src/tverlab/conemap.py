@@ -20,13 +20,12 @@ One dimension higher, at m = (d+1)r - 1, the same map admits r disjoint
 faces with intersecting images: every face of dimension >= d has its
 barycenter mapped to c.  The probe returns the first such tuple, checked
 by reading each face's barycenter image from the table.  `tverlab.cli`
-writes both reports; the JSON here is only each digest's hash input.
+writes both reports.
 """
 from __future__ import annotations
 
 import hashlib
 import itertools
-import json
 from fractions import Fraction
 from typing import Dict, List, NamedTuple, Optional, Tuple
 
@@ -155,7 +154,7 @@ def verify_isolation(spec: CounterexampleSpec) -> IsolationReport:
                     f"image ({', '.join(map(unscaled, worst))}) of {t}, not "
                     f"below {unscaled(low)}"
                 )
-            payload = json.dumps([list(s), list(t), unscaled(high)]).encode()
+            payload = f'[{list(s)}, {list(t)}, "{unscaled(high)}"]'.encode()  # as json.dumps wrote it
             certified[s, t] = hashlib.sha256(payload).hexdigest()[:12]
         return certified[s, t]
 

@@ -9,7 +9,8 @@ from them, and the LP kernel's certificates are integers.  Integer rows
 over one common denominator are eliminated by one fraction-free step,
 `bareiss_pivot`: the LP tableau pivots through it by Bland's rule, and
 `bareiss_eliminate`, the one fraction-free Gauss-Jordan, by column order
-for the points' affine dependency and the covering body's inverse.
+for the points' affine dependency and the inverse held by the general
+simplex body `cover.HPolytopeBody`, which no cover uses.
 `read_scaled` is the one way from scalars to integers over one common
 denominator: it reads input scalars (ints, Fractions, or strings `rat`
 reads) and the Fractions of a certificate alike, and builds no Fraction

@@ -11,7 +11,9 @@ to integers over one denominator (`integer_scaled`, which `read_scaled`
 is checked against), LP systems from Fraction rows and the kernel's
 integer certificates read as Fractions (and back), general-form
 LP rows (<= and ==) and the standard-form system the kernel reads them as,
-two maps of barycentric points of the standard simplex, and the argparse
+two maps of barycentric points of the standard simplex, the facet-sum
+cover against a general simplex body (with the bodies it is run on) that
+the closed-form simplex cover is checked against, and the argparse
 parser that the command line's table walk replaced.  Methods of the
 package's classes became functions that take the complex or the
 configuration.
@@ -21,6 +23,7 @@ from __future__ import annotations
 import argparse
 import functools
 import itertools
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
@@ -38,8 +41,8 @@ from tverlab import (
 )
 from tverlab import exactlp
 from tverlab.complexes import Simplex
-from tverlab.cover import _barycentric_scaled, _compositions
-from tverlab.rationals import Point, Scaled, rat
+from tverlab.cover import CoverCertificate, HPolytopeBody, _barycentric, _compositions
+from tverlab.rationals import Point, Scaled, rat, read_scaled
 
 
 # ---------------------------------------------------------------------------
@@ -358,20 +361,110 @@ def standard_form(n: int, rows: Sequence[Tuple[Point, str, Fraction]]) -> Linear
 
 
 # ---------------------------------------------------------------------------
-# the standard simplex
+# the standard simplex, and the facet-sum cover against a general body
 # ---------------------------------------------------------------------------
 
 def barycentric_to_centered(p: Sequence) -> Point:
     """Map a barycentric point of the standard simplex (n+1 coordinates,
-    nonnegative, summing to one) into the centered body's coordinates."""
-    D, (q,) = _barycentric_scaled([p])
-    return tuple(Fraction(c, D) for c in q)
+    nonnegative, summing to one) to c - 1/(n+1) on its first n
+    coordinates c: the centered body's coordinates."""
+    L, (c,) = _barycentric([p])
+    k = len(c)
+    return tuple(Fraction(k * v - L, k * L) for v in c[:-1])
 
 
 def grid_points_in_simplex(n: int, density: int) -> List[Point]:
     """All rational points of the standard n-simplex with denominator
     `density` (compositions of density into n+1 parts)."""
     return [tuple(Fraction(c, density) for c in parts) for parts in _compositions(n, density)]
+
+
+def h_polytope(rows: Sequence[Tuple[Sequence, object]]) -> HPolytopeBody:
+    """A simplex body in facet-sum form from (coefficients, rhs) rows."""
+    rows = tuple((tuple(rat(c) for c in coeffs), rat(rhs)) for coeffs, rhs in rows)
+    if not rows:
+        raise ValueError("need at least one row")
+    return HPolytopeBody(len(rows[0][0]), rows)
+
+
+def interval_body() -> HPolytopeBody:
+    """K = [0, 1] in R^1."""
+    return h_polytope([((-1,), 0), ((1,), 1)])
+
+
+@functools.cache
+def standard_simplex_body(n: int) -> HPolytopeBody:
+    """The standard n-simplex translated so its barycenter is the origin:
+    y_i >= -1/(n+1) and sum y_i <= 1/(n+1).  Covering radii agree with the
+    barycentric picture because translation does not change them."""
+    if n < 1:
+        raise ValueError("need n >= 1")
+    c = Fraction(1, n + 1)
+    rows = []
+    for i in range(n):
+        coeffs = [Fraction(0)] * n
+        coeffs[i] = Fraction(-1)
+        rows.append((tuple(coeffs), c))
+    rows.append((tuple([Fraction(1)] * n), c))
+    return HPolytopeBody(n, tuple(rows))
+
+
+def _translate(body: HPolytopeBody, rhs: Sequence[int], den: int) -> Tuple[Tuple[int, ...], int]:
+    """(u, g) with t = u/g the one solution of A_i.t = rhs_i/den over the
+    first n integer rows: the body's inverse applied to rhs."""
+    return (
+        tuple(sum(map(operator.mul, row, rhs)) for row in body.inverse),
+        body.inverse_scale * den,
+    )
+
+
+def min_cover_homothety(points: Sequence[Sequence], body: HPolytopeBody) -> CoverCertificate:
+    """Exact smallest delta >= 0 with every point in delta*body + t, by the
+    facet-sum identity: summing a_i.(s_i - t) <= delta b_i over one point
+    s_i per row cancels t, so delta >= sum_i top_i / sum_i b_i with top_i
+    the largest a_i.s, with equality exactly when every row is tight.  The
+    translate solves the first n equations a_i.t = top_i - delta b_i
+    through the inverse the body holds (the last holds too, as both sides
+    sum to 0).
+
+    The points P/D are scaled to integers once.  With row i scaled to
+    (A_i, B_i) by l_i, dots[p][i] = A_i.P_p and T_i, the column's max,
+    give top_i = T_i/(l_i D); so delta = num/den with num = sum_i T_i M/l_i
+    and den = D * rhs_sum, and with t = u/g row i holds at P_p exactly when
+    dots[p][i] * g * rhs_sum <= den A_i.u + num B_i g, one integer bound
+    per row.  Only delta and the translate are built as Fractions."""
+    D, points = read_scaled(points)
+    if not points:
+        raise ValueError("need at least one point to cover")
+    if any(len(p) != body.ambient_dim for p in points):
+        raise ValueError("point dimension mismatch")
+    rows = body.int_rows
+    dots = [[sum(map(operator.mul, a, p)) for a, _ in rows] for p in points]
+    top = [max(col) for col in zip(*dots)]
+    s = body.rhs_sum
+    num = sum(map(operator.mul, top, body.weights))  # the facet-sum identity
+    den = D * s
+    u, g = _translate(body, [hi * s - num * b for hi, (_, b) in zip(top, rows[:-1])], den)
+    scale = g * s
+    # dot * scale <= bound exactly when dot <= bound // scale; equal exactly
+    # when also bound % scale == 0
+    bounds = [
+        divmod(den * sum(map(operator.mul, a, u)) + num * b * g, scale) for a, b in rows
+    ]
+    tight = []
+    for pi, row in enumerate(dots):
+        for ri, (dot, (q, r)) in enumerate(zip(row, bounds)):
+            if dot > q:
+                raise RuntimeError("cover certificate violates a row")
+            if dot == q and not r:
+                tight.append((pi, ri))
+    if {ri for _, ri in tight} != set(range(len(rows))):
+        raise RuntimeError("a body row has no tight point, so delta is not minimal")
+    return CoverCertificate(
+        delta=Fraction(num, den),
+        translate=tuple(Fraction(c, g) for c in u),
+        tight=tuple(tight),
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,7 @@ from tverlab import (
     cross_polytope_sphere,
     disjoint_union_index,
     hind,
-    min_cover_homothety,
+    min_cover_barycentric,
     probe_tverberg_plus_one,
     random_point_config,
     reduce_central_from_tverberg,
@@ -24,10 +24,15 @@ from tverlab import (
     verify_isolation,
 )
 from tverlab.cli import main
-from tverlab.cover import standard_simplex_body
 from tverlab.depth import check_depth_certificate, check_tverberg_certificate, guaranteed_size
 
-from oracles import barycentric_to_centered, hull_membership_depth, subset
+from oracles import (
+    barycentric_to_centered,
+    hull_membership_depth,
+    min_cover_homothety,
+    standard_simplex_body,
+    subset,
+)
 
 PAIRS = ((1, 2), (1, 3), (2, 2), (2, 3), (3, 2))
 
@@ -166,7 +171,7 @@ def test_criterion_8_facet_touching_cover():
             body_k = standard_simplex_body(n)
             centered = [barycentric_to_centered(p) for p in pts]
             cert = min_cover_homothety(centered, body_k)
-            assert cert.delta >= 1
+            assert cert.delta >= 1 and min_cover_barycentric(pts) == cert
             for lam in (F(1, 2), F(3)):
                 scaled = [tuple(lam * c for c in p) for p in centered]
                 assert min_cover_homothety(scaled, body_k).delta == lam * cert.delta

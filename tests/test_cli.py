@@ -611,6 +611,7 @@ def test_bad_input_files_are_usage_errors(tmp_path, capsys):
         ["cover", "--input", str(empty)],
         ["counterexample", "--d", "0", "--r", "2"],
         ["cover", "--d", "0"],
+        ["fiber-demo", "--d", "0"],
         ["centerpoint", "--r", "2", "--input", str(float_config)],
         ["cover", "--input", str(float_points)],
         ["centerpoint", "--input", str(config)],  # no --r
@@ -681,13 +682,13 @@ def test_cli_import_needs_no_numpy():
 
 # The package's public names.
 EXPORTED = """
-    CoverCertificate DepthCertificate FixedSimplexError HPolytopeBody
+    CoverCertificate DepthCertificate FixedSimplexError
     LPOutcome LinearSystem PointConfig ProbeResult SimplicialComplex
     SplitMix64 TverbergCertificate Z2Complex build_counterexample
     centerpoint common_point_with_weights constant_map
     coordinate_projection_map cross_polytope_sphere disjoint_union_index
-    facet_touching_check fiber_width_demo hind interval_body lp_feasible
-    min_cover_barycentric min_cover_homothety probe_tverberg_plus_one
+    facet_touching_check fiber_width_demo hind lp_feasible
+    min_cover_barycentric probe_tverberg_plus_one
     random_point_config reduce_central_from_tverberg
     reduction_plan strict_separator tukey_depth tverberg_partition
     verify_isolation
@@ -710,7 +711,7 @@ def test_every_exported_name_resolves():
     package imports no module until a name or module of it is used, and
     the CLI imports every layer (the benchmark's tracer wraps them all
     right after `import tverlab.cli`)."""
-    assert len(EXPORTED) == 34 and sorted(tverlab.__all__) == EXPORTED
+    assert len(EXPORTED) == 31 and sorted(tverlab.__all__) == EXPORTED
     modules = [getattr(tverlab, m) for m in (
         "complexes", "conemap", "cover", "depth", "exactlp", "rationals", "rng", "z2"
     )]
@@ -754,8 +755,8 @@ def test_the_exports_are_what_callers_use():
 
 def test_the_file_formats_live_in_the_cli():
     """The layers return records and Fractions, and `tverlab.cli` reads and
-    writes the files: no other module imports json (conemap's is the hash
-    input of its certificate digests), and no record writes itself."""
+    writes the files: no other module imports json, and no record writes
+    itself."""
     importers, writers = set(), set()
     for path in Path(tverlab.__file__).parent.glob("*.py"):
         for node in ast.walk(ast.parse(path.read_text())):
@@ -765,7 +766,7 @@ def test_the_file_formats_live_in_the_cli():
                        else [node.module or ""] if isinstance(node, ast.ImportFrom) else [])
             if any(m.split(".")[0] == "json" for m in modules):
                 importers.add(path.stem)
-    assert importers <= {"cli", "conemap"} and "cli" in importers
+    assert importers == {"cli"}
     assert writers == set()
 
 
@@ -847,7 +848,6 @@ def test_a_cover_input_builds_only_delta_and_the_translate(tmp_path, capsys):
 
     for key, pts in COVER_INPUTS.items():
         n = len(pts[0]) - 1
-        tverlab.cover.standard_simplex_body(n)  # built and cached once per n
         path.write_text(json.dumps({"barycentric_points": pts}))
         built.clear()
         Fraction.__new__ = staticmethod(counted)
@@ -858,6 +858,29 @@ def test_a_cover_input_builds_only_delta_and_the_translate(tmp_path, capsys):
         capsys.readouterr()
         assert code == 0
         assert len(built) == n + 1, key
+
+
+def test_no_cli_cover_builds_a_body(tmp_path, capsys, monkeypatch):
+    """`cover --input`, `cover --d` and `fiber-demo` cover the standard
+    simplex in closed form: no HPolytopeBody is built, and `--d 0` is still
+    the usage error it was when `standard_simplex_body` refused n = 0."""
+    builds = []
+    post_init = tverlab.cover.HPolytopeBody.__post_init__
+    monkeypatch.setattr(tverlab.cover.HPolytopeBody, "__post_init__",
+                        lambda self: builds.append(self) or post_init(self))
+    path = tmp_path / "pts.json"
+    runs = [["cover", "--d", str(n), "--trials", "5"] for n in (1, 2, 4)]
+    runs += [["fiber-demo", "--d", str(n), "--trials", "4"] for n in (1, 2, 3)]
+    for key, pts in COVER_INPUTS.items():
+        path.write_text(json.dumps({"barycentric_points": pts}))
+        assert main(["cover", "--input", str(path)]) == 0, key
+    for argv in runs:
+        assert main(argv) == 0, argv
+    capsys.readouterr()
+    assert builds == []
+    for command in ("cover", "fiber-demo"):
+        assert usage_error(capsys, [command, "--d", "0"]) == (2, f"tverlab: error: {command}: need n >= 1")
+    assert builds == []
 
 
 def usage_error(capsys, argv):

@@ -3,9 +3,11 @@
 For a finite S inside the standard simplex (barycentric coordinates)
 the smallest homothet delta*Delta + t containing S satisfies
 t_i <= min_p p_i for every i with sum t = 1 - delta, hence
-delta* = 1 - sum_i min_{p in S} p_i.  The facet-sum computation must
-reproduce this exactly, and match the homothety LP over (delta, t) in
-delta, translate and tight pairs.
+delta* = 1 - sum_i min_{p in S} p_i.  `min_cover_barycentric` computes
+this from the column minima; the facet-sum cover against a general
+simplex body (`oracles.min_cover_homothety`) must give the same delta,
+translate and tight pairs on the standard simplex, and match the
+homothety LP over (delta, t) on every body.
 """
 import json
 from fractions import Fraction as F
@@ -16,6 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles
 import tverlab.cover
 from tverlab import (
     SplitMix64,
@@ -23,23 +26,26 @@ from tverlab import (
     coordinate_projection_map,
     facet_touching_check,
     fiber_width_demo,
-    interval_body,
     lp_feasible,
     min_cover_barycentric,
-    min_cover_homothety,
 )
 from tverlab.cli import main
-from tverlab.cover import UnboundedBodyError, h_polytope, standard_simplex_body
+from tverlab.cover import UnboundedBodyError
 from tverlab.exactlp import OPTIMAL
+from tverlab.rationals import read_scaled
 
 from oracles import (
     barycentric_to_centered,
     eq,
     fraction_witness,
     grid_points_in_simplex,
+    h_polytope,
     integer_scaled,
+    interval_body,
     le,
+    min_cover_homothety,
     standard_form,
+    standard_simplex_body,
 )
 
 
@@ -57,11 +63,15 @@ def closed_form_delta(points):
 
 
 def cover_of(points_barycentric):
+    """The closed-form cover of a barycentric set, checked equal to the
+    facet-sum oracle's cover of its centered points."""
     n = len(points_barycentric[0]) - 1
-    return min_cover_homothety(
+    cert = min_cover_barycentric(points_barycentric)
+    assert cert == min_cover_homothety(
         [barycentric_to_centered(p) for p in points_barycentric],
         standard_simplex_body(n),
     )
+    return cert
 
 
 def test_interval_example():
@@ -309,6 +319,33 @@ def test_random_bodies_match_the_homothety_lp(case):
     assert (cert.delta, cert.translate, cert.tight) == lp_cover(pts, body)
 
 
+@st.composite
+def barycentric_sets(draw):
+    """n = 1..5, one to six points over unrelated denominators, with some
+    coordinates forced to 0."""
+    n = draw(st.integers(1, 5))
+    pts = []
+    for _ in range(draw(st.integers(1, 6))):
+        weights = draw(st.lists(st.integers(0, 40), min_size=n + 1, max_size=n + 1))
+        for i in draw(st.sets(st.integers(0, n))):
+            weights[i] = 0
+        if not any(weights):
+            weights[draw(st.integers(0, n))] = draw(st.integers(1, 40))
+        total = sum(weights)
+        pts.append(tuple(F(w, total) for w in weights))
+    return pts
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(barycentric_sets())
+def test_the_closed_form_matches_the_facet_sum_oracle(pts):
+    n = len(pts[0]) - 1
+    cert = min_cover_barycentric(pts)
+    oracle = min_cover_homothety([barycentric_to_centered(p) for p in pts], standard_simplex_body(n))
+    assert (cert.delta, cert.translate, cert.tight) == (oracle.delta, oracle.translate, oracle.tight)
+    assert cert.delta == closed_form_delta(pts)
+
+
 def test_the_row_check_rejects_a_shifted_translate(monkeypatch):
     """Every row is tight at the true translate and the a_i sum to 0, so any
     shift lowers some row's bound below its tight point."""
@@ -322,7 +359,7 @@ def test_the_row_check_rejects_a_shifted_translate(monkeypatch):
     for n in (1, 2, 3):
         body = random_facet_sum_body(rng, n)
         cases.append((body, [tuple(F(rng.int_between(-6, 6), 7) for _ in range(n))] * 2))
-    translate = tverlab.cover._translate
+    translate = oracles._translate
     for body, pts in cases:
         for k in range(body.ambient_dim):
             for step in (F(1, 1000), F(-3)):
@@ -333,11 +370,28 @@ def test_the_row_check_rejects_a_shifted_translate(monkeypatch):
                     g, (u,) = integer_scaled([t])
                     return u, g
 
-                monkeypatch.setattr(tverlab.cover, "_translate", shifted)
+                monkeypatch.setattr(oracles, "_translate", shifted)
                 with pytest.raises(RuntimeError, match="violates a row"):
                     min_cover_homothety(pts, body)
-                monkeypatch.setattr(tverlab.cover, "_translate", translate)
+                monkeypatch.setattr(oracles, "_translate", translate)
                 min_cover_homothety(pts, body)
+    # the closed form's check reads delta and the translate alone: a shift
+    # of t_k raises facet k's bound (+) or the last facet's (-) past its
+    # tight point, and a larger delta leaves every facet slack
+    sets = [[(F(1, 2), F(1, 2), F(0)), (F(0), F(1, 3), F(2, 3)), (F(1, 4), F(0), F(3, 4))]]
+    sets += [[random_barycentric(rng, n) for _ in range(3)] for n in (1, 2, 3)]
+    for pts in sets:
+        L, ints = read_scaled(pts)
+        cert = min_cover_barycentric(pts)
+        assert tverlab.cover._tight_pairs(L, ints, cert.delta, cert.translate) == cert.tight
+        for k in range(len(cert.translate)):
+            for step in (F(1, 1000), F(-3)):
+                t = list(cert.translate)
+                t[k] += step
+                with pytest.raises(RuntimeError, match="violates a row"):
+                    tverlab.cover._tight_pairs(L, ints, cert.delta, tuple(t))
+        with pytest.raises(RuntimeError, match="no tight point"):
+            tverlab.cover._tight_pairs(L, ints, cert.delta + F(1, 1000), cert.translate)
 
 
 def test_cover_solves_no_lp_minimize(monkeypatch):
@@ -349,7 +403,7 @@ def test_cover_solves_no_lp_minimize(monkeypatch):
         verts = [tuple(F(int(i == j)) for i in range(n + 1)) for j in range(n + 1)]
         body = standard_simplex_body(n)
         cert = min_cover_homothety([barycentric_to_centered(p) for p in verts], body)
-        assert cert.delta == 1
+        assert cert.delta == 1 and min_cover_barycentric(verts) == cert
     cert = min_cover_homothety([(F(1, 4),), (F(3, 4),)], interval_body())
     assert cert.delta == F(1, 2)
 
@@ -436,8 +490,26 @@ def test_the_body_inverse_inverts_its_first_rows():
         assert product == [[body.inverse_scale * (i == j) for j in range(n)] for i in range(n)]
 
 
+def fractions_built(call):
+    """The number of Fractions that call() builds."""
+    built = []
+    new = vars(F)["__new__"]
+
+    def counted(cls, *args, **kwargs):
+        built.append(args)
+        return new.__func__(cls, *args, **kwargs)
+
+    F.__new__ = staticmethod(counted)
+    try:
+        call()
+    finally:
+        F.__new__ = new
+    return len(built)
+
+
 def test_a_cover_builds_only_delta_and_the_translate():
-    """Once its points and body exist, one cover builds n + 1 Fractions."""
+    """Once its points and body exist, one cover builds n + 1 Fractions:
+    at most that for the oracle, exactly that for the closed form."""
     rng = SplitMix64(6180)
     cases = homothety_lp_cases() + [
         (
@@ -446,21 +518,11 @@ def test_a_cover_builds_only_delta_and_the_translate():
         )
         for n in range(1, 5)
     ]
-    built = []
-    new = vars(F)["__new__"]
-
-    def counted(cls, *args, **kwargs):
-        built.append(args)
-        return new.__func__(cls, *args, **kwargs)
-
     for pts, body in cases:
-        built.clear()
-        F.__new__ = staticmethod(counted)
-        try:
-            min_cover_homothety(pts, body)
-        finally:
-            F.__new__ = new
-        assert len(built) <= body.ambient_dim + 1
+        assert fractions_built(lambda: min_cover_homothety(pts, body)) <= body.ambient_dim + 1
+    for n in range(1, 6):
+        pts = [random_barycentric(rng, n) for _ in range(4)]
+        assert fractions_built(lambda: min_cover_barycentric(pts)) == n + 1
 
 
 def test_grid_point_counts():

@@ -6,14 +6,7 @@ from fractions import Fraction as F
 import pytest
 
 from tverlab.conemap import CounterexampleSpec, IsolationReport, IsolationRow, ProbeResult
-from tverlab.cover import (
-    CoverCertificate,
-    FiberCell,
-    FiberReport,
-    HPolytopeBody,
-    h_polytope,
-    interval_body,
-)
+from tverlab.cover import CoverCertificate, FiberCell, FiberReport, HPolytopeBody
 from tverlab.depth import (
     DepthCertificate,
     PointConfig,
@@ -22,6 +15,8 @@ from tverlab.depth import (
 )
 from tverlab.exactlp import LPOutcome
 from tverlab.rationals import Scaled
+
+from oracles import h_polytope, interval_body
 
 RECORDS = (
     LPOutcome, DepthCertificate, TverbergCertificate, ReductionPlan,
