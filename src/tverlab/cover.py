@@ -166,8 +166,6 @@ def constant_map(p: Point) -> Point:
 def _compositions(n: int, density: int) -> Iterator[IntPoint]:
     """The compositions of density into n+1 nonnegative parts, in the
     order of their cut positions."""
-    if density < 1:
-        raise ValueError("density must be positive")
     for cut in itertools.combinations(range(density + n), n):
         parts = []
         prev = -1
@@ -196,9 +194,12 @@ def fiber_width_demo(
     claims about true fibers."""
     if n < 1:
         raise ValueError("need n >= 1")
+    if density < 1:
+        raise ValueError("density must be positive")
+    grid = [Fraction(c, density) for c in range(density + 1)]
     buckets: Dict[Tuple[int, ...], List[IntPoint]] = {}
     for parts in _compositions(n, density):
-        image = f(tuple(Fraction(c, density) for c in parts))
+        image = f(tuple(map(grid.__getitem__, parts)))
         cell = tuple(c.numerator * density // c.denominator for c in image)  # floor(c * density)
         buckets.setdefault(cell, []).append(parts)
     cells = [

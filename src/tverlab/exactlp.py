@@ -5,12 +5,13 @@ rows (L_i, A_i, B_i): row i reads  (A_i / L_i) . x == B_i / L_i  with
 L_i > 0.  Every system the package solves is a convex-combination system
 whose variables are weights, so nonnegativity is the kernel's contract
 rather than a row of its own, and an inequality is a row with a slack
-variable of the caller's.  Phase 1 of the primal simplex with Bland's
-rule, so termination is guaranteed and no tolerance ever enters.  The
-tableau is integer and is pivoted fraction-free
-(`rationals.bareiss_pivot`): its rows share one positive denominator and
-every division is exact.  Every answer carries a certificate in integers,
-re-verified against the integer rows before it is returned:
+variable of the caller's.  The kernel is one function, `lp_feasible`:
+phase 1 of the primal simplex with Bland's rule, so termination is
+guaranteed and no tolerance ever enters.  The tableau is integer and is
+pivoted fraction-free (`rationals.bareiss_pivot`): its rows share one
+positive denominator and every division is exact.  Every answer carries
+a certificate in integers, re-verified against the integer rows before
+it is returned:
 
 * feasible      -> a witness X over one positive denominator D, the
                    tableau's last pivot: x = X/D >= 0 satisfies every row;
@@ -19,7 +20,9 @@ re-verified against the integer rows before it is returned:
                    c_j >= 0 and t < 0, which no x >= 0 satisfies.
 
 `Fraction`s are built only by the two functions that hand values to
-callers: `strict_separator` and `common_point_with_weights`.
+callers, `strict_separator` and `common_point_with_weights`, and by
+`LinearSystem.constraints`, a view that only the benchmark's tracer
+(`perfbench/tracer.py`) reads.
 Problem sizes here are tiny (tens of variables), which is the regime
 where exact tableau simplex is perfectly practical.
 """
@@ -117,131 +120,89 @@ def check_farkas(system: LinearSystem, N: Sequence[int]) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# the simplex core
-# ---------------------------------------------------------------------------
-
-class _Tableau:
-    """Integer tableau  [A | I | b]  for  {x >= 0 : Ax = b}: one column per
-    variable and one artificial column per row, whose identity is the
-    starting basis.  It is pivoted fraction-free (`bareiss_pivot`): every
-    entry is an integer over the one positive common denominator D, the
-    last pivot.
-
-    Row i is the system's integer row (A_i, B_i), the row scaled by L_i,
-    signed so that rhs >= 0; its artificial column stays a
-    unit column, and artificial i costs M/L_i with M the lcm of all L_i.
-    That objective is M times the plain sum of the unscaled artificials, so
-    the pivots are those of the Fraction tableau.  Artificial columns are
-    never allowed to re-enter the basis, and they double as a running copy
-    of B^-1 so that Farkas multipliers can be read off the phase-1
-    objective row exactly.
-    """
-
-    def __init__(self, system: LinearSystem):
-        self.system = system
-        n = system.n_vars
-        m = len(system)
-        self.T = []
-        self.sigma = []
-        for i, (_, coeffs, rhs) in enumerate(system.scaled):
-            s = 1 if rhs >= 0 else -1
-            self.sigma.append(s)
-            row = [s * c for c in coeffs] + [0] * (m + 1)
-            row[n + i] = 1
-            row[-1] = s * rhs
-            self.T.append(row)
-        self.costs = [system.M // L for L, _, _ in system.scaled]
-        self.D = 1
-        self.basis = [n + i for i in range(m)]
-
-    def _bland(self, R):
-        """Run Bland-rule pivots until no reduced cost in the objective row
-        R is negative; R is pivoted as one more row, and returned."""
-        T = self.T
-        m = len(T)
-        n = self.system.n_vars
-        T.append(R)
-        guard = 0
-        limit = 1000 + 50 * len(R) * (m + 2)
-        while True:
-            guard += 1
-            if guard > limit:  # Bland's rule terminates; this is a tripwire
-                raise RuntimeError("simplex iteration limit exceeded")
-            R = T[m]
-            enter = next((j for j in range(n) if R[j] < 0), None)
-            if enter is None:
-                return T.pop()
-            # least ratio b_i / a_i over a_i > 0 (D cancels), ties to the
-            # smaller basis index
-            leave = None
-            for i in range(m):
-                a = T[i][enter]
-                if a > 0:
-                    if leave is None:
-                        leave = i
-                        continue
-                    lhs = T[i][-1] * T[leave][enter]
-                    rhs = T[leave][-1] * a
-                    if lhs < rhs or (lhs == rhs and self.basis[i] < self.basis[leave]):
-                        leave = i
-            if leave is None:  # the phase-1 objective is bounded below by 0
-                raise RuntimeError("phase 1 cannot be unbounded")
-            self.D = bareiss_pivot(T, leave, enter, self.D)
-            self.basis[leave] = enter
-
-    def phase1(self):
-        """Minimise M times the sum of the unscaled artificials; returns the
-        objective row over D, whose last entry is minus that minimum."""
-        R = [0] * self.system.n_vars + self.costs + [0]
-        for row, c in zip(self.T, self.costs):  # price out the artificial basis
-            R = [a - c * t for a, t in zip(R, row)]
-        return self._bland(R)
-
-    # -- extraction ----------------------------------------------------------
-
-    def witness(self) -> Tuple[int, ...]:
-        X = [0] * self.system.n_vars
-        for i, b in enumerate(self.basis):
-            if b < len(X):
-                X[b] = self.T[i][-1]
-        return tuple(X)
-
-    def farkas(self, R) -> Tuple[int, ...]:
-        """The Farkas multipliers on the system's rows (L_k, A_k, B_k), as
-        integers, from the phase-1 objective row R.
-
-        The reduced cost under artificial column k is R_k/D = (M/L_k)(1 - y_k)
-        for the dual y of the unscaled rows, so y_k = 1 - L_k*R_k/(D*M), and
-        nu = -y combines the rows with a negative right-hand side; the
-        reduced costs of the variable columns, >= 0 at the optimum, make the
-        combination >= 0.  On the rows as the tableau first scaled and
-        signed them, nu is the integer mu_k = R_k - D*(M/L_k) over D*M, so
-        on the system's rows the multipliers are sigma_k*mu_k; check_farkas
-        verifies that they combine the rows to a negative right-hand side.
-        """
-        n = self.system.n_vars
-        mu = [R[n + i] - self.D * c for i, c in enumerate(self.costs)]
-        return tuple(map(operator.mul, self.sigma, mu))
-
-
-# ---------------------------------------------------------------------------
 # public operations
 # ---------------------------------------------------------------------------
 
 def lp_feasible(system: LinearSystem) -> LPOutcome:
     """A witness x >= 0 of the rows, or a verified Farkas certificate that
-    none exists."""
-    tab = _Tableau(system)
-    R = tab.phase1()
+    none exists.
+
+    Phase 1 runs on the integer tableau  [A | I | b]: one column per
+    variable and one artificial column per row, whose identity is the
+    starting basis.  It is pivoted fraction-free (`bareiss_pivot`): every
+    entry is an integer over the one positive common denominator D, the
+    last pivot.  Row i is the system's integer row (A_i, B_i), the row
+    scaled by L_i, signed by sigma_i so that rhs >= 0; its artificial
+    column stays a unit column, and artificial i costs M/L_i with M the lcm
+    of all L_i.  That objective is M times the plain sum of the unscaled
+    artificials, so the pivots are those of the Fraction tableau.  The
+    objective row R, the artificial basis priced out, is pivoted as one
+    more row; its last entry is minus the minimum over D.  Bland's rule
+    enters only variable columns, so artificial columns never re-enter the
+    basis, and they double as a running copy of B^-1 so that Farkas
+    multipliers can be read off R exactly.
+
+    The reduced cost under artificial column k is R_k/D = (M/L_k)(1 - y_k)
+    for the dual y of the unscaled rows, so y_k = 1 - L_k*R_k/(D*M), and
+    nu = -y combines the rows with a negative right-hand side; the reduced
+    costs of the variable columns, >= 0 at the optimum, make the
+    combination >= 0.  On the rows as the tableau first scaled and signed
+    them, nu is the integer mu_k = R_k - D*(M/L_k) over D*M, so on the
+    system's rows the multipliers are sigma_k*mu_k; check_farkas verifies
+    that they combine the rows to a negative right-hand side.
+    """
+    n, m = system.n_vars, len(system)
+    T, sigma = [], []
+    for i, (_, coeffs, rhs) in enumerate(system.scaled):
+        s = 1 if rhs >= 0 else -1
+        sigma.append(s)
+        row = [s * c for c in coeffs] + [0] * (m + 1)
+        row[n + i] = 1
+        row[-1] = s * rhs
+        T.append(row)
+    costs = [system.M // L for L, _, _ in system.scaled]
+    R = [0] * n + costs + [0]
+    for row, c in zip(T, costs):  # price out the artificial basis
+        R = [a - c * t for a, t in zip(R, row)]
+    T.append(R)
+    D = 1
+    basis = [n + i for i in range(m)]
+    for _ in range(1000 + 50 * len(R) * (m + 2)):
+        R = T[m]
+        enter = next((j for j in range(n) if R[j] < 0), None)
+        if enter is None:
+            break
+        # least ratio b_i / a_i over a_i > 0 (D cancels), ties to the
+        # smaller basis index
+        leave = None
+        for i in range(m):
+            a = T[i][enter]
+            if a > 0:
+                if leave is None:
+                    leave = i
+                    continue
+                lhs = T[i][-1] * T[leave][enter]
+                rhs = T[leave][-1] * a
+                if lhs < rhs or (lhs == rhs and basis[i] < basis[leave]):
+                    leave = i
+        if leave is None:  # the phase-1 objective is bounded below by 0
+            raise RuntimeError("phase 1 cannot be unbounded")
+        D = bareiss_pivot(T, leave, enter, D)
+        basis[leave] = enter
+    else:  # Bland's rule terminates; this is a tripwire
+        raise RuntimeError("simplex iteration limit exceeded")
     if R[-1] != 0:  # minimal artificial sum positive -> infeasible
-        N = tab.farkas(R)
+        N = tuple(s * (R[n + k] - D * c) for k, (s, c) in enumerate(zip(sigma, costs)))
         if not check_farkas(system, N):
             raise RuntimeError("Farkas certificate failed verification")
         return LPOutcome(status=INFEASIBLE, farkas=N)
-    X = tab.witness()
-    if not check_witness(system, tab.D, X):
+    X = [0] * n
+    for i, b in enumerate(basis):
+        if b < n:
+            X[b] = T[i][-1]
+    if not check_witness(system, D, X):
         raise RuntimeError("simplex witness failed exact verification")
-    return LPOutcome(status=OPTIMAL, witness=X, denominator=tab.D)
+    return LPOutcome(status=OPTIMAL, witness=tuple(X), denominator=D)
 
 
 def _fractions(X: Sequence[int], D: int) -> Point:

@@ -753,6 +753,13 @@ def test_the_exports_are_what_callers_use():
     assert [name for name in tverlab.__all__ if name not in imported | named] == []
 
 
+def test_the_readme_counts_the_exports():
+    """The README's count of the names in `tverlab._EXPORTS` is their number."""
+    readme = " ".join((Path(__file__).parents[1] / "README.md").read_text().split())
+    count = re.search(r"(\d+) names, listed once under their modules in `tverlab._EXPORTS`", readme)
+    assert count and int(count.group(1)) == len(tverlab.__all__)
+
+
 def test_the_file_formats_live_in_the_cli():
     """The layers return records and Fractions, and `tverlab.cli` reads and
     writes the files: no other module imports json, and no record writes

@@ -398,7 +398,7 @@ def test_cover_solves_no_lp_minimize(monkeypatch):
     def no_lp(*args):
         raise AssertionError("building a body and covering must solve no LP")
 
-    monkeypatch.setattr("tverlab.exactlp._Tableau.__init__", no_lp)
+    monkeypatch.setattr("tverlab.exactlp.lp_feasible", no_lp)
     for n in range(1, 5):
         verts = [tuple(F(int(i == j)) for i in range(n + 1)) for j in range(n + 1)]
         body = standard_simplex_body(n)

@@ -172,10 +172,10 @@ def test_depth_is_the_hull_membership_threshold(config_and_query):
 
 
 def test_depth_runs_no_lp(monkeypatch):
-    def no_lp(self, objective):
+    def no_lp(system):
         raise AssertionError("tukey_depth must not solve an LP")
 
-    monkeypatch.setattr("tverlab.exactlp._Tableau.__init__", no_lp)
+    monkeypatch.setattr("tverlab.exactlp.lp_feasible", no_lp)
     cube = PointConfig(3, [[i, j, k] for i in (0, 2) for j in (0, 2) for k in (0, 2)])
     assert tukey_depth((F(1), F(1), F(1)), cube).depth == 4
     assert tukey_depth((F(0), F(0), F(0)), cube).depth == 1

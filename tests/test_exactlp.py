@@ -366,24 +366,67 @@ def test_equality_rows_against_oracle():
 
 
 def test_one_bland_pass_per_feasible_call(monkeypatch):
-    passes = []
-    bland = tverlab.exactlp._Tableau._bland
+    """A feasible solve runs phase 1 alone: its bareiss_pivot calls are the
+    Fraction tableau's phase-1 pivots, one for one."""
+    pivots = []
+    pivot = tverlab.exactlp.bareiss_pivot
 
-    def counted(self, R):
-        passes.append(1)
-        return bland(self, R)
+    def counted(*args):
+        pivots.append(1)
+        return pivot(*args)
 
-    monkeypatch.setattr("tverlab.exactlp._Tableau._bland", counted)
+    monkeypatch.setattr("tverlab.exactlp.bareiss_pivot", counted)
+    oracle_pivots = []
+    oracle_pivot = FractionTableau._pivot
+
+    def oracle_counted(self, *args):
+        oracle_pivots.append(1)
+        return oracle_pivot(self, *args)
+
+    monkeypatch.setattr(FractionTableau, "_pivot", oracle_counted)
     rng = SplitMix64(2024)
-    feasible = 0
+    feasible = pivoted = 0
     for _ in range(40):
         n = rng.int_between(1, 3)
-        system = random_system(rng, n)
-        passes.clear()
-        if lp_feasible(standard_form(*split_free(system))).status == OPTIMAL:
-            assert len(passes) == 1
+        system = split_free(random_system(rng, n))
+        pivots.clear()
+        oracle_pivots.clear()
+        if lp_feasible(standard_form(*system)).status == OPTIMAL:
+            assert oracle_feasible(with_bounds(system))[0] == OPTIMAL
+            assert len(pivots) == len(oracle_pivots)
             feasible += 1
-    assert feasible > 20
+            pivoted += bool(pivots)
+    assert feasible > 20 and pivoted == feasible
+
+
+def test_refused_certificates_raise(monkeypatch):
+    """lp_feasible returns no certificate that its own check refuses."""
+    feasible = LinearSystem(2, [(1, (1, 1), 1)])
+    infeasible = LinearSystem(2, [(1, (1, 1), -1)])
+    assert lp_feasible(feasible).status == OPTIMAL
+    assert lp_feasible(infeasible).status == INFEASIBLE
+    monkeypatch.setattr("tverlab.exactlp.check_witness", lambda system, D, X: False)
+    with pytest.raises(RuntimeError, match="simplex witness failed exact verification"):
+        lp_feasible(feasible)
+    monkeypatch.setattr("tverlab.exactlp.check_farkas", lambda system, N: False)
+    with pytest.raises(RuntimeError, match="Farkas certificate failed verification"):
+        lp_feasible(infeasible)
+
+
+def test_iteration_limit_is_a_tripwire(monkeypatch):
+    """A pivot that leaves the rows as they are never ends phase 1; the
+    limit 1000 + 50 (n + m + 1)(m + 2) stops it, 1600 pivots at n = 2,
+    m = 1."""
+    pivots = []
+
+    def stuck(rows, i, j, D):
+        pivots.append(1)
+        return D
+
+    monkeypatch.setattr("tverlab.exactlp.bareiss_pivot", stuck)
+    with pytest.raises(RuntimeError, match="simplex iteration limit exceeded"):
+        lp_feasible(LinearSystem(2, [(1, (1, 1), 1)]))
+    assert len(pivots) == 1600
 
 
 def recorded_systems(monkeypatch, run):
