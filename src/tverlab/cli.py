@@ -13,13 +13,14 @@ parameters, seed); --jobs is accepted for interface stability but the
 pipeline is sequential and results are emitted in canonical order, so
 output bytes never depend on it.
 
-Exit codes: 0 all checks passed; 1 exactly when some record says
-"ok": false (the falsified claim is in the output); 2 usage error; 3
-internal error (a self-check failed, or a KeyError or TypeError arose
-with no --input; the output holds one record {"command": ...,
-"internal_error": ...} and nothing else).  A point configuration below
-(d+1)(r-1)+1 points with no partition falsifies nothing: its record has
-"outside_hypotheses": true and "ok": true.
+Exit codes: 0 all checks passed; 1 exactly when some record says "ok":
+false (the falsified claim is in the output); 2 usage error (an
+unwritable --output, or a record holding an integer past the 4300-digit
+limit for str, is one too); 3 internal error (a self-check failed, or a
+KeyError or TypeError arose with no --input; the output holds one record
+{"command": ..., "internal_error": ...} and nothing else).  A point
+configuration below (d+1)(r-1)+1 points with no partition falsifies
+nothing: its record has "outside_hypotheses": true and "ok": true.
 """
 from __future__ import annotations
 
@@ -27,7 +28,7 @@ import functools
 import json
 import re
 import sys
-from fractions import Fraction
+from math import lcm
 from types import SimpleNamespace
 from typing import List, Optional
 
@@ -167,15 +168,14 @@ def cmd_probe(args):
     return [result._asdict() | {"ok": result.found}]
 
 
-def _random_facet_touching(n: int, rng: SplitMix64, extra: int = 2):
+def _random_facet_touching(n: int, rng: SplitMix64, extra: int = 2) -> Scaled:
     """One barycentric point per facet (coordinate i zero), then `extra`
-    interior points (i None)."""
-    pts = []
-    for i in [*range(n + 1), *[None] * extra]:
-        weights = [0 if j == i else rng.int_between(1, 9) for j in range(n + 1)]
-        total = sum(weights)
-        pts.append(tuple(Fraction(w, total) for w in weights))
-    return pts
+    interior points (i None), each drawn as integer weights over their sum
+    and returned over the lcm of the sums."""
+    rows = [[0 if j == i else rng.int_between(1, 9) for j in range(n + 1)]
+            for i in [*range(n + 1), *[None] * extra]]
+    L = lcm(*map(sum, rows))
+    return Scaled(L, [tuple(w * (L // sum(row)) for w in row) for row in rows])
 
 
 def cmd_cover(args):
@@ -191,7 +191,7 @@ def cmd_cover(args):
     rng = SplitMix64(args.seed)
     records = []
     for i in range(args.trials):
-        pts = read_scaled(_random_facet_touching(args.d, rng))
+        pts = _random_facet_touching(args.d, rng)
         touches = cover.touches_all_facets(pts)
         cert = cover.min_cover_barycentric(pts)
         records.append({"trial": i, "delta": cert.delta, "touches_all_facets": touches,
@@ -413,7 +413,9 @@ def main(argv=None) -> int:
         code = FALSIFIED if any(r.get("ok") is False for r in records) else PASS
     try:
         _emit(records, args.output)
-    except OSError as exc:  # an --output path that cannot be written
+    except (OSError, ValueError) as exc:
+        # An --output path that cannot be written, or a record holding an
+        # int past the digit limit for str (nothing is written then).
         _fail(None, f"{args.command}: {exc}")
     return code
 

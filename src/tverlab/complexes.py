@@ -3,18 +3,14 @@
 Simplices are sorted tuples of integer vertex ids.  A complex is given by
 simplices that generate it; its maximal ones (facets) and its vertices are
 found once, on first use, so a caller that reads only the given simplices
-(the Z2 index) never lists the faces.  The one piece of geometry is the
-exact center of the standard m-simplex, whose vertices are the unit
-vectors of R^{m+1}.
+(the Z2 index) never lists the faces.  The module holds no geometry and
+no arithmetic: it imports neither `fractions` nor `tverlab.rationals`.
 """
 from __future__ import annotations
 
 import functools
 import itertools
-from fractions import Fraction
 from typing import Iterable, Tuple
-
-from .rationals import Point
 
 Simplex = Tuple[int, ...]
 
@@ -64,8 +60,3 @@ class SimplicialComplex:
     @property
     def dim(self) -> int:
         return max(map(len, self.simplices)) - 1
-
-
-def standard_center(m: int) -> Point:
-    """Barycenter of the standard m-simplex: (1/(m+1), ..., 1/(m+1))."""
-    return tuple([Fraction(1, m + 1)] * (m + 1))

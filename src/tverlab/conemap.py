@@ -7,8 +7,9 @@ pairwise disjoint faces, at least one (any one of dimension <= d-1, and
 by counting there always is one) has image disjoint from the images of
 the others.  f is affine on each chain simplex of the subdivision, so
 the images of the 2^{m+1} - 1 face barycenters give it whole, and this
-module writes them as one closed-form table: 1/|g| on the coordinates of
-g when dim g <= d-1, and c otherwise.  No complex is built.  It then
+module writes them as one closed-form table of integer rows over one
+denominator L = lcm(1, ..., d, m+1): L/|g| on the coordinates of g when
+dim g <= d-1, and L c otherwise.  No complex is built.  It then
 enumerates all disjoint r-tuples and certifies each isolation by a
 separating functional: for a small face s, h_s(y) = sum_{j in s} y_j is
 1 on every vertex image of s and at most |s|/(m+1) < 1 on every vertex
@@ -27,10 +28,11 @@ from __future__ import annotations
 import hashlib
 import itertools
 from fractions import Fraction
+from math import lcm
 from typing import Dict, List, NamedTuple, Optional, Tuple
 
-from .complexes import Simplex, standard_center
-from .rationals import Point, rat_str, read_scaled
+from .complexes import Simplex
+from .rationals import Point, rat_str
 
 
 class IsolationFailure(AssertionError):
@@ -39,28 +41,27 @@ class IsolationFailure(AssertionError):
 
 class CounterexampleSpec(NamedTuple):
     """The map at m = (d+1)r - 2 (or the probe's m + 1) as the image of
-    each nonempty face's barycenter; the map is affine on every chain of
-    faces, so these images determine it."""
+    each nonempty face's barycenter, an integer row over `scale`; the map
+    is affine on every chain of faces, so these images determine it."""
 
     d: int
     r: int
     m: int
-    center: Point
-    images: Dict[Simplex, Point]
+    scale: int
+    center: Tuple[int, ...]
+    images: Dict[Simplex, Tuple[int, ...]]
 
 
 def _build_map(d: int, r: int, m: int) -> CounterexampleSpec:
-    c = standard_center(m)
-    images: Dict[Simplex, Point] = {}
-    for k in range(1, m + 2):
-        for g in itertools.combinations(range(m + 1), k):
-            if k - 1 <= d - 1:
-                images[g] = tuple(
-                    Fraction(1, k) if i in g else Fraction(0) for i in range(m + 1)
-                )
-            else:
-                images[g] = c
-    return CounterexampleSpec(d=d, r=r, m=m, center=c, images=images)
+    """The table over L = lcm(1, ..., d, m+1), the lcm of its denominators."""
+    L = lcm(*range(1, d + 1), m + 1)
+    c = (L // (m + 1),) * (m + 1)
+    images = {
+        g: tuple(L // k if i in g else 0 for i in range(m + 1)) if k <= d else c
+        for k in range(1, m + 2)
+        for g in itertools.combinations(range(m + 1), k)
+    }
+    return CounterexampleSpec(d=d, r=r, m=m, scale=L, center=c, images=images)
 
 
 def build_counterexample(d: int, r: int) -> CounterexampleSpec:
@@ -123,11 +124,9 @@ def verify_isolation(spec: CounterexampleSpec) -> IsolationReport:
     (the threshold) must lie below its smallest on s's.  The vertex images
     are read from the table, each (s, t) pair is checked once, and a tuple
     with no small face or a pair the functional fails to separate raises
-    IsolationFailure naming the tuple.  The sums are taken over integers:
-    every image is scaled once by L, the lcm of the table's denominators,
-    which is exact by construction."""
-    L, rows = read_scaled(spec.images.values())
-    scaled = dict(zip(spec.images, rows))
+    IsolationFailure naming the tuple.  The sums are taken over the
+    table's integer rows, all over its one scale L."""
+    L, scaled = spec.scale, spec.images
     unscaled = lambda v: rat_str(Fraction(v, L))
     image_cache: Dict[Simplex, List[Tuple[int, ...]]] = {}
     certified: Dict[Tuple[Simplex, Simplex], str] = {}
@@ -202,7 +201,8 @@ def probe_tverberg_plus_one(d: int, r: int) -> ProbeResult:
     inside their own disjoint faces).  Every face of dimension >= d owns
     c, the image of its barycenter, so the witness is the first tuple in
     canonical order whose faces all have dimension >= d, at the point c,
-    checked by reading each face's barycenter image from the table."""
+    checked by reading each face's barycenter image from the table; the
+    point is c as Fractions."""
     if d < 1 or r < 2:
         raise ValueError("need d >= 1 and r >= 2")
     m = (d + 1) * r - 1
@@ -211,5 +211,6 @@ def probe_tverberg_plus_one(d: int, r: int) -> ProbeResult:
     tuples = enumerate_disjoint_tuples(m, r)
     for scanned, faces in enumerate(tuples, 1):
         if all(len(f) - 1 >= d and images[f] == c for f in faces):
-            return ProbeResult(found=True, faces=faces, point=c, tuples_scanned=scanned)
+            point = tuple(Fraction(x, spec.scale) for x in c)
+            return ProbeResult(found=True, faces=faces, point=point, tuples_scanned=scanned)
     return ProbeResult(found=False, tuples_scanned=len(tuples))

@@ -25,7 +25,7 @@ from __future__ import annotations
 import functools
 import operator
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd
 from typing import Iterator, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 from .exactlp import (
@@ -105,14 +105,13 @@ class ReductionPlan(NamedTuple):
 
 
 def check_depth_certificate(cert: DepthCertificate, config: PointConfig) -> bool:
-    """The halfspace holds the point and exactly `depth` points, read over
-    the configuration as scaled once (P/L), the point scaled to X/E, and
-    (coeffs, offset) scaled by K to integers (a, a0): a.P + L a0 >= 0."""
+    """The halfspace holds the point and exactly `depth` points: over the
+    configuration as scaled once (P/L), with the point and (coeffs, offset)
+    read at once as X/K and (a, a0)/K, a.X + K a0 >= 0 and a.P + L a0 >= 0."""
     L, P = config.scaled
-    E, (X,) = read_scaled([cert.point])
-    _, ((*a, a0),) = read_scaled([(*cert.halfspace_coeffs, cert.halfspace_offset)])
+    K, (X, (*a, a0)) = read_scaled([cert.point, (*cert.halfspace_coeffs, cert.halfspace_offset)])
     inside = sum(sum(map(operator.mul, a, p)) + L * a0 >= 0 for p in P)
-    return sum(map(operator.mul, a, X)) + E * a0 >= 0 and inside == cert.depth
+    return sum(map(operator.mul, a, X)) + K * a0 >= 0 and inside == cert.depth
 
 
 def _primitive(w: Sequence[int]) -> Tuple[int, ...]:
@@ -182,23 +181,18 @@ def tukey_depth(x: Sequence, config: PointConfig, lower: Optional[int] = None) -
     """Exact halfspace depth of x in the configuration, by an exact recursion
     over the dimension (no LP): with w = p - x, the number of w = 0 plus the
     fewest nonzero w with u.w > 0; the witness halfspace is u.(y - x) >= 0.
-    The points and x are brought to integers over the lcm M of all their
-    denominators, a common positive factor that keeps every count and tilt,
-    from the configuration's one scaling (over L) and x's (over E); the
-    recursion runs on the integer w.  It scans every branch, or, when
-    `lower` is a proven lower bound on the depth, stops as soon as a
-    halfspace holds `lower` points; a depth below that bound is an
+    With the configuration's one scaling P/L and x as X/E, the recursion runs
+    on the integers E P - L X (w times L E > 0, which keeps every count and
+    tilt, and U/q with them), and the offset is -U.X/(q E).  It scans every
+    branch, or, when `lower` is a proven lower bound on the depth, stops as
+    soon as a halfspace holds `lower` points; a depth below that bound is an
     internal error."""
     xx = tuple(rat(c) for c in x)
     if len(xx) != config.d:
         raise ValueError("point dimension mismatch")
     L, P = config.scaled
     E, (X,) = read_scaled([xx])
-    M = lcm(L, E)
-    if M != L:
-        P = [tuple(c * (M // L) for c in p) for p in P]
-    X = tuple(c * (M // E) for c in X)
-    W = [tuple(c - xc for c, xc in zip(p, X)) for p in P]
+    W = [tuple(E * c - L * xc for c, xc in zip(p, X)) for p in P]
     nonzero = [w for w in W if any(w)]
     zeros = config.n - len(nonzero)
     stop = -1 if lower is None else lower - zeros
@@ -206,7 +200,7 @@ def tukey_depth(x: Sequence, config: PointConfig, lower: Optional[int] = None) -
     if lower is not None and zeros + count < lower:
         raise RuntimeError(f"depth {zeros + count} below the proven lower bound {lower}")
     u = tuple(Fraction(c, q) for c in U)
-    offset = Fraction(-sum(map(operator.mul, U, X)), q * M)
+    offset = Fraction(-sum(map(operator.mul, U, X)), q * E)
     cert = DepthCertificate(xx, zeros + count, u, offset)
     if not check_depth_certificate(cert, config):
         raise RuntimeError("depth certificate failed verification")
@@ -383,21 +377,20 @@ def _partition_certificate(
 
 def check_tverberg_certificate(cert: TverbergCertificate, config: PointConfig) -> bool:
     """The blocks partition the labels and one weight tuple per block writes
-    the point: over the configuration as scaled once (P/L), the point
-    scaled to X/E and the weights by K to integers,
-    E sum (K w_j) P_j == K L X."""
+    the point: over the configuration as scaled once (P/L), with the point
+    and all the weights read at once as X/K and w_j/K, each block's weights
+    sum to K and sum_j w_j P_j == L X."""
     labels = sorted(l for b in cert.blocks for l in b)
     if (labels != list(range(config.n)) or len(cert.weights) != len(cert.blocks)
             or len(cert.point) != config.d):
         return False
     L, P = config.scaled
-    E, (X,) = read_scaled([cert.point])
-    for block, ws in zip(cert.blocks, cert.weights):
-        K, (w,) = read_scaled([ws])
+    K, (X, *weights) = read_scaled([cert.point, *cert.weights])
+    for block, w in zip(cert.blocks, weights):
         if len(block) != len(w) or any(c < 0 for c in w) or sum(w) != K:
             return False
         for i in range(config.d):
-            if E * sum(c * P[l][i] for c, l in zip(w, block)) != K * L * X[i]:
+            if sum(c * P[l][i] for c, l in zip(w, block)) != L * X[i]:
                 return False
     return True
 

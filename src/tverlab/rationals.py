@@ -3,9 +3,10 @@
 Every coordinate, weight, and LP value this package returns is a
 `fractions.Fraction` (arbitrary precision, always reduced, positive
 denominator); the LP tableau and its certificate checks, the depth
-recursion and tilts, the partition search and certificate checks, the
-isolation sums and the covering kernel compute inside on integers scaled
-from them, and the LP kernel's certificates are integers.  Integer rows
+recursion and tilts, the partition search and certificate checks and the
+covering kernel compute inside on integers scaled from them, the cone
+map's table is integer rows, and the LP kernel's certificates are
+integers.  Integer rows
 over one common denominator are eliminated by one fraction-free step,
 `bareiss_pivot`: the LP tableau pivots through it by Bland's rule, and
 `bareiss_eliminate`, the one fraction-free Gauss-Jordan, by column order
@@ -14,7 +15,9 @@ simplex body `cover.HPolytopeBody`, which no cover uses.
 `read_scaled` is the one way from scalars to integers over one common
 denominator: it reads input scalars (ints, Fractions, or strings `rat`
 reads) and the Fractions of a certificate alike, and builds no Fraction
-for an int or a plain ``"p"`` or ``"p/q"`` string.  Serialized form is
+for an int or a plain ``"p"`` or ``"p/q"`` string.  `rat` refuses a
+decimal exponent past 4300 in magnitude, int's digit limit, before it
+builds the power of 10.  Serialized form is
 the string ``"p/q"``, which `rat_str`, the JSON encoder's hook in
 `tverlab.cli`, writes for every Fraction a record holds.  `Frozen` is the
 base of the two value classes that keep more than their fields
@@ -30,9 +33,14 @@ from typing import Dict, Iterable, List, NamedTuple, Tuple
 
 Point = Tuple[Fraction, ...]
 
+# a string's trailing decimal exponent, which Fraction raises 10 to; rat
+# refuses one past 4300, the digit limit int() puts on a digit string
+_EXPONENT = re.compile(r"(?<=[\d.])[eE]([-+]?\d+(?:_\d+)*)\s*\Z")
+
 
 def rat(value) -> Fraction:
-    """Coerce an int, string ``"p/q"`` (or ``"p"``), or Fraction to a Fraction."""
+    """Coerce an int, string ``"p/q"`` (or ``"p"``), or Fraction to a
+    Fraction; ValueError for a decimal exponent past 4300 in magnitude."""
     if isinstance(value, Fraction):
         return value
     if isinstance(value, bool):
@@ -40,6 +48,9 @@ def rat(value) -> Fraction:
     if isinstance(value, int):
         return Fraction(value)
     if isinstance(value, str):
+        exponent = _EXPONENT.search(value)
+        if exponent and abs(int(exponent.group(1))) > 4300:
+            raise ValueError(f"decimal exponent beyond 4300 in magnitude in {value!r}")
         try:
             return Fraction(value.strip())
         except ZeroDivisionError:

@@ -1,21 +1,23 @@
 """Reference routines that the tests check tverlab against.
 
 None of them is run by the command line or the demos: the face listing of
-a simplicial complex, the solid simplex and its skeleta, barycentric
-subdivision (of a complex and of a Z2 complex), convex-hull membership
-with its weights and the scan of it over every q-point subset that
-restates Tukey depth, the partition search with an LP per candidate that
-passes the bounding box (no Farkas cuts) and the Fraction-built
-partition system, the lcm formula that scales Fractions
-to integers over one denominator (`integer_scaled`, which `read_scaled`
-is checked against), LP systems from Fraction rows and the kernel's
-integer certificates read as Fractions (and back), general-form
-LP rows (<= and ==) and the standard-form system the kernel reads them as,
-two maps of barycentric points of the standard simplex, the facet-sum
-cover against a general simplex body (with the bodies it is run on) that
-the closed-form simplex cover is checked against, and the argparse
-parser that the command line's table walk replaced.  Methods of the
-package's classes became functions that take the complex or the
+a simplicial complex, the solid simplex, its skeleta and its center,
+barycentric subdivision (of a complex and of a Z2 complex), convex-hull
+membership with its weights and the scan of it over every q-point subset
+that restates Tukey depth, the partition search with an LP per candidate
+that passes the bounding box (no Farkas cuts) and the Fraction-built
+partition system, both certificate checks with a read of their own for
+the point and for each row after it and Tukey depth over the lcm of the
+two scales (the one-read forms are checked against them), the lcm formula
+that scales Fractions to integers over one denominator (`integer_scaled`,
+which `read_scaled` is checked against), LP systems from Fraction rows
+and the kernel's integer certificates read as Fractions (and back),
+general-form LP rows (<= and ==) and the standard-form system the kernel
+reads them as, two maps of barycentric points of the standard simplex,
+the facet-sum cover against a general simplex body (with the bodies it is
+run on) that the closed-form simplex cover is checked against, and the
+argparse parser that the command line's table walk replaced.  Methods of
+the package's classes became functions that take the complex or the
 configuration.
 """
 from __future__ import annotations
@@ -30,6 +32,7 @@ from math import lcm
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from tverlab import (
+    DepthCertificate,
     LPOutcome,
     LinearSystem,
     PointConfig,
@@ -42,6 +45,7 @@ from tverlab import (
 from tverlab import exactlp
 from tverlab.complexes import Simplex
 from tverlab.cover import CoverCertificate, HPolytopeBody, _barycentric, _compositions
+from tverlab.depth import _fewest_on_open_side
 from tverlab.rationals import Point, Scaled, rat, read_scaled
 
 
@@ -107,6 +111,12 @@ def full_simplex(m: int) -> SimplicialComplex:
     if m < 0:
         raise ValueError("dimension must be nonnegative")
     return SimplicialComplex([tuple(range(m + 1))])
+
+
+def standard_center(m: int) -> Point:
+    """Barycenter of the standard m-simplex, whose vertices are the unit
+    vectors of R^{m+1}: (1/(m+1), ..., 1/(m+1))."""
+    return tuple([Fraction(1, m + 1)] * (m + 1))
 
 
 def skeleton(K: SimplicialComplex, k: int) -> SimplicialComplex:
@@ -278,6 +288,65 @@ def fraction_partition_system(blocks):
             coeffs[off:off + len(b)] = [-v[i] for v in b]
             rows.append((tuple(coeffs), Fraction(0)))
     return fraction_system(total, rows)
+
+
+def check_depth_certificate_read_per_row(cert: DepthCertificate, config: PointConfig) -> bool:
+    """check_depth_certificate with the point and the halfspace each read by
+    a read_scaled of its own, the point as X/E and (coeffs, offset) as
+    (a, a0)/K: a.X + E a0 >= 0 and a.P + L a0 >= 0."""
+    L, P = config.scaled
+    E, (X,) = read_scaled([cert.point])
+    _, ((*a, a0),) = read_scaled([(*cert.halfspace_coeffs, cert.halfspace_offset)])
+    inside = sum(sum(map(operator.mul, a, p)) + L * a0 >= 0 for p in P)
+    return sum(map(operator.mul, a, X)) + E * a0 >= 0 and inside == cert.depth
+
+
+def check_tverberg_certificate_read_per_row(cert: TverbergCertificate, config: PointConfig) -> bool:
+    """check_tverberg_certificate with the point and each weight tuple read
+    by a read_scaled of its own, the point as X/E and block j's weights as
+    w_j/K: E sum_j w_j P_j == K L X."""
+    labels = sorted(l for b in cert.blocks for l in b)
+    if (labels != list(range(config.n)) or len(cert.weights) != len(cert.blocks)
+            or len(cert.point) != config.d):
+        return False
+    L, P = config.scaled
+    E, (X,) = read_scaled([cert.point])
+    for block, ws in zip(cert.blocks, cert.weights):
+        K, (w,) = read_scaled([ws])
+        if len(block) != len(w) or any(c < 0 for c in w) or sum(w) != K:
+            return False
+        for i in range(config.d):
+            if E * sum(c * P[l][i] for c, l in zip(w, block)) != K * L * X[i]:
+                return False
+    return True
+
+
+def tukey_depth_over_the_lcm(x: Sequence, config: PointConfig, lower: Optional[int] = None) -> DepthCertificate:
+    """tukey_depth with the points and x brought to integers over the lcm M
+    of the configuration's scale L and x's E, the offset -U.X/(q M), and the
+    certificate checked by check_depth_certificate_read_per_row."""
+    xx = tuple(rat(c) for c in x)
+    if len(xx) != config.d:
+        raise ValueError("point dimension mismatch")
+    L, P = config.scaled
+    E, (X,) = read_scaled([xx])
+    M = lcm(L, E)
+    if M != L:
+        P = [tuple(c * (M // L) for c in p) for p in P]
+    X = tuple(c * (M // E) for c in X)
+    W = [tuple(c - xc for c, xc in zip(p, X)) for p in P]
+    nonzero = [w for w in W if any(w)]
+    zeros = config.n - len(nonzero)
+    stop = -1 if lower is None else lower - zeros
+    count, U, q = _fewest_on_open_side(nonzero, config.d, stop)
+    if lower is not None and zeros + count < lower:
+        raise RuntimeError(f"depth {zeros + count} below the proven lower bound {lower}")
+    u = tuple(Fraction(c, q) for c in U)
+    offset = Fraction(-sum(map(operator.mul, U, X)), q * M)
+    cert = DepthCertificate(xx, zeros + count, u, offset)
+    if not check_depth_certificate_read_per_row(cert, config):
+        raise RuntimeError("depth certificate failed verification")
+    return cert
 
 
 # ---------------------------------------------------------------------------

@@ -9,6 +9,7 @@ import random
 import re
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -370,6 +371,31 @@ def test_an_unwritable_output_is_a_usage_error(tmp_path, capsys):
         assert "Traceback" not in captured.err
 
 
+def test_scalars_too_large_to_write_or_read_are_usage_errors(tmp_path, capsys):
+    """A point past int's 4300-digit limit for str, which `rat_str` cannot
+    write, and a scalar whose decimal exponent exceeds 4300 in magnitude,
+    which `rat` refuses before it builds the power of 10, each exit 2
+    within a second, with a usage message, empty stdout and no traceback.
+    The first printed a traceback and exited 1; the second ran for minutes."""
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(tverlab.__file__)))
+    path = tmp_path / "config.json"
+    for points, message in (([["1e4300"], ["2e4300"], ["0"]], "Exceeds the limit (4300 digits)"),
+                            ([["1e100000000"], ["2"], ["0"]], "decimal exponent beyond 4300")):
+        path.write_text(json.dumps({"d": 1, "points": points}))
+        argv = ["centerpoint", "--r", "2", "--input", str(path)]
+        start = time.perf_counter()
+        with pytest.raises(SystemExit) as e:
+            main(argv)
+        assert time.perf_counter() - start < 1
+        assert e.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and f"error: centerpoint: {message}" in captured.err
+        proc = subprocess.run([sys.executable, "-m", "tverlab", *argv], env=env,
+                              capture_output=True, text=True, timeout=60)
+        assert (proc.returncode, proc.stdout) == (2, "")
+        assert f"error: centerpoint: {message}" in proc.stderr and "Traceback" not in proc.stderr
+
+
 def test_inputs_below_the_guaranteed_size_falsify_nothing(tmp_path, capsys):
     path = tmp_path / "config.json"
     path.write_text(json.dumps({"d": 1, "points": [[0], [1], [2]]}))
@@ -727,9 +753,7 @@ def test_every_exported_name_resolves():
     assert tverlab_modules_after(
         "import sys, tverlab; tverlab.depth.tukey_depth"
     ) == ["tverlab.depth", "tverlab.exactlp", "tverlab.rationals", "tverlab.rng"]
-    assert tverlab_modules_after("import sys, tverlab.z2") == [
-        "tverlab.complexes", "tverlab.rationals", "tverlab.z2"
-    ]
+    assert tverlab_modules_after("import sys, tverlab.z2") == ["tverlab.complexes", "tverlab.z2"]
     layers = ["complexes", "conemap", "cover", "depth", "exactlp", "z2"]
     loaded = tverlab_modules_after("import sys, tverlab.cli")
     assert set(f"tverlab.{layer}" for layer in layers) <= set(loaded)
@@ -775,6 +799,29 @@ def test_the_file_formats_live_in_the_cli():
                 importers.add(path.stem)
     assert importers == {"cli"}
     assert writers == set()
+
+
+def test_complexes_and_z2_import_no_arithmetic():
+    """`tverlab.complexes` and `tverlab.z2` import nothing from `fractions`
+    or `tverlab.rationals`."""
+    for name in ("complexes", "z2"):
+        imported = set()
+        for node in ast.walk(ast.parse((Path(tverlab.__file__).parent / f"{name}.py").read_text())):
+            if isinstance(node, ast.Import):
+                imported.update(alias.name for alias in node.names)
+            elif isinstance(node, ast.ImportFrom):
+                module = ".".join(filter(None, ["tverlab" if node.level else "", node.module]))
+                imported |= {module, *(f"{module}.{alias.name}" for alias in node.names)}
+        assert not imported & {"fractions", "tverlab.rationals"}, (name, imported)
+
+
+def test_importing_z2_loads_no_fractions():
+    """`import tverlab.z2`, which `from tverlab import hind` runs, leaves
+    `fractions` and `decimal` out of `sys.modules`."""
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(tverlab.__file__)))
+    code = "import sys, tverlab.z2; print(*sorted({'fractions', 'decimal'} & set(sys.modules)))"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.split() == []
 
 
 def test_d_must_be_a_nonnegative_integer(tmp_path, capsys):

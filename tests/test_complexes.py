@@ -9,7 +9,7 @@ from fractions import Fraction as F
 import pytest
 
 from tverlab import SimplicialComplex, SplitMix64
-from tverlab.complexes import simplex, standard_center
+from tverlab.complexes import simplex
 
 from oracles import (
     barycentric_subdivision,
@@ -20,6 +20,7 @@ from oracles import (
     full_simplex,
     has_face,
     skeleton,
+    standard_center,
 )
 
 

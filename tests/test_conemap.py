@@ -20,7 +20,7 @@ from tverlab import (
     verify_isolation,
 )
 from tverlab.cli import main
-from tverlab.complexes import simplex, standard_center
+from tverlab.complexes import simplex
 from tverlab.conemap import IsolationFailure, _build_map, enumerate_disjoint_tuples
 from tverlab.exactlp import common_point_with_weights
 from tverlab.rationals import Point
@@ -33,6 +33,7 @@ from oracles import (
     grid_points_in_simplex,
     has_face,
     in_convex_hull,
+    standard_center,
 )
 
 
@@ -102,13 +103,18 @@ def pl_image_of_face(spec: PLMapSpec, face: Iterable[int]) -> List[Tuple[Point, 
     return sorted(polys.values())
 
 
+def as_fractions(spec, row) -> Point:
+    """A row of the cone map's integer table read as the point row / scale."""
+    return tuple(Fraction(c, spec.scale) for c in row)
+
+
 def pl_map(spec):
     """The cone map as a PLMapSpec on the full barycentric subdivision of
     the m-simplex, each subdivision vertex sent to its face's image."""
     bc = barycentric_subdivision(full_simplex(spec.m))
     return PLMapSpec(
         source=bc,
-        vertex_images={v: spec.images[g] for v, g in bc.face_of_vertex.items()},
+        vertex_images={v: as_fractions(spec, spec.images[g]) for v, g in bc.face_of_vertex.items()},
     )
 
 
@@ -177,15 +183,16 @@ def test_enumeration_canonical_order():
 def test_build_counterexample_shape():
     spec = build_counterexample(1, 2)
     assert spec.m == 2
-    assert spec.center == standard_center(2)
+    center = as_fractions(spec, spec.center)
+    assert center == standard_center(2)
     assert len(spec.images) == 7
     # vertices of the base keep their barycenter, everything else collapses
-    assert spec.images[(1,)] == (0, 1, 0)
+    assert as_fractions(spec, spec.images[(1,)]) == (0, 1, 0)
     assert spec.images[(0, 1)] == spec.images[(0, 1, 2)] == spec.center
     img = pl_image_of_face(pl_map(spec), (0, 1))
     assert len(img) == 2
     for poly in img:
-        assert spec.center in poly
+        assert center in poly
     with pytest.raises(ValueError):
         build_counterexample(0, 2)
     with pytest.raises(ValueError):
@@ -327,11 +334,32 @@ def test_images_match_the_subdivision_construction():
             bc = barycentric_subdivision(base)
             points = realize_subdivision(bc, realize_standard(m))
             assert set(spec.images) == set(faces(base))
-            for g, y in spec.images.items():
+            for g, row in spec.images.items():
+                y = as_fractions(spec, row)
                 if len(g) - 1 <= d - 1:
                     assert y == points[bc.vertex_of_face[g]], (d, r, m, g)
                 else:
                     assert y == standard_center(m), (d, r, m, g)
+
+
+def test_the_map_table_builds_no_fraction():
+    """The cone map's table is integer rows over its one scale: building it
+    at (d, r, m) = (2, 2, 4) builds no Fraction."""
+    built = []
+    new = vars(Fraction)["__new__"]
+
+    def counted(cls, *args, **kwargs):
+        built.append(args)
+        return new.__func__(cls, *args, **kwargs)
+
+    Fraction.__new__ = staticmethod(counted)
+    try:
+        spec = _build_map(2, 2, 4)
+    finally:
+        Fraction.__new__ = new
+    assert built == []
+    assert spec.scale == 10 and len(spec.images) == 31
+    assert spec.images[(0, 3)] == (5, 0, 0, 5, 0) and spec.center == (2,) * 5
 
 
 def test_isolation_and_probe_build_no_complex(monkeypatch):

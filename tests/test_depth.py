@@ -3,7 +3,7 @@ import hashlib
 import json
 import sys
 from fractions import Fraction as F
-from math import comb, factorial
+from math import comb, factorial, lcm
 from types import SimpleNamespace
 
 import pytest
@@ -34,12 +34,15 @@ from tverlab.rationals import Scaled, read_scaled
 from oracles import (
     boxes_miss,
     canonical_partitions,
+    check_depth_certificate_read_per_row,
+    check_tverberg_certificate_read_per_row,
     cut_free_tverberg_partition,
     fraction_partition_system,
     hull_membership_depth,
     in_convex_hull,
     integer_multipliers,
     subset,
+    tukey_depth_over_the_lcm,
 )
 
 
@@ -511,11 +514,73 @@ def test_integer_certificate_checks_agree_with_the_fraction_checks():
     assert accepted > 1000 and rejected > 5000
 
 
+def one_field_mutations(tv, dp, L):
+    """Copies of a Tverberg certificate tv and a depth certificate dp, over
+    a configuration of scale L, with one field changed: a weight nudged by
+    +-1/(2L) or made negative, a block one weight short, the point shifted
+    by +-1/(2L) in one coordinate, the offset moved by +-1/q (q the lcm of
+    the coefficients' denominators), or a coefficient's sign flipped."""
+    T, D = type(tv), type(dp)
+    half = F(1, 2 * L)
+
+    def put(vec, j, value):
+        return vec[:j] + (value,) + vec[j + 1:]
+
+    for b, ws in enumerate(tv.weights):
+        for j, w in enumerate(ws):
+            for v in (w + half, w - half, -w or -half):
+                yield T(tv.blocks, tv.point, put(tv.weights, b, put(ws, j, v)))
+        yield T(tv.blocks, tv.point, put(tv.weights, b, ws[:-1]))
+    for j, x in enumerate(tv.point):
+        yield from (T(tv.blocks, put(tv.point, j, x + s * half), tv.weights) for s in (1, -1))
+    for j, x in enumerate(dp.point):
+        yield from (D(put(dp.point, j, x + s * half), *dp[1:]) for s in (1, -1))
+    q = lcm(*(a.denominator for a in dp.halfspace_coeffs))
+    yield from (D(*dp[:3], dp.halfspace_offset + F(s, q)) for s in (1, -1))
+    for j, a in enumerate(dp.halfspace_coeffs):
+        yield D(dp.point, dp.depth, put(dp.halfspace_coeffs, j, -a), dp.halfspace_offset)
+
+
+def test_the_one_read_paths_match_the_read_per_row_references():
+    """On the seeded (d, r) grids of the checks above and of the early-stop
+    tests below, tukey_depth gives the certificate of its reference over
+    the lcm of the two scales, with and without `lower`, at the partition
+    point, at each configuration point and at a drawn point; and the two
+    certificate checks, reading the point and the rows after it at once,
+    give the verdicts of their read-per-row references on every valid
+    certificate and every one-field mutation of it."""
+    checks = {
+        "TverbergCertificate": (check_tverberg_certificate, check_tverberg_certificate_read_per_row),
+        "DepthCertificate": (check_depth_certificate, check_depth_certificate_read_per_row),
+    }
+    cases = []
+    for d, r in ((1, 2), (1, 3), (2, 2), (2, 3), (3, 2)):
+        rng = SplitMix64(100 * d + r)
+        cases += [(random_point_config(d, guaranteed_size(d, r), rng, num_bound=6, den_bound=3), r)
+                  for _ in range(10)]
+    cases += seeded_centerpoint_configs()
+    rng = SplitMix64(35)
+    verdicts = {True: 0, False: 0}
+    for config, r in cases:
+        tv = tverberg_partition(config, r)
+        dp = tukey_depth(tv.point, config)
+        assert dp == tukey_depth_over_the_lcm(tv.point, config)
+        assert tukey_depth(tv.point, config, r) == tukey_depth_over_the_lcm(tv.point, config, r)
+        for x in (*config.points, rng.rational_point(config.d, 6, 5)):
+            assert tukey_depth(x, config) == tukey_depth_over_the_lcm(x, config)
+        for cert in (tv, dp, *one_field_mutations(tv, dp, config.scaled.scale)):
+            one_read, per_row = checks[type(cert).__name__]
+            verdict = one_read(cert, config)
+            assert verdict == per_row(cert, config), cert
+            verdicts[verdict] += 1
+    assert verdicts[True] > 300 and verdicts[False] > 2000, verdicts
+
+
 def test_the_partition_search_scales_each_configuration_once(monkeypatch):
     """However many candidates tverberg_partition scans, the configuration's
     points reach read_scaled once, when it is built, and the search calls
-    it r + 1 times more (the certificate check's point and its r weight
-    tuples) and builds no Fraction of the configuration.  The kernel
+    it once more (the certificate check reads the point and its r weight
+    tuples together) and builds no Fraction of the configuration.  The kernel
     scales nothing per solve: every block it reads is already Scaled.  The
     r = 2 configurations go through the search, with their Radon step
     off."""
@@ -550,7 +615,7 @@ def test_the_partition_search_scales_each_configuration_once(monkeypatch):
             assert len(calls["tverlab.depth.read_scaled"]) == 1
             assert tverberg_partition(config, r) is not None
             solves_seen.add(len(calls["tverlab.exactlp.lp_feasible"]))
-            assert len(calls["tverlab.depth.read_scaled"]) == 1 + (r + 1)
+            assert len(calls["tverlab.depth.read_scaled"]) == 1 + 1
             assert "points" not in vars(config)
     assert unread == []
     assert len(solves_seen) > 5  # scans of many lengths

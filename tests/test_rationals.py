@@ -1,10 +1,12 @@
 """read_scaled, the reader of input scalars, against rat followed by
 the lcm formula (`oracles.integer_scaled`): the same integers for every
 scalar rat reads, and the same exception and message, in the same
-row-major order, for every one it rejects.  bareiss_pivot and bareiss_eliminate against Fraction
+row-major order, for every one it rejects; rat's refusal of a decimal
+exponent past 4300 in magnitude.  bareiss_pivot and bareiss_eliminate against Fraction
 Gauss-Jordan elimination."""
 from fractions import Fraction as F
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -125,3 +127,15 @@ def test_bareiss_pivot_is_gauss_jordan_over_its_denominator(case):
     assert found == pivots
     assert [[F(v, D) for v in row] for row in ints] == fracs
     assert not any(v for r, row in enumerate(ints) if r not in pivots.values() for v in row)
+
+
+def test_rat_refuses_a_decimal_exponent_past_4300_before_building_it():
+    """A decimal exponent up to 4300 in magnitude, int's digit limit for a
+    digit string, is read; one past it is a ValueError raised at once, where
+    Fraction would build 10 to that power."""
+    assert rat("1e4300") == 10**4300 and rat(" -2.5E-4_300 ") == F(-25, 10**4301)
+    for text in ("1e4301", "1e100000000", "-.5e-100000000", "3E+1_000_000_000"):
+        with pytest.raises(ValueError, match="decimal exponent beyond 4300"):
+            rat(text)
+        with pytest.raises(ValueError, match="decimal exponent beyond 4300"):
+            read_scaled([["1/2", text]])
