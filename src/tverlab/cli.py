@@ -15,10 +15,11 @@ output bytes never depend on it.
 
 Exit codes: 0 all checks passed; 1 exactly when some record says "ok":
 false (the falsified claim is in the output); 2 usage error (an
-unwritable --output, or a record holding an integer past the 4300-digit
-limit for str, is one too); 3 internal error (a self-check failed, or a
-KeyError or TypeError arose with no --input; the output holds one record
-{"command": ..., "internal_error": ...} and nothing else).  A point
+unwritable --output, an --input nested too deeply to decode, or a record
+holding an integer past the 4300-digit limit for str, is one too); 3
+internal error (a self-check failed, or a KeyError or TypeError arose
+with no --input; the output holds one record {"command": ...,
+"internal_error": ...} and nothing else).  A point
 configuration below (d+1)(r-1)+1 points with no partition falsifies
 nothing: its record has "outside_hypotheses": true and "ok": true.
 """
@@ -43,7 +44,10 @@ ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"), default=rat_st
 
 
 def _emit(records: List[dict], output: Optional[str]) -> None:
-    text = "".join(ENCODER.encode(r) + "\n" for r in records)
+    try:
+        text = "".join(ENCODER.encode(r) + "\n" for r in records)
+    except ValueError:  # an int past the digit limit for str, which no flag raises
+        raise ValueError(f"Exceeds the limit ({sys.get_int_max_str_digits()} digits) for an integer in a record") from None
     if output is None:
         sys.stdout.write(text)
     else:
@@ -58,7 +62,10 @@ def _emit(records: List[dict], output: Optional[str]) -> None:
 def _input_object(path: str) -> dict:
     """The JSON value of an --input file, which must be an object."""
     with open(path) as fh:
-        data = json.load(fh)
+        try:
+            data = json.load(fh)
+        except RecursionError:
+            raise ValueError("input nests arrays or objects too deeply to read") from None
     if not isinstance(data, dict):
         raise ValueError("input must be a JSON object")
     return data
@@ -168,12 +175,12 @@ def cmd_probe(args):
     return [result._asdict() | {"ok": result.found}]
 
 
-def _random_facet_touching(n: int, rng: SplitMix64, extra: int = 2) -> Scaled:
-    """One barycentric point per facet (coordinate i zero), then `extra`
+def _random_facet_touching(n: int, rng: SplitMix64) -> Scaled:
+    """One barycentric point per facet (coordinate i zero), then two
     interior points (i None), each drawn as integer weights over their sum
     and returned over the lcm of the sums."""
     rows = [[0 if j == i else rng.int_between(1, 9) for j in range(n + 1)]
-            for i in [*range(n + 1), *[None] * extra]]
+            for i in [*range(n + 1), None, None]]
     L = lcm(*map(sum, rows))
     return Scaled(L, [tuple(w * (L // sum(row)) for w in row) for row in rows])
 
@@ -413,9 +420,7 @@ def main(argv=None) -> int:
         code = FALSIFIED if any(r.get("ok") is False for r in records) else PASS
     try:
         _emit(records, args.output)
-    except (OSError, ValueError) as exc:
-        # An --output path that cannot be written, or a record holding an
-        # int past the digit limit for str (nothing is written then).
+    except (OSError, ValueError) as exc:  # an unwritable --output, or too long an int (nothing written)
         _fail(None, f"{args.command}: {exc}")
     return code
 

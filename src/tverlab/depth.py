@@ -6,26 +6,27 @@ Tverberg partitions from a scan of the set partitions in canonical order,
 except that two blocks are read off the points' affine dependency when it
 is unique up to scale (Radon's theorem: d + 2 points in general position,
 no LP), and the reduction to a prime number of parts duplicates each
-point k times and partitions the lifted cloud.  A centerpoint's depth
->= r is certified from both sides: the blocks give the lower bound, the
-depth halfspace the upper bound.  Both searches use the certificates they
-already hold: the depth recursion behind a partition stops at the first
-halfspace that holds no more points than the blocks guarantee, and the
-partition scan settles a candidate by LP only when neither the blocks'
-coordinate ranges nor the Farkas certificate of an earlier failed
-candidate separate its blocks.  A configuration is its points scaled to
-integers once (`PointConfig.scaled`); the depth recursion, the affine
-dependency, the partition screens, each candidate's LP rows and both
-certificate checks read that one scaling, and none of them builds the
-configuration's `Fraction`s (`tverlab.cli` reads --input files; this
-module knows no file format).
+point k times and partitions the lifted cloud, on a line in closed form
+(no LP).  A centerpoint's depth >= r is certified from both sides: the
+blocks give the lower bound, the depth halfspace the upper bound.  Both
+searches use the certificates they already hold: the depth recursion
+behind a partition stops at the first halfspace that holds no more
+points than the blocks guarantee, and the partition scan settles a
+candidate by LP only when neither the blocks' coordinate ranges nor the
+Farkas certificate of an earlier failed candidate separate its blocks.
+A configuration is its points scaled to integers once
+(`PointConfig.scaled`); the depth recursion, the affine dependency, the
+partition screens, each candidate's LP rows and both certificate checks
+read that one scaling, and none of them builds the configuration's
+`Fraction`s (`tverlab.cli` reads --input files; this module knows no
+file format).
 """
 from __future__ import annotations
 
 import functools
 import operator
 from fractions import Fraction
-from math import gcd
+from math import gcd, isqrt
 from typing import Iterator, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 from .exactlp import (
@@ -211,24 +212,16 @@ def tukey_depth(x: Sequence, config: PointConfig, lower: Optional[int] = None) -
 # canonical partition enumeration
 # ---------------------------------------------------------------------------
 
-def iter_partitions(n: int, r: int) -> Iterator[Tuple[Tuple[int, ...], ...]]:
-    """All partitions of 0..n-1 into exactly r nonempty blocks, in canonical
-    (restricted-growth-string, lexicographic) order.
-
-    Block lists come out sorted by smallest element, which the RGS encoding
-    guarantees."""
-    return _partitions(n, r, [()] * n)  # zero-dimensional points pass every screen
-
-
 def _partitions(
     n: int, r: int, points: Sequence[Tuple[int, ...]]
 ) -> Iterator[Tuple[Tuple[int, ...], ...]]:
-    """iter_partitions, given one integer point per label (scaled by one
-    positive common factor, which keeps every comparison), with only the
-    partitions whose blocks' coordinate ranges share a point in every
-    coordinate, a necessary condition for their hulls to meet.  Each
-    block's per-coordinate minimum and maximum are kept on the recursion's
-    stack, so a partition is screened in O(d r)."""
+    """The partitions of 0..n-1 into r nonempty blocks, in canonical
+    (restricted-growth-string, lexicographic) order, given one integer
+    point per label (scaled by one positive common factor, which keeps
+    every comparison), with only those whose blocks' coordinate ranges
+    share a point in every coordinate, a necessary condition for their
+    hulls to meet.  Each block's per-coordinate minimum and maximum are
+    kept on the recursion's stack, so a partition is screened in O(d r)."""
     if r < 1 or r > n:
         return
     members: List[List[int]] = [[] for _ in range(r)]
@@ -263,8 +256,8 @@ def tverberg_partition(config: PointConfig, r: int) -> Optional[TverbergCertific
     For r = 2, when the points have one affine dependency up to scale (as
     d + 2 points in general position do), the partition and its weights
     are read off it (_radon_partition) and no LP is solved.  Otherwise the
-    search is exhaustive over set partitions, in the order of
-    iter_partitions; a candidate is rejected if its blocks' coordinate
+    search is exhaustive over set partitions, in canonical order
+    (_partitions); a candidate is rejected if its blocks' coordinate
     ranges miss each other (over the points scaled to integers once), or
     if an earlier candidate's Farkas certificate already separates its
     blocks; otherwise it is settled by an exact LP built from the same
@@ -428,14 +421,7 @@ def _depth_from_lifted_partition(
 # ---------------------------------------------------------------------------
 
 def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    p = 2
-    while p * p <= n:
-        if n % p == 0:
-            return False
-        p += 1
-    return True
+    return n >= 2 and all(n % p for p in range(2, isqrt(n) + 1))
 
 
 def reduction_plan(r: int, d: int) -> ReductionPlan:
@@ -456,20 +442,30 @@ def reduction_plan(r: int, d: int) -> ReductionPlan:
     return ReductionPlan(r=r, d=d, k=k, R=R, m=m, M=M)
 
 
-def _lifted_partition_1d(
-    points: Sequence[Tuple[int, ...]], R: int
-) -> Tuple[Tuple[int, ...], ...]:
-    """An R-part Tverberg partition on a line: pair the i-th smallest with
-    the i-th largest for i < R, and pool the middle.  Every block's hull
-    contains the median, so the hulls intersect.  The points are integers
-    over one positive scale, which keeps their order."""
-    order = sorted(range(len(points)), key=lambda i: (points[i][0], i))
-    blocks = []
-    for i in range(R - 1):
-        blocks.append(tuple(sorted((order[i], order[len(points) - 1 - i]))))
-    middle = tuple(sorted(order[R - 1: len(points) - (R - 1)]))
-    blocks.append(middle)
-    return tuple(sorted(blocks))
+def _lifted_partition_1d(lifted: PointConfig, R: int) -> TverbergCertificate:
+    """An R-part Tverberg partition of a k-fold lift on a line, with no LP:
+    the i-th smallest point paired with the i-th largest for i < R, and the
+    k in the middle (each block and the list sorted).  Over the lift's one
+    scaling P/L, X, the largest block minimum, is the median; a block with
+    least point a and greatest b writes X/L with (b - X)/(b - a) on a and
+    (X - a)/(b - a) on b, or all on a when a = b.  The certificate is
+    checked here, by check_tverberg_certificate."""
+    L, P = lifted.scaled
+    n, x = len(P), [p[0] for p in P]
+    order = sorted(range(n), key=lambda i: (x[i], i))
+    blocks = tuple(sorted([tuple(sorted((order[i], order[n - 1 - i]))) for i in range(R - 1)]
+                          + [tuple(sorted(order[R - 1:n - R + 1]))]))
+    X = max(min(map(x.__getitem__, b)) for b in blocks)
+    weights = []
+    for b in blocks:
+        lo, hi = min(b, key=x.__getitem__), max(b, key=x.__getitem__)
+        span = x[hi] - x[lo]
+        w = {lo: Fraction(x[hi] - X, span), hi: Fraction(X - x[lo], span)} if span else {lo: Fraction(1)}
+        weights.append(tuple(w.get(l, Fraction(0)) for l in b))
+    cert = TverbergCertificate(blocks, (Fraction(X, L),), tuple(weights))
+    if not check_tverberg_certificate(cert, lifted):
+        raise RuntimeError("partition certificate failed verification")
+    return cert
 
 
 def reduce_central_from_tverberg(config: PointConfig, r: int) -> DepthCertificate:
@@ -478,8 +474,9 @@ def reduce_central_from_tverberg(config: PointConfig, r: int) -> DepthCertificat
     Duplicates each integer row of `config.scaled` k times, over the same
     scale (distinct labels, identical coordinates), and partitions the
     lifted cloud into R = k(r-1)+1 prime parts whose hulls share a point:
-    on a line by pairing from both ends, elsewhere by the canonical
-    search.  The R blocks prove depth >= ceil(R/k) = r."""
+    on a line by pairing from both ends, certified by construction with no
+    LP (_lifted_partition_1d), elsewhere by the canonical search.  The R
+    blocks prove depth >= ceil(R/k) = r."""
     d = config.d
     plan = reduction_plan(r, d)
     if config.n != plan.m + 1:
@@ -488,10 +485,7 @@ def reduce_central_from_tverberg(config: PointConfig, r: int) -> DepthCertificat
         )
     L, P = config.scaled
     lifted = PointConfig(d, Scaled(L, [p for p in P for _ in range(plan.k)]))
-    if d == 1:
-        cert = _partition_certificate(lifted, _lifted_partition_1d(lifted.scaled.rows, plan.R))
-    else:
-        cert = tverberg_partition(lifted, plan.R)
-    if not isinstance(cert, TverbergCertificate):
+    cert = _lifted_partition_1d(lifted, plan.R) if d == 1 else tverberg_partition(lifted, plan.R)
+    if cert is None:
         raise RuntimeError("no Tverberg partition of the lifted cloud")
     return _depth_from_lifted_partition(config, plan.k, r, cert)

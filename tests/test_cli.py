@@ -394,6 +394,7 @@ def test_scalars_too_large_to_write_or_read_are_usage_errors(tmp_path, capsys):
                               capture_output=True, text=True, timeout=60)
         assert (proc.returncode, proc.stdout) == (2, "")
         assert f"error: centerpoint: {message}" in proc.stderr and "Traceback" not in proc.stderr
+        assert "set_int_max_str_digits" not in captured.err + proc.stderr
 
 
 def test_inputs_below_the_guaranteed_size_falsify_nothing(tmp_path, capsys):
@@ -957,6 +958,26 @@ def test_an_input_that_is_not_a_json_object_is_a_usage_error(tmp_path, capsys):
             assert usage_error(capsys, argv) == (
                 2, f"tverlab: error: {command[0]}: input must be a JSON object"
             ), (value, command)
+
+
+def test_input_nested_past_the_decoders_limit_is_a_usage_error(tmp_path, capsys):
+    """An array or object nested 200 000 deep makes json raise RecursionError,
+    a RuntimeError, which exited 3 as an internal error; it is bad input."""
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(tverlab.__file__)))
+    path = tmp_path / "deep.json"
+    message = "input nests arrays or objects too deeply to read"
+    for text in ('{"d": 1, "points": ' + "[" * 200_000 + "]" * 200_000 + "}",
+                 '{"maximal_simplices": ' + '{"a": ' * 200_000 + "0" + "}" * 200_001):
+        path.write_text(text)
+        for command in (["centerpoint", "--r", "2"], ["tverberg", "--r", "2"], ["cover"], ["hind"]):
+            argv = command + ["--input", str(path)]
+            assert usage_error(capsys, argv) == (2, f"tverlab: error: {command[0]}: {message}")
+    argv = ["centerpoint", "--r", "2", "--input", str(path)]
+    path.write_text('{"d": 1, "points": ' + "[" * 200_000 + "]" * 200_000 + "}")
+    proc = subprocess.run([sys.executable, "-m", "tverlab", *argv], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr.splitlines()[-1] == f"tverlab: error: centerpoint: {message}"
 
 
 def test_maximal_simplices_that_are_not_an_array_are_a_usage_error(tmp_path, capsys):

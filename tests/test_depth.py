@@ -26,9 +26,9 @@ from tverlab import (
     tverberg_partition,
 )
 from tverlab.depth import (
-    check_depth_certificate, check_tverberg_certificate, guaranteed_size, iter_partitions,
+    check_depth_certificate, check_tverberg_certificate, guaranteed_size,
 )
-from tverlab.exactlp import check_farkas
+from tverlab.exactlp import check_farkas, common_point_with_weights
 from tverlab.rationals import Scaled, read_scaled
 
 from oracles import (
@@ -195,18 +195,27 @@ def test_depth_rejects_point_of_wrong_dimension():
 
 
 def test_partition_enumeration_order_and_counts():
-    assert list(iter_partitions(3, 2)) == [
+    assert list(depth_module._partitions(3, 2, [()] * 3)) == [
         ((0, 1), (2,)),
         ((0, 2), (1,)),
         ((0,), (1, 2)),
     ]
     for n, r in ((4, 2), (5, 3), (6, 3)):
-        parts = list(iter_partitions(n, r))
+        parts = list(depth_module._partitions(n, r, [()] * n))
         assert len(parts) == stirling_partition_count(n, r)
         assert len(set(parts)) == len(parts)
         for blocks in parts:
             assert sorted(v for b in blocks for v in b) == list(range(n))
             assert all(blocks[i][0] < blocks[i + 1][0] for i in range(r - 1))
+
+
+def test_the_search_enumerates_the_canonical_partitions():
+    """With zero-dimensional points, which pass every screen, the search's
+    enumerator gives every partition in the oracle's canonical order, for
+    each n <= 8 and r from -1 to n + 1."""
+    for n in range(9):
+        for r in range(-1, n + 2):
+            assert list(depth_module._partitions(n, r, [()] * n)) == list(canonical_partitions(n, r)), (n, r)
 
 
 def test_tverberg_three_collinear_points():
@@ -338,18 +347,64 @@ def test_reduce_runs_no_hull_membership(monkeypatch):
 
 
 def test_reduce_rejects_a_partition_with_too_few_blocks(monkeypatch):
-    """Merging two of the R blocks keeps a valid Tverberg certificate of the
-    lift, but R - 1 blocks of a k-fold lift prove only depth >= r - 1."""
+    """Merging two of the R blocks, with their weights halved, keeps a valid
+    Tverberg certificate of the lift, but R - 1 blocks of a k-fold lift
+    prove only depth >= r - 1."""
     real = depth_module._lifted_partition_1d
 
-    def merged(points, R):
-        first, second, *rest = real(points, R)
-        return tuple(sorted([tuple(sorted(first + second))] + rest))
+    def merged(lifted, R):
+        cert = real(lifted, R)
+        (first, second, *blocks), (u, v, *weights) = cert.blocks, cert.weights
+        halved = tuple(w / 2 for w in u + v)
+        cert = TverbergCertificate((first + second, *blocks), cert.point, (halved, *weights))
+        assert check_tverberg_certificate(cert, lifted)
+        return cert
 
     monkeypatch.setattr("tverlab.depth._lifted_partition_1d", merged)
     config = PointConfig(1, [[i] for i in range(7)])
     with pytest.raises(RuntimeError, match="depth < 4"):
         reduce_central_from_tverberg(config, 4)
+
+
+def test_reduce_on_a_line_solves_no_lp(monkeypatch):
+    """On a line the prime lift's pairing is certified by construction: no
+    LP runs, up to r = 60 (R = 709 blocks over 1428 lifted points)."""
+    def no_lp(*args):
+        raise AssertionError("an LP ran on the line")
+
+    monkeypatch.setattr("tverlab.exactlp.lp_feasible", no_lp)
+    monkeypatch.setattr("tverlab.depth.common_point_with_weights", no_lp)
+    rng = SplitMix64(0)
+    for r in (*range(2, 11), 18, 60):
+        config = random_point_config(1, reduction_plan(r, 1).m + 1, rng)
+        assert reduce_central_from_tverberg(config, r).depth >= r
+
+
+@st.composite
+def tie_heavy_lifts(draw):
+    """The k-fold lift of 2r - 1 points on a line, r = 2..8, with numerators
+    in -3..3 over denominators 1..3, so many points coincide, and its R."""
+    r = draw(st.integers(2, 8))
+    plan = reduction_plan(r, 1)
+    scalars = st.builds(F, st.integers(-3, 3), st.integers(1, 3))
+    points = draw(st.lists(scalars, min_size=plan.m + 1, max_size=plan.m + 1))
+    L, P = read_scaled([[p] for p in points])
+    return PointConfig(1, Scaled(L, [p for p in P for _ in range(plan.k)])), plan.R
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=60)
+@given(tie_heavy_lifts())
+def test_the_lifted_pairing_certificate_is_the_lps(case):
+    """The pairing's closed-form certificate passes the check, and its point
+    is the one the LP finds on the same blocks: on a line only the median
+    lies in every block's hull."""
+    lifted, R = case
+    cert = depth_module._lifted_partition_1d(lifted, R)
+    assert len(cert.blocks) == R and check_tverberg_certificate(cert, lifted)
+    assert all(list(b) == sorted(b) for b in cert.blocks) and list(cert.blocks) == sorted(cert.blocks)
+    L, P = lifted.scaled
+    point, _ = common_point_with_weights([Scaled(L, [P[l] for l in b]) for b in cert.blocks])
+    assert cert.point == point
 
 
 def test_reduce_requires_exact_cloud_size():
@@ -386,12 +441,18 @@ def test_the_depth_path_builds_no_fraction_of_a_configuration(monkeypatch):
     integer rows, each repeated k times, over the input's own scale."""
     lifts = []
     real = depth_module._partition_certificate
+    real_1d = depth_module._lifted_partition_1d
 
     def recording(config, blocks):
         lifts.append(config)
         return real(config, blocks)
 
+    def recording_1d(lifted, R):
+        lifts.append(lifted)
+        return real_1d(lifted, R)
+
     monkeypatch.setattr("tverlab.depth._partition_certificate", recording)
+    monkeypatch.setattr("tverlab.depth._lifted_partition_1d", recording_1d)
     rng = SplitMix64(1618)
     for d, r in ((1, 2), (2, 2), (2, 3)):
         config = random_point_config(d, guaranteed_size(d, r), rng, num_bound=6, den_bound=3)

@@ -476,14 +476,30 @@ def test_partition_systems_match_the_fraction_tableau(monkeypatch):
 
 def test_hull_systems_match_the_fraction_tableau(monkeypatch):
     """The lift-partition and hull-membership systems of acceptance
-    criterion 4, from its seeds."""
+    criterion 4, from its seeds.  The lift's pairing is certified without
+    an LP, so its system is solved here, on the blocks of the certificate
+    the pairing returns, and the LP's point must be the pairing's."""
+    pairings = []
+    pairing = tverlab.depth._lifted_partition_1d
+
+    def recording(lifted, R):
+        pairings.append((lifted, pairing(lifted, R)))
+        return pairings[-1][1]
+
+    monkeypatch.setattr("tverlab.depth._lifted_partition_1d", recording)
+
     def criterion_4():
         for r in (4, 6):
             rng = SplitMix64(4000 + r)
             plan = reduction_plan(r, 1)
             for _ in range(10):
                 config = random_point_config(1, plan.m + 1, rng, num_bound=6, den_bound=3)
+                pairings.clear()
                 cert = reduce_central_from_tverberg(config, r)
+                ((lifted, paired),) = pairings
+                L, P = lifted.scaled
+                point, _ = common_point_with_weights([Scaled(L, [P[l] for l in b]) for b in paired.blocks])
+                assert point == paired.point == cert.point
                 assert hull_membership_depth(cert.point, config, r)
 
     seen = recorded_systems(monkeypatch, criterion_4)
