@@ -155,9 +155,8 @@ def cmd_hind(args):
             raise ValueError('"maximal_simplices" must be an array of arrays of vertex ids') from None
         X = z2.Z2Complex(K, involution)
         return [{"hind": z2.hind(X)}]
-    m = args.m if args.sphere is None else args.sphere
-    value = z2.hind(z2.cross_polytope_sphere(m))
-    return [{"sphere": m, "hind": value, "expected": m, "ok": value == m}]
+    value = z2.hind(z2.cross_polytope_sphere(args.sphere))
+    return [{"sphere": args.sphere, "hind": value, "expected": args.sphere, "ok": value == args.sphere}]
 
 
 def cmd_counterexample(args):
@@ -227,15 +226,14 @@ FLAGS = {
     "d": (int, "ambient or simplex dimension", 0, None, None),
     "r": (int, "number of parts / depth target", 0, None, None),
     "trials": (int, "trial count or grid density (default 5)", 1, None, 5),
-    "m": (int, "sphere dimension", 0, None, None),
-    "sphere": (int, "alias for --m", 0, None, None),
+    "sphere": (int, "sphere dimension", 0, None, None),
     "input": (str, "input JSON path", None, None, None),
 }
 
-# subcommand: handler, the flags it reads beside --seed, --output and --jobs
-# ("a|b": a mutually exclusive pair), the flags it needs ("a|b": either one),
-# the flags an --input file decides (it gives one configuration, complex or
-# point set, and no draw; only these subcommands take --input), and help
+# subcommand: handler, the flags it reads beside --seed, --output and --jobs,
+# the flags it needs ("a|b": either one), the flags an --input file decides
+# (it gives one configuration, complex or point set, and no draw; only these
+# subcommands take --input), and help
 COMMANDS = {
     "centerpoint": (cmd_centerpoint, "d r trials", "r d|input", "trials seed",
                     "depth >= r certificates on seeded configurations"),
@@ -243,7 +241,7 @@ COMMANDS = {
                  "canonical Tverberg partitions with common-point certificates"),
     "reduce": (cmd_reduce, "d r trials", "d r", "",
                "prime-lift reduction: depth via an R-part partition of the lifted cloud"),
-    "hind": (cmd_hind, "m|sphere", "m|sphere|input", "m sphere",
+    "hind": (cmd_hind, "sphere", "sphere|input", "sphere",
              "Z2 index of cross-polytope spheres (or an --input complex)"),
     "counterexample": (cmd_counterexample, "d r", "d r", "",
                        "isolated-face verification for the cone map at m=(d+1)r-2"),
@@ -255,14 +253,11 @@ COMMANDS = {
 
 
 def _split(handler, reads, needs, decides, text) -> tuple:
-    """A COMMANDS entry as tuples, its words split at "|" into groups, plus
-    (flag, least, greatest, default) for each flag read that has a range."""
-    def groups(words):
-        return tuple(tuple(word.split("|")) for word in words.split())
-
-    reads = groups(f"seed output jobs {reads}" + (" input" if decides else ""))
-    bounds = tuple((flag, *FLAGS[flag][2:]) for group in reads for flag in group if FLAGS[flag][2] is not None)
-    return handler, reads, groups(needs), tuple(decides.split()), text, bounds
+    """A COMMANDS entry as tuples, its needs split at "|" into alternatives,
+    plus (flag, least, greatest, default) for each flag read with a range."""
+    reads = tuple(f"seed output jobs {reads}".split()) + (("input",) if decides else ())
+    bounds = tuple((flag, *FLAGS[flag][2:]) for flag in reads if FLAGS[flag][2] is not None)
+    return handler, reads, tuple(tuple(w.split("|")) for w in needs.split()), tuple(decides.split()), text, bounds
 
 
 COMMANDS = {name: _split(*entry) for name, entry in COMMANDS.items()}  # once, at import
@@ -276,18 +271,17 @@ NUMBER = re.compile(r"^-\d+$|^-\d*\.\d+$").match  # a value, though it starts wi
 @functools.cache
 def build_parser() -> dict:
     """Once per process, from COMMANDS and FLAGS, per subcommand (None: the
-    top level): {option or prefix: [(option, (flag, flags it excludes))]},
-    its usage and its flags."""
+    top level): {option or prefix: [(option, flag)]}, its usage and its
+    flags."""
     parsers = {}
     for name, reads in [(None, ()), *((name, entry[1]) for name, entry in COMMANDS.items())]:
-        flags = {flag: (flag, tuple(g for g in group if g != flag)) for group in reads for flag in group}
-        options = [(o, ("help", ())) for o in ("-h", "--help")] + [(f"--{f}", item) for f, item in flags.items()]
+        options = [(o, "help") for o in ("-h", "--help")] + [(f"--{flag}", flag) for flag in reads]
         prefixes = dict.fromkeys(option[:k] for option, _ in options for k in range(2, len(option)))
-        lookup = {prefix: [(o, e) for o, e in options if o.startswith(prefix)] for prefix in prefixes}
-        parts = ["[%s]" % " | ".join(f"--{flag} {flag.upper()}" for flag in group) for group in reads]
+        lookup = {prefix: [(o, f) for o, f in options if o.startswith(prefix)] for prefix in prefixes}
+        parts = [f"[--{flag} {flag.upper()}]" for flag in reads]
         usage = " ".join(["usage: tverlab", name, "[-h]", *parts]) if name else (  # as argparse wrapped it
             "usage: tverlab [-h]\n{0}{{{1}}}\n{0}...".format(" " * 15, ",".join(COMMANDS)))
-        parsers[name] = lookup | {option: [(option, entry)] for option, entry in options}, usage, dict.fromkeys(flags)
+        parsers[name] = lookup | {option: [(option, flag)] for option, flag in options}, usage, dict.fromkeys(reads)
     return parsers
 
 
@@ -309,7 +303,7 @@ def _help(name):
 
 def _read(name, lookup: dict, token: str):
     """One token as argparse read it, before taking any: None for a value,
-    else (the option's entry or None if it is unknown, the value written
+    else (the option's flag or None if it is unknown, the value written
     after "=" or run on after "-h", or None)."""
     if token[:1] != "-" or token == "-":
         return None
@@ -341,7 +335,7 @@ def _take(name, tokens: list, args, extra: list):
         if read is None or read[0] is None:
             extra.append(token)
             continue
-        (flag, rivals), value = read
+        flag, value = read
         if flag == "help":
             if value is not None:
                 _fail(name, f"argument -h/--help: ignored explicit argument {value!r}")
@@ -355,9 +349,6 @@ def _take(name, tokens: list, args, extra: list):
             value = kind(value)
         except ValueError:
             _fail(name, f"argument --{flag}: invalid {kind.__name__} value: {value!r}")
-        for rival in rivals:
-            if getattr(args, rival) is not None:
-                _fail(name, f"argument --{flag}: not allowed with argument --{rival}")
         setattr(args, flag, value)
     if name is None and cut + 1 < len(tokens):
         return cut  # argparse read a "--" with a token after it as the command

@@ -129,12 +129,12 @@ def _fewest_on_open_side(
 ) -> Tuple[int, List[int], int]:
     """The fewest w in W (nonzero integer vectors) with u.w > 0 over
     functionals u on R^d that vanish on no w, and such a u as an integer
-    vector U over a positive denominator q.  The cell of an optimal u has
-    a facet on some hyperplane u.v = 0 with v in W, so u is a recursive
-    answer for W projected along v, tilted off u.v = 0 to put the w on the
-    line of v on their smaller side.  Each w is projected to v_k*w - w_k*v,
-    a positive multiple of w - w_k*(v/v_k), which keeps every sign the
-    recursion reads and keeps the vectors integer.
+    vector U over a positive denominator q, in lowest terms.  The cell of
+    an optimal u has a facet on some hyperplane u.v = 0 with v in W, so u
+    is a recursive answer for W projected along v, tilted off u.v = 0 to
+    put the w on the line of v on their smaller side.  Each w is projected
+    to v_k*w - w_k*v, a positive multiple of w - w_k*(v/v_k), which keeps
+    every sign the recursion reads and keeps the vectors integer.
 
     The search returns as soon as its best count is <= stop, a proven
     lower bound on the answer (-1 never stops it early).
@@ -172,7 +172,9 @@ def _fewest_on_open_side(
             f = f or 1
             U = [c * f for c in U]
             U[k] += e if pos <= neg else -e
-            best = (count, U, q * f)
+            q *= f
+            g = gcd(q, *U)
+            best = (count, [c // g for c in U], q // g)
             if count <= stop:
                 break
     return best
@@ -220,34 +222,40 @@ def _partitions(
     point per label (scaled by one positive common factor, which keeps
     every comparison), with only those whose blocks' coordinate ranges
     share a point in every coordinate, a necessary condition for their
-    hulls to meet.  Each block's per-coordinate minimum and maximum are
-    kept on the recursion's stack, so a partition is screened in O(d r)."""
+    hulls to meet.  One loop walks the string (no recursion, so no limit
+    on n), keeping per label its block (-1 unplaced), the blocks open
+    before it and its block's per-coordinate (min, max) before it joined,
+    restored on a step back; so a partition is screened in O(d r)."""
     if r < 1 or r > n:
         return
     members: List[List[int]] = [[] for _ in range(r)]
     lo: List[Tuple[int, ...]] = [()] * r
     hi: List[Tuple[int, ...]] = [()] * r
-
-    def rec(i: int, used: int):
+    block, opened, saved = [-1] * n, [0] * (n + 1), [((), ())] * n
+    i = 0
+    while i >= 0:
         if i == n:
             if all(max(a) <= min(b) for a, b in zip(zip(*lo), zip(*hi))):
                 yield tuple(map(tuple, members))
-            return
+            i -= 1
+            continue
+        b, used = block[i], opened[i]
+        if b >= 0:
+            members[b].pop()
+            lo[b], hi[b] = saved[i]
         # label i joins an open block while the n - i - 1 labels after it can
         # still open the rest, or opens block `used` while fewer than r are open
-        for b in range(0 if used + n - i > r else used, min(used + 1, r)):
-            saved = lo[b], hi[b]
-            p = points[i]
-            if members[b]:
-                lo[b], hi[b] = tuple(map(min, lo[b], p)), tuple(map(max, hi[b], p))
-            else:
-                lo[b] = hi[b] = p
-            members[b].append(i)
-            yield from rec(i + 1, used + (b == used))
-            members[b].pop()
-            lo[b], hi[b] = saved
-
-    yield from rec(0, 0)
+        b = max(b + 1, 0 if used + n - i > r else used)
+        if b >= min(used + 1, r):
+            block[i], i = -1, i - 1
+            continue
+        saved[i], p = (lo[b], hi[b]), points[i]
+        if members[b]:
+            lo[b], hi[b] = tuple(map(min, lo[b], p)), tuple(map(max, hi[b], p))
+        else:
+            lo[b] = hi[b] = p
+        members[b].append(i)
+        block[i], opened[i + 1], i = b, used + (b == used), i + 1
 
 
 def tverberg_partition(config: PointConfig, r: int) -> Optional[TverbergCertificate]:

@@ -38,6 +38,12 @@ Point = Tuple[Fraction, ...]
 _EXPONENT = re.compile(r"(?<=[\d.])[eE]([-+]?\d+(?:_\d+)*)\s*\Z")
 
 
+def _shown(value) -> str:
+    """repr(value) cut to 60 characters: a refused value may be huge."""
+    text = repr(value)
+    return text if len(text) <= 60 else f"{text[:57]}..."
+
+
 def rat(value) -> Fraction:
     """Coerce an int, string ``"p/q"`` (or ``"p"``), or Fraction to a
     Fraction; ValueError for a decimal exponent past 4300 in magnitude."""
@@ -50,12 +56,14 @@ def rat(value) -> Fraction:
     if isinstance(value, str):
         exponent = _EXPONENT.search(value)
         if exponent and abs(int(exponent.group(1))) > 4300:
-            raise ValueError(f"decimal exponent beyond 4300 in magnitude in {value!r}")
+            raise ValueError(f"decimal exponent beyond 4300 in magnitude in {_shown(value)}")
         try:
             return Fraction(value.strip())
         except ZeroDivisionError:
-            raise ValueError(f"zero denominator in {value!r}") from None
-    raise TypeError(f"cannot interpret {value!r} as an exact rational")
+            raise ValueError(f"zero denominator in {_shown(value)}") from None
+        except ValueError as exc:  # Fraction's "Invalid literal" message holds the whole string
+            raise ValueError(str(exc).replace(repr(value.strip()), _shown(value.strip()), 1)) from None
+    raise TypeError(f"cannot interpret {_shown(value)} as an exact rational")
 
 
 def rat_str(value: Fraction) -> str:

@@ -543,18 +543,16 @@ def min_cover_homothety(points: Sequence[Sequence], body: HPolytopeBody) -> Cove
 def argparse_parser() -> argparse.ArgumentParser:
     """The argparse parser built from cli.COMMANDS and cli.FLAGS, as the CLI
     built it before it walked argv through the tables itself: one shared
-    parent parser per flag or exclusive pair."""
+    parent parser per flag."""
     parser = argparse.ArgumentParser(
         prog="tverlab",
         description="exact-arithmetic checks for depth, partitions, index, and covering claims",
     )
     sub = parser.add_subparsers(dest="command", required=True)
     parents = {}
-    for group in dict.fromkeys(group for entry in cli.COMMANDS.values() for group in entry[1]):
-        parents[group] = parent = argparse.ArgumentParser(add_help=False)
-        holder = parent.add_mutually_exclusive_group() if len(group) > 1 else parent
-        for flag in group:
-            holder.add_argument(f"--{flag}", type=cli.FLAGS[flag][0], default=None, help=cli.FLAGS[flag][1])
+    for flag in dict.fromkeys(flag for entry in cli.COMMANDS.values() for flag in entry[1]):
+        parents[flag] = parent = argparse.ArgumentParser(add_help=False)
+        parent.add_argument(f"--{flag}", type=cli.FLAGS[flag][0], default=None, help=cli.FLAGS[flag][1])
     for name, (_, reads, _, _, text, _) in cli.COMMANDS.items():
-        sub.add_parser(name, help=text, parents=[parents[group] for group in reads])
+        sub.add_parser(name, help=text, parents=[parents[flag] for flag in reads])
     return parser

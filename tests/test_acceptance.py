@@ -187,7 +187,7 @@ def test_criterion_9_cli_determinism(tmp_path):
             ["centerpoint", "--d", "1", "--r", "2", "--trials", "2"],
             ["tverberg", "--d", "1", "--r", "2", "--trials", "2"],
             ["reduce", "--d", "1", "--r", "4", "--trials", "1"],
-            ["hind", "--m", "1"],
+            ["hind", "--sphere", "1"],
             ["counterexample", "--d", "1", "--r", "2"],
             ["probe", "--d", "1", "--r", "2"],
             ["cover", "--d", "2", "--trials", "2"],

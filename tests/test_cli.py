@@ -14,6 +14,8 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import tverlab
 import tverlab.cli
@@ -57,7 +59,7 @@ def test_reduce_smoke(capsys):
 
 
 def test_hind_sphere_and_alias(capsys):
-    code, records, _ = run(capsys, "hind", "--m", "2")
+    code, records, _ = run(capsys, "hind", "--sphere", "2")
     assert code == 0 and records[0] == {
         "sphere": 2, "hind": 2, "expected": 2, "ok": True
     }
@@ -316,7 +318,7 @@ def test_a_d_that_differs_from_the_input_is_a_usage_error(tmp_path, capsys):
 
 
 def test_flags_that_input_overrides_are_usage_errors(tmp_path, capsys):
-    """Next to --input, hind's --m and --sphere, an explicit --trials or
+    """Next to --input, hind's --sphere, an explicit --trials or
     --seed of centerpoint, tverberg and cover, and a cover --d other than
     the file's n are usage errors; unchecked, each run answered the file
     and exited 0."""
@@ -329,7 +331,6 @@ def test_flags_that_input_overrides_are_usage_errors(tmp_path, capsys):
     points.write_text(json.dumps({"barycentric_points": [[1, 0, 0], [0, 1, 0], [0, 0, 1]]}))
     for argv, message in (
         (["hind", "--sphere", "5", "--input", str(cycle)], "hind: --sphere does not apply to --input"),
-        (["hind", "--m", "1", "--input", str(cycle)], "hind: --m does not apply to --input"),
         (["centerpoint", "--r", "2", "--trials", "3", "--input", str(config)],
          "centerpoint: --trials does not apply to --input"),
         (["tverberg", "--r", "2", "--trials", "5", "--input", str(config)],
@@ -363,7 +364,7 @@ def test_an_unwritable_output_is_a_usage_error(tmp_path, capsys):
     IsADirectoryError or FileNotFoundError and exited 1."""
     for path, reason in ((tmp_path, "Is a directory"), (tmp_path / "no" / "x.json", "No such file")):
         with pytest.raises(SystemExit) as e:
-            main(["hind", "--m", "1", "--output", str(path)])
+            main(["hind", "--sphere", "1", "--output", str(path)])
         assert e.value.code == 2
         captured = capsys.readouterr()
         assert captured.out == ""
@@ -421,8 +422,9 @@ def test_usage_errors_exit_two(capsys):
     with pytest.raises(SystemExit) as e:
         main(["centerpoint", "--d", "1", "--r", "2", "--jobs", "0"])
     assert e.value.code == 2
-    # --m, the sphere dimension, is hind's alone; elsewhere it was ignored
+    # --m, once the sphere dimension, is gone: each subcommand refuses it
     for argv in (
+        ["hind", "--m", "2"],
         ["reduce", "--d", "1", "--r", "2", "--trials", "1", "--m", "7"],
         ["centerpoint", "--m", "4"],
         *([sub, "--d", "1", "--r", "2", "--m", "1"]
@@ -436,8 +438,7 @@ def test_usage_errors_exit_two(capsys):
         assert captured.out == ""
         assert captured.err.endswith(f"error: {argv[0]}: unrecognized arguments: {' '.join(argv[-2:])}\n")
     # hind reads no --d, --r or --trials, probe and counterexample no
-    # --trials, cover and fiber-demo no --r; --m and --sphere name one
-    # dimension
+    # --trials, cover and fiber-demo no --r
     for argv, message in (
         (["probe", "--d", "1", "--r", "2", "--trials", "9"],
          "probe: unrecognized arguments: --trials 9"),
@@ -449,22 +450,19 @@ def test_usage_errors_exit_two(capsys):
          "fiber-demo: unrecognized arguments: --r 7"),
         (["hind", "--sphere", "2", "--d", "5", "--r", "9", "--trials", "3"],
          "hind: unrecognized arguments: --d 5 --r 9 --trials 3"),
-        (["hind", "--m", "2", "--d", "5"], "hind: unrecognized arguments: --d 5"),
-        (["hind", "--m", "2", "--r", "9"], "hind: unrecognized arguments: --r 9"),
-        (["hind", "--m", "2", "--trials", "3"], "hind: unrecognized arguments: --trials 3"),
-        (["hind", "--m", "2", "--sphere", "3"], "argument --sphere: not allowed with argument --m"),
-        (["hind", "--sphere", "3", "--m", "2"], "argument --m: not allowed with argument --sphere"),
+        (["hind", "--sphere", "2", "--d", "5"], "hind: unrecognized arguments: --d 5"),
+        (["hind", "--sphere", "2", "--r", "9"], "hind: unrecognized arguments: --r 9"),
+        (["hind", "--sphere", "2", "--trials", "3"], "hind: unrecognized arguments: --trials 3"),
         # every usage error names its subcommand: a needed flag left out,
-        # and a negative --m or --sphere
+        # and a negative --sphere
         (["centerpoint", "--d", "1"], "centerpoint: need --r"),
         (["tverberg", "--r", "2"], "tverberg: need --d or --input"),
         (["reduce", "--d", "1"], "reduce: need --r"),
-        (["hind", "--seed", "1"], "hind: need --m or --sphere or --input"),
+        (["hind", "--seed", "1"], "hind: need --sphere or --input"),
         (["counterexample", "--r", "2"], "counterexample: need --d"),
         (["probe", "--d", "1"], "probe: need --r"),
         (["cover", "--trials", "2"], "cover: need --d or --input"),
         (["fiber-demo", "--trials", "2"], "fiber-demo: need --d"),
-        (["hind", "--m", "-1"], "hind: --m must be at least 0"),
         (["hind", "--sphere", "-1"], "hind: --sphere must be at least 0"),
         # the layers' own checks of their parameters
         (["reduce", "--d", "1", "--r", "1"], "reduce: reduction needs r >= 2"),
@@ -483,7 +481,7 @@ def test_a_seed_outside_64_bits_is_a_usage_error(capsys):
     bytes of --seed 2^64 - 1, and --seed 2^64 those of --seed 0."""
     for seed in (-1, 2**64, -(2**64)):
         for argv in (["centerpoint", "--d", "1", "--r", "2", "--trials", "1"],
-                     ["cover", "--d", "2", "--trials", "1"], ["hind", "--m", "1"]):
+                     ["cover", "--d", "2", "--trials", "1"], ["hind", "--sphere", "1"]):
             with pytest.raises(SystemExit) as e:
                 main([*argv, "--seed", str(seed)])
             assert e.value.code == 2
@@ -497,22 +495,24 @@ def test_a_seed_outside_64_bits_is_a_usage_error(capsys):
 
 def test_the_readme_flag_table_is_the_cli_table():
     """Each row of the README's flag table (reads, needs, decided by
-    --input; "," between entries, "or" between alternatives) is the
-    subcommand's COMMANDS entry less the shared --seed, --output and
+    --input; "," between entries, "or" between alternatives of a need) is
+    the subcommand's COMMANDS entry less the shared --seed, --output and
     --jobs."""
     readme = (Path(__file__).parents[1] / "README.md").read_text()
     table = readme[readme.index("| subcommand | reads |"):].split("\n\n")[0].splitlines()[2:]
 
-    def groups(cell):
-        return tuple(tuple(re.findall(r"`--([a-z]+)`", part)) for part in cell.split(",") if "`--" in part)
+    def flags(cell):
+        return tuple(re.findall(r"`--([a-z]+)`", cell))
 
     rows = {}
     for line in table:
-        name, *cells = (cell.strip() for cell in line.strip("|").split("|"))
-        rows[name.strip("`")] = tuple(groups(cell) for cell in cells)
-    shared = {("seed",), ("output",), ("jobs",)}
+        name, reads, needs, decides = (cell.strip() for cell in line.strip("|").split("|"))
+        assert " or " not in reads + decides, name
+        alternatives = tuple(flags(part) for part in needs.split(",") if "`--" in part)
+        rows[name.strip("`")] = flags(reads), alternatives, flags(decides)
+    shared = {"seed", "output", "jobs"}
     assert rows == {
-        name: (tuple(g for g in reads if g not in shared), needs, tuple((flag,) for flag in decides))
+        name: (tuple(flag for flag in reads if flag not in shared), needs, decides)
         for name, (_, reads, needs, decides, *_) in tverlab.cli.COMMANDS.items()
     }
 
@@ -545,7 +545,7 @@ def test_a_falsified_claim_exits_one_with_its_record(monkeypatch, tmp_path, caps
     path = tmp_path / "interior.json"
     path.write_text(json.dumps({"barycentric_points": [["1/3", "1/3", "1/3"], ["1/2", "1/4", "1/4"]]}))
     cases = [
-        ("tverlab.z2.hind", lambda X: 0, ["hind", "--m", "2"],
+        ("tverlab.z2.hind", lambda X: 0, ["hind", "--sphere", "2"],
          [{"expected": 2, "hind": 0, "ok": False, "sphere": 2}]),
         ("tverlab.conemap.build_counterexample", collapsed, ["counterexample", "--d", "1", "--r", "2"],
          [{"error": "tuple ((2,), (0, 1)): predicted-isolated face (2,) is not separated from "
@@ -611,7 +611,7 @@ def test_key_and_type_errors_without_input_exit_three(monkeypatch, capsys):
 def test_main_builds_the_parser_once(capsys):
     tverlab.cli.build_parser.cache_clear()
     for _ in range(2):
-        assert main(["hind", "--m", "1"]) == 0
+        assert main(["hind", "--sphere", "1"]) == 0
     assert tverlab.cli.build_parser.cache_info().misses == 1
 
 
@@ -980,6 +980,46 @@ def test_input_nested_past_the_decoders_limit_is_a_usage_error(tmp_path, capsys)
     assert proc.stderr.splitlines()[-1] == f"tverlab: error: centerpoint: {message}"
 
 
+def test_a_refused_scalar_is_named_in_one_short_line(tmp_path, capsys):
+    """A scalar refused by `rat` is named by at most 60 characters of its
+    repr: an array nested 900 deep, under the decoder's limit, printed an
+    error line of about 1800 characters, and a long non-number string all
+    of itself.  Short values are named whole, as before."""
+    path = tmp_path / "config.json"
+    deep = json.loads("[" * 900 + "1" + "]" * 900)
+    for scalar, message in ((deep, "cannot interpret [[[[[[[[["),
+                            ("x" * 10_000, "Invalid literal for Fraction: 'xxxxxxxxx"),
+                            (0.5, "cannot interpret 0.5 as an exact rational"),
+                            ([1], "cannot interpret [1] as an exact rational"),
+                            ("a", "Invalid literal for Fraction: 'a'"),
+                            ("1/0", "zero denominator in '1/0'")):
+        path.write_text(json.dumps({"d": 1, "points": [[0], [1], [scalar]]}))
+        with pytest.raises(SystemExit) as e:
+            main(["centerpoint", "--r", "2", "--input", str(path)])
+        captured = capsys.readouterr()
+        assert (e.value.code, captured.out) == (2, "")
+        errors = [line for line in captured.err.splitlines() if "error:" in line]
+        assert len(errors) == 1 and len(errors[0]) <= 200, len(errors[0])
+        assert errors[0].startswith(f"tverlab: error: centerpoint: {message}")
+        assert all(len(line) <= 200 for line in captured.err.splitlines())
+
+
+def test_1100_collinear_points_exit_zero_with_a_checked_partition(tmp_path, capsys):
+    """Past Python's recursion limit of 1000 labels the recursive partition
+    enumerator raised RecursionError, and `tverberg --r 2` exited 3 with
+    "maximum recursion depth exceeded in comparison"."""
+    points = [[v] for v in range(1100)]
+    path = tmp_path / "line.json"
+    path.write_text(json.dumps({"d": 1, "points": points}))
+    code, records, _ = run(capsys, "tverberg", "--r", "2", "--input", str(path))
+    assert code == 0 and records[0]["ok"] and records[0]["depth"] >= 2
+    config = tverlab.PointConfig(1, points)
+    cert = tverlab.tverberg_partition(config, 2)
+    assert tverlab.depth.check_tverberg_certificate(cert, config)
+    assert [list(b) for b in cert.blocks] == records[0]["blocks"]
+    assert [rat_str(c) for c in cert.point] == records[0]["point"]
+
+
 def test_maximal_simplices_that_are_not_an_array_are_a_usage_error(tmp_path, capsys):
     path = tmp_path / "complex.json"
     for value in ("5", "null", "1.5", "true"):
@@ -1048,7 +1088,7 @@ def test_points_that_are_not_arrays_of_arrays_are_a_usage_error(tmp_path, capsys
 
 def test_an_empty_output_path_is_a_usage_error(capsys):
     """--output "" names no file: it printed to stdout and exited 0."""
-    code, line = usage_error(capsys, ["hind", "--m", "1", "--output", ""])
+    code, line = usage_error(capsys, ["hind", "--sphere", "1", "--output", ""])
     assert code == 2 and line.startswith("tverlab: error: hind: [Errno ")
 
 
@@ -1080,11 +1120,11 @@ def test_the_table_walk_reads_argv_as_argparse_did():
     """Over 3000 seeded argv lists, the walk gives argparse's subcommand,
     values and leftover tokens, or its last error line, or help."""
     kinds = ("expected one argument", "invalid int value", "invalid choice", "are required: command",
-             "ignored explicit argument", "ambiguous option", "not allowed with")
+             "ignored explicit argument", "ambiguous option")
     oracle, rng, seen = argparse_parser(), random.Random(29), set()
     for _ in range(3000):
-        name = rng.choice(NAMES + ["hind"] * 3)  # the one exclusive pair, and "--s"
-        flags = [f"--{flag}" for group in tverlab.cli.COMMANDS.get(name, (0, ()))[1] for flag in group]
+        name = rng.choice(NAMES + ["hind"] * 3)  # where "--s" is ambiguous
+        flags = [f"--{flag}" for flag in tverlab.cli.COMMANDS.get(name, (0, ()))[1]]
         argv = [name] if rng.random() < 0.9 else []
         for _ in range(rng.randrange(6)):
             argv += [rng.choice(flags), rng.choice(VALUES)] if flags and rng.random() < 0.6 else [rng.choice(TOKENS)]
@@ -1108,10 +1148,12 @@ def test_help_lists_each_flag_with_its_table_help(capsys):
             assert all(name in captured.out for name in tverlab.cli.COMMANDS)
             continue
         lines = captured.out.splitlines()
-        for group in tverlab.cli.COMMANDS[argv[0]][1]:
-            for flag in group:
-                assert any(line.split() == [f"--{flag}", flag.upper(), *tverlab.cli.FLAGS[flag][1].split()]
-                           for line in lines), flag
+        if argv[0] == "hind":  # one flag per value, so no "[--a A | --b B]" group
+            assert lines[0] == ("usage: tverlab hind [-h] [--seed SEED] [--output OUTPUT] [--jobs JOBS] "
+                                "[--sphere SPHERE] [--input INPUT]")
+        for flag in tverlab.cli.COMMANDS[argv[0]][1]:
+            assert any(line.split() == [f"--{flag}", flag.upper(), *tverlab.cli.FLAGS[flag][1].split()]
+                       for line in lines), flag
 
 
 def test_the_cli_loads_no_argparse():
@@ -1120,3 +1162,148 @@ def test_the_cli_loads_no_argparse():
     code = "import sys, tverlab.cli; tverlab.cli.build_parser(); print('argparse' in sys.modules)"
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
     assert out.stdout.split() == ["False"]
+
+
+# ---------------------------------------------------------------------------
+# the exit-code contract over argv drawn from the tables and --input files
+# drawn from the README's grammar, kept small: d, r and the sphere dimension
+# at most 3, (d+1)r at most 6 for counterexample and probe, --trials at
+# most 2 and at most 8 points
+
+EXACT = st.one_of(st.integers(-9, 9), st.sampled_from(["3", "-2/4", " 1/2 ", "0.5", "1e-1", "1_0/20"]))
+REFUSED = st.sampled_from([0.5, True, None, [1], [[1]], "1/0", "1/-2", "", "x", "1e99999", {"a": 1}])
+NOT_ROWS = st.sampled_from(["12", 3, None, {"a": [1]}, [1, 2], [[1], "12"]])
+# each value list opens with a value every subcommand takes, the one that
+# hypothesis draws most often
+IN_RANGE = {"seed": st.sampled_from([0, 1, 2**64 - 1]), "jobs": st.sampled_from([1, 2]),
+            "d": st.sampled_from([1, 2, 3, 0]), "r": st.sampled_from([2, 3, 1, 0]),
+            "trials": st.sampled_from([1, 2]), "sphere": st.sampled_from([2, 3, 1, 0])}
+OUT_OF_RANGE = {"seed": st.sampled_from([-1, 2**64]), "jobs": st.just(0), "d": st.just(-1), "r": st.just(-1),
+                "trials": st.just(0), "sphere": st.just(-1)}
+
+
+def scalars(draw):
+    """Exact scalars, or now and then any of the listed forms, refused ones too."""
+    return st.one_of(EXACT, REFUSED) if draw(st.sampled_from([False] * 5 + [True])) else EXACT
+
+
+@st.composite
+def point_configs(draw):
+    d = draw(st.integers(0, 3))
+    points = draw(st.lists(st.lists(scalars(draw), min_size=d, max_size=d), max_size=8))
+    data, kind = {"d": d, "points": points}, draw(st.sampled_from(["whole"] * 6 + ["d", "rows", "key", "row"]))
+    if kind == "d":
+        data["d"] = draw(st.sampled_from([-1, True, 1.0, "1", None, d + 1]))
+    elif kind == "rows":
+        data["points"] = draw(NOT_ROWS)
+    elif kind == "key":
+        del data[draw(st.sampled_from(["d", "points"]))]
+    elif kind == "row" and points:
+        points[0] = [*points[0], 0]  # a row of another length
+    return data
+
+
+@st.composite
+def barycentric_sets(draw):
+    n = draw(st.integers(0, 3))
+    weights = st.lists(st.integers(0, 4), min_size=n + 1, max_size=n + 1).filter(any)
+    rows = [[f"{w}/{sum(row)}" for w in row] for row in draw(st.lists(weights, max_size=8))]
+    kind = draw(st.sampled_from(["whole"] * 6 + ["any", "rows", "row"]))
+    if kind == "any":  # rows of any scalars, not barycentric
+        rows = draw(st.lists(st.lists(scalars(draw), min_size=n + 1, max_size=n + 1), max_size=8))
+    elif kind == "rows":
+        rows = draw(NOT_ROWS)
+    elif kind == "row" and rows:
+        rows[-1] = rows[-1][1:]  # a row of another length
+    return {"barycentric_points": rows}
+
+
+@st.composite
+def z2_complexes(draw):
+    """Simplices on the vertex pairs (0, 1), (2, 3), ... that take at most
+    one vertex of each pair, under the swap v -> v ^ 1: closed under it
+    (free) or not, with a simplex that holds a pair (not free), or broken."""
+    pairs = draw(st.sampled_from([1, 2, 3]))
+    simplex = st.lists(st.sampled_from(range(pairs)), min_size=1, max_size=pairs, unique=True).flatmap(
+        lambda chosen: st.tuples(*(st.sampled_from([2 * i, 2 * i + 1]) for i in chosen)).map(list))
+    simplices = draw(st.lists(simplex, min_size=1, max_size=6))
+    kind = draw(st.sampled_from(["free"] * 6 + ["open", "pair", "value", "involution", "simplices", "key"]))
+    if kind != "open":
+        simplices += [[v ^ 1 for v in s] for s in simplices]
+    if kind == "pair":
+        simplices.append([0, 1])
+    vertices = sorted({v for s in simplices for v in s})
+    data = {"maximal_simplices": simplices, "involution": {str(v): v ^ 1 for v in vertices}}
+    if kind == "value":
+        data["involution"][str(vertices[0])] = draw(st.sampled_from([vertices[0], 1.5, "1", None, 99]))
+    elif kind == "involution":
+        data["involution"] = draw(st.sampled_from([[1, 0], None, {"a": 1}, {"0": 1}]))
+    elif kind == "simplices":
+        data["maximal_simplices"] = draw(st.sampled_from([5, [5], [["a", 0]], [[0, [1]]], [[0, 0.5]]]))
+    elif kind == "key":
+        del data[draw(st.sampled_from(["maximal_simplices", "involution"]))]
+    return data
+
+
+INPUTS = {"centerpoint": point_configs(), "tverberg": point_configs(), "cover": barycentric_sets(),
+          "hind": z2_complexes()}
+
+
+@st.composite
+def contract_runs(draw):
+    """A subcommand with its needed flags and some of the others it reads,
+    in range, and an --input file for one that reads it (now and then one of
+    another kind, or not a JSON object); then, in about half the draws, one
+    usage fault: a flag it does not read, a value out of range, a flag left
+    out, or a flag the file decides.  --output is never drawn: the records
+    must reach stdout."""
+    name = draw(st.sampled_from(list(tverlab.cli.COMMANDS)))
+    _, reads, needs, decides, _, _ = tverlab.cli.COMMANDS[name]
+    data = None
+    if "input" in reads and draw(st.sampled_from([False, True])):
+        kind = draw(st.sampled_from([name] * 6 + [*INPUTS, "array"]))
+        data = [1] if kind == "array" else draw(INPUTS[kind])
+    given = {flag for group in needs for flag in group[:1] if not (data is not None and "input" in group)}
+    values = {flag: draw(IN_RANGE[flag]) for flag in IN_RANGE if flag in reads
+              and not (data is not None and flag in decides) and (flag in given or draw(st.sampled_from([False, True])))}
+    fault = draw(st.sampled_from(["none"] * 4 + ["unread", "range", "missing", "decided"]))
+    if fault == "unread":
+        flag = draw(st.sampled_from([f for f in IN_RANGE if f not in reads]))
+        values[flag] = draw(IN_RANGE[flag])
+    elif fault == "range" and values:
+        flag = draw(st.sampled_from(sorted(values)))
+        values[flag] = draw(OUT_OF_RANGE[flag])
+    elif fault == "missing" and values:
+        del values[draw(st.sampled_from(sorted(values)))]
+    elif fault == "decided" and data is not None:
+        flag = draw(st.sampled_from(decides))
+        values[flag] = draw(IN_RANGE[flag])
+    if name in ("counterexample", "probe") and values.get("d", -1) >= 0 and "r" in values:
+        values["r"] = min(values["r"], 6 // (values["d"] + 1))
+    return [name, *(token for flag, value in values.items() for token in (f"--{flag}", str(value)))], data
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=400)
+@given(contract_runs())
+def test_the_exit_code_contract_holds_on_drawn_runs(tmp_path_factory, run_and_input):
+    """Exit 0, 1 or 2, never 3: 1 exactly when a record says "ok": false,
+    with nothing on stderr, and 2 with empty stdout and one error line that
+    names the subcommand."""
+    argv, data = run_and_input
+    if data is not None:
+        path = tmp_path_factory.mktemp("contract") / "input.json"
+        path.write_text(json.dumps(data))
+        argv = [*argv, "--input", str(path)]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as e:
+            code = e.code
+    assert code in (0, 1, 2), (argv, data, out.getvalue())
+    if code == 2:
+        assert out.getvalue() == "" and "Traceback" not in err.getvalue()
+        assert err.getvalue().splitlines()[-1].startswith(f"tverlab: error: {argv[0]}: "), (argv, data)
+    else:
+        records = [json.loads(line) for line in out.getvalue().splitlines()]
+        assert (code == 1) == any(r.get("ok") is False for r in records) and err.getvalue() == ""

@@ -3,7 +3,7 @@ import hashlib
 import json
 import sys
 from fractions import Fraction as F
-from math import comb, factorial, lcm
+from math import comb, factorial, gcd, lcm
 from types import SimpleNamespace
 
 import pytest
@@ -216,6 +216,49 @@ def test_the_search_enumerates_the_canonical_partitions():
     for n in range(9):
         for r in range(-1, n + 2):
             assert list(depth_module._partitions(n, r, [()] * n)) == list(canonical_partitions(n, r)), (n, r)
+
+
+def test_the_search_enumerates_the_screened_canonical_partitions():
+    """On the seeded configurations the enumerator gives the oracle's
+    canonical partitions whose blocks' coordinate ranges meet, in order."""
+    for config, r in seeded_partition_configs():
+        ints = config.scaled.rows
+        screened = [blocks for blocks in canonical_partitions(config.n, r)
+                    if not boxes_miss([[ints[l] for l in b] for b in blocks], config.d)]
+        assert list(depth_module._partitions(config.n, r, ints)) == screened
+
+
+# sha256 of repr(centerpoint(config, 2)) on d + 2 points drawn from
+# SplitMix64(d), as computed before the recursion kept U/q in lowest terms
+HIGH_D_CENTERPOINT_SHA256 = {
+    2: "4486bc86813f6668dc98205716aee5fa19092a325e97bf0890bf35372e92f367",
+    3: "2075348e3f41a037c889a64b5cf523637f4eea805675330343ee392d5b6a22ea",
+    4: "fbd79577f9414dfabd8846ece47dcc93001eea288a26193038f9db0031695494",
+    8: "7f0603fcf0946620f04f8f5788aec25e0946076fc471897c955dc01faca3d909",
+    16: "0e04508000d01853abb2654aff32ac13a21a2c7bb4e0d013e11a2166e69639d6",
+    20: "7c25073ccc26875faff5b4736018ad76f2400cace67920292f1e9fc5bde89a53",
+    24: "36bfd04e070f1d25e048c61fa6c4a9f27aaf74cd705159271abbd2fc2fd03319",
+    32: "13ee59ab1b252d234689927bead21626d35080fcf6c5360cafaf170f0a8cec0a",
+}
+
+
+def test_the_depth_recursion_keeps_its_functional_in_lowest_terms(monkeypatch):
+    """Every (U, q) the recursion returns has gcd(q, *U) = 1 (it was 240 at
+    the top at d = 3, and the common factor grew with each level), and
+    the certificates are the ones the unreduced integers gave."""
+    returned = []
+    fewest = depth_module._fewest_on_open_side
+
+    def recording(W, d, stop):
+        returned.append(fewest(W, d, stop))
+        return returned[-1]
+
+    monkeypatch.setattr("tverlab.depth._fewest_on_open_side", recording)
+    for d, digest in HIGH_D_CENTERPOINT_SHA256.items():
+        returned.clear()
+        cert = centerpoint(random_point_config(d, d + 2, SplitMix64(d)), 2)
+        assert hashlib.sha256(repr(cert).encode()).hexdigest() == digest, d
+        assert returned and all(gcd(q, *U) == 1 for _, U, q in returned), d
 
 
 def test_tverberg_three_collinear_points():
