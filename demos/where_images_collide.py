@@ -26,7 +26,7 @@ row = verify_isolation(spec).rows[-1]
 print("sample tuple:", row.faces, "-> isolated face index", row.isolated_index)
 print("  separation certificates:", list(row.certificate_digests))
 
-# one dimension up the probe finds the collision the counting argument predicts
+# one dimension up the probe reads off the collision the counting argument predicts
 for d, r in ((1, 2), (2, 2)):
     result = probe_tverberg_plus_one(d, r)
     print(f"d={d} r={r} at m={(d + 1) * r - 1}: faces {result.faces} "

@@ -15,8 +15,8 @@ output bytes never depend on it.
 
 Exit codes: 0 all checks passed; 1 exactly when some record says "ok":
 false (the falsified claim is in the output); 2 usage error (an
-unwritable --output, an --input nested too deeply to decode, or a record
-holding an integer past the 4300-digit limit for str, is one too); 3
+unwritable --output, an --input nested too deeply to decode, or an input
+or record integer past the 4300-digit limit for str, is one too); 3
 internal error (a self-check failed, or a KeyError or TypeError arose
 with no --input; the output holds one record {"command": ...,
 "internal_error": ...} and nothing else).  A point
@@ -66,6 +66,10 @@ def _input_object(path: str) -> dict:
             data = json.load(fh)
         except RecursionError:
             raise ValueError("input nests arrays or objects too deeply to read") from None
+        except (json.JSONDecodeError, UnicodeDecodeError):
+            raise
+        except ValueError:  # int's digit limit, whose message names sys.set_int_max_str_digits
+            raise ValueError(f"Exceeds the limit ({sys.get_int_max_str_digits()} digits) for an integer in the input") from None
     if not isinstance(data, dict):
         raise ValueError("input must be a JSON object")
     return data

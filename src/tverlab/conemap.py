@@ -19,17 +19,18 @@ No LP is solved.
 
 One dimension higher, at m = (d+1)r - 1, the same map admits r disjoint
 faces with intersecting images: every face of dimension >= d has its
-barycenter mapped to c.  The probe returns the first such tuple, checked
-by reading each face's barycenter image from the table.  `tverlab.cli`
-writes both reports.
+barycenter mapped to c.  The probe reads the first such tuple and its
+rank in canonical order off the construction, by counting, with no
+search and no table, and checks each face's barycenter image through the
+map's one definition, `_image`.  `tverlab.cli` writes both reports.
 """
 from __future__ import annotations
 
 import hashlib
 import itertools
 from fractions import Fraction
-from math import lcm
-from typing import Dict, List, NamedTuple, Optional, Tuple
+from math import comb, factorial, lcm
+from typing import Dict, List, NamedTuple, Tuple
 
 from .complexes import Simplex
 from .rationals import Point, rat_str
@@ -52,16 +53,28 @@ class CounterexampleSpec(NamedTuple):
     images: Dict[Simplex, Tuple[int, ...]]
 
 
+def _scale(d: int, m: int) -> int:
+    """L = lcm(1, ..., d, m+1), the lcm of the map's denominators."""
+    return lcm(*range(1, d + 1), m + 1)
+
+
+def _image(g: Simplex, d: int, m: int, L: int) -> Tuple[int, ...]:
+    """L times the image of the barycenter of the face g of the m-simplex:
+    that barycenter itself if dim g <= d-1, else the global barycenter c."""
+    if len(g) <= d:
+        return tuple(L // len(g) if i in g else 0 for i in range(m + 1))
+    return (L // (m + 1),) * (m + 1)
+
+
 def _build_map(d: int, r: int, m: int) -> CounterexampleSpec:
-    """The table over L = lcm(1, ..., d, m+1), the lcm of its denominators."""
-    L = lcm(*range(1, d + 1), m + 1)
-    c = (L // (m + 1),) * (m + 1)
+    """The table of `_image` over every nonempty face, over one scale L."""
+    L = _scale(d, m)
     images = {
-        g: tuple(L // k if i in g else 0 for i in range(m + 1)) if k <= d else c
+        g: _image(g, d, m, L)
         for k in range(1, m + 2)
         for g in itertools.combinations(range(m + 1), k)
     }
-    return CounterexampleSpec(d=d, r=r, m=m, scale=L, center=c, images=images)
+    return CounterexampleSpec(d=d, r=r, m=m, scale=L, center=images[tuple(range(m + 1))], images=images)
 
 
 def build_counterexample(d: int, r: int) -> CounterexampleSpec:
@@ -98,6 +111,14 @@ def enumerate_disjoint_tuples(m: int, r: int) -> List[Tuple[Simplex, ...]]:
     return out
 
 
+def count_disjoint_tuples(m: int, r: int) -> int:
+    """len(enumerate_disjoint_tuples(m, r)), counted: each vertex joins one
+    of r labelled faces or none, by inclusion-exclusion over the labels
+    left empty, and each tuple is counted once per labelling, r! times."""
+    placements = sum((-1) ** j * comb(r, j) * (r + 1 - j) ** (m + 1) for j in range(r + 1))
+    return placements // factorial(r)
+
+
 class IsolationRow(NamedTuple):
     faces: Tuple[Simplex, ...]
     isolated_index: int
@@ -125,7 +146,9 @@ def verify_isolation(spec: CounterexampleSpec) -> IsolationReport:
     are read from the table, each (s, t) pair is checked once, and a tuple
     with no small face or a pair the functional fails to separate raises
     IsolationFailure naming the tuple.  The sums are taken over the
-    table's integer rows, all over its one scale L."""
+    table's integer rows, all over its one scale L.  The report claims
+    every tuple, so RuntimeError unless it holds count_disjoint_tuples
+    rows."""
     L, scaled = spec.scale, spec.images
     unscaled = lambda v: rat_str(Fraction(v, L))
     image_cache: Dict[Simplex, List[Tuple[int, ...]]] = {}
@@ -182,35 +205,40 @@ def verify_isolation(spec: CounterexampleSpec) -> IsolationReport:
                 certificate_digests=digests,
             )
         )
+    if len(rows) != count_disjoint_tuples(spec.m, spec.r):
+        raise RuntimeError(f"{len(rows)} disjoint tuples checked, not {count_disjoint_tuples(spec.m, spec.r)}")
     return IsolationReport(d=spec.d, r=spec.r, m=spec.m, rows=rows)
 
 
 class ProbeResult(NamedTuple):
     found: bool
-    faces: Optional[Tuple[Simplex, ...]] = None
-    point: Optional[Point] = None
-    tuples_scanned: int = 0
+    faces: Tuple[Simplex, ...]
+    point: Point
+    tuples_scanned: int
 
 
 def probe_tverberg_plus_one(d: int, r: int) -> ProbeResult:
-    """Search one dimension above the counterexample, m = (d+1)r - 1, for r
-    disjoint faces whose images share a point.
+    """One dimension above the counterexample, m = (d+1)r - 1, the first
+    r disjoint faces in canonical order whose images share a point, and
+    its rank in that order (`tuples_scanned`), read off the construction.
 
-    A tuple containing a face of dimension <= d-1 cannot succeed (that
-    image is the face itself, and the other images only meet the boundary
-    inside their own disjoint faces).  Every face of dimension >= d owns
-    c, the image of its barycenter, so the witness is the first tuple in
-    canonical order whose faces all have dimension >= d, at the point c,
-    checked by reading each face's barycenter image from the table; the
-    point is c as Fractions."""
+    A tuple holding a face of dimension <= d-1 cannot succeed (that image
+    is the face itself, which the other images meet only inside their own
+    faces).  Every face of dimension >= d owns c, its barycenter's image.
+    r such faces use all (d+1)r vertices, d+1 each: they are the
+    (m+1)!/((d+1)!^r r!) partitions into blocks of d+1.  Their smallest
+    face is as large as a tuple's can be, so they come last in canonical
+    order, the consecutive blocks first.  Each face's barycenter image is
+    checked against c by `_image` (RuntimeError if one misses); the point
+    is c."""
     if d < 1 or r < 2:
         raise ValueError("need d >= 1 and r >= 2")
     m = (d + 1) * r - 1
-    spec = _build_map(d, r, m)
-    c, images = spec.center, spec.images
-    tuples = enumerate_disjoint_tuples(m, r)
-    for scanned, faces in enumerate(tuples, 1):
-        if all(len(f) - 1 >= d and images[f] == c for f in faces):
-            point = tuple(Fraction(x, spec.scale) for x in c)
-            return ProbeResult(found=True, faces=faces, point=point, tuples_scanned=scanned)
-    return ProbeResult(found=False, tuples_scanned=len(tuples))
+    L = _scale(d, m)
+    c = _image(tuple(range(m + 1)), d, m, L)
+    faces = tuple(tuple(range(i * (d + 1), (i + 1) * (d + 1))) for i in range(r))
+    if any(_image(f, d, m, L) != c for f in faces):
+        raise RuntimeError(f"a face of {faces} does not send its barycenter to c")
+    partitions = factorial(m + 1) // (factorial(d + 1) ** r * factorial(r))
+    rank = count_disjoint_tuples(m, r) - partitions + 1
+    return ProbeResult(found=True, faces=faces, point=tuple(Fraction(x, L) for x in c), tuples_scanned=rank)

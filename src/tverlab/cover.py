@@ -124,7 +124,7 @@ def touches_all_facets(points_barycentric: Sequence[Sequence]) -> bool:
 def facet_touching_check(points_barycentric: Sequence[Sequence]) -> bool:
     """touches_all_facets, and when the set touches every facet, assert
     exactly that no strictly smaller homothet covers it:
-    min_cover_homothety >= 1."""
+    min_cover_barycentric(...).delta >= 1."""
     pts = read_scaled(points_barycentric)
     touches = touches_all_facets(pts)
     if touches and min_cover_barycentric(pts).delta < 1:

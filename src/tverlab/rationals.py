@@ -27,6 +27,7 @@ are `NamedTuple`s.
 from __future__ import annotations
 
 import re
+import sys
 from fractions import Fraction
 from math import gcd, lcm
 from typing import Dict, Iterable, List, NamedTuple, Tuple
@@ -36,6 +37,8 @@ Point = Tuple[Fraction, ...]
 # a string's trailing decimal exponent, which Fraction raises 10 to; rat
 # refuses one past 4300, the digit limit int() puts on a digit string
 _EXPONENT = re.compile(r"(?<=[\d.])[eE]([-+]?\d+(?:_\d+)*)\s*\Z")
+# the runs of digits (underscores between) that int() reads in a string
+_DIGIT_RUNS = re.compile(r"\d+(?:_\d+)*").findall
 
 
 def _shown(value) -> str:
@@ -46,7 +49,8 @@ def _shown(value) -> str:
 
 def rat(value) -> Fraction:
     """Coerce an int, string ``"p/q"`` (or ``"p"``), or Fraction to a
-    Fraction; ValueError for a decimal exponent past 4300 in magnitude."""
+    Fraction; ValueError, naming the value, for a decimal exponent past
+    4300 in magnitude or a run of digits past int's digit limit for str."""
     if isinstance(value, Fraction):
         return value
     if isinstance(value, bool):
@@ -54,6 +58,9 @@ def rat(value) -> Fraction:
     if isinstance(value, int):
         return Fraction(value)
     if isinstance(value, str):
+        limit = sys.get_int_max_str_digits()
+        if limit and any(len(run) - run.count("_") > limit for run in _DIGIT_RUNS(value)):
+            raise ValueError(f"Exceeds the limit ({limit} digits) for an integer in {_shown(value)}")
         exponent = _EXPONENT.search(value)
         if exponent and abs(int(exponent.group(1))) > 4300:
             raise ValueError(f"decimal exponent beyond 4300 in magnitude in {_shown(value)}")
@@ -150,12 +157,13 @@ _PLAIN = re.compile(r"([+-]?[0-9]+)(?:/([0-9]+))?")
 def _reduced(value) -> Tuple[int, int]:
     """The numerator and denominator of rat(value), raising what it raises;
     an int or a plain "p" or "p/q" string (ASCII digits, no spaces, q > 0)
-    is read with int, every other value through rat."""
+    short enough that int checks no digit limit is read with int, every
+    other value through rat."""
     if type(value) is int:
         return value, 1
     if type(value) is str:
         m = _PLAIN.fullmatch(value)
-        if m:
+        if m and len(value) < sys.int_info.str_digits_check_threshold:
             p, q = m.groups()
             p, q = int(p), int(q or 1)
             if q:

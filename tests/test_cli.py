@@ -377,12 +377,24 @@ def test_scalars_too_large_to_write_or_read_are_usage_errors(tmp_path, capsys):
     write, and a scalar whose decimal exponent exceeds 4300 in magnitude,
     which `rat` refuses before it builds the power of 10, each exit 2
     within a second, with a usage message, empty stdout and no traceback.
-    The first printed a traceback and exited 1; the second ran for minutes."""
+    The first printed a traceback and exited 1; the second ran for minutes.
+    So does an integer past the limit written four ways, read by the JSON
+    decoder, by `_reduced`'s int or by `rat`: each once exited 2 with
+    Python's hint to call sys.set_int_max_str_digits, which no flag does."""
     env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(tverlab.__file__)))
     path = tmp_path / "config.json"
-    for points, message in (([["1e4300"], ["2e4300"], ["0"]], "Exceeds the limit (4300 digits)"),
-                            ([["1e100000000"], ["2"], ["0"]], "decimal exponent beyond 4300")):
-        path.write_text(json.dumps({"d": 1, "points": points}))
+    X = "1" * 5000
+    rows = [(json.dumps({"d": 1, "points": points}), message) for points, message in (
+        ([["1e4300"], ["2e4300"], ["0"]], "Exceeds the limit (4300 digits)"),
+        ([["1e100000000"], ["2"], ["0"]], "decimal exponent beyond 4300"),
+        ([[X], [0], [1]], "Exceeds the limit (4300 digits) for an integer in '1111"),
+        ([[" " + X], [0], [1]], "Exceeds the limit (4300 digits) for an integer in ' 1111"),
+        ([["1/" + X], [0], [1]], "Exceeds the limit (4300 digits) for an integer in '1/1111"),
+    )]
+    rows.append(('{"d": 1, "points": [[%s], [0], [1]]}' % X,
+                 "Exceeds the limit (4300 digits) for an integer in the input"))
+    for text, message in rows:
+        path.write_text(text)
         argv = ["centerpoint", "--r", "2", "--input", str(path)]
         start = time.perf_counter()
         with pytest.raises(SystemExit) as e:

@@ -1,4 +1,4 @@
-"""Disjoint-face enumeration, isolation verification, and the probe.
+"""Disjoint-face enumeration and count, isolation verification, and the probe.
 
 The LP oracles read the cone map as a piecewise-linear map on the full
 barycentric subdivision of the m-simplex; that map, realized exactly,
@@ -6,6 +6,7 @@ lives here and nowhere in the package.
 """
 import itertools
 import json
+import time
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, factorial
@@ -21,7 +22,7 @@ from tverlab import (
 )
 from tverlab.cli import main
 from tverlab.complexes import simplex
-from tverlab.conemap import IsolationFailure, _build_map, enumerate_disjoint_tuples
+from tverlab.conemap import IsolationFailure, _build_map, count_disjoint_tuples, enumerate_disjoint_tuples
 from tverlab.exactlp import common_point_with_weights
 from tverlab.rationals import Point
 
@@ -143,6 +144,16 @@ def test_pl_image_of_the_collapse_map():
     assert pl_image_of_face(spec, (0, 1, 2)) == [(c,)]
 
 
+def test_the_tuple_count_matches_the_enumeration():
+    # 25 904 tuples enumerated; past m = 7 the tests' own formula stands in
+    for m in range(8):
+        for r in range(1, 6):
+            assert count_disjoint_tuples(m, r) == len(enumerate_disjoint_tuples(m, r)), (m, r)
+    for m in range(21):
+        for r in range(1, 8):
+            assert count_disjoint_tuples(m, r) == disjoint_tuple_count(m, r), (m, r)
+
+
 def test_enumeration_counts_match_closed_form():
     for m, r in ((1, 2), (2, 2), (3, 2), (4, 2), (2, 3), (4, 3), (5, 2)):
         tuples = enumerate_disjoint_tuples(m, r)
@@ -237,15 +248,59 @@ def test_probe_finds_first_canonical_witness(capsys):
         probe_tverberg_plus_one(1, 0)
 
 
+def first_hit(d, r):
+    """Oracle: the scan the probe once made, over the disjoint tuples in
+    canonical order to the first whose faces all have dimension >= d and
+    send their barycenters to c in the map's table, as (faces, point,
+    scanned)."""
+    m = (d + 1) * r - 1
+    spec = _build_map(d, r, m)
+    for scanned, faces in enumerate(enumerate_disjoint_tuples(m, r), 1):
+        if all(len(f) - 1 >= d and spec.images[f] == spec.center for f in faces):
+            return faces, as_fractions(spec, spec.center), scanned
+    return None
+
+
 def test_probe_skips_small_face_tuples():
     # every scanned-but-skipped tuple contains a face that maps into the
-    # boundary; the witness is the first tuple of full-dimensional faces
-    result = probe_tverberg_plus_one(1, 2)
-    tuples = enumerate_disjoint_tuples(3, 2)
-    first_big = next(
-        i for i, faces in enumerate(tuples) if all(len(f) >= 2 for f in faces)
-    )
-    assert result.tuples_scanned == first_big + 1
+    # boundary; the witness is the first tuple of faces of dimension >= d
+    cases = [(d, r) for d in range(1, 8) for r in range(2, 9) if (d + 1) * r <= 9]
+    assert cases == [(1, 2), (1, 3), (1, 4), (2, 2), (2, 3), (3, 2)]
+    for d, r in cases:
+        result = probe_tverberg_plus_one(d, r)
+        assert result.found and (result.faces, result.point, result.tuples_scanned) == first_hit(d, r), (d, r)
+
+
+def test_the_probe_enumerates_no_tuple(monkeypatch):
+    """The witness and its rank are read off the construction: with the
+    enumerator patched to raise, the probe still answers up to (6, 6),
+    m = 41, whose 4.3e32 tuples no scan could reach, within a second."""
+    def no_scan(*args):
+        raise AssertionError("the probe enumerated tuples")
+
+    monkeypatch.setattr("tverlab.conemap.enumerate_disjoint_tuples", no_scan)
+    start = time.perf_counter()
+    for d in range(1, 7):
+        for r in range(2, 7):
+            m = (d + 1) * r - 1
+            result = probe_tverberg_plus_one(d, r)
+            assert result.found and sorted(v for f in result.faces for v in f) == list(range(m + 1))
+            assert [len(f) for f in result.faces] == [d + 1] * r
+            assert result.point == standard_center(m)
+            assert 0 < result.tuples_scanned <= count_disjoint_tuples(m, r)
+    assert time.perf_counter() - start < 1
+    assert result.tuples_scanned == 429290872166522118401853901608836
+
+
+def test_a_tuple_the_enumerator_drops_is_an_internal_error(monkeypatch, capsys):
+    """The report claims every disjoint tuple, so one the enumerator
+    drops fails the count: exit 3 with one internal_error record."""
+    enumerate_all = enumerate_disjoint_tuples
+    monkeypatch.setattr("tverlab.conemap.enumerate_disjoint_tuples", lambda m, r: enumerate_all(m, r)[1:])
+    assert main(["counterexample", "--d", "1", "--r", "3"]) == 3
+    assert [json.loads(line) for line in capsys.readouterr().out.splitlines()] == [
+        {"command": "counterexample", "internal_error": "64 disjoint tuples checked, not 65"}
+    ]
 
 
 def lp_disjoint(f, s, t):
