@@ -1,10 +1,10 @@
 #!/usr/bin/env python3
-# The mod-2 index of a free involution, from one F2 system on the complex.
+# The mod-2 index of a free involution, from cup powers on its orbits.
 #
 # The antipodal m-sphere has index exactly m; a disjoint union takes the
-# max of its parts.  hind solves Yang's chain conditions eps(c_0) = 1 and
-# d c_k = (1 + g) c_{k-1} over F2 in one elimination, dimension by
-# dimension, and reports the first dimension where they cannot be met.
+# max of its parts.  hind takes the class w of the double cover on the
+# orbits of the faces and reports the largest n whose power w^n is not a
+# coboundary, one small F2 system per degree, scanning down from the top.
 
 from tverlab import (
     FixedSimplexError,

@@ -4,21 +4,18 @@ The index of a free Z/2-complex (X, g) is Yang's homological index: the
 largest n <= dim X with chains c_0, ..., c_n in C_*(X; F_2) such that
 eps(c_0) = 1 and d c_k = (1 + g) c_{k-1} for k = 1..n (Yang 1954;
 Matousek, "Using the Borsuk-Ulam Theorem", ch. 5).  It equals the largest
-n with w^n != 0, for w the class of the double cover X -> X/Z2.  The index
-of a disjoint union is the max over its invariant parts, and a part's is
-at most its dimension, so `hind` solves one F_2 system per g-invariant
-component, and only for those whose dimension can raise the index.
+n with w^n != 0, for w the class of the double cover X -> X/Z2, and that
+is what `hind` computes: cup powers of w on the orbits of X's faces, one
+small F_2 system per degree it tries.
 
 A Z2Complex relabels its vertices so that each orbit {v, g v} is two
 adjacent bits, and keeps its given simplices as bitmasks; g acts on a mask
-as one fixed bit swap.  Validation and `is_free` read only those masks.
-`hind` numbers a component's faces with bits local to each dimension's
-band and stacks the bands, vertices lowest, so each row pivots on its
-highest bit and stays an int as wide as the bands it touches.
+as one fixed bit swap.  Validation, `is_free` and `hind` read only those
+masks: `hind` builds each level of faces from the level above and the
+given masks, and only down to the degree where its scan stops.
 """
 from __future__ import annotations
 
-import bisect
 import itertools
 import operator
 from typing import Dict, List, Optional, Sequence
@@ -104,88 +101,6 @@ class Z2Complex:
         return not any(map(operator.and_, self._masks, self._images))
 
 
-def _components(masks: List[int], lo: int) -> List[List[int]]:
-    """A free complex's masks grouped by g-invariant component (the
-    orbit-closure of a connected component), one step per orbit.
-
-    Orbit i holds bits 2i and 2i + 1 (g fixes no vertex), so
-    `m.bit_length() - 1 | 1` names the top orbit of a mask m by the bit
-    length of that orbit's lower bit.  The orbits are eliminated top-down:
-    at each, the masks whose top orbit it is (one run of the sorted masks)
-    and the unions waiting there merge into one union, which waits at its
-    next orbit below, or, holding none, is a finished component.  A union
-    that meets every orbit is the whole complex."""
-    ordered = sorted(masks)
-    end = len(ordered)
-    waiting: Dict[int, int] = {}
-    runs = []
-    below: Dict[int, int] = {}
-    for k in range(ordered[-1].bit_length() - 1 | 1, 0, -2):
-        low = 1 << k - 1
-        union = waiting.pop(k, 0)
-        if end and ordered[end - 1] >= low:
-            start = bisect.bisect_left(ordered, low, 0, end)
-            for m in ordered[start:end]:
-                union |= m
-            runs.append((k, start, end))
-            end = start
-        elif not union:
-            continue
-        if (union | union >> 1) & lo == lo:
-            return [masks]
-        rest = union & low - 1
-        if rest:
-            below[k] = nxt = rest.bit_length() - 1 | 1
-            waiting[nxt] = waiting.get(nxt, 0) | union
-        else:
-            below[k] = 0
-    # Bottom-up, each orbit takes the label of the one its union went on to.
-    label: Dict[int, int] = {}
-    parts: List[List[int]] = []
-    for k in reversed(below):
-        if below[k]:
-            label[k] = label[below[k]]
-        else:
-            label[k] = len(parts)
-            parts.append([])
-    for k, start, end in runs:
-        parts[label[k]] += ordered[start:end]
-    return parts
-
-
-def _number_faces(given: Dict[int, List[int]]):
-    """The face table of the complex spanned by masks given by size.
-
-    The faces are walked top-down, each level's cofaces recorded on the
-    way; a complete level is numbered in its band, the smallest mask taking
-    the highest bit.  Returns `faces` (faces[k] the k-faces' masks,
-    ascending), `columns` (each mask's band-local bit) and `cofaces` (the
-    band-local bits of its codimension-one cofaces in the band above)."""
-    size = max(given)
-    faces: List[List[int]] = []
-    columns: Dict[int, int] = {}
-    cofaces: Dict[int, int] = {}
-    level = dict.fromkeys(given[size], 0)
-    while size:
-        masks = sorted(level)
-        faces.append(masks)
-        cofaces.update(level)
-        size -= 1
-        level = dict.fromkeys(given.get(size, ()), 0)
-        col = 1 << len(masks)
-        for m in masks:
-            col >>= 1
-            columns[m] = col
-            rest = m if size else 0
-            while rest:
-                low = rest & -rest
-                sub = m ^ low
-                level[sub] = level.get(sub, 0) | col
-                rest ^= low
-    faces.reverse()
-    return faces, columns, cofaces
-
-
 def _gf2_solvable(rows: Sequence[int], ncols: int) -> Optional[int]:
     """Eliminate an F_2 system row by row, in the given order.  Each row is
     an int bitset of its columns, with the right-hand side as bit `ncols`,
@@ -216,58 +131,77 @@ def _gf2_solvable(rows: Sequence[int], ncols: int) -> Optional[int]:
 
 
 def hind(X: Z2Complex) -> int:
-    """Yang's homological index of a free Z/2-complex: the largest n <= dim X
-    with chains c_0..c_n, eps(c_0) = 1 and d c_k = (1 + g) c_{k-1}.
+    """Yang's homological index of a free Z/2-complex: the largest n with
+    w^n != 0 in H^n(X/g; F_2), for w the class of the double cover.
 
-    The index is the max over the g-invariant components, each at most its
-    dimension, so the components are taken by decreasing dimension and one
-    is solved only while its dimension is above the best index so far.
+    The orbits of X's faces are a Delta-complex once each face's vertices
+    are ordered by orbit (bit order), an order g keeps, so its cochains
+    compute the cohomology of X/g and cup products on it need no
+    subdivision (Hatcher, "Algebraic Topology", 3.2).  A vertex is on sheet
+    1 when its bit is in `_lo`; w is 1 on an edge that changes sheet, so
+    its Alexander-Whitney power w^n is 1 on an n-face exactly when
+    consecutive vertices alternate sheets.
 
-    A component's F_2 system has one column per face.  Its rows are the
-    augmentation row, then, by dimension, the row of each face f below the
-    top dimension: the coefficient of f in d c_k + (1 + g) c_{k-1},
-    k - 1 = dim f.  That row reads only columns of dimension k - 1 and k,
-    so the rows up to dimension n - 1 are exactly the system for n, and the
-    index is the dimension of the face whose row first makes it
-    inconsistent.  Neither the column order nor the row order within a
-    dimension changes the index, but both change the work: the bands are
-    placed bottom-up, so each row pivots on a coface, and the rows run
-    through each dimension in lex order, so a row of dimension k and every
-    pivot it meets is an int of the bands up to k + 1 only.  (Numbering a
-    dimension's faces in set order instead made S^7 several times slower.)
+    The degree-n system has a row per orbit {f, g f} of n-faces, taken as
+    f < g f, with right-hand side w^n(f), and a column per orbit of
+    (n-1)-faces met in a row, numbered on first meeting.  w^n = 0 forces
+    w^(n+1) = 0, so the scan runs from dim X down, builds each level's
+    orbits from the level above and the given masks, and returns the first
+    n whose system `_gf2_solvable` finds inconsistent, or 0.  A degree
+    where w^n has empty support solves nothing.  A disjoint union needs no
+    split into parts: H^n of a union is the direct sum over its parts.
     Raises FixedSimplexError on a non-free action."""
     if not X.is_free():
         raise FixedSimplexError("fixed simplex found: the action is not free")
     lo = X._lo
-    parts = []
-    for part in _components(X._masks, lo):
-        given: Dict[int, List[int]] = {}
-        for m in part:
-            given.setdefault(m.bit_count(), []).append(m)
-        parts.append((max(given) - 1, given))
-    parts.sort(key=lambda part: part[0], reverse=True)
-    best = 0
-    for dim, given in parts:
-        if dim <= best:
-            break
-        faces, columns, cofaces = _number_faces(given)
-        ncols = len(columns)
-        rows = [((1 << len(faces[0])) - 1) | (1 << ncols)]
-        row_dims = []
-        shift = 0
-        for k, masks in enumerate(faces[:-1]):
-            width = len(masks)
-            # g m is ((m & lo) << 1) | ((m >> 1) & lo): g fixes no vertex.
-            rows.extend(
-                (columns[m] ^ columns[((m & lo) << 1) | ((m >> 1) & lo)] | cofaces[m] << width)
-                << shift
-                for m in reversed(masks)
-            )
-            row_dims += [k] * width
-            shift += width
-        first = _gf2_solvable(rows, ncols)
-        best = max(best, dim if first is None else row_dims[first - 1])
-    return best
+    given: Dict[int, List[int]] = {}
+    for m, image in zip(X._masks, X._images):
+        # an orbit whose smaller mask is not given comes down as a face
+        if m < image:
+            given.setdefault(m.bit_count() - 1, []).append(m)
+    n = max(given)
+    level = given[n]
+    while n:
+        columns: Dict[int, int] = {}
+        rows: List[int] = []
+        support = []
+        for f in level:
+            row = 0
+            rest = f
+            sheet = None
+            alternate = True
+            while rest:
+                low = rest & -rest
+                rest ^= low
+                if alternate:
+                    upper = not low & lo
+                    alternate = upper is not sheet
+                    sheet = upper
+                # the face without this vertex, as its orbit's smaller mask:
+                # f < g f puts f's top vertex in `_lo`, so only the face
+                # without it may be the larger of its orbit
+                face = f ^ low
+                if not rest:
+                    image = ((face & lo) << 1) | ((face >> 1) & lo)
+                    if image < face:
+                        face = image
+                col = columns.get(face)
+                if col is None:
+                    col = columns[face] = 1 << len(columns)
+                row |= col
+            if alternate:
+                support.append(len(rows))
+            rows.append(row)
+        if support:
+            rhs = 1 << len(columns)
+            for i in support:
+                rows[i] |= rhs
+            if _gf2_solvable(rows, len(columns)) is not None:
+                return n
+        n -= 1
+        level = columns
+        level.update(dict.fromkeys(given.get(n, ())))
+    return 0
 
 
 def z2_disjoint_union(*parts: Z2Complex) -> Z2Complex:

@@ -71,6 +71,14 @@ def test_hind_sphere_and_alias(capsys):
     }
 
 
+def test_hind_sphere_eleven_answers(capsys):
+    """S^11 (4096 facets, 531440 faces) solves one 2048 x 12288 system at its
+    top degree and exits 0."""
+    code, records, out = run(capsys, "hind", "--sphere", "11")
+    assert code == 0 and '"hind":11' in out
+    assert records == [{"sphere": 11, "hind": 11, "expected": 11, "ok": True}]
+
+
 def test_hind_from_input_file(tmp_path, capsys):
     path = tmp_path / "sphere.json"
     path.write_text(

@@ -1,11 +1,15 @@
 """Free involutions and the mod-2 index.
 
-The reference oracle for `hind` is the cup-power path: quotient by the
-involution after one barycentric subdivision, take the characteristic
-cocycle w of the double cover, and find the largest n with w^n not a
-coboundary.  Quotient sizes are cross-checked against an independent chain
-count on the cover: after one subdivision the quotient must contain exactly
-half the faces of the cover in every dimension.
+`hind` takes cup powers of the double cover's class on the orbits of X's
+faces.  It is checked against two other algorithms for the same index,
+which share its GF(2) elimination.  One is the cup-power path on a simplicial
+quotient: quotient by the involution after one barycentric subdivision,
+take the characteristic cocycle w of the double cover, and find the
+largest n with w^n not a coboundary.  Quotient sizes are cross-checked
+against an independent chain count on the cover: after one subdivision the
+quotient must contain exactly half the faces of the cover in every
+dimension.  The other is Yang's chain conditions solved over every face of
+each g-invariant component (`oracles.hind_by_yang_chains`).
 """
 import functools
 import itertools
@@ -28,15 +32,17 @@ from tverlab import (
     hind,
 )
 from tverlab.complexes import Simplex
-from tverlab.z2 import _components, _gf2_solvable, z2_disjoint_union
+from tverlab.z2 import _gf2_solvable, z2_disjoint_union
 
 from oracles import (
+    _components,
     barycentric_subdivision,
     connected_components,
     euler_characteristic,
     faces,
     faces_of_dim,
     has_face,
+    hind_by_yang_chains,
     image,
     skeleton,
     subdivide_z2,
@@ -519,9 +525,9 @@ def test_gf2_elimination_matches_the_lowest_bit_reference(system):
     assert _gf2_solvable(rows, ncols) == lowest_bit_solvable(rows, ncols)
 
 
-# xor steps of the lowest-bit elimination on the rows of `hind` as they
-# were built before the columns were mirrored (same rows, same pivots); of
-# sd S^2+S^3 only the S^3 component is solved
+# xor steps of the lowest-bit elimination on the rows of the Yang-chain
+# oracle as they were built before the columns were mirrored (same rows,
+# same pivots); of sd S^2+S^3 only the S^3 component is solved
 MIRRORED_XOR_STEPS = {
     "S^2": 34, "S^3": 235, "S^4": 1318, "S^5": 6615,
     "sd S^2": 298, "sd S^3": 8839, "sd S^2+S^3": 235,
@@ -529,9 +535,10 @@ MIRRORED_XOR_STEPS = {
 
 
 def test_hind_rows_are_the_lowest_bit_rows_mirrored(monkeypatch):
-    """Mirrored, the rows `hind` builds take the lowest-bit reference
-    through exactly as many xor steps as the highest-bit elimination takes
-    on them as built; both pivot on a coface and make the same steps."""
+    """Mirrored, the rows the Yang-chain oracle builds take the lowest-bit
+    reference through exactly as many xor steps as the highest-bit
+    elimination takes on them as built; both pivot on a coface and make
+    the same steps."""
     S = cross_polytope_sphere
     cases = {f"S^{m}": S(m) for m in range(2, 6)}
     cases["sd S^2"] = subdivide_z2(S(2))
@@ -547,7 +554,7 @@ def test_hind_rows_are_the_lowest_bit_rows_mirrored(monkeypatch):
     )
     for label, X in cases.items():
         systems.clear()
-        hind(X)
+        hind_by_yang_chains(X)
         [(rows, ncols)] = systems
         steps = []
         first = lowest_bit_solvable([mirrored(r, ncols) for r in rows], ncols, steps)
@@ -557,9 +564,9 @@ def test_hind_rows_are_the_lowest_bit_rows_mirrored(monkeypatch):
 
 
 def test_hind_solves_only_the_components_that_can_raise_the_index(monkeypatch):
-    """A component is solved only while its dimension is above the best
-    index so far: of sd S^2 + S^3 only S^3 (80 faces), of sd S^2 + sd S^2
-    only one copy (146 faces)."""
+    """The Yang-chain oracle solves a component only while its dimension is
+    above the best index so far: of sd S^2 + S^3 only S^3 (80 faces), of
+    sd S^2 + sd S^2 only one copy (146 faces)."""
     S = cross_polytope_sphere
     systems = []
     solve = tverlab.z2._gf2_solvable
@@ -571,7 +578,7 @@ def test_hind_solves_only_the_components_that_can_raise_the_index(monkeypatch):
                            ((subdivide_z2(S(2)), subdivide_z2(S(2))), 146)):
         X = relabelled(z2_disjoint_union(*parts), SplitMix64(19))
         systems.clear()
-        assert hind(X) == max(p.complex.dim for p in parts)
+        assert hind_by_yang_chains(X) == max(p.complex.dim for p in parts)
         assert systems == [columns]
 
 
@@ -581,9 +588,10 @@ def test_sphere_index_five_to_seven():
 
 
 def test_index_of_large_complexes():
-    """sd S^4 has 24482 faces, S^8 19682."""
+    """sd S^4 has 24482 faces, S^8 19682 and S^10 177146."""
     assert hind(subdivide_z2(cross_polytope_sphere(4))) == 4
     assert hind(cross_polytope_sphere(8)) == 8
+    assert hind(cross_polytope_sphere(10)) == 10
 
 
 def test_hind_builds_no_complex(monkeypatch):
@@ -710,6 +718,7 @@ def fixed_cases():
 def test_index_matches_cup_powers_on_fixed_cases():
     for label, X, expected in fixed_cases():
         assert hind(X) == hind_by_cup_powers(X) == expected, label
+        assert hind_by_yang_chains(X) == expected, label
 
 
 def test_index_matches_cup_powers_on_seeded_subcomplexes():
@@ -718,7 +727,7 @@ def test_index_matches_cup_powers_on_seeded_subcomplexes():
     for _ in range(100):
         X = random_invariant_subcomplex(rng)
         index = hind(X)
-        assert index == hind_by_cup_powers(X)
+        assert index == hind_by_cup_powers(X) == hind_by_yang_chains(X)
         seen.add((X.complex.dim, index))
     assert {index for _, index in seen} >= {0, 1, 2}
 
@@ -753,9 +762,10 @@ def mask_components(X):
 
 
 def test_union_index_is_the_max_over_its_parts(monkeypatch):
-    """hind of a union of two seeded invariant subcomplexes equals the max of
-    the cup-power oracle over the parts, and some unions need both parts
-    solved: the higher part's index is below the lower part's dimension."""
+    """hind and the Yang-chain oracle of a union of two seeded invariant
+    subcomplexes equal the max of the cup-power oracle over the parts, and
+    some unions need both parts solved by the oracle: the higher part's
+    index is below the lower part's dimension."""
     rng = SplitMix64(2601)
     systems = []
     solve = tverlab.z2._gf2_solvable
@@ -769,6 +779,7 @@ def test_union_index_is_the_max_over_its_parts(monkeypatch):
         oracle = [hind_by_cup_powers(p) for p in parts]
         union = relabelled(z2_disjoint_union(*parts), rng)
         systems.clear()
+        assert hind_by_yang_chains(union) == max(oracle)
         assert hind(union) == max(oracle)
         high, low = sorted(range(2), key=lambda i: -parts[i].complex.dim)
         if oracle[high] < parts[low].complex.dim:
@@ -792,10 +803,10 @@ def test_long_chains_and_many_components_split_by_orbits():
     assert _components(X._masks, X._lo) == [X._masks]
     assert mask_components(X) == orbit_components(X)
     circles = z2_disjoint_union(*[cross_polytope_sphere(1)] * 40)
-    assert hind(circles) == 1
+    assert hind_by_yang_chains(circles) == hind(circles) == 1
     assert len(mask_components(circles)) == 40
     X = relabelled(z2_disjoint_union(cycle(200), subdivide_z2(cross_polytope_sphere(2))), SplitMix64(7))
-    assert hind(X) == 2
+    assert hind_by_yang_chains(X) == hind(X) == 2
     assert mask_components(X) == orbit_components(X)
 
 
@@ -824,4 +835,46 @@ def invariant_subcomplexes(draw):
 @settings(derandomize=True, database=None, deadline=None, max_examples=80)
 @given(invariant_subcomplexes())
 def test_index_matches_cup_powers_on_relabelled_subcomplexes(X):
-    assert hind(X) == hind_by_cup_powers(X)
+    assert hind(X) == hind_by_cup_powers(X) == hind_by_yang_chains(X)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=60)
+@given(st.lists(invariant_subcomplexes(), min_size=1, max_size=3))
+def test_index_of_drawn_unions_matches_both_oracles(parts):
+    """hind of a union of drawn subcomplexes equals the Yang-chain oracle on
+    the union and the max of the cup-power oracle over the parts."""
+    X = z2_disjoint_union(*parts)
+    assert hind(X) == hind_by_yang_chains(X) == max(map(hind_by_cup_powers, parts))
+
+
+def test_hind_solves_one_system_per_degree_it_needs(monkeypatch):
+    """The systems `hind` hands to the elimination, rows x columns: one row
+    per orbit of n-faces and one column per orbit of (n-1)-faces, only for
+    the degrees the scan reaches with w^n nonzero.  S^m stops at its top
+    degree; the annulus has w^2 = 0 and solves degree 1; the swapped
+    tetrahedra keep every vertex on one sheet, so w = 0 and nothing is
+    solved."""
+    S = cross_polytope_sphere
+    systems = []
+    solve = tverlab.z2._gf2_solvable
+    monkeypatch.setattr(
+        tverlab.z2, "_gf2_solvable",
+        lambda rows, ncols: systems.append((len(rows), ncols)) or solve(rows, ncols),
+    )
+    cases = [(f"S^{m}", S(m), m, [(2**m, (m + 1) * 2**m // 2)] if m else [])
+             for m in range(9)]
+    cases += [
+        ("sd S^2", subdivide_z2(S(2)), 2, [(24, 36)]),
+        ("sd S^2+S^3", relabelled(z2_disjoint_union(subdivide_z2(S(2)), S(3)), SplitMix64(19)),
+         3, [(8, 16)]),
+        ("sd S^2+sd S^2", relabelled(z2_disjoint_union(subdivide_z2(S(2)), subdivide_z2(S(2))),
+                                     SplitMix64(19)), 2, [(48, 72)]),
+        ("annulus", annulus(), 1, [(8, 4)]),
+        ("two swapped tetrahedra",
+         Z2Complex(SimplicialComplex([(0, 1, 2, 3), (4, 5, 6, 7)]), {v: v ^ 4 for v in range(8)}),
+         0, []),
+    ]
+    for label, X, index, expected in cases:
+        systems.clear()
+        assert hind(X) == index, label
+        assert systems == expected, label
