@@ -692,6 +692,31 @@ def annulus():
     return Z2Complex(SimplicialComplex(facets), involution)
 
 
+def sphere_times_simplex(m, k):
+    """S^m x the k-simplex, g acting on the cross-polytope factor: each
+    facet times the simplex is cut into its staircase simplices, the
+    sphere's vertices ordered by axis (an order g keeps).  Its index is m
+    and its dimension m + k."""
+    S = cross_polytope_sphere(m)
+    facets = []
+    for f in S.complex.facets:
+        f = sorted(f, key=lambda v: min(v, S.involution[v]))
+        for ups in itertools.combinations(range(m + k), k):
+            i = j = 0
+            chain = [(f[0], 0)]
+            for step in range(m + k):
+                if step in ups:
+                    j += 1
+                else:
+                    i += 1
+                chain.append((f[i], j))
+            facets.append([v * (k + 1) + j for v, j in chain])
+    involution = {
+        v * (k + 1) + j: w * (k + 1) + j for v, w in S.involution.items() for j in range(k + 1)
+    }
+    return Z2Complex(SimplicialComplex(facets), involution)
+
+
 def fixed_cases():
     """(label, complex, index) for the cross-check against the oracle."""
     S = cross_polytope_sphere
@@ -780,11 +805,11 @@ def test_union_index_is_the_max_over_its_parts(monkeypatch):
         union = relabelled(z2_disjoint_union(*parts), rng)
         systems.clear()
         assert hind_by_yang_chains(union) == max(oracle)
-        assert hind(union) == max(oracle)
         high, low = sorted(range(2), key=lambda i: -parts[i].complex.dim)
         if oracle[high] < parts[low].complex.dim:
             both_solved += 1
             assert len(systems) >= 2
+        assert hind(union) == max(oracle)
         assert mask_components(union) == orbit_components(union)
     assert both_solved >= 3
 
@@ -851,7 +876,9 @@ def test_hind_solves_one_system_per_degree_it_needs(monkeypatch):
     """The systems `hind` hands to the elimination, rows x columns: one row
     per orbit of n-faces and one column per orbit of (n-1)-faces, only for
     the degrees the scan reaches with w^n nonzero.  S^m stops at its top
-    degree; the annulus has w^2 = 0 and solves degree 1; the swapped
+    degree; the annulus has w^2 = 0 and solves degree 1; relabelled
+    S^m x D^k has index m below its dimension m + k and w^n nonzero above
+    m, so it solves every degree from m + k down to m; the swapped
     tetrahedra keep every vertex on one sheet, so w = 0 and nothing is
     solved."""
     S = cross_polytope_sphere
@@ -870,6 +897,10 @@ def test_hind_solves_one_system_per_degree_it_needs(monkeypatch):
         ("sd S^2+sd S^2", relabelled(z2_disjoint_union(subdivide_z2(S(2)), subdivide_z2(S(2))),
                                      SplitMix64(19)), 2, [(48, 72)]),
         ("annulus", annulus(), 1, [(8, 4)]),
+        ("S^1 x D^3", relabelled(sphere_times_simplex(1, 3), SplitMix64(19)), 1,
+         [(8, 32), (32, 48), (48, 32), (32, 8)]),
+        ("S^2 x D^2", relabelled(sphere_times_simplex(2, 2), SplitMix64(19)), 2,
+         [(24, 78), (78, 91), (91, 45)]),
         ("two swapped tetrahedra",
          Z2Complex(SimplicialComplex([(0, 1, 2, 3), (4, 5, 6, 7)]), {v: v ^ 4 for v in range(8)}),
          0, []),
