@@ -1,10 +1,13 @@
 """Abstract simplicial complexes.
 
 Simplices are sorted tuples of integer vertex ids.  A complex is given by
-simplices that generate it; its maximal ones (facets) and its vertices are
-found once, on first use, so a caller that reads only the given simplices
-(the Z2 index) never lists the faces.  The module holds no geometry and
-no arithmetic: it imports neither `fractions` nor `tverlab.rationals`.
+simplices that generate it and keeps them as given, as tuples; their
+canonical form (`simplex` of each, which checks them), its maximal ones
+(facets), its vertices and its dimension are found once, when one of them
+is first read.  So a caller that reads only the given simplices (the Z2
+index, which checks them on its own bitmasks) sorts no tuple.  The module
+holds no geometry and no arithmetic: it imports neither `fractions` nor
+`tverlab.rationals`.
 """
 from __future__ import annotations
 
@@ -33,15 +36,25 @@ def simplex(vertices: Iterable[int]) -> Simplex:
 class SimplicialComplex:
     """A finite abstract simplicial complex, given by its facets.
 
-    It keeps the given simplices, in canonical form, as `simplices`; its
-    maximal ones (`facets`) and its sorted `vertices` are found on first
-    use, and `dim` is that of the longest given simplex.  Complexes
-    compare by identity."""
+    It keeps the given simplices, each as a tuple of its ids in the given
+    order, as `given`.  Their canonical form `simplices` (which raises on
+    the first given simplex that `simplex` rejects), its maximal ones
+    (`facets`), its sorted `vertices` and `dim` (that of the longest given
+    simplex) are found on first use.  Complexes compare by identity."""
 
     def __init__(self, facets: Iterable[Iterable[int]]):
-        self.simplices = {simplex(f) for f in facets}
-        if not self.simplices:
+        facets = list(facets)
+        try:
+            self.given = list(map(tuple, facets))
+        except TypeError:  # an entry that does not iterate: the walk names the first fault
+            self.given = facets
+            self.simplices
+        if not facets:
             raise ValueError("a complex needs at least one simplex")
+
+    @functools.cached_property
+    def simplices(self) -> set:
+        return {simplex(f) for f in self.given}
 
     @functools.cached_property
     def facets(self) -> frozenset:

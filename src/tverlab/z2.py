@@ -9,13 +9,17 @@ is what `hind` computes: cup powers of w on the orbits of X's faces, one
 small F_2 system per degree it tries.
 
 A Z2Complex relabels its vertices so that each orbit {v, g v} is two
-adjacent bits, and keeps its given simplices as bitmasks; g acts on a mask
-as one fixed bit swap.  Validation, `is_free` and `hind` read only those
-masks: `hind` builds each level of faces from the level above and the
-given masks, and only down to the degree where its scan stops.
+adjacent bits, taking each vertex's bit from the involution, and reads the
+given simplices straight into bitmasks; g acts on a mask as one fixed bit
+swap.  Validation, `is_free` and `hind` read only those masks: the input
+checks run on them, so valid input sorts no tuple and never builds the
+complex's canonical form, and `hind` builds each level of faces from the
+level above and the given masks, and only down to the degree where its
+scan stops.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 import operator
 from typing import Dict, List, Optional, Sequence
@@ -33,26 +37,44 @@ class Z2Complex:
 
     `_bit` maps each vertex to its bit, each orbit taking two adjacent bits
     (the lower one in `_lo`) and a vertex that g fixes one bit (in
-    `_fixed`).  `_masks` lists the masks of the given simplices and
-    `_images` those of their images under g, in the same order."""
+    `_fixed`).  `_masks` lists the masks of the complex's given simplices
+    and `_images` those of their images under g, in the same order.
+
+    The input is checked on the masks: every id an exact int, g an
+    involution on its keys, no zero mask (an empty simplex), each mask with
+    as many bits as its simplex has ids (no repeated vertex), each vertex
+    with a bit (none missing from g) and every bit in some mask (no vertex
+    of g outside the simplices).  Only when one of these fails is the
+    canonical form read, so that the complex's walk and then the checks of
+    g, in that order, name the first fault."""
 
     def __init__(self, complex: SimplicialComplex, involution: Dict[int, int]):
         self.complex = complex
-        self.involution = dict(involution)
-        # Before the set comparisons: an unhashable id would fail in them,
-        # and a float or bool equal to a vertex id would pass them.
-        for v, w in self.involution.items():
-            if type(v) is not int or type(w) is not int:
-                raise ValueError("involution vertex ids must be integers")
-        verts = set().union(*complex.simplices)
-        if set(self.involution) != verts or set(self.involution.values()) != verts:
-            raise ValueError("involution must be a permutation of the vertices")
-        for v in verts:
-            if self.involution[self.involution[v]] != v:
-                raise ValueError("involution must have order two")
-        self._relabel(verts)
-        bit, lo, fixed = self._bit.__getitem__, self._lo, self._fixed
-        masks = self._masks = [sum(map(bit, s)) for s in complex.simplices]
+        g = self.involution = dict(involution)
+        simplices = complex.given
+        masks = None
+        if {*map(type, g), *map(type, g.values())} == {int} and [*map(g.get, g.values())] == [*g]:
+            self._relabel()
+            bit = self._bit.__getitem__
+            try:
+                masks = [sum(map(bit, s)) for s in simplices]
+            except (KeyError, TypeError):  # an id with no bit, or one that does not hash
+                pass
+            else:
+                if not (
+                    all(masks)  # no empty simplex
+                    and sum(map(int.bit_count, masks)) == sum(map(len, simplices))  # no repeated id
+                    and functools.reduce(operator.or_, masks) == (1 << len(g)) - 1  # no vertex of g left out
+                    and {*map(type, itertools.chain.from_iterable(simplices))} == {int}  # 1.0 and True find 1's bit
+                ):
+                    masks = None
+        if masks is None:
+            self._check_canonical()
+            self._relabel()
+            bit = self._bit.__getitem__
+            masks = [sum(map(bit, s)) for s in complex.simplices]
+        lo, fixed = self._lo, self._fixed
+        self._masks = masks
         images = self._images = [((m & lo) << 1) | ((m >> 1) & lo) | (m & fixed) for m in masks]
         given = set(masks)
         if not given.issuperset(images):
@@ -75,14 +97,29 @@ class Z2Complex:
                 f = next(f for f in complex.facets if not is_face(image[sum(map(bit, f))]))
                 raise ValueError(f"involution does not map simplex {f} to a simplex")
 
-    def _relabel(self, verts) -> None:
-        """One bit per vertex, the smallest vertex getting the highest bit,
-        each vertex followed by its image."""
+    def _check_canonical(self) -> None:
+        """The checks of the canonical form, in its order: the complex's
+        walk over its given simplices, then those of the involution."""
+        verts = set().union(*self.complex.simplices)
+        # Before the set comparisons: an unhashable id would fail in them,
+        # and a float or bool equal to a vertex id would pass them.
+        for v, w in self.involution.items():
+            if type(v) is not int or type(w) is not int:
+                raise ValueError("involution vertex ids must be integers")
+        if set(self.involution) != verts or set(self.involution.values()) != verts:
+            raise ValueError("involution must be a permutation of the vertices")
+        for v in verts:
+            if self.involution[self.involution[v]] != v:
+                raise ValueError("involution must have order two")
+
+    def _relabel(self) -> None:
+        """One bit per vertex of g, the smallest vertex getting the highest
+        bit, each vertex followed by its image."""
         g = self.involution
         bit: Dict[int, int] = {}
         lo = fixed = 0
-        top = 1 << len(verts)
-        for v in sorted(verts):
+        top = 1 << len(g)
+        for v in sorted(g):
             if v in bit:
                 continue
             top >>= 1

@@ -20,7 +20,11 @@ argparse parser that the command line's table walk replaced, and the Z2
 index from Yang's chain conditions solved over every face of each
 g-invariant component, which the cup-power `hind` is checked against
 (`hind_by_yang_chains`, with its component split and face numbering as
-they were in `tverlab.z2`).  Methods of
+they were in `tverlab.z2`), and the construction of a Z2 complex from the
+canonical form, every given simplex sorted and checked before the
+involution (`canonical_z2_complex`, with `SimplicialComplex` and
+`Z2Complex.__init__` as they were in the package), which the checks on
+orbit masks are checked against.  Methods of
 the package's classes became functions that take the complex or the
 configuration.
 """
@@ -48,7 +52,7 @@ from tverlab import (
     common_point_with_weights,
 )
 from tverlab import exactlp, z2
-from tverlab.complexes import Simplex
+from tverlab.complexes import Simplex, simplex
 from tverlab.cover import CoverCertificate, HPolytopeBody, _barycentric, _compositions
 from tverlab.depth import _fewest_on_open_side
 from tverlab.rationals import Point, Scaled, rat, read_scaled
@@ -326,6 +330,113 @@ def hind_by_yang_chains(X: Z2Complex) -> int:
         first = z2._gf2_solvable(rows, ncols)
         best = max(best, dim if first is None else row_dims[first - 1])
     return best
+
+
+class CanonicalComplex:
+    """A finite abstract simplicial complex, given by its facets.
+
+    It keeps the given simplices, in canonical form, as `simplices`; its
+    maximal ones (`facets`) and its sorted `vertices` are found on first
+    use, and `dim` is that of the longest given simplex.  Complexes
+    compare by identity."""
+
+    def __init__(self, facets: Iterable[Iterable[int]]):
+        self.simplices = {simplex(f) for f in facets}
+        if not self.simplices:
+            raise ValueError("a complex needs at least one simplex")
+
+    @functools.cached_property
+    def facets(self) -> frozenset:
+        proper = {
+            face
+            for s in self.simplices
+            for k in range(1, len(s))
+            for face in itertools.combinations(s, k)
+        }
+        return frozenset(self.simplices - proper)
+
+    @functools.cached_property
+    def vertices(self) -> Tuple[int, ...]:
+        return tuple(sorted(set().union(*self.simplices)))
+
+    @property
+    def dim(self) -> int:
+        return max(map(len, self.simplices)) - 1
+
+
+class CanonicalZ2Complex(Z2Complex):
+    """A simplicial complex with a simplicial involution on its vertices.
+
+    `_bit` maps each vertex to its bit, each orbit taking two adjacent bits
+    (the lower one in `_lo`) and a vertex that g fixes one bit (in
+    `_fixed`).  `_masks` lists the masks of the given simplices and
+    `_images` those of their images under g, in the same order."""
+
+    def __init__(self, complex: SimplicialComplex, involution: Dict[int, int]):
+        self.complex = complex
+        self.involution = dict(involution)
+        # Before the set comparisons: an unhashable id would fail in them,
+        # and a float or bool equal to a vertex id would pass them.
+        for v, w in self.involution.items():
+            if type(v) is not int or type(w) is not int:
+                raise ValueError("involution vertex ids must be integers")
+        verts = set().union(*complex.simplices)
+        if set(self.involution) != verts or set(self.involution.values()) != verts:
+            raise ValueError("involution must be a permutation of the vertices")
+        for v in verts:
+            if self.involution[self.involution[v]] != v:
+                raise ValueError("involution must have order two")
+        self._relabel(verts)
+        bit, lo, fixed = self._bit.__getitem__, self._lo, self._fixed
+        masks = self._masks = [sum(map(bit, s)) for s in complex.simplices]
+        images = self._images = [((m & lo) << 1) | ((m >> 1) & lo) | (m & fixed) for m in masks]
+        given = set(masks)
+        if not given.issuperset(images):
+            # An image that is not given must lie in a given simplex, one
+            # that holds the image's lowest vertex.
+            holding: Dict[int, List[int]] = {}
+            for m in masks:
+                rest = m
+                while rest:
+                    low = rest & -rest
+                    holding.setdefault(low, []).append(m)
+                    rest ^= low
+
+            def is_face(s: int) -> bool:
+                return s in given or any(s & m == s for m in holding[s & -s])
+
+            if not all(map(is_face, images)):
+                # Name the first maximal simplex whose image is missing.
+                image = dict(zip(masks, images))
+                f = next(f for f in complex.facets if not is_face(image[sum(map(bit, f))]))
+                raise ValueError(f"involution does not map simplex {f} to a simplex")
+
+    def _relabel(self, verts) -> None:
+        """One bit per vertex, the smallest vertex getting the highest bit,
+        each vertex followed by its image."""
+        g = self.involution
+        bit: Dict[int, int] = {}
+        lo = fixed = 0
+        top = 1 << len(verts)
+        for v in sorted(verts):
+            if v in bit:
+                continue
+            top >>= 1
+            bit[v] = top
+            if g[v] == v:
+                fixed |= top
+            else:
+                top >>= 1
+                bit[g[v]] = top
+                lo |= top
+        self._bit, self._lo, self._fixed = bit, lo, fixed
+
+
+def canonical_z2_complex(facets: Iterable[Iterable[int]], involution: Dict[int, int]) -> Z2Complex:
+    """Z2Complex(SimplicialComplex(facets), involution) as it was built
+    from the canonical form: every given simplex sorted and checked by
+    `simplex` first, then the involution checked against its vertex set."""
+    return CanonicalZ2Complex(CanonicalComplex(facets), involution)
 
 
 # ---------------------------------------------------------------------------

@@ -22,7 +22,7 @@ import tverlab.cli
 from tverlab.cli import main
 from tverlab.rationals import rat, rat_str
 
-from oracles import argparse_parser
+from oracles import argparse_parser, canonical_z2_complex, subdivide_z2
 
 
 def run(capsys, *argv):
@@ -295,6 +295,49 @@ def test_fiber_demo_builds_no_complex(monkeypatch, capsys):
     for d in (1, 2, 3):
         assert run(capsys, "fiber-demo", "--d", str(d), "--trials", "2")[0] == 0
     assert builds == []
+
+
+def test_hind_input_sorts_no_given_simplex(monkeypatch, tmp_path, capsys):
+    """hind --input builds one SimplicialComplex per run and checks its
+    given simplices on orbit masks, never putting one in canonical form;
+    a file with a fault still reaches the walk that names it."""
+    builds, sorts = [], []
+    init, simplex = tverlab.SimplicialComplex.__init__, tverlab.complexes.simplex
+
+    def counted_init(self, facets):
+        builds.append(1)
+        init(self, facets)
+
+    def counted_simplex(vertices):
+        sorts.append(1)
+        return simplex(vertices)
+
+    monkeypatch.setattr(tverlab.SimplicialComplex, "__init__", counted_init)
+    monkeypatch.setattr(tverlab.complexes, "simplex", counted_simplex)
+    rng = tverlab.SplitMix64(40)
+    S2, S3 = tverlab.cross_polytope_sphere(2), tverlab.cross_polytope_sphere(3)
+    path = tmp_path / "complex.json"
+    for X in (S2, subdivide_z2(S2), tverlab.z2.z2_disjoint_union(subdivide_z2(S2), S3)):
+        ids = list(range(2 * len(X.complex.vertices)))
+        for i in range(len(ids) - 1, 0, -1):
+            j = rng.below(i + 1)
+            ids[i], ids[j] = ids[j], ids[i]
+        new = dict(zip(X.complex.vertices, ids))
+        facets = [[new[v] for v in f] for f in sorted(X.complex.facets)]
+        involution = {new[v]: new[w] for v, w in X.involution.items()}
+        expected = tverlab.hind(canonical_z2_complex(facets, involution))
+        path.write_text(json.dumps({"maximal_simplices": facets,
+                                    "involution": {str(v): w for v, w in involution.items()}}))
+        builds.clear()
+        sorts.clear()
+        assert run(capsys, "hind", "--input", str(path))[1] == [{"hind": expected}]
+        assert (len(builds), len(sorts)) == (1, 0)
+    path.write_text('{"maximal_simplices": [[0, 0], [1]], "involution": {"0": 1, "1": 0}}')
+    sorts.clear()
+    assert usage_error(capsys, ["hind", "--input", str(path)]) == (
+        2, "tverlab: error: hind: repeated vertex in simplex (0, 0)"
+    )
+    assert sorts == [1]
 
 
 def test_point_config_input(tmp_path, capsys):

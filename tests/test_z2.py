@@ -9,7 +9,10 @@ largest n with w^n not a coboundary.  Quotient sizes are cross-checked
 against an independent chain count on the cover: after one subdivision the
 quotient must contain exactly half the faces of the cover in every
 dimension.  The other is Yang's chain conditions solved over every face of
-each g-invariant component (`oracles.hind_by_yang_chains`).
+each g-invariant component (`oracles.hind_by_yang_chains`).  `Z2Complex`'s
+input checks on orbit masks are checked against the construction from the
+canonical form (`oracles.canonical_z2_complex`) on drawn valid inputs and
+on each kind of fault.
 """
 import functools
 import itertools
@@ -37,6 +40,7 @@ from tverlab.z2 import _gf2_solvable, z2_disjoint_union
 from oracles import (
     _components,
     barycentric_subdivision,
+    canonical_z2_complex,
     connected_components,
     euler_characteristic,
     faces,
@@ -870,6 +874,124 @@ def test_index_of_drawn_unions_matches_both_oracles(parts):
     the union and the max of the cup-power oracle over the parts."""
     X = z2_disjoint_union(*parts)
     assert hind(X) == hind_by_yang_chains(X) == max(map(hind_by_cup_powers, parts))
+
+
+@st.composite
+def given_inputs(draw):
+    """(given simplices, involution) of a disjoint union of one to three
+    free complexes: cross-polytope spheres S^0-S^3, subdivided once or
+    not, and drawn g-invariant subcomplexes.  The union's vertices are
+    sent to arbitrary distinct ints; its facets are given, each with its
+    ids in a drawn order, with some of their faces and some given twice,
+    in a drawn order."""
+    spheres = st.builds(
+        lambda m, sd: subdivide_z2(cross_polytope_sphere(m)) if sd else cross_polytope_sphere(m),
+        st.integers(0, 3), st.booleans(),
+    )
+    X = z2_disjoint_union(*draw(st.lists(spheres | invariant_subcomplexes(), min_size=1, max_size=3)))
+    verts = X.complex.vertices
+    ids = draw(st.lists(st.integers(-10**6, 10**6), min_size=len(verts), max_size=len(verts), unique=True))
+    new = dict(zip(verts, ids))
+    simplices = [[new[v] for v in f] for f in sorted(X.complex.facets)]
+    for s in draw(st.lists(st.sampled_from(simplices), max_size=4)):
+        simplices.append(draw(st.lists(st.sampled_from(s), min_size=1, max_size=len(s), unique=True)))
+    simplices += draw(st.lists(st.sampled_from(simplices), max_size=2))
+    simplices = [draw(st.permutations(s)) for s in draw(st.permutations(simplices))]
+    return simplices, {new[v]: new[w] for v, w in X.involution.items()}
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=80)
+@given(given_inputs())
+def test_checks_on_masks_build_what_the_canonical_form_built(data):
+    """Valid input: the masks, the orbit bits and the index equal those of
+    the construction that put every given simplex in canonical form."""
+    simplices, involution = data
+    X = Z2Complex(SimplicialComplex(simplices), involution)
+    R = canonical_z2_complex(simplices, involution)
+    assert set(X._masks) == set(R._masks)
+    assert (X._bit, X._lo, X._fixed) == (R._bit, R._lo, R._fixed)
+    assert hind(X) == hind(R)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=30)
+@given(data=given_inputs(), draw=st.data())
+def test_an_image_that_is_only_a_face_is_read_as_the_canonical_form_read_it(data, draw):
+    """A proper face of a given simplex, given without its image: the image
+    lies in the given image of that simplex, so both constructions accept
+    the input and build the same masks."""
+    simplices, involution = data
+    s = draw.draw(st.sampled_from([s for s in simplices if len(s) > 1] or [None]))
+    if s is not None:
+        simplices = simplices + [s[1:]]
+    X = Z2Complex(SimplicialComplex(simplices), involution)
+    R = canonical_z2_complex(simplices, involution)
+    assert set(X._masks) == set(R._masks) and hind(X) == hind(R)
+
+
+def test_int_subclass_ids_are_read_from_the_canonical_form():
+    """`simplex` accepts an int subclass other than bool as an id; the
+    checks on masks pass such an input to the canonical form, which
+    accepts it, and the masks are read from there."""
+    class Id(int):
+        pass
+
+    simplices = [[Id(0), Id(2)], [Id(1), Id(3)]]
+    X = Z2Complex(SimplicialComplex(simplices), {0: 1, 1: 0, 2: 3, 3: 2})
+    R = canonical_z2_complex(simplices, {0: 1, 1: 0, 2: 3, 3: 2})
+    assert set(X._masks) == set(R._masks) and hind(X) == hind(R) == 0
+
+
+def fault(draw, kind, simplices, involution):
+    """The input broken by one fault of the kind, at a drawn place."""
+    i = draw(st.integers(0, len(simplices) - 1))
+    s = list(simplices[i])
+    v = draw(st.sampled_from(s))
+    fresh = max(involution) + 1
+    if kind == "empty":
+        simplices.insert(i, [])
+    elif kind == "repeated":
+        simplices[i] = s + [v]
+    elif kind == "bool":  # ids shifted so that v is 1, then v written as True
+        shift = 1 - v
+        simplices = [[u + shift for u in t] for t in simplices]
+        involution = {u + shift: w + shift for u, w in involution.items()}
+        simplices[i] = [True if u == 1 else u for u in simplices[i]]
+    elif kind == "float":
+        simplices[i] = [float(u) if u == v else u for u in s]
+    elif kind == "string":
+        simplices[i] = [str(u) if u == v else u for u in s]
+    elif kind == "nested":
+        simplices[i] = [[u] if u == v else u for u in s]
+    elif kind == "missing":  # an id that is no key of the involution
+        simplices[i] = s + [fresh]
+    elif kind == "unused":  # an orbit of the involution in no simplex
+        involution |= {fresh: fresh + 1, fresh + 1: fresh}
+    elif kind == "order three":  # v -> g v -> fresh -> v, fresh a new vertex
+        involution |= {involution[v]: fresh, fresh: v}
+        simplices.append([fresh])
+    elif kind == "not a face":  # (fresh, v) maps to (fresh + 1, g v), and fresh + 1 is alone
+        simplices += [[fresh, v], [fresh + 1]]
+        involution |= {fresh: fresh + 1, fresh + 1: fresh}
+    return simplices, involution
+
+
+FAULTS = ["empty", "repeated", "bool", "float", "string", "nested", "missing", "unused",
+          "order three", "not a face"]
+
+
+@pytest.mark.parametrize("kind", FAULTS)
+@settings(derandomize=True, database=None, deadline=None, max_examples=15)
+@given(data=given_inputs(), draw=st.data())
+def test_faults_raise_what_the_canonical_form_raised(kind, data, draw):
+    """Each kind of fault raises the exception, with the message, that the
+    construction from the canonical form raised."""
+    simplices, involution = fault(draw.draw, kind, *data)
+    with pytest.raises((ValueError, TypeError)) as expected:
+        canonical_z2_complex(simplices, involution)
+    with pytest.raises((ValueError, TypeError)) as raised:
+        Z2Complex(SimplicialComplex(simplices), involution)
+    assert type(raised.value) is type(expected.value)
+    assert str(raised.value) == str(expected.value)
 
 
 def test_hind_solves_one_system_per_degree_it_needs(monkeypatch):
