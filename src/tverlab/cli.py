@@ -11,27 +11,33 @@ NamedTuples, tuples and Fractions, written as arrays and exact "p/q"
 strings (`rat_str`).  Runs are deterministic functions of (subcommand,
 parameters, seed); --jobs is accepted for interface stability but the
 pipeline is sequential and results are emitted in canonical order, so
-output bytes never depend on it.
+output bytes never depend on it.  Handlers yield their records, and
+`_emit` encodes each as it comes: up to SPOOL_CHARS in memory, the rest
+in a temporary file.  Nothing reaches stdout or --output until the
+handler ends, so a failure discards the spool and prints only what its
+exit code below says.
 
 Exit codes: 0 all checks passed; 1 exactly when some record says "ok":
-false (the falsified claim is in the output); 2 usage error (an
+false (the falsified claim is in the output; an IsolationFailure's
+record {"ok": false, "error": ...} is all of it); 2 usage error (an
 unwritable --output, an --input nested too deeply to decode, or an input
-or record integer past the 4300-digit limit for str, is one too); 3
-internal error (a self-check failed, or a KeyError or TypeError arose
-with no --input; the output holds one record {"command": ...,
-"internal_error": ...} and nothing else).  A point
+or record integer past the 4300-digit limit for str, is one too; the
+output is empty); 3 internal error (a self-check failed, or a KeyError
+or TypeError arose with no --input; the output holds one record
+{"command": ..., "internal_error": ...} and nothing else).  A point
 configuration below (d+1)(r-1)+1 points with no partition falsifies
 nothing: its record has "outside_hypotheses": true and "ok": true.
 """
 from __future__ import annotations
 
+import contextlib
 import functools
 import json
 import re
 import sys
 from math import lcm
 from types import SimpleNamespace
-from typing import List, Optional
+from typing import Iterable, List, Optional
 
 from . import conemap, cover, depth, z2
 from .rationals import Scaled, rat_str, read_scaled
@@ -41,22 +47,45 @@ PASS, FALSIFIED, USAGE, INTERNAL = 0, 1, 2, 3
 
 
 ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"), default=rat_str)  # one per process
+SPOOL_CHARS = 1 << 20  # encoded output held in memory; past it, the lines go to a temporary file
 
 
-def _emit(records: List[dict], output: Optional[str]) -> None:
+def _emit(records: Iterable[dict], output: Optional[str]) -> int:
+    """Encode the records as they come, then write them all to output (None:
+    stdout), or nothing if the records raise.  FALSIFIED if some record
+    says "ok": false, else PASS."""
+    code, lines, size, spill = PASS, [], 0, None
     try:
-        text = "".join(ENCODER.encode(r) + "\n" for r in records)
-    except ValueError:  # an int past the digit limit for str, which no flag raises
-        raise ValueError(f"Exceeds the limit ({sys.get_int_max_str_digits()} digits) for an integer in a record") from None
-    if output is None:
-        sys.stdout.write(text)
-    else:
-        with open(output, "w") as fh:
+        for record in records:
+            if record.get("ok") is False:
+                code = FALSIFIED
+            try:
+                line = ENCODER.encode(record) + "\n"
+            except ValueError:  # an int past the digit limit for str, which no flag raises
+                raise ValueError(f"Exceeds the limit ({sys.get_int_max_str_digits()} digits) for an integer in a record") from None
+            lines.append(line)
+            size += len(line)
+            if size > SPOOL_CHARS:
+                if spill is None:
+                    import tempfile
+                    spill = tempfile.TemporaryFile("w+")
+                spill.write("".join(lines))
+                lines, size = [], 0
+        text = "".join(lines)
+        with contextlib.nullcontext(sys.stdout) if output is None else open(output, "w") as fh:
+            if spill is not None:
+                spill.seek(0)
+                while chunk := spill.read(SPOOL_CHARS):
+                    fh.write(chunk)
             fh.write(text)
+    finally:
+        if spill is not None:
+            spill.close()
+    return code
 
 
 # ---------------------------------------------------------------------------
-# subcommand handlers: each returns its records
+# subcommand handlers: each yields its records
 # ---------------------------------------------------------------------------
 
 def _input_object(path: str) -> dict:
@@ -100,21 +129,18 @@ def _configs(args) -> List[depth.PointConfig]:
 
 
 def cmd_centerpoint(args):
-    records = []
     for i, config in enumerate(_configs(args)):
         cert = depth.centerpoint(config, args.r)
         outside = cert is None and config.n < depth.guaranteed_size(config.d, args.r)
-        records.append({
+        yield {
             "trial": i, "n": config.n, "r": args.r,
             "point": None if cert is None else cert.point,
             "depth": None if cert is None else cert.depth,
             "ok": outside or (cert is not None and cert.depth >= args.r),
-        } | ({"outside_hypotheses": True} if outside else {}))
-    return records
+        } | ({"outside_hypotheses": True} if outside else {})
 
 
 def cmd_tverberg(args):
-    records = []
     for i, config in enumerate(_configs(args)):
         cert = depth.tverberg_partition(config, args.r)
         if cert is None:
@@ -124,19 +150,17 @@ def cmd_tverberg(args):
             dep = depth._depth_from_lifted_partition(config, 1, args.r, cert)
             rec = {"trial": i, "blocks": cert.blocks, "point": cert.point,
                    "depth": dep.depth, "r": args.r, "ok": dep.depth >= args.r}
-        records.append(rec)
-    return records
+        yield rec
 
 
 def cmd_reduce(args):
     plan = depth.reduction_plan(args.r, args.d)
-    records = [{"plan": plan._asdict()}]
+    yield {"plan": plan._asdict()}
     rng = SplitMix64(args.seed)
     for i in range(args.trials):
         config = depth.random_point_config(args.d, plan.m + 1, rng)
         cert = depth.reduce_central_from_tverberg(config, args.r)
-        records.append({"trial": i, "point": cert.point, "depth": cert.depth, "ok": cert.depth >= args.r})
-    return records
+        yield {"trial": i, "point": cert.point, "depth": cert.depth, "ok": cert.depth >= args.r}
 
 
 def cmd_hind(args):
@@ -166,24 +190,24 @@ def cmd_hind(args):
             X = z2.Z2Complex(z2.SimplicialComplex(data["maximal_simplices"]), involution)
         except TypeError:  # a value that does not iterate, or ids that do not compare or hash
             raise ValueError('"maximal_simplices" must be an array of arrays of vertex ids') from None
-        return [{"hind": z2.hind(X)}]
+        yield {"hind": z2.hind(X)}
+        return
     value = z2.hind(z2.cross_polytope_sphere(args.sphere))
-    return [{"sphere": args.sphere, "hind": value, "expected": args.sphere, "ok": value == args.sphere}]
+    yield {"sphere": args.sphere, "hind": value, "expected": args.sphere, "ok": value == args.sphere}
 
 
 def cmd_counterexample(args):
+    """The rows, then the summary; an IsolationFailure is main's to write."""
     spec = conemap.build_counterexample(args.d, args.r)
-    try:
-        report = conemap.verify_isolation(spec)
-    except conemap.IsolationFailure as exc:
-        return [{"ok": False, "error": str(exc)}]
-    summary = {"d": args.d, "r": args.r, "m": spec.m, "tuples": len(report.rows), "all_isolated": True}
-    return [row._asdict() for row in report.rows] + [{"summary": summary}]
+    tuples = 0
+    for tuples, row in enumerate(conemap.isolation_rows(spec), 1):
+        yield row._asdict()
+    yield {"summary": {"d": args.d, "r": args.r, "m": spec.m, "tuples": tuples, "all_isolated": True}}
 
 
 def cmd_probe(args):
     result = conemap.probe_tverberg_plus_one(args.d, args.r)
-    return [result._asdict() | {"ok": result.found}]
+    yield result._asdict() | {"ok": result.found}
 
 
 def _random_facet_touching(n: int, rng: SplitMix64) -> Scaled:
@@ -203,29 +227,26 @@ def cmd_cover(args):
             raise ValueError(f"--d {args.d} differs from the input's n {len(pts.rows[0]) - 1}")
         touches = cover.touches_all_facets(pts)
         cert = cover.min_cover_barycentric(pts)
-        return [cert._asdict() | {"touches_all_facets": touches, "ok": (not touches) or cert.delta >= 1}]
+        yield cert._asdict() | {"touches_all_facets": touches, "ok": (not touches) or cert.delta >= 1}
+        return
     if args.d < 1:  # before a trial is drawn
         raise ValueError("need n >= 1")
     rng = SplitMix64(args.seed)
-    records = []
     for i in range(args.trials):
         pts = _random_facet_touching(args.d, rng)
         touches = cover.touches_all_facets(pts)
         cert = cover.min_cover_barycentric(pts)
-        records.append({"trial": i, "delta": cert.delta, "touches_all_facets": touches,
-                        "ok": touches and cert.delta >= 1})
-    return records
+        yield {"trial": i, "delta": cert.delta, "touches_all_facets": touches, "ok": touches and cert.delta >= 1}
 
 
 def cmd_fiber_demo(args):
-    records = []  # per map, a header, then one record per cell tagged with the map
+    # per map, a header, then one record per cell tagged with the map
     for label, f in (("coordinate projection", cover.coordinate_projection_map),
                      ("constant map", cover.constant_map)):
         report = cover.fiber_width_demo(args.d, f, args.trials, label=label)
-        records.append({"evidence": label, "source_dim": report.source_dim, "density": report.density,
-                        "max_delta": report.max_delta})
-        records += [{"cell": c.cell, "count": c.count, "map": label} | c.certificate._asdict() for c in report.cells]
-    return records
+        yield {"evidence": label, "source_dim": report.source_dim, "density": report.density,
+               "max_delta": report.max_delta}
+        yield from ({"cell": c.cell, "count": c.count, "map": label} | c.certificate._asdict() for c in report.cells)
 
 
 # ---------------------------------------------------------------------------
@@ -404,10 +425,11 @@ def main(argv=None) -> int:
                 setattr(args, flag, default)
             elif not (low <= value and (high is None or value <= high)):
                 raise ValueError(f"--{flag} must be " + (f"at least {low}" if high is None else f"in {low}..{high}"))
-        records = handler(args)
+        return _emit(handler(args), args.output)
     except (OSError, ValueError) as exc:
-        # The tables' checks, unreadable --input files, malformed JSON, and
-        # out-of-range dimensions are usage errors, not falsified checks.
+        # The tables' checks, unreadable --input files, malformed JSON,
+        # out-of-range dimensions, an unwritable --output and too long an int
+        # in a record are usage errors, not falsified checks.
         _fail(None, f"{args.command}: {exc}")
     except (KeyError, TypeError) as exc:
         # A missing key or a non-exact scalar (a JSON float) in --input is
@@ -415,15 +437,15 @@ def main(argv=None) -> int:
         if getattr(args, "input", None) is not None:
             what = "missing input key " if isinstance(exc, KeyError) else ""
             _fail(None, f"{args.command}: {what}{exc}")
-        code, records = INTERNAL, [{"command": args.command, "internal_error": f"{type(exc).__name__}: {exc}"}]
+        code, record = INTERNAL, {"command": args.command, "internal_error": f"{type(exc).__name__}: {exc}"}
     except RuntimeError as exc:
         # A failed certificate or self-check is a bug, not a falsified claim.
-        code, records = INTERNAL, [{"command": args.command, "internal_error": str(exc)}]
-    else:
-        code = FALSIFIED if any(r.get("ok") is False for r in records) else PASS
+        code, record = INTERNAL, {"command": args.command, "internal_error": str(exc)}
+    except conemap.IsolationFailure as exc:  # the claim falsified: its record alone
+        code, record = FALSIFIED, {"ok": False, "error": str(exc)}
     try:
-        _emit(records, args.output)
-    except (OSError, ValueError) as exc:  # an unwritable --output, or too long an int (nothing written)
+        _emit([record], args.output)
+    except OSError as exc:  # an unwritable --output
         _fail(None, f"{args.command}: {exc}")
     return code
 

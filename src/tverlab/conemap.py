@@ -15,25 +15,35 @@ separating functional: for a small face s, h_s(y) = sum_{j in s} y_j is
 1 on every vertex image of s and at most |s|/(m+1) < 1 on every vertex
 image of a disjoint face.  The images are unions of hulls of those vertex
 images, so the exact check on the vertices proves the images disjoint.
-No LP is solved.
+No LP is solved.  `isolation_rows` yields one row a tuple, each naming
+its functionals by a 12-character digest from the interpreter's built-in
+SHA-256, so that no OpenSSL is loaded.
 
 One dimension higher, at m = (d+1)r - 1, the same map admits r disjoint
 faces with intersecting images: every face of dimension >= d has its
 barycenter mapped to c.  The probe reads the first such tuple and its
 rank in canonical order off the construction, by counting, with no
 search and no table, and checks each face's barycenter image through the
-map's one definition, `_image`.  `tverlab.cli` writes both reports.
+map's one definition, `_image`.  `tverlab.cli` writes the rows as they
+come, and the probe's result.
 """
 from __future__ import annotations
 
-import hashlib
 import itertools
 from fractions import Fraction
 from math import comb, factorial, lcm
-from typing import Dict, List, NamedTuple, Tuple
+from typing import Dict, Iterator, List, NamedTuple, Tuple
 
 from .complexes import Simplex
 from .rationals import Point, rat_str
+
+try:  # the interpreter's own SHA-256: hashlib would load OpenSSL's libcrypto
+    from _sha2 import sha256  # CPython 3.12+
+except ImportError:
+    try:
+        from _sha256 import sha256  # CPython 3.10-3.11
+    except ImportError:
+        from hashlib import sha256
 
 
 class IsolationFailure(AssertionError):
@@ -91,8 +101,11 @@ def enumerate_disjoint_tuples(m: int, r: int) -> List[Tuple[Simplex, ...]]:
     Each next face is drawn from the combinations of the still-unused
     vertices, no smaller than the previous face (and after it at equal
     size), and small enough that the faces still to come fit; so every
-    branch ends in a tuple and the work is proportional to the output."""
+    branch ends in a tuple and the work is proportional to the output.
+    Each face is one object however many tuples hold it, so the list
+    costs a tuple of r pointers per entry."""
     out: List[Tuple[Simplex, ...]] = []
+    shared: Dict[Simplex, Simplex] = {}
 
     def rec(chosen: List[Simplex], free: Tuple[int, ...]):
         if len(chosen) == r:
@@ -103,7 +116,7 @@ def enumerate_disjoint_tuples(m: int, r: int) -> List[Tuple[Simplex, ...]]:
             for f in itertools.combinations(free, k):
                 if k == len(prev) and f < prev:
                     continue
-                chosen.append(f)
+                chosen.append(shared.setdefault(f, f))
                 rec(chosen, tuple(v for v in free if v not in f))
                 chosen.pop()
 
@@ -134,8 +147,8 @@ class IsolationReport(NamedTuple):
     rows: List[IsolationRow]
 
 
-def verify_isolation(spec: CounterexampleSpec) -> IsolationReport:
-    """Check every disjoint r-tuple for an isolated face.
+def isolation_rows(spec: CounterexampleSpec) -> Iterator[IsolationRow]:
+    """Check every disjoint r-tuple for an isolated face, one row a tuple.
 
     Combinatorially, any face of dimension <= d-1 in the tuple is isolated
     (it maps to itself inside the boundary, which the other images only
@@ -146,9 +159,9 @@ def verify_isolation(spec: CounterexampleSpec) -> IsolationReport:
     are read from the table, each (s, t) pair is checked once, and a tuple
     with no small face or a pair the functional fails to separate raises
     IsolationFailure naming the tuple.  The sums are taken over the
-    table's integer rows, all over its one scale L.  The report claims
-    every tuple, so RuntimeError unless it holds count_disjoint_tuples
-    rows."""
+    table's integer rows, all over its one scale L.  The rows claim every
+    tuple, so after the last one RuntimeError unless there were
+    count_disjoint_tuples of them."""
     L, scaled = spec.scale, spec.images
     unscaled = lambda v: rat_str(Fraction(v, L))
     image_cache: Dict[Simplex, List[Tuple[int, ...]]] = {}
@@ -177,10 +190,10 @@ def verify_isolation(spec: CounterexampleSpec) -> IsolationReport:
                     f"below {unscaled(low)}"
                 )
             payload = f'[{list(s)}, {list(t)}, "{unscaled(high)}"]'.encode()  # as json.dumps wrote it
-            certified[s, t] = hashlib.sha256(payload).hexdigest()[:12]
+            certified[s, t] = sha256(payload).hexdigest()[:12]
         return certified[s, t]
 
-    rows = []
+    count = 0
     for faces in enumerate_disjoint_tuples(spec.m, spec.r):
         small = tuple(
             i for i, f in enumerate(faces) if len(f) - 1 <= spec.d - 1
@@ -196,18 +209,21 @@ def verify_isolation(spec: CounterexampleSpec) -> IsolationReport:
             for j, g in enumerate(faces)
             if j != i
         )
-        rows.append(
-            IsolationRow(
-                faces=faces,
-                isolated_index=small[0],
-                small_indices=small,
-                pair_checks=len(digests),
-                certificate_digests=digests,
-            )
+        count += 1
+        yield IsolationRow(
+            faces=faces,
+            isolated_index=small[0],
+            small_indices=small,
+            pair_checks=len(digests),
+            certificate_digests=digests,
         )
-    if len(rows) != count_disjoint_tuples(spec.m, spec.r):
-        raise RuntimeError(f"{len(rows)} disjoint tuples checked, not {count_disjoint_tuples(spec.m, spec.r)}")
-    return IsolationReport(d=spec.d, r=spec.r, m=spec.m, rows=rows)
+    if count != count_disjoint_tuples(spec.m, spec.r):
+        raise RuntimeError(f"{count} disjoint tuples checked, not {count_disjoint_tuples(spec.m, spec.r)}")
+
+
+def verify_isolation(spec: CounterexampleSpec) -> IsolationReport:
+    """`isolation_rows` as one report: every row, or its exception."""
+    return IsolationReport(d=spec.d, r=spec.r, m=spec.m, rows=list(isolation_rows(spec)))
 
 
 class ProbeResult(NamedTuple):

@@ -2,6 +2,7 @@
 import ast
 import contextlib
 import hashlib
+import importlib.util
 import io
 import json
 import os
@@ -10,6 +11,7 @@ import re
 import subprocess
 import sys
 import time
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
@@ -188,6 +190,126 @@ def test_counterexample_bytes_are_pinned(capsys):
         code, _, out = run(capsys, "counterexample", "--d", str(d), "--r", str(r))
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == digest, (d, r)
+
+
+def in_fresh_interpreter(code: str) -> str:
+    """The stdout of `code` run by a fresh interpreter on this tree."""
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(tverlab.__file__)))
+    return subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True).stdout
+
+
+QUIET_MAIN = """
+import contextlib, io, tverlab.cli
+def main(*argv):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert tverlab.cli.main(list(argv)) == 0
+    return out.getvalue()
+"""
+
+
+def test_no_tverlab_run_loads_openssl():
+    """The digests come from the interpreter's own SHA-256, so neither
+    hashlib nor OpenSSL's `_hashlib` is loaded by the CLI or its digests."""
+    if not any(importlib.util.find_spec(name) for name in ("_sha2", "_sha256")):
+        pytest.skip("this interpreter has no built-in SHA-256 module")
+    code = QUIET_MAIN + "main('counterexample', '--d', '1', '--r', '2')\n"
+    code += "import sys; print(*(m in sys.modules for m in ('hashlib', '_hashlib', '_blake2')))"
+    assert in_fresh_interpreter(code).split() == ["False"] * 3
+
+
+def test_the_hashlib_fallback_prints_the_pinned_bytes():
+    """With no built-in SHA-256 module, hashlib's gives the same digests."""
+    code = "import sys; sys.modules['_sha2'] = sys.modules['_sha256'] = None\n" + QUIET_MAIN + """
+import hashlib, json, tverlab.conemap
+assert tverlab.conemap.sha256 is hashlib.sha256
+print(json.dumps([hashlib.sha256(main('counterexample', '--d', str(d), '--r', str(r)).encode()).hexdigest()
+                  for d, r in %r]))""" % list(COUNTEREXAMPLE_SHA256)
+    assert json.loads(in_fresh_interpreter(code)) == list(COUNTEREXAMPLE_SHA256.values())
+
+
+@pytest.fixture
+def spills(monkeypatch):
+    """The temporary files the output spool opens."""
+    import tempfile
+
+    opened, real = [], tempfile.TemporaryFile
+
+    def counted(*args, **kwargs):
+        opened.append(real(*args, **kwargs))
+        return opened[-1]
+
+    monkeypatch.setattr(tempfile, "TemporaryFile", counted)
+    return opened
+
+
+def test_a_spilled_spool_writes_the_bytes_kept_in_memory(monkeypatch, tmp_path, capsys, spills):
+    """Past SPOOL_CHARS the lines go to a temporary file, closed once
+    copied; stdout and --output get the pinned bytes either way."""
+    argv = ["counterexample", "--d", "1", "--r", "3"]
+    code, _, kept = run(capsys, *argv)
+    assert code == 0 and not spills and len(kept) > 5000
+    monkeypatch.setattr(tverlab.cli, "SPOOL_CHARS", 1000)
+    code, _, spilled = run(capsys, *argv)
+    path = tmp_path / "records.jsonl"
+    assert main([*argv, "--output", str(path)]) == 0 and capsys.readouterr().out == ""
+    assert code == 0 and spilled == path.read_text() == kept
+    assert len(spills) == 2 and all(f.closed for f in spills)
+    assert hashlib.sha256(kept.encode()).hexdigest() == COUNTEREXAMPLE_SHA256[1, 3]
+
+
+def test_a_long_output_is_held_in_bounded_memory(monkeypatch, tmp_path, spills):
+    """20 000 records, 1.9 MB of output, pass through a 16 KiB spool with
+    under 0.2 MB allocated at any time."""
+    def handler(args):
+        for i in range(20000):
+            yield {"ok": True, "trial": i, "point": ["1/3"] * 10}
+
+    monkeypatch.setitem(tverlab.cli.COMMANDS, "probe", (handler, *tverlab.cli.COMMANDS["probe"][1:]))
+    monkeypatch.setattr(tverlab.cli, "SPOOL_CHARS", 1 << 14)
+    path = tmp_path / "records.jsonl"
+    tracemalloc.start()
+    try:
+        assert main(["probe", "--d", "1", "--r", "2", "--output", str(path)]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert path.stat().st_size > 1_900_000 and peak < 200_000 and len(spills) == 1
+
+
+@pytest.mark.parametrize("error, code, expected", [
+    (RuntimeError("a self-check failed"), 3, [{"command": "probe", "internal_error": "a self-check failed"}]),
+    (ValueError("a bad value"), 2, []),
+    (tverlab.conemap.IsolationFailure("tuple ((0,), (1,)) is not isolated"), 1,
+     [{"ok": False, "error": "tuple ((0,), (1,)) is not isolated"}]),
+])
+def test_a_handler_failing_after_its_records_prints_only_the_failure(
+        monkeypatch, tmp_path, capsys, spills, error, code, expected):
+    """The records a handler yielded before it failed are discarded, whether
+    they were kept in memory or spilled: stdout, or --output, holds only
+    what the failure prints, and no temporary file is left."""
+    def handler(args):
+        yield {"ok": True, "trial": 0}
+        yield {"ok": False, "trial": 1}
+        raise error
+
+    monkeypatch.setitem(tverlab.cli.COMMANDS, "probe", (handler, *tverlab.cli.COMMANDS["probe"][1:]))
+    argv = ["probe", "--d", "1", "--r", "2"]
+    for spool_chars in (tverlab.cli.SPOOL_CHARS, 10):
+        monkeypatch.setattr(tverlab.cli, "SPOOL_CHARS", spool_chars)
+        folder = tmp_path / str(spool_chars)
+        folder.mkdir()
+        for output in ([], ["--output", str(folder / "records.jsonl")]):
+            try:
+                got = main(argv + output)
+            except SystemExit as e:
+                got = e.code
+            out = capsys.readouterr().out
+            if output:
+                assert out == "" and os.listdir(folder) == (["records.jsonl"] if expected else [])
+                out = (folder / "records.jsonl").read_text() if expected else ""
+            assert got == code and [json.loads(line) for line in out.splitlines()] == expected
+    assert len(spills) >= 2 and all(f.closed for f in spills)  # the yielded records spilled, for each destination
 
 
 # sha256 of the stdout of commands that print exact LP witnesses, as printed

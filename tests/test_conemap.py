@@ -182,6 +182,15 @@ def test_enumeration_matches_the_brute_force_oracle():
         assert enumerate_disjoint_tuples(m, r) == oracle, (m, r)
 
 
+def test_the_enumeration_holds_each_face_once():
+    """Equal faces are one object, so 611 501 tuples at (10, 3) cost 72
+    bytes each and `counterexample --d 3 --r 3` stays under 100 MiB."""
+    tuples = enumerate_disjoint_tuples(7, 3)
+    faces = {f for t in tuples for f in t}
+    # every nonempty face but the 9 with 7 or 8 vertices, which leave no room for two more
+    assert len({id(f) for t in tuples for f in t}) == len(faces) == 2**8 - 1 - 9
+
+
 def test_enumeration_canonical_order():
     tuples = enumerate_disjoint_tuples(2, 2)
     assert tuples[0] == ((0,), (1,))
