@@ -8,10 +8,12 @@ and -h prints a usage line and one line per flag, made from the tables.
 Output is JSON lines with sorted keys, written to stdout or --output by
 this module alone, as it alone reads --input files: the layers return
 NamedTuples, tuples and Fractions, written as arrays and exact "p/q"
-strings (`rat_str`).  Runs are deterministic functions of (subcommand,
-parameters, seed); --jobs is accepted for interface stability but the
-pipeline is sequential and results are emitted in canonical order, so
-output bytes never depend on it.  Handlers yield their records, and
+strings (`rat_str`).  An --input file is read in one call and decoded
+as UTF-8, as text mode decoded it under a UTF-8 locale (`_input_object`).
+Runs are deterministic functions of (subcommand, parameters, seed);
+--jobs is accepted for interface stability but the pipeline is
+sequential and results are emitted in canonical order, so output bytes
+never depend on it.  Handlers yield their records, and
 `_emit` encodes each as it comes: up to SPOOL_CHARS in memory, the rest
 in a temporary file.  Nothing reaches stdout or --output until the
 handler ends, so a failure discards the spool and prints only what its
@@ -89,16 +91,23 @@ def _emit(records: Iterable[dict], output: Optional[str]) -> int:
 # ---------------------------------------------------------------------------
 
 def _input_object(path: str) -> dict:
-    """The JSON value of an --input file, which must be an object."""
-    with open(path) as fh:
-        try:
-            data = json.load(fh)
-        except RecursionError:
-            raise ValueError("input nests arrays or objects too deeply to read") from None
-        except (json.JSONDecodeError, UnicodeDecodeError):
-            raise
-        except ValueError:  # int's digit limit, whose message names sys.set_int_max_str_digits
-            raise ValueError(f"Exceeds the limit ({sys.get_int_max_str_digits()} digits) for an integer in the input") from None
+    """The JSON value of an --input file, which must be an object.  The
+    file is read in one call and decoded as UTF-8, strictly, with universal
+    newlines: as open(path) read it in text mode under a UTF-8 locale, so
+    an invalid byte, a byte-order mark and a UTF-16 file give the messages
+    they gave, and so does a JSON error after a "\r\n"."""
+    with open(path, "rb", buffering=0) as fh:
+        text = fh.read().decode()
+    if "\r" in text:
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
+    try:
+        data = json.loads(text)
+    except RecursionError:
+        raise ValueError("input nests arrays or objects too deeply to read") from None
+    except json.JSONDecodeError:
+        raise
+    except ValueError:  # int's digit limit, whose message names sys.set_int_max_str_digits
+        raise ValueError(f"Exceeds the limit ({sys.get_int_max_str_digits()} digits) for an integer in the input") from None
     if not isinstance(data, dict):
         raise ValueError("input must be a JSON object")
     return data
@@ -108,7 +117,7 @@ def _json_rows(data: dict, key: str) -> Scaled:
     """read_scaled of data[key], a JSON value that must be an array of
     arrays (a string or an object would iterate as a row of scalars)."""
     rows = data[key]
-    if type(rows) is not list or any(type(row) is not list for row in rows):
+    if type(rows) is not list or not {*map(type, rows)} <= {list}:
         raise ValueError(f'"{key}" must be an array of arrays of scalars')
     return read_scaled(rows)
 

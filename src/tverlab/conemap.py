@@ -94,40 +94,46 @@ def build_counterexample(d: int, r: int) -> CounterexampleSpec:
     return _build_map(d, r, (d + 1) * r - 2)
 
 
-def enumerate_disjoint_tuples(m: int, r: int) -> List[Tuple[Simplex, ...]]:
+def enumerate_disjoint_tuples(m: int, r: int) -> Iterator[Tuple[Simplex, ...]]:
     """Unordered r-tuples of pairwise disjoint nonempty faces of the
-    m-simplex, canonical order (faces ordered by dimension then lex).
+    m-simplex, yielded in canonical order (faces ordered by dimension then
+    lex).
 
     Each next face is drawn from the combinations of the still-unused
     vertices, no smaller than the previous face (and after it at equal
     size), and small enough that the faces still to come fit; so every
     branch ends in a tuple and the work is proportional to the output.
-    Each face is one object however many tuples hold it, so the list
-    costs a tuple of r pointers per entry."""
-    out: List[Tuple[Simplex, ...]] = []
+    The last face completes a tuple where it is drawn, with no call below
+    it.  Each face is one object however many tuples hold it, so a
+    caller's tables keyed by faces compare them by identity."""
     shared: Dict[Simplex, Simplex] = {}
 
     def rec(chosen: List[Simplex], free: Tuple[int, ...]):
-        if len(chosen) == r:
-            out.append(tuple(chosen))
-            return
         prev = chosen[-1] if chosen else ()
+        last = len(chosen) == r - 1
         for k in range(max(1, len(prev)), len(free) // (r - len(chosen)) + 1):
             for f in itertools.combinations(free, k):
                 if k == len(prev) and f < prev:
                     continue
-                chosen.append(shared.setdefault(f, f))
-                rec(chosen, tuple(v for v in free if v not in f))
-                chosen.pop()
+                f = shared.setdefault(f, f)
+                if last:
+                    yield (*chosen, f)
+                else:
+                    chosen.append(f)
+                    yield from rec(chosen, tuple(v for v in free if v not in f))
+                    chosen.pop()
 
-    rec([], tuple(range(m + 1)))
-    return out
+    if r == 0:
+        yield ()  # the one 0-tuple
+    else:
+        yield from rec([], tuple(range(m + 1)))
 
 
 def count_disjoint_tuples(m: int, r: int) -> int:
-    """len(enumerate_disjoint_tuples(m, r)), counted: each vertex joins one
-    of r labelled faces or none, by inclusion-exclusion over the labels
-    left empty, and each tuple is counted once per labelling, r! times."""
+    """How many tuples enumerate_disjoint_tuples(m, r) yields, counted:
+    each vertex joins one of r labelled faces or none, by
+    inclusion-exclusion over the labels left empty, and each tuple is
+    counted once per labelling, r! times."""
     placements = sum((-1) ** j * comb(r, j) * (r + 1 - j) ** (m + 1) for j in range(r + 1))
     return placements // factorial(r)
 

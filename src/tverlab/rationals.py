@@ -15,7 +15,11 @@ simplex body `cover.HPolytopeBody`, which no cover uses.
 `read_scaled` is the one way from scalars to integers over one common
 denominator: it reads input scalars (ints, Fractions, or strings `rat`
 reads) and the Fractions of a certificate alike, and builds no Fraction
-for an int or a plain ``"p"`` or ``"p/q"`` string.  `rat` refuses a
+for an int or a plain ``"p"`` or ``"p/q"`` string.  Lists of ``"p/q"``
+strings, the shape an input file gives, are read in one pass: one regex
+over the joined strings and one map of int, falling back to the
+scalar-by-scalar read for any other rows, so that `rat` names the same
+first bad scalar.  `rat` refuses a
 decimal exponent past 4300 in magnitude, int's digit limit, before it
 builds the power of 10.  Serialized form is
 the string ``"p/q"``, which `rat_str`, the JSON encoder's hook in
@@ -29,8 +33,9 @@ from __future__ import annotations
 import re
 import sys
 from fractions import Fraction
+from itertools import chain, islice
 from math import gcd, lcm
-from typing import Dict, Iterable, List, NamedTuple, Tuple
+from typing import Dict, Iterable, List, NamedTuple, Optional, Tuple
 
 Point = Tuple[Fraction, ...]
 
@@ -152,18 +157,25 @@ class Scaled(NamedTuple):
 
 
 _PLAIN = re.compile(r"([+-]?[0-9]+)(?:/([0-9]+))?")
+# the bulk form: "p/q" strings of _PLAIN's form, joined by ","
+_PQ = "[+-]?[0-9]+/[0-9]+"
+_BULK = re.compile(rf"(?:{_PQ},)*{_PQ}")
+# int checks no digit limit on a string shorter than this
+_UNCHECKED = sys.int_info.str_digits_check_threshold
 
 
 def _reduced(value) -> Tuple[int, int]:
     """The numerator and denominator of rat(value), raising what it raises;
-    an int or a plain "p" or "p/q" string (ASCII digits, no spaces, q > 0)
-    short enough that int checks no digit limit is read with int, every
-    other value through rat."""
+    an int, a Fraction, or a plain "p" or "p/q" string (ASCII digits, no
+    spaces, q > 0) short enough that int checks no digit limit is read
+    directly, every other value through rat."""
     if type(value) is int:
         return value, 1
+    if type(value) is Fraction:
+        return value.numerator, value.denominator
     if type(value) is str:
         m = _PLAIN.fullmatch(value)
-        if m and len(value) < sys.int_info.str_digits_check_threshold:
+        if m and len(value) < _UNCHECKED:
             p, q = m.groups()
             p, q = int(p), int(q or 1)
             if q:
@@ -173,13 +185,49 @@ def _reduced(value) -> Tuple[int, int]:
     return f.numerator, f.denominator
 
 
+def _read_bulk(rows: list) -> Optional[Scaled]:
+    """read_scaled of rows that are lists of "p/q" strings (ASCII digits, an
+    optional sign, no spaces), each shorter than _UNCHECKED, read in one
+    pass; None for any other rows, a zero denominator among them.  One
+    regex checks the joined strings and one map of int reads every p and
+    q.  Scaled by the lcm L of the unreduced denominators, then divided by
+    gcd(L, every scaled p), the rows are what reducing each p/q first
+    gives."""
+    if {*map(type, rows)} != {list}:
+        return None
+    flat = [*chain.from_iterable(rows)]
+    try:
+        text = ",".join(flat)
+    except TypeError:  # a scalar that is not a string
+        return None
+    if (text.count(",") != len(flat) - 1  # a string held the separator
+            or len(text) >= _UNCHECKED and max(map(len, flat)) >= _UNCHECKED
+            or not _BULK.fullmatch(text)):
+        return None
+    ints = [*map(int, text.replace("/", ",").split(","))]
+    dens = ints[1::2]
+    if 0 in dens:  # rat names the first zero denominator
+        return None
+    L = lcm(*dens)
+    scaled = [p * (L // q) for p, q in zip(ints[::2], dens)]
+    g = gcd(L, *scaled)
+    it = iter(scaled) if g == 1 else (v // g for v in scaled)
+    return Scaled(L // g, [tuple(islice(it, len(row))) for row in rows])
+
+
 def read_scaled(rows: Iterable[Iterable]) -> Scaled:
     """Rows of input scalars read once into integers: the Scaled form of
     the rows coerced by rat, with the same scalars accepted and the same
-    errors raised in the same (row-major) order.  An already Scaled value
-    is returned as it is."""
+    errors raised in the same (row-major) order.  A list of lists, the
+    shape JSON gives, of "p/q" strings in the bulk form is read in one pass
+    (`_read_bulk`); any other rows, Fractions among them, are read scalar
+    by scalar.  An already Scaled value is returned as it is."""
     if isinstance(rows, Scaled):
         return rows
+    if type(rows) is list and rows and type(rows[0]) is list:
+        read = _read_bulk(rows)
+        if read is not None:
+            return read
     pairs = [[_reduced(c) for c in row] for row in rows]
     L = lcm(*(q for row in pairs for _, q in row))
     return Scaled(L, [tuple(p * (L // q) for p, q in row) for row in pairs])

@@ -1165,6 +1165,30 @@ def test_input_nested_past_the_decoders_limit_is_a_usage_error(tmp_path, capsys)
     assert proc.stderr.splitlines()[-1] == f"tverlab: error: centerpoint: {message}"
 
 
+BARYCENTRIC = '{"barycentric_points": [["1/2", "1/2"], ["0/1", "1/1"], ["1/1", "0/1"]]}'.encode()
+
+
+@pytest.mark.parametrize("raw, message", [
+    (BARYCENTRIC[:30] + b"\xff" + BARYCENTRIC[30:],
+     "'utf-8' codec can't decode byte 0xff in position 30: invalid start byte"),
+    (BARYCENTRIC + b"\xe2\x82", "'utf-8' codec can't decode bytes in position 72-73: unexpected end of data"),
+    (b"\xef\xbb\xbf" + BARYCENTRIC, "Unexpected UTF-8 BOM (decode using utf-8-sig): line 1 column 1 (char 0)"),
+    (BARYCENTRIC.decode().encode("utf-16"), "'utf-8' codec can't decode byte 0xff in position 0: invalid start byte"),
+    (b'{\r\n"barycentric_points":\r\n [["1/2", "1/2"]],\r\n x}',
+     "Expecting property name enclosed in double quotes: line 4 column 2 (char 44)"),
+    (b'{"barycentric_points": [["1/2\r", "1/2"]]}', "Invalid control character at: line 1 column 30 (char 29)"),
+], ids=["invalid byte", "cut sequence", "byte-order mark", "UTF-16", "CRLF", "CR in a string"])
+def test_input_bytes_are_decoded_as_open_decoded_them(tmp_path, capsys, raw, message):
+    """An --input file is decoded as UTF-8, strictly, with universal
+    newlines, as open(path) decoded it in text mode: bytes that are not
+    UTF-8, a byte-order mark and a UTF-16 file exit 2 with empty stdout and
+    the message they gave, and a JSON error after "\\r\\n" or "\\r" names
+    the line, column and character it named."""
+    path = tmp_path / "input.json"
+    path.write_bytes(raw)
+    assert usage_error(capsys, ["cover", "--input", str(path)]) == (2, f"tverlab: error: cover: {message}")
+
+
 def test_a_refused_scalar_is_named_in_one_short_line(tmp_path, capsys):
     """A scalar refused by `rat` is named by at most 60 characters of its
     repr: an array nested 900 deep, under the decoder's limit, printed an

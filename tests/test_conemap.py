@@ -148,7 +148,7 @@ def test_the_tuple_count_matches_the_enumeration():
     # 25 904 tuples enumerated; past m = 7 the tests' own formula stands in
     for m in range(8):
         for r in range(1, 6):
-            assert count_disjoint_tuples(m, r) == len(enumerate_disjoint_tuples(m, r)), (m, r)
+            assert count_disjoint_tuples(m, r) == len(list(enumerate_disjoint_tuples(m, r))), (m, r)
     for m in range(21):
         for r in range(1, 8):
             assert count_disjoint_tuples(m, r) == disjoint_tuple_count(m, r), (m, r)
@@ -156,7 +156,7 @@ def test_the_tuple_count_matches_the_enumeration():
 
 def test_enumeration_counts_match_closed_form():
     for m, r in ((1, 2), (2, 2), (3, 2), (4, 2), (2, 3), (4, 3), (5, 2)):
-        tuples = enumerate_disjoint_tuples(m, r)
+        tuples = list(enumerate_disjoint_tuples(m, r))
         assert len(tuples) == disjoint_tuple_count(m, r)
         seen = set()
         for faces in tuples:
@@ -179,20 +179,20 @@ def test_enumeration_matches_the_brute_force_oracle():
             for t in itertools.combinations(faces, r)
             if all(set(a).isdisjoint(b) for a, b in itertools.combinations(t, 2))
         ]
-        assert enumerate_disjoint_tuples(m, r) == oracle, (m, r)
+        assert list(enumerate_disjoint_tuples(m, r)) == oracle, (m, r)
 
 
 def test_the_enumeration_holds_each_face_once():
-    """Equal faces are one object, so 611 501 tuples at (10, 3) cost 72
-    bytes each and `counterexample --d 3 --r 3` stays under 100 MiB."""
-    tuples = enumerate_disjoint_tuples(7, 3)
+    """Equal faces are one object, so the tables `isolation_rows` keys by
+    faces compare them by identity."""
+    tuples = list(enumerate_disjoint_tuples(7, 3))
     faces = {f for t in tuples for f in t}
     # every nonempty face but the 9 with 7 or 8 vertices, which leave no room for two more
     assert len({id(f) for t in tuples for f in t}) == len(faces) == 2**8 - 1 - 9
 
 
 def test_enumeration_canonical_order():
-    tuples = enumerate_disjoint_tuples(2, 2)
+    tuples = list(enumerate_disjoint_tuples(2, 2))
     assert tuples[0] == ((0,), (1,))
     assert ((2,), (0, 1)) in tuples
     # faces appear by (dimension, lex) within each tuple, tuples in scan order
@@ -305,7 +305,7 @@ def test_a_tuple_the_enumerator_drops_is_an_internal_error(monkeypatch, capsys):
     """The report claims every disjoint tuple, so one the enumerator
     drops fails the count: exit 3 with one internal_error record."""
     enumerate_all = enumerate_disjoint_tuples
-    monkeypatch.setattr("tverlab.conemap.enumerate_disjoint_tuples", lambda m, r: enumerate_all(m, r)[1:])
+    monkeypatch.setattr("tverlab.conemap.enumerate_disjoint_tuples", lambda m, r: itertools.islice(enumerate_all(m, r), 1, None))
     assert main(["counterexample", "--d", "1", "--r", "3"]) == 3
     assert [json.loads(line) for line in capsys.readouterr().out.splitlines()] == [
         {"command": "counterexample", "internal_error": "64 disjoint tuples checked, not 65"}

@@ -1,9 +1,13 @@
 """read_scaled, the reader of input scalars, against rat followed by
 the lcm formula (`oracles.integer_scaled`): the same integers for every
 scalar rat reads, and the same exception and message, in the same
-row-major order, for every one it rejects; rat's refusal of a decimal
-exponent past 4300 in magnitude.  bareiss_pivot and bareiss_eliminate against Fraction
-Gauss-Jordan elimination."""
+row-major order, for every one it rejects, on mixed rows and on rows of
+one kind (the "p/q" strings of the one-pass read among them, with
+defects that must send them to the scalar-by-scalar read); rat's refusal
+of a decimal exponent past 4300 in magnitude.  bareiss_pivot and
+bareiss_eliminate against Fraction Gauss-Jordan elimination."""
+import contextlib
+import sys
 from fractions import Fraction as F
 
 import pytest
@@ -66,6 +70,86 @@ def test_read_scaled_is_rat_then_integer_scaled(rows):
 @settings(derandomize=True, database=None, deadline=None, max_examples=200)
 @given(st.lists(st.lists(scalars, max_size=4), max_size=4))
 def test_read_scaled_rejects_what_rat_rejects(rows):
+    assert outcome(lambda: read_scaled(rows)) == outcome(lambda: read_by_rat(rows))
+
+
+# one kind of scalar per row set, up to 8 x 8, so that the one-pass read
+# of "p/q" strings is reached; defects replace a few of those strings
+UNCHECKED = sys.int_info.str_digits_check_threshold
+canonical = st.builds(lambda p, q: f"{p}/{q}", numerators, denominators)
+reducible = st.builds(lambda p, q, k: f"{p * k}/{q * k}", numerators, denominators, st.integers(2, 60))
+zero_denominator = numerators.map(lambda p: f"{p}/0")
+signs_and_zeros = st.sampled_from(["+1/2", "+0/5", "01/2", "1/02", "-01/3", "00/1", "-0/7", "+12/008"])
+off_form = st.sampled_from([
+    " 1/2", "1/2 ", "1 /2", "1.5/2", "1/2.0", "1/+2", "1_0/20", "1/2_0", "٣/4", "1/٣", "1/-2", "1", "-3", "", "/2", "1/",
+])
+held_separator = st.sampled_from(["1/2,3/4", "1/2,", ",1/2", "1/2/3", "1//2", "-1/2/5"])
+digit_runs = st.integers(UNCHECKED - 4, UNCHECKED + 2)
+near_the_threshold = st.one_of(
+    st.builds(lambda n, q: f"{'7' * n}/{q}", digit_runs, st.sampled_from([1, 3, 77])),
+    st.builds(lambda n, p: f"{p}/{'3' * n}", digit_runs, st.sampled_from([0, -1, 5])),
+    st.builds(lambda n: f"{'9' * (UNCHECKED - 3 - n)}/{'4' * n}", st.integers(1, 4)),
+)
+defects = st.one_of(zero_denominator, off_form, held_separator, near_the_threshold)
+
+
+@st.composite
+def row_sets(draw, scalar, defect=None):
+    """m rows of k scalars (1 <= m, k <= 8), as lists (JSON's shape) or
+    tuples, most often with one drawn position replaced by a defect, so
+    that each defect is often the only one."""
+    m, k = draw(st.integers(1, 8)), draw(st.integers(1, 8))
+    flat = draw(st.lists(scalar, min_size=m * k, max_size=m * k))
+    if defect is not None:
+        for _ in range(draw(st.sampled_from([1, 1, 1, 0, 2]))):
+            flat[draw(st.integers(0, m * k - 1))] = draw(defect)
+    shape = draw(st.sampled_from([list, list, tuple]))
+    return [shape(flat[i * k:(i + 1) * k]) for i in range(m)]
+
+
+@contextlib.contextmanager
+def lowest_digit_limit():
+    """int's digit limit at its least value, the threshold below which it
+    checks none, so that a run of digits just past it is refused."""
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(UNCHECKED)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+# Hypothesis mixes constants from the package's source into its draws, so
+# the draws move with any edit there; each defect alone in a row set that
+# is otherwise read in one pass is also given as an example.
+@example([["6/4", "1 /2"], ["1/3", "2/6"]])
+@example([["6/4", "1.5/2"], ["-1/3", "2/6"]])
+@example([["6/4", "1/2,3/4"], ["-1/3", "2/6"]])
+@example([["6/4", "1/0"], ["-1/3", "2/6"]])
+@example([["6/4", f"{'7' * (UNCHECKED + 1)}/3"], ["-1/3", "2/6"]])
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(row_sets(st.one_of(canonical, canonical, reducible, signs_and_zeros), defects))
+def test_p_q_rows_read_in_one_pass_as_rat_reads_them(rows):
+    """Rows of "p/q" strings, reducible ones and ones with a sign or
+    leading zeros among them: read in one pass they give what rat gives,
+    and a zero denominator, a space, a point, "_", a non-ASCII digit, a
+    string holding "," or a second "/", or one near int's digit limit
+    sends them to the scalar-by-scalar read, which raises what rat
+    raises."""
+    with lowest_digit_limit():
+        assert outcome(lambda: read_scaled(rows)) == outcome(lambda: read_by_rat(rows))
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=150)
+@given(row_sets(st.builds(F, numerators, denominators)))
+def test_fraction_rows_read_as_rat_reads_them(rows):
+    assert outcome(lambda: read_scaled(rows)) == outcome(lambda: read_by_rat(rows))
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=150)
+@given(row_sets(st.integers(-10**30, 10**30), st.just(True)))
+def test_int_rows_read_as_rat_reads_them(rows):
+    """Rows of ints, a True among some of them: a bool is a TypeError."""
     assert outcome(lambda: read_scaled(rows)) == outcome(lambda: read_by_rat(rows))
 
 
