@@ -34,7 +34,6 @@ from fractions import Fraction
 from math import comb, factorial, lcm
 from typing import Dict, Iterator, List, NamedTuple, Tuple
 
-from .complexes import Simplex
 from .rationals import Point, rat_str
 
 try:  # the interpreter's own SHA-256: hashlib would load OpenSSL's libcrypto
@@ -44,6 +43,8 @@ except ImportError:
         from _sha256 import sha256  # CPython 3.10-3.11
     except ImportError:
         from hashlib import sha256
+
+Simplex = Tuple[int, ...]
 
 
 class IsolationFailure(AssertionError):

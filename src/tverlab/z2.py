@@ -69,9 +69,7 @@ class Z2Complex:
                 ):
                     masks = None
         if masks is None:
-            self._check_canonical()
-            self._relabel()
-            bit = self._bit.__getitem__
+            self._check_canonical()  # raises unless g passed the checks above
             masks = [sum(map(bit, s)) for s in complex.simplices]
         lo, fixed = self._lo, self._fixed
         self._masks = masks

@@ -39,6 +39,8 @@ class Mutant(NamedTuple):
 P_Q_ROWS = "tests/test_rationals.py::test_p_q_rows_read_in_one_pass_as_rat_reads_them"
 FAULTS = "tests/test_z2.py::test_faults_raise_what_the_canonical_form_raised"
 DECODING = "tests/test_cli.py::test_input_bytes_are_decoded_as_open_decoded_them"
+HIND = ("tests/test_z2.py::test_long_chains_and_many_components",
+        "tests/test_z2.py::test_index_of_drawn_unions_matches_both_oracles")
 
 MUTANTS = (
     # rationals._read_bulk, the one-pass read of "p/q" strings
@@ -63,10 +65,14 @@ MUTANTS = (
     Mutant("the rank without +1", "src/tverlab/conemap.py",
            "rank = count_disjoint_tuples(m, r) - partitions + 1", "rank = count_disjoint_tuples(m, r) - partitions",
            ("tests/test_conemap.py::test_probe_skips_small_face_tuples",)),
-    # z2: hind's orbit representatives and Z2Complex's checks on masks
+    # z2: hind's orbit representatives, its right-hand sides and the degree it
+    # returns, and Z2Complex's checks on masks
     Mutant("no flip to the orbit's smaller mask", "src/tverlab/z2.py",
            "if image < face:\n                        face = image", "if False:\n                        face = image",
            ("tests/test_z2.py::test_index_matches_cup_powers_on_fixed_cases",)),
+    Mutant("w^n on every face", "src/tverlab/z2.py",
+           "if alternate:\n                support.append", "if True:\n                support.append", HIND),
+    Mutant("one degree low", "src/tverlab/z2.py", "return n\n", "return n - 1\n", HIND),
     Mutant("no zero-mask check", "src/tverlab/z2.py",
            "all(masks)  # no empty simplex", "True  # no empty simplex", (f"{FAULTS}[empty]",)),
     Mutant("no bit_count check", "src/tverlab/z2.py",

@@ -17,21 +17,19 @@ reads them as, two maps of barycentric points of the standard simplex,
 the facet-sum cover against a general simplex body (with the bodies it is
 run on) that the closed-form simplex cover is checked against, and the
 argparse parser that the command line's table walk replaced, and the Z2
-index from Yang's chain conditions solved over every face of each
-g-invariant component, which the cup-power `hind` is checked against
-(`hind_by_yang_chains`, with its component split and face numbering as
-they were in `tverlab.z2`), and the construction of a Z2 complex from the
-canonical form, every given simplex sorted and checked before the
-involution (`canonical_z2_complex`, with `SimplicialComplex` and
-`Z2Complex.__init__` as they were in the package), which the checks on
-orbit masks are checked against.  Methods of
-the package's classes became functions that take the complex or the
+index from Yang's chain conditions solved in one system over every face,
+which the cup-power `hind` is checked against (`hind_by_yang_chains`,
+with its face numbering as it was in `tverlab.z2`), and the construction
+of a Z2 complex from the canonical form, every given simplex sorted and
+checked before the involution (`canonical_z2_complex`, with
+`SimplicialComplex` and `Z2Complex.__init__` as they were in the
+package), which the checks on orbit masks are checked against.  Methods
+of the package's classes became functions that take the complex or the
 configuration.
 """
 from __future__ import annotations
 
 import argparse
-import bisect
 import functools
 import itertools
 import operator
@@ -195,55 +193,6 @@ def subdivide_z2(X: Z2Complex) -> Z2Complex:
     return Z2Complex(bc.complex, involution)
 
 
-def _components(masks: List[int], lo: int) -> List[List[int]]:
-    """A free complex's masks grouped by g-invariant component (the
-    orbit-closure of a connected component), one step per orbit.
-
-    Orbit i holds bits 2i and 2i + 1 (g fixes no vertex), so
-    `m.bit_length() - 1 | 1` names the top orbit of a mask m by the bit
-    length of that orbit's lower bit.  The orbits are eliminated top-down:
-    at each, the masks whose top orbit it is (one run of the sorted masks)
-    and the unions waiting there merge into one union, which waits at its
-    next orbit below, or, holding none, is a finished component.  A union
-    that meets every orbit is the whole complex."""
-    ordered = sorted(masks)
-    end = len(ordered)
-    waiting: Dict[int, int] = {}
-    runs = []
-    below: Dict[int, int] = {}
-    for k in range(ordered[-1].bit_length() - 1 | 1, 0, -2):
-        low = 1 << k - 1
-        union = waiting.pop(k, 0)
-        if end and ordered[end - 1] >= low:
-            start = bisect.bisect_left(ordered, low, 0, end)
-            for m in ordered[start:end]:
-                union |= m
-            runs.append((k, start, end))
-            end = start
-        elif not union:
-            continue
-        if (union | union >> 1) & lo == lo:
-            return [masks]
-        rest = union & low - 1
-        if rest:
-            below[k] = nxt = rest.bit_length() - 1 | 1
-            waiting[nxt] = waiting.get(nxt, 0) | union
-        else:
-            below[k] = 0
-    # Bottom-up, each orbit takes the label of the one its union went on to.
-    label: Dict[int, int] = {}
-    parts: List[List[int]] = []
-    for k in reversed(below):
-        if below[k]:
-            label[k] = label[below[k]]
-        else:
-            label[k] = len(parts)
-            parts.append([])
-    for k, start, end in runs:
-        parts[label[k]] += ordered[start:end]
-    return parts
-
-
 def _number_faces(given: Dict[int, List[int]]):
     """The face table of the complex spanned by masks given by size.
 
@@ -281,55 +230,43 @@ def hind_by_yang_chains(X: Z2Complex) -> int:
     """Yang's homological index of a free Z/2-complex: the largest n <= dim X
     with chains c_0..c_n, eps(c_0) = 1 and d c_k = (1 + g) c_{k-1}.
 
-    The index is the max over the g-invariant components, each at most its
-    dimension, so the components are taken by decreasing dimension and one
-    is solved only while its dimension is above the best index so far.
-
-    A component's F_2 system has one column per face.  Its rows are the
-    augmentation row, then, by dimension, the row of each face f below the
-    top dimension: the coefficient of f in d c_k + (1 + g) c_{k-1},
-    k - 1 = dim f.  That row reads only columns of dimension k - 1 and k,
-    so the rows up to dimension n - 1 are exactly the system for n, and the
-    index is the dimension of the face whose row first makes it
-    inconsistent.  Neither the column order nor the row order within a
-    dimension changes the index, but both change the work: the bands are
-    placed bottom-up, so each row pivots on a coface, and the rows run
-    through each dimension in lex order, so a row of dimension k and every
-    pivot it meets is an int of the bands up to k + 1 only.  (Numbering a
-    dimension's faces in set order instead made S^7 several times slower.)
-    Raises FixedSimplexError on a non-free action."""
+    One F_2 system over every face of X, with one column per face.  Its
+    rows are the augmentation row, then, by dimension, the row of each
+    face f below the top dimension: the coefficient of f in
+    d c_k + (1 + g) c_{k-1}, k - 1 = dim f.  That row reads only columns of
+    dimension k - 1 and k, so the rows up to dimension n - 1 are exactly
+    the system for n, and the index is the dimension of the face whose row
+    first makes it inconsistent, or dim X.  A disjoint union needs no
+    split: chains that solve it restrict to chains on each g-invariant
+    part, and eps(c_0) = 1 on one of them.  Neither the column order nor
+    the row order within a dimension changes the index, but both change
+    the work: the bands are placed bottom-up, so each row pivots on a
+    coface, and the rows run through each dimension in lex order, so a row
+    of dimension k and every pivot it meets is an int of the bands up to
+    k + 1 only.  Raises FixedSimplexError on a non-free action."""
     if not X.is_free():
         raise z2.FixedSimplexError("fixed simplex found: the action is not free")
     lo = X._lo
-    parts = []
-    for part in _components(X._masks, lo):
-        given: Dict[int, List[int]] = {}
-        for m in part:
-            given.setdefault(m.bit_count(), []).append(m)
-        parts.append((max(given) - 1, given))
-    parts.sort(key=lambda part: part[0], reverse=True)
-    best = 0
-    for dim, given in parts:
-        if dim <= best:
-            break
-        faces, columns, cofaces = _number_faces(given)
-        ncols = len(columns)
-        rows = [((1 << len(faces[0])) - 1) | (1 << ncols)]
-        row_dims = []
-        shift = 0
-        for k, masks in enumerate(faces[:-1]):
-            width = len(masks)
-            # g m is ((m & lo) << 1) | ((m >> 1) & lo): g fixes no vertex.
-            rows.extend(
-                (columns[m] ^ columns[((m & lo) << 1) | ((m >> 1) & lo)] | cofaces[m] << width)
-                << shift
-                for m in reversed(masks)
-            )
-            row_dims += [k] * width
-            shift += width
-        first = z2._gf2_solvable(rows, ncols)
-        best = max(best, dim if first is None else row_dims[first - 1])
-    return best
+    given: Dict[int, List[int]] = {}
+    for m in X._masks:
+        given.setdefault(m.bit_count(), []).append(m)
+    faces, columns, cofaces = _number_faces(given)
+    ncols = len(columns)
+    rows = [((1 << len(faces[0])) - 1) | (1 << ncols)]
+    row_dims = []
+    shift = 0
+    for k, masks in enumerate(faces[:-1]):
+        width = len(masks)
+        # g m is ((m & lo) << 1) | ((m >> 1) & lo): g fixes no vertex.
+        rows.extend(
+            (columns[m] ^ columns[((m & lo) << 1) | ((m >> 1) & lo)] | cofaces[m] << width)
+            << shift
+            for m in reversed(masks)
+        )
+        row_dims += [k] * width
+        shift += width
+    first = z2._gf2_solvable(rows, ncols)
+    return len(faces) - 1 if first is None else row_dims[first - 1]
 
 
 class CanonicalComplex:

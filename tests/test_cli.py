@@ -940,6 +940,9 @@ def test_every_exported_name_resolves():
         "import sys, tverlab; tverlab.depth.tukey_depth"
     ) == ["tverlab.depth", "tverlab.exactlp", "tverlab.rationals", "tverlab.rng"]
     assert tverlab_modules_after("import sys, tverlab.z2") == ["tverlab.complexes", "tverlab.z2"]
+    assert tverlab_modules_after(
+        "import sys, tverlab; tverlab.build_counterexample"
+    ) == ["tverlab.conemap", "tverlab.rationals"]
     layers = ["complexes", "conemap", "cover", "depth", "exactlp", "z2"]
     loaded = tverlab_modules_after("import sys, tverlab.cli")
     assert set(f"tverlab.{layer}" for layer in layers) <= set(loaded)
