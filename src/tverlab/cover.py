@@ -25,7 +25,7 @@ from __future__ import annotations
 import itertools
 import math
 from fractions import Fraction
-from typing import Callable, Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterator, List, NamedTuple, Sequence, Tuple
 
 from .rationals import Frozen, Point, Scaled, bareiss_eliminate, read_scaled
 
@@ -226,16 +226,9 @@ class HPolytopeBody(Frozen):
     general body is the tests' oracle.  The class stays only because the
     benchmark's tracer (`perfbench/tracer.py`) wraps its __post_init__ to
     count body builds and fails if the class is missing; it leaves with
-    ROADMAP item 2, with `_integer_inverse` and `UnboundedBodyError`.
-    Building it checks the form and runs one exact elimination on the
-    first n rows, which proves the body bounded and gives their inverse.
-    The body keeps, for every cover against it, each row scaled by the
-    lcm l_i of its own denominators as integers (A_i, B_i) in `int_rows`,
-    the `weights` M/l_i with M = lcm l_i, `rhs_sum` = M sum b_i =
-    sum B_i M/l_i, and the `inverse` of the first n integer rows as an
-    integer matrix over its lcm `inverse_scale`.  These are derived, not
-    fields: equality, hashing and repr read `ambient_dim` and `rows`
-    only."""
+    ROADMAP item 2a, together with `UnboundedBodyError`.  Building it
+    checks the form, the first n rows' independence among them by one
+    exact elimination; the body keeps its two fields and nothing else."""
 
     _fields = ("ambient_dim", "rows")
 
@@ -244,52 +237,18 @@ class HPolytopeBody(Frozen):
         self.__post_init__()
 
     def __post_init__(self):
-        """The checks and the derived integer form, once per build; kept
-        apart from __init__ so that a wrapper on it counts body builds."""
+        """The checks, once per build; kept apart from __init__ so that a
+        wrapper on it counts body builds."""
         for coeffs, _ in self.rows:
             if len(coeffs) != self.ambient_dim:
                 raise ValueError("row dimension mismatch")
         if len(self.rows) != self.ambient_dim + 1:
             raise ValueError("need n+1 rows")
-        scales, int_rows = [], []
-        for a, b in self.rows:
-            l, (row,) = read_scaled([a + (b,)])
-            scales.append(l)
-            int_rows.append((row[:-1], row[-1]))
-        found = _integer_inverse([a for a, _ in int_rows[:-1]])
-        if found is None:
+        _, first = read_scaled([coeffs for coeffs, _ in self.rows[:-1]])
+        if len(bareiss_eliminate(first, self.ambient_dim)[1]) < self.ambient_dim:
             raise UnboundedBodyError("the first n rows are linearly dependent")
         if (
             any(map(sum, zip(*(coeffs for coeffs, _ in self.rows))))
             or sum(rhs for _, rhs in self.rows) <= 0
         ):
             raise ValueError("need coefficients summing to 0, rhs sum > 0")
-        m = math.lcm(*scales)
-        weights = tuple(m // l for l in scales)
-        vars(self).update(
-            int_rows=tuple(int_rows),
-            weights=weights,
-            rhs_sum=sum(b * w for (_, b), w in zip(int_rows, weights)),
-            inverse_scale=found[0],
-            inverse=found[1],
-        )
-
-
-def _integer_inverse(rows: Sequence[IntPoint]) -> Optional[Tuple[int, Tuple[IntPoint, ...]]]:
-    """(E, V) with V/E the inverse of the square integer matrix `rows` and
-    E > 0 the lcm of its denominators, or None when the rows are linearly
-    dependent.  Fraction-free Gauss-Jordan on [rows | I] over the left
-    block (`bareiss_eliminate`): every entry stays an integer minor, and at
-    the end the row holding column j's pivot is p e_j on the left and p
-    times row j of the inverse on the right, p the last pivot (of either
-    sign)."""
-    n = len(rows)
-    m = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(rows)]
-    prev, pivots = bareiss_eliminate(m, n)
-    if len(pivots) < n:
-        return None
-    right = [m[pivots[j]][n:] for j in range(n)]
-    g = math.gcd(prev, *(v for row in right for v in row))
-    if prev < 0:
-        g = -g
-    return prev // g, tuple(tuple(v // g for v in row) for row in right)

@@ -10,7 +10,7 @@ integers.  Integer rows
 over one common denominator are eliminated by one fraction-free step,
 `bareiss_pivot`: the LP tableau pivots through it by Bland's rule, and
 `bareiss_eliminate`, the one fraction-free Gauss-Jordan, by column order
-for the points' affine dependency and the inverse held by the general
+for the points' affine dependency and the rank check of the general
 simplex body `cover.HPolytopeBody`, which no cover uses.
 `read_scaled` is the one way from scalars to integers over one common
 denominator: it reads input scalars (ints, Fractions, or strings `rat`
@@ -24,9 +24,9 @@ decimal exponent past 4300 in magnitude, int's digit limit, before it
 builds the power of 10.  Serialized form is
 the string ``"p/q"``, which `rat_str`, the JSON encoder's hook in
 `tverlab.cli`, writes for every Fraction a record holds.  `Frozen` is the
-base of the two value classes that keep more than their fields
-(`depth.PointConfig`, `cover.HPolytopeBody`); the package's other records
-are `NamedTuple`s.
+base of the two value classes: `depth.PointConfig`, which also keeps its
+points' integers, and `cover.HPolytopeBody`, which keeps its fields
+alone; the package's other records are `NamedTuple`s.
 """
 from __future__ import annotations
 

@@ -39,6 +39,7 @@ class Mutant(NamedTuple):
 P_Q_ROWS = "tests/test_rationals.py::test_p_q_rows_read_in_one_pass_as_rat_reads_them"
 FAULTS = "tests/test_z2.py::test_faults_raise_what_the_canonical_form_raised"
 DECODING = "tests/test_cli.py::test_input_bytes_are_decoded_as_open_decoded_them"
+ROW_CHECK = "tests/test_cover.py::test_the_row_check_rejects_a_shifted_translate"
 HIND = ("tests/test_z2.py::test_long_chains_and_many_components",
         "tests/test_z2.py::test_index_of_drawn_unions_matches_both_oracles")
 
@@ -81,6 +82,12 @@ MUTANTS = (
     Mutant("no OR check", "src/tverlab/z2.py",
            "functools.reduce(operator.or_, masks) == (1 << len(g)) - 1  # no vertex of g left out",
            "True  # no vertex of g left out", (f"{FAULTS}[unused]",)),
+    # cover: the general body's rank check and the closed form's two checks
+    Mutant("no rank check", "src/tverlab/cover.py",
+           "[1]) < self.ambient_dim:", "[1]) < 0:", ("tests/test_cover.py::test_body_validation",)),
+    Mutant("no row check", "src/tverlab/cover.py", "if c < least:", "if False:", (ROW_CHECK,)),
+    Mutant("no tight-point check", "src/tverlab/cover.py",
+           "if {ri for _, ri in tight} != set(range(k)):", "if False:", (ROW_CHECK,)),
 )
 
 

@@ -14,8 +14,10 @@ which `read_scaled` is checked against), LP systems from Fraction rows
 and the kernel's integer certificates read as Fractions (and back),
 general-form LP rows (<= and ==) and the standard-form system the kernel
 reads them as, two maps of barycentric points of the standard simplex,
-the facet-sum cover against a general simplex body (with the bodies it is
-run on) that the closed-form simplex cover is checked against, and the
+the facet-sum cover against a general simplex body over Fractions, its
+translate solved by Gauss-Jordan (`min_cover_homothety`, with
+`solve_square` and the bodies it is run on), that the closed-form simplex
+cover and the homothety LP are checked against, and the
 argparse parser that the command line's table walk replaced, and the Z2
 index from Yang's chain conditions solved in one system over every face,
 which the cup-power `hind` is checked against (`hind_by_yang_chains`,
@@ -23,7 +25,8 @@ with its face numbering as it was in `tverlab.z2`), and the construction
 of a Z2 complex from the canonical form, every given simplex sorted and
 checked before the involution (`canonical_z2_complex`, with
 `SimplicialComplex` and `Z2Complex.__init__` as they were in the
-package), which the checks on orbit masks are checked against.  Methods
+package, every image looked for among all given masks), which the checks
+on orbit masks are checked against.  Methods
 of the package's classes became functions that take the complex or the
 configuration.
 """
@@ -327,26 +330,13 @@ class CanonicalZ2Complex(Z2Complex):
         bit, lo, fixed = self._bit.__getitem__, self._lo, self._fixed
         masks = self._masks = [sum(map(bit, s)) for s in complex.simplices]
         images = self._images = [((m & lo) << 1) | ((m >> 1) & lo) | (m & fixed) for m in masks]
-        given = set(masks)
-        if not given.issuperset(images):
-            # An image that is not given must lie in a given simplex, one
-            # that holds the image's lowest vertex.
-            holding: Dict[int, List[int]] = {}
-            for m in masks:
-                rest = m
-                while rest:
-                    low = rest & -rest
-                    holding.setdefault(low, []).append(m)
-                    rest ^= low
-
-            def is_face(s: int) -> bool:
-                return s in given or any(s & m == s for m in holding[s & -s])
-
-            if not all(map(is_face, images)):
-                # Name the first maximal simplex whose image is missing.
-                image = dict(zip(masks, images))
-                f = next(f for f in complex.facets if not is_face(image[sum(map(bit, f))]))
-                raise ValueError(f"involution does not map simplex {f} to a simplex")
+        if not all(any(s & m == s for m in masks) for s in images):
+            # Name the first maximal simplex whose image lies in no given one.
+            image = dict(zip(masks, images))
+            for f in complex.facets:
+                s = image[sum(map(bit, f))]
+                if not any(s & m == s for m in masks):
+                    raise ValueError(f"involution does not map simplex {f} to a simplex")
 
     def _relabel(self, verts) -> None:
         """One bit per vertex, the smallest vertex getting the highest bit,
@@ -668,13 +658,22 @@ def standard_simplex_body(n: int) -> HPolytopeBody:
     return HPolytopeBody(n, tuple(rows))
 
 
-def _translate(body: HPolytopeBody, rhs: Sequence[int], den: int) -> Tuple[Tuple[int, ...], int]:
-    """(u, g) with t = u/g the one solution of A_i.t = rhs_i/den over the
-    first n integer rows: the body's inverse applied to rhs."""
-    return (
-        tuple(sum(map(operator.mul, row, rhs)) for row in body.inverse),
-        body.inverse_scale * den,
-    )
+def solve_square(rows: Sequence[Tuple[Point, Fraction]]) -> Optional[Point]:
+    """The unique t with a.t = c for the n rows (a, c) in n unknowns, by
+    Gauss-Jordan elimination over Fractions, or None when the a are
+    linearly dependent."""
+    m = [list(a) + [c] for a, c in rows]
+    for col in range(len(m)):
+        pivot = next((r for r in range(col, len(m)) if m[r][col]), None)
+        if pivot is None:
+            return None
+        m[col], m[pivot] = m[pivot], m[col]
+        head = m[col][col]
+        m[col] = [v / head for v in m[col]]
+        for r, row in enumerate(m):
+            if r != col and row[col]:
+                m[r] = [v - row[col] * w for v, w in zip(row, m[col])]
+    return tuple(row[-1] for row in m)
 
 
 def min_cover_homothety(points: Sequence[Sequence], body: HPolytopeBody) -> CoverCertificate:
@@ -683,47 +682,29 @@ def min_cover_homothety(points: Sequence[Sequence], body: HPolytopeBody) -> Cove
     s_i per row cancels t, so delta >= sum_i top_i / sum_i b_i with top_i
     the largest a_i.s, with equality exactly when every row is tight.  The
     translate solves the first n equations a_i.t = top_i - delta b_i
-    through the inverse the body holds (the last holds too, as both sides
-    sum to 0).
-
-    The points P/D are scaled to integers once.  With row i scaled to
-    (A_i, B_i) by l_i, dots[p][i] = A_i.P_p and T_i, the column's max,
-    give top_i = T_i/(l_i D); so delta = num/den with num = sum_i T_i M/l_i
-    and den = D * rhs_sum, and with t = u/g row i holds at P_p exactly when
-    dots[p][i] * g * rhs_sum <= den A_i.u + num B_i g, one integer bound
-    per row.  Only delta and the translate are built as Fractions."""
-    D, points = read_scaled(points)
+    (`solve_square`; the last holds too, as both sides sum to 0), and every
+    (point, row) pair is checked against a_i.t + delta b_i, all over
+    Fractions."""
+    points = [tuple(map(rat, p)) for p in points]
     if not points:
         raise ValueError("need at least one point to cover")
     if any(len(p) != body.ambient_dim for p in points):
         raise ValueError("point dimension mismatch")
-    rows = body.int_rows
-    dots = [[sum(map(operator.mul, a, p)) for a, _ in rows] for p in points]
+    dots = [[sum(map(operator.mul, a, p)) for a, _ in body.rows] for p in points]
     top = [max(col) for col in zip(*dots)]
-    s = body.rhs_sum
-    num = sum(map(operator.mul, top, body.weights))  # the facet-sum identity
-    den = D * s
-    u, g = _translate(body, [hi * s - num * b for hi, (_, b) in zip(top, rows[:-1])], den)
-    scale = g * s
-    # dot * scale <= bound exactly when dot <= bound // scale; equal exactly
-    # when also bound % scale == 0
-    bounds = [
-        divmod(den * sum(map(operator.mul, a, u)) + num * b * g, scale) for a, b in rows
-    ]
+    delta = sum(top) / sum(b for _, b in body.rows)  # the facet-sum identity
+    t = solve_square([(a, hi - delta * b) for (a, b), hi in zip(body.rows[:-1], top)])
+    bounds = [sum(map(operator.mul, a, t)) + delta * b for a, b in body.rows]
     tight = []
     for pi, row in enumerate(dots):
-        for ri, (dot, (q, r)) in enumerate(zip(row, bounds)):
-            if dot > q:
+        for ri, (dot, bound) in enumerate(zip(row, bounds)):
+            if dot > bound:
                 raise RuntimeError("cover certificate violates a row")
-            if dot == q and not r:
+            if dot == bound:
                 tight.append((pi, ri))
-    if {ri for _, ri in tight} != set(range(len(rows))):
+    if {ri for _, ri in tight} != set(range(len(body.rows))):
         raise RuntimeError("a body row has no tight point, so delta is not minimal")
-    return CoverCertificate(
-        delta=Fraction(num, den),
-        translate=tuple(Fraction(c, g) for c in u),
-        tight=tuple(tight),
-    )
+    return CoverCertificate(delta=delta, translate=t, tight=tuple(tight))
 
 
 # ---------------------------------------------------------------------------

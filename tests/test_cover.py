@@ -4,10 +4,12 @@ For a finite S inside the standard simplex (barycentric coordinates)
 the smallest homothet delta*Delta + t containing S satisfies
 t_i <= min_p p_i for every i with sum t = 1 - delta, hence
 delta* = 1 - sum_i min_{p in S} p_i.  `min_cover_barycentric` computes
-this from the column minima; the facet-sum cover against a general
-simplex body (`oracles.min_cover_homothety`) must give the same delta,
-translate and tight pairs on the standard simplex, and match the
-homothety LP over (delta, t) on every body.
+this from the column minima and checks it in integers.  The references it
+is compared with are the facet-sum cover against a general simplex body,
+over Fractions (`oracles.min_cover_homothety`), which must give the same
+delta, translate and tight pairs on the standard simplex, and the
+homothety LP over (delta, t), which the facet-sum cover must match on
+every body.
 """
 import json
 from fractions import Fraction as F
@@ -18,7 +20,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import oracles
 import tverlab.cover
 from tverlab import (
     SplitMix64,
@@ -40,7 +41,6 @@ from oracles import (
     fraction_witness,
     grid_points_in_simplex,
     h_polytope,
-    integer_scaled,
     interval_body,
     le,
     min_cover_homothety,
@@ -172,6 +172,8 @@ def test_body_validation():
         h_polytope([((1, 0), 1), ((-1, 0), 0), ((0, 1), 1)])
     with pytest.raises(UnboundedBodyError):  # facet-sum form, rank 1 < 2
         h_polytope([((1, 0), 1), ((-1, 0), 1), ((0, 0), 1)])
+    with pytest.raises(UnboundedBodyError):  # Fraction rows, the second 3 times the first
+        h_polytope([((F(1, 2), F(1, 3)), 1), ((F(3, 2), 1), 1), ((-2, F(-4, 3)), 1)])
     with pytest.raises(ValueError):
         h_polytope([((1,), -1), ((-1,), 0)])  # empty
     with pytest.raises(ValueError):  # bounded, but four rows: not a simplex
@@ -263,7 +265,8 @@ def random_facet_sum_body(rng, n):
 def homothety_lp_cases():
     """(points, body) pairs: seeded sets against the centered simplex, one
     point, repeated points, scaled sets partly outside the simplex, the
-    interval, and general simplex bodies in facet-sum form."""
+    interval, a body with Fraction coefficients, and general simplex
+    bodies in facet-sum form."""
     rng = SplitMix64(2718)
     cases = []
     for _ in range(24):
@@ -279,6 +282,10 @@ def homothety_lp_cases():
         for lam in (2, 3):  # centered and scaled: some points leave the simplex
             cases.append(([tuple(lam * c for c in p) for p in pts], body))
     cases.append(([(F(1, 4),), (F(3, 4),), (F(-1),)], interval_body()))
+    cases.append((  # a body with Fraction coefficients
+        [(1, 2), (-1, 0)],
+        h_polytope([((F(1, 2), 0), 1), ((0, F(1, 3)), 1), ((F(-1, 2), F(-1, 3)), 1)]),
+    ))
     rng = SplitMix64(1618)
     for _ in range(30):  # general simplex bodies in facet-sum form
         n = rng.int_between(1, 4)
@@ -346,35 +353,10 @@ def test_the_closed_form_matches_the_facet_sum_oracle(pts):
     assert cert.delta == closed_form_delta(pts)
 
 
-def test_the_row_check_rejects_a_shifted_translate(monkeypatch):
+def test_the_row_check_rejects_a_shifted_translate():
     """Every row is tight at the true translate and the a_i sum to 0, so any
     shift lowers some row's bound below its tight point."""
     rng = SplitMix64(4242)
-    cases = [
-        (standard_simplex_body(2), [barycentric_to_centered(p) for p in (
-            (F(1, 2), F(1, 2), F(0)), (F(0), F(1, 3), F(2, 3)), (F(1, 4), F(0), F(3, 4))
-        )]),
-        (interval_body(), [(F(1, 4),), (F(3, 4),)]),
-    ]
-    for n in (1, 2, 3):
-        body = random_facet_sum_body(rng, n)
-        cases.append((body, [tuple(F(rng.int_between(-6, 6), 7) for _ in range(n))] * 2))
-    translate = oracles._translate
-    for body, pts in cases:
-        for k in range(body.ambient_dim):
-            for step in (F(1, 1000), F(-3)):
-                def shifted(body, rhs, den, k=k, step=step):
-                    u, g = translate(body, rhs, den)
-                    t = [F(c, g) for c in u]
-                    t[k] += step
-                    g, (u,) = integer_scaled([t])
-                    return u, g
-
-                monkeypatch.setattr(oracles, "_translate", shifted)
-                with pytest.raises(RuntimeError, match="violates a row"):
-                    min_cover_homothety(pts, body)
-                monkeypatch.setattr(oracles, "_translate", translate)
-                min_cover_homothety(pts, body)
     # the closed form's check reads delta and the translate alone: a shift
     # of t_k raises facet k's bound (+) or the last facet's (-) past its
     # tight point, and a larger delta leaves every facet slack
@@ -408,88 +390,6 @@ def test_cover_solves_no_lp_minimize(monkeypatch):
     assert cert.delta == F(1, 2)
 
 
-def solve_square(rows):
-    """The unique t with a.t = c for the n rows (a, c) in n unknowns, by
-    Gauss-Jordan elimination over Fractions, or None when the a are
-    linearly dependent."""
-    m = [list(a) + [c] for a, c in rows]
-    for col in range(len(m)):
-        pivot = next((r for r in range(col, len(m)) if m[r][col]), None)
-        if pivot is None:
-            return None
-        m[col], m[pivot] = m[pivot], m[col]
-        head = m[col][col]
-        m[col] = [v / head for v in m[col]]
-        for r, row in enumerate(m):
-            if r != col and row[col]:
-                m[r] = [v - row[col] * w for v, w in zip(row, m[col])]
-    return tuple(row[-1] for row in m)
-
-
-def reference_cover(points, body):
-    """The covering kernel that solved the body system once per cover over
-    Fractions: top_i and delta as Fractions, the translate by Gauss-Jordan,
-    one Fraction bound per row.  Returns (delta, translate, tight)."""
-    pts = [tuple(F(c) for c in p) for p in points]
-    L, ints = integer_scaled(pts)
-    scales, int_rows = [], []
-    for a, b in body.rows:
-        l, (row,) = integer_scaled([a + (b,)])
-        scales.append(L * l)
-        int_rows.append(row[:-1])
-    dots = [[sum(c * v for c, v in zip(a, p)) for a in int_rows] for p in ints]
-    top = [F(max(col), s) for col, s in zip(zip(*dots), scales)]
-    delta = sum(top) / sum(b for _, b in body.rows)
-    t = solve_square([(a, hi - delta * b) for (a, b), hi in zip(body.rows[:-1], top)])
-    bounds = []
-    for (a, b), s in zip(body.rows, scales):
-        bound = s * (sum(c * v for c, v in zip(a, t)) + delta * b)
-        bounds.append((bound.numerator, bound.denominator))
-    tight = []
-    for pi, row in enumerate(dots):
-        for ri, (dot, (num, den)) in enumerate(zip(row, bounds)):
-            assert dot * den <= num
-            if dot * den == num:
-                tight.append((pi, ri))
-    return delta, t, tuple(tight)
-
-
-def test_seeded_sets_match_the_fraction_reference():
-    for pts, body in homothety_lp_cases():
-        cert = min_cover_homothety(pts, body)
-        assert (cert.delta, cert.translate, cert.tight) == reference_cover(pts, body)
-    rng = SplitMix64(2719)
-    for _ in range(40):  # barycentric sets, scaled once for the whole set
-        n = rng.int_between(1, 4)
-        pts = [random_barycentric(rng, n) for _ in range(rng.int_between(1, 5))]
-        cert = min_cover_barycentric(pts)
-        centered = [barycentric_to_centered(p) for p in pts]
-        assert (cert.delta, cert.translate, cert.tight) == reference_cover(
-            centered, standard_simplex_body(n)
-        )
-
-
-@settings(derandomize=True, database=None, deadline=None)
-@given(bodies_and_points())
-def test_random_bodies_match_the_fraction_reference(case):
-    body, pts = case
-    cert = min_cover_homothety(pts, body)
-    assert (cert.delta, cert.translate, cert.tight) == reference_cover(pts, body)
-
-
-def test_the_body_inverse_inverts_its_first_rows():
-    rng = SplitMix64(3141)
-    bodies = [standard_simplex_body(n) for n in range(1, 5)] + [interval_body()]
-    bodies += [random_facet_sum_body(rng, rng.int_between(1, 4)) for _ in range(30)]
-    for body in bodies:
-        n = body.ambient_dim
-        rows = [a for a, _ in body.int_rows[:-1]]
-        product = [
-            [sum(r[k] * v[k] for k in range(n)) for v in zip(*body.inverse)] for r in rows
-        ]
-        assert product == [[body.inverse_scale * (i == j) for j in range(n)] for i in range(n)]
-
-
 def fractions_built(call):
     """The number of Fractions that call() builds."""
     built = []
@@ -508,18 +408,9 @@ def fractions_built(call):
 
 
 def test_a_cover_builds_only_delta_and_the_translate():
-    """Once its points and body exist, one cover builds n + 1 Fractions:
-    at most that for the oracle, exactly that for the closed form."""
+    """Once its points exist, one closed-form cover of n + 1 coordinates
+    builds exactly n + 1 Fractions: delta and the translate."""
     rng = SplitMix64(6180)
-    cases = homothety_lp_cases() + [
-        (
-            [tuple(F(rng.int_between(-60, 60), d) for d in (3, 1024, 999983, 7)[:n]) for _ in range(4)],
-            random_facet_sum_body(rng, n),
-        )
-        for n in range(1, 5)
-    ]
-    for pts, body in cases:
-        assert fractions_built(lambda: min_cover_homothety(pts, body)) <= body.ambient_dim + 1
     for n in range(1, 6):
         pts = [random_barycentric(rng, n) for _ in range(4)]
         assert fractions_built(lambda: min_cover_barycentric(pts)) == n + 1
