@@ -49,6 +49,10 @@ PASS, FALSIFIED, USAGE, INTERNAL = 0, 1, 2, 3
 
 
 ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"), default=rat_str)  # one per process
+# ENCODER's C encoder, built once (its encode builds one per record); no markers dict, which a
+# record that raised would leave holding ids; None where json has no C encoder
+C_ENCODER = json.encoder.c_make_encoder and json.encoder.c_make_encoder(
+    None, rat_str, json.encoder.encode_basestring_ascii, None, ":", ",", True, False, True)
 SPOOL_CHARS = 1 << 20  # encoded output held in memory; past it, the lines go to a temporary file
 
 
@@ -62,7 +66,7 @@ def _emit(records: Iterable[dict], output: Optional[str]) -> int:
             if record.get("ok") is False:
                 code = FALSIFIED
             try:
-                line = ENCODER.encode(record) + "\n"
+                line = ("".join(C_ENCODER(record, 0)) if C_ENCODER else ENCODER.encode(record)) + "\n"
             except ValueError:  # an int past the digit limit for str, which no flag raises
                 raise ValueError(f"Exceeds the limit ({sys.get_int_max_str_digits()} digits) for an integer in a record") from None
             lines.append(line)

@@ -19,7 +19,9 @@ A configuration is its points scaled to integers once
 partition screens, each candidate's LP rows and both certificate checks
 read that one scaling, and none of them builds the configuration's
 `Fraction`s (`tverlab.cli` reads --input files; this module knows no
-file format).
+file format).  Each check is one read of a certificate's Fractions and an
+integer body; the Radon step and the depth halfspace run the body on the
+integers they computed, and build their Fractions after it.
 """
 from __future__ import annotations
 
@@ -106,13 +108,18 @@ class ReductionPlan(NamedTuple):
 
 
 def check_depth_certificate(cert: DepthCertificate, config: PointConfig) -> bool:
-    """The halfspace holds the point and exactly `depth` points: over the
-    configuration as scaled once (P/L), with the point and (coeffs, offset)
-    read at once as X/K and (a, a0)/K, a.X + K a0 >= 0 and a.P + L a0 >= 0."""
-    L, P = config.scaled
+    """_depth_holds on the point and (coeffs, offset) read at once as X/K and (a, a0)/K."""
     K, (X, (*a, a0)) = read_scaled([cert.point, (*cert.halfspace_coeffs, cert.halfspace_offset)])
+    return _depth_holds(K, X, a, a0, cert.depth, config)
+
+
+def _depth_holds(K: int, X: Sequence[int], a: Sequence[int], a0: int, depth: int, config: PointConfig) -> bool:
+    """The halfspace holds the point and exactly `depth` points, on integers
+    over one K > 0: over the configuration as scaled once (P/L),
+    a.X + K a0 >= 0 and a.P + L a0 >= 0 for exactly `depth` points P."""
+    L, P = config.scaled
     inside = sum(sum(map(operator.mul, a, p)) + L * a0 >= 0 for p in P)
-    return sum(map(operator.mul, a, X)) + K * a0 >= 0 and inside == cert.depth
+    return sum(map(operator.mul, a, X)) + K * a0 >= 0 and inside == depth
 
 
 def _primitive(w: Sequence[int]) -> Tuple[int, ...]:
@@ -145,7 +152,11 @@ def _fewest_on_open_side(
     if not W:
         return 0, [0] * d, 1
     best = None
-    for v in dict.fromkeys(map(_primitive, W)):
+    seen = set()
+    for v in map(_primitive, W):
+        if v in seen:
+            continue
+        seen.add(v)
         k = next(i for i, c in enumerate(v) if c)
         vk = v[k]
         proj = [tuple(vk * c - w[k] * vc for c, vc in zip(w, v)) for w in W]
@@ -186,7 +197,8 @@ def tukey_depth(x: Sequence, config: PointConfig, lower: Optional[int] = None) -
     fewest nonzero w with u.w > 0; the witness halfspace is u.(y - x) >= 0.
     With the configuration's one scaling P/L and x as X/E, the recursion runs
     on the integers E P - L X (w times L E > 0, which keeps every count and
-    tilt, and U/q with them), and the offset is -U.X/(q E).  It scans every
+    tilt, and U/q with them); _depth_holds checks the halfspace over K = q E,
+    a = E U and a0 = -U.X, at the point q X.  It scans every
     branch, or, when `lower` is a proven lower bound on the depth, stops as
     soon as a halfspace holds `lower` points; a depth below that bound is an
     internal error."""
@@ -202,12 +214,10 @@ def tukey_depth(x: Sequence, config: PointConfig, lower: Optional[int] = None) -
     count, U, q = _fewest_on_open_side(nonzero, config.d, stop)
     if lower is not None and zeros + count < lower:
         raise RuntimeError(f"depth {zeros + count} below the proven lower bound {lower}")
-    u = tuple(Fraction(c, q) for c in U)
-    offset = Fraction(-sum(map(operator.mul, U, X)), q * E)
-    cert = DepthCertificate(xx, zeros + count, u, offset)
-    if not check_depth_certificate(cert, config):
+    K, a, a0 = q * E, [E * c for c in U], -sum(map(operator.mul, U, X))
+    if not _depth_holds(K, [q * c for c in X], a, a0, zeros + count, config):
         raise RuntimeError("depth certificate failed verification")
-    return cert
+    return DepthCertificate(xx, zeros + count, tuple(Fraction(c, K) for c in a), Fraction(a0, K))
 
 
 # ---------------------------------------------------------------------------
@@ -328,7 +338,8 @@ def _radon_partition(config: PointConfig) -> Optional[TverbergCertificate]:
     {v : kappa_v >= 0}.  The weights are unique, kappa on block 0 and
     -kappa on block 1, each over their sum S, so they are the LP's.  That
     kappa is such a dependency is checked in integers, and the certificate
-    by check_tverberg_certificate."""
+    by _tverberg_holds on the integers over K = S L that make it: the point
+    X = sum of kappa_v P_v over block 0, the weights L kappa and -L kappa."""
     kappa = _affine_dependency(config)
     if kappa is None:
         return None
@@ -339,15 +350,13 @@ def _radon_partition(config: PointConfig) -> Optional[TverbergCertificate]:
     blocks = (tuple(v for v, k in enumerate(kappa) if k >= 0),
               tuple(v for v, k in enumerate(kappa) if k < 0))
     first = [kappa[v] for v in blocks[0]]
-    S = sum(first)
-    point = tuple(Fraction(sum(map(operator.mul, first, c)), S * L)
-                  for c in zip(*(P[v] for v in blocks[0])))
-    weights = (tuple(Fraction(k, S) for k in first),
-               tuple(Fraction(-kappa[v], S) for v in blocks[1]))
-    cert = TverbergCertificate(blocks, point, weights)
-    if not check_tverberg_certificate(cert, config):
+    K = sum(first) * L
+    X = [sum(map(operator.mul, first, c)) for c in zip(*(P[v] for v in blocks[0]))]
+    weights = ([L * k for k in first], [-L * kappa[v] for v in blocks[1]])
+    if not _tverberg_holds(blocks, K, X, weights, config):
         raise RuntimeError("partition certificate failed verification")
-    return cert
+    return TverbergCertificate(blocks, tuple(Fraction(c, K) for c in X),
+                               tuple(tuple(Fraction(c, K) for c in w) for w in weights))
 
 
 def _separates(table: Sequence[Sequence[int]], blocks: Tuple[Tuple[int, ...], ...]) -> bool:
@@ -377,17 +386,22 @@ def _partition_certificate(
 
 
 def check_tverberg_certificate(cert: TverbergCertificate, config: PointConfig) -> bool:
+    """_tverberg_holds on the point and all the weights read at once as X/K and w_j/K."""
+    K, (X, *weights) = read_scaled([cert.point, *cert.weights])
+    return _tverberg_holds(cert.blocks, K, X, weights, config)
+
+
+def _tverberg_holds(blocks: Sequence[Sequence[int]], K: int, X: Sequence[int],
+                    weights: Sequence[Sequence[int]], config: PointConfig) -> bool:
     """The blocks partition the labels and one weight tuple per block writes
-    the point: over the configuration as scaled once (P/L), with the point
-    and all the weights read at once as X/K and w_j/K, each block's weights
-    sum to K and sum_j w_j P_j == L X."""
-    labels = sorted(l for b in cert.blocks for l in b)
-    if (labels != list(range(config.n)) or len(cert.weights) != len(cert.blocks)
-            or len(cert.point) != config.d):
+    the point, on integers over one K > 0: over the configuration as scaled
+    once (P/L), each block's weights are nonnegative, sum to K and have
+    sum_j w_j P_j == L X."""
+    labels = sorted(l for b in blocks for l in b)
+    if labels != list(range(config.n)) or len(weights) != len(blocks) or len(X) != config.d:
         return False
     L, P = config.scaled
-    K, (X, *weights) = read_scaled([cert.point, *cert.weights])
-    for block, w in zip(cert.blocks, weights):
+    for block, w in zip(blocks, weights):
         if len(block) != len(w) or any(c < 0 for c in w) or sum(w) != K:
             return False
         for i in range(config.d):

@@ -14,7 +14,8 @@ for the points' affine dependency and the rank check of the general
 simplex body `cover.HPolytopeBody`, which no cover uses.
 `read_scaled` is the one way from scalars to integers over one common
 denominator: it reads input scalars (ints, Fractions, or strings `rat`
-reads) and the Fractions of a certificate alike, and builds no Fraction
+reads) and the Fractions of a certificate that a public check is handed
+alike (a producer checks the integers it made), and builds no Fraction
 for an int or a plain ``"p"`` or ``"p/q"`` string.  Lists of ``"p/q"``
 strings, the shape an input file gives, are read in one pass: one regex
 over the joined strings and one map of int, falling back to the

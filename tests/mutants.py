@@ -40,6 +40,8 @@ P_Q_ROWS = "tests/test_rationals.py::test_p_q_rows_read_in_one_pass_as_rat_reads
 FAULTS = "tests/test_z2.py::test_faults_raise_what_the_canonical_form_raised"
 DECODING = "tests/test_cli.py::test_input_bytes_are_decoded_as_open_decoded_them"
 ROW_CHECK = "tests/test_cover.py::test_the_row_check_rejects_a_shifted_translate"
+ONE_READ = "tests/test_depth.py::test_the_one_read_paths_match_the_read_per_row_references"
+R2_INTEGERS = "tests/test_depth.py::test_r2_certificates_are_checked_on_the_integers_that_made_them"
 HIND = ("tests/test_z2.py::test_long_chains_and_many_components",
         "tests/test_z2.py::test_index_of_drawn_unions_matches_both_oracles")
 
@@ -59,6 +61,14 @@ MUTANTS = (
            "text = fh.read().decode()", 'text = fh.read().decode("utf-8-sig")', (DECODING,)),
     Mutant("no universal newlines", "src/tverlab/cli.py",
            'if "\\r" in text:', "if False:", (DECODING,)),
+    # depth: the integer bodies of the two certificate checks
+    Mutant("no per-block weight sum", "src/tverlab/depth.py",
+           "any(c < 0 for c in w) or sum(w) != K:", "any(c < 0 for c in w):", (R2_INTEGERS, ONE_READ)),
+    Mutant("no nonnegative weights", "src/tverlab/depth.py",
+           "len(block) != len(w) or any(c < 0 for c in w) or", "len(block) != len(w) or",
+           ("tests/test_depth.py::test_tverberg_certificate_needs_nonnegative_weights",)),
+    Mutant("at least depth points inside", "src/tverlab/depth.py",
+           "and inside == depth", "and inside >= depth", (ONE_READ,)),
     # conemap: the closed-form count and the probe's rank
     Mutant("the count's exponent", "src/tverlab/conemap.py",
            "(r + 1 - j) ** (m + 1)", "(r + 1 - j) ** m",

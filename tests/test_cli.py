@@ -583,6 +583,26 @@ def test_scalars_too_large_to_write_or_read_are_usage_errors(tmp_path, capsys):
         assert "set_int_max_str_digits" not in captured.err + proc.stderr
 
 
+def test_the_prebuilt_encoder_writes_what_json_encode_wrote(monkeypatch, capsys):
+    """The C encoder built once at import gives ENCODER.encode's text, also
+    after a record it could not write, and the fallback through
+    ENCODER.encode (where json has no C encoder) prints the same bytes."""
+    encode = tverlab.cli.C_ENCODER
+    records = [{"z": [Fraction(-1, 3), (2, Fraction(4))], "a": "é\n", "m": None, "t": True, "f": 0.5},
+               {"b": {"y": [], "x": {}}, "a": [[Fraction(10**40, 3)]]}]
+    for record in records:
+        assert "".join(encode(record, 0)) == tverlab.cli.ENCODER.encode(record)
+        with pytest.raises(ValueError):
+            encode({"p": [Fraction(10**5000 + 1, 3)], "q": record}, 0)
+    assert "".join(encode(records[0], 0)) == tverlab.cli.ENCODER.encode(records[0])
+    argv = ["centerpoint", "--d", "2", "--r", "2", "--trials", "3", "--seed", "7"]
+    assert main(argv) == 0
+    out = capsys.readouterr().out
+    monkeypatch.setattr(tverlab.cli, "C_ENCODER", None)
+    assert main(argv) == 0
+    assert capsys.readouterr().out == out
+
+
 def test_inputs_below_the_guaranteed_size_falsify_nothing(tmp_path, capsys):
     path = tmp_path / "config.json"
     path.write_text(json.dumps({"d": 1, "points": [[0], [1], [2]]}))
@@ -754,7 +774,7 @@ def test_a_falsified_claim_exits_one_with_its_record(monkeypatch, tmp_path, caps
 
 
 def test_a_failed_partition_check_is_an_internal_error(monkeypatch, capsys):
-    monkeypatch.setattr("tverlab.depth.check_tverberg_certificate", lambda *args: False)
+    monkeypatch.setattr("tverlab.depth._tverberg_holds", lambda *args: False)
     with pytest.raises(RuntimeError, match="partition certificate"):
         tverlab.depth.tverberg_partition(tverlab.PointConfig(1, [[0], [1], [2]]), 2)
     code, records, _ = run(capsys, "tverberg", "--d", "1", "--r", "2", "--trials", "2")

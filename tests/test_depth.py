@@ -725,6 +725,45 @@ def test_the_partition_search_scales_each_configuration_once(monkeypatch):
     assert len(solves_seen) > 5  # scans of many lengths
 
 
+def test_r2_certificates_are_checked_on_the_integers_that_made_them(monkeypatch):
+    """On seeded r = 2 configurations (the Radon step), tverberg_partition
+    reads no row holding a Fraction through read_scaled, and centerpoint
+    reads one, tukey_depth's read of its point: both certificates are
+    checked on the integers their producers computed.  Every certificate
+    passes the public checks, and a copy with one weight changed, or with
+    the offset moved by -1, fails both the public check and the integer
+    body."""
+    configs = [random_point_config(d, guaranteed_size(d, 2), SplitMix64(700 + 10 * d + i),
+                                   num_bound=6, den_bound=3)
+               for d in (1, 2, 3) for i in range(10)]
+    reads = []
+    real = depth_module.read_scaled
+
+    def recording(rows):
+        if not isinstance(rows, Scaled) and any(type(c) is F for row in rows for c in row):
+            reads.append(rows)
+        return real(rows)
+
+    monkeypatch.setattr("tverlab.depth.read_scaled", recording)
+    for config in configs:
+        reads.clear()
+        tv = tverberg_partition(config, 2)
+        assert reads == []
+        dp = centerpoint(config, 2)
+        assert reads == [[dp.point]] and dp.point == tv.point
+        assert check_tverberg_certificate(tv, config) and check_depth_certificate(dp, config)
+        K, (X, *w) = read_scaled([tv.point, *tv.weights])
+        assert depth_module._tverberg_holds(tv.blocks, K, X, w, config)
+        nudged = (tv.weights[0][0] + 1, *tv.weights[0][1:])
+        assert not check_tverberg_certificate(tv._replace(weights=(nudged, *tv.weights[1:])), config)
+        w[0] = (w[0][0] + K, *w[0][1:])
+        assert not depth_module._tverberg_holds(tv.blocks, K, X, w, config)
+        K, (X, (*a, a0)) = read_scaled([dp.point, (*dp.halfspace_coeffs, dp.halfspace_offset)])
+        assert depth_module._depth_holds(K, X, a, a0, dp.depth, config)
+        assert not check_depth_certificate(dp._replace(halfspace_offset=dp.halfspace_offset - 1), config)
+        assert not depth_module._depth_holds(K, X, a, a0 - K, dp.depth, config)
+
+
 def test_an_input_config_reads_each_scalar_once_without_a_string_parse(tmp_path):
     """An --input configuration's ints and plain "p/q" strings are read
     into integers once (`PointConfig` takes them as read); the Fractions
