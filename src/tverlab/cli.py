@@ -155,12 +155,11 @@ def cmd_centerpoint(args):
 
 def cmd_tverberg(args):
     for i, config in enumerate(_configs(args)):
-        cert = depth.tverberg_partition(config, args.r)
+        cert, dep = depth._partition_and_depth(config, args.r)
         if cert is None:
             ok = config.n < depth.guaranteed_size(config.d, args.r)  # no claim applies
             rec = {"trial": i, "ok": ok, "r": args.r} | ({"outside_hypotheses": True} if ok else {})
         else:
-            dep = depth._depth_from_lifted_partition(config, 1, args.r, cert)
             rec = {"trial": i, "blocks": cert.blocks, "point": cert.point,
                    "depth": dep.depth, "r": args.r, "ok": dep.depth >= args.r}
         yield rec

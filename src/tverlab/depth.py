@@ -8,9 +8,12 @@ is unique up to scale (Radon's theorem: d + 2 points in general position,
 no LP), and the reduction to a prime number of parts duplicates each
 point k times and partitions the lifted cloud, on a line in closed form
 (no LP).  A centerpoint's depth >= r is certified from both sides: the
-blocks give the lower bound, the depth halfspace the upper bound.  Both
-searches use the certificates they already hold: the depth recursion
-behind a partition stops at the first halfspace that holds no more
+blocks give the lower bound, the depth halfspace the upper bound.  Where
+the Radon step answers, the depth is exactly 2, and its halfspace, through
+the Radon point and two of the points, comes from the dependency by one
+affine interpolation (no recursion).  The two searches use the
+certificates they already hold: the depth recursion behind a partition
+stops at the first halfspace that holds no more
 points than the blocks guarantee, and the partition scan settles a
 candidate by LP only when neither the blocks' coordinate ranges nor the
 Farkas certificate of an earlier failed candidate separate its blocks.
@@ -290,7 +293,7 @@ def tverberg_partition(config: PointConfig, r: int) -> Optional[TverbergCertific
     if r == 2:
         found = _radon_partition(config)
         if found is not None:
-            return found
+            return found[0]
     ints = config.scaled.rows
     cuts: List[List[List[int]]] = []
     for blocks in _partitions(config.n, r, ints):
@@ -326,10 +329,13 @@ def _affine_dependency(config: PointConfig) -> Optional[Tuple[int, ...]]:
     return _primitive([D if j == f else -rows[pivots[j]][f] for j in range(n)])
 
 
-def _radon_partition(config: PointConfig) -> Optional[TverbergCertificate]:
+def _radon_partition(
+    config: PointConfig,
+) -> Optional[Tuple[TverbergCertificate, Tuple[int, ...], int, List[int]]]:
     """The first 2-block partition in canonical order whose hulls meet, read
-    off the affine dependency kappa when it is unique up to scale (Radon);
-    None when it is not, and the search decides.  A common point writes
+    off the affine dependency kappa when it is unique up to scale (Radon),
+    with kappa and the integers X over K of its point; None when kappa is
+    not unique, and the search decides.  A common point writes
     (point, 1) from each block with nonnegative weights, and their
     difference is a multiple of kappa, so the meeting partitions are the
     ones that part kappa's positive entries from its negative ones.  The
@@ -355,8 +361,40 @@ def _radon_partition(config: PointConfig) -> Optional[TverbergCertificate]:
     weights = ([L * k for k in first], [-L * kappa[v] for v in blocks[1]])
     if not _tverberg_holds(blocks, K, X, weights, config):
         raise RuntimeError("partition certificate failed verification")
-    return TverbergCertificate(blocks, tuple(Fraction(c, K) for c in X),
+    cert = TverbergCertificate(blocks, tuple(Fraction(c, K) for c in X),
                                tuple(tuple(Fraction(c, K) for c in w) for w in weights))
+    return cert, kappa, K, X
+
+
+def _radon_depth(config: PointConfig, cert: TverbergCertificate, kappa: Sequence[int],
+                 K: int, X: Sequence[int]) -> DepthCertificate:
+    """Depth 2 at the Radon point x = X/K of _radon_partition's certificate:
+    its two blocks bound the depth below, and one affine interpolation (no
+    recursion) gives a halfspace through x holding exactly two points.
+    Take i0, the first label with kappa > 0, j0, the first with kappa < 0,
+    S = K/L, the sum of kappa over block 0, and c = kappa_i0 |kappa_j0|.  The
+    points P_k/L, k != j0, are affinely independent, so one affine h takes
+    the values f_k = -c at each of them but i0 and f_i0 = |kappa_j0| (S -
+    kappa_i0) there; sum kappa_k h(P_k/L) = 0 then gives h(P_j0/L) =
+    kappa_i0 (S - |kappa_j0|) >= 0 and h(x) = 0.  So {h >= 0} holds x, i0 and
+    j0 and no other point.  h = (u.y + t)/D comes from one
+    `bareiss_eliminate` of the rows (P_k, L | L f_k), k != j0, with its free
+    unknowns 0 and its last pivot D made positive; _depth_holds checks
+    a = u, a0 = t over K at the Radon step's own X."""
+    L, P = config.scaled
+    i0 = next(i for i, k in enumerate(kappa) if k > 0)
+    j0 = next(j for j, k in enumerate(kappa) if k < 0)
+    c, S = kappa[i0] * -kappa[j0], K // L
+    rows = [[*p, L, L * (-kappa[j0] * (S - kappa[i0]) if k == i0 else -c)]
+            for k, p in enumerate(P) if k != j0]
+    D, pivots = bareiss_eliminate(rows, config.d + 1)
+    z = [0] * (config.d + 1)
+    for j, i in pivots.items():
+        z[j] = rows[i][-1] if D > 0 else -rows[i][-1]
+    *a, a0 = z
+    if not _depth_holds(K, X, a, a0, 2, config):
+        raise RuntimeError("depth certificate failed verification")
+    return DepthCertificate(cert.point, 2, tuple(Fraction(v, K) for v in a), Fraction(a0, K))
 
 
 def _separates(table: Sequence[Sequence[int]], blocks: Tuple[Tuple[int, ...], ...]) -> bool:
@@ -418,8 +456,21 @@ def centerpoint(config: PointConfig, r: int) -> Optional[DepthCertificate]:
     """A point of Tukey depth >= r, taken as the common point of a Tverberg
     partition.  None only if the partition search fails, which cannot
     happen at n >= (d+1)(r-1)+1."""
+    return _partition_and_depth(config, r)[1]
+
+
+def _partition_and_depth(
+    config: PointConfig, r: int
+) -> Tuple[Optional[TverbergCertificate], Optional[DepthCertificate]]:
+    """tverberg_partition's partition and the depth of its common point,
+    certified from both sides (None, None when no partition works): where
+    the Radon step answers, depth 2 from its integers (_radon_depth); else
+    the partition search, and tukey_depth stopped at the blocks' bound."""
+    found = _radon_partition(config) if r == 2 else None
+    if found is not None:
+        return found[0], _radon_depth(config, *found)
     cert = tverberg_partition(config, r)
-    return None if cert is None else _depth_from_lifted_partition(config, 1, r, cert)
+    return cert, None if cert is None else _depth_from_lifted_partition(config, 1, r, cert)
 
 
 def _depth_from_lifted_partition(

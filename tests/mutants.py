@@ -42,6 +42,7 @@ DECODING = "tests/test_cli.py::test_input_bytes_are_decoded_as_open_decoded_them
 ROW_CHECK = "tests/test_cover.py::test_the_row_check_rejects_a_shifted_translate"
 ONE_READ = "tests/test_depth.py::test_the_one_read_paths_match_the_read_per_row_references"
 R2_INTEGERS = "tests/test_depth.py::test_r2_certificates_are_checked_on_the_integers_that_made_them"
+RADON_HALFSPACE = "tests/test_depth.py::test_the_radon_halfspace_holds_the_point_and_two_points"
 HIND = ("tests/test_z2.py::test_long_chains_and_many_components",
         "tests/test_z2.py::test_index_of_drawn_unions_matches_both_oracles")
 
@@ -69,6 +70,17 @@ MUTANTS = (
            ("tests/test_depth.py::test_tverberg_certificate_needs_nonnegative_weights",)),
     Mutant("at least depth points inside", "src/tverlab/depth.py",
            "and inside == depth", "and inside >= depth", (ONE_READ,)),
+    # depth: one block refused, and the r = 2 halfspace by interpolation
+    Mutant("r = 1 refused", "src/tverlab/depth.py",
+           'if r < 1:\n        raise ValueError("need at least one block")',
+           'if r <= 1:\n        raise ValueError("need at least one block")',
+           ("tests/test_cli.py::test_one_block_holds_at_one_point",)),
+    Mutant("i0 where kappa is 0", "src/tverlab/depth.py",
+           "i0 = next(i for i, k in enumerate(kappa) if k > 0)",
+           "i0 = next(i for i, k in enumerate(kappa) if k >= 0)", (RADON_HALFSPACE,)),
+    Mutant("a sign flip in f", "src/tverlab/depth.py",
+           "L * (-kappa[j0] * (S - kappa[i0]) if k == i0", "L * (kappa[j0] * (S - kappa[i0]) if k == i0",
+           (RADON_HALFSPACE,)),
     # conemap: the closed-form count and the probe's rank
     Mutant("the count's exponent", "src/tverlab/conemap.py",
            "(r + 1 - j) ** (m + 1)", "(r + 1 - j) ** m",

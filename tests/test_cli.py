@@ -722,12 +722,23 @@ def test_the_readme_flag_table_is_the_cli_table():
     }
 
 
-def test_internal_errors_exit_three(monkeypatch, capsys):
-    def broken(*args):
-        raise RuntimeError("depth certificate failed verification")
+def test_one_block_holds_at_one_point(capsys):
+    """r = 1 is a claim like any other: one point, one block, the point
+    itself at depth 1, and exit 0."""
+    point = ["7/1", "-9/1"]
+    for argv, record in (
+        (["tverberg", "--d", "2", "--r", "1", "--trials", "1"],
+         {"blocks": [[0]], "depth": 1, "ok": True, "point": point, "r": 1, "trial": 0}),
+        (["centerpoint", "--d", "2", "--r", "1", "--trials", "1"],
+         {"depth": 1, "n": 1, "ok": True, "point": point, "r": 1, "trial": 0}),
+    ):
+        code, records, _ = run(capsys, *argv)
+        assert (code, records) == (0, [record]), argv
 
-    # the depth step of centerpoint, tverberg and reduce, bounded below by the partition
-    monkeypatch.setattr("tverlab.depth.tukey_depth", broken)
+
+def test_internal_errors_exit_three(monkeypatch, capsys):
+    # the check of every depth halfspace: r = 2 sets on a line are Radon sets
+    monkeypatch.setattr("tverlab.depth._depth_holds", lambda *args: False)
     code, records, _ = run(capsys, "centerpoint", "--d", "1", "--r", "2", "--trials", "2")
     assert code == 3
     assert records == [
@@ -756,7 +767,7 @@ def test_a_falsified_claim_exits_one_with_its_record(monkeypatch, tmp_path, caps
          [{"error": "tuple ((2,), (0, 1)): predicted-isolated face (2,) is not separated from "
                     "(0, 1): h = 1/3 at the vertex image (1/3, 1/3, 1/3) of (0, 1), not below 1/3",
            "ok": False}]),
-        ("tverlab.depth.tverberg_partition", lambda config, r: None,
+        ("tverlab.depth._partition_and_depth", lambda config, r: (None, None),
          ["centerpoint", "--d", "1", "--r", "2", "--trials", "1"],
          [{"depth": None, "n": 3, "ok": False, "point": None, "r": 2, "trial": 0}]),
         ("tverlab.cover.touches_all_facets", lambda pts: True, ["cover", "--input", str(path)],

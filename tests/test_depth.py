@@ -7,7 +7,7 @@ from math import comb, factorial, gcd, lcm
 from types import SimpleNamespace
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import tverlab.cli as cli_module
@@ -228,8 +228,10 @@ def test_the_search_enumerates_the_screened_canonical_partitions():
         assert list(depth_module._partitions(config.n, r, ints)) == screened
 
 
-# sha256 of repr(centerpoint(config, 2)) on d + 2 points drawn from
-# SplitMix64(d), as computed before the recursion kept U/q in lowest terms
+# sha256 of repr(tukey_depth(x, config, 2)) at the Radon point x of d + 2
+# points drawn from SplitMix64(d) (what centerpoint(config, 2) returned
+# until r = 2 took its halfspace from _radon_depth), as computed before the
+# recursion kept U/q in lowest terms
 HIGH_D_CENTERPOINT_SHA256 = {
     2: "4486bc86813f6668dc98205716aee5fa19092a325e97bf0890bf35372e92f367",
     3: "2075348e3f41a037c889a64b5cf523637f4eea805675330343ee392d5b6a22ea",
@@ -256,7 +258,8 @@ def test_the_depth_recursion_keeps_its_functional_in_lowest_terms(monkeypatch):
     monkeypatch.setattr("tverlab.depth._fewest_on_open_side", recording)
     for d, digest in HIGH_D_CENTERPOINT_SHA256.items():
         returned.clear()
-        cert = centerpoint(random_point_config(d, d + 2, SplitMix64(d)), 2)
+        config = random_point_config(d, d + 2, SplitMix64(d))
+        cert = tukey_depth(tverberg_partition(config, 2).point, config, 2)
         assert hashlib.sha256(repr(cert).encode()).hexdigest() == digest, d
         assert returned and all(gcd(q, *U) == 1 for _, U, q in returned), d
 
@@ -726,10 +729,10 @@ def test_the_partition_search_scales_each_configuration_once(monkeypatch):
 
 
 def test_r2_certificates_are_checked_on_the_integers_that_made_them(monkeypatch):
-    """On seeded r = 2 configurations (the Radon step), tverberg_partition
-    reads no row holding a Fraction through read_scaled, and centerpoint
-    reads one, tukey_depth's read of its point: both certificates are
-    checked on the integers their producers computed.  Every certificate
+    """On seeded r = 2 configurations (the Radon step), neither
+    tverberg_partition nor centerpoint reads a row holding a Fraction
+    through read_scaled: both certificates are checked on the integers
+    their producers computed.  Every certificate
     passes the public checks, and a copy with one weight changed, or with
     the offset moved by -1, fails both the public check and the integer
     body."""
@@ -750,7 +753,7 @@ def test_r2_certificates_are_checked_on_the_integers_that_made_them(monkeypatch)
         tv = tverberg_partition(config, 2)
         assert reads == []
         dp = centerpoint(config, 2)
-        assert reads == [[dp.point]] and dp.point == tv.point
+        assert reads == [] and dp.point == tv.point
         assert check_tverberg_certificate(tv, config) and check_depth_certificate(dp, config)
         K, (X, *w) = read_scaled([tv.point, *tv.weights])
         assert depth_module._tverberg_holds(tv.blocks, K, X, w, config)
@@ -806,11 +809,14 @@ def seeded_centerpoint_configs():
 
 
 def test_the_depth_bounded_by_the_partition_is_the_exhaustive_one():
-    """centerpoint stops the depth search at the blocks' lower bound and
-    returns the certificate the exhaustive search returns."""
+    """The depth search stopped at the blocks' lower bound returns the
+    certificate the exhaustive search returns, and centerpoint's point and
+    depth are its."""
     for config, r in seeded_centerpoint_configs():
         cert = centerpoint(config, r)
-        assert cert == tukey_depth(cert.point, config)
+        exhaustive = tukey_depth(cert.point, config)
+        assert tukey_depth(cert.point, config, r) == exhaustive
+        assert (cert.point, cert.depth) == (exhaustive.point, exhaustive.depth)
         assert cert.depth >= r
 
 
@@ -833,9 +839,11 @@ def test_any_true_lower_bound_gives_the_exhaustive_certificate(case):
 def test_a_depth_below_the_lower_bound_is_an_internal_error(monkeypatch, capsys, tmp_path):
     """The square's two diagonals meet at its centre, a point of depth 2
     that no corner sits on; a recursion that answered 0 there would break
-    the bound the two blocks prove."""
+    the bound the two blocks prove.  The Radon step is off, so the depth
+    comes from the recursion."""
     from tverlab.cli import main
 
+    monkeypatch.setattr("tverlab.depth._radon_partition", lambda config: None)
     monkeypatch.setattr("tverlab.depth._fewest_on_open_side", lambda W, d, stop: (0, [0] * d, 1))
     corners = [[0, 0], [2, 0], [0, 2], [2, 2]]
     with pytest.raises(RuntimeError, match="depth 0 below the proven lower bound 2"):
@@ -1001,8 +1009,31 @@ def radon_instances(draw):
 def test_the_radon_step_returns_the_search_certificate(config):
     searched = searched_without_radon(config)
     radon = depth_module._radon_partition(config)
-    assert radon is None or radon == searched
+    assert radon is None or radon[0] == searched
     assert repr(tverberg_partition(config, 2)) == repr(searched)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=400)
+@given(radon_instances())
+@example(PointConfig(2, [(5, 5), (0, 0), (2, 0), (1, 0)]))  # kappa (0, 1, 1, -2): label 0 outside the dependency
+@example(PointConfig(0, [(), ()]))
+@example(random_point_config(16, 18, SplitMix64(16)))
+def test_the_radon_halfspace_holds_the_point_and_two_points(config):
+    """Where the Radon step answers, the depth halfspace of centerpoint
+    passes through x, holds exactly two points, passes the public check,
+    and its depth is the exhaustive search's (past d = 6, where that search
+    takes seconds, the search's stopped at the blocks' proven bound 2, which
+    is the same: test_any_true_lower_bound_gives_the_exhaustive_certificate)."""
+    found = depth_module._radon_partition(config)
+    if found is None:
+        return
+    cert, dp = depth_module._partition_and_depth(config, 2)
+    assert cert == found[0] and dp.point == cert.point and dp.depth == 2
+    values = [sum(a * c for a, c in zip(dp.halfspace_coeffs, p)) + dp.halfspace_offset
+              for p in (dp.point, *config.points)]
+    assert values[0] == 0 and sum(v >= 0 for v in values[1:]) == 2
+    assert check_depth_certificate(dp, config)
+    assert tukey_depth(dp.point, config, None if config.d <= 6 else 2).depth == 2
 
 
 def test_radon_partitions_at_d_plus_2_points_solve_no_lp(monkeypatch):
