@@ -23,19 +23,25 @@ partition screens, each candidate's LP rows and both certificate checks
 read that one scaling, and none of them builds the configuration's
 `Fraction`s (`tverlab.cli` reads --input files; this module knows no
 file format).  Each check is one read of a certificate's Fractions and an
-integer body; the Radon step and the depth halfspace run the body on the
-integers they computed, and build their Fractions after it.
+integer body.  Every producer (the Radon step, the LP partitions, the
+lift's pairing and the depth halfspace) runs the body on the integers it
+computed and builds its Fractions after it, and the depth search behind
+a partition starts from the integers of the partition's point, so no
+Fraction of a weight, a witness or a common point is read back.  For a
+prime number of parts in d >= 2 the lift is the configuration itself,
+and the reduction takes the centerpoint's path.
 """
 from __future__ import annotations
 
 import functools
 import operator
 from fractions import Fraction
-from math import gcd, isqrt
+from math import gcd, isqrt, lcm
 from typing import Iterator, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 from .exactlp import (
-    common_point_with_weights,
+    _common_point,
+    _fractions,
     strict_separator,  # unused: perfbench/tests/test_bench_trace.py traces this binding
 )
 from .rationals import Frozen, Point, Scaled, bareiss_eliminate, rat, read_scaled
@@ -198,18 +204,26 @@ def tukey_depth(x: Sequence, config: PointConfig, lower: Optional[int] = None) -
     """Exact halfspace depth of x in the configuration, by an exact recursion
     over the dimension (no LP): with w = p - x, the number of w = 0 plus the
     fewest nonzero w with u.w > 0; the witness halfspace is u.(y - x) >= 0.
-    With the configuration's one scaling P/L and x as X/E, the recursion runs
+    x is read as X/E in lowest terms; a one-row `Scaled` value, the
+    integers a producer holds, is taken as read, with no Fraction of it
+    read back.  With the configuration's one scaling P/L, the recursion runs
     on the integers E P - L X (w times L E > 0, which keeps every count and
     tilt, and U/q with them); _depth_holds checks the halfspace over K = q E,
     a = E U and a0 = -U.X, at the point q X.  It scans every
     branch, or, when `lower` is a proven lower bound on the depth, stops as
     soon as a halfspace holds `lower` points; a depth below that bound is an
     internal error."""
-    xx = tuple(rat(c) for c in x)
+    if isinstance(x, Scaled):
+        E, (X,) = x
+        g = gcd(E, *X)
+        E, X = E // g, [c // g for c in X]
+        xx = tuple(Fraction(c, E) for c in X)
+    else:
+        xx = tuple(rat(c) for c in x)
+        E, (X,) = read_scaled([xx])
     if len(xx) != config.d:
         raise ValueError("point dimension mismatch")
     L, P = config.scaled
-    E, (X,) = read_scaled([xx])
     W = [tuple(E * c - L * xc for c, xc in zip(p, X)) for p in P]
     nonzero = [w for w in W if any(w)]
     zeros = config.n - len(nonzero)
@@ -248,30 +262,37 @@ def _partitions(
     i = 0
     while i >= 0:
         if i == n:
-            if all(max(a) <= min(b) for a, b in zip(zip(*lo), zip(*hi))):
+            if r == 1 or all(map(operator.le, map(max, *lo), map(min, *hi))):
                 yield tuple(map(tuple, members))
             i -= 1
             continue
         b, used = block[i], opened[i]
+        # label i joins an open block while the n - i - 1 labels after it can
+        # still open the rest, or opens block `used` while fewer than r are open
         if b >= 0:
             members[b].pop()
             lo[b], hi[b] = saved[i]
-        # label i joins an open block while the n - i - 1 labels after it can
-        # still open the rest, or opens block `used` while fewer than r are open
-        b = max(b + 1, 0 if used + n - i > r else used)
-        if b >= min(used + 1, r):
-            block[i], i = -1, i - 1
-            continue
-        saved[i], p = (lo[b], hi[b]), points[i]
-        if members[b]:
-            lo[b], hi[b] = tuple(map(min, lo[b], p)), tuple(map(max, hi[b], p))
+            b += 1
         else:
+            b = 0 if used + n - i > r else used
+        if b > used or b >= r:
+            block[i] = -1
+            i -= 1
+            continue
+        p, joined = points[i], members[b]
+        if joined:
+            saved[i] = lb, hb = lo[b], hi[b]
+            lo[b], hi[b] = tuple(map(min, lb, p)), tuple(map(max, hb, p))
+        else:
+            saved[i] = ((), ())
             lo[b] = hi[b] = p
-        members[b].append(i)
+        joined.append(i)
         block[i], opened[i + 1], i = b, used + (b == used), i + 1
 
 
-def tverberg_partition(config: PointConfig, r: int) -> Optional[TverbergCertificate]:
+def tverberg_partition(
+    config: PointConfig, r: int, point: Optional[list] = None
+) -> Optional[TverbergCertificate]:
     """First (canonical order) partition into r blocks whose hulls intersect.
 
     For r = 2, when the points have one affine dependency up to scale (as
@@ -287,13 +308,26 @@ def tverberg_partition(config: PointConfig, r: int) -> Optional[TverbergCertific
     whose block minima of T sum to a positive number has no common point
     (see common_point_with_weights).  The cuts are tried most recently hit
     first.  Returns None when no partition works (possible below the
-    guaranteed size)."""
+    guaranteed size).  When a partition is found and `point` is a list,
+    the integers (K, X) that its certificate was checked on, the point
+    X/K, are appended to it."""
+    found = _radon_partition(config) if r == 2 else None
+    if found is None:
+        found = _canonical_partition(config, r)
+    if found is None:
+        return None
+    if point is not None:
+        point.append(found[-2:])
+    return found[0]
+
+
+def _canonical_partition(
+    config: PointConfig, r: int
+) -> Optional[Tuple[TverbergCertificate, int, Tuple[int, ...]]]:
+    """tverberg_partition's canonical search, with the integers K and X of
+    the found certificate's point (_partition_certificate's)."""
     if r < 1:
         raise ValueError("need at least one block")
-    if r == 2:
-        found = _radon_partition(config)
-        if found is not None:
-            return found[0]
     ints = config.scaled.rows
     cuts: List[List[List[int]]] = []
     for blocks in _partitions(config.n, r, ints):
@@ -303,7 +337,7 @@ def tverberg_partition(config: PointConfig, r: int) -> Optional[TverbergCertific
                 break
         else:
             found = _partition_certificate(config, blocks)
-            if isinstance(found, TverbergCertificate):
+            if isinstance(found[0], TverbergCertificate):
                 return found
             table = [[sum(map(operator.mul, u, p)) for p in ints] for u in found]
             if not _separates(table, blocks):
@@ -405,22 +439,31 @@ def _separates(table: Sequence[Sequence[int]], blocks: Tuple[Tuple[int, ...], ..
 
 def _partition_certificate(
     config: PointConfig, blocks: Tuple[Tuple[int, ...], ...]
-) -> Union[TverbergCertificate, Tuple[Tuple[int, ...], ...]]:
-    """The certificate of a partition whose block hulls meet, checked here
-    where it is made; if the hulls share no point, the functionals u_j that
-    separate them (as common_point_with_weights gives them).  The blocks go
-    to the LP as the configuration's integer points over its one L."""
+) -> Union[Tuple[TverbergCertificate, int, Tuple[int, ...]], Tuple[Tuple[int, ...], ...]]:
+    """The certificate of a partition whose block hulls meet, with the
+    integers X over K of its point; if the hulls share no point, the
+    functionals u_j that separate them (as exactlp._common_point gives
+    them).  The blocks go to the LP as the configuration's integer points
+    P over its one L.  The certificate is checked where it is made, by
+    _tverberg_holds on the LP's integers: with the witness W over D, K =
+    D L, the weights L W_v and X = sum of W_v P_v over block 0; the
+    Fractions, W_v / D and X/K, are built after the check."""
     L, ints = config.scaled
     separators: list = []
-    found = common_point_with_weights(
-        [Scaled(L, [ints[l] for l in b]) for b in blocks], separators
-    )
+    found = _common_point(L, [[ints[l] for l in b] for b in blocks], separators)
     if found is None:
         return separators[0]
-    cert = TverbergCertificate(blocks, *found)
-    if not check_tverberg_certificate(cert, config):
+    W, D = found
+    parts, start = [], 0
+    for b in blocks:
+        parts.append(W[start:start + len(b)])
+        start += len(b)
+    K = D * L
+    X = tuple(sum(map(operator.mul, parts[0], c)) for c in zip(*(ints[l] for l in blocks[0])))
+    if not _tverberg_holds(blocks, K, X, [[L * w for w in ws] for ws in parts], config):
         raise RuntimeError("partition certificate failed verification")
-    return cert
+    point = tuple(Fraction(c, K) for c in X)
+    return TverbergCertificate(blocks, point, tuple(_fractions(ws, D) for ws in parts)), K, X
 
 
 def check_tverberg_certificate(cert: TverbergCertificate, config: PointConfig) -> bool:
@@ -434,9 +477,10 @@ def _tverberg_holds(blocks: Sequence[Sequence[int]], K: int, X: Sequence[int],
     """The blocks partition the labels and one weight tuple per block writes
     the point, on integers over one K > 0: over the configuration as scaled
     once (P/L), each block's weights are nonnegative, sum to K and have
-    sum_j w_j P_j == L X."""
+    sum_j w_j P_j == L X.  K <= 0 is refused (over K = 0, zero weights
+    would pass)."""
     labels = sorted(l for b in blocks for l in b)
-    if labels != list(range(config.n)) or len(weights) != len(blocks) or len(X) != config.d:
+    if K <= 0 or labels != list(range(config.n)) or len(weights) != len(blocks) or len(X) != config.d:
         return False
     L, P = config.scaled
     for block, w in zip(blocks, weights):
@@ -465,28 +509,31 @@ def _partition_and_depth(
     """tverberg_partition's partition and the depth of its common point,
     certified from both sides (None, None when no partition works): where
     the Radon step answers, depth 2 from its integers (_radon_depth); else
-    the partition search, and tukey_depth stopped at the blocks' bound."""
+    tverberg_partition, whose Radon step fails again at r = 2, and
+    tukey_depth from its point's integers, stopped at the blocks' bound."""
     found = _radon_partition(config) if r == 2 else None
     if found is not None:
         return found[0], _radon_depth(config, *found)
-    cert = tverberg_partition(config, r)
-    return cert, None if cert is None else _depth_from_lifted_partition(config, 1, r, cert)
+    point: list = []
+    cert = tverberg_partition(config, r, point)
+    return cert, None if cert is None else _depth_from_lifted_partition(config, 1, r, cert, *point[0])
 
 
 def _depth_from_lifted_partition(
-    config: PointConfig, k: int, r: int, cert: TverbergCertificate
+    config: PointConfig, k: int, r: int, cert: TverbergCertificate, K: int, X: Sequence[int]
 ) -> DepthCertificate:
-    """Depth >= r in `config` of the common point of a partition of its
+    """Depth >= r in `config` of the common point X/K of a partition of its
     k-fold lift, from both sides.  Label i of the lift is point i // k of
     `config`, and every closed halfspace through the point holds a lifted
     point of each block, so at least ceil(#blocks / k) points of `config`;
-    tukey_depth's halfspace, found on `config` itself with its one scaling,
+    tukey_depth's halfspace, found on `config` itself with its one scaling
+    and on the point's integers as the partition's producer made them,
     bounds it from above, and its search stops where the two bounds meet.
     The certificate was checked where it was made."""
     lower = -(-len(cert.blocks) // k)
     if lower < r:
         raise RuntimeError(f"{len(cert.blocks)} blocks of a {k}-fold lift: depth < {r}")
-    return tukey_depth(cert.point, config, lower)
+    return tukey_depth(Scaled(K, [X]), config, lower)
 
 
 # ---------------------------------------------------------------------------
@@ -515,30 +562,35 @@ def reduction_plan(r: int, d: int) -> ReductionPlan:
     return ReductionPlan(r=r, d=d, k=k, R=R, m=m, M=M)
 
 
-def _lifted_partition_1d(lifted: PointConfig, R: int) -> TverbergCertificate:
-    """An R-part Tverberg partition of a k-fold lift on a line, with no LP:
-    the i-th smallest point paired with the i-th largest for i < R, and the
-    k in the middle (each block and the list sorted).  Over the lift's one
-    scaling P/L, X, the largest block minimum, is the median; a block with
-    least point a and greatest b writes X/L with (b - X)/(b - a) on a and
-    (X - a)/(b - a) on b, or all on a when a = b.  The certificate is
-    checked here, by check_tverberg_certificate."""
+def _lifted_partition_1d(lifted: PointConfig, R: int) -> Tuple[TverbergCertificate, int, Tuple[int]]:
+    """An R-part Tverberg partition of a k-fold lift on a line, with no LP,
+    and the integer X over L of its point: the i-th smallest point paired
+    with the i-th largest for i < R, and the k in the middle (each block
+    and the list sorted).  Over the lift's one scaling P/L, X, the largest
+    block minimum, is the median; a block with least point a and greatest
+    b writes X/L with (b - X)/(b - a) on a and (X - a)/(b - a) on b, or
+    all on a when a = b.  The certificate is checked here, by
+    _tverberg_holds on these integers over K = L S, S the lcm of the
+    nonzero spans b - a: the point X S and the weights (b - X) K/(b - a) and
+    (X - a) K/(b - a), or K; its Fractions are built from them after the
+    check."""
     L, P = lifted.scaled
     n, x = len(P), [p[0] for p in P]
     order = sorted(range(n), key=lambda i: (x[i], i))
     blocks = tuple(sorted([tuple(sorted((order[i], order[n - 1 - i]))) for i in range(R - 1)]
                           + [tuple(sorted(order[R - 1:n - R + 1]))]))
     X = max(min(map(x.__getitem__, b)) for b in blocks)
+    ends = [(min(b, key=x.__getitem__), max(b, key=x.__getitem__)) for b in blocks]
+    S = lcm(*(x[hi] - x[lo] for lo, hi in ends if x[hi] != x[lo]))
+    K = L * S
     weights = []
-    for b in blocks:
-        lo, hi = min(b, key=x.__getitem__), max(b, key=x.__getitem__)
+    for b, (lo, hi) in zip(blocks, ends):
         span = x[hi] - x[lo]
-        w = {lo: Fraction(x[hi] - X, span), hi: Fraction(X - x[lo], span)} if span else {lo: Fraction(1)}
-        weights.append(tuple(w.get(l, Fraction(0)) for l in b))
-    cert = TverbergCertificate(blocks, (Fraction(X, L),), tuple(weights))
-    if not check_tverberg_certificate(cert, lifted):
+        w = {lo: K // span * (x[hi] - X), hi: K // span * (X - x[lo])} if span else {lo: K}
+        weights.append([w.get(l, 0) for l in b])
+    if not _tverberg_holds(blocks, K, (X * S,), weights, lifted):
         raise RuntimeError("partition certificate failed verification")
-    return cert
+    return TverbergCertificate(blocks, (Fraction(X, L),), tuple(_fractions(w, K) for w in weights)), L, (X,)
 
 
 def reduce_central_from_tverberg(config: PointConfig, r: int) -> DepthCertificate:
@@ -549,16 +601,27 @@ def reduce_central_from_tverberg(config: PointConfig, r: int) -> DepthCertificat
     lifted cloud into R = k(r-1)+1 prime parts whose hulls share a point:
     on a line by pairing from both ends, certified by construction with no
     LP (_lifted_partition_1d), elsewhere by the canonical search.  The R
-    blocks prove depth >= ceil(R/k) = r."""
+    blocks prove depth >= ceil(R/k) = r.  For prime r in d >= 2 (k = 1)
+    the lift is `config` itself, and the partition and its depth are
+    centerpoint's (_partition_and_depth, Radon step included)."""
     d = config.d
     plan = reduction_plan(r, d)
     if config.n != plan.m + 1:
         raise ValueError(
             f"reduction expects exactly m+1 = {plan.m + 1} points, got {config.n}"
         )
-    L, P = config.scaled
-    lifted = PointConfig(d, Scaled(L, [p for p in P for _ in range(plan.k)]))
-    cert = _lifted_partition_1d(lifted, plan.R) if d == 1 else tverberg_partition(lifted, plan.R)
+    if plan.k == 1 and d > 1:  # the lift is the configuration itself
+        cert = _partition_and_depth(config, r)[1]
+    else:
+        L, P = config.scaled
+        lifted = PointConfig(d, Scaled(L, [p for p in P for _ in range(plan.k)]))
+        if d == 1:
+            found = _lifted_partition_1d(lifted, plan.R)
+        else:
+            point: list = []
+            part = tverberg_partition(lifted, plan.R, point)
+            found = None if part is None else (part, *point[0])
+        cert = None if found is None else _depth_from_lifted_partition(config, plan.k, r, *found)
     if cert is None:
         raise RuntimeError("no Tverberg partition of the lifted cloud")
-    return _depth_from_lifted_partition(config, plan.k, r, cert)
+    return cert

@@ -7,11 +7,14 @@ whose variables are weights, so nonnegativity is the kernel's contract
 rather than a row of its own, and an inequality is a row with a slack
 variable of the caller's.  The kernel is one function, `lp_feasible`:
 phase 1 of the primal simplex with Bland's rule, so termination is
-guaranteed and no tolerance ever enters.  The tableau is integer and is
-pivoted fraction-free (`rationals.bareiss_pivot`): its rows share one
-positive denominator and every division is exact.  Every answer carries
-a certificate in integers, re-verified against the integer rows before
-it is returned:
+guaranteed and no tolerance ever enters.  The tableau is integer, the
+rows [A | b] and the objective row with no column per artificial
+variable, and is pivoted fraction-free (`rationals.bareiss_pivot`): its
+rows share one positive denominator and every division is exact.  An
+infeasible outcome recovers the dual of its final basis, and with it the
+Farkas multipliers, by one `rationals.bareiss_eliminate` over the rows
+whose artificial left the basis.  Every answer carries a certificate in
+integers, re-verified against the integer rows before it is returned:
 
 * feasible      -> a witness X over one positive denominator D, the
                    tableau's last pivot: x = X/D >= 0 satisfies every row;
@@ -22,7 +25,10 @@ it is returned:
 `Fraction`s are built only by the two functions that hand values to
 callers, `strict_separator` and `common_point_with_weights`, and by
 `LinearSystem.constraints`, a view that only the benchmark's tracer
-(`perfbench/tracer.py`) reads.
+(`perfbench/tracer.py`) reads.  `common_point_with_weights` reads its
+blocks and hands them to its integer core, `_common_point`, which
+returns the LP's witness; the partition search calls the core directly
+and checks its certificate on those integers.
 Problem sizes here are tiny (tens of variables), which is the regime
 where exact tableau simplex is perfectly practical.
 """
@@ -35,7 +41,7 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Iterable, NamedTuple, Optional, Sequence, Tuple
 
-from .rationals import Point, bareiss_pivot, read_scaled
+from .rationals import Point, bareiss_eliminate, bareiss_pivot, read_scaled
 
 ScaledRow = Tuple[int, Tuple[int, ...], int]
 
@@ -127,47 +133,49 @@ def lp_feasible(system: LinearSystem) -> LPOutcome:
     """A witness x >= 0 of the rows, or a verified Farkas certificate that
     none exists.
 
-    Phase 1 runs on the integer tableau  [A | I | b]: one column per
-    variable and one artificial column per row, whose identity is the
-    starting basis.  It is pivoted fraction-free (`bareiss_pivot`): every
-    entry is an integer over the one positive common denominator D, the
-    last pivot.  Row i is the system's integer row (A_i, B_i), the row
-    scaled by L_i, signed by sigma_i so that rhs >= 0; its artificial
-    column stays a unit column, and artificial i costs M/L_i with M the lcm
-    of all L_i.  That objective is M times the plain sum of the unscaled
-    artificials, so the pivots are those of the Fraction tableau.  The
-    objective row R, the artificial basis priced out, is pivoted as one
-    more row; its last entry is minus the minimum over D.  Bland's rule
-    enters only variable columns, so artificial columns never re-enter the
-    basis, and they double as a running copy of B^-1 so that Farkas
-    multipliers can be read off R exactly.
+    Phase 1 starts from the basis of one artificial variable per row and
+    runs on the integer tableau  [A | b]  plus the objective row: Bland's
+    rule enters only variable columns, so an artificial column, once it
+    leaves, never re-enters, and the tableau keeps no column for it.  It is
+    pivoted fraction-free (`bareiss_pivot`): every entry is an integer over
+    the one positive common denominator D, the last pivot.  Row i is the
+    system's integer row (A_i, B_i), the row scaled by L_i, signed by
+    sigma_i so that rhs >= 0, and artificial i costs c_i = M/L_i with M the
+    lcm of all L_i.  That objective is M times the plain sum of the
+    unscaled artificials, so the pivots are those of the Fraction tableau.
+    The objective row R, the artificial basis priced out, is pivoted as one
+    more row; its last entry is minus the minimum over D.  A feasible
+    outcome reads the witness X/D off the basic rows.
 
-    The reduced cost under artificial column k is R_k/D = (M/L_k)(1 - y_k)
-    for the dual y of the unscaled rows, so y_k = 1 - L_k*R_k/(D*M), and
-    nu = -y combines the rows with a negative right-hand side; the reduced
-    costs of the variable columns, >= 0 at the optimum, make the
-    combination >= 0.  On the rows as the tableau first scaled and signed
-    them, nu is the integer mu_k = R_k - D*(M/L_k) over D*M, so on the
-    system's rows the multipliers are sigma_k*mu_k; check_farkas verifies
-    that they combine the rows to a negative right-hand side.
+    An infeasible one reads the Farkas multipliers off the dual y of the
+    final basis B, y.B = c_B, in integers q = -D y.  Over the signed rows
+    A'_i = sigma_i A_i, an artificial k still basic sits in its own row k
+    (it never re-entered), so q_k = -D c_k; each structural basic column b
+    costs 0, so sum_i q_i A'_i[b] = 0.  These are the entries that an
+    identity block's columns would hold in R, R_{n+k} - D c_k, and the
+    structural equations, one per row whose artificial left, are one
+    square system in those rows' unknowns, solved by one
+    `bareiss_eliminate` with the known q_k moved to the right.  The reduced
+    costs of the variable columns, >= 0 at the optimum, make the rows'
+    combination by -y >= 0 and its right-hand side is minus the minimum,
+    so on the system's rows the multipliers are N_k = sigma_k q_k;
+    check_farkas verifies that they combine the rows to a negative
+    right-hand side.
     """
     n, m = system.n_vars, len(system)
     T, sigma = [], []
-    for i, (_, coeffs, rhs) in enumerate(system.scaled):
-        s = 1 if rhs >= 0 else -1
-        sigma.append(s)
-        row = [s * c for c in coeffs] + [0] * (m + 1)
-        row[n + i] = 1
-        row[-1] = s * rhs
-        T.append(row)
+    for _, coeffs, rhs in system.scaled:
+        sigma.append(1 if rhs >= 0 else -1)
+        T.append([*coeffs, rhs] if rhs >= 0 else [-c for c in coeffs] + [-rhs])
+    signed = T[:]  # bareiss_pivot replaces rows, so these stay the signed rows
     costs = [system.M // L for L, _, _ in system.scaled]
-    R = [0] * n + costs + [0]
-    for row, c in zip(T, costs):  # price out the artificial basis
+    R = [0] * (n + 1)
+    for row, c in zip(signed, costs):  # price out the artificial basis
         R = [a - c * t for a, t in zip(R, row)]
     T.append(R)
     D = 1
     basis = [n + i for i in range(m)]
-    for _ in range(1000 + 50 * len(R) * (m + 2)):
+    for _ in range(1000 + 50 * (n + m + 1) * (m + 2)):
         R = T[m]
         enter = next((j for j in range(n) if R[j] < 0), None)
         if enter is None:
@@ -192,7 +200,15 @@ def lp_feasible(system: LinearSystem) -> LPOutcome:
     else:  # Bland's rule terminates; this is a tripwire
         raise RuntimeError("simplex iteration limit exceeded")
     if R[-1] != 0:  # minimal artificial sum positive -> infeasible
-        N = tuple(s * (R[n + k] - D * c) for k, (s, c) in enumerate(zip(sigma, costs)))
+        q = [-D * c for c in costs]
+        left = [i for i, b in enumerate(basis) if b < n]
+        kept = [k for k, b in enumerate(basis) if b >= n]
+        rows = [[signed[i][b] for i in left] + [-sum(q[k] * signed[k][b] for k in kept)]
+                for b in (basis[i] for i in left)]
+        E, pivots = bareiss_eliminate(rows, len(left))
+        for j, i in pivots.items():
+            q[left[j]] = rows[i][-1] // E
+        N = tuple(s * v for s, v in zip(sigma, q))
         if not check_farkas(system, N):
             raise RuntimeError("Farkas certificate failed verification")
         return LPOutcome(status=INFEASIBLE, farkas=N)
@@ -235,15 +251,42 @@ def common_point_with_weights(
     weights per block writing it, as (point, weights); or None.
 
     Each block is read with read_scaled, so a block read already is used
-    as it is, and the blocks are brought to one denominator L.  The
-    variables are the weights lambda >= 0 of all blocks: one sum row per
-    block, then per later block B and coordinate i the coupling row
-    sum_{v in first block} lambda_v v[i] - sum_{v in B} lambda_v v[i] == 0.
-    The system is built in its scaled form: a coupling row is R/L for the
-    integer points, and with g = gcd(L, R) its own lcm scaling is
-    (L/g, R/g), so no Fraction row is built.  With the witness X/D, the
-    point is sum X_v P_v / (D L) over the first block and the weights are
-    X_v / D.
+    as it is, and the blocks are brought to one denominator L; the integer
+    core `_common_point` solves them.  With its witness X/D, the point is
+    sum X_v P_v / (D L) over the first block and the weights are X_v / D.
+    When the hulls share no point and `separators` is a list, the core
+    appends its proof to it."""
+    read = [read_scaled(b) for b in blocks]
+    if not read or not all(rows for _, rows in read):
+        raise ValueError("need at least one block, each of at least one point")
+    d = len(read[0].rows[0])
+    if any(len(q) != d for _, rows in read for q in rows):
+        raise ValueError("point dimension mismatch")
+    L = lcm(*(s for s, _ in read))
+    pts = [rows if s == L else [tuple(c * (L // s) for c in q) for q in rows] for s, rows in read]
+    found = _common_point(L, pts, separators)
+    if found is None:
+        return None
+    X, D = found
+    offsets = list(itertools.accumulate(map(len, pts), initial=0))
+    point = tuple(Fraction(sum(map(operator.mul, X, c)), D * L) for c in zip(*pts[0]))
+    return point, tuple(_fractions(X[a:b], D) for a, b in zip(offsets, offsets[1:]))
+
+
+def _common_point(
+    L: int, pts: Sequence[Sequence[Tuple[int, ...]]], separators: Optional[list] = None
+) -> Optional[Tuple[Tuple[int, ...], int]]:
+    """The LP witness (X, D) of a common point of the hulls of integer point
+    blocks over one denominator L (at least one block, each of at least one
+    point, all of one dimension), or None.
+
+    The variables are the weights lambda >= 0 of all blocks, in block
+    order: one sum row per block, then per later block B and coordinate i
+    the coupling row  sum_{v in first block} lambda_v v[i] - sum_{v in B}
+    lambda_v v[i] == 0.  A coupling row is R/L for the integer points, and
+    with g = gcd(L, R) its own lcm scaling is (L/g, R/g), so no Fraction
+    row is built.  The weights are X/D, and the common point
+    sum X_v P_v / (D L) over the first block.
 
     When the hulls share no point and `separators` is a list, the proof is
     appended to it: integer functionals u_1..u_r on R^d, one per block,
@@ -255,14 +298,7 @@ def common_point_with_weights(
     u_B = -nu on block B's coupling rows and u_1 = -(u_2 + ... + u_r);
     nu_j on block j's sum row bounds u_j's minimum over the block below
     by -nu_j, and the nu_j sum to a negative number."""
-    read = [read_scaled(b) for b in blocks]
-    if not read or not all(rows for _, rows in read):
-        raise ValueError("need at least one block, each of at least one point")
-    d = len(read[0].rows[0])
-    if any(len(q) != d for _, rows in read for q in rows):
-        raise ValueError("point dimension mismatch")
-    L = lcm(*(s for s, _ in read))
-    pts = [rows if s == L else [tuple(c * (L // s) for c in q) for q in rows] for s, rows in read]
+    d = len(pts[0][0])
     sizes = [len(b) for b in pts]
     total = sum(sizes)
     offsets = list(itertools.accumulate(sizes, initial=0))
@@ -285,10 +321,7 @@ def common_point_with_weights(
             later = [tuple(-c for c in nu[k:k + d]) for k in range(len(pts), len(nu), d)]
             separators.append((tuple(-sum(c) for c in zip(*later)), *later))
         return None
-    X, D = out.witness, out.denominator
-    point = tuple(Fraction(sum(map(operator.mul, X, c)), D * L) for c in zip(*first))
-    weights = tuple(_fractions(X[off:off + size], D) for size, off in zip(sizes, offsets))
-    return point, weights
+    return out.witness, out.denominator
 
 
 def strict_separator(points: Sequence[Sequence], x: Sequence):

@@ -98,8 +98,12 @@ def bareiss_pivot(rows: List[List[int]], i: int, j: int, D: int) -> int:
     p = head[j]
     for r, row in enumerate(rows):
         f = row[j]
-        if r != i and (f or p != D):
+        if r == i:
+            continue
+        if f:
             rows[r] = [(p * a - f * b) // D for a, b in zip(row, head)]
+        elif p != D:
+            rows[r] = [p * a // D for a in row]
     return p
 
 

@@ -43,6 +43,7 @@ ROW_CHECK = "tests/test_cover.py::test_the_row_check_rejects_a_shifted_translate
 ONE_READ = "tests/test_depth.py::test_the_one_read_paths_match_the_read_per_row_references"
 R2_INTEGERS = "tests/test_depth.py::test_r2_certificates_are_checked_on_the_integers_that_made_them"
 RADON_HALFSPACE = "tests/test_depth.py::test_the_radon_halfspace_holds_the_point_and_two_points"
+R3_INTEGERS = "tests/test_depth.py::test_r3_certificates_are_checked_on_the_integers_that_made_them"
 HIND = ("tests/test_z2.py::test_long_chains_and_many_components",
         "tests/test_z2.py::test_index_of_drawn_unions_matches_both_oracles")
 
@@ -81,6 +82,31 @@ MUTANTS = (
     Mutant("a sign flip in f", "src/tverlab/depth.py",
            "L * (-kappa[j0] * (S - kappa[i0]) if k == i0", "L * (kappa[j0] * (S - kappa[i0]) if k == i0",
            (RADON_HALFSPACE,)),
+    # depth: the r >= 3 certificates checked on their own integers, the
+    # range screen's one-block case and reduce's k = 1 route
+    Mutant("no r >= 3 integer check", "src/tverlab/depth.py",
+           "if not _tverberg_holds(blocks, K, X, [[L * w for w in ws] for ws in parts], config):",
+           "if False:", (R3_INTEGERS,)),
+    Mutant("no integer check of the pairing", "src/tverlab/depth.py",
+           "if not _tverberg_holds(blocks, K, (X * S,), weights, lifted):", "if False:", (R3_INTEGERS,)),
+    Mutant("a zero span in the pairing's lcm", "src/tverlab/depth.py",
+           "for lo, hi in ends if x[hi] != x[lo])", "for lo, hi in ends)",
+           ("tests/test_depth.py::test_reduce_rejects_a_partition_with_too_few_blocks",
+            "tests/test_depth.py::test_the_lifted_pairing_certificate_is_the_lps")),
+    Mutant("K = 0 accepted", "src/tverlab/depth.py",
+           "if K <= 0 or labels != list(range(config.n))", "if labels != list(range(config.n))",
+           (R3_INTEGERS,)),
+    Mutant("no one-block case in the range screen", "src/tverlab/depth.py",
+           "if r == 1 or all(map(operator.le,", "if all(map(operator.le,",
+           ("tests/test_depth.py::test_the_screen_at_one_block_and_at_singletons",)),
+    Mutant("the k = 1 route at d = 1", "src/tverlab/depth.py",
+           "if plan.k == 1 and d > 1:", "if plan.k == 1:",
+           ("tests/test_depth.py::test_reduce_on_a_line_solves_no_lp",)),
+    # exactlp: the Farkas multipliers recovered from the final basis
+    Mutant("no sigma in the Farkas recovery", "src/tverlab/exactlp.py",
+           "N = tuple(s * v for s, v in zip(sigma, q))", "N = tuple(q)",
+           ("tests/test_exactlp.py::test_refused_certificates_raise",
+            "tests/test_exactlp.py::test_integer_phase1_matches_the_fraction_tableau")),
     # conemap: the closed-form count and the probe's rank
     Mutant("the count's exponent", "src/tverlab/conemap.py",
            "(r + 1 - j) ** (m + 1)", "(r + 1 - j) ** m",

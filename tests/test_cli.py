@@ -60,6 +60,19 @@ def test_reduce_smoke(capsys):
     assert records[1]["depth"] >= 4
 
 
+@pytest.mark.parametrize("d, r", [(3, 2), (2, 3)])
+def test_reduce_at_k_1_gives_the_centerpoint_records(capsys, d, r):
+    """For prime r the lift is the configuration itself (k = 1), drawn as
+    centerpoint draws it: the trial records of reduce hold centerpoint's
+    point and depth with the same arguments."""
+    argv = ("--d", str(d), "--r", str(r), "--trials", "4", "--seed", "13")
+    code, (plan, *trials), _ = run(capsys, "reduce", *argv)
+    assert code == 0 and plan["plan"]["k"] == 1
+    code, records, _ = run(capsys, "centerpoint", *argv)
+    assert code == 0 and len(trials) == len(records) == 4
+    assert [(t["point"], t["depth"]) for t in trials] == [(c["point"], c["depth"]) for c in records]
+
+
 def test_hind_sphere_and_alias(capsys):
     code, records, _ = run(capsys, "hind", "--sphere", "2")
     assert code == 0 and records[0] == {

@@ -29,7 +29,7 @@ from tverlab.depth import (
     check_depth_certificate, check_tverberg_certificate, guaranteed_size,
 )
 from tverlab.exactlp import check_farkas, common_point_with_weights
-from tverlab.rationals import Scaled, read_scaled
+from tverlab.rationals import Scaled, bareiss_eliminate, read_scaled
 
 from oracles import (
     boxes_miss,
@@ -228,6 +228,23 @@ def test_the_search_enumerates_the_screened_canonical_partitions():
         assert list(depth_module._partitions(config.n, r, ints)) == screened
 
 
+def test_the_screen_at_one_block_and_at_singletons():
+    """The range screen at the extremes of r, in dimensions 1 to 3: one
+    block always passes, and n singletons pass only when every point is
+    the same, as the oracle's boxes say."""
+    rng = SplitMix64(77)
+    for d in (1, 2, 3):
+        for n in (1, 2, 4):
+            config = random_point_config(d, n, rng, num_bound=2, den_bound=1)
+            ints = config.scaled.rows
+            for pts in (ints, [ints[0]] * n):
+                for r in (1, n):
+                    screened = [blocks for blocks in canonical_partitions(n, r)
+                                if not boxes_miss([[pts[l] for l in b] for b in blocks], d)]
+                    assert list(depth_module._partitions(n, r, pts)) == screened, (d, n, r)
+                    assert (r == 1 or len(set(pts)) == 1) == bool(screened)
+
+
 # sha256 of repr(tukey_depth(x, config, 2)) at the Radon point x of d + 2
 # points drawn from SplitMix64(d) (what centerpoint(config, 2) returned
 # until r = 2 took its halfspace from _radon_depth), as computed before the
@@ -399,12 +416,12 @@ def test_reduce_rejects_a_partition_with_too_few_blocks(monkeypatch):
     real = depth_module._lifted_partition_1d
 
     def merged(lifted, R):
-        cert = real(lifted, R)
+        cert, L, X = real(lifted, R)
         (first, second, *blocks), (u, v, *weights) = cert.blocks, cert.weights
         halved = tuple(w / 2 for w in u + v)
         cert = TverbergCertificate((first + second, *blocks), cert.point, (halved, *weights))
         assert check_tverberg_certificate(cert, lifted)
-        return cert
+        return cert, L, X
 
     monkeypatch.setattr("tverlab.depth._lifted_partition_1d", merged)
     config = PointConfig(1, [[i] for i in range(7)])
@@ -419,7 +436,7 @@ def test_reduce_on_a_line_solves_no_lp(monkeypatch):
         raise AssertionError("an LP ran on the line")
 
     monkeypatch.setattr("tverlab.exactlp.lp_feasible", no_lp)
-    monkeypatch.setattr("tverlab.depth.common_point_with_weights", no_lp)
+    monkeypatch.setattr("tverlab.depth._common_point", no_lp)
     rng = SplitMix64(0)
     for r in (*range(2, 11), 18, 60):
         config = random_point_config(1, reduction_plan(r, 1).m + 1, rng)
@@ -445,8 +462,9 @@ def test_the_lifted_pairing_certificate_is_the_lps(case):
     is the one the LP finds on the same blocks: on a line only the median
     lies in every block's hull."""
     lifted, R = case
-    cert = depth_module._lifted_partition_1d(lifted, R)
+    cert, L, (X,) = depth_module._lifted_partition_1d(lifted, R)
     assert len(cert.blocks) == R and check_tverberg_certificate(cert, lifted)
+    assert cert.point == (F(X, L),)
     assert all(list(b) == sorted(b) for b in cert.blocks) and list(cert.blocks) == sorted(cert.blocks)
     L, P = lifted.scaled
     point, _ = common_point_with_weights([Scaled(L, [P[l] for l in b]) for b in cert.blocks])
@@ -686,8 +704,8 @@ def test_the_one_read_paths_match_the_read_per_row_references():
 def test_the_partition_search_scales_each_configuration_once(monkeypatch):
     """However many candidates tverberg_partition scans, the configuration's
     points reach read_scaled once, when it is built, and the search calls
-    it once more (the certificate check reads the point and its r weight
-    tuples together) and builds no Fraction of the configuration.  The kernel
+    it no more (the certificate is checked on the LP's integers) and builds
+    no Fraction of the configuration.  The kernel
     scales nothing per solve: every block it reads is already Scaled.  The
     r = 2 configurations go through the search, with their Radon step
     off."""
@@ -722,7 +740,7 @@ def test_the_partition_search_scales_each_configuration_once(monkeypatch):
             assert len(calls["tverlab.depth.read_scaled"]) == 1
             assert tverberg_partition(config, r) is not None
             solves_seen.add(len(calls["tverlab.exactlp.lp_feasible"]))
-            assert len(calls["tverlab.depth.read_scaled"]) == 1 + 1
+            assert len(calls["tverlab.depth.read_scaled"]) == 1
             assert "points" not in vars(config)
     assert unread == []
     assert len(solves_seen) > 5  # scans of many lengths
@@ -765,6 +783,113 @@ def test_r2_certificates_are_checked_on_the_integers_that_made_them(monkeypatch)
         assert depth_module._depth_holds(K, X, a, a0, dp.depth, config)
         assert not check_depth_certificate(dp._replace(halfspace_offset=dp.halfspace_offset - 1), config)
         assert not depth_module._depth_holds(K, X, a, a0 - K, dp.depth, config)
+
+
+def test_r3_certificates_are_checked_on_the_integers_that_made_them(monkeypatch):
+    """On seeded (1,3), (2,3) and (1,4) configurations at the guaranteed
+    size (the canonical search, the lift's pairing at d = 1 and the k = 1
+    route at (2,3)), tverberg_partition, centerpoint and reduce read no row
+    holding a Fraction through read_scaled: each certificate is checked on
+    the integers its producer computed, and the depth search starts from
+    the point's integers.  Every certificate passes the public checks, a
+    weight or the point off by one fails _tverberg_holds, so do zero
+    weights over K = 0, and with _tverberg_holds refusing, each of the
+    three raises."""
+    cases = [(r, random_point_config(d, guaranteed_size(d, r), SplitMix64(900 + 10 * d + r + 100 * i),
+                                     num_bound=6, den_bound=3))
+             for d, r in ((1, 3), (2, 3), (1, 4)) for i in range(4)]
+    reads = []
+    real = depth_module.read_scaled
+
+    def recording(rows):
+        if not isinstance(rows, Scaled) and any(type(c) is F for row in rows for c in row):
+            reads.append(rows)
+        return real(rows)
+
+    monkeypatch.setattr("tverlab.depth.read_scaled", recording)
+    for r, config in cases:
+        reads.clear()
+        tv = tverberg_partition(config, r)
+        dp = centerpoint(config, r)
+        reduced = reduce_central_from_tverberg(config, r)
+        assert reads == []
+        assert dp.point == tv.point and min(dp.depth, reduced.depth) >= r
+        assert check_tverberg_certificate(tv, config)
+        assert check_depth_certificate(dp, config) and check_depth_certificate(reduced, config)
+        K, (X, *w) = read_scaled([tv.point, *tv.weights])
+        assert depth_module._tverberg_holds(tv.blocks, K, X, w, config)
+        heavier = [(w[0][0] + 1, *w[0][1:]), *w[1:]]
+        assert not depth_module._tverberg_holds(tv.blocks, K, X, heavier, config)
+        assert not depth_module._tverberg_holds(tv.blocks, K, (X[0] + 1, *X[1:]), w, config)
+        zeros = [[0] * len(b) for b in tv.blocks]
+        assert not depth_module._tverberg_holds(tv.blocks, 0, [0] * config.d, zeros, config)
+    monkeypatch.setattr("tverlab.depth._tverberg_holds", lambda *args: False)
+    for r, config in cases:
+        for run in (tverberg_partition, centerpoint, reduce_central_from_tverberg):
+            with pytest.raises(RuntimeError, match="partition certificate failed verification"):
+                run(config, r)
+
+
+def test_the_point_list_holds_the_integers_that_certify_the_partition():
+    """tverberg_partition(config, r, point) appends (K, X) with the point
+    X/K and every weight over K an integer that _tverberg_holds accepts: at
+    r = 2 from the Radon step and, on collinear points, which have more
+    than one affine dependency, from the search; at r = 3 and 4 from the
+    search."""
+    rng = SplitMix64(31)
+    configs = [(random_point_config(d, guaranteed_size(d, r), rng, num_bound=6, den_bound=3), r)
+               for d, r in ((1, 2), (2, 2), (1, 3), (2, 3), (1, 4))]
+    configs.append((PointConfig(2, [[0, 0], [1, 1], [3, 3], [F(1, 2), F(1, 2)]]), 2))
+    for config, r in configs:
+        point = []
+        cert = tverberg_partition(config, r, point)
+        (K, X), = point
+        assert K > 0 and cert.point == tuple(F(c, K) for c in X)
+        scaled = [[w * K for w in ws] for ws in cert.weights]
+        assert all(w.denominator == 1 for ws in scaled for w in ws)
+        assert depth_module._tverberg_holds(cert.blocks, K, X, [[int(w) for w in ws] for ws in scaled], config)
+        assert tverberg_partition(config, r) == cert
+
+
+def affine_image(config, A, t):
+    """The configuration mapped by y -> A y + t."""
+    return PointConfig(config.d, [[sum(a * c for a, c in zip(row, p)) + s for row, s in zip(A, t)]
+                                  for p in config.points])
+
+
+@st.composite
+def affine_cases(draw):
+    """A seeded configuration at the guaranteed size for (d, r) in (1,3),
+    (2,3), (1,4) and (2,2), and an invertible rational affine map (A, t)
+    with entries of height at most 5/3, drawn from a second seed."""
+    d, r = draw(st.sampled_from(((1, 3), (2, 3), (1, 4), (2, 2))))
+    return d, r, draw(st.integers(0, 2**32)), draw(st.integers(0, 2**32))
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=30)
+@given(affine_cases())
+@example((16, 2, 16, 1))
+@example((2, 3, 5, 7))
+@example((1, 4, 3, 11))
+def test_partitions_points_and_depths_follow_an_affine_map(case):
+    """Hull intersection and Tukey depth are affine-invariant, while the
+    search's screens and the depth recursion's path are not: under an
+    invertible rational affine map the canonical blocks are equal, the
+    common point maps to the image of the point, and its depth is equal."""
+    d, r, seed, map_seed = case
+    config = random_point_config(d, guaranteed_size(d, r), SplitMix64(seed), num_bound=6, den_bound=3)
+    rng = SplitMix64(map_seed)
+    while True:
+        A = [rng.rational_point(d, 5, 3) for _ in range(d)]
+        _, rows = read_scaled(A)
+        if len(bareiss_eliminate([list(row) for row in rows], d)[1]) == d:
+            break
+    t = rng.rational_point(d, 5, 3)
+    image = affine_image(config, A, t)
+    assert tverberg_partition(image, r).blocks == tverberg_partition(config, r).blocks
+    cert, mapped = centerpoint(config, r), centerpoint(image, r)
+    assert mapped.point == tuple(sum(a * c for a, c in zip(row, cert.point)) + s for row, s in zip(A, t))
+    assert mapped.depth == cert.depth >= r
 
 
 def test_an_input_config_reads_each_scalar_once_without_a_string_parse(tmp_path):
@@ -951,7 +1076,8 @@ def test_every_cut_rejection_is_a_farkas_certificate_of_its_candidate(monkeypatc
             if cut is None:
                 sent, outcome = next(lp)
                 assert sent == blocks
-                if outcome == found:
+                if isinstance(outcome[0], TverbergCertificate):
+                    assert outcome[0] == found
                     break
                 cuts.append(outcome)
                 cut = outcome

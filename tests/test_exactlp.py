@@ -474,6 +474,49 @@ def test_partition_systems_match_the_fraction_tableau(monkeypatch):
         assert_matches_oracle(general(system), system, out)
 
 
+def test_the_kernel_pivots_only_the_variables_and_the_right_hand_side(monkeypatch):
+    """On the 676 partition-search systems of acceptance criterion 3 (the
+    r = 2 ones through the search, with their Radon step off), no row that
+    bareiss_pivot touches, in the tableau or in the Farkas recovery, is
+    wider than n_vars + 1 entries; the Bland pivots are still 3661; and the
+    recovery's one bareiss_eliminate runs once per infeasible outcome and
+    never on a feasible one."""
+    monkeypatch.setattr("tverlab.depth._radon_partition", lambda config: None)
+    widths, eliminations = [], []
+    pivot, eliminate = tverlab.exactlp.bareiss_pivot, tverlab.exactlp.bareiss_eliminate
+
+    def counted_pivot(rows, i, j, D):
+        widths.append(max(map(len, rows)))
+        return pivot(rows, i, j, D)
+
+    def counted_eliminate(rows, ncols):
+        eliminations.append(max(map(len, rows), default=0))
+        return eliminate(rows, ncols)
+
+    monkeypatch.setattr("tverlab.exactlp.bareiss_pivot", counted_pivot)
+    monkeypatch.setattr("tverlab.exactlp.bareiss_eliminate", counted_eliminate)
+    solve = tverlab.exactlp.lp_feasible
+    pivots = outcomes = 0
+
+    def solving(system):
+        nonlocal pivots, outcomes
+        widths.clear()
+        eliminations.clear()
+        out = solve(system)
+        assert max(widths + eliminations, default=0) <= system.n_vars + 1
+        assert len(eliminations) == (out.status == INFEASIBLE)
+        pivots += len(widths)
+        outcomes += 1
+        return out
+
+    monkeypatch.setattr("tverlab.exactlp.lp_feasible", solving)
+    for d, r in ((1, 2), (1, 3), (2, 2), (2, 3), (3, 2)):
+        rng = SplitMix64(100 * d + r)
+        for _ in range(50):
+            tverberg_partition(random_point_config(d, guaranteed_size(d, r), rng, num_bound=6, den_bound=3), r)
+    assert (outcomes, pivots) == (676, 3661)
+
+
 def test_hull_systems_match_the_fraction_tableau(monkeypatch):
     """The lift-partition and hull-membership systems of acceptance
     criterion 4, from its seeds.  The lift's pairing is certified without
@@ -483,8 +526,9 @@ def test_hull_systems_match_the_fraction_tableau(monkeypatch):
     pairing = tverlab.depth._lifted_partition_1d
 
     def recording(lifted, R):
-        pairings.append((lifted, pairing(lifted, R)))
-        return pairings[-1][1]
+        found = pairing(lifted, R)
+        pairings.append((lifted, found[0]))
+        return found
 
     monkeypatch.setattr("tverlab.depth._lifted_partition_1d", recording)
 
