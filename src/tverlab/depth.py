@@ -5,13 +5,15 @@ projects the points along each line through the query point (no LP),
 Tverberg partitions from a scan of the set partitions in canonical order,
 except that two blocks are read off the points' affine dependency when it
 is unique up to scale (Radon's theorem: d + 2 points in general position,
-no LP), and the reduction to a prime number of parts duplicates each
-point k times and partitions the lifted cloud, on a line in closed form
-(no LP).  A centerpoint's depth >= r is certified from both sides: the
-blocks give the lower bound, the depth halfspace the upper bound.  Where
-the Radon step answers, the depth is exactly 2, and its halfspace, through
-the Radon point and two of the points, comes from the dependency by one
-affine interpolation (no recursion).  The two searches use the
+no LP), found by one elimination of the differences P_k - P_0, and the
+reduction to a prime number of parts duplicates each point k times and
+partitions the lifted cloud, on a line in closed form (no LP).  A
+centerpoint's depth >= r is certified from both sides: the blocks give the
+lower bound, the depth halfspace the upper bound.  Where the Radon step
+answers, the depth is exactly 2, and its halfspace, through the Radon
+point and two of the points, comes from one more solve over differences
+of the points: a functional equal at all of them but those two (no
+recursion).  The two searches use the
 certificates they already hold: the depth recursion behind a partition
 stops at the first halfspace that holds no more
 points than the blocks guarantee, and the partition scan settles a
@@ -348,19 +350,24 @@ def _canonical_partition(
 
 def _affine_dependency(config: PointConfig) -> Optional[Tuple[int, ...]]:
     """The points' affine dependency when it is unique up to scale: the
-    primitive integer vector kappa spanning the kernel of the (d+1) x n
-    matrix with columns (P_v, 1), its first nonzero entry positive, if that
-    kernel is one line (rank n - 1); None otherwise.  One fraction-free
-    Gauss-Jordan elimination (`bareiss_eliminate`): over its last pivot D,
+    primitive integer vector kappa with sum kappa_v P_v = 0 = sum kappa_v,
+    its first nonzero entry positive, if those vectors are one line; None
+    otherwise (always for n <= 1).  kappa = (-sum lambda, lambda) for lambda
+    in the kernel of the d x (n-1) matrix of differences P_k - P_0, a line
+    when its rank is n - 2.  One `bareiss_eliminate`: over its last pivot D,
     each pivot column c has D in its row i, so with f the one free column,
-    kappa_f = D and kappa_c = -row_i[f]."""
+    lambda_f = D and lambda_c = -row_i[f]."""
     n = config.n
-    rows = [list(c) for c in zip(*config.scaled.rows)] + [[1] * n]
-    D, pivots = bareiss_eliminate(rows, n)
-    if len(pivots) != n - 1:
+    if n <= 1:
         return None
-    (f,) = set(range(n)) - pivots.keys()
-    return _primitive([D if j == f else -rows[pivots[j]][f] for j in range(n)])
+    p0, *rest = config.scaled.rows
+    rows = [[p[i] - c for p in rest] for i, c in enumerate(p0)]
+    D, pivots = bareiss_eliminate(rows, n - 1)
+    if len(pivots) != n - 2:
+        return None
+    (f,) = set(range(n - 1)) - pivots.keys()
+    lam = [D if j == f else -rows[pivots[j]][f] for j in range(n - 1)]
+    return _primitive([-sum(lam), *lam])
 
 
 def _radon_partition(
@@ -403,32 +410,33 @@ def _radon_partition(
 def _radon_depth(config: PointConfig, cert: TverbergCertificate, kappa: Sequence[int],
                  K: int, X: Sequence[int]) -> DepthCertificate:
     """Depth 2 at the Radon point x = X/K of _radon_partition's certificate:
-    its two blocks bound the depth below, and one affine interpolation (no
-    recursion) gives a halfspace through x holding exactly two points.
-    Take i0, the first label with kappa > 0, j0, the first with kappa < 0,
-    S = K/L, the sum of kappa over block 0, and c = kappa_i0 |kappa_j0|.  The
-    points P_k/L, k != j0, are affinely independent, so one affine h takes
-    the values f_k = -c at each of them but i0 and f_i0 = |kappa_j0| (S -
-    kappa_i0) there; sum kappa_k h(P_k/L) = 0 then gives h(P_j0/L) =
-    kappa_i0 (S - |kappa_j0|) >= 0 and h(x) = 0.  So {h >= 0} holds x, i0 and
-    j0 and no other point.  h = (u.y + t)/D comes from one
-    `bareiss_eliminate` of the rows (P_k, L | L f_k), k != j0, with its free
-    unknowns 0 and its last pivot D made positive; _depth_holds checks
-    a = u, a0 = t over K at the Radon step's own X."""
-    L, P = config.scaled
+    its two blocks bound the depth below, and one linear solve (no
+    recursion) gives a halfspace through x holding exactly two points:
+    i0, the first label with kappa > 0, and j0, the first with kappa < 0
+    (j0 > i0 >= 0, kappa's first nonzero entry being positive).  The
+    points P_k, k != j0, are affinely independent, so one
+    `bareiss_eliminate` of the n - 2 rows (P_k - P_0 | [k = i0] - [i0 =
+    0]), k not in {0, j0}, free unknowns 0 and its last pivot D made
+    positive, gives an integer u (0 when n = 2) with u.P_k equal to some c
+    for every k but i0 and j0, and u.P_i0 = c + 1.  As sum kappa_v P_v = 0
+    and sum kappa_v = 0, u.P_j0 = c + kappa_i0/|kappa_j0| and u.(L x) = c +
+    kappa_i0/S, S the sum of kappa over block 0, which is above c and at
+    most both.  So {u.y >= u.x} holds x, i0 and j0 and no other point;
+    _depth_holds checks a = K u, a0 = -u.X at the Radon step's own X/K,
+    and the Fractions are u and -u.X/K."""
+    P = config.scaled.rows
     i0 = next(i for i, k in enumerate(kappa) if k > 0)
     j0 = next(j for j, k in enumerate(kappa) if k < 0)
-    c, S = kappa[i0] * -kappa[j0], K // L
-    rows = [[*p, L, L * (-kappa[j0] * (S - kappa[i0]) if k == i0 else -c)]
-            for k, p in enumerate(P) if k != j0]
-    D, pivots = bareiss_eliminate(rows, config.d + 1)
-    z = [0] * (config.d + 1)
+    p0, h0 = P[0], i0 == 0
+    rows = [[*map(operator.sub, p, p0), (k == i0) - h0] for k, p in enumerate(P) if k and k != j0]
+    D, pivots = bareiss_eliminate(rows, config.d)
+    u = [0] * config.d
     for j, i in pivots.items():
-        z[j] = rows[i][-1] if D > 0 else -rows[i][-1]
-    *a, a0 = z
+        u[j] = rows[i][-1] if D > 0 else -rows[i][-1]
+    a, a0 = [K * c for c in u], -sum(map(operator.mul, u, X))
     if not _depth_holds(K, X, a, a0, 2, config):
         raise RuntimeError("depth certificate failed verification")
-    return DepthCertificate(cert.point, 2, tuple(Fraction(v, K) for v in a), Fraction(a0, K))
+    return DepthCertificate(cert.point, 2, tuple(map(Fraction, u)), Fraction(a0, K))
 
 
 def _separates(table: Sequence[Sequence[int]], blocks: Tuple[Tuple[int, ...], ...]) -> bool:

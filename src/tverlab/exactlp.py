@@ -48,6 +48,7 @@ ScaledRow = Tuple[int, Tuple[int, ...], int]
 OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
 _ZERO = Fraction(0)
+_INT = frozenset((int,))  # the one type a row's entries may have (not bool)
 
 
 class LinearSystem:
@@ -68,7 +69,7 @@ class LinearSystem:
                 raise ValueError(
                     f"constraint has {len(coeffs)} coefficients, expected {n_vars}"
                 )
-            if type(L) is not int or L <= 0 or any(type(c) is not int for c in (*coeffs, rhs)):
+            if type(L) is not int or type(rhs) is not int or L <= 0 or not _INT.issuperset(map(type, coeffs)):
                 raise ValueError("a row must be integers (L, A, B) with L > 0")
         self.M = lcm(*(L for L, _, _ in self.scaled))
 

@@ -9,9 +9,11 @@ map's table is integer rows, and the LP kernel's certificates are
 integers.  Integer rows
 over one common denominator are eliminated by one fraction-free step,
 `bareiss_pivot`: the LP tableau pivots through it by Bland's rule, and
-`bareiss_eliminate`, the one fraction-free Gauss-Jordan, by column order
-for the points' affine dependency and the rank check of the general
-simplex body `cover.HPolytopeBody`, which no cover uses.
+`bareiss_eliminate`, the one fraction-free Gauss-Jordan, by column order,
+each pivot the first of a list of the rows holding none yet: for the
+Radon step's two solves over point differences (the affine dependency
+and the depth-2 halfspace), the LP's Farkas recovery and the rank check
+of the general simplex body `cover.HPolytopeBody`, which no cover uses.
 `read_scaled` is the one way from scalars to integers over one common
 denominator: it reads input scalars (ints, Fractions, or strings `rat`
 reads) and the Fractions of a certificate that a public check is handed
@@ -112,12 +114,14 @@ def bareiss_eliminate(rows: List[List[int]], ncols: int) -> Tuple[int, Dict[int,
     `bareiss_pivot` on the first row holding no pivot yet with a nonzero
     entry there.  Returns the last pivot D (1 if none) and {column: its
     pivot row}; rows holding no pivot end 0 on those columns."""
-    D, pivots = 1, {}
+    D, pivots, free = 1, {}, list(range(len(rows)))
     for j in range(ncols):
-        i = next((i for i, row in enumerate(rows) if row[j] and i not in pivots.values()), None)
-        if i is not None:
-            D = bareiss_pivot(rows, i, j, D)
-            pivots[j] = i
+        for i in free:
+            if rows[i][j]:
+                D = bareiss_pivot(rows, i, j, D)
+                pivots[j] = i
+                free.remove(i)
+                break
     return D, pivots
 
 

@@ -42,6 +42,7 @@ DECODING = "tests/test_cli.py::test_input_bytes_are_decoded_as_open_decoded_them
 ROW_CHECK = "tests/test_cover.py::test_the_row_check_rejects_a_shifted_translate"
 ONE_READ = "tests/test_depth.py::test_the_one_read_paths_match_the_read_per_row_references"
 R2_INTEGERS = "tests/test_depth.py::test_r2_certificates_are_checked_on_the_integers_that_made_them"
+AFFINE = "tests/test_depth.py::test_the_affine_dependency_matches_the_homogeneous_elimination"
 RADON_HALFSPACE = "tests/test_depth.py::test_the_radon_halfspace_holds_the_point_and_two_points"
 R3_INTEGERS = "tests/test_depth.py::test_r3_certificates_are_checked_on_the_integers_that_made_them"
 HIND = ("tests/test_z2.py::test_long_chains_and_many_components",
@@ -71,7 +72,7 @@ MUTANTS = (
            ("tests/test_depth.py::test_tverberg_certificate_needs_nonnegative_weights",)),
     Mutant("at least depth points inside", "src/tverlab/depth.py",
            "and inside == depth", "and inside >= depth", (ONE_READ,)),
-    # depth: one block refused, and the r = 2 halfspace by interpolation
+    # depth: one block refused, and the Radon step's two solves over differences
     Mutant("r = 1 refused", "src/tverlab/depth.py",
            'if r < 1:\n        raise ValueError("need at least one block")',
            'if r <= 1:\n        raise ValueError("need at least one block")',
@@ -79,9 +80,16 @@ MUTANTS = (
     Mutant("i0 where kappa is 0", "src/tverlab/depth.py",
            "i0 = next(i for i, k in enumerate(kappa) if k > 0)",
            "i0 = next(i for i, k in enumerate(kappa) if k >= 0)", (RADON_HALFSPACE,)),
-    Mutant("a sign flip in f", "src/tverlab/depth.py",
-           "L * (-kappa[j0] * (S - kappa[i0]) if k == i0", "L * (kappa[j0] * (S - kappa[i0]) if k == i0",
+    Mutant("u oriented away from i0 and j0", "src/tverlab/depth.py",
+           "u[j] = rows[i][-1] if D > 0 else -rows[i][-1]", "u[j] = rows[i][-1] if D < 0 else -rows[i][-1]",
            (RADON_HALFSPACE,)),
+    Mutant("kappa's base-point entry dropped", "src/tverlab/depth.py",
+           "return _primitive([-sum(lam), *lam])", "return _primitive([0, *lam])",
+           (AFFINE, RADON_HALFSPACE)),
+    # rationals.bareiss_eliminate's pivot search
+    Mutant("a row holding a pivot chosen again", "src/tverlab/rationals.py",
+           "                free.remove(i)\n", "",
+           ("tests/test_rationals.py::test_bareiss_pivot_is_gauss_jordan_over_its_denominator", AFFINE)),
     # depth: the r >= 3 certificates checked on their own integers, the
     # range screen's one-block case and reduce's k = 1 route
     Mutant("no r >= 3 integer check", "src/tverlab/depth.py",

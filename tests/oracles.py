@@ -4,7 +4,10 @@ None of them is run by the command line or the demos: the face listing of
 a simplicial complex, the solid simplex, its skeleta and its center,
 barycentric subdivision (of a complex and of a Z2 complex), convex-hull
 membership with its weights and the scan of it over every q-point subset
-that restates Tukey depth, the partition search with an LP per candidate
+that restates Tukey depth, the points' affine dependency from the
+homogeneous (d+1)-row matrix with columns (P_v, 1), which the Radon
+step's elimination of differences is checked against, the partition
+search with an LP per candidate
 that passes the bounding box (no Farkas cuts) and the Fraction-built
 partition system, both certificate checks with a read of their own for
 the point and for each row after it and Tukey depth over the lcm of the
@@ -55,8 +58,8 @@ from tverlab import (
 from tverlab import exactlp, z2
 from tverlab.complexes import Simplex, simplex
 from tverlab.cover import CoverCertificate, HPolytopeBody, _barycentric, _compositions
-from tverlab.depth import _fewest_on_open_side
-from tverlab.rationals import Point, Scaled, rat, read_scaled
+from tverlab.depth import _fewest_on_open_side, _primitive
+from tverlab.rationals import Point, Scaled, bareiss_eliminate, rat, read_scaled
 
 
 # ---------------------------------------------------------------------------
@@ -394,6 +397,24 @@ def hull_membership_depth(x: Sequence, config: PointConfig, q: int) -> bool:
         if in_convex_hull(xx, subset(config, labels)) is None:
             return False
     return True
+
+
+def affine_dependency_homogeneous(config: PointConfig) -> Optional[Tuple[int, ...]]:
+    """The points' affine dependency when it is unique up to scale, as
+    depth._affine_dependency found it before it eliminated differences:
+    the primitive integer vector kappa spanning the kernel of the
+    (d+1) x n matrix with columns (P_v, 1), its first nonzero entry
+    positive, if that kernel is one line (rank n - 1); None otherwise.
+    Over the last pivot D of one `bareiss_eliminate`, each pivot column c
+    has D in its row i, so with f the one free column, kappa_f = D and
+    kappa_c = -row_i[f]."""
+    n = config.n
+    rows = [list(c) for c in zip(*config.scaled.rows)] + [[1] * n]
+    D, pivots = bareiss_eliminate(rows, n)
+    if len(pivots) != n - 1:
+        return None
+    (f,) = set(range(n)) - pivots.keys()
+    return _primitive([D if j == f else -rows[pivots[j]][f] for j in range(n)])
 
 
 def canonical_partitions(n: int, r: int) -> Iterator[Tuple[Tuple[int, ...], ...]]:

@@ -32,6 +32,7 @@ from tverlab.exactlp import check_farkas, common_point_with_weights
 from tverlab.rationals import Scaled, bareiss_eliminate, read_scaled
 
 from oracles import (
+    affine_dependency_homogeneous,
     boxes_miss,
     canonical_partitions,
     check_depth_certificate_read_per_row,
@@ -1130,6 +1131,42 @@ def radon_instances(draw):
     return PointConfig(d, tuple(points))
 
 
+# degenerate sets for the Radon step, with their dependency (or None)
+DEGENERATE_RADON_SETS = (
+    (PointConfig(2, []), None),
+    (PointConfig(2, [(1, 2)]), None),
+    (PointConfig(3, [(1, 2, 3), (1, 2, 3)]), (1, -1)),  # n = 2, one point repeated
+    (PointConfig(2, [(0, 1), (4, 4)]), None),
+    (PointConfig(0, [(), ()]), (1, -1)),  # d = 0
+    (PointConfig(0, [(), (), ()]), None),
+    (PointConfig(2, [(1, 1), (0, 0), (3, 2), (1, 1)]), (1, 0, 0, -1)),  # a repeated point
+    (PointConfig(3, [(0, 0, 0), (2, 4, 6), (1, 2, 3)]), (1, 1, -2)),  # collinear in R^3
+    (PointConfig(3, [(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1), (3, 1, 4)]), None),  # d + 3
+)
+
+
+def test_the_affine_dependency_matches_the_homogeneous_elimination():
+    """_affine_dependency, from the d x (n-1) differences P_k - P_0, is the
+    primitive kernel vector of the (d+1)-row matrix with columns (P_v, 1),
+    or None with it, on seeded sets of 1..d+4 points in R^d (d + 2 of them
+    in general position have one) and on degenerate ones."""
+    seeded = [random_point_config(d, n, SplitMix64(400 + 10 * d + n))
+              for d in range(6) for n in range(1, d + 5)]
+    for config in seeded:
+        kappa = depth_module._affine_dependency(config)
+        assert kappa == affine_dependency_homogeneous(config)
+        assert (kappa is not None) == (config.n == config.d + 2 or config.n == 2 and config.d == 0)
+    for config, kappa in DEGENERATE_RADON_SETS:
+        assert depth_module._affine_dependency(config) == affine_dependency_homogeneous(config) == kappa
+
+
+def with_degenerate_examples(test):
+    """The test with each set of DEGENERATE_RADON_SETS as an @example."""
+    for config, _ in DEGENERATE_RADON_SETS:
+        test = example(config)(test)
+    return test
+
+
 @settings(derandomize=True, database=None, deadline=None, max_examples=400)
 @given(radon_instances())
 def test_the_radon_step_returns_the_search_certificate(config):
@@ -1142,14 +1179,15 @@ def test_the_radon_step_returns_the_search_certificate(config):
 @settings(derandomize=True, database=None, deadline=None, max_examples=400)
 @given(radon_instances())
 @example(PointConfig(2, [(5, 5), (0, 0), (2, 0), (1, 0)]))  # kappa (0, 1, 1, -2): label 0 outside the dependency
-@example(PointConfig(0, [(), ()]))
 @example(random_point_config(16, 18, SplitMix64(16)))
+@with_degenerate_examples
 def test_the_radon_halfspace_holds_the_point_and_two_points(config):
     """Where the Radon step answers, the depth halfspace of centerpoint
-    passes through x, holds exactly two points, passes the public check,
-    and its depth is the exhaustive search's (past d = 6, where that search
-    takes seconds, the search's stopped at the blocks' proven bound 2, which
-    is the same: test_any_true_lower_bound_gives_the_exhaustive_certificate)."""
+    passes through x, holds exactly two points, i0 and j0 (the first labels
+    with kappa > 0 and kappa < 0), passes the public check, and its depth
+    is the exhaustive search's (past d = 6, where that search takes
+    seconds, the search's stopped at the blocks' proven bound 2, which is
+    the same: test_any_true_lower_bound_gives_the_exhaustive_certificate)."""
     found = depth_module._radon_partition(config)
     if found is None:
         return
@@ -1157,7 +1195,9 @@ def test_the_radon_halfspace_holds_the_point_and_two_points(config):
     assert cert == found[0] and dp.point == cert.point and dp.depth == 2
     values = [sum(a * c for a, c in zip(dp.halfspace_coeffs, p)) + dp.halfspace_offset
               for p in (dp.point, *config.points)]
-    assert values[0] == 0 and sum(v >= 0 for v in values[1:]) == 2
+    kappa = found[1]
+    ends = {next(v for v, k in enumerate(kappa) if k > 0), next(v for v, k in enumerate(kappa) if k < 0)}
+    assert values[0] == 0 and {v for v, h in enumerate(values[1:]) if h >= 0} == ends
     assert check_depth_certificate(dp, config)
     assert tukey_depth(dp.point, config, None if config.d <= 6 else 2).depth == 2
 

@@ -773,9 +773,17 @@ def test_malformed_systems_rejected():
         (True, (1,), 1),
         (1, (F(1),), 1),
         (1, (1,), F(1)),
+        (1, (True,), 1),
+        (1, (1,), False),
     ]:
         with pytest.raises(ValueError):
             LinearSystem(1, [row])
+    # the first bad row names the error
+    good, short, fraction = (1, (1,), 1), (1, (), 1), (1, (F(1),), 1)
+    with pytest.raises(ValueError, match="has 0 coefficients"):
+        LinearSystem(1, [good, short, fraction])
+    with pytest.raises(ValueError, match="must be integers"):
+        LinearSystem(1, [good, fraction, short])
     with pytest.raises(ValueError):
         eq([F(1)], "nonsense")
 
