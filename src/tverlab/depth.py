@@ -29,9 +29,12 @@ integer body.  Every producer (the Radon step, the LP partitions, the
 lift's pairing and the depth halfspace) runs the body on the integers it
 computed and builds its Fractions after it, and the depth search behind
 a partition starts from the integers of the partition's point, so no
-Fraction of a weight, a witness or a common point is read back.  For a
-prime number of parts in d >= 2 the lift is the configuration itself,
-and the reduction takes the centerpoint's path.
+Fraction of a weight, a witness or a common point is read back.  Every
+partition comes from one producer, `_partition`, which returns the
+certificate with those integers and the dependency the Radon step read
+it off; centerpoint, the tverberg command and the reduction in d >= 2
+take it through `_partition_and_depth`, on the k-fold lift (`_lift`,
+the configuration itself at k = 1).
 """
 from __future__ import annotations
 
@@ -292,9 +295,7 @@ def _partitions(
         block[i], opened[i + 1], i = b, used + (b == used), i + 1
 
 
-def tverberg_partition(
-    config: PointConfig, r: int, point: Optional[list] = None
-) -> Optional[TverbergCertificate]:
+def tverberg_partition(config: PointConfig, r: int) -> Optional[TverbergCertificate]:
     """First (canonical order) partition into r blocks whose hulls intersect.
 
     For r = 2, when the points have one affine dependency up to scale (as
@@ -310,26 +311,23 @@ def tverberg_partition(
     whose block minima of T sum to a positive number has no common point
     (see common_point_with_weights).  The cuts are tried most recently hit
     first.  Returns None when no partition works (possible below the
-    guaranteed size).  When a partition is found and `point` is a list,
-    the integers (K, X) that its certificate was checked on, the point
-    X/K, are appended to it."""
-    found = _radon_partition(config) if r == 2 else None
-    if found is None:
-        found = _canonical_partition(config, r)
-    if found is None:
-        return None
-    if point is not None:
-        point.append(found[-2:])
-    return found[0]
+    guaranteed size).  The certificate is _partition's."""
+    found = _partition(config, r)
+    return None if found is None else found[0]
 
 
-def _canonical_partition(
+def _partition(
     config: PointConfig, r: int
-) -> Optional[Tuple[TverbergCertificate, int, Tuple[int, ...]]]:
-    """tverberg_partition's canonical search, with the integers K and X of
-    the found certificate's point (_partition_certificate's)."""
+) -> Optional[Tuple[TverbergCertificate, int, Tuple[int, ...], Optional[Tuple[int, ...]]]]:
+    """tverberg_partition's certificate, with the integers K and X of its
+    point X/K and kappa, the affine dependency it was read off, or None for
+    kappa when the canonical search answered: at r = 2 the Radon step runs
+    once, and the search only if it gives no answer."""
     if r < 1:
         raise ValueError("need at least one block")
+    found = _radon_partition(config) if r == 2 else None
+    if found is not None:
+        return found
     ints = config.scaled.rows
     cuts: List[List[List[int]]] = []
     for blocks in _partitions(config.n, r, ints):
@@ -340,7 +338,7 @@ def _canonical_partition(
         else:
             found = _partition_certificate(config, blocks)
             if isinstance(found[0], TverbergCertificate):
-                return found
+                return (*found, None)
             table = [[sum(map(operator.mul, u, p)) for p in ints] for u in found]
             if not _separates(table, blocks):
                 raise RuntimeError("a Farkas cut does not separate its own partition")
@@ -372,10 +370,10 @@ def _affine_dependency(config: PointConfig) -> Optional[Tuple[int, ...]]:
 
 def _radon_partition(
     config: PointConfig,
-) -> Optional[Tuple[TverbergCertificate, Tuple[int, ...], int, List[int]]]:
+) -> Optional[Tuple[TverbergCertificate, int, List[int], Tuple[int, ...]]]:
     """The first 2-block partition in canonical order whose hulls meet, read
     off the affine dependency kappa when it is unique up to scale (Radon),
-    with kappa and the integers X over K of its point; None when kappa is
+    with the integers X over K of its point and kappa; None when kappa is
     not unique, and the search decides.  A common point writes
     (point, 1) from each block with nonnegative weights, and their
     difference is a multiple of kappa, so the meeting partitions are the
@@ -404,11 +402,11 @@ def _radon_partition(
         raise RuntimeError("partition certificate failed verification")
     cert = TverbergCertificate(blocks, tuple(Fraction(c, K) for c in X),
                                tuple(tuple(Fraction(c, K) for c in w) for w in weights))
-    return cert, kappa, K, X
+    return cert, K, X, kappa
 
 
-def _radon_depth(config: PointConfig, cert: TverbergCertificate, kappa: Sequence[int],
-                 K: int, X: Sequence[int]) -> DepthCertificate:
+def _radon_depth(config: PointConfig, cert: TverbergCertificate, K: int, X: Sequence[int],
+                 kappa: Sequence[int]) -> DepthCertificate:
     """Depth 2 at the Radon point x = X/K of _radon_partition's certificate:
     its two blocks bound the depth below, and one linear solve (no
     recursion) gives a halfspace through x holding exactly two points:
@@ -457,10 +455,9 @@ def _partition_certificate(
     D L, the weights L W_v and X = sum of W_v P_v over block 0; the
     Fractions, W_v / D and X/K, are built after the check."""
     L, ints = config.scaled
-    separators: list = []
-    found = _common_point(L, [[ints[l] for l in b] for b in blocks], separators)
-    if found is None:
-        return separators[0]
+    found = _common_point(L, [[ints[l] for l in b] for b in blocks])
+    if found[0] is None:
+        return found[1]
     W, D = found
     parts, start = [], 0
     for b in blocks:
@@ -511,20 +508,32 @@ def centerpoint(config: PointConfig, r: int) -> Optional[DepthCertificate]:
     return _partition_and_depth(config, r)[1]
 
 
+def _lift(config: PointConfig, k: int) -> PointConfig:
+    """The k-fold lift: each integer row of `config.scaled` taken k times
+    in a row, over the same scale (distinct labels, identical
+    coordinates); `config` itself when k = 1."""
+    if k == 1:
+        return config
+    L, P = config.scaled
+    return PointConfig(config.d, Scaled(L, [p for p in P for _ in range(k)]))
+
+
 def _partition_and_depth(
-    config: PointConfig, r: int
+    config: PointConfig, r: int, k: int = 1
 ) -> Tuple[Optional[TverbergCertificate], Optional[DepthCertificate]]:
-    """tverberg_partition's partition and the depth of its common point,
-    certified from both sides (None, None when no partition works): where
-    the Radon step answers, depth 2 from its integers (_radon_depth); else
-    tverberg_partition, whose Radon step fails again at r = 2, and
-    tukey_depth from its point's integers, stopped at the blocks' bound."""
-    found = _radon_partition(config) if r == 2 else None
-    if found is not None:
-        return found[0], _radon_depth(config, *found)
-    point: list = []
-    cert = tverberg_partition(config, r, point)
-    return cert, None if cert is None else _depth_from_lifted_partition(config, 1, r, cert, *point[0])
+    """_partition's partition of the k-fold lift into k(r-1)+1 blocks and
+    the depth >= r in `config` of its common point, certified from both
+    sides (None, None when no partition works): where the Radon step
+    answered (kappa set, so k = 1 and r = 2), depth 2 from its integers
+    (_radon_depth); else tukey_depth from the point's integers, stopped at
+    the blocks' bound (_depth_from_lifted_partition)."""
+    found = _partition(_lift(config, k), k * (r - 1) + 1)
+    if found is None:
+        return None, None
+    cert, K, X, kappa = found
+    if kappa is not None:
+        return cert, _radon_depth(config, *found)
+    return cert, _depth_from_lifted_partition(config, k, r, cert, K, X)
 
 
 def _depth_from_lifted_partition(
@@ -602,34 +611,23 @@ def _lifted_partition_1d(lifted: PointConfig, R: int) -> Tuple[TverbergCertifica
 
 
 def reduce_central_from_tverberg(config: PointConfig, r: int) -> DepthCertificate:
-    """Depth >= r certificate via an R-part partition of the k-fold lift.
-
-    Duplicates each integer row of `config.scaled` k times, over the same
-    scale (distinct labels, identical coordinates), and partitions the
-    lifted cloud into R = k(r-1)+1 prime parts whose hulls share a point:
-    on a line by pairing from both ends, certified by construction with no
-    LP (_lifted_partition_1d), elsewhere by the canonical search.  The R
-    blocks prove depth >= ceil(R/k) = r.  For prime r in d >= 2 (k = 1)
-    the lift is `config` itself, and the partition and its depth are
-    centerpoint's (_partition_and_depth, Radon step included)."""
+    """Depth >= r certificate via an R-part partition of the k-fold lift
+    (_lift) into R = k(r-1)+1 prime parts whose hulls share a point: on a
+    line by pairing from both ends, certified by construction with no LP
+    (_lifted_partition_1d), elsewhere by _partition_and_depth, whose
+    search at k = 1 is centerpoint's, Radon step included.  The R blocks
+    prove depth >= ceil(R/k) = r."""
     d = config.d
     plan = reduction_plan(r, d)
     if config.n != plan.m + 1:
         raise ValueError(
             f"reduction expects exactly m+1 = {plan.m + 1} points, got {config.n}"
         )
-    if plan.k == 1 and d > 1:  # the lift is the configuration itself
-        cert = _partition_and_depth(config, r)[1]
+    if d == 1:
+        found = _lifted_partition_1d(_lift(config, plan.k), plan.R)
+        cert = _depth_from_lifted_partition(config, plan.k, r, *found)
     else:
-        L, P = config.scaled
-        lifted = PointConfig(d, Scaled(L, [p for p in P for _ in range(plan.k)]))
-        if d == 1:
-            found = _lifted_partition_1d(lifted, plan.R)
-        else:
-            point: list = []
-            part = tverberg_partition(lifted, plan.R, point)
-            found = None if part is None else (part, *point[0])
-        cert = None if found is None else _depth_from_lifted_partition(config, plan.k, r, *found)
+        cert = _partition_and_depth(config, r, plan.k)[1]
     if cert is None:
         raise RuntimeError("no Tverberg partition of the lifted cloud")
     return cert

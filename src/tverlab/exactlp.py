@@ -27,8 +27,9 @@ callers, `strict_separator` and `common_point_with_weights`, and by
 `LinearSystem.constraints`, a view that only the benchmark's tracer
 (`perfbench/tracer.py`) reads.  `common_point_with_weights` reads its
 blocks and hands them to its integer core, `_common_point`, which
-returns the LP's witness; the partition search calls the core directly
-and checks its certificate on those integers.
+returns the LP's witness, or the functionals that separate the hulls;
+the partition search calls the core directly, checks its certificate on
+those integers and keeps the separators as a cut.
 Problem sizes here are tiny (tens of variables), which is the regime
 where exact tableau simplex is perfectly practical.
 """
@@ -39,7 +40,7 @@ import itertools
 import operator
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Iterable, NamedTuple, Optional, Sequence, Tuple
+from typing import Iterable, NamedTuple, Optional, Sequence, Tuple, Union
 
 from .rationals import Point, bareiss_eliminate, bareiss_pivot, read_scaled
 
@@ -245,18 +246,14 @@ def _hull_membership(p: Sequence, points: Sequence[Sequence]) -> Tuple[LinearSys
     return system, lp_feasible(system)
 
 
-def common_point_with_weights(
-    blocks: Sequence[Sequence[Sequence]], separators: Optional[list] = None
-):
+def common_point_with_weights(blocks: Sequence[Sequence[Sequence]]):
     """A common point of the hulls of the point blocks, with exact convex
     weights per block writing it, as (point, weights); or None.
 
     Each block is read with read_scaled, so a block read already is used
     as it is, and the blocks are brought to one denominator L; the integer
     core `_common_point` solves them.  With its witness X/D, the point is
-    sum X_v P_v / (D L) over the first block and the weights are X_v / D.
-    When the hulls share no point and `separators` is a list, the core
-    appends its proof to it."""
+    sum X_v P_v / (D L) over the first block and the weights are X_v / D."""
     read = [read_scaled(b) for b in blocks]
     if not read or not all(rows for _, rows in read):
         raise ValueError("need at least one block, each of at least one point")
@@ -265,21 +262,21 @@ def common_point_with_weights(
         raise ValueError("point dimension mismatch")
     L = lcm(*(s for s, _ in read))
     pts = [rows if s == L else [tuple(c * (L // s) for c in q) for q in rows] for s, rows in read]
-    found = _common_point(L, pts, separators)
-    if found is None:
+    X, D = _common_point(L, pts)
+    if X is None:
         return None
-    X, D = found
     offsets = list(itertools.accumulate(map(len, pts), initial=0))
     point = tuple(Fraction(sum(map(operator.mul, X, c)), D * L) for c in zip(*pts[0]))
     return point, tuple(_fractions(X[a:b], D) for a, b in zip(offsets, offsets[1:]))
 
 
 def _common_point(
-    L: int, pts: Sequence[Sequence[Tuple[int, ...]]], separators: Optional[list] = None
-) -> Optional[Tuple[Tuple[int, ...], int]]:
+    L: int, pts: Sequence[Sequence[Tuple[int, ...]]]
+) -> Tuple[Optional[Tuple[int, ...]], Union[int, Tuple[Tuple[int, ...], ...]]]:
     """The LP witness (X, D) of a common point of the hulls of integer point
     blocks over one denominator L (at least one block, each of at least one
-    point, all of one dimension), or None.
+    point, all of one dimension), or (None, separators) when they share no
+    point.
 
     The variables are the weights lambda >= 0 of all blocks, in block
     order: one sum row per block, then per later block B and coordinate i
@@ -289,9 +286,9 @@ def _common_point(
     row is built.  The weights are X/D, and the common point
     sum X_v P_v / (D L) over the first block.
 
-    When the hulls share no point and `separators` is a list, the proof is
-    appended to it: integer functionals u_1..u_r on R^d, one per block,
-    with sum_j u_j = 0 and sum_j min_{v in block j} u_j.v > 0.  At a common
+    The separators prove that the hulls share no point: integer
+    functionals u_1..u_r on R^d, one per block, with sum_j u_j = 0 and
+    sum_j min_{v in block j} u_j.v > 0.  At a common
     point x each u_j.x would be at least block j's minimum while the u_j.x
     sum to 0, so the same test proves any other blocks' hulls disjoint
     too, block j read by u_j.  They come from the Farkas multipliers on
@@ -317,11 +314,9 @@ def _common_point(
             scaled.append((L // g, tuple(c // g for c in coeffs), 0))
     out = lp_feasible(LinearSystem(total, scaled))
     if out.status != OPTIMAL:
-        if separators is not None:
-            nu = [N * row[0] for N, row in zip(out.farkas, scaled)]
-            later = [tuple(-c for c in nu[k:k + d]) for k in range(len(pts), len(nu), d)]
-            separators.append((tuple(-sum(c) for c in zip(*later)), *later))
-        return None
+        nu = [N * row[0] for N, row in zip(out.farkas, scaled)]
+        later = [tuple(-c for c in nu[k:k + d]) for k in range(len(pts), len(nu), d)]
+        return None, (tuple(-sum(c) for c in zip(*later)), *later)
     return out.witness, out.denominator
 
 

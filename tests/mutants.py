@@ -44,6 +44,7 @@ ONE_READ = "tests/test_depth.py::test_the_one_read_paths_match_the_read_per_row_
 R2_INTEGERS = "tests/test_depth.py::test_r2_certificates_are_checked_on_the_integers_that_made_them"
 AFFINE = "tests/test_depth.py::test_the_affine_dependency_matches_the_homogeneous_elimination"
 RADON_HALFSPACE = "tests/test_depth.py::test_the_radon_halfspace_holds_the_point_and_two_points"
+RADON_ONCE = "tests/test_depth.py::test_each_partition_runs_the_radon_step_once"
 R3_INTEGERS = "tests/test_depth.py::test_r3_certificates_are_checked_on_the_integers_that_made_them"
 HIND = ("tests/test_z2.py::test_long_chains_and_many_components",
         "tests/test_z2.py::test_index_of_drawn_unions_matches_both_oracles")
@@ -86,6 +87,12 @@ MUTANTS = (
     Mutant("kappa's base-point entry dropped", "src/tverlab/depth.py",
            "return _primitive([-sum(lam), *lam])", "return _primitive([0, *lam])",
            (AFFINE, RADON_HALFSPACE)),
+    # depth: the one partition producer and the Radon answer it passes on
+    Mutant("Radon step skipped in _partition", "src/tverlab/depth.py",
+           "found = _radon_partition(config) if r == 2 else None", "found = None",
+           ("tests/test_depth.py::test_radon_partitions_at_d_plus_2_points_solve_no_lp",)),
+    Mutant("kappa dropped from the Radon answer", "src/tverlab/depth.py",
+           "return cert, K, X, kappa", "return cert, K, X, None", (RADON_ONCE,)),
     # rationals.bareiss_eliminate's pivot search
     Mutant("a row holding a pivot chosen again", "src/tverlab/rationals.py",
            "                free.remove(i)\n", "",
@@ -108,7 +115,8 @@ MUTANTS = (
            "if r == 1 or all(map(operator.le,", "if all(map(operator.le,",
            ("tests/test_depth.py::test_the_screen_at_one_block_and_at_singletons",)),
     Mutant("the k = 1 route at d = 1", "src/tverlab/depth.py",
-           "if plan.k == 1 and d > 1:", "if plan.k == 1:",
+           "    if d == 1:\n        found = _lifted_partition_1d(",
+           "    if plan.k > 1:\n        found = _lifted_partition_1d(",
            ("tests/test_depth.py::test_reduce_on_a_line_solves_no_lp",)),
     # exactlp: the Farkas multipliers recovered from the final basis
     Mutant("no sigma in the Farkas recovery", "src/tverlab/exactlp.py",

@@ -831,8 +831,8 @@ def test_r3_certificates_are_checked_on_the_integers_that_made_them(monkeypatch)
                 run(config, r)
 
 
-def test_the_point_list_holds_the_integers_that_certify_the_partition():
-    """tverberg_partition(config, r, point) appends (K, X) with the point
+def test_the_partition_returns_the_integers_that_certify_it():
+    """_partition(config, r) returns the certificate with (K, X), the point
     X/K and every weight over K an integer that _tverberg_holds accepts: at
     r = 2 from the Radon step and, on collinear points, which have more
     than one affine dependency, from the search; at r = 3 and 4 from the
@@ -842,9 +842,7 @@ def test_the_point_list_holds_the_integers_that_certify_the_partition():
                for d, r in ((1, 2), (2, 2), (1, 3), (2, 3), (1, 4))]
     configs.append((PointConfig(2, [[0, 0], [1, 1], [3, 3], [F(1, 2), F(1, 2)]]), 2))
     for config, r in configs:
-        point = []
-        cert = tverberg_partition(config, r, point)
-        (K, X), = point
+        cert, K, X, _ = depth_module._partition(config, r)
         assert K > 0 and cert.point == tuple(F(c, K) for c in X)
         scaled = [[w * K for w in ws] for ws in cert.weights]
         assert all(w.denominator == 1 for ws in scaled for w in ws)
@@ -891,6 +889,31 @@ def test_partitions_points_and_depths_follow_an_affine_map(case):
     cert, mapped = centerpoint(config, r), centerpoint(image, r)
     assert mapped.point == tuple(sum(a * c for a, c in zip(row, cert.point)) + s for row, s in zip(A, t))
     assert mapped.depth == cert.depth >= r
+
+
+def test_depths_and_partitions_follow_a_relabelling():
+    """Tukey depth does not read the labels: on seeded sets at the
+    guaranteed size for (1,3), (2,2), (2,3), (3,2) and (4,2), with their
+    labels permuted by a second seed, the exhaustive depth of centerpoint's
+    point is equal on the set and on its relabelling.  The relabelled
+    set's partition, which the canonical order may pick differently,
+    passes the public check, and so does its blocks' image on the set."""
+    for d, r in ((1, 3), (2, 2), (2, 3), (3, 2), (4, 2)):
+        for i in range(3):
+            config = random_point_config(d, guaranteed_size(d, r), SplitMix64(1900 + 10 * d + r + 100 * i),
+                                         num_bound=6, den_bound=3)
+            rng, order = SplitMix64(2900 + 10 * d + r + 100 * i), list(range(config.n))
+            for j in range(config.n - 1, 0, -1):
+                k = rng.below(j + 1)
+                order[j], order[k] = order[k], order[j]
+            L, P = config.scaled
+            relabelled = PointConfig(d, Scaled(L, [P[v] for v in order]))
+            x = centerpoint(config, r).point
+            assert tukey_depth(x, relabelled).depth == tukey_depth(x, config).depth >= r
+            tv = tverberg_partition(relabelled, r)
+            assert check_tverberg_certificate(tv, relabelled)
+            back = tuple(tuple(order[v] for v in b) for b in tv.blocks)
+            assert check_tverberg_certificate(tv._replace(blocks=back), config)
 
 
 def test_an_input_config_reads_each_scalar_once_without_a_string_parse(tmp_path):
@@ -1188,14 +1211,14 @@ def test_the_radon_halfspace_holds_the_point_and_two_points(config):
     is the exhaustive search's (past d = 6, where that search takes
     seconds, the search's stopped at the blocks' proven bound 2, which is
     the same: test_any_true_lower_bound_gives_the_exhaustive_certificate)."""
-    found = depth_module._radon_partition(config)
-    if found is None:
+    found = depth_module._partition(config, 2)
+    if found is None or found[3] is None:
         return
     cert, dp = depth_module._partition_and_depth(config, 2)
     assert cert == found[0] and dp.point == cert.point and dp.depth == 2
     values = [sum(a * c for a, c in zip(dp.halfspace_coeffs, p)) + dp.halfspace_offset
               for p in (dp.point, *config.points)]
-    kappa = found[1]
+    kappa = found[3]
     ends = {next(v for v, k in enumerate(kappa) if k > 0), next(v for v, k in enumerate(kappa) if k < 0)}
     assert values[0] == 0 and {v for v, h in enumerate(values[1:]) if h >= 0} == ends
     assert check_depth_certificate(dp, config)
@@ -1219,6 +1242,39 @@ def test_radon_partitions_at_d_plus_2_points_solve_no_lp(monkeypatch):
             assert centerpoint(config, 2).depth >= 2
             if d >= 2:
                 assert reduce_central_from_tverberg(config, 2).depth >= 2
+
+
+def test_each_partition_runs_the_radon_step_once(monkeypatch):
+    """At r = 2, centerpoint, tverberg_partition and reduce each compute the
+    affine dependency once: on seeded sets past d + 2 points, where the
+    step gives no answer and the search decides, on the degenerate sets,
+    and on reduce's d + 2 points at (2,2) and (3,2).  Where the step
+    answers, the depth comes from it, with no depth recursion."""
+    counts = dict.fromkeys(("_affine_dependency", "_fewest_on_open_side"), 0)
+
+    def counting(name, fn):
+        def counted(*args):
+            counts[name] += 1
+            return fn(*args)
+        return counted
+
+    seeded = [random_point_config(d, n, SplitMix64(600 + 10 * d + n), num_bound=6, den_bound=3)
+              for d in (1, 2, 3) for n in (d + 3, d + 4)]
+    cases = [(run, config) for config in (*seeded, *(c for c, _ in DEGENERATE_RADON_SETS))
+             for run in (centerpoint, tverberg_partition)]
+    cases += [(reduce_central_from_tverberg, random_point_config(d, d + 2, SplitMix64(650 + 10 * d + i)))
+              for d in (2, 3) for i in range(3)]
+    answered = [depth_module._radon_partition(config) is not None for _, config in cases]
+    for name in counts:
+        monkeypatch.setattr(f"tverlab.depth.{name}", counting(name, getattr(depth_module, name)))
+    for (run, config), radon in zip(cases, answered):
+        for name in counts:
+            counts[name] = 0
+        run(config, 2)
+        assert counts["_affine_dependency"] == 1, (run.__name__, config)
+        if radon:
+            assert counts["_fewest_on_open_side"] == 0, (run.__name__, config)
+    assert answered.count(False) > 10 and answered.count(True) > 10
 
 
 def test_past_d_plus_2_points_the_search_decides(monkeypatch):
