@@ -25,16 +25,16 @@ partition screens, each candidate's LP rows and both certificate checks
 read that one scaling, and none of them builds the configuration's
 `Fraction`s (`tverlab.cli` reads --input files; this module knows no
 file format).  Each check is one read of a certificate's Fractions and an
-integer body.  Every producer (the Radon step, the LP partitions, the
-lift's pairing and the depth halfspace) runs the body on the integers it
-computed and builds its Fractions after it, and the depth search behind
-a partition starts from the integers of the partition's point, so no
-Fraction of a weight, a witness or a common point is read back.  Every
-partition comes from one producer, `_partition`, which returns the
-certificate with those integers and the dependency the Radon step read
-it off; centerpoint, the tverberg command and the reduction in d >= 2
-take it through `_partition_and_depth`, on the k-fold lift (`_lift`,
-the configuration itself at k = 1).
+integer body.  Every producer hands the integers it computed to one
+constructor per certificate kind, which runs the body on them and builds
+the Fractions after it (`_certified_partition`, `_certified_depth`), and
+the depth search behind a partition starts from the integers of the
+partition's point, so no Fraction of a weight or a point is read back.
+Every partition comes from one producer, `_partition`, which returns the
+certificate with those integers and the dependency the Radon step read it
+off; centerpoint, the tverberg command and the reduction in d >= 2 take
+it through `_partition_and_depth`, on the k-fold lift (`_lift`, the
+configuration itself at k = 1).
 """
 from __future__ import annotations
 
@@ -49,7 +49,7 @@ from .exactlp import (
     _fractions,
     strict_separator,  # unused: perfbench/tests/test_bench_trace.py traces this binding
 )
-from .rationals import Frozen, Point, Scaled, bareiss_eliminate, rat, read_scaled
+from .rationals import Frozen, Point, Scaled, bareiss_eliminate, read_scaled
 from .rng import SplitMix64
 
 
@@ -136,6 +136,17 @@ def _depth_holds(K: int, X: Sequence[int], a: Sequence[int], a0: int, depth: int
     return sum(map(operator.mul, a, X)) + K * a0 >= 0 and inside == depth
 
 
+def _certified_depth(config: PointConfig, point: Point, E: int, X: Sequence[int],
+                     U: Sequence[int], q: int, depth: int) -> DepthCertificate:
+    """The halfspace {U.y >= U.x} at x = X/E (`point`, its Fractions), U
+    over q > 0, checked by _depth_holds over K = q E at q X, with a = E U
+    and a0 = -U.X, and then built as U/q and a0/K."""
+    K, a0 = q * E, -sum(map(operator.mul, U, X))
+    if not _depth_holds(K, [q * c for c in X], [E * c for c in U], a0, depth, config):
+        raise RuntimeError("depth certificate failed verification")
+    return DepthCertificate(point, depth, tuple(Fraction(c, q) for c in U), Fraction(a0, K))
+
+
 def _primitive(w: Sequence[int]) -> Tuple[int, ...]:
     """The primitive integer vector on the line of w (nonzero), with its
     first nonzero entry positive."""
@@ -209,24 +220,19 @@ def tukey_depth(x: Sequence, config: PointConfig, lower: Optional[int] = None) -
     """Exact halfspace depth of x in the configuration, by an exact recursion
     over the dimension (no LP): with w = p - x, the number of w = 0 plus the
     fewest nonzero w with u.w > 0; the witness halfspace is u.(y - x) >= 0.
-    x is read as X/E in lowest terms; a one-row `Scaled` value, the
-    integers a producer holds, is taken as read, with no Fraction of it
-    read back.  With the configuration's one scaling P/L, the recursion runs
-    on the integers E P - L X (w times L E > 0, which keeps every count and
-    tilt, and U/q with them); _depth_holds checks the halfspace over K = q E,
-    a = E U and a0 = -U.X, at the point q X.  It scans every
+    x is read by one read_scaled as X/E in lowest terms; a one-row `Scaled`
+    value, the integers a producer holds, is taken as read, with no
+    Fraction of it read back.  With the configuration's one scaling P/L,
+    the recursion runs on the integers E P - L X (w times L E > 0, which
+    keeps every count and tilt, and U/q with them), and _certified_depth
+    checks and builds its halfspace U/q.  It scans every
     branch, or, when `lower` is a proven lower bound on the depth, stops as
     soon as a halfspace holds `lower` points; a depth below that bound is an
     internal error."""
-    if isinstance(x, Scaled):
-        E, (X,) = x
-        g = gcd(E, *X)
-        E, X = E // g, [c // g for c in X]
-        xx = tuple(Fraction(c, E) for c in X)
-    else:
-        xx = tuple(rat(c) for c in x)
-        E, (X,) = read_scaled([xx])
-    if len(xx) != config.d:
+    E, (X,) = read_scaled(x if isinstance(x, Scaled) else [x])
+    g = gcd(E, *X)
+    E, X = E // g, [c // g for c in X]
+    if len(X) != config.d:
         raise ValueError("point dimension mismatch")
     L, P = config.scaled
     W = [tuple(E * c - L * xc for c, xc in zip(p, X)) for p in P]
@@ -236,10 +242,7 @@ def tukey_depth(x: Sequence, config: PointConfig, lower: Optional[int] = None) -
     count, U, q = _fewest_on_open_side(nonzero, config.d, stop)
     if lower is not None and zeros + count < lower:
         raise RuntimeError(f"depth {zeros + count} below the proven lower bound {lower}")
-    K, a, a0 = q * E, [E * c for c in U], -sum(map(operator.mul, U, X))
-    if not _depth_holds(K, [q * c for c in X], a, a0, zeros + count, config):
-        raise RuntimeError("depth certificate failed verification")
-    return DepthCertificate(xx, zeros + count, tuple(Fraction(c, K) for c in a), Fraction(a0, K))
+    return _certified_depth(config, tuple(Fraction(c, E) for c in X), E, X, U, q, zeros + count)
 
 
 # ---------------------------------------------------------------------------
@@ -382,9 +385,9 @@ def _radon_partition(
     oriented so that its first nonzero entry is positive, block 0 is
     {v : kappa_v >= 0}.  The weights are unique, kappa on block 0 and
     -kappa on block 1, each over their sum S, so they are the LP's.  That
-    kappa is such a dependency is checked in integers, and the certificate
-    by _tverberg_holds on the integers over K = S L that make it: the point
-    X = sum of kappa_v P_v over block 0, the weights L kappa and -L kappa."""
+    kappa is such a dependency is checked in integers, and _certified_partition
+    checks and builds the certificate over K = S L: the point X = sum of
+    kappa_v P_v over block 0, the weights L kappa and -L kappa."""
     kappa = _affine_dependency(config)
     if kappa is None:
         return None
@@ -395,14 +398,9 @@ def _radon_partition(
     blocks = (tuple(v for v, k in enumerate(kappa) if k >= 0),
               tuple(v for v, k in enumerate(kappa) if k < 0))
     first = [kappa[v] for v in blocks[0]]
-    K = sum(first) * L
     X = [sum(map(operator.mul, first, c)) for c in zip(*(P[v] for v in blocks[0]))]
     weights = ([L * k for k in first], [-L * kappa[v] for v in blocks[1]])
-    if not _tverberg_holds(blocks, K, X, weights, config):
-        raise RuntimeError("partition certificate failed verification")
-    cert = TverbergCertificate(blocks, tuple(Fraction(c, K) for c in X),
-                               tuple(tuple(Fraction(c, K) for c in w) for w in weights))
-    return cert, K, X, kappa
+    return (*_certified_partition(config, blocks, sum(first) * L, X, weights), kappa)
 
 
 def _radon_depth(config: PointConfig, cert: TverbergCertificate, K: int, X: Sequence[int],
@@ -420,8 +418,8 @@ def _radon_depth(config: PointConfig, cert: TverbergCertificate, K: int, X: Sequ
     and sum kappa_v = 0, u.P_j0 = c + kappa_i0/|kappa_j0| and u.(L x) = c +
     kappa_i0/S, S the sum of kappa over block 0, which is above c and at
     most both.  So {u.y >= u.x} holds x, i0 and j0 and no other point;
-    _depth_holds checks a = K u, a0 = -u.X at the Radon step's own X/K,
-    and the Fractions are u and -u.X/K."""
+    _certified_depth checks it at the Radon step's own X/K, u over 1, and
+    takes the partition's point Fractions as they are."""
     P = config.scaled.rows
     i0 = next(i for i, k in enumerate(kappa) if k > 0)
     j0 = next(j for j, k in enumerate(kappa) if k < 0)
@@ -431,10 +429,7 @@ def _radon_depth(config: PointConfig, cert: TverbergCertificate, K: int, X: Sequ
     u = [0] * config.d
     for j, i in pivots.items():
         u[j] = rows[i][-1] if D > 0 else -rows[i][-1]
-    a, a0 = [K * c for c in u], -sum(map(operator.mul, u, X))
-    if not _depth_holds(K, X, a, a0, 2, config):
-        raise RuntimeError("depth certificate failed verification")
-    return DepthCertificate(cert.point, 2, tuple(map(Fraction, u)), Fraction(a0, K))
+    return _certified_depth(config, cert.point, K, X, u, 1, 2)
 
 
 def _separates(table: Sequence[Sequence[int]], blocks: Tuple[Tuple[int, ...], ...]) -> bool:
@@ -448,27 +443,14 @@ def _partition_certificate(
 ) -> Union[Tuple[TverbergCertificate, int, Tuple[int, ...]], Tuple[Tuple[int, ...], ...]]:
     """The certificate of a partition whose block hulls meet, with the
     integers X over K of its point; if the hulls share no point, the
-    functionals u_j that separate them (as exactlp._common_point gives
-    them).  The blocks go to the LP as the configuration's integer points
-    P over its one L.  The certificate is checked where it is made, by
-    _tverberg_holds on the LP's integers: with the witness W over D, K =
-    D L, the weights L W_v and X = sum of W_v P_v over block 0; the
-    Fractions, W_v / D and X/K, are built after the check."""
+    functionals u_j that separate them.  The blocks go to the LP as the
+    configuration's integer points P over its one L, and
+    exactlp._common_point returns either the point and each block's
+    weights over K, which _certified_partition checks and builds, or the
+    separators."""
     L, ints = config.scaled
     found = _common_point(L, [[ints[l] for l in b] for b in blocks])
-    if found[0] is None:
-        return found[1]
-    W, D = found
-    parts, start = [], 0
-    for b in blocks:
-        parts.append(W[start:start + len(b)])
-        start += len(b)
-    K = D * L
-    X = tuple(sum(map(operator.mul, parts[0], c)) for c in zip(*(ints[l] for l in blocks[0])))
-    if not _tverberg_holds(blocks, K, X, [[L * w for w in ws] for ws in parts], config):
-        raise RuntimeError("partition certificate failed verification")
-    point = tuple(Fraction(c, K) for c in X)
-    return TverbergCertificate(blocks, point, tuple(_fractions(ws, D) for ws in parts)), K, X
+    return found[1] if found[0] is None else _certified_partition(config, blocks, *found)
 
 
 def check_tverberg_certificate(cert: TverbergCertificate, config: PointConfig) -> bool:
@@ -495,6 +477,17 @@ def _tverberg_holds(blocks: Sequence[Sequence[int]], K: int, X: Sequence[int],
             if sum(c * P[l][i] for c, l in zip(w, block)) != L * X[i]:
                 return False
     return True
+
+
+def _certified_partition(config: PointConfig, blocks: Tuple[Tuple[int, ...], ...], K: int, X: Sequence[int],
+                         weights: Sequence[Sequence[int]]) -> Tuple[TverbergCertificate, int, Sequence[int]]:
+    """The blocks with the point X/K and each block's weights over K,
+    checked by _tverberg_holds on these integers and then built as
+    Fractions, with K and X."""
+    if not _tverberg_holds(blocks, K, X, weights, config):
+        raise RuntimeError("partition certificate failed verification")
+    point = tuple(Fraction(c, K) for c in X)
+    return TverbergCertificate(blocks, point, tuple(_fractions(w, K) for w in weights)), K, X
 
 
 def guaranteed_size(d: int, r: int) -> int:
@@ -581,16 +574,15 @@ def reduction_plan(r: int, d: int) -> ReductionPlan:
 
 def _lifted_partition_1d(lifted: PointConfig, R: int) -> Tuple[TverbergCertificate, int, Tuple[int]]:
     """An R-part Tverberg partition of a k-fold lift on a line, with no LP,
-    and the integer X over L of its point: the i-th smallest point paired
+    and the integers K and X of its point X/K: the i-th smallest point paired
     with the i-th largest for i < R, and the k in the middle (each block
     and the list sorted).  Over the lift's one scaling P/L, X, the largest
     block minimum, is the median; a block with least point a and greatest
     b writes X/L with (b - X)/(b - a) on a and (X - a)/(b - a) on b, or
-    all on a when a = b.  The certificate is checked here, by
-    _tverberg_holds on these integers over K = L S, S the lcm of the
-    nonzero spans b - a: the point X S and the weights (b - X) K/(b - a) and
-    (X - a) K/(b - a), or K; its Fractions are built from them after the
-    check."""
+    all on a when a = b.  _certified_partition checks and builds the
+    certificate over K = L S, S the lcm of the nonzero spans b - a: the
+    point X S and the weights (b - X) K/(b - a) and (X - a) K/(b - a), or
+    K."""
     L, P = lifted.scaled
     n, x = len(P), [p[0] for p in P]
     order = sorted(range(n), key=lambda i: (x[i], i))
@@ -605,9 +597,7 @@ def _lifted_partition_1d(lifted: PointConfig, R: int) -> Tuple[TverbergCertifica
         span = x[hi] - x[lo]
         w = {lo: K // span * (x[hi] - X), hi: K // span * (X - x[lo])} if span else {lo: K}
         weights.append([w.get(l, 0) for l in b])
-    if not _tverberg_holds(blocks, K, (X * S,), weights, lifted):
-        raise RuntimeError("partition certificate failed verification")
-    return TverbergCertificate(blocks, (Fraction(X, L),), tuple(_fractions(w, K) for w in weights)), L, (X,)
+    return _certified_partition(lifted, blocks, K, (X * S,), weights)
 
 
 def reduce_central_from_tverberg(config: PointConfig, r: int) -> DepthCertificate:

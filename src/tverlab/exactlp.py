@@ -26,10 +26,10 @@ integers, re-verified against the integer rows before it is returned:
 callers, `strict_separator` and `common_point_with_weights`, and by
 `LinearSystem.constraints`, a view that only the benchmark's tracer
 (`perfbench/tracer.py`) reads.  `common_point_with_weights` reads its
-blocks and hands them to its integer core, `_common_point`, which
-returns the LP's witness, or the functionals that separate the hulls;
-the partition search calls the core directly, checks its certificate on
-those integers and keeps the separators as a cut.
+blocks and hands them to its integer core, `_common_point`, the one
+reader of the LP's variable layout: it returns the common point and each
+block's weights in integers, or the functionals that separate the hulls;
+the partition search calls it directly and keeps the separators as a cut.
 Problem sizes here are tiny (tens of variables), which is the regime
 where exact tableau simplex is perfectly practical.
 """
@@ -40,7 +40,7 @@ import itertools
 import operator
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Iterable, NamedTuple, Optional, Sequence, Tuple, Union
+from typing import Iterable, NamedTuple, Optional, Sequence, Tuple
 
 from .rationals import Point, bareiss_eliminate, bareiss_pivot, read_scaled
 
@@ -252,8 +252,7 @@ def common_point_with_weights(blocks: Sequence[Sequence[Sequence]]):
 
     Each block is read with read_scaled, so a block read already is used
     as it is, and the blocks are brought to one denominator L; the integer
-    core `_common_point` solves them.  With its witness X/D, the point is
-    sum X_v P_v / (D L) over the first block and the weights are X_v / D."""
+    core `_common_point` solves them."""
     read = [read_scaled(b) for b in blocks]
     if not read or not all(rows for _, rows in read):
         raise ValueError("need at least one block, each of at least one point")
@@ -262,29 +261,28 @@ def common_point_with_weights(blocks: Sequence[Sequence[Sequence]]):
         raise ValueError("point dimension mismatch")
     L = lcm(*(s for s, _ in read))
     pts = [rows if s == L else [tuple(c * (L // s) for c in q) for q in rows] for s, rows in read]
-    X, D = _common_point(L, pts)
-    if X is None:
+    found = _common_point(L, pts)
+    if found[0] is None:
         return None
-    offsets = list(itertools.accumulate(map(len, pts), initial=0))
-    point = tuple(Fraction(sum(map(operator.mul, X, c)), D * L) for c in zip(*pts[0]))
-    return point, tuple(_fractions(X[a:b], D) for a, b in zip(offsets, offsets[1:]))
+    K, X, weights = found
+    return tuple(Fraction(c, K) for c in X), tuple(_fractions(w, K) for w in weights)
 
 
 def _common_point(
     L: int, pts: Sequence[Sequence[Tuple[int, ...]]]
-) -> Tuple[Optional[Tuple[int, ...]], Union[int, Tuple[Tuple[int, ...], ...]]]:
-    """The LP witness (X, D) of a common point of the hulls of integer point
+) -> Tuple[Optional[int], ...]:
+    """(K, X, weights): a common point X/K of the hulls of integer point
     blocks over one denominator L (at least one block, each of at least one
-    point, all of one dimension), or (None, separators) when they share no
-    point.
+    point, all of one dimension) and per block the convex weights over K
+    writing it; or (None, separators) when the blocks share no point.
 
     The variables are the weights lambda >= 0 of all blocks, in block
     order: one sum row per block, then per later block B and coordinate i
     the coupling row  sum_{v in first block} lambda_v v[i] - sum_{v in B}
     lambda_v v[i] == 0.  A coupling row is R/L for the integer points, and
     with g = gcd(L, R) its own lcm scaling is (L/g, R/g), so no Fraction
-    row is built.  The weights are X/D, and the common point
-    sum X_v P_v / (D L) over the first block.
+    row is built.  With the LP's witness W over D, K = D L, the weights
+    are L W_v and X = sum W_v P_v over the first block.
 
     The separators prove that the hulls share no point: integer
     functionals u_1..u_r on R^d, one per block, with sum_j u_j = 0 and
@@ -317,7 +315,10 @@ def _common_point(
         nu = [N * row[0] for N, row in zip(out.farkas, scaled)]
         later = [tuple(-c for c in nu[k:k + d]) for k in range(len(pts), len(nu), d)]
         return None, (tuple(-sum(c) for c in zip(*later)), *later)
-    return out.witness, out.denominator
+    W = out.witness
+    X = tuple(sum(map(operator.mul, W, c)) for c in zip(*first))
+    weights = tuple(tuple(L * w for w in W[a:a + size]) for size, a in zip(sizes, offsets))
+    return out.denominator * L, X, weights
 
 
 def strict_separator(points: Sequence[Sequence], x: Sequence):

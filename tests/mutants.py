@@ -46,6 +46,7 @@ AFFINE = "tests/test_depth.py::test_the_affine_dependency_matches_the_homogeneou
 RADON_HALFSPACE = "tests/test_depth.py::test_the_radon_halfspace_holds_the_point_and_two_points"
 RADON_ONCE = "tests/test_depth.py::test_each_partition_runs_the_radon_step_once"
 R3_INTEGERS = "tests/test_depth.py::test_r3_certificates_are_checked_on_the_integers_that_made_them"
+EARLY_STOP = "tests/test_depth.py::test_the_bounded_depth_search_makes_few_recursion_calls"
 HIND = ("tests/test_z2.py::test_long_chains_and_many_components",
         "tests/test_z2.py::test_index_of_drawn_unions_matches_both_oracles")
 
@@ -92,18 +93,19 @@ MUTANTS = (
            "found = _radon_partition(config) if r == 2 else None", "found = None",
            ("tests/test_depth.py::test_radon_partitions_at_d_plus_2_points_solve_no_lp",)),
     Mutant("kappa dropped from the Radon answer", "src/tverlab/depth.py",
-           "return cert, K, X, kappa", "return cert, K, X, None", (RADON_ONCE,)),
+           "X, weights), kappa)", "X, weights), None)", (RADON_ONCE,)),
     # rationals.bareiss_eliminate's pivot search
     Mutant("a row holding a pivot chosen again", "src/tverlab/rationals.py",
            "                free.remove(i)\n", "",
            ("tests/test_rationals.py::test_bareiss_pivot_is_gauss_jordan_over_its_denominator", AFFINE)),
-    # depth: the r >= 3 certificates checked on their own integers, the
-    # range screen's one-block case and reduce's k = 1 route
-    Mutant("no r >= 3 integer check", "src/tverlab/depth.py",
-           "if not _tverberg_holds(blocks, K, X, [[L * w for w in ws] for ws in parts], config):",
-           "if False:", (R3_INTEGERS,)),
-    Mutant("no integer check of the pairing", "src/tverlab/depth.py",
-           "if not _tverberg_holds(blocks, K, (X * S,), weights, lifted):", "if False:", (R3_INTEGERS,)),
+    # depth: each certificate kind's one constructor, which checks the
+    # producer's own integers, the range screen's one-block case, reduce's
+    # k = 1 route and the depth search's early stop
+    Mutant("no integer check in the partition constructor", "src/tverlab/depth.py",
+           "if not _tverberg_holds(blocks, K, X, weights, config):", "if False:", (R2_INTEGERS, R3_INTEGERS)),
+    Mutant("no integer check in the depth constructor", "src/tverlab/depth.py",
+           "if not _depth_holds(K, [q * c for c in X], [E * c for c in U], a0, depth, config):", "if False:",
+           ("tests/test_cli.py::test_internal_errors_exit_three",)),
     Mutant("a zero span in the pairing's lcm", "src/tverlab/depth.py",
            "for lo, hi in ends if x[hi] != x[lo])", "for lo, hi in ends)",
            ("tests/test_depth.py::test_reduce_rejects_a_partition_with_too_few_blocks",
@@ -118,6 +120,8 @@ MUTANTS = (
            "    if d == 1:\n        found = _lifted_partition_1d(",
            "    if plan.k > 1:\n        found = _lifted_partition_1d(",
            ("tests/test_depth.py::test_reduce_on_a_line_solves_no_lp",)),
+    Mutant("the early stop only below the bound", "src/tverlab/depth.py",
+           "if count <= stop:", "if count < stop:", (EARLY_STOP,)),
     # exactlp: the Farkas multipliers recovered from the final basis
     Mutant("no sigma in the Farkas recovery", "src/tverlab/exactlp.py",
            "N = tuple(s * v for s, v in zip(sigma, q))", "N = tuple(q)",

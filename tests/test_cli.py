@@ -760,6 +760,25 @@ def test_internal_errors_exit_three(monkeypatch, capsys):
     assert "Traceback" not in capsys.readouterr().err
 
 
+def test_an_internal_error_that_cannot_be_written_is_a_usage_error(monkeypatch, tmp_path, capsys):
+    """The record of an internal error goes to --output like any other, so
+    a missing directory exits 2 there too, with nothing on stdout."""
+    monkeypatch.setattr("tverlab.depth._depth_holds", lambda *args: False)
+    with pytest.raises(SystemExit) as e:
+        main(["centerpoint", "--d", "1", "--r", "2", "--output", str(tmp_path / "no" / "x.json")])
+    captured = capsys.readouterr()
+    assert e.value.code == 2 and captured.out == ""
+    assert "error: centerpoint: [Errno " in captured.err and "No such file" in captured.err
+
+
+def test_the_package_resolves_its_modules_and_lists_its_exports():
+    """A bare `import tverlab` reaches a module by attribute, through the
+    package's __getattr__ until the import binds it, and dir() lists every
+    export."""
+    assert tverlab.__getattr__("depth") is tverlab.depth
+    assert set(tverlab.__all__) <= set(dir(tverlab))
+
+
 def test_a_falsified_claim_exits_one_with_its_record(monkeypatch, tmp_path, capsys):
     """Exit 1 exactly when a record says "ok": false: each subcommand's
     claim, falsified by a patched layer, is printed as its record, and

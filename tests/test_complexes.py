@@ -58,6 +58,11 @@ def test_simplex_canonicalization():
         simplex(["a"])
 
 
+def test_a_complex_needs_a_simplex():
+    with pytest.raises(ValueError, match="a complex needs at least one simplex"):
+        SimplicialComplex([])
+
+
 def test_dominated_facets_removed():
     K = SimplicialComplex([[0, 1], [0], [1, 2], [2]])
     assert K.facets == frozenset({(0, 1), (1, 2)})

@@ -22,7 +22,13 @@ from tverlab import (
 )
 from tverlab.cli import main
 from tverlab.complexes import simplex
-from tverlab.conemap import IsolationFailure, _build_map, count_disjoint_tuples, enumerate_disjoint_tuples
+from tverlab.conemap import (
+    IsolationFailure,
+    _build_map,
+    count_disjoint_tuples,
+    enumerate_disjoint_tuples,
+    isolation_rows,
+)
 from tverlab.exactlp import common_point_with_weights
 from tverlab.rationals import Point
 
@@ -244,6 +250,15 @@ def test_isolation_failure_on_sabotaged_map():
     spec.images[(2,)] = spec.center
     with pytest.raises(IsolationFailure):
         verify_isolation(spec)
+
+
+def test_a_tuple_with_no_small_face_is_an_isolation_failure():
+    """At d = 0 no face has dimension <= d - 1, so the first tuple already
+    breaks the counting bound, and the failure names it."""
+    spec = build_counterexample(1, 2)._replace(d=0)
+    with pytest.raises(IsolationFailure, match=r"^tuple \(\(0,\), \(1,\)\) has no face of dimension <= -1; "
+                                               "the counting bound is violated$"):
+        next(isolation_rows(spec))
 
 
 def test_probe_finds_first_canonical_witness(capsys):

@@ -30,10 +30,10 @@ from tverlab import (
     lp_feasible,
     min_cover_barycentric,
 )
-from tverlab.cli import main
+from tverlab.cli import _random_facet_touching, main
 from tverlab.cover import UnboundedBodyError
 from tverlab.exactlp import OPTIMAL
-from tverlab.rationals import read_scaled
+from tverlab.rationals import Scaled, read_scaled
 
 from oracles import (
     barycentric_to_centered,
@@ -165,6 +165,45 @@ def test_touches_all_facets_rejects_mixed_widths():
         tverlab.cover.touches_all_facets([(F(1, 2), F(1, 2)), (F(0), F(1), F(0))])
     with pytest.raises(ValueError, match="need at least one point"):
         tverlab.cover.touches_all_facets([])
+
+
+def test_cover_follows_a_permutation_of_the_coordinates():
+    """Relabelling the simplex's vertices moves coordinate i of every point
+    to sigma(i): delta and touches_all_facets stay, the full lower-bound
+    vector (the translate extended by -sum t, its last coordinate)
+    permutes by sigma, and each tight pair (p, i) becomes (p, sigma(i)).
+    The sets, at n = 2..4, are the cover subcommand's seeded draws, which
+    touch every facet, and random sets, which here touch none; sigma comes
+    from a second seed."""
+    sets, perms = SplitMix64(19), SplitMix64(91)
+    touching = []
+    for n in (2, 3, 4):
+        for i in range(8):
+            if i % 2:
+                L, rows = _random_facet_touching(n, sets)
+            else:
+                L, rows = read_scaled([random_barycentric(sets, n) for _ in range(sets.int_between(1, 5))])
+            order = list(range(n + 1))
+            for j in range(n, 0, -1):  # Fisher-Yates: new coordinate j is old coordinate order[j]
+                k = perms.below(j + 1)
+                order[j], order[k] = order[k], order[j]
+            sigma = [order.index(c) for c in range(n + 1)]
+            given, permuted = Scaled(L, rows), Scaled(L, [tuple(p[c] for c in order) for p in rows])
+            cert, moved = min_cover_barycentric(given), min_cover_barycentric(permuted)
+            assert moved.delta == cert.delta
+            touching.append(tverlab.cover.touches_all_facets(given))
+            assert tverlab.cover.touches_all_facets(permuted) == touching[-1]
+            full = (*cert.translate, -sum(cert.translate))
+            assert (*moved.translate, -sum(moved.translate)) == tuple(full[c] for c in order)
+            assert set(moved.tight) == {(p, sigma[c]) for p, c in cert.tight}
+    assert set(touching) == {False, True}
+
+
+def test_empty_sets_and_densities_are_refused():
+    with pytest.raises(ValueError, match="need at least one point to cover"):
+        min_cover_barycentric([])
+    with pytest.raises(ValueError, match="density must be positive"):
+        fiber_width_demo(1, coordinate_projection_map, 0)
 
 
 def test_body_validation():

@@ -417,12 +417,12 @@ def test_reduce_rejects_a_partition_with_too_few_blocks(monkeypatch):
     real = depth_module._lifted_partition_1d
 
     def merged(lifted, R):
-        cert, L, X = real(lifted, R)
+        cert, K, X = real(lifted, R)
         (first, second, *blocks), (u, v, *weights) = cert.blocks, cert.weights
         halved = tuple(w / 2 for w in u + v)
         cert = TverbergCertificate((first + second, *blocks), cert.point, (halved, *weights))
         assert check_tverberg_certificate(cert, lifted)
-        return cert, L, X
+        return cert, K, X
 
     monkeypatch.setattr("tverlab.depth._lifted_partition_1d", merged)
     config = PointConfig(1, [[i] for i in range(7)])
@@ -463,9 +463,9 @@ def test_the_lifted_pairing_certificate_is_the_lps(case):
     is the one the LP finds on the same blocks: on a line only the median
     lies in every block's hull."""
     lifted, R = case
-    cert, L, (X,) = depth_module._lifted_partition_1d(lifted, R)
+    cert, K, (X,) = depth_module._lifted_partition_1d(lifted, R)
     assert len(cert.blocks) == R and check_tverberg_certificate(cert, lifted)
-    assert cert.point == (F(X, L),)
+    assert cert.point == (F(X, K),)
     assert all(list(b) == sorted(b) for b in cert.blocks) and list(cert.blocks) == sorted(cert.blocks)
     L, P = lifted.scaled
     point, _ = common_point_with_weights([Scaled(L, [P[l] for l in b]) for b in cert.blocks])
@@ -1007,8 +1007,13 @@ def test_a_depth_below_the_lower_bound_is_an_internal_error(monkeypatch, capsys,
 
 
 def test_the_bounded_depth_search_makes_few_recursion_calls(monkeypatch):
-    """(4,3) seed 1: the exhaustive recursion makes 1784 calls at the common
-    point, the one stopped at depth 3 makes 5."""
+    """centerpoint's depth search, stopped at the blocks' bound r = 3,
+    against the full tukey_depth scan of the same point, in recursion
+    calls: at (4,3) seed 1, 5 against 1784; on (1,3), (2,3) and (3,3) sets
+    drawn in turn from seed 5, 2, 3 and 4 against 2, 11 and 115.  The
+    search stops at a halfspace holding exactly r points; one that stopped
+    only below the bound would return the same certificate after the full
+    scan's work."""
     calls = []
     recursion = depth_module._fewest_on_open_side
 
@@ -1017,12 +1022,18 @@ def test_the_bounded_depth_search_makes_few_recursion_calls(monkeypatch):
         return recursion(*args)
 
     monkeypatch.setattr("tverlab.depth._fewest_on_open_side", counted)
-    config = random_point_config(4, guaranteed_size(4, 3), SplitMix64(1))
-    cert = centerpoint(config, 3)
-    assert len(calls) == 5
-    calls.clear()
-    assert tukey_depth(cert.point, config) == cert
-    assert len(calls) == 1784
+    rng = SplitMix64(5)
+    configs = [random_point_config(4, guaranteed_size(4, 3), SplitMix64(1)),
+               *(random_point_config(d, guaranteed_size(d, 3), rng) for d in (1, 2, 3))]
+    stopped, full = [], []
+    for config in configs:
+        calls.clear()
+        cert = centerpoint(config, 3)
+        stopped.append(len(calls))
+        calls.clear()
+        assert tukey_depth(cert.point, config) == cert
+        full.append(len(calls))
+    assert (stopped, full) == ([5, 2, 3, 4], [1784, 2, 11, 115])
 
 
 def seeded_partition_configs():

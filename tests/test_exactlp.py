@@ -753,6 +753,28 @@ def test_degenerate_cycling_guard():
     assert out.status == OPTIMAL and fraction_witness(out)[:2] == (F(1), F(1))
 
 
+def test_point_sets_without_points_or_of_mixed_dimension_are_refused():
+    with pytest.raises(ValueError, match="need at least one point"):
+        strict_separator([], (F(0),))
+    with pytest.raises(ValueError, match="point dimension mismatch"):
+        strict_separator([(F(0),), (F(1),)], (F(0), F(0)))
+    for blocks in ([], [[]]):
+        with pytest.raises(ValueError, match="need at least one block, each of at least one point"):
+            common_point_with_weights(blocks)
+    with pytest.raises(ValueError, match="point dimension mismatch"):
+        common_point_with_weights([[(0,)], [(0, 1)]])
+
+
+def test_certificates_of_the_wrong_length_are_refused():
+    """x1 + x2 == 1 has the witness (1, 0) over 1 and x1 + x2 == -1 the
+    Farkas multiplier (1,); with one entry too many neither passes.  A
+    system's repr gives its size."""
+    feasible, infeasible = LinearSystem(2, [(1, (1, 1), 1)]), LinearSystem(2, [(1, (1, 1), -1)])
+    assert check_witness(feasible, 1, (1, 0)) and not check_witness(feasible, 1, (1, 0, 0))
+    assert check_farkas(infeasible, (1,)) and not check_farkas(infeasible, (1, 0))
+    assert repr(feasible) == "LinearSystem(n_vars=2, m=1)"
+
+
 def test_exact_rational_pivoting():
     # tiny coefficients that float arithmetic would mangle; x == a is forced
     a = F(1, 10**12)
@@ -764,6 +786,8 @@ def test_exact_rational_pivoting():
 def test_malformed_systems_rejected():
     """A row is integers (L, A, B) with L > 0 and one coefficient per
     variable."""
+    with pytest.raises(ValueError, match="n_vars must be nonnegative"):
+        LinearSystem(-1, [])
     with pytest.raises(ValueError):
         LinearSystem(2, [(1, (1,), 0)])
     for row in [

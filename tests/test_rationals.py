@@ -127,15 +127,16 @@ def lowest_digit_limit():
 @example([["6/4", "1/2,3/4"], ["-1/3", "2/6"]])
 @example([["6/4", "1/0"], ["-1/3", "2/6"]])
 @example([["6/4", f"{'7' * (UNCHECKED + 1)}/3"], ["-1/3", "2/6"]])
+@example([["6/4", "1/2"], ("-1/3", "2/6")])
 @settings(derandomize=True, database=None, deadline=None, max_examples=300)
 @given(row_sets(st.one_of(canonical, canonical, reducible, signs_and_zeros), defects))
 def test_p_q_rows_read_in_one_pass_as_rat_reads_them(rows):
     """Rows of "p/q" strings, reducible ones and ones with a sign or
     leading zeros among them: read in one pass they give what rat gives,
     and a zero denominator, a space, a point, "_", a non-ASCII digit, a
-    string holding "," or a second "/", or one near int's digit limit
-    sends them to the scalar-by-scalar read, which raises what rat
-    raises."""
+    string holding "," or a second "/", one near int's digit limit, or a
+    row that is not a list sends them to the scalar-by-scalar read, which
+    raises what rat raises."""
     with lowest_digit_limit():
         assert outcome(lambda: read_scaled(rows)) == outcome(lambda: read_by_rat(rows))
 

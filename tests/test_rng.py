@@ -33,6 +33,8 @@ def test_below_and_between_ranges():
         assert -3 <= v <= 3
     with pytest.raises(ValueError):
         rng.below(0)
+    with pytest.raises(ValueError, match="empty range"):
+        SplitMix64(0).int_between(2, 1)
 
 
 def test_fraction_and_point_bounds():

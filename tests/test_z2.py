@@ -256,6 +256,13 @@ def chain_count(K, length):
     return sum(ending[f][length] for f in face_list)
 
 
+def test_empty_unions_and_negative_spheres_are_refused():
+    with pytest.raises(ValueError, match="need at least one part"):
+        z2_disjoint_union()
+    with pytest.raises(ValueError, match="sphere dimension must be nonnegative"):
+        cross_polytope_sphere(-1)
+
+
 def test_cross_polytope_structure():
     for m in range(4):
         X = cross_polytope_sphere(m)
