@@ -47,7 +47,6 @@ _EXPORTS = {
     "exactlp": (
         "LinearSystem",
         "LPOutcome",
-        "common_point_with_weights",
         "lp_feasible",
         "strict_separator",
     ),

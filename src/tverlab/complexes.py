@@ -3,9 +3,9 @@
 Simplices are sorted tuples of integer vertex ids.  A complex is given by
 simplices that generate it and keeps them as given, as tuples; their
 canonical form (`simplex` of each, which checks them), its maximal ones
-(facets), its vertices and its dimension are found once, when one of them
-is first read.  So a caller that reads only the given simplices (the Z2
-index, which checks them on its own bitmasks) sorts no tuple.  The module
+(facets) and its vertices are found once, when one of them is first
+read.  So a caller that reads only the given simplices (the Z2 index,
+which checks them on its own bitmasks) sorts no tuple.  The module
 holds no geometry and no arithmetic: it imports neither `fractions` nor
 `tverlab.rationals`.
 """
@@ -39,8 +39,8 @@ class SimplicialComplex:
     It keeps the given simplices, each as a tuple of its ids in the given
     order, as `given`.  Their canonical form `simplices` (which raises on
     the first given simplex that `simplex` rejects), its maximal ones
-    (`facets`), its sorted `vertices` and `dim` (that of the longest given
-    simplex) are found on first use.  Complexes compare by identity."""
+    (`facets`) and its sorted `vertices` are found on first use.
+    Complexes compare by identity."""
 
     def __init__(self, facets: Iterable[Iterable[int]]):
         facets = list(facets)
@@ -69,7 +69,3 @@ class SimplicialComplex:
     @functools.cached_property
     def vertices(self) -> Tuple[int, ...]:
         return tuple(sorted(set().union(*self.simplices)))
-
-    @property
-    def dim(self) -> int:
-        return max(map(len, self.simplices)) - 1

@@ -312,7 +312,7 @@ def tverberg_partition(config: PointConfig, r: int) -> Optional[TverbergCertific
     integers.  Each failed LP leaves a cut: functionals u_j with sum 0,
     kept as the integer table T[j][v] = u_j.P_v, and a later candidate
     whose block minima of T sum to a positive number has no common point
-    (see common_point_with_weights).  The cuts are tried most recently hit
+    (see exactlp._common_point).  The cuts are tried most recently hit
     first.  Returns None when no partition works (possible below the
     guaranteed size).  The certificate is _partition's."""
     found = _partition(config, r)

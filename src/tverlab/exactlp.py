@@ -22,14 +22,14 @@ integers, re-verified against the integer rows before it is returned:
                    the rows (A_i, B_i) to  c . x == t  with every
                    c_j >= 0 and t < 0, which no x >= 0 satisfies.
 
-`Fraction`s are built only by the two functions that hand values to
-callers, `strict_separator` and `common_point_with_weights`, and by
-`LinearSystem.constraints`, a view that only the benchmark's tracer
-(`perfbench/tracer.py`) reads.  `common_point_with_weights` reads its
-blocks and hands them to its integer core, `_common_point`, the one
-reader of the LP's variable layout: it returns the common point and each
-block's weights in integers, or the functionals that separate the hulls;
-the partition search calls it directly and keeps the separators as a cut.
+`Fraction`s are built only by `strict_separator`, which hands values to
+callers, by `_fractions`, which `depth` calls for a certificate's
+weights, and by `LinearSystem.constraints`, a view that only the
+benchmark's tracer (`perfbench/tracer.py`) reads.
+`_common_point` is the one reader of the LP's variable layout: it returns
+the common point of integer point blocks and each block's weights in
+integers, or the functionals that separate the hulls, which the partition
+search keeps as a cut.
 Problem sizes here are tiny (tens of variables), which is the regime
 where exact tableau simplex is perfectly practical.
 """
@@ -244,28 +244,6 @@ def _hull_membership(p: Sequence, points: Sequence[Sequence]) -> Tuple[LinearSys
         rows.append((L // g, tuple(c // g for c in coeffs), x // g))
     system = LinearSystem(len(P), rows)
     return system, lp_feasible(system)
-
-
-def common_point_with_weights(blocks: Sequence[Sequence[Sequence]]):
-    """A common point of the hulls of the point blocks, with exact convex
-    weights per block writing it, as (point, weights); or None.
-
-    Each block is read with read_scaled, so a block read already is used
-    as it is, and the blocks are brought to one denominator L; the integer
-    core `_common_point` solves them."""
-    read = [read_scaled(b) for b in blocks]
-    if not read or not all(rows for _, rows in read):
-        raise ValueError("need at least one block, each of at least one point")
-    d = len(read[0].rows[0])
-    if any(len(q) != d for _, rows in read for q in rows):
-        raise ValueError("point dimension mismatch")
-    L = lcm(*(s for s, _ in read))
-    pts = [rows if s == L else [tuple(c * (L // s) for c in q) for q in rows] for s, rows in read]
-    found = _common_point(L, pts)
-    if found[0] is None:
-        return None
-    K, X, weights = found
-    return tuple(Fraction(c, K) for c in X), tuple(_fractions(w, K) for w in weights)
 
 
 def _common_point(

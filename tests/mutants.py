@@ -7,15 +7,21 @@ of a source file and the tests expected to kill it (fail on it).
 `src/`, `tests/` and `pyproject.toml` are copied to a temporary directory
 once.  Each mutant's edit is made there (its old text must occur exactly
 once), only its tests are run, with pytest's -x, and the file is put back.
-A mutant is killed when pytest exits 1, some test having failed.  One line
-is printed per mutant; the exit code is 1 if any mutant survived or could
-not be applied.  pytest does not collect this file (it is no test_*.py),
-so the tier-1 run does not pay for it.
+A mutant is killed when pytest exits 1, some test having failed.  Each
+run gets CAP_S seconds of wall time: pytest runs in a session of its own,
+and when the cap expires its whole process group is killed and the
+mutant is reported TIMED OUT, which counts as not killed, so a mutant
+whose tests hang neither hangs this runner nor leaves processes behind.
+One line is printed per mutant; the exit code is 1 if any mutant was not
+killed or could not be applied.  pytest does not collect this file (it
+is no test_*.py), so the tier-1 run does not pay for it.
 """
 from __future__ import annotations
 
+import contextlib
 import os
 import shutil
+import signal
 import subprocess
 import sys
 import tempfile
@@ -26,6 +32,7 @@ from typing import NamedTuple, Tuple
 ROOT = Path(__file__).resolve().parent.parent
 # the copy's src/ alone, through pyproject.toml's pythonpath; no .pyc left behind
 ENV = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"} | {"PYTHONDONTWRITEBYTECODE": "1"}
+CAP_S = 60  # wall time for one mutant's tests; every row is killed in well under it
 
 
 class Mutant(NamedTuple):
@@ -47,6 +54,7 @@ RADON_HALFSPACE = "tests/test_depth.py::test_the_radon_halfspace_holds_the_point
 RADON_ONCE = "tests/test_depth.py::test_each_partition_runs_the_radon_step_once"
 R3_INTEGERS = "tests/test_depth.py::test_r3_certificates_are_checked_on_the_integers_that_made_them"
 EARLY_STOP = "tests/test_depth.py::test_the_bounded_depth_search_makes_few_recursion_calls"
+AFFINE_MAP = "tests/test_depth.py::test_partitions_points_and_depths_follow_an_affine_map"
 HIND = ("tests/test_z2.py::test_long_chains_and_many_components",
         "tests/test_z2.py::test_index_of_drawn_unions_matches_both_oracles")
 
@@ -122,6 +130,20 @@ MUTANTS = (
            ("tests/test_depth.py::test_reduce_on_a_line_solves_no_lp",)),
     Mutant("the early stop only below the bound", "src/tverlab/depth.py",
            "if count <= stop:", "if count < stop:", (EARLY_STOP,)),
+    # depth: the two dispatches that send a small input down an exhaustive
+    # path, aimed at the CLI tests that fail them at once (tests/test_depth.py
+    # alone hangs on both)
+    Mutant("the Radon step at r != 2", "src/tverlab/depth.py",
+           "found = _radon_partition(config) if r == 2 else None",
+           "found = _radon_partition(config) if r != 2 else None",
+           ("tests/test_cli.py::test_inputs_below_the_guaranteed_size_falsify_nothing",)),
+    Mutant("the pairing off the line", "src/tverlab/depth.py",
+           "    if d == 1:\n", "    if d != 1:\n",
+           ("tests/test_cli.py::test_reduce_at_k_1_gives_the_centerpoint_records",)),
+    # depth: the recursion's tilt, wrong only past 12 vectors, which the
+    # affine relation's (5,3) example reaches with `lower` passed
+    Mutant("the tilt to the larger side past 12 vectors", "src/tverlab/depth.py",
+           "U[k] += e if pos <= neg else -e", "U[k] += e if (pos <= neg) != (len(W) > 12) else -e", (AFFINE_MAP,)),
     # exactlp: the Farkas multipliers recovered from the final basis
     Mutant("no sigma in the Farkas recovery", "src/tverlab/exactlp.py",
            "N = tuple(s * v for s, v in zip(sigma, q))", "N = tuple(q)",
@@ -160,24 +182,33 @@ MUTANTS = (
 
 
 def run(mutant: Mutant, copy: Path) -> str:
-    """'killed', 'SURVIVED' or what kept the mutant from being tested."""
+    """'killed', 'SURVIVED', 'TIMED OUT' or what kept the mutant from being
+    tested."""
     path = copy / mutant.file
     text = path.read_text()
     if text.count(mutant.old) != 1:
         return f"NOT APPLIED: its old text occurs {text.count(mutant.old)} times"
     path.write_text(text.replace(mutant.old, mutant.new))
     try:
-        proc = subprocess.run(
+        proc = subprocess.Popen(
             [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", *mutant.tests],
-            cwd=copy, capture_output=True, text=True, env=ENV,
+            cwd=copy, stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True, env=ENV,
+            start_new_session=True,
         )
+        try:
+            out, _ = proc.communicate(timeout=CAP_S)
+        except subprocess.TimeoutExpired:
+            with contextlib.suppress(ProcessLookupError):  # the group may have ended meanwhile
+                os.killpg(proc.pid, signal.SIGKILL)
+            proc.communicate()
+            return f"TIMED OUT after {CAP_S} s"
     finally:
         path.write_text(text)
     if proc.returncode == 1:
         return "killed"
     if proc.returncode == 0:
         return "SURVIVED"
-    return f"NOT RUN: pytest exited {proc.returncode}: {proc.stdout.strip()[-300:]}"
+    return f"NOT RUN: pytest exited {proc.returncode}: {out.strip()[-300:]}"
 
 
 def main(names) -> int:

@@ -1,10 +1,12 @@
 """Reference routines that the tests check tverlab against.
 
-None of them is run by the command line or the demos: the face listing of
-a simplicial complex, the solid simplex, its skeleta and its center,
+None of them is run by the command line or the demos: the dimension and
+the face listing of a simplicial complex, the solid simplex, its skeleta and its center,
 barycentric subdivision (of a complex and of a Z2 complex), convex-hull
 membership with its weights and the scan of it over every q-point subset
-that restates Tukey depth, the points' affine dependency from the
+that restates Tukey depth, the common point of several blocks' hulls with
+each block's weights as Fractions (`common_point_with_weights`, over the
+package's integer core `exactlp._common_point`), the points' affine dependency from the
 homogeneous (d+1)-row matrix with columns (P_v, 1), which the Radon
 step's elimination of differences is checked against, the partition
 search with an LP per candidate
@@ -53,7 +55,6 @@ from tverlab import (
     TverbergCertificate,
     Z2Complex,
     cli,
-    common_point_with_weights,
 )
 from tverlab import exactlp, z2
 from tverlab.complexes import Simplex, simplex
@@ -83,10 +84,15 @@ def _face_index(K: SimplicialComplex) -> Tuple[set, Dict[int, List[Simplex]]]:
     return face_set, faces_by_dim
 
 
+def dim(K: SimplicialComplex) -> int:
+    """The dimension of K, that of its longest simplex."""
+    return max(map(len, K.simplices)) - 1
+
+
 def faces(K: SimplicialComplex) -> List[Simplex]:
     """All nonempty faces, sorted by (dimension, lexicographic)."""
     by_dim = _face_index(K)[1]
-    return [s for k in range(K.dim + 1) for s in by_dim[k]]
+    return [s for k in range(dim(K) + 1) for s in by_dim[k]]
 
 
 def faces_of_dim(K: SimplicialComplex, k: int) -> List[Simplex]:
@@ -378,6 +384,29 @@ def in_convex_hull(p: Sequence, points: Sequence[Sequence]) -> Optional[Point]:
     is outside their hull."""
     _, out = exactlp._hull_membership(p, points)
     return None if out.witness is None else exactlp._fractions(out.witness, out.denominator)
+
+
+def common_point_with_weights(blocks: Sequence[Sequence[Sequence]]):
+    """A common point of the hulls of the point blocks, with exact convex
+    weights per block writing it, as (point, weights); or None.
+
+    Each block is read with read_scaled, so a block read already is used
+    as it is, and the blocks are brought to one denominator L; the
+    package's integer core `exactlp._common_point`, which the partition
+    search calls, solves them."""
+    read = [read_scaled(b) for b in blocks]
+    if not read or not all(rows for _, rows in read):
+        raise ValueError("need at least one block, each of at least one point")
+    d = len(read[0].rows[0])
+    if any(len(q) != d for _, rows in read for q in rows):
+        raise ValueError("point dimension mismatch")
+    L = lcm(*(s for s, _ in read))
+    pts = [rows if s == L else [tuple(c * (L // s) for c in q) for q in rows] for s, rows in read]
+    found = exactlp._common_point(L, pts)
+    if found[0] is None:
+        return None
+    K, X, weights = found
+    return tuple(Fraction(c, K) for c in X), tuple(exactlp._fractions(w, K) for w in weights)
 
 
 def subset(config: PointConfig, labels: Sequence[int]) -> List[Point]:

@@ -960,7 +960,7 @@ EXPORTED = """
     CoverCertificate DepthCertificate FixedSimplexError
     LPOutcome LinearSystem PointConfig ProbeResult SimplicialComplex
     SplitMix64 TverbergCertificate Z2Complex build_counterexample
-    centerpoint common_point_with_weights constant_map
+    centerpoint constant_map
     coordinate_projection_map cross_polytope_sphere disjoint_union_index
     facet_touching_check fiber_width_demo hind lp_feasible
     min_cover_barycentric probe_tverberg_plus_one
@@ -986,7 +986,7 @@ def test_every_exported_name_resolves():
     package imports no module until a name or module of it is used, and
     the CLI imports every layer (the benchmark's tracer wraps them all
     right after `import tverlab.cli`)."""
-    assert len(EXPORTED) == 31 and sorted(tverlab.__all__) == EXPORTED
+    assert len(EXPORTED) == 30 and sorted(tverlab.__all__) == EXPORTED
     modules = [getattr(tverlab, m) for m in (
         "complexes", "conemap", "cover", "depth", "exactlp", "rationals", "rng", "z2"
     )]

@@ -14,6 +14,7 @@ from tverlab.complexes import simplex
 from oracles import (
     barycentric_subdivision,
     connected_components,
+    dim,
     euler_characteristic,
     faces,
     faces_of_dim,
@@ -67,7 +68,7 @@ def test_dominated_facets_removed():
     K = SimplicialComplex([[0, 1], [0], [1, 2], [2]])
     assert K.facets == frozenset({(0, 1), (1, 2)})
     assert K.vertices == (0, 1, 2)
-    assert K.dim == 1
+    assert dim(K) == 1
     # dominated two and three dimensions down, and listed out of order
     K = SimplicialComplex([[2], [0, 1], [3, 2, 1, 0]])
     assert K.facets == frozenset({(0, 1, 2, 3)})
@@ -111,7 +112,7 @@ def test_full_simplex_face_counts():
 def test_skeleton():
     K = full_simplex(3)
     sk = skeleton(K, 1)
-    assert sk.dim == 1
+    assert dim(sk) == 1
     assert len(faces_of_dim(sk, 1)) == 6
     # graph K4: chi = 4 - 6
     assert euler_characteristic(sk) == -2
@@ -139,7 +140,7 @@ def test_subdivision_counts_match_chain_oracle():
     for _ in range(25):
         K = random_complex(rng)
         sd = barycentric_subdivision(K).complex
-        for k in range(K.dim + 1):
+        for k in range(dim(K) + 1):
             assert len(faces_of_dim(sd, k)) == count_chains(K, k + 1)
         assert euler_characteristic(sd) == euler_characteristic(K)
         assert connected_components(sd) == connected_components(K)

@@ -29,12 +29,12 @@ from tverlab.conemap import (
     enumerate_disjoint_tuples,
     isolation_rows,
 )
-from tverlab.exactlp import common_point_with_weights
 from tverlab.rationals import Point
 
 from oracles import (
     BarycentricComplex,
     barycentric_subdivision,
+    common_point_with_weights,
     faces,
     full_simplex,
     grid_points_in_simplex,

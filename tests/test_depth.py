@@ -28,7 +28,7 @@ from tverlab import (
 from tverlab.depth import (
     check_depth_certificate, check_tverberg_certificate, guaranteed_size,
 )
-from tverlab.exactlp import check_farkas, common_point_with_weights
+from tverlab.exactlp import check_farkas
 from tverlab.rationals import Scaled, bareiss_eliminate, read_scaled
 
 from oracles import (
@@ -37,6 +37,7 @@ from oracles import (
     canonical_partitions,
     check_depth_certificate_read_per_row,
     check_tverberg_certificate_read_per_row,
+    common_point_with_weights,
     cut_free_tverberg_partition,
     fraction_partition_system,
     hull_membership_depth,
@@ -870,6 +871,7 @@ def affine_cases(draw):
 @example((16, 2, 16, 1))
 @example((2, 3, 5, 7))
 @example((1, 4, 3, 11))
+@example((5, 3, 13, 113))  # d >= 5, r >= 3: the depth recursion with `lower`, past the oracles' reach
 def test_partitions_points_and_depths_follow_an_affine_map(case):
     """Hull intersection and Tukey depth are affine-invariant, while the
     search's screens and the depth recursion's path are not: under an

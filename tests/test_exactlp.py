@@ -18,7 +18,6 @@ import tverlab.exactlp
 from tverlab import (
     LinearSystem,
     SplitMix64,
-    common_point_with_weights,
     lp_feasible,
     random_point_config,
     reduce_central_from_tverberg,
@@ -33,6 +32,7 @@ from tverlab.rationals import Scaled
 from oracles import (
     EQ,
     LE,
+    common_point_with_weights,
     eq,
     fraction_multipliers,
     fraction_partition_system,

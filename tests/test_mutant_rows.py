@@ -21,3 +21,10 @@ def test_every_mutant_row_names_text_and_tests_that_exist():
             if not re.search(rf"^def {re.escape(name)}\(", (mutants.ROOT / path).read_text(), re.M):
                 stale.append(f"{mutant.name}: no def {name} in {path}")
     assert stale == []
+
+
+def test_mutant_names_are_unique():
+    """`python tests/mutants.py NAME` selects rows by name, so no two rows
+    share one."""
+    names = [mutant.name for mutant in mutants.MUTANTS]
+    assert sorted(name for name in set(names) if names.count(name) > 1) == []

@@ -39,6 +39,7 @@ from oracles import (
     barycentric_subdivision,
     canonical_z2_complex,
     connected_components,
+    dim,
     euler_characteristic,
     faces,
     faces_of_dim,
@@ -136,7 +137,7 @@ def quotient(X: Z2Complex) -> QuotientData:
 
 def _check_double_cover(q: QuotientData) -> None:
     """Every quotient simplex must have exactly two (swapped) lifts."""
-    for k in range(q.complex.dim + 1):
+    for k in range(dim(q.complex) + 1):
         up = len(faces_of_dim(q.cover, k))
         down = len(faces_of_dim(q.complex, k))
         if up != 2 * down:
@@ -233,7 +234,7 @@ def hind_by_cup_powers(X: Z2Complex) -> int:
     q = quotient(X)
     w = characteristic_cocycle(q)
     best = 0
-    for n in range(1, X.complex.dim + 1):
+    for n in range(1, dim(X.complex) + 1):
         wn = cup_power(w, n, q)
         if wn.support and not is_coboundary(wn, q):
             best = n
@@ -330,7 +331,7 @@ def test_quotient_sizes_are_half_the_subdivided_cover():
     for m in (1, 2):
         X = cross_polytope_sphere(m)
         q = quotient(X)
-        for k in range(X.complex.dim + 1):
+        for k in range(dim(X.complex) + 1):
             assert 2 * len(faces_of_dim(q.complex, k)) == chain_count(
                 X.complex, k + 1
             )
@@ -338,7 +339,7 @@ def test_quotient_sizes_are_half_the_subdivided_cover():
 
 def test_circle_and_projective_plane_quotients():
     q1 = quotient(cross_polytope_sphere(1))
-    assert q1.complex.dim == 1
+    assert dim(q1.complex) == 1
     assert euler_characteristic(q1.complex) == 0
     assert connected_components(q1.complex) == 1
 
@@ -676,7 +677,7 @@ def test_index_matches_cup_powers_on_seeded_subcomplexes():
         X = random_invariant_subcomplex(rng)
         index = hind(X)
         assert index == hind_by_cup_powers(X) == hind_by_yang_chains(X)
-        seen.add((X.complex.dim, index))
+        seen.add((dim(X.complex), index))
     assert {index for _, index in seen} >= {0, 1, 2}
 
 
@@ -692,8 +693,8 @@ def test_union_index_is_the_max_over_its_parts():
         oracle = [hind_by_cup_powers(p) for p in parts]
         union = relabelled(z2_disjoint_union(*parts), rng)
         assert hind_by_yang_chains(union) == max(oracle)
-        high, low = sorted(range(2), key=lambda i: -parts[i].complex.dim)
-        lower_could_raise += oracle[high] < parts[low].complex.dim
+        high, low = sorted(range(2), key=lambda i: -dim(parts[i].complex))
+        lower_could_raise += oracle[high] < dim(parts[low].complex)
         assert hind(union) == max(oracle)
     assert lower_could_raise >= 3
 
