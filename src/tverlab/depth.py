@@ -7,7 +7,8 @@ except that two blocks are read off the points' affine dependency when it
 is unique up to scale (Radon's theorem: d + 2 points in general position,
 no LP), found by one elimination of the differences P_k - P_0, and the
 reduction to a prime number of parts duplicates each point k times and
-partitions the lifted cloud, on a line in closed form (no LP).  A
+partitions the lifted cloud, on a line in closed form (no LP); off the
+line only a prime r (k = 1) runs, and a composite r is refused up front.  A
 centerpoint's depth >= r is certified from both sides: the blocks give the
 lower bound, the depth halfspace the upper bound.  Where the Radon step
 answers, the depth is exactly 2, and its halfspace, through the Radon
@@ -32,9 +33,9 @@ the depth search behind a partition starts from the integers of the
 partition's point, so no Fraction of a weight or a point is read back.
 Every partition comes from one producer, `_partition`, which returns the
 certificate with those integers and the dependency the Radon step read it
-off; centerpoint, the tverberg command and the reduction in d >= 2 take
-it through `_partition_and_depth`, on the k-fold lift (`_lift`, the
-configuration itself at k = 1).
+off; centerpoint, the tverberg command and the reduction in d >= 2 (r
+prime, so k = 1) take it through `_partition_and_depth`, on the
+configuration they are given.
 """
 from __future__ import annotations
 
@@ -501,49 +502,21 @@ def centerpoint(config: PointConfig, r: int) -> Optional[DepthCertificate]:
     return _partition_and_depth(config, r)[1]
 
 
-def _lift(config: PointConfig, k: int) -> PointConfig:
-    """The k-fold lift: each integer row of `config.scaled` taken k times
-    in a row, over the same scale (distinct labels, identical
-    coordinates); `config` itself when k = 1."""
-    if k == 1:
-        return config
-    L, P = config.scaled
-    return PointConfig(config.d, Scaled(L, [p for p in P for _ in range(k)]))
-
-
 def _partition_and_depth(
-    config: PointConfig, r: int, k: int = 1
+    config: PointConfig, r: int
 ) -> Tuple[Optional[TverbergCertificate], Optional[DepthCertificate]]:
-    """_partition's partition of the k-fold lift into k(r-1)+1 blocks and
-    the depth >= r in `config` of its common point, certified from both
-    sides (None, None when no partition works): where the Radon step
-    answered (kappa set, so k = 1 and r = 2), depth 2 from its integers
-    (_radon_depth); else tukey_depth from the point's integers, stopped at
-    the blocks' bound (_depth_from_lifted_partition)."""
-    found = _partition(_lift(config, k), k * (r - 1) + 1)
+    """_partition's partition of `config` into r blocks and the depth >= r
+    of its common point, certified from both sides (None, None when no
+    partition works): where the Radon step answered (kappa set, so r = 2),
+    depth 2 from its integers (_radon_depth); else tukey_depth on the
+    point's integers, stopped at a halfspace holding the r blocks' bound."""
+    found = _partition(config, r)
     if found is None:
         return None, None
     cert, K, X, kappa = found
     if kappa is not None:
         return cert, _radon_depth(config, *found)
-    return cert, _depth_from_lifted_partition(config, k, r, cert, K, X)
-
-
-def _depth_from_lifted_partition(
-    config: PointConfig, k: int, r: int, cert: TverbergCertificate, K: int, X: Sequence[int]
-) -> DepthCertificate:
-    """Depth >= r in `config` of the common point X/K of a partition of its
-    k-fold lift, from both sides.  Label i of the lift is point i // k of
-    `config`, and every closed halfspace through the point holds a lifted
-    point of each block, so at least ceil(#blocks / k) points of `config`;
-    tukey_depth's halfspace, found on `config` itself with its one scaling
-    and on the point's integers as the partition's producer made them,
-    bounds it from above, and its search stops where the two bounds meet.
-    The certificate was checked where it was made."""
-    lower = -(-len(cert.blocks) // k)
-    if lower < r:
-        raise RuntimeError(f"{len(cert.blocks)} blocks of a {k}-fold lift: depth < {r}")
-    return tukey_depth(Scaled(K, [X]), config, lower)
+    return cert, tukey_depth(Scaled(K, [X]), config, r)
 
 
 # ---------------------------------------------------------------------------
@@ -570,6 +543,14 @@ def reduction_plan(r: int, d: int) -> ReductionPlan:
     m = (d + 1) * (r - 1)
     M = (R - 1) * (d + 1) + k - 1
     return ReductionPlan(r=r, d=d, k=k, R=R, m=m, M=M)
+
+
+def _lift(config: PointConfig, k: int) -> PointConfig:
+    """The k-fold lift: each integer row of `config.scaled` taken k times
+    in a row, over the same scale (distinct labels, identical
+    coordinates)."""
+    L, P = config.scaled
+    return PointConfig(config.d, Scaled(L, [p for p in P for _ in range(k)]))
 
 
 def _lifted_partition_1d(lifted: PointConfig, R: int) -> Tuple[TverbergCertificate, int, Tuple[int]]:
@@ -602,11 +583,15 @@ def _lifted_partition_1d(lifted: PointConfig, R: int) -> Tuple[TverbergCertifica
 
 def reduce_central_from_tverberg(config: PointConfig, r: int) -> DepthCertificate:
     """Depth >= r certificate via an R-part partition of the k-fold lift
-    (_lift) into R = k(r-1)+1 prime parts whose hulls share a point: on a
-    line by pairing from both ends, certified by construction with no LP
-    (_lifted_partition_1d), elsewhere by _partition_and_depth, whose
-    search at k = 1 is centerpoint's, Radon step included.  The R blocks
-    prove depth >= ceil(R/k) = r."""
+    into R = k(r-1)+1 prime parts whose hulls share a point.  On a line
+    the lift (_lift) is paired from both ends with no LP
+    (_lifted_partition_1d); label i of the lift is point i // k, and a
+    closed halfspace through the common point holds a lifted point of each
+    block, so tukey_depth on `config` stops at ceil(R/k) = r points.
+    Elsewhere k = 1 (r prime) is centerpoint's path, and k > 1 is refused
+    before any search: no partition of the lift is constructed there, and
+    scanning for one is hopeless (S(20, 7), about 1.1e13 partitions, at
+    (2,4))."""
     d = config.d
     plan = reduction_plan(r, d)
     if config.n != plan.m + 1:
@@ -614,10 +599,17 @@ def reduce_central_from_tverberg(config: PointConfig, r: int) -> DepthCertificat
             f"reduction expects exactly m+1 = {plan.m + 1} points, got {config.n}"
         )
     if d == 1:
-        found = _lifted_partition_1d(_lift(config, plan.k), plan.R)
-        cert = _depth_from_lifted_partition(config, plan.k, r, *found)
-    else:
-        cert = _partition_and_depth(config, r, plan.k)[1]
+        cert, K, X = _lifted_partition_1d(_lift(config, plan.k), plan.R)
+        lower = -(-len(cert.blocks) // plan.k)
+        if lower < r:
+            raise RuntimeError(f"{len(cert.blocks)} blocks of a {plan.k}-fold lift: depth < {r}")
+        return tukey_depth(Scaled(K, [X]), config, lower)
+    if plan.k > 1:
+        raise ValueError(
+            f"in d >= 2 the reduction needs a prime r: r = {r} lifts each point "
+            f"k = {plan.k} times into R = {plan.R} parts, and no partition of that lift is constructed"
+        )
+    cert = centerpoint(config, r)
     if cert is None:
-        raise RuntimeError("no Tverberg partition of the lifted cloud")
+        raise RuntimeError("no Tverberg partition at the guaranteed size")
     return cert

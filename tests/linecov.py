@@ -9,8 +9,9 @@ The product is what reaches users: `product_cases` runs, in this process,
 each command line of the README's command block (read from README.md, run
 as `python -m tverlab` runs it), each `demos/*.py` script through
 `runpy`, the README's Quick look block, one valid `--input` run per
-subcommand that reads one and one usage error or bad input per
-subcommand, each case checked for its exit code.  `never_entered` runs
+subcommand that reads one, `reduce` off the line at a prime and at a
+composite r, and one usage error or bad input per subcommand, each case
+checked for its exit code.  `never_entered` runs
 the same cases under `sys.setprofile` and names the `src` functions none
 of them entered; `tests/test_product_trace.py` keeps that set equal to
 `TEST_ONLY` below, each name listed with its reason.
@@ -154,13 +155,15 @@ INPUTS = {
     "no-image.json": {"maximal_simplices": [[0, 1], [2, 3]], "involution": {"0": 2, "2": 0, "1": 1, "3": 3}},
     "float.json": {"barycentric_points": [[0.5, 0.5]]},
 }
-# (argv, exit code): one --input run per subcommand that reads one, then
+# (argv, exit code): one --input run per subcommand that reads one and
+# reduce off the line (it answers at a prime r, refuses a composite one), then
 # usage errors and bad input, at least one per subcommand
 RUNS = (
     ("centerpoint --r 2 --input points.json", 0),
     ("tverberg --r 3 --input line.json", 0),
     ("hind --input cycle.json", 0),
     ("cover --input triangle.json", 0),
+    ("reduce --d 2 --r 3", 0),
     ("-h", 0),
     ("hind --help", 0),
     ("", 2),
@@ -168,6 +171,7 @@ RUNS = (
     ("centerpoint --r 2 --input zero-denominator.json", 2),
     ("tverberg --d 2 --r 2 --trials 0", 2),
     ("reduce --d 1 --r 1", 2),
+    ("reduce --d 2 --r 4", 2),
     ("hind --input repeated-vertex.json", 2),
     ("hind --input no-image.json", 2),
     ("hind --s 2", 2),

@@ -125,25 +125,35 @@ MUTANTS = (
            "if r == 1 or all(map(operator.le,", "if all(map(operator.le,",
            ("tests/test_depth.py::test_the_screen_at_one_block_and_at_singletons",)),
     Mutant("the k = 1 route at d = 1", "src/tverlab/depth.py",
-           "    if d == 1:\n        found = _lifted_partition_1d(",
-           "    if plan.k > 1:\n        found = _lifted_partition_1d(",
+           "    if d == 1:\n        cert, K, X = _lifted_partition_1d(",
+           "    if plan.k > 1:\n        cert, K, X = _lifted_partition_1d(",
            ("tests/test_depth.py::test_reduce_on_a_line_solves_no_lp",)),
     Mutant("the early stop only below the bound", "src/tverlab/depth.py",
            "if count <= stop:", "if count < stop:", (EARLY_STOP,)),
     # depth: the two dispatches that send a small input down an exhaustive
-    # path, aimed at the CLI tests that fail them at once (tests/test_depth.py
-    # alone hangs on both)
+    # path, aimed at tests/test_depth.py tests that fail them at once, and
+    # reduce's refusal of a lift off the line, without which (d, r) = (2, 4)
+    # runs centerpoint's search
     Mutant("the Radon step at r != 2", "src/tverlab/depth.py",
            "found = _radon_partition(config) if r == 2 else None",
            "found = _radon_partition(config) if r != 2 else None",
-           ("tests/test_cli.py::test_inputs_below_the_guaranteed_size_falsify_nothing",)),
+           ("tests/test_depth.py::test_radon_partitions_at_d_plus_2_points_solve_no_lp",)),
     Mutant("the pairing off the line", "src/tverlab/depth.py",
            "    if d == 1:\n", "    if d != 1:\n",
-           ("tests/test_cli.py::test_reduce_at_k_1_gives_the_centerpoint_records",)),
+           ("tests/test_depth.py::test_reduce_on_a_line_solves_no_lp",)),
+    Mutant("no refusal of a lift off the line", "src/tverlab/depth.py",
+           "    if plan.k > 1:\n        raise ValueError(", "    if False:\n        raise ValueError(",
+           ("tests/test_depth.py::test_reduce_off_the_line_refuses_a_composite_r_before_any_search",)),
     # depth: the recursion's tilt, wrong only past 12 vectors, which the
     # affine relation's (5,3) example reaches with `lower` passed
     Mutant("the tilt to the larger side past 12 vectors", "src/tverlab/depth.py",
            "U[k] += e if pos <= neg else -e", "U[k] += e if (pos <= neg) != (len(W) > 12) else -e", (AFFINE_MAP,)),
+    # depth: a full scan that skips directions past d + 4 vectors, which
+    # the affine relation cannot see (the count stays equal on both sides)
+    Mutant("half the directions past d + 4 vectors", "src/tverlab/depth.py",
+           "for v in map(_primitive, W):",
+           "for v in map(_primitive, W if len(W) <= d + 4 else W[: len(W) // 2]):",
+           ("tests/test_depth.py::test_the_full_depth_scan_at_d_5_matches_the_hull_oracle",)),
     # exactlp: the Farkas multipliers recovered from the final basis
     Mutant("no sigma in the Farkas recovery", "src/tverlab/exactlp.py",
            "N = tuple(s * v for s, v in zip(sigma, q))", "N = tuple(q)",

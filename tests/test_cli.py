@@ -60,6 +60,18 @@ def test_reduce_smoke(capsys):
     assert records[1]["depth"] >= 4
 
 
+@pytest.mark.parametrize("d, r, k, R", [(2, 4, 2, 7), (2, 6, 2, 11), (3, 4, 2, 7)])
+def test_reduce_off_the_line_refuses_a_lift_up_front(capsys, d, r, k, R):
+    """In d >= 2 a composite r is a usage error, raised before any search:
+    exit 2 within a second, empty stdout, and r, k and R on stderr."""
+    start = time.perf_counter()
+    with pytest.raises(SystemExit) as e:
+        main(["reduce", "--d", str(d), "--r", str(r), "--trials", "1"])
+    assert time.perf_counter() - start < 1 and e.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and f"r = {r} lifts each point k = {k} times into R = {R} parts" in captured.err
+
+
 @pytest.mark.parametrize("d, r", [(3, 2), (2, 3)])
 def test_reduce_at_k_1_gives_the_centerpoint_records(capsys, d, r):
     """For prime r the lift is the configuration itself (k = 1), drawn as

@@ -478,6 +478,24 @@ def test_reduce_requires_exact_cloud_size():
         reduce_central_from_tverberg(PointConfig(1, [[0], [1]]), 4)
 
 
+def test_reduce_off_the_line_refuses_a_composite_r_before_any_search(monkeypatch):
+    """In d >= 2 no partition of a k-fold lift is constructed, so at k > 1
+    reduce raises ValueError naming r, k and R, and no partition is
+    searched for: the producer and the canonical walker both raise here."""
+    def no_search(*args):
+        raise AssertionError("a partition search ran")
+
+    monkeypatch.setattr("tverlab.depth._partition", no_search)
+    monkeypatch.setattr("tverlab.depth._partitions", no_search)
+    rng = SplitMix64(52)
+    for d, r, k, R in ((2, 4, 2, 7), (2, 6, 2, 11), (3, 4, 2, 7), (2, 8, 4, 29)):
+        plan = reduction_plan(r, d)
+        assert (plan.k, plan.R) == (k, R)
+        config = random_point_config(d, plan.m + 1, rng)
+        with pytest.raises(ValueError, match=rf"r = {r} .*k = {k} .*R = {R} "):
+            reduce_central_from_tverberg(config, r)
+
+
 def test_reduce_reads_depth_on_the_input_configuration(monkeypatch):
     """The depth half of the certificate is found on the caller's own
     configuration, whether the lift duplicates it (k = 2) or not (k = 1):
@@ -891,6 +909,20 @@ def test_partitions_points_and_depths_follow_an_affine_map(case):
     cert, mapped = centerpoint(config, r), centerpoint(image, r)
     assert mapped.point == tuple(sum(a * c for a, c in zip(row, cert.point)) + s for row, s in zip(A, t))
     assert mapped.depth == cert.depth >= r
+
+
+def test_the_full_depth_scan_at_d_5_matches_the_hull_oracle():
+    """The affine relation cannot see a depth that is too high, since every
+    count the recursion compares is affine-invariant.  Here tukey_depth,
+    with no `lower`, scans every branch at the centroid of 13 drawn points
+    in R^5, and the hull oracle settles the depth: the centroid lies in
+    the hull of every 12 of the points and not of some 11, so it is 2."""
+    for s in (2, 4):
+        config = random_point_config(5, 13, SplitMix64(13000 + s))
+        x = tuple(sum(p[i] for p in config.points) / 13 for i in range(5))
+        assert hull_membership_depth(x, config, 12) and not hull_membership_depth(x, config, 11)
+        cert = tukey_depth(x, config)
+        assert cert.depth == 2 and check_depth_certificate(cert, config)
 
 
 def test_depths_and_partitions_follow_a_relabelling():
