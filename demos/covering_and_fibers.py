@@ -33,11 +33,11 @@ cert = min_cover_barycentric(inner)
 print("set avoiding facet 2: delta* =", cert.delta)
 
 # sampled fibers of two exact maps of barycentric coordinates off the
-# triangle; exact cover per fiber cell
+# triangle; exact cover per fiber cell (the map names are the demo's own)
 for label, f in (
     ("first coordinate", coordinate_projection_map),
     ("constant", constant_map),
 ):
-    report = fiber_width_demo(2, f, 3, label=label)
+    report = fiber_width_demo(2, f, 3)
     print(f"{label} map: {len(report.cells)} sampled fiber cells,"
           f" max delta* = {report.max_delta}")

@@ -22,8 +22,8 @@ _EXPORTS = {
     "conemap": (
         "ProbeResult",
         "build_counterexample",
+        "isolation_rows",
         "probe_tverberg_plus_one",
-        "verify_isolation",
     ),
     "cover": (
         "CoverCertificate",

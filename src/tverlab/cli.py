@@ -250,9 +250,8 @@ def cmd_fiber_demo(args):
     # per map, a header, then one record per cell tagged with the map
     for label, f in (("coordinate projection", cover.coordinate_projection_map),
                      ("constant map", cover.constant_map)):
-        report = cover.fiber_width_demo(args.d, f, args.trials, label=label)
-        yield {"evidence": label, "source_dim": report.source_dim, "density": report.density,
-               "max_delta": report.max_delta}
+        report = cover.fiber_width_demo(args.d, f, args.trials)
+        yield {"evidence": label, "source_dim": args.d, "density": args.trials, "max_delta": report.max_delta}
         yield from ({"cell": c.cell, "count": c.count, "map": label} | c.certificate._asdict() for c in report.cells)
 
 

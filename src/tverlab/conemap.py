@@ -17,7 +17,8 @@ image of a disjoint face.  The images are unions of hulls of those vertex
 images, so the exact check on the vertices proves the images disjoint.
 No LP is solved.  `isolation_rows` yields one row a tuple, each naming
 its functionals by a 12-character digest from the interpreter's built-in
-SHA-256, so that no OpenSSL is loaded.
+SHA-256, so that no OpenSSL is loaded; `list(isolation_rows(spec))` is
+the whole check, and d, r and m are the spec's own.
 
 One dimension higher, at m = (d+1)r - 1, the same map admits r disjoint
 faces with intersecting images: every face of dimension >= d has its
@@ -147,13 +148,6 @@ class IsolationRow(NamedTuple):
     certificate_digests: Tuple[str, ...]
 
 
-class IsolationReport(NamedTuple):
-    d: int
-    r: int
-    m: int
-    rows: List[IsolationRow]
-
-
 def isolation_rows(spec: CounterexampleSpec) -> Iterator[IsolationRow]:
     """Check every disjoint r-tuple for an isolated face, one row a tuple.
 
@@ -226,11 +220,6 @@ def isolation_rows(spec: CounterexampleSpec) -> Iterator[IsolationRow]:
         )
     if count != count_disjoint_tuples(spec.m, spec.r):
         raise RuntimeError(f"{count} disjoint tuples checked, not {count_disjoint_tuples(spec.m, spec.r)}")
-
-
-def verify_isolation(spec: CounterexampleSpec) -> IsolationReport:
-    """`isolation_rows` as one report: every row, or its exception."""
-    return IsolationReport(d=spec.d, r=spec.r, m=spec.m, rows=list(isolation_rows(spec)))
 
 
 class ProbeResult(NamedTuple):

@@ -17,7 +17,8 @@ pairs are read off that check.  No LP is solved and no body is built.  A
 set touching every facet has every m_i = 0, so delta = 1: the
 facet-touching criterion, read off directly.
 The fiber demo evaluates an exact map of barycentric coordinates on a
-rational grid of the simplex and covers each sampled fiber the same way.
+rational grid of the simplex and covers each sampled fiber the same way;
+its report holds only the cells, since the caller chose n and the density.
 The records are NamedTuples, which `tverlab.cli` writes as JSON lines.
 """
 from __future__ import annotations
@@ -143,9 +144,6 @@ class FiberCell(NamedTuple):
 
 
 class FiberReport(NamedTuple):
-    source_dim: int
-    density: int
-    label: str
     cells: List[FiberCell]
 
     @property
@@ -176,12 +174,7 @@ def _compositions(n: int, density: int) -> Iterator[IntPoint]:
         yield tuple(parts)
 
 
-def fiber_width_demo(
-    n: int,
-    f: Callable[[Point], Point],
-    density: int,
-    label: str = "sampled fibers",
-) -> FiberReport:
+def fiber_width_demo(n: int, f: Callable[[Point], Point], density: int) -> FiberReport:
     """Sampled lower-bound evidence for the width of the fibers of f.
 
     f takes an exact barycentric point of the standard n-simplex to an
@@ -206,7 +199,7 @@ def fiber_width_demo(
         FiberCell(cell=cell, count=len(buckets[cell]), certificate=_cover(density, buckets[cell]))
         for cell in sorted(buckets)
     ]
-    return FiberReport(source_dim=n, density=density, label=label, cells=cells)
+    return FiberReport(cells)
 
 
 # ---------------------------------------------------------------------------

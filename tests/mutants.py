@@ -137,7 +137,8 @@ MUTANTS = (
     Mutant("the Radon step at r != 2", "src/tverlab/depth.py",
            "found = _radon_partition(config) if r == 2 else None",
            "found = _radon_partition(config) if r != 2 else None",
-           ("tests/test_depth.py::test_radon_partitions_at_d_plus_2_points_solve_no_lp",)),
+           ("tests/test_depth.py::test_radon_partitions_at_d_plus_2_points_solve_no_lp",
+            "tests/test_depth.py::test_the_depth_recursion_keeps_its_functional_in_lowest_terms")),
     Mutant("the pairing off the line", "src/tverlab/depth.py",
            "    if d == 1:\n", "    if d != 1:\n",
            ("tests/test_depth.py::test_reduce_on_a_line_solves_no_lp",)),

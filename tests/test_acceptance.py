@@ -13,6 +13,7 @@ from tverlab import (
     cross_polytope_sphere,
     disjoint_union_index,
     hind,
+    isolation_rows,
     min_cover_barycentric,
     probe_tverberg_plus_one,
     random_point_config,
@@ -21,7 +22,6 @@ from tverlab import (
     build_counterexample,
     tukey_depth,
     tverberg_partition,
-    verify_isolation,
 )
 from tverlab.cli import main
 from tverlab.depth import check_depth_certificate, check_tverberg_certificate, guaranteed_size
@@ -135,9 +135,9 @@ def test_criterion_5_index_calibration():
 def test_criterion_6_isolation_exhaustive():
     def body():
         for d, r in ((1, 2), (1, 3), (2, 2)):
-            report = verify_isolation(build_counterexample(d, r))
-            assert report.rows
-            for row in report.rows:
+            rows = list(isolation_rows(build_counterexample(d, r)))
+            assert rows
+            for row in rows:
                 assert row.small_indices
                 assert row.pair_checks == len(row.certificate_digests) > 0
 

@@ -974,11 +974,10 @@ EXPORTED = """
     SplitMix64 TverbergCertificate Z2Complex build_counterexample
     centerpoint constant_map
     coordinate_projection_map cross_polytope_sphere disjoint_union_index
-    facet_touching_check fiber_width_demo hind lp_feasible
+    facet_touching_check fiber_width_demo hind isolation_rows lp_feasible
     min_cover_barycentric probe_tverberg_plus_one
     random_point_config reduce_central_from_tverberg
     reduction_plan strict_separator tukey_depth tverberg_partition
-    verify_isolation
 """.split()
 
 

@@ -18,7 +18,6 @@ from tverlab import (
     SimplicialComplex,
     build_counterexample,
     probe_tverberg_plus_one,
-    verify_isolation,
 )
 from tverlab.cli import main
 from tverlab.complexes import simplex
@@ -232,10 +231,11 @@ def cli_records(capsys, *argv) -> List[dict]:
 
 
 def test_isolation_on_the_tripod(capsys):
-    report = verify_isolation(build_counterexample(1, 2))
-    assert (report.d, report.r, report.m) == (1, 2, 2)
-    assert len(report.rows) == 6
-    for row in report.rows:
+    spec = build_counterexample(1, 2)
+    rows = list(isolation_rows(spec))
+    assert (spec.d, spec.r, spec.m) == (1, 2, 2)
+    assert len(rows) == 6
+    for row in rows:
         assert row.small_indices
         assert row.isolated_index == row.small_indices[0]
         assert row.pair_checks == len(row.certificate_digests)
@@ -249,7 +249,7 @@ def test_isolation_failure_on_sabotaged_map():
     # other image, so the predicted isolation must be reported broken
     spec.images[(2,)] = spec.center
     with pytest.raises(IsolationFailure):
-        verify_isolation(spec)
+        list(isolation_rows(spec))
 
 
 def test_a_tuple_with_no_small_face_is_an_isolation_failure():
@@ -359,7 +359,7 @@ def test_certified_pairs_are_lp_disjoint():
         f = pl_map(spec)
         pairs = {
             (row.faces[i], g)
-            for row in verify_isolation(spec).rows
+            for row in isolation_rows(spec)
             for i in row.small_indices
             for j, g in enumerate(row.faces)
             if j != i
@@ -382,15 +382,16 @@ def test_isolation_and_probe_solve_no_lp(monkeypatch):
 
     monkeypatch.setattr("tverlab.exactlp.lp_feasible", no_lp)
     for d, r in ((1, 2), (2, 2)):
-        assert verify_isolation(build_counterexample(d, r)).rows
+        assert list(isolation_rows(build_counterexample(d, r)))
         assert probe_tverberg_plus_one(d, r).found
 
 
 def test_isolation_beyond_the_small_cases():
     for d, r in ((1, 4), (3, 2), (2, 3)):
-        report = verify_isolation(build_counterexample(d, r))
-        assert len(report.rows) == disjoint_tuple_count(report.m, r)
-        for row in report.rows:
+        spec = build_counterexample(d, r)
+        rows = list(isolation_rows(spec))
+        assert len(rows) == disjoint_tuple_count(spec.m, r)
+        for row in rows:
             assert row.isolated_index in row.small_indices
             assert row.pair_checks == len(row.certificate_digests) > 0
 
@@ -400,7 +401,7 @@ def test_isolation_failure_when_a_disjoint_image_reaches_the_small_face():
     # the barycenter of the edge (0, 1) now maps onto the vertex 2
     spec.images[(0, 1)] = spec.images[(2,)]
     with pytest.raises(IsolationFailure, match=r"\(\(2,\), \(0, 1\)\).*\(0/1, 0/1, 1/1\)"):
-        verify_isolation(spec)
+        list(isolation_rows(spec))
 
 
 def test_images_match_the_subdivision_construction():
@@ -451,7 +452,7 @@ def test_isolation_and_probe_build_no_complex(monkeypatch):
 
     monkeypatch.setattr(SimplicialComplex, "__init__", counted_init)
     for d, r in ((1, 2), (2, 2)):
-        assert verify_isolation(build_counterexample(d, r)).rows
+        assert list(isolation_rows(build_counterexample(d, r)))
         assert probe_tverberg_plus_one(d, r).found
     assert builds == []
 

@@ -465,10 +465,9 @@ def test_grid_point_counts():
 
 
 def test_fiber_demo_constant_map_needs_everything(capsys):
-    report = fiber_width_demo(1, constant_map, 3, label="constant")
+    report = fiber_width_demo(1, constant_map, 3)
     assert len(report.cells) == 1
     assert report.max_delta == 1
-    assert report.label == "constant"
     assert main(["fiber-demo", "--d", "1", "--trials", "3"]) == 0
     records = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
     at = next(i for i, rec in enumerate(records) if rec.get("evidence") == "constant map")
@@ -479,7 +478,6 @@ def test_fiber_demo_constant_map_needs_everything(capsys):
 
 def test_fiber_demo_projection_cells():
     report = fiber_width_demo(2, coordinate_projection_map, 3)
-    assert report.source_dim == 2 and report.density == 3
     assert sum(cell.count for cell in report.cells) == comb(2 + 3, 2)
     # the x0 = s fiber is a segment that shrinks as s grows: the s = 0
     # fiber is a whole edge (two coordinates still vanish somewhere, so

@@ -266,7 +266,9 @@ HIGH_D_CENTERPOINT_SHA256 = {
 def test_the_depth_recursion_keeps_its_functional_in_lowest_terms(monkeypatch):
     """Every (U, q) the recursion returns has gcd(q, *U) = 1 (it was 240 at
     the top at d = 3, and the common factor grew with each level), and
-    the certificates are the ones the unreduced integers gave."""
+    the certificates are the ones the unreduced integers gave.  Each of
+    these d + 2 points is partitioned by the Radon step, so the canonical
+    search is never entered."""
     returned = []
     fewest = depth_module._fewest_on_open_side
 
@@ -274,7 +276,11 @@ def test_the_depth_recursion_keeps_its_functional_in_lowest_terms(monkeypatch):
         returned.append(fewest(W, d, stop))
         return returned[-1]
 
+    def no_search(*args):
+        raise AssertionError("the canonical search ran")
+
     monkeypatch.setattr("tverlab.depth._fewest_on_open_side", recording)
+    monkeypatch.setattr("tverlab.depth._partitions", no_search)
     for d, digest in HIGH_D_CENTERPOINT_SHA256.items():
         returned.clear()
         config = random_point_config(d, d + 2, SplitMix64(d))

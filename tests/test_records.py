@@ -5,7 +5,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from tverlab.conemap import CounterexampleSpec, IsolationReport, IsolationRow, ProbeResult
+from tverlab.conemap import CounterexampleSpec, IsolationRow, ProbeResult
 from tverlab.cover import CoverCertificate, FiberCell, FiberReport, HPolytopeBody
 from tverlab.depth import (
     DepthCertificate,
@@ -21,7 +21,7 @@ from oracles import h_polytope, interval_body
 RECORDS = (
     LPOutcome, DepthCertificate, TverbergCertificate, ReductionPlan,
     CoverCertificate, FiberCell, FiberReport, CounterexampleSpec, IsolationRow,
-    IsolationReport, ProbeResult,
+    ProbeResult,
 )
 
 
