@@ -26,9 +26,7 @@ def simplex(vertices: Iterable[int]) -> Simplex:
     if len(set(vs)) != len(vs):
         raise ValueError(f"repeated vertex in simplex {vs}")
     for v in vs:
-        # exact ints pass on the type test alone; bools and other int
-        # subclasses reach the isinstance test after it
-        if type(v) is not int and (not isinstance(v, int) or isinstance(v, bool)):
+        if not isinstance(v, int) or isinstance(v, bool):
             raise ValueError("vertex ids must be integers")
     return vs
 

@@ -17,11 +17,10 @@ of the general simplex body `cover.HPolytopeBody`, which no cover uses.
 `read_scaled` is the one way from scalars to integers over one common
 denominator: it reads input scalars (ints, Fractions, or strings `rat`
 reads) and the Fractions of a certificate that a public check is handed
-alike (a producer checks the integers it made), and builds no Fraction
-for an int or a plain ``"p"`` or ``"p/q"`` string.  Lists of ``"p/q"``
-strings, the shape an input file gives, are read in one pass: one regex
-over the joined strings and one map of int, falling back to the
-scalar-by-scalar read for any other rows, so that `rat` names the same
+alike (a producer checks the integers it made).  Lists of ``"p/q"``
+strings, the shape an input file gives, are read in one pass, building no
+Fraction: one regex over the joined strings and one map of int.  Any
+other rows are read by `rat`, one scalar at a time, so that it names the
 first bad scalar.  `rat` refuses a
 decimal exponent past 4300 in magnitude, int's digit limit, before it
 builds the power of 10.  Serialized form is
@@ -165,33 +164,11 @@ class Scaled(NamedTuple):
     rows: List[Tuple[int, ...]]
 
 
-_PLAIN = re.compile(r"([+-]?[0-9]+)(?:/([0-9]+))?")
-# the bulk form: "p/q" strings of _PLAIN's form, joined by ","
+# the bulk form: "p/q" strings (ASCII digits, an optional sign), joined by ","
 _PQ = "[+-]?[0-9]+/[0-9]+"
 _BULK = re.compile(rf"(?:{_PQ},)*{_PQ}")
 # int checks no digit limit on a string shorter than this
 _UNCHECKED = sys.int_info.str_digits_check_threshold
-
-
-def _reduced(value) -> Tuple[int, int]:
-    """The numerator and denominator of rat(value), raising what it raises;
-    an int, a Fraction, or a plain "p" or "p/q" string (ASCII digits, no
-    spaces, q > 0) short enough that int checks no digit limit is read
-    directly, every other value through rat."""
-    if type(value) is int:
-        return value, 1
-    if type(value) is Fraction:
-        return value.numerator, value.denominator
-    if type(value) is str:
-        m = _PLAIN.fullmatch(value)
-        if m and len(value) < _UNCHECKED:
-            p, q = m.groups()
-            p, q = int(p), int(q or 1)
-            if q:
-                g = gcd(p, q)
-                return p // g, q // g
-    f = rat(value)
-    return f.numerator, f.denominator
 
 
 def _read_bulk(rows: list) -> Optional[Scaled]:
@@ -229,7 +206,7 @@ def read_scaled(rows: Iterable[Iterable]) -> Scaled:
     the rows coerced by rat, with the same scalars accepted and the same
     errors raised in the same (row-major) order.  A list of lists, the
     shape JSON gives, of "p/q" strings in the bulk form is read in one pass
-    (`_read_bulk`); any other rows, Fractions among them, are read scalar
+    (`_read_bulk`); any other rows, Fractions among them, by `rat`, scalar
     by scalar.  An already Scaled value is returned as it is."""
     if isinstance(rows, Scaled):
         return rows
@@ -237,6 +214,6 @@ def read_scaled(rows: Iterable[Iterable]) -> Scaled:
         read = _read_bulk(rows)
         if read is not None:
             return read
-    pairs = [[_reduced(c) for c in row] for row in rows]
-    L = lcm(*(q for row in pairs for _, q in row))
-    return Scaled(L, [tuple(p * (L // q) for p, q in row) for row in pairs])
+    fracs = [[rat(c) for c in row] for row in rows]
+    L = lcm(*(f.denominator for row in fracs for f in row))
+    return Scaled(L, [tuple(f.numerator * (L // f.denominator) for f in row) for row in fracs])

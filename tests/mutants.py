@@ -69,6 +69,9 @@ MUTANTS = (
            "            or len(text) >= _UNCHECKED and max(map(len, flat)) >= _UNCHECKED\n", "", (P_Q_ROWS,)),
     Mutant("a space or a point in the bulk form", "src/tverlab/rationals.py",
            '_PQ = "[+-]?[0-9]+/[0-9]+"', '_PQ = "[+-]?[0-9. ]+/[0-9]+"', (P_Q_ROWS,)),
+    Mutant("the one-pass result discarded", "src/tverlab/rationals.py",
+           "        if read is not None:", "        if read is not None and not read:",
+           ("tests/test_cli.py::test_a_cover_input_builds_only_delta_and_the_translate",)),
     # cli._input_object, how --input bytes are decoded
     Mutant("a byte-order mark skipped", "src/tverlab/cli.py",
            "text = fh.read().decode()", 'text = fh.read().decode("utf-8-sig")', (DECODING,)),

@@ -577,8 +577,8 @@ def test_scalars_too_large_to_write_or_read_are_usage_errors(tmp_path, capsys):
     within a second, with a usage message, empty stdout and no traceback.
     The first printed a traceback and exited 1; the second ran for minutes.
     So does an integer past the limit written four ways, read by the JSON
-    decoder, by `_reduced`'s int or by `rat`: each once exited 2 with
-    Python's hint to call sys.set_int_max_str_digits, which no flag does."""
+    decoder or by `rat`: each once exited 2 with Python's hint to call
+    sys.set_int_max_str_digits, which no flag does."""
     env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(tverlab.__file__)))
     path = tmp_path / "config.json"
     X = "1" * 5000
@@ -1153,8 +1153,11 @@ def test_cover_input_scalars_read_as_rat_reads_them(tmp_path, capsys):
 
 
 def test_a_cover_input_builds_only_delta_and_the_translate(tmp_path, capsys):
-    """Read straight into integers, a `cover --input` set of ints and "p/q"
-    strings builds n + 1 Fractions in all: delta and the translate."""
+    """A `cover --input` set of "p/q" strings alone is read straight into
+    integers, so it builds n + 1 Fractions in all: delta and the translate.
+    A set holding any other scalar is read by `rat`, one Fraction per
+    scalar, and builds that many more."""
+    by_rat = {"repeated": 4 * 3, "mixed denominators": 4 * 5}
     path = tmp_path / "pts.json"
     built = []
     new = vars(Fraction)["__new__"]
@@ -1174,7 +1177,7 @@ def test_a_cover_input_builds_only_delta_and_the_translate(tmp_path, capsys):
             Fraction.__new__ = new
         capsys.readouterr()
         assert code == 0
-        assert len(built) == n + 1, key
+        assert len(built) == n + 1 + by_rat.get(key, 0), key
 
 
 def test_no_cli_cover_builds_a_body(tmp_path, capsys, monkeypatch):

@@ -957,10 +957,13 @@ def test_depths_and_partitions_follow_a_relabelling():
 
 
 def test_an_input_config_reads_each_scalar_once_without_a_string_parse(tmp_path):
-    """An --input configuration's ints and plain "p/q" strings are read
-    into integers once (`PointConfig` takes them as read); the Fractions
-    are built from those integers, never from a string, and only when
-    `points` is read.  Other scalars `rat` reads give the same values."""
+    """An --input configuration's scalars are read into integers once
+    (`PointConfig` takes them as read): rows of "p/q" strings alone in one
+    pass that builds no Fraction, any other rows by `rat`, which parses
+    each string exactly once.  The Fractions of `points` are built from
+    those integers, never from a string, and only when `points` is read.
+    Other scalars `rat` reads give the same values."""
+    pq = [["-1/2", "3/1"], ["4/6", "0/1"], ["-7/1", "2/1"], ["5/3", "10/4"]]
     plain = [[3, "-1/2"], ["4/6", "0"], ["-7", 2], ["5/3", "10/4"]]
     parsed = []
     new = vars(F)["__new__"]
@@ -969,15 +972,17 @@ def test_an_input_config_reads_each_scalar_once_without_a_string_parse(tmp_path)
         parsed.extend(a for a in args if isinstance(a, str))
         return new.__func__(cls, *args, **kwargs)
 
-    F.__new__ = staticmethod(counted)
-    try:
-        config = input_config(tmp_path, json.dumps({"d": 2, "points": plain}))
-    finally:
-        F.__new__ = new
-    assert parsed == []
-    assert "scaled" in vars(config) and "points" not in vars(config)
-    assert config == PointConfig(2, plain)
-    assert config.scaled == read_scaled(config.points)
+    for points, strings in ((pq, []), (plain, ["-1/2", "4/6", "0", "-7", "5/3", "10/4"])):
+        parsed.clear()
+        F.__new__ = staticmethod(counted)
+        try:
+            config = input_config(tmp_path, json.dumps({"d": 2, "points": points}))
+        finally:
+            F.__new__ = new
+        assert parsed == strings
+        assert "scaled" in vars(config) and "points" not in vars(config)
+        assert config == PointConfig(2, points)
+        assert config.scaled == read_scaled(config.points)
     other = [[" 1/2 ", "0.25"], ["1e-1", "2/4"]]
     config = input_config(tmp_path, json.dumps({"d": 2, "points": other}))
     assert config == PointConfig(2, other)

@@ -20,8 +20,8 @@ from oracles import integer_scaled
 
 numerators = st.integers(-10**9, 10**9)
 denominators = st.integers(1, 10**6)
-# every scalar here is one rat reads: the plain "p" and "p/q" strings the
-# reader parses itself (reducible ones among them), and forms it hands to rat
+# every scalar here is one rat reads: "p/q" strings of the one-pass form
+# (reducible ones among them), plain "p" strings, and other forms rat reads
 readable = st.one_of(
     numerators,
     st.fractions(max_denominator=10**6),
