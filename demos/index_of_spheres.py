@@ -17,8 +17,8 @@ from tverlab import (
 
 for m in range(7):
     X = cross_polytope_sphere(m)
-    print(f"S^{m} as a cross-polytope: {len(X.complex.vertices)} vertices,"
-          f" {len(X.complex.facets)} facets, hind = {hind(X)}")
+    print(f"S^{m} as a cross-polytope: {len(X.involution)} vertices,"
+          f" {len(X.complex.given)} facets, hind = {hind(X)}")
 
 # an involution that fixes a simplex has no finite index
 try:

@@ -123,12 +123,13 @@ def touches_all_facets(points_barycentric: Sequence[Sequence]) -> bool:
 
 
 def facet_touching_check(points_barycentric: Sequence[Sequence]) -> bool:
-    """touches_all_facets, and when the set touches every facet, assert
-    exactly that no strictly smaller homothet covers it:
-    min_cover_barycentric(...).delta >= 1."""
-    pts = read_scaled(points_barycentric)
+    """touches_all_facets of a barycentric set (one that
+    min_cover_barycentric reads; any other is refused as it refuses it),
+    and when the set touches every facet, assert exactly that no strictly
+    smaller homothet covers it: min_cover_barycentric(...).delta >= 1."""
+    pts = _barycentric(points_barycentric)
     touches = touches_all_facets(pts)
-    if touches and min_cover_barycentric(pts).delta < 1:
+    if touches and _cover(*pts).delta < 1:
         raise RuntimeError("facet-touching set covered by a strictly smaller homothet")
     return touches
 

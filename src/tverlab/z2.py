@@ -11,11 +11,12 @@ small F_2 system per degree it tries.
 A Z2Complex relabels its vertices so that each orbit {v, g v} is two
 adjacent bits, taking each vertex's bit from the involution, and reads the
 given simplices straight into bitmasks; g acts on a mask as one fixed bit
-swap.  Validation, `is_free` and `hind` read only those masks: the input
-checks run on them, so valid input sorts no tuple and never builds the
-complex's canonical form, and `hind` builds each level of faces from the
-level above and the given masks, and only down to the degree where its
-scan stops.
+swap.  Validation, `is_free`, `hind` and disjoint unions read only those
+masks and the given simplices: the input checks run on the masks, so
+valid input sorts no tuple and only a malformed simplex or involution
+builds the complex's canonical form, to name it; and `hind` builds each
+level of faces from the level above and the given masks, and only down
+to the degree where its scan stops.
 """
 from __future__ import annotations
 
@@ -46,7 +47,9 @@ class Z2Complex:
     with a bit (none missing from g) and every bit in some mask (no vertex
     of g outside the simplices).  Only when one of these fails is the
     canonical form read, so that the complex's walk and then the checks of
-    g, in that order, name the first fault."""
+    g, in that order, name the first fault.  Every image must then be a
+    face of a given simplex; the first given simplex, in given order,
+    whose image is not is named."""
 
     def __init__(self, complex: SimplicialComplex, involution: Dict[int, int]):
         self.complex = complex
@@ -69,8 +72,8 @@ class Z2Complex:
                 ):
                     masks = None
         if masks is None:
-            self._check_canonical()  # raises unless g passed the checks above
-            masks = [sum(map(bit, s)) for s in complex.simplices]
+            self._check_canonical()  # raises: a failed check above is a fault it names
+            raise RuntimeError("the checks on masks refused an input that the canonical form accepts")
         lo, fixed = self._lo, self._fixed
         self._masks = masks
         images = self._images = [((m & lo) << 1) | ((m >> 1) & lo) | (m & fixed) for m in masks]
@@ -89,11 +92,9 @@ class Z2Complex:
             def is_face(s: int) -> bool:
                 return s in given or any(s & m == s for m in holding[s & -s])
 
-            if not all(map(is_face, images)):
-                # Name the first maximal simplex whose image is missing.
-                image = dict(zip(masks, images))
-                f = next(f for f in complex.facets if not is_face(image[sum(map(bit, f))]))
-                raise ValueError(f"involution does not map simplex {f} to a simplex")
+            for s, image in zip(simplices, images):  # name the first given simplex, in given order
+                if not is_face(image):
+                    raise ValueError(f"involution does not map simplex {tuple(sorted(s))} to a simplex")
 
     def _check_canonical(self) -> None:
         """The checks of the canonical form, in its order: the complex's
@@ -243,16 +244,15 @@ def z2_disjoint_union(*parts: Z2Complex) -> Z2Complex:
     """Disjoint union with vertex relabeling, involutions side by side."""
     if not parts:
         raise ValueError("need at least one part")
-    facets = []
+    simplices = []
     involution: Dict[int, int] = {}
-    offset = 0
     for part in parts:
-        relabel = {v: offset + i for i, v in enumerate(part.complex.vertices)}
-        facets.extend(tuple(sorted(relabel[v] for v in f)) for f in part.complex.facets)
+        # the construction checked that g's keys are the part's vertices
+        relabel = {v: len(involution) + i for i, v in enumerate(sorted(part.involution))}
+        simplices.extend([relabel[v] for v in s] for s in part.complex.given)
         for v, w in part.involution.items():
             involution[relabel[v]] = relabel[w]
-        offset += len(part.complex.vertices)
-    return Z2Complex(SimplicialComplex(facets), involution)
+    return Z2Complex(SimplicialComplex(simplices), involution)
 
 
 def disjoint_union_index(*parts: Z2Complex) -> int:

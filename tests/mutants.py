@@ -171,7 +171,8 @@ MUTANTS = (
            "rank = count_disjoint_tuples(m, r) - partitions + 1", "rank = count_disjoint_tuples(m, r) - partitions",
            ("tests/test_conemap.py::test_probe_skips_small_face_tuples",)),
     # z2: hind's orbit representatives, its right-hand sides and the degree it
-    # returns, and Z2Complex's checks on masks
+    # returns, Z2Complex's checks on masks and the simplex it names for a
+    # missing image
     Mutant("no flip to the orbit's smaller mask", "src/tverlab/z2.py",
            "if image < face:\n                        face = image", "if False:\n                        face = image",
            ("tests/test_z2.py::test_index_matches_cup_powers_on_fixed_cases",)),
@@ -186,6 +187,9 @@ MUTANTS = (
     Mutant("no OR check", "src/tverlab/z2.py",
            "functools.reduce(operator.or_, masks) == (1 << len(g)) - 1  # no vertex of g left out",
            "True  # no vertex of g left out", (f"{FAULTS}[unused]",)),
+    Mutant("the last faulty simplex named", "src/tverlab/z2.py",
+           "zip(simplices, images)", "zip(simplices[::-1], images[::-1])",
+           ("tests/test_z2.py::test_images_may_be_faces_of_given_simplices",)),
     # cover: the general body's rank check and the closed form's two checks
     Mutant("no rank check", "src/tverlab/cover.py",
            "[1]) < self.ambient_dim:", "[1]) < 0:", ("tests/test_cover.py::test_body_validation",)),

@@ -1,7 +1,7 @@
 """Reference routines that the tests check tverlab against.
 
-None of them is run by the command line or the demos: the dimension and
-the face listing of a simplicial complex, the solid simplex, its skeleta and its center,
+None of them is run by the command line or the demos: the dimension, the
+facets, the vertices and the face listing of a simplicial complex, the solid simplex, its skeleta and its center,
 barycentric subdivision (of a complex and of a Z2 complex), convex-hull
 membership with its weights and the scan of it over every q-point subset
 that restates Tukey depth, the common point of several blocks' hulls with
@@ -68,6 +68,23 @@ from tverlab.rationals import Point, Scaled, bareiss_eliminate, rat, read_scaled
 # ---------------------------------------------------------------------------
 
 @functools.lru_cache(maxsize=8)
+def _canonical(K: SimplicialComplex) -> CanonicalComplex:
+    """The canonical form of K's given simplices, which finds their facets
+    and vertices once; cached as `_face_index` is."""
+    return CanonicalComplex(K.given)
+
+
+def facets(K: SimplicialComplex) -> frozenset:
+    """The maximal simplices of K."""
+    return _canonical(K).facets
+
+
+def vertices(K: SimplicialComplex) -> Tuple[int, ...]:
+    """The vertex ids of K, sorted."""
+    return _canonical(K).vertices
+
+
+@functools.lru_cache(maxsize=8)
 def _face_index(K: SimplicialComplex) -> Tuple[set, Dict[int, List[Simplex]]]:
     """Every face of K, and its faces of each dimension in lex order.  The
     cache serves the repeated listings of one complex that an oracle makes
@@ -109,7 +126,7 @@ def euler_characteristic(K: SimplicialComplex) -> int:
 
 
 def connected_components(K: SimplicialComplex) -> int:
-    parent = {v: v for v in K.vertices}
+    parent = {v: v for v in vertices(K)}
 
     def find(a):
         while parent[a] != a:
@@ -117,12 +134,12 @@ def connected_components(K: SimplicialComplex) -> int:
             a = parent[a]
         return a
 
-    for f in K.facets:
+    for f in facets(K):
         for a, b in zip(f, f[1:]):
             ra, rb = find(a), find(b)
             if ra != rb:
                 parent[ra] = rb
-    return len({find(v) for v in K.vertices})
+    return len({find(v) for v in vertices(K)})
 
 
 def full_simplex(m: int) -> SimplicialComplex:
@@ -142,13 +159,13 @@ def skeleton(K: SimplicialComplex, k: int) -> SimplicialComplex:
     """The k-skeleton: all faces of dimension <= k."""
     if k < 0:
         raise ValueError("skeleton dimension must be nonnegative")
-    facets = set()
-    for f in K.facets:
+    kept = set()
+    for f in facets(K):
         if len(f) <= k + 1:
-            facets.add(f)
+            kept.add(f)
         else:
-            facets.update(itertools.combinations(f, k + 1))
-    return SimplicialComplex(facets)
+            kept.update(itertools.combinations(f, k + 1))
+    return SimplicialComplex(kept)
 
 
 @dataclass
@@ -172,16 +189,16 @@ class BarycentricComplex:
 def barycentric_subdivision(K: SimplicialComplex) -> BarycentricComplex:
     vertex_of_face = {f: i for i, f in enumerate(faces(K))}
     face_of_vertex = {i: f for f, i in vertex_of_face.items()}
-    facets = set()
-    for f in K.facets:
+    chains = set()
+    for f in facets(K):
         for perm in itertools.permutations(f):
             chain = []
             for k in range(1, len(perm) + 1):
                 chain.append(vertex_of_face[tuple(sorted(perm[:k]))])
-            facets.add(tuple(sorted(chain)))
+            chains.add(tuple(sorted(chain)))
     return BarycentricComplex(
         base=K,
-        complex=SimplicialComplex(facets),
+        complex=SimplicialComplex(chains),
         face_of_vertex=face_of_vertex,
         vertex_of_face=vertex_of_face,
     )

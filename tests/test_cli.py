@@ -24,6 +24,7 @@ import tverlab.cli
 from tverlab.cli import main
 from tverlab.rationals import rat, rat_str
 
+import oracles
 from oracles import argparse_parser, canonical_z2_complex, subdivide_z2
 
 
@@ -465,12 +466,12 @@ def test_hind_input_sorts_no_given_simplex(monkeypatch, tmp_path, capsys):
     S2, S3 = tverlab.cross_polytope_sphere(2), tverlab.cross_polytope_sphere(3)
     path = tmp_path / "complex.json"
     for X in (S2, subdivide_z2(S2), tverlab.z2.z2_disjoint_union(subdivide_z2(S2), S3)):
-        ids = list(range(2 * len(X.complex.vertices)))
+        ids = list(range(2 * len(oracles.vertices(X.complex))))
         for i in range(len(ids) - 1, 0, -1):
             j = rng.below(i + 1)
             ids[i], ids[j] = ids[j], ids[i]
-        new = dict(zip(X.complex.vertices, ids))
-        facets = [[new[v] for v in f] for f in sorted(X.complex.facets)]
+        new = dict(zip(oracles.vertices(X.complex), ids))
+        facets = [[new[v] for v in f] for f in sorted(oracles.facets(X.complex))]
         involution = {new[v]: new[w] for v, w in X.involution.items()}
         expected = tverlab.hind(canonical_z2_complex(facets, involution))
         path.write_text(json.dumps({"maximal_simplices": facets,

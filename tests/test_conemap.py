@@ -30,6 +30,7 @@ from tverlab.conemap import (
 )
 from tverlab.rationals import Point
 
+import oracles
 from oracles import (
     BarycentricComplex,
     barycentric_subdivision,
@@ -85,7 +86,7 @@ class PLMapSpec:
         dims = {len(p) for p in self.vertex_images.values()}
         if len(dims) != 1:
             raise ValueError("vertex images must share one ambient dimension")
-        missing = set(self.source.complex.vertices) - set(self.vertex_images)
+        missing = set(oracles.vertices(self.source.complex)) - set(self.vertex_images)
         if missing:
             raise ValueError(f"no image for subdivision vertices {sorted(missing)}")
 

@@ -160,6 +160,16 @@ def test_facet_touching_forces_full_size():
     assert not facet_touching_check([(F(1, 2), F(1, 2), F(0)), (F(1), F(0), F(0))])
 
 
+def test_facet_touching_check_refuses_what_the_cover_refuses():
+    """A set that is not barycentric is refused, as min_cover_barycentric
+    refuses it.  Neither set below touches every facet, so an answer read
+    before the set is checked is False."""
+    for pts in ([[2, -1]], [["1/2", "1/2"], ["3", "0"]]):
+        for check in (facet_touching_check, min_cover_barycentric):
+            with pytest.raises(ValueError, match="^not a barycentric point of the standard simplex$"):
+                check(pts)
+
+
 def test_touches_all_facets_rejects_mixed_widths():
     with pytest.raises(ValueError, match="mixed dimensions"):
         tverlab.cover.touches_all_facets([(F(1, 2), F(1, 2)), (F(0), F(1), F(0))])

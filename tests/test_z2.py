@@ -15,6 +15,8 @@ canonical form (`oracles.canonical_z2_complex`) on drawn valid inputs and
 on each kind of fault.
 """
 import itertools
+import json
+import time
 from dataclasses import dataclass
 from typing import Dict, FrozenSet
 
@@ -35,6 +37,7 @@ from tverlab import (
 from tverlab.complexes import Simplex
 from tverlab.z2 import _gf2_solvable, z2_disjoint_union
 
+import oracles
 from oracles import (
     barycentric_subdivision,
     canonical_z2_complex,
@@ -113,7 +116,7 @@ def quotient(X: Z2Complex) -> QuotientData:
     orbit_of: Dict[int, int] = {}
     section: Dict[int, int] = {}
     nxt = 0
-    for v in bc.complex.vertices:
+    for v in oracles.vertices(bc.complex):
         if v in orbit_of:
             continue
         w = g_faces[v]
@@ -124,7 +127,7 @@ def quotient(X: Z2Complex) -> QuotientData:
         section[nxt] = v
         nxt += 1
     facets = set()
-    for f in bc.complex.facets:
+    for f in oracles.facets(bc.complex):
         img = tuple(sorted(orbit_of[v] for v in f))
         if len(set(img)) != len(f):
             raise FixedSimplexError("simplex collapses onto its own orbit")
@@ -197,7 +200,7 @@ def cup_power(w: F2Cochain, n: int, q: QuotientData) -> F2Cochain:
         raise ValueError("cup power must be nonnegative")
     K = q.complex
     if n == 0:
-        return F2Cochain(0, frozenset((v,) for v in K.vertices))
+        return F2Cochain(0, frozenset((v,) for v in oracles.vertices(K)))
     support = set()
     for s in faces_of_dim(K, n):
         if all(
@@ -267,8 +270,8 @@ def test_empty_unions_and_negative_spheres_are_refused():
 def test_cross_polytope_structure():
     for m in range(4):
         X = cross_polytope_sphere(m)
-        assert len(X.complex.vertices) == 2 * (m + 1)
-        assert len(X.complex.facets) == 2 ** (m + 1)
+        assert len(oracles.vertices(X.complex)) == 2 * (m + 1)
+        assert len(oracles.facets(X.complex)) == 2 ** (m + 1)
         assert euler_characteristic(X.complex) == 1 + (-1) ** m
         assert X.is_free()
 
@@ -305,7 +308,9 @@ def test_fixed_simplices_rejected():
 def test_images_may_be_faces_of_given_simplices():
     """Validation reads only the given simplices: an image that is a face
     of one but not given itself is accepted; one that is no face is
-    rejected, naming the first maximal simplex whose image is missing."""
+    rejected, naming the first given simplex, in given order, whose image
+    is missing.  In the last case two given simplices fault, the first
+    listed after the second in sorted order."""
     swap = {0: 3, 3: 0, 1: 4, 4: 1, 2: 5, 5: 2}
     X = Z2Complex(SimplicialComplex([(0, 1, 2), (3, 4, 5), (0, 1)]), swap)
     assert X.is_free() and hind(X) == hind_by_cup_powers(X) == 0
@@ -316,15 +321,40 @@ def test_images_may_be_faces_of_given_simplices():
          {0: 4, 4: 0, 1: 6, 6: 1, 2: 5, 5: 2, 3: 7, 7: 3}, (0, 1)),
         ([(1, 2, 3), (4, 5, 6), (1, 2), (7,), (8,)],
          {1: 4, 4: 1, 2: 7, 7: 2, 3: 8, 8: 3, 5: 6, 6: 5}, (1, 2, 3)),
+        ([(5, 4, 6), (1, 2, 3), (7,), (8,)],
+         {1: 4, 4: 1, 2: 7, 7: 2, 3: 8, 8: 3, 5: 6, 6: 5}, (4, 5, 6)),
     ):
         with pytest.raises(ValueError) as e:
             Z2Complex(SimplicialComplex(simplices), involution)
         assert str(e.value) == f"involution does not map simplex {named} to a simplex"
 
 
+def test_a_missing_image_is_named_without_listing_faces(tmp_path, capsys):
+    """`hind --input` names a missing image from the given simplices alone.
+    A = {0..59}, B = {60..118, 0} and C = {119}, with g swapping i and
+    i + 60: the images of A and B are no faces, and A, named, has 2^60
+    faces, so a naming that lists faces does not end."""
+    k = 60
+    path = tmp_path / "no-image.json"
+    path.write_text(json.dumps({
+        "maximal_simplices": [list(range(k)), [*range(k, 2 * k - 1), 0], [2 * k - 1]],
+        "involution": {str(i): (i + k) % (2 * k) for i in range(2 * k)},
+    }))
+    start = time.perf_counter()
+    with pytest.raises(SystemExit) as e:
+        tverlab.cli.main(["hind", "--input", str(path)])
+    elapsed = time.perf_counter() - start
+    out, err = capsys.readouterr()
+    assert (e.value.code, out) == (2, "")
+    assert err.splitlines()[-1] == (
+        f"tverlab: error: hind: involution does not map simplex {tuple(range(k))} to a simplex"
+    )
+    assert elapsed < 1
+
+
 def test_quotient_of_zero_sphere_is_a_point():
     q = quotient(cross_polytope_sphere(0))
-    assert q.complex.facets == frozenset({(0,)})
+    assert oracles.facets(q.complex) == frozenset({(0,)})
 
 
 def test_quotient_sizes_are_half_the_subdivided_cover():
@@ -345,7 +375,7 @@ def test_circle_and_projective_plane_quotients():
 
     q2 = quotient(cross_polytope_sphere(2))
     assert euler_characteristic(q2.complex) == 1
-    assert len(q2.complex.vertices) == 13
+    assert len(oracles.vertices(q2.complex)) == 13
 
 
 def test_characteristic_class_of_circle_quotient():
@@ -364,7 +394,7 @@ def test_section_change_shifts_cocycle_by_coboundary():
         w = characteristic_cocycle(q)
         for _ in range(5):
             section = dict(q.section)
-            for v in q.complex.vertices:
+            for v in oracles.vertices(q.complex):
                 if rng.below(2):
                     section[v] = q.cover_involution[section[v]]
             q2 = q.with_section(section)
@@ -536,15 +566,14 @@ def test_hind_builds_no_complex(monkeypatch):
 
 def test_hind_builds_no_sorted_face_index(monkeypatch, tmp_path, capsys):
     def boom(self):
-        raise AssertionError("the facets or vertices were listed")
+        raise AssertionError("the canonical form was built")
 
     path = tmp_path / "circle.json"
     path.write_text(
         '{"maximal_simplices": [[5, 2], [5, -3], [9, 2], [9, -3]],'
         ' "involution": {"5": 9, "9": 5, "2": -3, "-3": 2}}'
     )
-    for lazy in ("facets", "vertices"):
-        monkeypatch.setattr(SimplicialComplex, lazy, property(boom))
+    monkeypatch.setattr(SimplicialComplex, "simplices", property(boom))
     assert tverlab.cli.main(["hind", "--input", str(path)]) == 0
     assert tverlab.cli.main(["hind", "--sphere", "3"]) == 0
     assert capsys.readouterr().out.splitlines() == [
@@ -576,13 +605,13 @@ def test_disjoint_union_index_is_max():
 def relabelled(X, rng):
     """X with its vertices sent to distinct random ids below twice their
     count."""
-    ids = list(range(2 * len(X.complex.vertices)))
+    ids = list(range(2 * len(oracles.vertices(X.complex))))
     for i in range(len(ids) - 1, 0, -1):
         j = rng.below(i + 1)
         ids[i], ids[j] = ids[j], ids[i]
-    new = dict(zip(X.complex.vertices, ids))
+    new = dict(zip(oracles.vertices(X.complex), ids))
     return Z2Complex(
-        SimplicialComplex([[new[v] for v in f] for f in X.complex.facets]),
+        SimplicialComplex([[new[v] for v in f] for f in oracles.facets(X.complex)]),
         {new[v]: new[w] for v, w in X.involution.items()},
     )
 
@@ -623,7 +652,7 @@ def sphere_times_simplex(m, k):
     and its dimension m + k."""
     S = cross_polytope_sphere(m)
     facets = []
-    for f in S.complex.facets:
+    for f in oracles.facets(S.complex):
         f = sorted(f, key=lambda v: min(v, S.involution[v]))
         for ups in itertools.combinations(range(m + k), k):
             i = j = 0
@@ -766,10 +795,10 @@ def given_inputs(draw):
         st.integers(0, 3), st.booleans(),
     )
     X = z2_disjoint_union(*draw(st.lists(spheres | invariant_subcomplexes(), min_size=1, max_size=3)))
-    verts = X.complex.vertices
+    verts = oracles.vertices(X.complex)
     ids = draw(st.lists(st.integers(-10**6, 10**6), min_size=len(verts), max_size=len(verts), unique=True))
     new = dict(zip(verts, ids))
-    simplices = [[new[v] for v in f] for f in sorted(X.complex.facets)]
+    simplices = [[new[v] for v in f] for f in sorted(oracles.facets(X.complex))]
     for s in draw(st.lists(st.sampled_from(simplices), max_size=4)):
         simplices.append(draw(st.lists(st.sampled_from(s), min_size=1, max_size=len(s), unique=True)))
     simplices += draw(st.lists(st.sampled_from(simplices), max_size=2))
@@ -805,17 +834,19 @@ def test_an_image_that_is_only_a_face_is_read_as_the_canonical_form_read_it(data
     assert set(X._masks) == set(R._masks) and hind(X) == hind(R)
 
 
-def test_int_subclass_ids_are_read_from_the_canonical_form():
-    """`simplex` accepts an int subclass other than bool as an id; the
-    checks on masks pass such an input to the canonical form, which
-    accepts it, and the masks are read from there."""
+def test_int_subclass_ids_are_refused():
+    """`simplex` takes exact ints only, the rule of the involution's check,
+    so an int subclass other than bool is no vertex id: the checks on
+    masks pass such an input to the canonical form, whose walk refuses
+    it."""
     class Id(int):
         pass
 
     simplices = [[Id(0), Id(2)], [Id(1), Id(3)]]
-    X = Z2Complex(SimplicialComplex(simplices), {0: 1, 1: 0, 2: 3, 3: 2})
-    R = canonical_z2_complex(simplices, {0: 1, 1: 0, 2: 3, 3: 2})
-    assert set(X._masks) == set(R._masks) and hind(X) == hind(R) == 0
+    with pytest.raises(ValueError, match="^vertex ids must be integers$"):
+        Z2Complex(SimplicialComplex(simplices), {0: 1, 1: 0, 2: 3, 3: 2})
+    with pytest.raises(ValueError, match="^vertex ids must be integers$"):
+        SimplicialComplex(simplices).simplices
 
 
 def fault(kind, simplices, involution, i, j):
