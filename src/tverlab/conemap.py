@@ -15,6 +15,9 @@ separating functional: for a small face s, h_s(y) = sum_{j in s} y_j is
 1 on every vertex image of s and at most |s|/(m+1) < 1 on every vertex
 image of a disjoint face.  The images are unions of hulls of those vertex
 images, so the exact check on the vertices proves the images disjoint.
+Each face's vertex images are read from the table into one list, once;
+h_s is read over such a list in C (`operator.itemgetter`, `sum`, `max`),
+and s's smallest value on its own images is taken once per small face.
 No LP is solved.  `isolation_rows` yields one row a tuple, each naming
 its functionals by a 12-character digest from the interpreter's built-in
 SHA-256, so that no OpenSSL is loaded; `list(isolation_rows(spec))` is
@@ -32,8 +35,9 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
-from math import comb, factorial, lcm
-from typing import Dict, Iterator, List, NamedTuple, Tuple
+from math import comb, factorial, gcd, lcm
+from operator import itemgetter
+from typing import Callable, Dict, Iterator, List, NamedTuple, Tuple
 
 from .rationals import Point, rat_str
 
@@ -156,60 +160,65 @@ def isolation_rows(spec: CounterexampleSpec) -> Iterator[IsolationRow]:
     meet inside their own faces), and by counting every tuple has one.
     Each such face s is certified against every other face t of the tuple
     by h_s(y) = sum_{j in s} y_j: its largest value on t's vertex images
-    (the threshold) must lie below its smallest on s's.  The vertex images
-    are read from the table, each (s, t) pair is checked once, and a tuple
-    with no small face or a pair the functional fails to separate raises
-    IsolationFailure naming the tuple.  The sums are taken over the
-    table's integer rows, all over its one scale L.  The rows claim every
-    tuple, so after the last one RuntimeError unless there were
-    count_disjoint_tuples of them."""
-    L, scaled = spec.scale, spec.images
+    (the threshold) must lie below its smallest on s's (s's floor).  Each
+    face's vertex images are read from the table once, into one list, and
+    h_s over such a list is `operator.itemgetter(*s)` mapped over it (and
+    `sum` mapped over that when |s| > 1): the threshold is one `max` of it
+    per (s, t) pair, s's floor one `min` per small face.  Each (s, t) pair
+    is checked once, and a tuple with no small face or a pair the
+    functional fails to separate raises IsolationFailure naming the tuple
+    and, for a pair, the vertex image y of t with the largest (h_s(y), y):
+    the largest h_s, ties broken by the largest row.  The sums are taken
+    over the table's integer rows, all over its one scale L.  The rows
+    claim every tuple, so after the last one RuntimeError unless there
+    were count_disjoint_tuples of them."""
+    d, L, scaled = spec.d, spec.scale, spec.images
     unscaled = lambda v: rat_str(Fraction(v, L))
-    image_cache: Dict[Simplex, List[Tuple[int, ...]]] = {}
+    vertex_images: Dict[Simplex, List[Tuple[int, ...]]] = {}
+    labels: Dict[Simplex, str] = {}  # each face as the digests' payloads write it
+    functionals: Dict[Simplex, Tuple[Callable, int]] = {}  # h_s and s's floor, per small face
     certified: Dict[Tuple[Simplex, Simplex], str] = {}
 
     def images(f: Simplex) -> List[Tuple[int, ...]]:
         """L times the images of f's subdivision vertices, one per nonempty
         subface."""
-        if f not in image_cache:
-            image_cache[f] = [
-                scaled[g]
-                for k in range(1, len(f) + 1)
-                for g in itertools.combinations(f, k)
-            ]
-        return image_cache[f]
+        if f not in vertex_images:
+            vertex_images[f] = [scaled[g] for k in range(1, len(f) + 1) for g in itertools.combinations(f, k)]
+            labels[f] = str(list(f))
+        return vertex_images[f]
 
     def certify(faces, s: Simplex, t: Simplex) -> str:
-        if (s, t) not in certified:
-            low = min(sum(y[j] for j in s) for y in images(s))
-            high, worst = max((sum(y[j] for j in s), y) for y in images(t))
+        digest = certified.get((s, t))
+        if digest is None:
+            if s not in functionals:
+                get = itemgetter(*s)  # one coordinate alone, else a tuple to sum
+                h = (lambda ys: map(get, ys)) if len(s) == 1 else (lambda ys: map(sum, map(get, ys)))
+                functionals[s] = h, min(h(images(s)))
+            h, low = functionals[s]
+            ys = images(t)
+            high = max(h(ys))
             if high >= low:
+                worst = max(zip(h(ys), ys))[1]  # the largest (h, y)
                 raise IsolationFailure(
                     f"tuple {faces}: predicted-isolated face {s} is not "
                     f"separated from {t}: h = {unscaled(high)} at the vertex "
                     f"image ({', '.join(map(unscaled, worst))}) of {t}, not "
                     f"below {unscaled(low)}"
                 )
-            payload = f'[{list(s)}, {list(t)}, "{unscaled(high)}"]'.encode()  # as json.dumps wrote it
-            certified[s, t] = sha256(payload).hexdigest()[:12]
-        return certified[s, t]
+            g = gcd(high, L)  # high / L reduced, as rat_str writes it
+            payload = f'[{labels[s]}, {labels[t]}, "{high // g}/{L // g}"]'.encode()  # as json.dumps wrote it
+            digest = certified[s, t] = sha256(payload).hexdigest()[:12]
+        return digest
 
     count = 0
     for faces in enumerate_disjoint_tuples(spec.m, spec.r):
-        small = tuple(
-            i for i, f in enumerate(faces) if len(f) - 1 <= spec.d - 1
-        )
+        small = tuple([i for i, f in enumerate(faces) if len(f) <= d])
         if not small:
             raise IsolationFailure(
-                f"tuple {faces} has no face of dimension <= {spec.d - 1}; "
+                f"tuple {faces} has no face of dimension <= {d - 1}; "
                 "the counting bound is violated"
             )
-        digests = tuple(
-            certify(faces, faces[i], g)
-            for i in small
-            for j, g in enumerate(faces)
-            if j != i
-        )
+        digests = tuple([certify(faces, faces[i], g) for i in small for j, g in enumerate(faces) if j != i])
         count += 1
         yield IsolationRow(
             faces=faces,

@@ -196,7 +196,7 @@ def hind(X: Z2Complex) -> int:
         if m < image:
             given.setdefault(m.bit_count() - 1, []).append(m)
     n = max(given)
-    level = given[n]
+    level = dict.fromkeys(given[n])  # a simplex given twice is one row
     while n:
         columns: Dict[int, int] = {}
         rows: List[int] = []

@@ -170,6 +170,15 @@ MUTANTS = (
     Mutant("the rank without +1", "src/tverlab/conemap.py",
            "rank = count_disjoint_tuples(m, r) - partitions + 1", "rank = count_disjoint_tuples(m, r) - partitions",
            ("tests/test_conemap.py::test_probe_skips_small_face_tuples",)),
+    # conemap: the isolation pair check, on a threshold equal to the floor
+    # and on the image of the face's own barycenter
+    Mutant("a threshold equal to the floor passes", "src/tverlab/conemap.py",
+           "if high >= low:", "if high > low:",
+           ("tests/test_conemap.py::test_isolation_failure_on_sabotaged_map",
+            "tests/test_cli.py::test_a_falsified_claim_exits_one_with_its_record")),
+    Mutant("no vertex image of the face's barycenter", "src/tverlab/conemap.py",
+           "for k in range(1, len(f) + 1)", "for k in range(1, len(f))",
+           ("tests/test_conemap.py::test_isolation_failure_when_a_disjoint_image_reaches_the_small_face",)),
     # z2: hind's orbit representatives, its right-hand sides and the degree it
     # returns, Z2Complex's checks on masks and the simplex it names for a
     # missing image

@@ -301,13 +301,14 @@ def hind_by_yang_chains(X: Z2Complex) -> int:
 class CanonicalComplex:
     """A finite abstract simplicial complex, given by its facets.
 
-    It keeps the given simplices, in canonical form, as `simplices`; its
-    maximal ones (`facets`) and its sorted `vertices` are found on first
-    use, and `dim` is that of the longest given simplex.  Complexes
-    compare by identity."""
+    It keeps the given simplices, in canonical form, in given order as
+    `given` and as the set `simplices`; its maximal ones (`facets`) and
+    its sorted `vertices` are found on first use, and `dim` is that of the
+    longest given simplex.  Complexes compare by identity."""
 
     def __init__(self, facets: Iterable[Iterable[int]]):
-        self.simplices = {simplex(f) for f in facets}
+        self.given = [simplex(f) for f in facets]
+        self.simplices = set(self.given)
         if not self.simplices:
             raise ValueError("a complex needs at least one simplex")
 
@@ -357,9 +358,9 @@ class CanonicalZ2Complex(Z2Complex):
         masks = self._masks = [sum(map(bit, s)) for s in complex.simplices]
         images = self._images = [((m & lo) << 1) | ((m >> 1) & lo) | (m & fixed) for m in masks]
         if not all(any(s & m == s for m in masks) for s in images):
-            # Name the first maximal simplex whose image lies in no given one.
+            # Name the first given simplex, in given order, whose image lies in no given one.
             image = dict(zip(masks, images))
-            for f in complex.facets:
+            for f in complex.given:
                 s = image[sum(map(bit, f))]
                 if not any(s & m == s for m in masks):
                     raise ValueError(f"involution does not map simplex {f} to a simplex")

@@ -892,16 +892,22 @@ FAULTS = ["empty", "repeated", "bool", "float", "string", "nested", "missing", "
 # the circle with its vertex 1 given alone: written [1, 1], that simplex
 # sums to the mask of {0}, a face of {0, 2} whose image {1} is a face too
 CIRCLE_AND_A_VERTEX = ([[0, 2], [2, 1], [1, 3], [3, 0], [1]], {0: 1, 1: 0, 2: 3, 3: 2})
+# the images of the first two given simplices, (5, 4, 6) and (1, 2, 3), are no faces
+TWO_IMAGES_MISSING = ([[5, 4, 6], [1, 2, 3], [7], [8]], {1: 4, 4: 1, 2: 7, 7: 2, 3: 8, 8: 3, 5: 6, 6: 5})
 
 
 @pytest.mark.parametrize("kind", FAULTS)
 @settings(derandomize=True, database=None, deadline=None, max_examples=15)
 @given(data=given_inputs(), i=st.integers(0, 99), j=st.integers(0, 99))
 @example(data=CIRCLE_AND_A_VERTEX, i=4, j=0)
+@example(data=TWO_IMAGES_MISSING, i=2, j=0)
 def test_faults_raise_what_the_canonical_form_raised(kind, data, i, j):
     """Each kind of fault raises the exception, with the message, that the
-    construction from the canonical form raised, on drawn inputs and on one
-    fixed input on which a check left out lets the fault through."""
+    construction from the canonical form raised, on drawn inputs, on one
+    fixed input on which a check left out lets the fault through, and on
+    one whose first two given simplices already lose their images: there
+    "not a face" leaves three such simplices, and both constructions name
+    the first given, not the first in hash order."""
     simplices, involution = fault(kind, *data, i, j)
     with pytest.raises((ValueError, TypeError)) as expected:
         canonical_z2_complex(simplices, involution)
@@ -919,7 +925,7 @@ def test_hind_solves_one_system_per_degree_it_needs(monkeypatch):
     S^m x D^k has index m below its dimension m + k and w^n nonzero above
     m, so it solves every degree from m + k down to m; the swapped
     tetrahedra keep every vertex on one sheet, so w = 0 and nothing is
-    solved."""
+    solved; a top simplex given more than once is one row."""
     S = cross_polytope_sphere
     systems = []
     solve = tverlab.z2._gf2_solvable
@@ -943,6 +949,9 @@ def test_hind_solves_one_system_per_degree_it_needs(monkeypatch):
         ("two swapped tetrahedra",
          Z2Complex(SimplicialComplex([(0, 1, 2, 3), (4, 5, 6, 7)]), {v: v ^ 4 for v in range(8)}),
          0, []),
+        ("S^1 with each edge given three times",
+         Z2Complex(SimplicialComplex([(0, 2), (0, 3), (1, 2), (1, 3)] * 3), {0: 1, 1: 0, 2: 3, 3: 2}),
+         1, [(2, 2)]),
     ]
     for label, X, index, expected in cases:
         systems.clear()
